@@ -73,7 +73,7 @@ func main() {
 		if err != nil {
 			fail("%v", err)
 		}
-		srv := &http.Server{Handler: frontend.NewHandler(f)}
+		srv := newServer(frontend.NewHandler(f))
 		go func() { _ = srv.Serve(ln) }()
 		defer srv.Close()
 		base = "http://" + ln.Addr().String()
@@ -98,6 +98,29 @@ func main() {
 	fmt.Printf("digest    %016x\n", res.Digest)
 	if res.Lost > 0 || res.Dup > 0 {
 		fail("conservation violated: %d lost, %d duplicated", res.Lost, res.Dup)
+	}
+}
+
+// Self-serve connection timeouts. A client that stalls mid-request is
+// disconnected after readHeaderTimeout (headers) or readTimeout (whole
+// request). writeTimeout outlasts the load generator's own 30 s
+// per-request timeout, because a replay-mode handler holds its response
+// until the whole script has arrived and run.
+const (
+	readHeaderTimeout = 2 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 60 * time.Second
+)
+
+// newServer wraps h in an http.Server with the self-serve timeouts.
+func newServer(h http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 

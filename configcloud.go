@@ -27,7 +27,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shell"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 	"repro/internal/svclb"
 )
 
@@ -78,12 +77,6 @@ type Options struct {
 	// Telemetry enables observability (metrics registry + span tracers)
 	// on the cloud's simulation(s) before any component is constructed.
 	Telemetry bool
-	// Engine selects the shard coordination engine for sharded clouds
-	// (zero value: shard.EngineChannel, the channel-aware asynchronous
-	// engine). Ignored by the sequential New. The engine, like the
-	// worker count, only changes wall-clock time — results are
-	// bit-identical across engines.
-	Engine shard.Engine
 }
 
 // defaultFaultProfile is the process-wide profile applied when

@@ -1,6 +1,7 @@
 package configcloud
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,7 +11,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/ranking"
-	"repro/internal/sim/shard"
 	"repro/internal/svclb"
 	"repro/internal/sweep"
 )
@@ -154,11 +154,41 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 }
 
 // The sharded kernel's headline guarantee (ROADMAP: conservative-
-// lookahead PDES): the worker count AND the coordination engine change
-// only the wall clock. Every (engine, workers) combination must match
-// the single-worker run of the same partition bit for bit — same
-// behaviour digest (per-pair ping counts and RTTs, event and crossing
-// totals) and byte-identical telemetry JSONL.
+// lookahead PDES): the worker count changes only the wall clock. Every
+// worker count must match the single-worker run of the same partition
+// bit for bit — same behaviour digest (per-pair ping counts and RTTs,
+// event and crossing totals) and byte-identical telemetry JSONL.
+//
+// Comparing runs within one build cannot catch a drift every worker
+// count shares, so the single-worker results are also pinned to
+// literals: the digest, and the SHA-256 of the telemetry JSONL. A change
+// to either is a behaviour change and must be deliberate.
+const (
+	pinScaleDigest      = "045264282139d999"
+	pinScaleTelemetry   = "d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"
+	pinNetsvcDigest     = "427f71d71f34996c"
+	pinNetsvcTelemetry  = "371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"
+	pinNetsvcCuckoo     = "427f71d71f34996c"
+	pinNetsvcMGet4      = "8375c29437f42720"
+	pinTenancyDigest    = "e2d4ae3aa2cb7514"
+	pinTenancyTelemetry = "f4703e11a25432bad3a141b9f413992199b5c510ca775cc9a618b360615218e9"
+)
+
+// checkPinned compares a run's digest and (when tel is non-empty) the
+// SHA-256 of its telemetry JSONL against pinned hex literals.
+func checkPinned(t *testing.T, label string, digest uint64, tel, wantDigest, wantTel string) {
+	t.Helper()
+	if got := fmt.Sprintf("%016x", digest); got != wantDigest {
+		t.Errorf("%s: digest %s, pinned %s", label, got, wantDigest)
+	}
+	if tel == "" {
+		return
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tel))); got != wantTel {
+		t.Errorf("%s: telemetry sha256 %s, pinned %s", label, got, wantTel)
+	}
+}
+
 // raiseGOMAXPROCS lifts scheduler parallelism for one test so that
 // multi-worker shard-group runs spawn real goroutines (the group
 // clamps its pool to GOMAXPROCS) and the race detector sees them.
@@ -172,9 +202,19 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// encodeRecord renders one telemetry record as JSONL.
+func encodeRecord(t *testing.T, r *obs.Record) string {
+	t.Helper()
+	var b strings.Builder
+	if err := obs.EncodeAll(&b, []*obs.Record{r}); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
 func TestShardedScaleDeterminism(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (ScaleResult, string) {
+	run := func(workers int) (ScaleResult, string) {
 		cfg := DefaultScaleConfig(3)
 		cfg.HostsPerTOR = 6
 		cfg.TORsPerPod = 4
@@ -183,17 +223,12 @@ func TestShardedScaleDeterminism(t *testing.T) {
 		cfg.Duration = 3 * Millisecond
 		cfg.BackgroundUtil = 0.01
 		cfg.Workers = workers
-		cfg.Engine = engine
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
+		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1, shard.EngineChannel)
+	seq, seqTel := run(1)
 	// Guard against a vacuous pass before comparing anything.
 	if seq.Pings == 0 {
 		t.Fatal("workload completed no pings")
@@ -204,37 +239,31 @@ func TestShardedScaleDeterminism(t *testing.T) {
 	if len(seqTel) < 1000 {
 		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
 	}
-	for _, engine := range []shard.Engine{shard.EngineChannel, shard.EngineGlobal} {
-		for _, workers := range []int{1, 4} {
-			if workers == 1 && engine == shard.EngineChannel {
-				continue // the reference run itself
-			}
-			par, parTel := run(workers, engine)
-			if workers > 1 && par.Workers < 2 {
-				t.Fatalf("parallel run used %d workers", par.Workers)
-			}
-			if seq.Digest != par.Digest {
-				t.Errorf("%v workers=%d: digest diverged from sequential %016x vs %016x (pings %d vs %d, events %d vs %d)",
-					engine, workers, seq.Digest, par.Digest, seq.Pings, par.Pings, seq.Events, par.Events)
-			}
-			if seqTel != parTel {
-				t.Errorf("%v workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-					engine, workers, len(seqTel), len(parTel))
-			}
+	checkPinned(t, "scale", seq.Digest, seqTel, pinScaleDigest, pinScaleTelemetry)
+	for _, workers := range []int{2, 4} {
+		par, parTel := run(workers)
+		if par.Workers < 2 {
+			t.Fatalf("parallel run used %d workers", par.Workers)
+		}
+		if seq.Digest != par.Digest {
+			t.Errorf("workers=%d: digest diverged from sequential %016x vs %016x (pings %d vs %d, events %d vs %d)",
+				workers, seq.Digest, par.Digest, seq.Pings, par.Pings, seq.Events, par.Events)
+		}
+		if seqTel != parTel {
+			t.Errorf("workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
+				workers, len(seqTel), len(parTel))
 		}
 	}
 }
 
 // The ISSUE 8 property test: random small topologies — random pod
-// counts, random L1<->L2 cable delays and per-pod spreads (the raw
-// material for per-channel lookahead), random cross-traffic — run
-// sequentially, on the global-lookahead barrier engine, and on the
-// channel-aware asynchronous engine at 1/2/4/8 workers. Every run must
+// counts, random L1<->L2 cable delays and per-pod spreads, random
+// cross-traffic — run sequentially and at 2/4/8 workers. Every run must
 // produce the same digest and byte-identical telemetry JSONL as the
 // sequential reference.
 func TestShardEngineRandomTopologyProperty(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 9 sharded clouds per trial")
+		t.Skip("runs 4 sharded clouds per trial")
 	}
 	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(816))
@@ -256,35 +285,25 @@ func TestShardEngineRandomTopologyProperty(t *testing.T) {
 		label := fmt.Sprintf("trial=%d pods=%d hosts/tor=%d prop=%d spread=%d",
 			trial, cfg.Pods, cfg.HostsPerTOR, cfg.L1UplinkProp, cfg.L2CableSpread)
 
-		run := func(workers int, engine shard.Engine) (ScaleResult, string) {
+		run := func(workers int) (ScaleResult, string) {
 			c := cfg
 			c.Workers = workers
-			c.Engine = engine
 			res := RunScalePoint(c)
-			var b strings.Builder
-			if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-				t.Fatal(err)
-			}
-			return res, b.String()
+			return res, encodeRecord(t, res.Record)
 		}
-		ref, refTel := run(1, shard.EngineChannel)
+		ref, refTel := run(1)
 		if ref.Pings == 0 || ref.Crossings == 0 {
 			t.Fatalf("%s: vacuous workload (pings=%d crossings=%d)", label, ref.Pings, ref.Crossings)
 		}
-		for _, engine := range []shard.Engine{shard.EngineGlobal, shard.EngineChannel} {
-			for _, workers := range []int{1, 2, 4, 8} {
-				if workers == 1 && engine == shard.EngineChannel {
-					continue
-				}
-				got, gotTel := run(workers, engine)
-				if got.Digest != ref.Digest {
-					t.Errorf("%s: %v workers=%d digest %016x, sequential %016x",
-						label, engine, workers, got.Digest, ref.Digest)
-				}
-				if gotTel != refTel {
-					t.Errorf("%s: %v workers=%d telemetry diverged (%d vs %d bytes)",
-						label, engine, workers, len(gotTel), len(refTel))
-				}
+		for _, workers := range []int{2, 4, 8} {
+			got, gotTel := run(workers)
+			if got.Digest != ref.Digest {
+				t.Errorf("%s: workers=%d digest %016x, sequential %016x",
+					label, workers, got.Digest, ref.Digest)
+			}
+			if gotTel != refTel {
+				t.Errorf("%s: workers=%d telemetry diverged (%d vs %d bytes)",
+					label, workers, len(gotTel), len(refTel))
 			}
 		}
 	}
@@ -297,30 +316,23 @@ func TestShardEngineRandomTopologyProperty(t *testing.T) {
 // This is E18's "seq-vs-sharded digest determinism" acceptance check.
 func TestNetsvcScaleDeterminism(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (NetsvcScaleResult, string) {
+	base := func(workers int) NetsvcScaleConfig {
 		cfg := DefaultNetsvcScaleConfig(3)
 		cfg.HostsPerTOR = 6
 		cfg.TORsPerPod = 4
 		cfg.RequestsPerClient = 50
 		cfg.Duration = 6 * Millisecond
 		cfg.Workers = workers
-		cfg.Engine = engine
+		return cfg
+	}
+	run := func(workers int) (NetsvcScaleResult, string) {
+		cfg := base(workers)
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunNetsvcScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
+		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1, shard.EngineChannel)
-	par, parTel := run(4, shard.EngineChannel)
-	barrier, barrierTel := run(4, shard.EngineGlobal)
-	if seq.Digest != barrier.Digest || seqTel != barrierTel {
-		t.Errorf("global-lookahead engine diverged from sequential: digest %016x vs %016x, telemetry %d vs %d bytes",
-			barrier.Digest, seq.Digest, len(barrierTel), len(seqTel))
-	}
+	seq, seqTel := run(1)
 	if seq.Completed == 0 {
 		t.Fatal("workload completed no KV requests")
 	}
@@ -330,6 +342,8 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 	if len(seqTel) < 1000 {
 		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
 	}
+	checkPinned(t, "netsvc", seq.Digest, seqTel, pinNetsvcDigest, pinNetsvcTelemetry)
+	par, parTel := run(4)
 	if par.Workers < 2 {
 		t.Fatalf("parallel run used %d workers", par.Workers)
 	}
@@ -343,45 +357,33 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 	}
 
 	// The cuckoo directory and multi-get coalescing must be exactly as
-	// worker-count- and engine-independent as the base service: each
-	// variant's digest is compared across 1/2/4/8 workers and both shard
-	// engines.
+	// worker-count-independent as the base service: each variant's
+	// digest is pinned and compared across 1/2/4/8 workers.
 	variants := []struct {
 		name string
+		pin  string
 		mut  func(*NetsvcScaleConfig)
 	}{
-		{"cuckoo", func(c *NetsvcScaleConfig) { c.Cuckoo = true }},
-		{"mget4", func(c *NetsvcScaleConfig) { c.MGetBatch = 4 }},
-	}
-	points := []struct {
-		workers int
-		engine  shard.Engine
-	}{
-		{1, shard.EngineChannel}, {2, shard.EngineGlobal},
-		{4, shard.EngineChannel}, {8, shard.EngineGlobal},
+		{"cuckoo", pinNetsvcCuckoo, func(c *NetsvcScaleConfig) { c.Cuckoo = true }},
+		{"mget4", pinNetsvcMGet4, func(c *NetsvcScaleConfig) { c.MGetBatch = 4 }},
 	}
 	for _, v := range variants {
 		var ref NetsvcScaleResult
-		for i, pt := range points {
-			cfg := DefaultNetsvcScaleConfig(3)
-			cfg.HostsPerTOR = 6
-			cfg.TORsPerPod = 4
-			cfg.RequestsPerClient = 50
-			cfg.Duration = 6 * Millisecond
-			cfg.Workers = pt.workers
-			cfg.Engine = pt.engine
+		for i, workers := range []int{1, 2, 4, 8} {
+			cfg := base(workers)
 			v.mut(&cfg)
 			res := RunNetsvcScalePoint(cfg)
 			if res.Completed == 0 {
-				t.Fatalf("%s: no completions at workers=%d engine=%v", v.name, pt.workers, pt.engine)
+				t.Fatalf("%s: no completions at workers=%d", v.name, workers)
 			}
 			if i == 0 {
+				checkPinned(t, "netsvc "+v.name, res.Digest, "", v.pin, "")
 				ref = res
 				continue
 			}
 			if res.Digest != ref.Digest || res.Completed != ref.Completed {
-				t.Errorf("%s: workers=%d engine=%v diverged: digest %016x vs %016x (completed %d vs %d)",
-					v.name, pt.workers, pt.engine, res.Digest, ref.Digest, res.Completed, ref.Completed)
+				t.Errorf("%s: workers=%d diverged: digest %016x vs %016x (completed %d vs %d)",
+					v.name, workers, res.Digest, ref.Digest, res.Completed, ref.Completed)
 			}
 		}
 	}
@@ -405,29 +407,24 @@ func TestTenancyTableDeterminism(t *testing.T) {
 // The E19 acceptance check: the multi-tenant board — KV shard slot plus
 // a shaped elephant slot, both loaded by partial reconfiguration — runs
 // on the sharded kernel with the same guarantee as every other workload:
-// worker count and coordination engine change only the wall clock. Same
-// digest (client completion streams + elephant send/throttle totals) and
-// byte-identical telemetry JSONL across 1/4 workers and both engines.
+// the worker count changes only the wall clock. Same digest (client
+// completion streams + elephant send/throttle totals) and byte-identical
+// telemetry JSONL across 1/2/4 workers.
 func TestTenancyScaleDeterminism(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
-	run := func(workers int, engine shard.Engine) (TenancyScaleResult, string) {
+	run := func(workers int) (TenancyScaleResult, string) {
 		cfg := DefaultTenancyScaleConfig(3)
 		cfg.HostsPerTOR = 6
 		cfg.TORsPerPod = 4
 		cfg.RequestsPerClient = 30
 		cfg.Duration = 16 * Millisecond
 		cfg.Workers = workers
-		cfg.Engine = engine
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunTenancyScalePoint(cfg)
-		var b strings.Builder
-		if err := obs.EncodeAll(&b, []*obs.Record{res.Record}); err != nil {
-			t.Fatal(err)
-		}
-		return res, b.String()
+		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1, shard.EngineChannel)
+	seq, seqTel := run(1)
 	if seq.Completed == 0 {
 		t.Fatal("workload completed no KV requests")
 	}
@@ -441,23 +438,19 @@ func TestTenancyScaleDeterminism(t *testing.T) {
 	if len(seqTel) < 1000 {
 		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
 	}
-	for _, engine := range []shard.Engine{shard.EngineChannel, shard.EngineGlobal} {
-		for _, workers := range []int{1, 4} {
-			if workers == 1 && engine == shard.EngineChannel {
-				continue // the reference run itself
-			}
-			par, parTel := run(workers, engine)
-			if workers > 1 && par.Workers < 2 {
-				t.Fatalf("parallel run used %d workers", par.Workers)
-			}
-			if seq.Digest != par.Digest {
-				t.Errorf("%v workers=%d: digest diverged %016x vs %016x (completed %d vs %d, events %d vs %d)",
-					engine, workers, seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
-			}
-			if seqTel != parTel {
-				t.Errorf("%v workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-					engine, workers, len(seqTel), len(parTel))
-			}
+	checkPinned(t, "tenancy", seq.Digest, seqTel, pinTenancyDigest, pinTenancyTelemetry)
+	for _, workers := range []int{2, 4} {
+		par, parTel := run(workers)
+		if par.Workers < 2 {
+			t.Fatalf("parallel run used %d workers", par.Workers)
+		}
+		if seq.Digest != par.Digest {
+			t.Errorf("workers=%d: digest diverged %016x vs %016x (completed %d vs %d, events %d vs %d)",
+				workers, seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
+		}
+		if seqTel != parTel {
+			t.Errorf("workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
+				workers, len(seqTel), len(parTel))
 		}
 	}
 }

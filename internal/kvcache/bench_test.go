@@ -10,7 +10,7 @@ import (
 // BenchmarkWireDecode measures the request decode the shard pipeline
 // runs per datagram.
 func BenchmarkKVWireDecode(b *testing.B) {
-	buf := EncodeReq(Req{Op: OpPut, ID: 42, Key: MakeKey(7, 16), Val: MakeVal(7, 128)})
+	buf := AppendReq(nil, Req{Op: OpPut, ID: 42, Key: MakeKey(7, 16), Val: MakeVal(7, 128)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeReq(buf); err != nil {

@@ -8,9 +8,9 @@ import (
 // FuzzDecodeReq asserts the shard-side decoder never panics and that
 // every accepted request re-encodes to an equivalent message.
 func FuzzDecodeReq(f *testing.F) {
-	f.Add(EncodeReq(Req{Op: OpGet, ID: 1, Key: []byte("key")}))
-	f.Add(EncodeReq(Req{Op: OpPut, ID: 2, Key: []byte("key"), Val: []byte("value")}))
-	f.Add(EncodeReq(Req{Op: OpPut, ID: 3, Key: bytes.Repeat([]byte{1}, MaxKeyBytes), Val: bytes.Repeat([]byte{2}, MaxValBytes)}))
+	f.Add(AppendReq(nil, Req{Op: OpGet, ID: 1, Key: []byte("key")}))
+	f.Add(AppendReq(nil, Req{Op: OpPut, ID: 2, Key: []byte("key"), Val: []byte("value")}))
+	f.Add(AppendReq(nil, Req{Op: OpPut, ID: 3, Key: bytes.Repeat([]byte{1}, MaxKeyBytes), Val: bytes.Repeat([]byte{2}, MaxValBytes)}))
 	f.Add([]byte{})
 	f.Add([]byte{OpGet, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -21,7 +21,7 @@ func FuzzDecodeReq(f *testing.F) {
 		if len(r.Key) == 0 || len(r.Key) > MaxKeyBytes || len(r.Val) > MaxValBytes {
 			t.Fatalf("accepted out-of-bounds request: %d key, %d val", len(r.Key), len(r.Val))
 		}
-		r2, err := DecodeReq(EncodeReq(r))
+		r2, err := DecodeReq(AppendReq(nil, r))
 		if err != nil {
 			t.Fatalf("re-decode of accepted request failed: %v", err)
 		}
@@ -33,9 +33,9 @@ func FuzzDecodeReq(f *testing.F) {
 
 // FuzzDecodeResp mirrors FuzzDecodeReq for the client-side decoder.
 func FuzzDecodeResp(f *testing.F) {
-	f.Add(EncodeResp(Resp{Op: RespHit, ID: 1, Val: []byte("value")}))
-	f.Add(EncodeResp(Resp{Op: RespMiss, ID: 2}))
-	f.Add(EncodeResp(Resp{Op: RespError, ID: 3}))
+	f.Add(AppendResp(nil, Resp{Op: RespHit, ID: 1, Val: []byte("value")}))
+	f.Add(AppendResp(nil, Resp{Op: RespMiss, ID: 2}))
+	f.Add(AppendResp(nil, Resp{Op: RespError, ID: 3}))
 	f.Add([]byte{RespHit, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeResp(data)
@@ -45,7 +45,7 @@ func FuzzDecodeResp(f *testing.F) {
 		if len(r.Val) > MaxValBytes {
 			t.Fatalf("accepted oversized value: %d", len(r.Val))
 		}
-		r2, err := DecodeResp(EncodeResp(r))
+		r2, err := DecodeResp(AppendResp(nil, r))
 		if err != nil {
 			t.Fatalf("re-decode of accepted response failed: %v", err)
 		}

@@ -73,13 +73,9 @@ var (
 	ErrBadOp     = errors.New("kvcache: unknown op")
 )
 
-// EncodeReq serializes a request.
-func EncodeReq(r Req) []byte {
-	return AppendReq(make([]byte, 0, 13+len(r.Key)+len(r.Val)), r)
-}
-
 // AppendReq serializes a request into dst's storage (the zero-alloc send
-// path: clients reuse one encode buffer per request).
+// path: clients reuse one encode buffer per request). Pass a nil dst for
+// a fresh buffer.
 func AppendReq(dst []byte, r Req) []byte {
 	dst = append(dst, r.Op)
 	dst = appendUint64(dst, r.ID)
@@ -128,11 +124,6 @@ func DecodeReq(buf []byte) (Req, error) {
 	}
 	r.Val = buf[off+2 : off+2+vl]
 	return r, nil
-}
-
-// EncodeResp serializes a reply.
-func EncodeResp(r Resp) []byte {
-	return AppendResp(make([]byte, 0, 11+len(r.Val)), r)
 }
 
 // AppendResp serializes a reply into dst's storage (the zero-alloc shard

@@ -11,7 +11,7 @@ func TestReqRoundTrip(t *testing.T) {
 		{Op: OpPut, ID: 0xDEADBEEFCAFE, Key: bytes.Repeat([]byte{0xA5}, MaxKeyBytes), Val: bytes.Repeat([]byte{7}, MaxValBytes)},
 		{Op: OpPut, ID: 42, Key: []byte("key"), Val: nil},
 	} {
-		got, err := DecodeReq(EncodeReq(r))
+		got, err := DecodeReq(AppendReq(nil, r))
 		if err != nil {
 			t.Fatalf("DecodeReq(%+v): %v", r, err)
 		}
@@ -28,7 +28,7 @@ func TestRespRoundTrip(t *testing.T) {
 		{Op: RespPut, ID: 11},
 		{Op: RespError, ID: 12},
 	} {
-		got, err := DecodeResp(EncodeResp(r))
+		got, err := DecodeResp(AppendResp(nil, r))
 		if err != nil {
 			t.Fatalf("DecodeResp(%+v): %v", r, err)
 		}
@@ -39,7 +39,7 @@ func TestRespRoundTrip(t *testing.T) {
 }
 
 func TestDecodeReqRejectsCorrupt(t *testing.T) {
-	good := EncodeReq(Req{Op: OpPut, ID: 1, Key: []byte("key"), Val: []byte("val")})
+	good := AppendReq(nil, Req{Op: OpPut, ID: 1, Key: []byte("key"), Val: []byte("val")})
 	cases := map[string][]byte{
 		"empty":        nil,
 		"short header": good[:5],
@@ -64,7 +64,7 @@ func TestDecodeReqRejectsCorrupt(t *testing.T) {
 }
 
 func TestDecodeRespRejectsCorrupt(t *testing.T) {
-	good := EncodeResp(Resp{Op: RespHit, ID: 1, Val: []byte("val")})
+	good := AppendResp(nil, Resp{Op: RespHit, ID: 1, Val: []byte("val")})
 	cases := map[string][]byte{
 		"empty":  nil,
 		"short":  good[:3],

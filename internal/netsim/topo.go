@@ -147,13 +147,8 @@ func NewDatacenter(s *sim.Simulation, cfg Config) *Datacenter {
 // and assignment (they fix RNG streams) but never on g's worker count.
 // The pod <-> spine cables are the only cross-shard edges, so their
 // minimum propagation delay (cfg.L1Uplink.Prop, before the per-pod
-// cable spread, which only adds) is the group-wide lookahead floor; it
-// must be positive. On top of that floor each pod's pair of directed
-// spine channels gets a per-channel lookahead of the pod's real cable
-// delay — base prop plus that pod's deterministic length spread
-// (podUplinkProp) — so the channel-aware engine (shard.EngineChannel)
-// grants long-cable pods their actual slack instead of the global
-// worst case. The whole fabric an experiment touches must be
+// cable spread, which only adds) is the group lookahead; it must be
+// positive. The whole fabric an experiment touches must be
 // instantiated before the group runs: lazy instantiation registers
 // cross-shard outboxes, which is a construction-time operation.
 func NewShardedDatacenter(g *shard.Group, cfg Config) *Datacenter {
@@ -320,20 +315,12 @@ func (dc *Datacenter) L1(pod int) *Switch {
 	if dc.group != nil {
 		up.xout = dc.group.Outbox(pod+1, 0)
 		l2.ports[pod].xout = dc.group.Outbox(0, pod+1)
-		// Per-channel lookahead extraction: this pod's cable (base prop
-		// + its deterministic length spread) is the minimum delay of
-		// both directions of the pair, so the channel-aware engine gets
-		// the pod's real slack instead of the global worst case.
-		prop := dc.podUplinkProp(pod)
-		dc.group.SetChannelLookahead(pod+1, 0, prop)
-		dc.group.SetChannelLookahead(0, pod+1, prop)
 	}
 	return sw
 }
 
 // podUplinkProp returns the pod's L1<->L2 cable propagation delay:
 // the tier base plus the pod's deterministic cable-length variation.
-// It is the exact minimum delay of the pod<->spine shard channels.
 func (dc *Datacenter) podUplinkProp(pod int) sim.Time {
 	prop := dc.cfg.L1Uplink.Prop
 	if dc.cfg.L2CableSpread > 0 {

@@ -152,7 +152,6 @@ const (
 	domLTL   = 0x02
 	domER    = 0x03
 	domLease = 0x04
-	domShard = 0x05
 )
 
 // ReqFlow returns the flow ID for a service-level request. The request
@@ -186,12 +185,6 @@ func ERFlow(routerID int, srcNode int, msgID uint64) FlowID {
 // LeaseFlow returns the flow ID for one HaaS lease.
 func LeaseFlow(leaseID uint64) FlowID {
 	return nonzero(fnv(fnv(fnvOffset, domLease), leaseID))
-}
-
-// ShardFlow returns the flow ID for one shard of a conservative-
-// parallel group, used by the kernel's opt-in scheduler spans.
-func ShardFlow(shard int) FlowID {
-	return nonzero(fnv(fnv(fnvOffset, domShard), uint64(shard)))
 }
 
 // IPHost derives the host ID from an address under the simulation's

@@ -9,7 +9,7 @@ import (
 // BenchmarkWireDecode measures the serialized-RPC decode the dispatcher
 // performs per ingress datagram — the work offload moves off the host.
 func BenchmarkRPCWireDecode(b *testing.B) {
-	buf := EncodeReq(Req{Method: MethodHash, ID: 42, Args: make([]byte, 256)})
+	buf := AppendReq(nil, Req{Method: MethodHash, ID: 42, Args: make([]byte, 256)})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := DecodeReq(buf); err != nil {

@@ -8,12 +8,12 @@ import (
 // FuzzDecodeReq asserts the dispatcher's decoder never panics on corrupt
 // ingress and that accepted requests survive a re-encode round trip.
 func FuzzDecodeReq(f *testing.F) {
-	f.Add(EncodeReq(Req{Method: MethodEcho, ID: 1}))
-	f.Add(EncodeReq(Req{Method: MethodHash, ID: 2, Args: []byte("args")}))
-	f.Add(EncodeReq(Req{Method: MethodRank, ID: 3, Args: bytes.Repeat([]byte{5}, MaxArgBytes)}))
+	f.Add(AppendReq(nil, Req{Method: MethodEcho, ID: 1}))
+	f.Add(AppendReq(nil, Req{Method: MethodHash, ID: 2, Args: []byte("args")}))
+	f.Add(AppendReq(nil, Req{Method: MethodRank, ID: 3, Args: bytes.Repeat([]byte{5}, MaxArgBytes)}))
 	f.Add([]byte{reqMagic, reqVersion, MethodEcho, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF})
 	f.Add([]byte{reqMagic, reqVersion, MethodHash, 0, 0, 0, 0, 0, 0, 0, 0, 2, 0, 8, 'a', 'b'}) // argLen past end
-	f.Add(EncodeReq(Req{Method: MethodRank, ID: 4, Args: []byte("tail")})[:14])                // args truncated off
+	f.Add(AppendReq(nil, Req{Method: MethodRank, ID: 4, Args: []byte("tail")})[:14])           // args truncated off
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := DecodeReq(data)
@@ -23,7 +23,7 @@ func FuzzDecodeReq(f *testing.F) {
 		if r.Method < MethodEcho || r.Method > MethodRank || len(r.Args) > MaxArgBytes {
 			t.Fatalf("accepted out-of-bounds request: %+v", r)
 		}
-		r2, err := DecodeReq(EncodeReq(r))
+		r2, err := DecodeReq(AppendReq(nil, r))
 		if err != nil {
 			t.Fatalf("re-decode of accepted request failed: %v", err)
 		}
@@ -35,8 +35,8 @@ func FuzzDecodeReq(f *testing.F) {
 
 // FuzzDecodeResp mirrors FuzzDecodeReq for the response decoder.
 func FuzzDecodeResp(f *testing.F) {
-	f.Add(EncodeResp(Resp{Status: 0, Method: MethodEcho, ID: 1, Ret: []byte("r")}))
-	f.Add(EncodeResp(Resp{Status: 1, Method: MethodRank, ID: 2}))
+	f.Add(AppendResp(nil, Resp{Status: 0, Method: MethodEcho, ID: 1, Ret: []byte("r")}))
+	f.Add(AppendResp(nil, Resp{Status: 1, Method: MethodRank, ID: 2}))
 	f.Add([]byte{reqMagic, 0, MethodEcho, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF})
 	f.Add([]byte{reqMagic, 0, MethodHash, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 'r'}) // retLen past end
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -47,7 +47,7 @@ func FuzzDecodeResp(f *testing.F) {
 		if len(r.Ret) > MaxArgBytes {
 			t.Fatalf("accepted oversized result: %d", len(r.Ret))
 		}
-		r2, err := DecodeResp(EncodeResp(r))
+		r2, err := DecodeResp(AppendResp(nil, r))
 		if err != nil {
 			t.Fatalf("re-decode of accepted response failed: %v", err)
 		}

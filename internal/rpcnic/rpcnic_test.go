@@ -26,7 +26,7 @@ func TestReqRoundTrip(t *testing.T) {
 		{Method: MethodHash, Flags: 0x80, ID: 1 << 40, Args: []byte("payload")},
 		{Method: MethodRank, ID: 3, Args: bytes.Repeat([]byte{9}, MaxArgBytes)},
 	} {
-		got, err := DecodeReq(EncodeReq(r))
+		got, err := DecodeReq(AppendReq(nil, r))
 		if err != nil {
 			t.Fatalf("DecodeReq(%+v): %v", r, err)
 		}
@@ -38,7 +38,7 @@ func TestReqRoundTrip(t *testing.T) {
 
 func TestRespRoundTrip(t *testing.T) {
 	r := Resp{Status: 0, Method: MethodHash, ID: 77, Ret: []byte("result")}
-	got, err := DecodeResp(EncodeResp(r))
+	got, err := DecodeResp(AppendResp(nil, r))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestRespRoundTrip(t *testing.T) {
 }
 
 func TestDecodeReqRejectsCorrupt(t *testing.T) {
-	good := EncodeReq(Req{Method: MethodEcho, ID: 1, Args: []byte("a")})
+	good := AppendReq(nil, Req{Method: MethodEcho, ID: 1, Args: []byte("a")})
 	cases := map[string][]byte{
 		"empty":       nil,
 		"short":       good[:7],

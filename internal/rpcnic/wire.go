@@ -61,14 +61,10 @@ var (
 	ErrBadMethod = errors.New("rpcnic: unknown method")
 )
 
-// EncodeReq serializes one RPC request.
-func EncodeReq(r Req) []byte {
-	return AppendReq(make([]byte, 0, 14+len(r.Args)), r)
-}
-
-// AppendReq serializes one RPC request into dst's storage — the
-// zero-alloc variant for senders with a reused scratch buffer (LTL's
-// SendDatagram copies synchronously, so one buffer per sender suffices).
+// AppendReq serializes one RPC request into dst's storage — zero-alloc
+// for senders with a reused scratch buffer (LTL's SendDatagram copies
+// synchronously, so one buffer per sender suffices). Pass a nil dst for
+// a fresh buffer.
 func AppendReq(dst []byte, r Req) []byte {
 	dst = append(dst, reqMagic, reqVersion, r.Method, r.Flags,
 		byte(r.ID>>56), byte(r.ID>>48), byte(r.ID>>40), byte(r.ID>>32),
@@ -121,13 +117,8 @@ type Resp struct {
 	Ret    []byte
 }
 
-// EncodeResp serializes one response.
-func EncodeResp(r Resp) []byte {
-	return AppendResp(make([]byte, 0, 13+len(r.Ret)), r)
-}
-
-// AppendResp serializes one response into dst's storage (zero-alloc
-// variant; see AppendReq).
+// AppendResp serializes one response into dst's storage (see
+// AppendReq).
 func AppendResp(dst []byte, r Resp) []byte {
 	dst = append(dst, reqMagic, r.Status, r.Method,
 		byte(r.ID>>56), byte(r.ID>>48), byte(r.ID>>40), byte(r.ID>>32),

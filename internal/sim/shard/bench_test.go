@@ -11,10 +11,9 @@ import (
 // ring. This prices the coordination + merge overhead a sharded run
 // pays on top of raw event dispatch (BenchmarkSimKernelSchedule is the
 // per-event floor).
-func benchGroup(e Engine) (*Group, sim.Time) {
+func benchGroup() (*Group, sim.Time) {
 	const look = sim.Time(500)
 	g := NewGroup(1, 4, 2)
-	g.SetEngine(e)
 	g.SetLookahead(look)
 	for i := 0; i < g.N(); i++ {
 		s := g.Sim(i)
@@ -38,8 +37,10 @@ func benchGroup(e Engine) (*Group, sim.Time) {
 	return g, look
 }
 
-func runCoordinationBench(b *testing.B, e Engine) {
-	g, look := benchGroup(e)
+// BenchmarkShardGroupWindow prices one RunFor of ten lookahead windows
+// over benchGroup.
+func BenchmarkShardGroupWindow(b *testing.B) {
+	g, look := benchGroup()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.RunFor(10 * look)
@@ -47,19 +48,4 @@ func runCoordinationBench(b *testing.B, e Engine) {
 	b.StopTimer()
 	b.ReportMetric(float64(g.Rounds)/float64(b.N), "rounds/op")
 	b.ReportMetric(float64(g.Fired())/float64(b.N), "events/op")
-}
-
-// BenchmarkShardGroupWindow is the historical barrier path, pinned to
-// the global-lookahead engine so the number stays comparable across
-// baselines (BENCH_7 measured this loop before the async engine
-// existed).
-func BenchmarkShardGroupWindow(b *testing.B) {
-	runCoordinationBench(b, EngineGlobal)
-}
-
-// BenchmarkShardGroupAsync is the same workload on the channel-aware
-// asynchronous engine — no barrier rounds, per-channel horizons, shards
-// parking when idle.
-func BenchmarkShardGroupAsync(b *testing.B) {
-	runCoordinationBench(b, EngineChannel)
 }

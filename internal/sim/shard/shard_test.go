@@ -33,9 +33,8 @@ type ringNode struct {
 
 const ringLookahead = sim.Time(100)
 
-func buildRingEngine(seed int64, n, workers int, e shard.Engine) *ringModel {
+func buildRing(seed int64, n, workers int) *ringModel {
 	g := shard.NewGroup(seed, n, workers)
-	g.SetEngine(e)
 	g.SetLookahead(ringLookahead)
 	m := &ringModel{g: g, logs: make([][]string, n)}
 	for i := 0; i < n; i++ {
@@ -49,10 +48,6 @@ func buildRingEngine(seed int64, n, workers int, e shard.Engine) *ringModel {
 	// Kick one token in via a locally scheduled event on shard 0.
 	m.nodes[0].s.Schedule(5, func() { m.nodes[0].token(0) })
 	return m
-}
-
-func buildRing(seed int64, n, workers int) *ringModel {
-	return buildRingEngine(seed, n, workers, shard.EngineChannel)
 }
 
 func (nd *ringNode) logf(format string, args ...any) {
@@ -86,8 +81,6 @@ func runRing(seed int64, n, workers int, until sim.Time) *ringModel {
 	return m
 }
 
-var engines = []shard.Engine{shard.EngineChannel, shard.EngineGlobal}
-
 // raiseGOMAXPROCS lifts scheduler parallelism for the duration of a
 // test. The group clamps its worker pool to GOMAXPROCS, so on a
 // single-CPU box every multi-worker run would silently collapse to
@@ -103,10 +96,9 @@ func raiseGOMAXPROCS(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
-// The headline guarantee, now across two engines: neither the worker
-// count nor the coordination engine may change anything but the wall
-// clock. Every run is compared against the sequential channel-aware
-// run event for event.
+// The headline guarantee: the worker count may change nothing but the
+// wall clock. Every run is compared against the sequential run event
+// for event, and takes the same coordinator rounds.
 func TestParallelMatchesSequential(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	const until = 20000
@@ -117,39 +109,26 @@ func TestParallelMatchesSequential(t *testing.T) {
 	if seq.nodes[0].hops < 2 {
 		t.Fatalf("token visited shard 0 only %d times", seq.nodes[0].hops)
 	}
-	var globalRounds uint64
-	for _, e := range engines {
-		for _, workers := range []int{1, 2, 4, 16} {
-			m := buildRingEngine(42, 5, workers, e)
-			m.g.RunUntil(until)
-			if !reflect.DeepEqual(seq.logs, m.logs) {
-				t.Fatalf("%v workers=%d: event logs differ from sequential run", e, workers)
-			}
-			if seq.g.Fired() != m.g.Fired() {
-				t.Fatalf("%v workers=%d: fired %d events, sequential fired %d", e, workers, m.g.Fired(), seq.g.Fired())
-			}
-			if seq.g.Crossings != m.g.Crossings {
-				t.Fatalf("%v workers=%d: crossings %d, sequential %d", e, workers, m.g.Crossings, seq.g.Crossings)
-			}
-			if m.g.Now() != until {
-				t.Fatalf("%v workers=%d: group clock %d, want %d", e, workers, m.g.Now(), until)
-			}
-			switch e {
-			case shard.EngineChannel:
-				if m.g.Rounds != 0 {
-					t.Fatalf("channel-aware engine took %d barrier rounds, want 0", m.g.Rounds)
-				}
-			case shard.EngineGlobal:
-				if workers == 1 {
-					globalRounds = m.g.Rounds
-				} else if m.g.Rounds != globalRounds {
-					t.Fatalf("global engine workers=%d: %d rounds, sequential %d", workers, m.g.Rounds, globalRounds)
-				}
-			}
-		}
+	if seq.g.Rounds == 0 {
+		t.Fatal("sequential run took no rounds; test is vacuous")
 	}
-	if globalRounds == 0 {
-		t.Fatal("global engine took no rounds; test is vacuous")
+	for _, workers := range []int{2, 4, 16} {
+		m := runRing(42, 5, workers, until)
+		if !reflect.DeepEqual(seq.logs, m.logs) {
+			t.Fatalf("workers=%d: event logs differ from sequential run", workers)
+		}
+		if seq.g.Fired() != m.g.Fired() {
+			t.Fatalf("workers=%d: fired %d events, sequential fired %d", workers, m.g.Fired(), seq.g.Fired())
+		}
+		if seq.g.Crossings != m.g.Crossings {
+			t.Fatalf("workers=%d: crossings %d, sequential %d", workers, m.g.Crossings, seq.g.Crossings)
+		}
+		if seq.g.Rounds != m.g.Rounds {
+			t.Fatalf("workers=%d: %d rounds, sequential %d", workers, m.g.Rounds, seq.g.Rounds)
+		}
+		if m.g.Now() != until {
+			t.Fatalf("workers=%d: group clock %d, want %d", workers, m.g.Now(), until)
+		}
 	}
 }
 
@@ -192,50 +171,44 @@ func TestSingleShardMatchesPlainSim(t *testing.T) {
 func TestMergeOrderIsSourceDeterministic(t *testing.T) {
 	// Two shards send to shard 0 with identical arrival times; the merge
 	// must order them by (time, source shard, source sequence) no matter
-	// how the goroutines interleave — on either engine.
-	for _, e := range engines {
-		g := shard.NewGroup(7, 3, 4)
-		g.SetEngine(e)
-		g.SetLookahead(50)
-		var got []string
-		rec := func(arg any) { got = append(got, arg.(string)) }
-		o1, o2 := g.Outbox(1, 0), g.Outbox(2, 0)
-		for _, src := range []struct {
-			s   *sim.Simulation
-			o   *shard.Outbox
-			tag string
-		}{{g.Sim(1), o1, "s1"}, {g.Sim(2), o2, "s2"}} {
-			src := src
-			src.s.Schedule(100, func() {
-				src.o.Send(50, rec, src.tag+"-a")
-				src.o.Send(50, rec, src.tag+"-b")
-			})
-		}
-		g.RunUntil(1000)
-		want := []string{"s1-a", "s1-b", "s2-a", "s2-b"}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("%v: merge order = %v, want %v", e, got, want)
-		}
+	// how the goroutines interleave.
+	g := shard.NewGroup(7, 3, 4)
+	g.SetLookahead(50)
+	var got []string
+	rec := func(arg any) { got = append(got, arg.(string)) }
+	o1, o2 := g.Outbox(1, 0), g.Outbox(2, 0)
+	for _, src := range []struct {
+		s   *sim.Simulation
+		o   *shard.Outbox
+		tag string
+	}{{g.Sim(1), o1, "s1"}, {g.Sim(2), o2, "s2"}} {
+		src := src
+		src.s.Schedule(100, func() {
+			src.o.Send(50, rec, src.tag+"-a")
+			src.o.Send(50, rec, src.tag+"-b")
+		})
+	}
+	g.RunUntil(1000)
+	want := []string{"s1-a", "s1-b", "s2-a", "s2-b"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("merge order = %v, want %v", got, want)
 	}
 }
 
 func TestPreRunStagedSendIsNotLost(t *testing.T) {
 	// A cross-shard send staged before RunUntil (construction-time
-	// stimulus) must be visible to the first horizon computation even
+	// stimulus) must be visible to the first window computation even
 	// when no shard has wheel events of its own.
-	for _, e := range engines {
-		g := shard.NewGroup(1, 2, 2)
-		g.SetEngine(e)
-		g.SetLookahead(10)
-		fired := sim.Time(-1)
-		g.Outbox(0, 1).Send(25, func(any) { fired = g.Sim(1).Now() }, nil)
-		g.RunUntil(100)
-		if fired != 25 {
-			t.Fatalf("%v: staged cross-shard event fired at %d, want 25", e, fired)
-		}
-		if g.Now() != 100 {
-			t.Fatalf("%v: group clock %d, want 100", e, g.Now())
-		}
+	g := shard.NewGroup(1, 2, 2)
+	g.SetLookahead(10)
+	fired := sim.Time(-1)
+	g.Outbox(0, 1).Send(25, func(any) { fired = g.Sim(1).Now() }, nil)
+	g.RunUntil(100)
+	if fired != 25 {
+		t.Fatalf("staged cross-shard event fired at %d, want 25", fired)
+	}
+	if g.Now() != 100 {
+		t.Fatalf("group clock %d, want 100", g.Now())
 	}
 }
 
@@ -248,37 +221,6 @@ func TestLookaheadViolationPanics(t *testing.T) {
 		}
 	}()
 	g.Outbox(0, 1).Send(99, func(any) {}, nil)
-}
-
-func TestChannelLookaheadOverridesGlobal(t *testing.T) {
-	g := shard.NewGroup(1, 3, 1)
-	g.SetLookahead(100)
-	// Channel 0->1 has more slack than the global bound, 0->2 less.
-	g.SetChannelLookahead(0, 1, 200)
-	g.SetChannelLookahead(0, 2, 40)
-	if got := g.ChannelLookahead(0, 1); got != 200 {
-		t.Fatalf("channel 0->1 lookahead = %d, want 200", got)
-	}
-	if got := g.ChannelLookahead(1, 0); got != 0 {
-		t.Fatalf("channel 1->0 should not exist, lookahead = %d", got)
-	}
-	// A delay legal for the global bound but below the tightened
-	// channel bound must panic...
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Send below the per-channel lookahead did not panic")
-			}
-		}()
-		g.Outbox(0, 1).Send(150, func(any) {}, nil)
-	}()
-	// ...while a slack channel accepts delays below the global bound.
-	fired := false
-	g.Outbox(0, 2).Send(45, func(any) { fired = true }, nil)
-	g.RunUntil(1000)
-	if !fired {
-		t.Fatal("send on the slack channel was lost")
-	}
 }
 
 func TestRunForAdvancesFromBarrier(t *testing.T) {
@@ -301,20 +243,16 @@ func TestRunForAdvancesFromBarrier(t *testing.T) {
 func TestResumedRunMatchesSingleRun(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	// Splitting a run into two RunUntil calls must not change anything:
-	// neither engine leaves hidden state between deadlines (messages
+	// the group leaves no hidden state between deadlines (messages
 	// staged beyond the first deadline survive in their channels).
-	for _, e := range engines {
-		one := buildRingEngine(11, 4, 3, e)
-		one.g.RunUntil(30000)
-		two := buildRingEngine(11, 4, 3, e)
-		two.g.RunUntil(12345)
-		two.g.RunUntil(30000)
-		if !reflect.DeepEqual(one.logs, two.logs) {
-			t.Fatalf("%v: split run diverged from single run", e)
-		}
-		if one.g.Fired() != two.g.Fired() {
-			t.Fatalf("%v: fired %d vs %d", e, one.g.Fired(), two.g.Fired())
-		}
+	one := runRing(11, 4, 3, 30000)
+	two := runRing(11, 4, 3, 12345)
+	two.g.RunUntil(30000)
+	if !reflect.DeepEqual(one.logs, two.logs) {
+		t.Fatal("split run diverged from single run")
+	}
+	if one.g.Fired() != two.g.Fired() {
+		t.Fatalf("fired %d vs %d", one.g.Fired(), two.g.Fired())
 	}
 }
 
@@ -328,34 +266,29 @@ func TestSeedChangesStreams(t *testing.T) {
 
 func TestShardStats(t *testing.T) {
 	m := runRing(42, 5, 2, 20000)
-	var steps, merged uint64
+	var merged uint64
 	for i := 0; i < m.g.N(); i++ {
 		st := m.g.ShardStats(i)
-		steps += st.Steps
 		merged += st.Merged
 		if st.Horizon == 0 {
 			t.Fatalf("shard %d reports zero horizon after a run", i)
 		}
-	}
-	if steps == 0 {
-		t.Fatal("no scheduler steps recorded")
 	}
 	if merged != m.g.Crossings {
 		t.Fatalf("per-shard merged sum %d != group crossings %d", merged, m.g.Crossings)
 	}
 }
 
-// graphModel drives a random shard graph: every shard runs a local
-// event chain and sprays messages over its random out-edges, each with
-// its own lookahead. This is the kernel-level shakeout for the
-// per-channel horizon machinery: heterogeneous lookaheads, cycles,
+// runGraph drives a random shard graph: every shard runs a local event
+// chain and sprays messages over its random out-edges, each with its
+// own minimum delay at or above the group lookahead. This is the
+// kernel-level shakeout for the merge: heterogeneous delays, cycles,
 // fan-in ties, and shards with no channels at all.
-func runGraph(t *testing.T, seed int64, workers int, e shard.Engine) [][]string {
+func runGraph(t *testing.T, seed int64, workers int) [][]string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(5)
 	g := shard.NewGroup(seed, n, workers)
-	g.SetEngine(e)
 	g.SetLookahead(20)
 	logs := make([][]string, n)
 	type edge struct {
@@ -370,7 +303,6 @@ func runGraph(t *testing.T, seed int64, workers int, e shard.Engine) [][]string 
 				continue
 			}
 			look := sim.Time(20 + rng.Intn(300))
-			g.SetChannelLookahead(src, dst, look)
 			edges[src] = append(edges[src], edge{g.Outbox(src, dst), look, dst})
 		}
 	}
@@ -407,63 +339,40 @@ func runGraph(t *testing.T, seed int64, workers int, e shard.Engine) [][]string 
 	return logs
 }
 
-func TestRandomGraphEnginesAgree(t *testing.T) {
+func TestRandomGraphWorkersAgree(t *testing.T) {
 	raiseGOMAXPROCS(t, 8)
 	for seed := int64(0); seed < 12; seed++ {
-		ref := runGraph(t, seed, 1, shard.EngineChannel)
-		for _, e := range engines {
-			for _, workers := range []int{1, 3, 8} {
-				got := runGraph(t, seed, workers, e)
-				if !reflect.DeepEqual(ref, got) {
-					t.Fatalf("seed=%d %v workers=%d: diverged from sequential channel-aware run", seed, e, workers)
-				}
+		ref := runGraph(t, seed, 1)
+		for _, workers := range []int{3, 8} {
+			if got := runGraph(t, seed, workers); !reflect.DeepEqual(ref, got) {
+				t.Fatalf("seed=%d workers=%d: diverged from sequential run", seed, workers)
 			}
 		}
 	}
 }
 
-func TestStepSpansOptIn(t *testing.T) {
-	// Step spans are diagnostics: off by default (they depend on where
-	// horizons fell, which is wall-clock-dependent under the async
-	// engine), recorded on the shard tracers when enabled.
-	m := buildRing(42, 3, 1)
-	ctxs := obs.EnableGroup(m.g.Sims())
-	m.g.EnableStepSpans()
-	m.g.RunUntil(20000)
-	found := 0
-	for _, c := range ctxs {
-		for _, sp := range c.Tracer.Spans() {
-			if sp.Name == "shard.step" {
-				found++
-				if sp.End < sp.Start {
-					t.Fatalf("shard.step span ends (%d) before it starts (%d)", sp.End, sp.Start)
-				}
-				if sp.Arg <= 0 {
-					t.Fatalf("shard.step span carries no fired-event count (arg=%d)", sp.Arg)
-				}
+// shard.merged is the group's one telemetry series: it lands in the
+// deterministic snapshot, so its value must not depend on the worker
+// count.
+func TestMergedCounterIsDeterministic(t *testing.T) {
+	raiseGOMAXPROCS(t, 4)
+	merged := func(workers int) (uint64, uint64) {
+		m := buildRing(42, 3, workers)
+		ctxs := obs.EnableGroup(m.g.Sims())
+		m.g.RunUntil(20000)
+		for _, s := range ctxs[0].Registry.Snapshot() {
+			if s.Name == "shard.merged" {
+				return s.N, m.g.Crossings
 			}
 		}
+		t.Fatal("shard.merged missing from the deterministic snapshot")
+		return 0, 0
 	}
-	if found == 0 {
-		t.Fatal("EnableStepSpans recorded no shard.step spans")
+	seq, crossings := merged(1)
+	if seq == 0 || seq != crossings {
+		t.Fatalf("shard.merged = %d, group crossings %d", seq, crossings)
 	}
-
-	// And the runtime scheduler metrics must stay out of the
-	// deterministic snapshot while appearing in the runtime one.
-	reg := ctxs[0].Registry
-	for _, s := range reg.Snapshot() {
-		switch s.Name {
-		case "shard.steps", "shard.park_ns", "shard.eot_updates", "shard.horizon_ns":
-			t.Fatalf("runtime metric %s leaked into the deterministic snapshot", s.Name)
-		}
-	}
-	runtime := map[string]bool{}
-	for _, s := range reg.RuntimeSnapshot() {
-		runtime[s.Name] = true
-	}
-	for _, want := range []string{"shard.steps", "shard.park_ns", "shard.eot_updates", "shard.horizon_ns"} {
-		if !runtime[want] {
-			t.Fatalf("runtime snapshot is missing %s", want)
-		}
+	if par, _ := merged(3); par != seq {
+		t.Fatalf("shard.merged at 3 workers = %d, sequential %d", par, seq)
 	}
 }

@@ -52,12 +52,11 @@ type Handler func()
 
 // Event is a scheduled occurrence. Cancel it via Simulation.Cancel.
 type Event struct {
-	at    Time
-	seq   uint64
-	fn    Handler
-	call  func(any) // closure-free fast path (ScheduleCall)
-	arg   any
-	label string
+	at   Time
+	seq  uint64
+	fn   Handler
+	call func(any) // closure-free fast path (ScheduleCall)
+	arg  any
 
 	queued  bool // still in the wheel (not yet popped)
 	stopped bool // lazily cancelled; skipped when popped
@@ -66,9 +65,6 @@ type Event struct {
 
 // At returns the virtual time this event fires at.
 func (e *Event) At() Time { return e.at }
-
-// Label returns the diagnostic label given at scheduling time.
-func (e *Event) Label() string { return e.label }
 
 // The event queue is a hierarchical digit timing wheel: virtual time is
 // read as an 11-digit base-64 number, and an event is filed at the lowest
@@ -298,15 +294,10 @@ func (s *Simulation) NextEventTime() (Time, bool) {
 // instant" — zero-delay events still execute in scheduling order).
 // Negative delays panic: the simulated past is immutable.
 func (s *Simulation) Schedule(delay Time, fn Handler) *Event {
-	return s.ScheduleLabeled(delay, "", fn)
-}
-
-// ScheduleLabeled is Schedule with a diagnostic label for tracing.
-func (s *Simulation) ScheduleLabeled(delay Time, label string, fn Handler) *Event {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	e := &Event{at: s.now + delay, seq: s.seq, fn: fn, label: label, queued: true}
+	e := &Event{at: s.now + delay, seq: s.seq, fn: fn, queued: true}
 	s.seq++
 	s.live++
 	s.insert(e)

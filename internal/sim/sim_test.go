@@ -598,9 +598,10 @@ func TestFiredAndPending(t *testing.T) {
 func TestTraceRecordsLabeledEvents(t *testing.T) {
 	s := New(1)
 	s.EnableTrace(8)
-	for i := 0; i < 3; i++ {
-		i := i
-		s.ScheduleLabeled(Time(i+1), "step", func() { _ = i })
+	// Scheduled in reverse time order: the trace must follow execution
+	// (At ascending), each entry keeping its scheduling sequence number.
+	for i := 2; i >= 0; i-- {
+		s.Schedule(Time(i+1), func() {})
 	}
 	s.Run()
 	tr := s.Trace()
@@ -608,12 +609,12 @@ func TestTraceRecordsLabeledEvents(t *testing.T) {
 		t.Fatalf("trace length %d, want 3", len(tr))
 	}
 	for i, e := range tr {
-		if e.Label != "step" || e.At != Time(i+1) {
-			t.Fatalf("entry %d: %+v", i, e)
+		if e.At != Time(i+1) || e.Seq != uint64(2-i) {
+			t.Fatalf("entry %d: %+v, want At=%d Seq=%d", i, e, i+1, 2-i)
 		}
 	}
-	if got := s.TraceString(); !strings.Contains(got, "step") {
-		t.Errorf("TraceString missing label:\n%s", got)
+	if got := s.TraceString(); !strings.Contains(got, "#2") {
+		t.Errorf("TraceString missing sequence numbers:\n%s", got)
 	}
 }
 
@@ -684,7 +685,7 @@ func TestNextEventTimeSkipsTombstones(t *testing.T) {
 	e1 := s.Schedule(10, func() { t.Fatal("cancelled event fired") })
 	e2 := s.Schedule(10, func() { t.Fatal("cancelled event fired") })
 	s.Schedule(10, func() {})
-	far := s.Schedule(1 << 20, func() { t.Fatal("cancelled event fired") })
+	far := s.Schedule(1<<20, func() { t.Fatal("cancelled event fired") })
 	s.Cancel(e1)
 	s.Cancel(e2)
 	if at, ok := s.NextEventTime(); !ok || at != 10 {

@@ -7,18 +7,13 @@ import (
 
 // TraceEntry records one executed event.
 type TraceEntry struct {
-	At    Time
-	Seq   uint64
-	Label string
+	At  Time
+	Seq uint64
 }
 
 // String renders the entry.
 func (t TraceEntry) String() string {
-	label := t.Label
-	if label == "" {
-		label = "(unlabeled)"
-	}
-	return fmt.Sprintf("%12v #%-8d %s", t.At, t.Seq, label)
+	return fmt.Sprintf("%12v #%d", t.At, t.Seq)
 }
 
 // EnableTrace starts recording the last n executed events in a ring
@@ -64,7 +59,7 @@ func (s *Simulation) record(e *Event) {
 	if s.traceCap == 0 {
 		return
 	}
-	entry := TraceEntry{At: e.at, Seq: e.seq, Label: e.label}
+	entry := TraceEntry{At: e.at, Seq: e.seq}
 	if len(s.trace) < s.traceCap {
 		s.trace = append(s.trace, entry)
 		return

@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rpcnic"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // netsvcKVConfig shapes one KV sweep point. The keyspace is kept small
@@ -209,10 +208,7 @@ type NetsvcScaleConfig struct {
 	// flush, so the closed loop advances as soon as a key is queued.
 	MGetBatch int
 	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers int
-	// Engine selects the shard coordination engine (zero value: the
-	// channel-aware asynchronous engine); wall-clock-only, like Workers.
-	Engine    shard.Engine
+	Workers   int
 	Telemetry bool
 	SpanLimit int
 }
@@ -262,7 +258,7 @@ func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
 	if cfg.TORsPerPod > 0 {
 		topo.TORsPerPod = cfg.TORsPerPod
 	}
-	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Telemetry: cfg.Telemetry, Engine: cfg.Engine}, cfg.Workers)
+	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Telemetry: cfg.Telemetry}, cfg.Workers)
 	if cfg.SpanLimit > 0 {
 		for _, ctx := range c.Obs {
 			ctx.Tracer.SetLimit(cfg.SpanLimit)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // ScaleConfig drives one point of the E16 scale experiment: an LTL
@@ -27,9 +26,10 @@ type ScaleConfig struct {
 	TORsPerPod  int
 	// Cable-delay overrides (zero = the paper's defaults). L1UplinkProp
 	// is the base pod<->spine propagation delay — the sharded kernel's
-	// lookahead floor; L2CableSpread adds the per-pod deterministic
-	// extra in [0, spread) that the channel-aware engine turns into
-	// per-channel slack. The property tests randomize both.
+	// lookahead; L2CableSpread adds a per-pod deterministic extra in
+	// [0, spread) to each pod's cable, which changes the model's delays
+	// but not the lookahead (the extra only adds). The property tests
+	// randomize both.
 	L1UplinkProp  sim.Time
 	L2CableSpread sim.Time
 	// Workload shape.
@@ -43,10 +43,6 @@ type ScaleConfig struct {
 	// Workers is the goroutine count advancing the shards (0 = one per
 	// core). The digest is worker-count-independent by construction.
 	Workers int
-	// Engine selects the shard coordination engine (zero value: the
-	// channel-aware asynchronous engine). Like Workers, it only moves
-	// wall-clock time — the digest is engine-independent.
-	Engine shard.Engine
 	// Telemetry collects a merged obs Record for the run; SpanLimit
 	// caps each shard's span log (0 = tracer default).
 	Telemetry bool
@@ -115,7 +111,6 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 		Seed:      cfg.Seed,
 		Topology:  topo,
 		Telemetry: cfg.Telemetry,
-		Engine:    cfg.Engine,
 	}, cfg.Workers)
 	if cfg.SpanLimit > 0 {
 		for _, ctx := range c.Obs {
@@ -297,14 +292,11 @@ func ExpScale(scale Scale) *Table {
 }
 
 // ExpScaleCurve is the second E16 table: an events/sec-per-core scaling
-// curve on one fixed datacenter, sweeping the worker count 1→8 for both
-// coordination engines. The global-lookahead rows pay a barrier round
-// every min-lookahead window; the channel-aware rows let each shard run
-// to its own per-channel horizon (TOR↔TOR pairs have more slack than
-// the worst L1↔L2 cable), so the per-event coordination overhead — and
-// with it events/sec on the same core budget — is what the curve
-// exposes. Every row's digest must equal the first row's: the engine
-// and the worker count are wall-clock-only knobs.
+// curve on one fixed datacenter, sweeping the worker count 1→4. Every
+// row pays one barrier round per lookahead window, so the curve exposes
+// the per-event coordination overhead against the core budget. Every
+// row's digest must equal the first row's: the worker count is a
+// wall-clock-only knob.
 func ExpScaleCurve(scale Scale) *Table {
 	pods := 16
 	mk := DefaultScaleConfig
@@ -323,39 +315,35 @@ func ExpScaleCurve(scale Scale) *Table {
 	}
 
 	t := &Table{
-		Title: fmt.Sprintf("E16b — Events/sec-per-core scaling curve (%d pods; identical = digest equals global-lookahead @1 worker)", pods),
-		Headers: []string{"engine", "workers", "events", "rounds", "wall",
-			"events/sec", "ev/s/core", "vs global@1", "identical"},
+		Title: fmt.Sprintf("E16b — Events/sec-per-core scaling curve (%d pods; identical = digest equals 1 worker)", pods),
+		Headers: []string{"workers", "events", "rounds", "wall",
+			"events/sec", "ev/s/core", "vs 1 worker", "identical"},
 	}
 	// Unmeasured warm-up run: the first point on a cold machine gets a
 	// turbo/cold-cache bonus of tens of percent, which would silently
-	// flatter whichever engine happens to run first.
+	// flatter the 1-worker baseline.
 	{
 		cfg := mk(pods)
-		cfg.Engine = shard.EngineGlobal
 		cfg.Workers = 1
 		RunScalePoint(cfg)
 	}
 
 	var refDigest uint64
 	var baseline float64
-	for _, eng := range []shard.Engine{shard.EngineGlobal, shard.EngineChannel} {
-		for _, workers := range []int{1, 2, 4, 8} {
-			cfg := mk(pods)
-			cfg.Engine = eng
-			cfg.Workers = workers
-			r := RunScalePoint(cfg)
-			evs := float64(r.Events) / r.Elapsed.Seconds()
-			if baseline == 0 {
-				baseline, refDigest = evs, r.Digest
-			}
-			t.AddRow(eng.String(), workers, r.Events, r.Rounds,
-				r.Elapsed.Round(time.Millisecond).String(),
-				fmt.Sprintf("%.0f", evs),
-				fmt.Sprintf("%.0f", evs/float64(workers)),
-				fmt.Sprintf("%.2fx", evs/baseline),
-				r.Digest == refDigest)
+	for _, workers := range []int{1, 2, 4} {
+		cfg := mk(pods)
+		cfg.Workers = workers
+		r := RunScalePoint(cfg)
+		evs := float64(r.Events) / r.Elapsed.Seconds()
+		if baseline == 0 {
+			baseline, refDigest = evs, r.Digest
 		}
+		t.AddRow(workers, r.Events, r.Rounds,
+			r.Elapsed.Round(time.Millisecond).String(),
+			fmt.Sprintf("%.0f", evs),
+			fmt.Sprintf("%.0f", evs/float64(workers)),
+			fmt.Sprintf("%.2fx", evs/baseline),
+			r.Digest == refDigest)
 	}
 	return t
 }

@@ -51,7 +51,6 @@ func NewSharded(opts Options, workers int) *ShardedCloud {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	g := shard.NewGroup(opts.Seed, topo.Pods+1, workers)
-	g.SetEngine(opts.Engine)
 	shCfg := opts.Shell
 	if shCfg.BridgeLatency == 0 {
 		shCfg = shell.DefaultConfig()

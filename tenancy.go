@@ -31,7 +31,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shell"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Datagram kinds used by the tenancy workloads (disjoint from
@@ -391,9 +390,7 @@ type TenancyScaleConfig struct {
 	// ElephantShapeBps caps each elephant slot's egress (0 = unshaped).
 	ElephantShapeBps int64
 	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers int
-	// Engine selects the shard coordination engine; wall-clock-only.
-	Engine    shard.Engine
+	Workers   int
 	Telemetry bool
 	SpanLimit int
 }
@@ -417,14 +414,14 @@ func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
 
 // TenancyScaleResult summarizes one multi-tenant sharded run.
 type TenancyScaleResult struct {
-	Workers       int
-	Offered       uint64
-	Completed     uint64
-	Timeouts      uint64
-	ElephantSent  uint64
-	Throttled     uint64
-	Events        uint64
-	Crossings     uint64
+	Workers      int
+	Offered      uint64
+	Completed    uint64
+	Timeouts     uint64
+	ElephantSent uint64
+	Throttled    uint64
+	Events       uint64
+	Crossings    uint64
 	// Digest folds every client's completion stream plus the elephant
 	// and kernel totals: worker-count-independent by construction.
 	Digest  uint64
@@ -435,7 +432,7 @@ type TenancyScaleResult struct {
 // RunTenancyScalePoint runs the multi-tenant KV workload on the
 // pod-sharded kernel. Slot loads, client order, RNG streams, and the
 // digest fold order are fixed before the clock starts, so the only thing
-// Workers (or the engine) can change is the wall clock.
+// Workers can change is the wall clock.
 func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 	topo := netsim.DefaultConfig()
 	topo.Pods = cfg.Pods
@@ -448,7 +445,7 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 	shCfg := shell.DefaultConfig()
 	shCfg.Slots = shell.DefaultSlotConfig(2)
 	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Shell: shCfg,
-		Telemetry: cfg.Telemetry, Engine: cfg.Engine}, cfg.Workers)
+		Telemetry: cfg.Telemetry}, cfg.Workers)
 	if cfg.SpanLimit > 0 {
 		for _, ctx := range c.Obs {
 			ctx.Tracer.SetLimit(cfg.SpanLimit)
