@@ -33,6 +33,7 @@ import (
 	"repro/internal/pkt"
 	"repro/internal/shell"
 	"repro/internal/sim"
+	"repro/internal/svclb"
 	"repro/internal/workload"
 )
 
@@ -475,10 +476,8 @@ func (shardRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([]b
 // AttachShard loads the shard role onto sh and wires the store to the
 // shell's service-datagram plane.
 func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
-	d := newShard(s, sh, -1, st)
 	sh.LoadRole(shardRole{})
-	must(sh.SetServiceHandler(d.onDatagram))
-	return d
+	return attachShard(s, sh, -1, st)
 }
 
 // AttachShardSlot wires the store to an already-reconfigured vFPGA slot:
@@ -486,16 +485,21 @@ func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
 // slot's egress token bucket. The role itself was loaded by the slot's
 // partial reconfiguration (haas.SlotFM wiring).
 func AttachShardSlot(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
-	d := newShard(s, sh, slot, st)
-	must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
-	return d
+	return attachShard(s, sh, slot, st)
 }
 
-func newShard(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
+// attachShard wires st to a loaded role: the whole board's service plane
+// (slot -1) or one vFPGA slot's.
+func attachShard(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
 	d := &Shard{s: s, sh: sh, slot: slot, Store: st, tracer: obs.TracerOf(s)}
 	if reg := obs.RegistryOf(s); reg != nil {
 		reg.Counter("kvcache.fabric_replies", "dgrams", "kvcache", "replies generated on-fabric (no host round-trip)", &d.Replies)
 		reg.Counter("kvcache.decode_errors", "reqs", "kvcache", "undecodable request datagrams dropped", &d.DecodeErrors)
+	}
+	if slot < 0 {
+		must(sh.SetServiceHandler(d.onDatagram))
+	} else {
+		must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
 	}
 	return d
 }
@@ -685,13 +689,11 @@ type Service struct {
 	clients []*Client
 	// shardHosts[i] is the host currently serving keyspace slice i.
 	shardHosts []int
-	// shards maps pool host -> its Shard (built at lease configure).
+	// shards maps pool host -> its Shard (built when the lease serves).
 	shards map[int]*Shard
-	// slotClaims[i] is slice i's (node, slot) claim in slot mode
-	// (cfg.SlotALMs > 0); nil entries are awaiting re-lease.
-	slotClaims []*haas.SlotClaim
+	// pool holds slice i's lease as the member with Index i.
+	pool *haas.Pool
 
-	rm *haas.ResourceManager
 	in *faultinject.Injector
 
 	hostEnd     int
@@ -716,22 +718,7 @@ func NewService(cfg Config) *Service {
 			ctx.Tracer.SetLimit(cfg.SpanLimit)
 		}
 	}
-	dcCfg := netsim.DefaultConfig()
-	shells := map[int]*shell.Shell{}
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if cfg.SlotALMs > 0 {
-			n := cfg.SlotsPerBoard
-			if n < 2 {
-				n = 2
-			}
-			shCfg.Slots = shell.DefaultSlotConfig(n)
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
-		shells[hostID] = sh
-		return sh
-	}
-	dc := netsim.NewDatacenter(s, dcCfg)
+	dc, shells := svclb.NewFabric(s, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	sv.obsCtx = ctx
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
@@ -771,43 +758,36 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	}
 	sv.hostEnd = base + poolSize
 
-	sv.rm = haas.NewResourceManager(s, haas.RMConfig{
-		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
+	// The shard's request kind demuxes per board, so in slot mode the
+	// pool keeps every slice off the boards the others occupy; requests
+	// arriving during a slot's partial reconfiguration are swallowed and
+	// surface as client timeouts.
+	sv.pool, sv.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, shardRole{}, nil, haas.PoolSpec{
+		Tenant: "kvcache", Image: shardImage, ALMs: cfg.SlotALMs,
+		OnReady: func(m *haas.Member) {
+			h := int(m.Node)
+			sv.shards[h] = attachShard(s, shells[h], m.Slot, NewStore(s, shells[h].DRAM, cfg.Store))
+		},
+		// A defrag cutover restarts the slice cold on its new board, like
+		// a failover (cache semantics: loss costs hit rate only).
+		OnMove: func(m *haas.Member, from haas.NodeID) {
+			delete(sv.shards, int(from))
+			sv.shardHosts[m.Index] = int(m.Node)
+		},
+		// Without a spare the slice keeps routing at the dead host and its
+		// requests time out.
+		OnLost: func(m *haas.Member, dead haas.NodeID) {
+			sv.Failovers.Inc()
+			delete(sv.shards, int(dead))
+			sv.shardHosts[m.Index] = int(m.Node)
+		},
 	})
-	sv.in = faultinject.New(s)
-	for _, h := range poolHosts {
-		h := h
-		sv.in.AddNode(h, shells[h])
-		fm := &haas.FPGAManager{
-			Node: haas.NodeID(h),
-			Configure: func(string) {
-				st := NewStore(s, shells[h].DRAM, cfg.Store)
-				sv.shards[h] = AttachShard(s, shells[h], st)
-			},
-			Healthy: func() bool { return sv.in.NodeAlive(h) },
-			Depth:   func() int { return 0 },
-		}
-		if cfg.SlotALMs > 0 {
-			if shells[h].NumSlots() == 0 {
-				panic(fmt.Sprintf("kvcache: SlotALMs set but shell %d has no vFPGA slots", h))
-			}
-			sv.rm.RegisterSlots(&haas.SlotFM{
-				FM:   fm,
-				Caps: shells[h].SlotCaps(),
-				ConfigureSlot: func(slot int, tenant, image string, alms int, done func(ok bool)) (sim.Time, error) {
-					return shells[h].ReconfigureSlot(slot, tenant, shardRole{}, alms, done)
-				},
-				ClearSlot: func(slot int) error { return shells[h].ClearSlot(slot) },
-			})
-		} else {
-			sv.rm.Register(fm)
-		}
-	}
 	for i := 0; i < cfg.Shards; i++ {
-		if err := sv.lease(i); err != nil {
+		m, err := sv.pool.Grow()
+		if err != nil {
 			panic(fmt.Sprintf("kvcache: initial lease: %v", err))
 		}
+		sv.shardHosts[i] = int(m.Node)
 	}
 	if cfg.FaultProfile != "" {
 		p, err := faultinject.ByName(cfg.FaultProfile)
@@ -819,83 +799,19 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	return sv
 }
 
-// lease acquires (or replaces) the shard serving keyspace slice i.
-func (sv *Service) lease(i int) error {
-	if sv.cfg.SlotALMs > 0 {
-		return sv.leaseSlot(i)
-	}
-	comp, err := sv.rm.Lease("kvcache", shardImage, haas.Constraints{Count: 1, Pod: -1},
-		func(haas.NodeID) { sv.failover(i) })
-	if err != nil {
-		return err
-	}
-	sv.shardHosts[i] = int(comp.Nodes[0])
-	return nil
-}
-
-// leaseSlot claims one vFPGA slot for keyspace slice i. The shard's
-// request kind demuxes per board, so every slice keeps off the boards
-// the other slices occupy; requests arriving during the slot's partial
-// reconfiguration are swallowed and surface as client timeouts.
-func (sv *Service) leaseSlot(i int) error {
-	if sv.slotClaims == nil {
-		sv.slotClaims = make([]*haas.SlotClaim, sv.cfg.Shards)
-	}
-	var avoid []haas.NodeID
-	for j, c := range sv.slotClaims {
-		if j != i && c != nil {
-			avoid = append(avoid, c.Node)
-		}
-	}
-	claims, err := sv.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "kvcache", Image: shardImage, ALMs: sv.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnReady: func(c *haas.SlotClaim) {
-			h := int(c.Node)
-			st := NewStore(sv.s, sv.shells[h].DRAM, sv.cfg.Store)
-			sv.shards[h] = AttachShardSlot(sv.s, sv.shells[h], c.Slot, st)
-		},
-		OnMove: func(c *haas.SlotClaim, fromNode haas.NodeID, fromSlot int) {
-			// Defrag cutover: route slice i at the new board (the
-			// following OnReady re-attaches the store there). The cache
-			// restarts cold, like a failover — loss costs hit rate only.
-			delete(sv.shards, int(fromNode))
-			sv.shardHosts[i] = int(c.Node)
-		},
-		OnFailure: func(c *haas.SlotClaim) {
-			sv.slotClaims[i] = nil
-			delete(sv.shards, int(c.Node))
-			sv.failover(i)
-		},
-	})
-	if err != nil {
-		return err
-	}
-	sv.slotClaims[i] = claims[0]
-	sv.shardHosts[i] = int(claims[0].Node)
-	return nil
-}
-
-// SlotClaims reports the per-slice slot claims (slot mode only).
+// SlotClaims reports the per-slice slot claims (slot mode only; nil
+// entries lost their board with no spare to re-lease on).
 func (sv *Service) SlotClaims() []*haas.SlotClaim {
-	return append([]*haas.SlotClaim(nil), sv.slotClaims...)
+	claims := make([]*haas.SlotClaim, sv.cfg.Shards)
+	for _, m := range sv.pool.Members() {
+		claims[m.Index] = m.Claim()
+	}
+	return claims
 }
 
 // RM exposes the service's Resource Manager (E19 reads pool occupancy
 // and drives defragmentation through it).
-func (sv *Service) RM() *haas.ResourceManager { return sv.rm }
-
-// failover replaces a dead shard's lease. The replacement starts cold
-// (cache semantics: loss costs hit rate, not correctness); requests in
-// flight to the dead host surface as client timeouts.
-func (sv *Service) failover(i int) {
-	sv.Failovers.Inc()
-	if err := sv.lease(i); err != nil {
-		// No spare available: keep routing at the dead host; requests
-		// time out until the pool recovers.
-		return
-	}
-}
+func (sv *Service) RM() *haas.ResourceManager { return sv.pool.RM() }
 
 // Sim returns the simulation the service runs on.
 func (sv *Service) Sim() *sim.Simulation { return sv.s }
@@ -913,7 +829,7 @@ func (sv *Service) NextHostBase() int {
 
 // Stop releases control-plane resources (HaaS polling, fault storms).
 func (sv *Service) Stop() {
-	sv.rm.Stop()
+	sv.pool.RM().Stop()
 	if sv.stopFaults != nil {
 		sv.stopFaults()
 	}

@@ -130,3 +130,19 @@ func TestShardFailover(t *testing.T) {
 		t.Fatalf("post-failover GET timed out: %+v", out)
 	}
 }
+
+// TestFailoverReplacesLease: a dead shard's board is swapped inside its
+// lease (HaaS ReplaceNode) instead of a fresh lease being taken while
+// the dead one, and its failure callback, stay registered.
+func TestFailoverReplacesLease(t *testing.T) {
+	cfg := smallConfig(59)
+	cfg.RMPoll = 1 * sim.Millisecond
+	sv := NewService(cfg)
+	victim := sv.ShardHosts()[0]
+	sv.Sim().ScheduleAt(2*sim.Millisecond, func() { sv.in.KillNode(victim) })
+	sv.Sim().RunUntil(6 * sim.Millisecond)
+	sv.Stop()
+	if g, r := sv.RM().Granted.Value(), sv.RM().Replaced.Value(); g != uint64(cfg.Shards) || r != 1 {
+		t.Fatalf("haas granted=%d replaced=%d, want %d and 1", g, r, cfg.Shards)
+	}
+}

@@ -27,7 +27,7 @@ func TestSlotModeServes(t *testing.T) {
 	s := sv.Sim()
 	warmupSlots(sv)
 
-	used, _, _, _ := sv.rm.SlotPoolStats()
+	used, _, _, _ := sv.RM().SlotPoolStats()
 	if used != sv.cfg.Shards {
 		t.Fatalf("slots used = %d, want %d", used, sv.cfg.Shards)
 	}
@@ -121,14 +121,14 @@ func TestSlotModeDefragKeepsServing(t *testing.T) {
 	s := sv.Sim()
 	warmupSlots(sv)
 
-	before := sv.rm.SlotBoardsInUse()
-	moves := sv.rm.Defragment()
+	before := sv.RM().SlotBoardsInUse()
+	moves := sv.RM().Defragment()
 	// With one claim per board and same-tenant anti-affinity, kvcache
 	// slices can never co-locate: defrag must refuse to move them.
 	if moves != 0 {
 		t.Fatalf("defrag moved %d same-tenant claims onto shared boards", moves)
 	}
-	if got := sv.rm.SlotBoardsInUse(); got != before {
+	if got := sv.RM().SlotBoardsInUse(); got != before {
 		t.Fatalf("boards in use changed %d -> %d without moves", before, got)
 	}
 

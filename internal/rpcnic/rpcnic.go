@@ -302,9 +302,10 @@ type Dispatcher struct {
 	table    map[uint64]*dispatchState
 	queues   map[int]*svclb.WorkQueue
 
-	rm      *haas.ResourceManager
+	pool    *haas.Pool
 	in      *faultinject.Injector
-	gossip  []*sim.Ticker
+	gossip  map[int]*sim.Ticker // live backends' depth-gossip tickers
+	phases  int                 // gossip tickers started (phase offsets)
 	tracer  *obs.Tracer
 	obsCtx  *obs.Context
 	stopFns []func()
@@ -344,14 +345,7 @@ func NewDispatcher(cfg Config) *Dispatcher {
 			ctx.Tracer.SetLimit(cfg.SpanLimit)
 		}
 	}
-	dcCfg := netsim.DefaultConfig()
-	shells := map[int]*shell.Shell{}
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
-		shells[hostID] = sh
-		return sh
-	}
-	dc := netsim.NewDatacenter(s, dcCfg)
+	dc, shells := svclb.NewFabric(s, false, 0)
 	d := NewDispatcherOn(s, dc, shells, 0, cfg)
 	d.obsCtx = ctx
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
@@ -368,6 +362,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		s: s, dc: dc, cfg: cfg, shells: shells,
 		table:       map[uint64]*dispatchState{},
 		queues:      map[int]*svclb.WorkQueue{},
+		gossip:      map[int]*sim.Ticker{},
 		tracer:      obs.TracerOf(s),
 		hostsPerTOR: dcCfg.HostsPerTOR,
 		digest:      14695981039346656037,
@@ -422,28 +417,13 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		}
 	}))
 
-	d.rm = haas.NewResourceManager(s, haas.RMConfig{
-		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
+	d.pool, d.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, backendRole{}, d.queues, haas.PoolSpec{
+		Tenant: "rpcnic", Image: backendImage,
+		OnReady: d.attachBackend,
+		OnLost:  d.detachBackend,
 	})
-	d.in = faultinject.New(s)
-	for _, h := range poolHosts {
-		h := h
-		d.in.AddNode(h, shells[h])
-		d.rm.Register(&haas.FPGAManager{
-			Node:      haas.NodeID(h),
-			Configure: func(string) { d.attachBackend(h) },
-			Healthy:   func() bool { return d.in.NodeAlive(h) },
-			Depth: func() int {
-				if q := d.queues[h]; q != nil {
-					return q.Depth()
-				}
-				return -1
-			},
-		})
-	}
 	for i := 0; i < cfg.Backends; i++ {
-		if err := d.grow(); err != nil {
+		if _, err := d.pool.Grow(); err != nil {
 			panic(fmt.Sprintf("rpcnic: initial lease: %v", err))
 		}
 	}
@@ -465,30 +445,11 @@ func (backendRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([
 	respond(nil)
 }
 
-// grow leases one backend and adds it to the routing table.
-func (d *Dispatcher) grow() error {
-	var slot *svclb.Slot
-	comp, err := d.rm.Lease("rpcnic", backendImage, haas.Constraints{Count: 1, Pod: -1},
-		func(haas.NodeID) { d.onBackendFailure(slot) })
-	if err != nil {
-		return err
-	}
-	slot = d.router.AddSlot(int(comp.Nodes[0]))
-	return nil
-}
-
-// onBackendFailure retires the slot and replaces the lease. Requests in
-// flight to the dead backend surface as caller timeouts.
-func (d *Dispatcher) onBackendFailure(slot *svclb.Slot) {
-	d.router.RemoveSlot(slot)
-	_ = d.grow() // no spare: run degraded until the pool recovers
-}
-
-// attachBackend wires a leased backend host: role, work queue, the
-// datagram work handler, and the depth gossip ticker.
-func (d *Dispatcher) attachBackend(h int) {
+// attachBackend wires a serving backend: work queue, the datagram work
+// handler, the depth gossip ticker, and its routing slot.
+func (d *Dispatcher) attachBackend(m *haas.Member) {
+	h := int(m.Node)
 	sh := d.shells[h]
-	sh.LoadRole(backendRole{})
 	q := svclb.NewWorkQueue(d.s, h)
 	d.queues[h] = q
 	ret := make([]byte, d.cfg.RetBytes)
@@ -515,12 +476,27 @@ func (d *Dispatcher) attachBackend(h int) {
 		})
 	}))
 	if len(d.gossip) < 64 { // phase-offset like svclb's backends
-		t := d.s.Every(d.cfg.GossipInterval*sim.Time(1+len(d.gossip)%8)/8, d.cfg.GossipInterval, func() {
+		d.gossip[h] = d.s.Every(d.cfg.GossipInterval*sim.Time(1+d.phases%8)/8, d.cfg.GossipInterval, func() {
 			depth := q.Depth()
 			must(sh.SendControl(d.dispHost, ctrlDepth, []byte{
 				byte(depth >> 24), byte(depth >> 16), byte(depth >> 8), byte(depth)}))
 		})
-		d.gossip = append(d.gossip, t)
+		d.phases++
+	}
+	d.router.AddSlot(h)
+}
+
+// detachBackend retires a dead backend's routing slot and gossip ticker.
+// Requests in flight to it surface as caller timeouts; the pool's
+// replacement (if any) attaches next.
+func (d *Dispatcher) detachBackend(_ *haas.Member, dead haas.NodeID) {
+	h := int(dead)
+	if sl := d.router.SlotOnHost(h); sl != nil {
+		d.router.RemoveSlot(sl)
+	}
+	if t := d.gossip[h]; t != nil {
+		t.Stop()
+		delete(d.gossip, h)
 	}
 }
 
@@ -804,7 +780,7 @@ func (d *Dispatcher) NextHostBase() int {
 
 // Stop releases control-plane resources.
 func (d *Dispatcher) Stop() {
-	d.rm.Stop()
+	d.pool.RM().Stop()
 	for _, t := range d.gossip {
 		t.Stop()
 	}

@@ -162,3 +162,40 @@ func TestBackendFailover(t *testing.T) {
 		t.Fatal("post-failover RPC never completed")
 	}
 }
+
+// TestFailoverReplacesLease: a dead backend's board is swapped inside
+// its lease (HaaS ReplaceNode) instead of a fresh lease being taken
+// while the dead one, and its failure callback, stay registered.
+func TestFailoverReplacesLease(t *testing.T) {
+	cfg := smallConfig(41, true)
+	cfg.RMPoll = 1 * sim.Millisecond
+	d := NewDispatcher(cfg)
+	victim := d.router.Live()[0].Host
+	d.s.ScheduleAt(2*sim.Millisecond, func() { d.in.KillNode(victim) })
+	d.s.RunUntil(8 * sim.Millisecond)
+	d.Stop()
+	if g, r := d.pool.RM().Granted.Value(), d.pool.RM().Replaced.Value(); g != uint64(cfg.Backends) || r != 1 {
+		t.Fatalf("haas granted=%d replaced=%d, want %d and 1", g, r, cfg.Backends)
+	}
+}
+
+// TestDeadBackendStopsGossip: once the RM reports a backend dead, its
+// depth-gossip ticker stops; only live backends keep reporting.
+func TestDeadBackendStopsGossip(t *testing.T) {
+	cfg := smallConfig(43, true)
+	cfg.RMPoll = 1 * sim.Millisecond
+	d := NewDispatcher(cfg)
+	victim := d.router.Live()[0].Host
+	eng := d.shells[victim].Engine
+	d.s.ScheduleAt(2*sim.Millisecond, func() { d.in.KillNode(victim) })
+	d.s.RunUntil(3 * sim.Millisecond) // past detection
+	sent := eng.Stats.ControlSent.Value()
+	d.s.RunUntil(8 * sim.Millisecond)
+	d.Stop()
+	if got := eng.Stats.ControlSent.Value(); got != sent {
+		t.Fatalf("dead backend %d sent %d control datagrams after detection", victim, got-sent)
+	}
+	if len(d.gossip) != len(d.router.Live()) {
+		t.Fatalf("%d gossip tickers for %d live backends", len(d.gossip), len(d.router.Live()))
+	}
+}

@@ -250,7 +250,6 @@ type Balancer struct {
 	s   *sim.Simulation
 	cfg Config
 
-	rm     *haas.ResourceManager
 	in     *faultinject.Injector
 	router *Router
 
@@ -258,14 +257,10 @@ type Balancer struct {
 	clients []clientEnd
 	smHost  int
 
-	queues  map[int]*WorkQueue
-	leaseOf map[int]int // backend host -> lease id
-	leases  []int       // grant order (shrink pops the newest)
-	// slotClaims maps lease id -> slot claim in slot mode (SlotALMs > 0);
-	// lease ids are then claim ids and leaseOf/leases work unchanged.
-	slotClaims map[int]*haas.SlotClaim
-	gossip  map[int]*sim.Ticker
-	unwire  map[int]func() // per-host teardown of a previous wiring epoch
+	pool   *haas.Pool
+	queues map[int]*WorkQueue
+	gossip map[int]*sim.Ticker
+	unwire map[int]func() // per-host teardown of a previous wiring epoch
 
 	pending map[uint64]*pendingReq
 	nextReq uint64
@@ -352,22 +347,7 @@ func NewService(cfg Config) *Service {
 			c.Tracer.SetLimit(cfg.SpanLimit)
 		}
 	}
-	dcCfg := netsim.DefaultConfig()
-	shells := map[int]*shell.Shell{}
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if cfg.SlotALMs > 0 {
-			n := cfg.SlotsPerBoard
-			if n < 2 {
-				n = 2
-			}
-			shCfg.Slots = shell.DefaultSlotConfig(n)
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
-		shells[hostID] = sh
-		return sh
-	}
-	dc := netsim.NewDatacenter(s, dcCfg)
+	dc, shells := NewFabric(s, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return sv
@@ -389,7 +369,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		s: s, cfg: cfg,
 		shells:  shells,
 		queues:  map[int]*WorkQueue{},
-		leaseOf: map[int]int{},
 		gossip:  map[int]*sim.Ticker{},
 		unwire:  map[int]func(){},
 		pending: map[uint64]*pendingReq{},
@@ -432,44 +411,10 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	}
 	b.router = router
 
-	b.rm = haas.NewResourceManager(s, haas.RMConfig{
-		HealthPollInterval: cfg.RMPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
+	b.pool, b.in = NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, svcRole{}, b.queues, haas.PoolSpec{
+		Tenant: "svclb", Image: serviceImage, ALMs: cfg.SlotALMs,
+		OnLost: b.onLost,
 	})
-	b.in = faultinject.New(s)
-	if cfg.SlotALMs > 0 {
-		b.slotClaims = map[int]*haas.SlotClaim{}
-	}
-	for _, h := range poolHosts {
-		h := h
-		b.in.AddNode(h, shells[h])
-		fm := &haas.FPGAManager{
-			Node:      haas.NodeID(h),
-			Configure: func(string) { shells[h].LoadRole(svcRole{}) },
-			Healthy:   func() bool { return b.in.NodeAlive(h) },
-			Depth: func() int {
-				if q := b.queues[h]; q != nil {
-					return q.Depth()
-				}
-				return -1
-			},
-		}
-		if cfg.SlotALMs > 0 {
-			if shells[h].NumSlots() == 0 {
-				panic(fmt.Sprintf("svclb: SlotALMs set but shell %d has no vFPGA slots", h))
-			}
-			b.rm.RegisterSlots(&haas.SlotFM{
-				FM:   fm,
-				Caps: shells[h].SlotCaps(),
-				ConfigureSlot: func(slot int, tenant, image string, alms int, done func(ok bool)) (sim.Time, error) {
-					return shells[h].ReconfigureSlot(slot, tenant, svcRole{}, alms, done)
-				},
-				ClearSlot: func(slot int) error { return shells[h].ClearSlot(slot) },
-			})
-		} else {
-			b.rm.Register(fm)
-		}
-	}
 
 	// The SM host terminates the depth gossip.
 	must(shells[b.smHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
@@ -519,7 +464,7 @@ func (sv *Service) Admission(svc sim.Time) Admission {
 // depth gossip). In-flight requests still complete if the caller keeps
 // running the simulation.
 func (sv *Service) Stop() {
-	sv.b.rm.Stop()
+	sv.b.pool.RM().Stop()
 	for _, t := range sv.b.gossip {
 		t.Stop()
 	}
@@ -565,7 +510,7 @@ func Run(cfg Config) Result {
 		g.Stop()
 	}
 	s.RunUntil(end + cfg.Drain)
-	b.rm.Stop()
+	b.pool.RM().Stop()
 	if as != nil {
 		as.stop()
 	}
@@ -811,94 +756,38 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 	})
 }
 
-// grow leases one more FPGA and wires it into the pool.
-func (b *Balancer) grow() error {
-	if b.cfg.SlotALMs > 0 {
-		return b.growSlot()
-	}
-	var lid int
-	comp, err := b.rm.Lease("svclb", serviceImage, haas.Constraints{Count: 1, Pod: -1},
-		func(dead haas.NodeID) { b.onNodeFailure(lid, dead) })
-	if err != nil {
-		return err
-	}
-	lid = comp.LeaseID
-	b.leases = append(b.leases, lid)
-	for _, n := range comp.Nodes {
-		b.addBackend(int(n), lid)
-	}
-	if b.started {
-		b.grown.Inc()
-	}
-	return nil
-}
-
-// growSlot leases one vFPGA slot as the next backend. Backends key the
-// data plane by host, so the claim avoids boards the pool already uses;
-// the backend wires immediately and the slot's reconfiguration window
+// grow leases one more FPGA and wires it into the pool. A slot claim's
+// backend wires at grant like a board's: its reconfiguration window
 // plays the same part as a whole board's role load.
-func (b *Balancer) growSlot() error {
-	avoid := make([]haas.NodeID, 0, len(b.leaseOf))
-	for h := range b.leaseOf {
-		avoid = append(avoid, haas.NodeID(h))
-	}
-	sort.Slice(avoid, func(i, j int) bool { return avoid[i] < avoid[j] })
-	claims, err := b.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "svclb", Image: serviceImage, ALMs: b.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnFailure: func(c *haas.SlotClaim) { b.onSlotFailure(c) },
-	})
+func (b *Balancer) grow() error {
+	m, err := b.pool.Grow()
 	if err != nil {
 		return err
 	}
-	c := claims[0]
-	b.slotClaims[c.ID] = c
-	b.leases = append(b.leases, c.ID)
-	b.addBackend(int(c.Node), c.ID)
+	b.addBackend(int(m.Node))
 	if b.started {
 		b.grown.Inc()
 	}
 	return nil
 }
 
-// shrink drains and releases the newest-leased backend.
+// shrink drains and releases the newest-leased backend. In-flight work
+// on it still completes: the lease is returned but the connections stay
+// up until the host is re-wired.
 func (b *Balancer) shrink() {
-	if len(b.leases) == 0 {
+	m := b.pool.Shrink()
+	if m == nil {
 		return
 	}
-	lid := b.leases[len(b.leases)-1]
-	b.leases = b.leases[:len(b.leases)-1]
-	for h, l := range b.leaseOf {
-		if l != lid {
-			continue
-		}
-		if sl := b.router.SlotOnHost(h); sl != nil {
-			b.router.RemoveSlot(sl)
-		}
-		if t := b.gossip[h]; t != nil {
-			t.Stop()
-			delete(b.gossip, h)
-		}
-		delete(b.leaseOf, h)
-	}
-	// In-flight work on the drained backend still completes: the lease is
-	// returned but the connections stay up until the host is re-wired.
-	if c, ok := b.slotClaims[lid]; ok {
-		delete(b.slotClaims, lid)
-		b.rm.ReleaseSlot(c)
-	} else {
-		b.rm.Release(lid)
-	}
+	b.removeBackend(int(m.Node))
 	b.shrunk.Inc()
 }
 
-// addBackend wires host h (lease lid) into the data plane and the routing
-// view.
-func (b *Balancer) addBackend(h, lid int) {
+// addBackend wires host h into the data plane and the routing view.
+func (b *Balancer) addBackend(h int) {
 	if tear := b.unwire[h]; tear != nil {
 		tear() // host reused after a drain: drop the stale wiring epoch
 	}
-	b.leaseOf[h] = lid
 	q := NewWorkQueue(b.s, h)
 	b.queues[h] = q
 	fs := b.shells[h]
@@ -946,11 +835,9 @@ func (b *Balancer) addBackend(h, lid int) {
 	})
 }
 
-// onNodeFailure is the lease-failure callback: replace the dead node via
-// HaaS, then re-route every pending copy that was lost with it.
-func (b *Balancer) onNodeFailure(lid int, dead haas.NodeID) {
-	b.failovers.Inc()
-	h := int(dead)
+// removeBackend takes host h out of the routing view and stops its
+// depth gossip.
+func (b *Balancer) removeBackend(h int) {
 	if sl := b.router.SlotOnHost(h); sl != nil {
 		b.router.RemoveSlot(sl)
 	}
@@ -958,53 +845,17 @@ func (b *Balancer) onNodeFailure(lid int, dead haas.NodeID) {
 		t.Stop()
 		delete(b.gossip, h)
 	}
-	delete(b.leaseOf, h)
-	delete(b.unwire, h) // the dead shell's connections die with it
-
-	if repl, err := b.rm.ReplaceNode(lid, dead, serviceImage); err == nil {
-		b.addBackend(int(repl), lid)
-	}
-	b.resendOrphans()
 }
 
-// onSlotFailure is the slot-claim analogue of onNodeFailure: unwire the
-// dead board's backend, lease a replacement slot elsewhere, and resend
-// the requests that died with it.
-func (b *Balancer) onSlotFailure(c *haas.SlotClaim) {
+// onLost handles a backend's board death: unwire the dead host, wire the
+// pool's replacement (if one was granted), then resend every pending
+// request that was lost with the dead backend.
+func (b *Balancer) onLost(m *haas.Member, dead haas.NodeID) {
 	b.failovers.Inc()
-	h := int(c.Node)
-	if sl := b.router.SlotOnHost(h); sl != nil {
-		b.router.RemoveSlot(sl)
-	}
-	if t := b.gossip[h]; t != nil {
-		t.Stop()
-		delete(b.gossip, h)
-	}
-	delete(b.leaseOf, h)
-	delete(b.unwire, h) // the dead shell's connections die with it
-	delete(b.slotClaims, c.ID)
-	for i, lid := range b.leases {
-		if lid == c.ID {
-			b.leases = append(b.leases[:i], b.leases[i+1:]...)
-			break
-		}
-	}
-
-	avoid := make([]haas.NodeID, 0, len(b.leaseOf)+1)
-	avoid = append(avoid, c.Node)
-	for bh := range b.leaseOf {
-		avoid = append(avoid, haas.NodeID(bh))
-	}
-	sort.Slice(avoid, func(i, j int) bool { return avoid[i] < avoid[j] })
-	if claims, err := b.rm.LeaseSlots(haas.SlotRequest{
-		Tenant: "svclb", Image: serviceImage, ALMs: b.cfg.SlotALMs,
-		Count: 1, Avoid: avoid,
-		OnFailure: func(c *haas.SlotClaim) { b.onSlotFailure(c) },
-	}); err == nil {
-		repl := claims[0]
-		b.slotClaims[repl.ID] = repl
-		b.leases = append(b.leases, repl.ID)
-		b.addBackend(int(repl.Node), repl.ID)
+	b.removeBackend(int(dead))
+	delete(b.unwire, int(dead)) // the dead shell's connections die with it
+	if m.Node != dead {
+		b.addBackend(int(m.Node))
 	}
 	b.resendOrphans()
 }
@@ -1053,6 +904,67 @@ func (b *Balancer) reroute(p *pendingReq) {
 	b.resent.Inc()
 	b.tracer.Event(p.flow, "svclb.reroute", p.span, int64(sl.Host))
 	b.sendCopy(p, sl, false)
+}
+
+// NewFabric builds a standalone datacenter on s with a shell on every
+// host, for svclb and every service built like it. A slotted fabric
+// partitions each shell's role region into slotsPerBoard vFPGA slots
+// (at least 2).
+func NewFabric(s *sim.Simulation, slotted bool, slotsPerBoard int) (*netsim.Datacenter, map[int]*shell.Shell) {
+	shells := map[int]*shell.Shell{}
+	dcCfg := netsim.DefaultConfig()
+	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
+		shCfg := shell.DefaultConfig()
+		if slotted {
+			shCfg.Slots = shell.DefaultSlotConfig(max(slotsPerBoard, 2))
+		}
+		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
+		shells[hostID] = sh
+		return sh
+	}
+	return netsim.NewDatacenter(s, dcCfg), shells
+}
+
+// NewBackendPool builds the backend pool of svclb and every service
+// built like it: a Resource Manager polling health every rmPoll, a fault
+// injector that can kill any of hosts, and a haas.Pool leasing them
+// under spec. Each host registers through an FPGA Manager that loads
+// role (the pool picks board or slot registration from spec.ALMs); when
+// queues is non-nil the FM reports each host's WorkQueue depth (-1
+// before the host is wired).
+func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []int, rmPoll sim.Time,
+	role shell.Role, queues map[int]*WorkQueue, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
+	pool := haas.NewPool(haas.NewResourceManager(dc.Sim, haas.RMConfig{
+		HealthPollInterval: rmPoll,
+		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
+	}), spec)
+	in := faultinject.New(dc.Sim)
+	for _, h := range hosts {
+		h, sh := h, shells[h]
+		in.AddNode(h, sh)
+		fm := &haas.FPGAManager{
+			Node:      haas.NodeID(h),
+			Configure: func(string) { sh.LoadRole(role) },
+			Healthy:   func() bool { return in.NodeAlive(h) },
+		}
+		if queues != nil {
+			fm.Depth = func() int {
+				if q := queues[h]; q != nil {
+					return q.Depth()
+				}
+				return -1
+			}
+		}
+		pool.AddNode(&haas.SlotFM{
+			FM:   fm,
+			Caps: sh.SlotCaps(),
+			ConfigureSlot: func(slot int, tenant, _ string, alms int, done func(ok bool)) (sim.Time, error) {
+				return sh.ReconfigureSlot(slot, tenant, role, alms, done)
+			},
+			ClearSlot: sh.ClearSlot,
+		})
+	}
+	return pool, in
 }
 
 func must(err error) {
