@@ -142,9 +142,9 @@ type flitFIFO struct {
 	head int
 }
 
-func (q *flitFIFO) len() int      { return len(q.buf) - q.head }
-func (q *flitFIFO) peek() *Flit   { return q.buf[q.head] }
-func (q *flitFIFO) push(f *Flit)  { q.buf = append(q.buf, f) }
+func (q *flitFIFO) len() int     { return len(q.buf) - q.head }
+func (q *flitFIFO) peek() *Flit  { return q.buf[q.head] }
+func (q *flitFIFO) push(f *Flit) { q.buf = append(q.buf, f) }
 func (q *flitFIFO) pop() *Flit {
 	f := q.buf[q.head]
 	q.buf[q.head] = nil

@@ -69,7 +69,7 @@ func (d *replayDriver) run() {
 		r := r
 		// Replay has no wall clock to fall behind: lag is zero, so the
 		// admission rule reduces to the pure queueing estimate.
-		f.s.ScheduleAt(r.at, func() { f.inject(r.pl, r.seq, 0, r.respond) })
+		f.s.Schedule(r.at-f.s.Now(), func() { f.inject(r.pl, r.seq, 0, r.respond) })
 		if r.at > last {
 			last = r.at
 		}

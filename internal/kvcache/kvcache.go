@@ -280,7 +280,7 @@ func (c *Client) send(r Req, done func(Outcome)) {
 		call.span = c.tracer.Start(obs.ReqFlow(r.ID), "kvcache.request", 0)
 	}
 	c.pending[r.ID] = call
-	call.timer = c.s.ScheduleTimer(c.timeout, expireCall, call)
+	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendReq(c.scratch[:0], r)
 	must(c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch))
 }
@@ -303,7 +303,7 @@ func (c *Client) MultiGet(keys [][]byte, done func(m MResp, lat sim.Time, ok boo
 		call.span = c.tracer.Start(obs.ReqFlow(id), "kvcache.request", 0)
 	}
 	c.pending[id] = call
-	call.timer = c.s.ScheduleTimer(c.timeout, expireCall, call)
+	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendMReq(c.scratch[:0], MReq{ID: id, Keys: keys})
 	must(c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch))
 }
@@ -354,7 +354,7 @@ func (c *Client) onDatagram(from int, kind uint8, payload []byte) {
 		return
 	}
 	delete(c.pending, resp.ID)
-	c.s.CancelTimer(call.timer)
+	c.s.Cancel(call.timer)
 	lat := c.s.Now() - call.sentAt
 	c.Stats.Latency.Observe(int64(lat))
 	c.endSpan(call)
@@ -395,7 +395,7 @@ func (c *Client) onMResp(payload []byte) {
 		return
 	}
 	delete(c.pending, m.ID)
-	c.s.CancelTimer(call.timer)
+	c.s.Cancel(call.timer)
 	lat := c.s.Now() - call.sentAt
 	c.Stats.Latency.Observe(int64(lat))
 	c.endSpan(call)
@@ -1011,7 +1011,7 @@ func Run(cfg Config) Result {
 		})
 		gens[ci].Start()
 	}
-	s.ScheduleAt(cfg.Duration, func() {
+	s.Schedule(cfg.Duration-s.Now(), func() {
 		for _, g := range gens {
 			g.Stop()
 		}

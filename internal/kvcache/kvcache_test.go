@@ -99,7 +99,7 @@ func TestShardFailover(t *testing.T) {
 	sv := NewService(cfg)
 	s := sv.Sim()
 	victim := sv.ShardHosts()[0]
-	s.ScheduleAt(2*sim.Millisecond, func() { sv.in.KillNode(victim) })
+	s.Schedule(2*sim.Millisecond-s.Now(), func() { sv.in.KillNode(victim) })
 	s.RunUntil(10 * sim.Millisecond)
 
 	if got := sv.Failovers.Value(); got == 0 {
@@ -139,7 +139,7 @@ func TestFailoverReplacesLease(t *testing.T) {
 	cfg.RMPoll = 1 * sim.Millisecond
 	sv := NewService(cfg)
 	victim := sv.ShardHosts()[0]
-	sv.Sim().ScheduleAt(2*sim.Millisecond, func() { sv.in.KillNode(victim) })
+	sv.Sim().Schedule(2*sim.Millisecond-sv.Sim().Now(), func() { sv.in.KillNode(victim) })
 	sv.Sim().RunUntil(6 * sim.Millisecond)
 	sv.Stop()
 	if g, r := sv.RM().Granted.Value(), sv.RM().Replaced.Value(); g != uint64(cfg.Shards) || r != 1 {

@@ -78,7 +78,7 @@ func runPinned(t *testing.T, cfg Config, actions ...midRun) (string, string) {
 	s := sv.Sim()
 	for _, a := range actions {
 		a := a
-		s.ScheduleAt(a.at, func() { a.fn(sv) })
+		s.Schedule(a.at-s.Now(), func() { a.fn(sv) })
 	}
 	driveTraffic(sv, 50*sim.Microsecond, 30*sim.Millisecond)
 	s.RunUntil(36 * sim.Millisecond)

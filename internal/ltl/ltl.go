@@ -141,9 +141,9 @@ type sendConn struct {
 	// awaiting rate tokens).
 	sendq []*unackedFrame
 
-	rtxTimer *sim.Event
+	rtxTimer sim.Timer
 	// pumpTimer dedupes pending pump wakeups (throttle/pacing stalls).
-	pumpTimer *sim.Event
+	pumpTimer sim.Timer
 	retries   int
 	failed    bool
 
@@ -176,7 +176,7 @@ type recvConn struct {
 	firstRxAt  sim.Time
 	onMessage  func(payload []byte)
 	np         *dcqcn.NotificationPoint
-	ackTimer   *sim.Event
+	ackTimer   sim.Timer
 	pendingAck bool
 }
 
@@ -390,9 +390,7 @@ func (e *Engine) OpenRecv(localID uint16, remoteIP pkt.IP, onMessage func(payloa
 // deallocated").
 func (e *Engine) Close(localID uint16) {
 	if sc, ok := e.send[localID]; ok {
-		if sc.rtxTimer != nil {
-			e.sim.Cancel(sc.rtxTimer)
-		}
+		e.sim.Cancel(sc.rtxTimer)
 		if sc.rp != nil {
 			sc.rp.Stop()
 		}
@@ -494,14 +492,14 @@ func (e *Engine) schedulePump(sc *sendConn, d sim.Time) {
 		d = 1
 	}
 	at := e.sim.Now() + d
-	if sc.pumpTimer != nil {
+	if sc.pumpTimer != (sim.Timer{}) {
 		if sc.pumpTimer.At() <= at {
 			return // an earlier (or equal) wakeup is already armed
 		}
 		e.sim.Cancel(sc.pumpTimer)
 	}
 	sc.pumpTimer = e.sim.Schedule(d, func() {
-		sc.pumpTimer = nil
+		sc.pumpTimer = sim.Timer{}
 		e.pump(sc)
 	})
 }
@@ -553,11 +551,11 @@ func (e *Engine) transmit(sc *sendConn, fr *unackedFrame) {
 
 // armRetransmit (re)starts the retransmit timer if frames are in flight.
 func (e *Engine) armRetransmit(sc *sendConn) {
-	if sc.rtxTimer != nil {
+	if sc.rtxTimer != (sim.Timer{}) {
 		return
 	}
 	sc.rtxTimer = e.sim.Schedule(e.cfg.RetransmitTimeout, func() {
-		sc.rtxTimer = nil
+		sc.rtxTimer = sim.Timer{}
 		e.onTimeout(sc)
 	})
 }
@@ -708,9 +706,9 @@ func (e *Engine) scheduleAck(rc *recvConn, srcIP pkt.IP, srcMAC pkt.MAC, dst uin
 		return
 	}
 	rc.pendingAck = true
-	if rc.ackTimer == nil {
+	if rc.ackTimer == (sim.Timer{}) {
 		rc.ackTimer = e.sim.Schedule(e.cfg.AckCoalesce, func() {
-			rc.ackTimer = nil
+			rc.ackTimer = sim.Timer{}
 			if rc.pendingAck {
 				rc.pendingAck = false
 				e.sendAck(rc, srcIP, srcMAC, dst)
@@ -779,10 +777,8 @@ func (e *Engine) onAck(h pkt.LTLHeader) {
 	}
 	if advanced {
 		sc.retries = 0
-		if sc.rtxTimer != nil {
-			e.sim.Cancel(sc.rtxTimer)
-			sc.rtxTimer = nil
-		}
+		e.sim.Cancel(sc.rtxTimer)
+		sc.rtxTimer = sim.Timer{}
 		if len(sc.unacked) > 0 {
 			e.armRetransmit(sc)
 		}

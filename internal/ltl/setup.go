@@ -32,7 +32,7 @@ func (e *Engine) Listen(accept AcceptFunc) { e.accept = accept }
 // pendingDial tracks an in-flight SETUP.
 type pendingDial struct {
 	localID uint16
-	timer   *sim.Event
+	timer   sim.Timer
 	done    func(err error)
 }
 

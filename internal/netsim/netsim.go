@@ -305,9 +305,9 @@ type Port struct {
 	// (or whether) the port ever needs randomness.
 	rng     *rand.Rand
 	rngSeed int64
-	peer  *Port
-	cfg   PortConfig
-	fault FaultHook
+	peer    *Port
+	cfg     PortConfig
+	fault   FaultHook
 
 	// queues are head-indexed so their capacity recycles: popping
 	// advances qhead and an emptied queue rewinds to offset 0, keeping
@@ -319,7 +319,7 @@ type Port struct {
 	ctrlHead    int
 	pausedUntil [pkt.NumClasses]sim.Time
 	busy        bool
-	retry       *sim.Event
+	retry       sim.Timer
 
 	// tracer is cached at construction (nil when observability is off),
 	// so the hot path pays one nil compare, never a lookup.
@@ -545,11 +545,9 @@ func (p *Port) pick() (*Packet, bool) {
 		return packet, true
 	}
 	if earliest >= 0 {
-		if p.retry != nil {
-			p.sim.Cancel(p.retry)
-		}
-		p.retry = p.sim.ScheduleAt(earliest, func() {
-			p.retry = nil
+		p.sim.Cancel(p.retry)
+		p.retry = p.sim.Schedule(earliest-now, func() {
+			p.retry = sim.Timer{}
 			p.kick()
 		})
 	}

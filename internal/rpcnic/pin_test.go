@@ -32,7 +32,7 @@ func runPinned(t *testing.T, offload bool) (string, string) {
 	cfg.Telemetry = true
 	d := NewDispatcher(cfg)
 	s := d.s
-	s.ScheduleAt(2500*sim.Microsecond, func() { d.in.KillNode(d.router.Live()[0].Host) })
+	s.Schedule(2500*sim.Microsecond-s.Now(), func() { d.in.KillNode(d.router.Live()[0].Host) })
 	methods := []byte{MethodEcho, MethodHash, MethodRank}
 	args := []byte("pinned-args")
 	n := 0

@@ -539,11 +539,11 @@ func (d *Dispatcher) allocIngress() *ingressJob {
 // and flushes immediately.
 func (d *Dispatcher) enqueueBatch(j *ingressJob) {
 	if len(d.batch) == 0 {
-		d.batchTimer = d.s.ScheduleTimer(d.cfg.Batch.Window, flushWindow, d)
+		d.batchTimer = d.s.ScheduleCall(d.cfg.Batch.Window, flushWindow, d)
 	}
 	d.batch = append(d.batch, j)
 	if len(d.batch) >= d.cfg.Batch.Size {
-		d.s.CancelTimer(d.batchTimer)
+		d.s.Cancel(d.batchTimer)
 		d.Stats.BatchFull.Inc()
 		d.flushBatch()
 	}
@@ -593,7 +593,7 @@ func (d *Dispatcher) hostIngress(from int, payload []byte) {
 				d.tracer.Range(obs.ReqFlow(req.ID), "rpcnic.host_decode", 0, int64(now), int64(fin-now))
 			}
 		}
-		d.s.ScheduleAt(fin, func() {
+		d.s.Schedule(fin-now, func() {
 			d.hostQueueLen--
 			d.Stats.HostQueue.Set(int64(d.hostQueueLen))
 			// Dispatch crosses PCIe back to the shell before entering LTL.
@@ -684,7 +684,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		fin := start + decode
 		d.hostBusyUntil = fin
 		d.hostBusyTotal += decode
-		d.s.ScheduleAt(fin, func() {
+		d.s.Schedule(fin-d.s.Now(), func() {
 			d.s.Schedule(d.pcieTime(len(buf)), send)
 		})
 	})
@@ -713,7 +713,7 @@ func (c *caller) call(method byte, args []byte) {
 		rc.span = c.d.tracer.Start(obs.ReqFlow(id), "rpcnic.rpc", 0)
 	}
 	c.pending[id] = rc
-	rc.timer = c.d.s.ScheduleTimer(c.d.cfg.Timeout, expireRPC, rc)
+	rc.timer = c.d.s.ScheduleCall(c.d.cfg.Timeout, expireRPC, rc)
 	c.scratch = AppendReq(c.scratch[:0], Req{Method: method, ID: id, Args: args})
 	must(c.sh.SendDatagram(c.d.dispHost, KindIngress, c.scratch))
 }
@@ -748,7 +748,7 @@ func (c *caller) onDatagram(from int, kind uint8, payload []byte) {
 		return
 	}
 	delete(c.pending, resp.ID)
-	c.d.s.CancelTimer(rc.timer)
+	c.d.s.Cancel(rc.timer)
 	lat := c.d.s.Now() - rc.sentAt
 	c.d.Stats.Latency.Observe(int64(lat))
 	if c.d.tracer != nil {
@@ -817,10 +817,10 @@ func (d *Dispatcher) Result() Result {
 		mode = "offload"
 	}
 	r := Result{
-		Mode:      mode,
-		Offered:   d.Stats.Ingress.Value(),
-		Completed: d.Stats.Replies.Value(),
-		Timeouts:  d.Stats.Timeouts.Value(),
+		Mode:        mode,
+		Offered:     d.Stats.Ingress.Value(),
+		Completed:   d.Stats.Replies.Value(),
+		Timeouts:    d.Stats.Timeouts.Value(),
 		HostBusy:    float64(d.hostBusyTotal) / float64(d.cfg.Duration),
 		Doorbells:   d.Stats.BatchFlushes.Value(),
 		BatchedReqs: d.Stats.BatchReqs.Value(),
@@ -873,7 +873,7 @@ func Run(cfg Config) Result {
 		})
 		gens[ci].Start()
 	}
-	s.ScheduleAt(cfg.Duration, func() {
+	s.Schedule(cfg.Duration-s.Now(), func() {
 		for _, g := range gens {
 			g.Stop()
 		}

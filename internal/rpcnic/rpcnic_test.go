@@ -138,7 +138,7 @@ func TestBackendFailover(t *testing.T) {
 	d := NewDispatcher(cfg)
 	s := d.s
 	victim := d.router.Live()[0].Host
-	s.ScheduleAt(2*sim.Millisecond, func() { d.in.KillNode(victim) })
+	s.Schedule(2*sim.Millisecond-s.Now(), func() { d.in.KillNode(victim) })
 	s.RunUntil(8 * sim.Millisecond)
 
 	live := d.router.Live()
@@ -171,7 +171,7 @@ func TestFailoverReplacesLease(t *testing.T) {
 	cfg.RMPoll = 1 * sim.Millisecond
 	d := NewDispatcher(cfg)
 	victim := d.router.Live()[0].Host
-	d.s.ScheduleAt(2*sim.Millisecond, func() { d.in.KillNode(victim) })
+	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.in.KillNode(victim) })
 	d.s.RunUntil(8 * sim.Millisecond)
 	d.Stop()
 	if g, r := d.pool.RM().Granted.Value(), d.pool.RM().Replaced.Value(); g != uint64(cfg.Backends) || r != 1 {
@@ -187,7 +187,7 @@ func TestDeadBackendStopsGossip(t *testing.T) {
 	d := NewDispatcher(cfg)
 	victim := d.router.Live()[0].Host
 	eng := d.shells[victim].Engine
-	d.s.ScheduleAt(2*sim.Millisecond, func() { d.in.KillNode(victim) })
+	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.in.KillNode(victim) })
 	d.s.RunUntil(3 * sim.Millisecond) // past detection
 	sent := eng.Stats.ControlSent.Value()
 	d.s.RunUntil(8 * sim.Millisecond)

@@ -39,9 +39,8 @@ func BenchmarkSimKernelSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkSimKernelScheduleClosure is the same workload on the
-// handle-returning closure path (apples-to-apples with the old kernel's
-// only scheduling primitive).
+// BenchmarkSimKernelScheduleClosure is the same workload through the
+// closure Schedule adapter; its events are pooled like ScheduleCall's.
 func BenchmarkSimKernelScheduleClosure(b *testing.B) {
 	const width = 64
 	s := New(1)

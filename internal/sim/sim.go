@@ -47,24 +47,31 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Micros returns the time as floating-point microseconds.
 func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 
-// Handler is a scheduled callback. It runs at its scheduled virtual time.
-type Handler func()
-
-// Event is a scheduled occurrence. Cancel it via Simulation.Cancel.
-type Event struct {
+// event is a scheduled occurrence. Every event comes from the
+// simulation's freelist and returns to it when it fires or when its
+// cancelled tombstone is popped; callers hold a Timer, never the event.
+type event struct {
 	at   Time
 	seq  uint64
-	fn   Handler
-	call func(any) // closure-free fast path (ScheduleCall)
+	call func(any)
 	arg  any
 
 	queued  bool // still in the wheel (not yet popped)
 	stopped bool // lazily cancelled; skipped when popped
-	pooled  bool // owned by the freelist; recycled after firing
 }
 
-// At returns the virtual time this event fires at.
-func (e *Event) At() Time { return e.at }
+// Timer is a cancellable handle to a scheduled event. The seq field is a
+// generation token: once the event fires and is reissued to a different
+// caller its seq changes, so a stale Timer can never cancel an event it
+// no longer owns. The zero Timer refers to no event.
+type Timer struct {
+	e   *event
+	seq uint64
+}
+
+// At returns the virtual time the timer fires at. It is meaningful only
+// while the timer is pending: a fired event may since have been reissued.
+func (t Timer) At() Time { return t.e.at }
 
 // The event queue is a hierarchical digit timing wheel: virtual time is
 // read as an 11-digit base-64 number, and an event is filed at the lowest
@@ -84,7 +91,7 @@ const (
 )
 
 type bucket struct {
-	evs  []*Event
+	evs  []*event
 	head int // pop cursor; evs[:head] already popped
 }
 
@@ -106,10 +113,8 @@ type Simulation struct {
 	occ       [wheelLevels]uint64
 	levels    [wheelLevels][wheelWidth]bucket
 
-	// Freelist for ScheduleCall events. Only handle-free events are
-	// recycled: a caller holding a *Event from Schedule could otherwise
-	// Cancel a recycled event that now belongs to someone else.
-	free []*Event
+	// Freelist of fired and discarded events, reissued by ScheduleCall.
+	free []*event
 
 	// Event trace ring (trace.go); disabled unless EnableTrace is called.
 	trace     []TraceEntry
@@ -169,7 +174,7 @@ func (s *Simulation) Pending() int { return s.live }
 // insert files e at the lowest wheel level whose digit of e.at differs
 // from the cursor's (level 0 when they agree everywhere above the low
 // digit, i.e. e.at is within the cursor's current 64 ns window).
-func (s *Simulation) insert(e *Event) {
+func (s *Simulation) insert(e *event) {
 	d := uint64(e.at) ^ uint64(s.wheelTime)
 	l := 0
 	if d != 0 {
@@ -208,7 +213,7 @@ func (s *Simulation) cascade(l int, j uint64) {
 // cancelled tombstones, or returns nil if none exists. wheelTime never
 // advances past limit, so a deadline-bounded run leaves the cursor at or
 // before the deadline the clock will rest at.
-func (s *Simulation) next(limit Time) *Event {
+func (s *Simulation) next(limit Time) *event {
 	for {
 		if s.occ[0] != 0 {
 			j := uint64(bits.TrailingZeros64(s.occ[0]))
@@ -227,11 +232,9 @@ func (s *Simulation) next(limit Time) *Event {
 			}
 			e.queued = false
 			if e.stopped {
-				if e.pooled {
-					e.call, e.arg = nil, nil
-					e.stopped = false
-					s.free = append(s.free, e)
-				}
+				e.call, e.arg = nil, nil
+				e.stopped = false
+				s.free = append(s.free, e)
 				continue
 			}
 			s.wheelTime = at
@@ -293,103 +296,46 @@ func (s *Simulation) NextEventTime() (Time, bool) {
 // Schedule runs fn after delay (which may be zero, meaning "later this
 // instant" — zero-delay events still execute in scheduling order).
 // Negative delays panic: the simulated past is immutable.
-func (s *Simulation) Schedule(delay Time, fn Handler) *Event {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	e := &Event{at: s.now + delay, seq: s.seq, fn: fn, queued: true}
-	s.seq++
-	s.live++
-	s.insert(e)
-	return e
+func (s *Simulation) Schedule(delay Time, fn func()) Timer {
+	return s.ScheduleCall(delay, callFunc, fn)
 }
 
-// ScheduleCall runs fn(arg) after delay. It is the allocation-free fast
-// path: the event comes from a freelist and is recycled as soon as it
-// fires, which is safe precisely because no handle is returned — nothing
-// can Cancel (or otherwise retain) an event that may since have been
-// reissued. Hot paths pass a static fn plus a pointer-shaped arg to avoid
-// both the closure and the Event allocation of Schedule.
-func (s *Simulation) ScheduleCall(delay Time, fn func(any), arg any) {
+// callFunc adapts a closure to ScheduleCall. A func value is
+// pointer-shaped, so boxing it in the event's arg allocates nothing.
+func callFunc(f any) { f.(func())() }
+
+// ScheduleCall runs fn(arg) after delay. The event comes from the
+// freelist, so scheduling allocates nothing once the pool is warm. Hot
+// paths pass a static fn plus a pointer-shaped arg to avoid a closure too.
+func (s *Simulation) ScheduleCall(delay Time, fn func(any), arg any) Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", delay))
 	}
-	var e *Event
+	var e *event
 	if n := len(s.free); n > 0 {
 		e = s.free[n-1]
 		s.free = s.free[:n-1]
 	} else {
-		e = &Event{pooled: true}
+		e = &event{}
 	}
 	e.at = s.now + delay
 	e.seq = s.seq
 	e.call = fn
 	e.arg = arg
 	e.queued = true
-	s.seq++
-	s.live++
-	s.insert(e)
-}
-
-// Timer is a cancellable handle to a pooled ScheduleTimer event. The seq
-// field is a generation token: once the event fires and is reissued to a
-// different caller its seq changes, so a stale Timer can never cancel an
-// event it no longer owns.
-type Timer struct {
-	e   *Event
-	seq uint64
-}
-
-// ScheduleTimer is ScheduleCall with a cancellable handle: the event still
-// comes from the freelist (no allocation), and CancelTimer tombstones it
-// exactly like Cancel does for Schedule events — skipped, uncounted, and
-// recycled when the wheel reaches it.
-func (s *Simulation) ScheduleTimer(delay Time, fn func(any), arg any) Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", delay))
-	}
-	var e *Event
-	if n := len(s.free); n > 0 {
-		e = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		e = &Event{pooled: true}
-	}
-	e.at = s.now + delay
-	e.seq = s.seq
-	e.call = fn
-	e.arg = arg
-	e.queued = true
-	e.stopped = false
 	s.seq++
 	s.live++
 	s.insert(e)
 	return Timer{e: e, seq: e.seq}
 }
 
-// CancelTimer cancels a pending ScheduleTimer event. Cancelling a fired,
-// reissued, or already-cancelled timer is a no-op (returns false).
-func (s *Simulation) CancelTimer(t Timer) bool {
-	if t.e == nil || t.e.seq != t.seq {
-		return false
-	}
-	return s.Cancel(t.e)
-}
-
-// ScheduleAt runs fn at absolute virtual time at (>= Now).
-func (s *Simulation) ScheduleAt(at Time, fn Handler) *Event {
-	if at < s.now {
-		panic(fmt.Sprintf("sim: schedule in the past: at=%d now=%d", at, s.now))
-	}
-	return s.Schedule(at-s.now, fn)
-}
-
-// Cancel removes a pending event. Cancelling an already-fired or
-// already-cancelled event is a no-op. Returns true if the event was
-// pending. Cancellation is lazy: the event is tombstoned in place (O(1))
-// and discarded, uncounted, when the wheel reaches it.
-func (s *Simulation) Cancel(e *Event) bool {
-	if e == nil || e.stopped || !e.queued {
+// Cancel removes a pending event. Cancelling a fired, reissued, or
+// already-cancelled timer (or the zero Timer) is a no-op. Returns true if
+// the event was pending. Cancellation is lazy: the event is tombstoned in
+// place (O(1)) and discarded, uncounted, when the wheel reaches it.
+func (s *Simulation) Cancel(t Timer) bool {
+	e := t.e
+	if e == nil || e.seq != t.seq || e.stopped || !e.queued {
 		return false
 	}
 	e.stopped = true
@@ -400,8 +346,8 @@ func (s *Simulation) Cancel(e *Event) bool {
 // Halt stops the run loop after the current event returns.
 func (s *Simulation) Halt() { s.halted = true }
 
-// fire executes a popped event and recycles it if it is freelist-owned.
-func (s *Simulation) fire(e *Event) {
+// fire recycles a popped event and then executes it.
+func (s *Simulation) fire(e *event) {
 	if e.at < s.now {
 		panic(fmt.Sprintf("sim: time went backwards: at=%d now=%d wheel=%d", e.at, s.now, s.wheelTime))
 	}
@@ -409,16 +355,10 @@ func (s *Simulation) fire(e *Event) {
 	s.fired++
 	s.live--
 	s.record(e)
-	if e.call != nil {
-		call, arg := e.call, e.arg
-		if e.pooled {
-			e.call, e.arg = nil, nil
-			s.free = append(s.free, e)
-		}
-		call(arg)
-		return
-	}
-	e.fn()
+	call, arg := e.call, e.arg
+	e.call, e.arg = nil, nil
+	s.free = append(s.free, e)
+	call(arg)
 }
 
 // Step executes the single earliest event. It returns false when the queue
@@ -443,6 +383,7 @@ func (s *Simulation) Run() {
 // clock to deadline (if the queue drained earlier). Events scheduled beyond
 // the deadline remain queued. Cancelled tombstones at or before the
 // deadline are fast-forwarded past without executing or counting them.
+// A Halt leaves the clock at the halting event, so the run can resume.
 func (s *Simulation) RunUntil(deadline Time) {
 	s.halted = false
 	for !s.halted {
@@ -452,7 +393,7 @@ func (s *Simulation) RunUntil(deadline Time) {
 		}
 		s.fire(e)
 	}
-	if s.now < deadline {
+	if !s.halted && s.now < deadline {
 		s.now = deadline
 	}
 }
@@ -461,10 +402,14 @@ func (s *Simulation) RunUntil(deadline Time) {
 func (s *Simulation) RunFor(d Time) { s.RunUntil(s.now + d) }
 
 // Every schedules fn to run now+first and then every period until the
-// returned Ticker is stopped.
-func (s *Simulation) Every(first, period Time, fn Handler) *Ticker {
+// returned Ticker is stopped. A non-positive period panics: the ticker
+// would fire forever without time moving.
+func (s *Simulation) Every(first, period Time, fn func()) *Ticker {
+	if period <= 0 {
+		panic(fmt.Sprintf("sim: non-positive period %d", period))
+	}
 	t := &Ticker{sim: s, period: period, fn: fn}
-	t.ev = s.Schedule(first, t.tick)
+	t.ev = s.ScheduleCall(first, tick, t)
 	return t
 }
 
@@ -472,18 +417,19 @@ func (s *Simulation) Every(first, period Time, fn Handler) *Ticker {
 type Ticker struct {
 	sim     *Simulation
 	period  Time
-	fn      Handler
-	ev      *Event
+	fn      func()
+	ev      Timer
 	stopped bool
 }
 
-func (t *Ticker) tick() {
+func tick(arg any) {
+	t := arg.(*Ticker)
 	if t.stopped {
 		return
 	}
 	t.fn()
 	if !t.stopped {
-		t.ev = t.sim.Schedule(t.period, t.tick)
+		t.ev = t.sim.ScheduleCall(t.period, tick, t)
 	}
 }
 

@@ -70,19 +70,6 @@ func TestNegativeDelayPanics(t *testing.T) {
 	New(1).Schedule(-1, func() {})
 }
 
-func TestScheduleAtPastPanics(t *testing.T) {
-	s := New(1)
-	s.Schedule(100, func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic scheduling in the past")
-			}
-		}()
-		s.ScheduleAt(50, func() {})
-	})
-	s.Run()
-}
-
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
@@ -97,15 +84,15 @@ func TestCancel(t *testing.T) {
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	if s.Cancel(nil) {
-		t.Fatal("Cancel(nil) returned true")
+	if s.Cancel(Timer{}) {
+		t.Fatal("Cancel(Timer{}) returned true")
 	}
 }
 
 func TestCancelOneOfMany(t *testing.T) {
 	s := New(1)
 	var got []int
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 10; i++ {
 		i := i
 		evs = append(evs, s.Schedule(Time(10+i), func() { got = append(got, i) }))
@@ -178,6 +165,24 @@ func TestHalt(t *testing.T) {
 	}
 }
 
+func TestRunUntilHaltKeepsClock(t *testing.T) {
+	// A halted RunUntil must leave the clock at the halting event, not at
+	// the deadline: the pending event at 20 would otherwise lie in the
+	// past and the resumed run would panic.
+	s := New(1)
+	var got []Time
+	s.Schedule(10, func() { got = append(got, s.Now()); s.Halt() })
+	s.Schedule(20, func() { got = append(got, s.Now()) })
+	s.RunUntil(100)
+	if s.Now() != 10 || s.Pending() != 1 {
+		t.Fatalf("after halted RunUntil: now=%v pending=%d, want 10ns/1", s.Now(), s.Pending())
+	}
+	s.Run()
+	if len(got) != 2 || got[1] != 20 {
+		t.Fatalf("resumed run fired at %v, want [10 20]", got)
+	}
+}
+
 func TestTicker(t *testing.T) {
 	s := New(1)
 	var times []Time
@@ -192,6 +197,19 @@ func TestTicker(t *testing.T) {
 		if times[i] != want[i] {
 			t.Errorf("tick %d at %d, want %d", i, times[i], want[i])
 		}
+	}
+}
+
+func TestEveryNonPositivePeriodPanics(t *testing.T) {
+	for _, period := range []Time{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("expected panic on period %d", period)
+				}
+			}()
+			New(1).Every(0, period, func() {})
+		}()
 	}
 }
 
@@ -314,7 +332,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 	f := func(delays []uint16, mask []bool) bool {
 		s := New(1)
 		fired := map[int]bool{}
-		var evs []*Event
+		var evs []Timer
 		for i, d := range delays {
 			i := i
 			evs = append(evs, s.Schedule(Time(d), func() { fired[i] = true }))
@@ -341,7 +359,7 @@ func TestPropertyCancelSubset(t *testing.T) {
 
 func TestFiredExcludesCancelled(t *testing.T) {
 	s := New(1)
-	var evs []*Event
+	var evs []Timer
 	for i := 0; i < 10; i++ {
 		evs = append(evs, s.Schedule(Time(10+i), func() {}))
 	}
@@ -388,7 +406,7 @@ func TestRunUntilFastForwardsTombstones(t *testing.T) {
 func TestCancelInsideOwnHandler(t *testing.T) {
 	s := New(1)
 	ran := 0
-	var e *Event
+	var e Timer
 	e = s.Schedule(5, func() {
 		ran++
 		if s.Cancel(e) {
@@ -499,6 +517,49 @@ func TestScheduleCallOrderingAndReuse(t *testing.T) {
 		if got[i] != (i-1)*10 {
 			t.Fatalf("chain value at %d = %d, want %d (recycled event corrupted?)", i, got[i], (i-1)*10)
 		}
+	}
+}
+
+func TestStaleTimerCannotCancelReissuedEvent(t *testing.T) {
+	// A fired closure event returns to the freelist and is reissued to
+	// the next Schedule; the first handle must not reach the new owner.
+	s := New(1)
+	old := s.Schedule(1, func() {})
+	s.Run()
+	fired := false
+	cur := s.Schedule(1, func() { fired = true })
+	if cur.e != old.e {
+		t.Fatal("fired event was not reissued from the freelist")
+	}
+	if s.Cancel(old) {
+		t.Fatal("stale Timer cancelled the reissued event")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("reissued event did not fire")
+	}
+}
+
+func TestStoppedTickerTimerCannotCancelReissuedEvent(t *testing.T) {
+	// A stopped Ticker keeps the Timer of its cancelled tick. Once the
+	// tombstone is popped and the event reissued, Stop again (or any
+	// Cancel of that Timer) must leave the new owner alone.
+	s := New(1)
+	tk := s.Every(5, 5, func() {})
+	tk.Stop()
+	s.Run() // pops and recycles the tombstone
+	fired := false
+	cur := s.Schedule(1, func() { fired = true })
+	if cur.e != tk.ev.e {
+		t.Fatal("cancelled tick was not reissued from the freelist")
+	}
+	tk.Stop()
+	if s.Cancel(tk.ev) {
+		t.Fatal("stale ticker Timer cancelled the reissued event")
+	}
+	s.Run()
+	if !fired {
+		t.Fatal("reissued event did not fire")
 	}
 }
 

@@ -55,7 +55,7 @@ func (s *Simulation) TraceString() string {
 }
 
 // record appends an executed event to the ring.
-func (s *Simulation) record(e *Event) {
+func (s *Simulation) record(e *event) {
 	if s.traceCap == 0 {
 		return
 	}

@@ -27,7 +27,7 @@ func TestAdmissionTable(t *testing.T) {
 		{"replay/empty-queue-tight-deadline", 400 * sim.Microsecond, 0, 0, true},
 		{"replay/depth2-tight-deadline", 400 * sim.Microsecond, 2, 0, false},
 		{"replay/depth1-roomy-deadline", 2500 * sim.Microsecond, 1, 0, true},
-		{"replay/depth9-at-deadline", 2350 * sim.Microsecond, 9, 0, true},  // est == deadline: admit
+		{"replay/depth9-at-deadline", 2350 * sim.Microsecond, 9, 0, true}, // est == deadline: admit
 		{"replay/depth10-over-deadline", 2350 * sim.Microsecond, 10, 0, false},
 		{"replay/deep-queue-roomy-deadline", 2500 * sim.Microsecond, 64, 0, false},
 		{"replay/negative-depth-clamped", 400 * sim.Microsecond, -3, 0, true},

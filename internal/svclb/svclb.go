@@ -224,7 +224,7 @@ type pendingReq struct {
 	client     int // client index
 	t0         sim.Time
 	copies     []*reqCopy
-	hedgeEv    *sim.Event
+	hedgeEv    sim.Timer
 	failedOver bool
 
 	// svc is the per-request service time (0 = Config.ServiceTime) and
