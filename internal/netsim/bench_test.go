@@ -76,3 +76,21 @@ func BenchmarkNetsimHotPathObsOff(b *testing.B) { benchHotPath(b, false) }
 // further spans are dropped-but-counted, which is the steady state of a
 // long traced run).
 func BenchmarkNetsimHotPathObsOn(b *testing.B) { benchHotPath(b, true) }
+
+// BenchmarkNetsimNoise measures one background frame's whole life, the
+// fabric's per-hop cost for synthetic cross traffic: InjectNoise encodes
+// it into a pooled packet, the L1 port queues and serializes it, and it
+// propagates to the TOR, which drops it for want of a route and recycles
+// the packet.
+func BenchmarkNetsimNoise(b *testing.B) {
+	s, l1 := noiseFabric()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l1.InjectNoise(0, pkt.ClassRDMA, 1400)
+		s.Run()
+	}
+	if got := l1.Port(0).Stats.TxFrames.Value(); got < uint64(b.N) {
+		b.Fatalf("transmitted %d/%d noise frames", got, b.N)
+	}
+}

@@ -34,14 +34,20 @@ type Device interface {
 
 // Packet is a frame in flight: the encoded bytes plus a parsed view.
 //
-// Packets from NewPacket are pool-backed: the frame is decoded exactly
-// once, into storage embedded in the Packet, and the Packet is recycled
-// via Free at points where it provably dies (congestion drops, terminated
-// control frames, routing dead ends). Retention rule: a device receiving
-// HandleFrame may retain packet (and packet.F, whose Payload aliases
-// packet.Buf) past the call only if it does not Free it — hosts keep
-// delivered packets for their deferred UDP handlers, and shells hand
-// terminated LTL frames to the protocol engine, so neither path recycles.
+// Packets from NewPacket, NewPacketCopy and Switch.InjectNoise are
+// pool-backed: the frame is decoded exactly once, into storage embedded
+// in the Packet, and the Packet is recycled via Free at points where it
+// provably dies (congestion drops, terminated control frames, routing
+// dead ends). NewPacketCopy and InjectNoise also write the bytes into
+// the packet's own recycled buffer, so a background noise frame, which
+// dies at its next hop, costs no allocation at all.
+//
+// Retention rule: a device receiving HandleFrame may retain packet (and
+// packet.F, whose Payload aliases packet.Buf) past the call only if it
+// does not Free it — hosts keep delivered packets for their deferred UDP
+// handlers, and shells hand terminated LTL frames to the protocol engine,
+// so neither path recycles. A recycled buffer is rewritten in place, so
+// bytes of a freed packet must not be read after Free.
 type Packet struct {
 	Buf []byte
 	F   *pkt.Frame
@@ -80,9 +86,9 @@ type Packet struct {
 	hopSpan obs.SpanID
 
 	frame pkt.Frame // storage F points at for pool-backed packets
-	// mem is recycled byte storage for NewPacketCopy: it survives Free so
-	// a pool hit re-parses into an already-sized buffer with no
-	// allocation.
+	// mem is recycled byte storage for NewPacketCopy and InjectNoise: it
+	// survives Free so a pool hit writes into an already-sized buffer
+	// with no allocation.
 	mem []byte
 }
 
@@ -147,6 +153,13 @@ func NewPacket(buf []byte) *Packet {
 func NewPacketCopy(buf []byte) *Packet {
 	p := packetPool.Get().(*Packet)
 	p.mem = append(p.mem[:0], buf...)
+	return p.decodeMem()
+}
+
+// decodeMem makes the frame just written into p.mem the packet's bytes
+// and parses it once into the embedded Frame. Panics on undecodable
+// frames like NewPacket.
+func (p *Packet) decodeMem() *Packet {
 	if err := pkt.DecodeInto(&p.frame, p.mem); err != nil {
 		panic(fmt.Sprintf("netsim: emitting undecodable frame: %v", err))
 	}

@@ -51,6 +51,7 @@ type SwitchConfig struct {
 // SwitchStats aggregates switch-level counters.
 type SwitchStats struct {
 	Forwarded   metrics.Counter
+	Injected    metrics.Counter // background frames from InjectNoise
 	NoRoute     metrics.Counter
 	DeadPort    metrics.Counter // routed to an unwired port (outside the instantiated subgraph)
 	PFCIssued   metrics.Counter
@@ -203,20 +204,27 @@ func (sw *Switch) armPauseRefresh(in *Port, class pkt.TrafficClass) {
 	})
 }
 
+// noisePayload is the all-zero body every background frame carries;
+// AppendUDP copies a prefix of it into the frame's pooled buffer.
+var noisePayload [pkt.MaxMTU]byte
+
 // InjectNoise enqueues a synthetic background frame directly on egress
 // port out. It models cross-traffic from parts of the datacenter that are
 // not individually instantiated; the frame is addressed outside the
-// instantiated subgraph and vanishes at the next hop.
+// instantiated subgraph and vanishes at the next hop. size is the frame's
+// length on the wire, clamped to [64, pkt.MaxMTU]; a tagged class adds
+// its VLAN tag. The frame is encoded straight into a pooled packet's
+// recycled buffer, so a steady stream of noise allocates nothing.
 func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
-	if size < 64 {
-		size = 64
-	}
-	payload := make([]byte, size-pkt.EthHeaderLen-pkt.IPv4HeaderLen-pkt.UDPHeaderLen-pkt.EthFCSLen)
-	buf := pkt.EncodeUDP(
+	size = max(64, min(size, pkt.MaxMTU))
+	payload := noisePayload[:size-pkt.EthHeaderLen-pkt.IPv4HeaderLen-pkt.UDPHeaderLen-pkt.EthFCSLen]
+	p := packetPool.Get().(*Packet)
+	p.mem = pkt.AppendUDP(p.mem[:0],
 		pkt.MAC{0x02, 0xee, 0, 0, 0, 1}, pkt.Broadcast,
 		pkt.IP{255, 255, 255, 254}, pkt.IP{255, 255, 255, 255},
 		9, 9, class, 1, 0, payload)
-	sw.ports[out].Enqueue(NewPacket(buf))
+	sw.Stats.Injected.Inc()
+	sw.ports[out].Enqueue(p.decodeMem())
 }
 
 // IngressHeldBytes reports the PFC account for (ingress port, class) —

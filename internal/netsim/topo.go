@@ -475,11 +475,7 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 				if dc.noiseGen != gen {
 					return
 				}
-				size := 64 + rng.Intn(2*meanSize-64)
-				if size > pkt.MaxMTU {
-					size = pkt.MaxMTU
-				}
-				sw.InjectNoise(i, class, size)
+				sw.InjectNoise(i, class, 64+rng.Intn(2*meanSize-64))
 				sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)
 			}
 			sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)

@@ -95,6 +95,13 @@ var ErrNotLTL = errors.New("pkt: not an LTL frame")
 // filled from len(payload).
 func EncodeLTL(h LTLHeader, payload []byte) []byte {
 	buf := make([]byte, LTLHeaderLen+len(payload))
+	putLTL(buf, h, payload)
+	return buf
+}
+
+// putLTL writes the header, with PayloadLen from len(payload), and the
+// payload into buf, which must hold LTLHeaderLen+len(payload) bytes.
+func putLTL(buf []byte, h LTLHeader, payload []byte) {
 	buf[0] = LTLMagic
 	buf[1] = uint8(h.Type)
 	buf[2] = h.Flags
@@ -106,7 +113,6 @@ func EncodeLTL(h LTLHeader, payload []byte) []byte {
 	binary.BigEndian.PutUint16(buf[16:], uint16(len(payload)))
 	binary.BigEndian.PutUint16(buf[18:], h.Credits)
 	copy(buf[LTLHeaderLen:], payload)
-	return buf
 }
 
 // DecodeLTL parses an LTL frame from a UDP payload, returning the header
@@ -135,72 +141,11 @@ func DecodeLTL(buf []byte) (LTLHeader, []byte, error) {
 // an LTL header and payload to dst and returns the extended slice. The
 // output is byte-identical to EncodeUDP(..., EncodeLTL(h, payload)) but
 // builds the frame in place, so a recycled dst makes the TX path
-// allocation-free. The appended region is zeroed first: the fields
-// EncodeUDP leaves untouched (IPv4 fragment word, UDP checksum) must read
-// zero even when dst is reused.
+// allocation-free.
 func AppendUDPLTL(dst []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
 	class TrafficClass, ttl uint8, ipID uint16, h LTLHeader, payload []byte) []byte {
-
-	hasVLAN := class != ClassBestEffort
-	ltlLen := LTLHeaderLen + len(payload)
-	n := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + ltlLen
-	if hasVLAN {
-		n += VLANTagLen
-	}
-	base := len(dst)
-	if cap(dst)-base < n {
-		grown := make([]byte, base, base+n)
-		copy(grown, dst)
-		dst = grown
-	}
-	dst = dst[:base+n]
-	buf := dst[base:]
-	for i := range buf {
-		buf[i] = 0
-	}
-
-	off := 0
-	copy(buf[off:], dstMAC[:])
-	copy(buf[off+6:], srcMAC[:])
-	off += 12
-	if hasVLAN {
-		binary.BigEndian.PutUint16(buf[off:], EtherTypeVLAN)
-		tci := uint16(class)<<13 | 1 // VLAN id 1
-		binary.BigEndian.PutUint16(buf[off+2:], tci)
-		off += 4
-	}
-	binary.BigEndian.PutUint16(buf[off:], EtherTypeIPv4)
-	off += 2
-
-	ip := buf[off : off+IPv4HeaderLen]
-	ip[0] = 0x45 // v4, IHL 5
-	ip[1] = uint8(ECNCapable)
-	binary.BigEndian.PutUint16(ip[2:], uint16(IPv4HeaderLen+UDPHeaderLen+ltlLen))
-	binary.BigEndian.PutUint16(ip[4:], ipID)
-	ip[8] = ttl
-	ip[9] = ProtoUDP
-	copy(ip[12:], srcIP[:])
-	copy(ip[16:], dstIP[:])
-	binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip))
-	off += IPv4HeaderLen
-
-	udp := buf[off : off+UDPHeaderLen]
-	binary.BigEndian.PutUint16(udp[0:], srcPort)
-	binary.BigEndian.PutUint16(udp[2:], dstPort)
-	binary.BigEndian.PutUint16(udp[4:], uint16(UDPHeaderLen+ltlLen))
-	off += UDPHeaderLen
-
-	ltl := buf[off:]
-	ltl[0] = LTLMagic
-	ltl[1] = uint8(h.Type)
-	ltl[2] = h.Flags
-	ltl[3] = h.VC
-	binary.BigEndian.PutUint16(ltl[4:], h.SrcConn)
-	binary.BigEndian.PutUint16(ltl[6:], h.DstConn)
-	binary.BigEndian.PutUint32(ltl[8:], h.Seq)
-	binary.BigEndian.PutUint32(ltl[12:], h.Ack)
-	binary.BigEndian.PutUint16(ltl[16:], uint16(len(payload)))
-	binary.BigEndian.PutUint16(ltl[18:], h.Credits)
-	copy(ltl[LTLHeaderLen:], payload)
+	dst, ltl := appendUDPHeaders(dst, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort,
+		class, ttl, ipID, LTLHeaderLen+len(payload))
+	putLTL(ltl, h, payload)
 	return dst
 }

@@ -163,17 +163,47 @@ var (
 )
 
 // EncodeUDP builds a complete Ethernet(+VLAN)/IPv4/UDP frame carrying
-// payload. A VLAN tag is emitted whenever class != ClassBestEffort so that
-// switches can classify the frame.
+// payload in a fresh buffer. A VLAN tag is emitted whenever
+// class != ClassBestEffort so that switches can classify the frame.
 func EncodeUDP(srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
 	class TrafficClass, ttl uint8, ipID uint16, payload []byte) []byte {
+	return AppendUDP(nil, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort, class, ttl, ipID, payload)
+}
+
+// AppendUDP appends the frame EncodeUDP would build to dst and returns
+// the extended slice. It allocates only when dst lacks the capacity, so
+// encoding into a recycled buffer is free.
+func AppendUDP(dst []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
+	class TrafficClass, ttl uint8, ipID uint16, payload []byte) []byte {
+	dst, body := appendUDPHeaders(dst, srcMAC, dstMAC, srcIP, dstIP, srcPort, dstPort,
+		class, ttl, ipID, len(payload))
+	copy(body, payload)
+	return dst
+}
+
+// appendUDPHeaders extends dst by one Ethernet(+VLAN)/IPv4/UDP frame with
+// a bodyLen-byte UDP payload, writes every header byte, and returns the
+// extended slice plus the payload region for the caller to fill. The
+// header fields the simulator leaves zero (IPv4 flags and fragment
+// offset, UDP checksum) are written too, so stale bytes in a recycled dst
+// never leak into the frame.
+func appendUDPHeaders(dst []byte, srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
+	class TrafficClass, ttl uint8, ipID uint16, bodyLen int) ([]byte, []byte) {
 
 	hasVLAN := class != ClassBestEffort
-	n := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + len(payload)
+	n := EthHeaderLen + IPv4HeaderLen + UDPHeaderLen + bodyLen
 	if hasVLAN {
 		n += VLANTagLen
 	}
-	buf := make([]byte, n)
+	base := len(dst)
+	if cap(dst)-base < n {
+		grown := make([]byte, base, base+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	dst = dst[:base+n]
+	buf := dst[base:]
+
 	off := 0
 	copy(buf[off:], dstMAC[:])
 	copy(buf[off+6:], srcMAC[:])
@@ -190,10 +220,12 @@ func EncodeUDP(srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
 	ip := buf[off : off+IPv4HeaderLen]
 	ip[0] = 0x45 // v4, IHL 5
 	ip[1] = uint8(ECNCapable)
-	binary.BigEndian.PutUint16(ip[2:], uint16(IPv4HeaderLen+UDPHeaderLen+len(payload)))
+	binary.BigEndian.PutUint16(ip[2:], uint16(IPv4HeaderLen+UDPHeaderLen+bodyLen))
 	binary.BigEndian.PutUint16(ip[4:], ipID)
+	binary.BigEndian.PutUint16(ip[6:], 0) // flags, fragment offset
 	ip[8] = ttl
 	ip[9] = ProtoUDP
+	binary.BigEndian.PutUint16(ip[10:], 0) // checksum sums over zero
 	copy(ip[12:], srcIP[:])
 	copy(ip[16:], dstIP[:])
 	binary.BigEndian.PutUint16(ip[10:], ipChecksum(ip))
@@ -202,12 +234,12 @@ func EncodeUDP(srcMAC, dstMAC MAC, srcIP, dstIP IP, srcPort, dstPort uint16,
 	udp := buf[off : off+UDPHeaderLen]
 	binary.BigEndian.PutUint16(udp[0:], srcPort)
 	binary.BigEndian.PutUint16(udp[2:], dstPort)
-	binary.BigEndian.PutUint16(udp[4:], uint16(UDPHeaderLen+len(payload)))
+	binary.BigEndian.PutUint16(udp[4:], uint16(UDPHeaderLen+bodyLen))
 	// UDP checksum 0 (unused): datacenter links carry their own FCS and
 	// LTL has its own integrity expectations; matches common RoCE practice.
+	binary.BigEndian.PutUint16(udp[6:], 0)
 	off += UDPHeaderLen
-	copy(buf[off:], payload)
-	return buf
+	return dst, buf[off:]
 }
 
 // SetECNCE rewrites the ECN field of an encoded IPv4 frame to

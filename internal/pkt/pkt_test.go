@@ -341,3 +341,41 @@ func TestAppendUDPLTLMatchesEncode(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendUDPMatchesEncode: appending to a prefix yields the prefix
+// followed by EncodeUDP's frame, untagged and tagged, even when the
+// spare capacity holds stale bytes, and the appended frame decodes.
+func TestAppendUDPMatchesEncode(t *testing.T) {
+	payload := bytes.Repeat([]byte{0x5A}, 300)
+	prefix := []byte("prefix")
+	for _, class := range []TrafficClass{ClassBestEffort, ClassRDMA} {
+		want := EncodeUDP(macA, macB, ipA, ipB, 9, 10, class, 64, 0xBEEF, payload)
+		dirty := bytes.Repeat([]byte{0xFF}, 2048)
+		dst := append(dirty[:0], prefix...)
+		got := AppendUDP(dst, macA, macB, ipA, ipB, 9, 10, class, 64, 0xBEEF, payload)
+		if !bytes.Equal(got[:len(prefix)], prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("class %d: AppendUDP(prefix) != prefix + EncodeUDP", class)
+		}
+		var f Frame
+		if err := DecodeInto(&f, got[len(prefix):]); err != nil {
+			t.Fatalf("class %d: decode: %v", class, err)
+		}
+		if f.Class() != class || f.SrcIP != ipA || f.DstIP != ipB || f.DstPort != 10 ||
+			f.IPID != 0xBEEF || !bytes.Equal(f.Payload, payload) {
+			t.Fatalf("class %d: round trip lost fields: %+v", class, f)
+		}
+	}
+}
+
+// TestAppendUDPNoAllocs: with enough capacity in dst, encoding allocates
+// nothing.
+func TestAppendUDPNoAllocs(t *testing.T) {
+	payload := make([]byte, 1400)
+	buf := make([]byte, 0, MaxMTU+EthHeaderLen+VLANTagLen)
+	allocs := testing.AllocsPerRun(100, func() {
+		buf = AppendUDP(buf[:0], macA, macB, ipA, ipB, 9, 9, ClassRDMA, 1, 0, payload)
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendUDP into a sized buffer: %v allocs/op, want 0", allocs)
+	}
+}

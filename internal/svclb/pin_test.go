@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -73,17 +74,33 @@ func TestPinnedBoardLifecycle(t *testing.T) {
 	checkPins(t, r, pinBoardResult, pinBoardTelemetry)
 }
 
-// TestPinnedSlotFailover: slot-claim backends with one board killed
+// slotFailoverConfig is slot-claim backends with one board killed
 // mid-run and the claim re-leased on a spare board.
-func TestPinnedSlotFailover(t *testing.T) {
+func slotFailoverConfig() Config {
 	cfg := quickConfig()
 	cfg.Clients = 16
 	cfg.SlotALMs = 40000
 	cfg.Telemetry = true
 	cfg.KillAt = cfg.Warmup + 30*sim.Millisecond
-	r := Run(cfg)
+	return cfg
+}
+
+// TestPinnedSlotFailover pins the slot-mode failover run.
+func TestPinnedSlotFailover(t *testing.T) {
+	r := Run(slotFailoverConfig())
 	if r.Failovers == 0 {
 		t.Fatalf("kill not detected: %s", pinResult(r))
 	}
+	checkPins(t, r, pinSlotResult, pinSlotTelemetry)
+}
+
+// TestPinnedSlotFailoverParanoid reruns the slot-mode failover with the
+// fabric re-decoding every frame at every hop, the background noise
+// frames included, and must land on the same pins: the cached frame
+// views never diverge from the bytes, and checking them changes nothing.
+func TestPinnedSlotFailoverParanoid(t *testing.T) {
+	netsim.SetParanoid(true)
+	defer netsim.SetParanoid(false)
+	r := Run(slotFailoverConfig())
 	checkPins(t, r, pinSlotResult, pinSlotTelemetry)
 }
