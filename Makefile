@@ -74,7 +74,7 @@ examples:
 	$(GO) run ./examples/multifpga
 	$(GO) run ./examples/bioinformatics
 
-# Brief fuzzing passes over the wire decoders.
+# Brief fuzzing passes over the wire decoders and the KV store.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -82,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHandleFrame -fuzztime 30s ./internal/ltl/
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/kvcache/
+	$(GO) test -fuzz FuzzStoreOps -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
 

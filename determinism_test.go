@@ -168,7 +168,6 @@ const (
 	pinScaleTelemetry   = "d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"
 	pinNetsvcDigest     = "427f71d71f34996c"
 	pinNetsvcTelemetry  = "371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"
-	pinNetsvcCuckoo     = "427f71d71f34996c"
 	pinNetsvcMGet4      = "8375c29437f42720"
 	pinTenancyDigest    = "e2d4ae3aa2cb7514"
 	pinTenancyTelemetry = "f4703e11a25432bad3a141b9f413992199b5c510ca775cc9a618b360615218e9"
@@ -356,35 +355,25 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 			len(seqTel), len(parTel))
 	}
 
-	// The cuckoo directory and multi-get coalescing must be exactly as
-	// worker-count-independent as the base service: each variant's
-	// digest is pinned and compared across 1/2/4/8 workers.
-	variants := []struct {
-		name string
-		pin  string
-		mut  func(*NetsvcScaleConfig)
-	}{
-		{"cuckoo", pinNetsvcCuckoo, func(c *NetsvcScaleConfig) { c.Cuckoo = true }},
-		{"mget4", pinNetsvcMGet4, func(c *NetsvcScaleConfig) { c.MGetBatch = 4 }},
-	}
-	for _, v := range variants {
-		var ref NetsvcScaleResult
-		for i, workers := range []int{1, 2, 4, 8} {
-			cfg := base(workers)
-			v.mut(&cfg)
-			res := RunNetsvcScalePoint(cfg)
-			if res.Completed == 0 {
-				t.Fatalf("%s: no completions at workers=%d", v.name, workers)
-			}
-			if i == 0 {
-				checkPinned(t, "netsvc "+v.name, res.Digest, "", v.pin, "")
-				ref = res
-				continue
-			}
-			if res.Digest != ref.Digest || res.Completed != ref.Completed {
-				t.Errorf("%s: workers=%d diverged: digest %016x vs %016x (completed %d vs %d)",
-					v.name, workers, res.Digest, ref.Digest, res.Completed, ref.Completed)
-			}
+	// Multi-get coalescing must be exactly as worker-count-independent as
+	// the base service: its digest is pinned and compared across 1/2/4/8
+	// workers.
+	var ref NetsvcScaleResult
+	for i, workers := range []int{1, 2, 4, 8} {
+		cfg := base(workers)
+		cfg.MGetBatch = 4
+		res := RunNetsvcScalePoint(cfg)
+		if res.Completed == 0 {
+			t.Fatalf("mget4: no completions at workers=%d", workers)
+		}
+		if i == 0 {
+			checkPinned(t, "netsvc mget4", res.Digest, "", pinNetsvcMGet4, "")
+			ref = res
+			continue
+		}
+		if res.Digest != ref.Digest || res.Completed != ref.Completed {
+			t.Errorf("mget4: workers=%d diverged: digest %016x vs %016x (completed %d vs %d)",
+				workers, res.Digest, ref.Digest, res.Completed, ref.Completed)
 		}
 	}
 }

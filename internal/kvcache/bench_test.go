@@ -44,34 +44,6 @@ func BenchmarkKVStoreGet(b *testing.B) {
 	}
 }
 
-// BenchmarkCuckooStoreGet is the directory A/B counterpart of
-// BenchmarkKVStoreGet.
-func BenchmarkKVCuckooStoreGet(b *testing.B) {
-	s := sim.New(1)
-	cfg := DefaultStoreConfig()
-	cfg.Cuckoo = true
-	st := NewStore(s, dram.New(s, dram.DefaultConfig()), cfg)
-	key, val := MakeKey(1, 16), MakeVal(1, 128)
-	put := &StoreOp{Done: func(_ *StoreOp, ok bool, _ []byte) {
-		if !ok {
-			b.Fatal("seed put failed")
-		}
-	}}
-	st.Put(key, val, put)
-	s.RunUntil(sim.Millisecond)
-	op := &StoreOp{Done: func(_ *StoreOp, hit bool, _ []byte) {
-		if !hit {
-			b.Fatal("seeded key missed")
-		}
-	}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st.Get(key, op)
-		s.RunUntil(s.Now() + 10*sim.Microsecond)
-	}
-}
-
 // BenchmarkServiceRun measures a full small deployment end to end:
 // simulated requests per wall-clock second across clients, ER, LTL
 // datagrams, shard stores, and DRAM. ns/req and allocs/req normalize the

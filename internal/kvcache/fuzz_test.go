@@ -2,7 +2,12 @@ package kvcache
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/dram"
+	"repro/internal/sim"
 )
 
 // FuzzDecodeReq asserts the shard-side decoder never panics and that
@@ -141,4 +146,87 @@ func FuzzDecodeMResp(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzStoreOps checks the store's cache contract under overlapping
+// traffic: a Get that hits returns the value of the last Put acked for
+// that key, and a miss is always allowed. Ops on one key are serialized
+// (each waits for the previous one's ack), ops on different keys
+// overlap, and the directory is small enough for relocation chains,
+// evictions and (at shallow DRAM queues) rejections to interleave with
+// them.
+func FuzzStoreOps(f *testing.F) {
+	// seed, sets, ways, keys, slot, depth: see storeOps for the ranges.
+	f.Add(int64(1), uint8(0), uint8(0), uint8(16), uint8(0), uint8(62)) // 8x2, 18 keys, 64 B slots
+	f.Add(int64(2), uint8(0), uint8(0), uint8(16), uint8(7), uint8(0))  // 8 KiB slots, 2-deep queue
+	f.Add(int64(16), uint8(191), uint8(177), uint8(159), uint8(54), uint8(62))
+	f.Add(int64(29), uint8(96), uint8(196), uint8(219), uint8(83), uint8(137))
+	f.Add(int64(240), uint8(110), uint8(193), uint8(124), uint8(201), uint8(62))
+	f.Add(int64(340), uint8(167), uint8(249), uint8(30), uint8(22), uint8(62))
+	f.Add(int64(2059), uint8(94), uint8(127), uint8(184), uint8(143), uint8(198))
+	f.Add(int64(-82), uint8(152), uint8(159), uint8(157), uint8(7), uint8(7))
+	f.Fuzz(func(t *testing.T, seed int64, sets, ways, keys, slot, depth uint8) {
+		if stale, hits, first := storeOps(seed, sets, ways, keys, slot, depth); stale > 0 {
+			t.Fatalf("%d of %d hits returned a value older than the last acked Put; first: %s", stale, hits, first)
+		}
+	})
+}
+
+// storeOps runs one randomized workload: 8 or 16 buckets of 2 to 4 ways,
+// 2 to 33 keys, 64 B to 8 KiB slots, and a DRAM queue 2 to 64 deep. At
+// 64 B one DRAM row holds the whole directory and every access is a row
+// hit; at 8 KiB each slot is its own row, so a row hit can complete
+// before an earlier row miss to the same slot. It returns the stale
+// hits, all hits, and a description of the first stale hit.
+func storeOps(seed int64, sets, ways, keys, slot, depth uint8) (stale, hits int, first string) {
+	const opsPerKey = 64
+	s := sim.New(seed)
+	dc := dram.DefaultConfig()
+	dc.QueueDepth = 2 + int(depth)%63
+	st := NewStore(s, dram.New(s, dc), StoreConfig{
+		Sets: 8 << (sets % 2), Ways: 2 + int(ways)%3, SlotBytes: 64 << (slot % 8),
+	})
+	rng := rand.New(rand.NewSource(seed))
+	n := 2 + int(keys)%32
+	acked := make([][]byte, n) // last acked value per key (nil: none)
+	puts := 0
+	var issue func(k, left int)
+	issue = func(k, left int) {
+		if left == 0 {
+			return
+		}
+		next := func() {
+			s.Schedule(sim.Time(rng.Intn(120))*sim.Nanosecond, func() { issue(k, left-1) })
+		}
+		key := []byte(fmt.Sprintf("k%03d", k))
+		if rng.Intn(3) == 0 {
+			puts++
+			val := []byte(fmt.Sprintf("v%06d-%d", puts, k))
+			st.Put(key, val, &StoreOp{Done: func(_ *StoreOp, ok bool, _ []byte) {
+				if ok {
+					acked[k] = val
+				}
+				next()
+			}})
+			return
+		}
+		st.Get(key, &StoreOp{Done: func(_ *StoreOp, hit bool, val []byte) {
+			if hit {
+				hits++
+				if !bytes.Equal(val, acked[k]) {
+					if stale == 0 {
+						first = fmt.Sprintf("t=%d %s got %q, last acked %q", s.Now(), key, val, acked[k])
+					}
+					stale++
+				}
+			}
+			next()
+		}})
+	}
+	for k := 0; k < n; k++ {
+		k := k
+		s.Schedule(sim.Time(rng.Intn(200))*sim.Nanosecond, func() { issue(k, opsPerKey) })
+	}
+	s.Run()
+	return stale, hits, first
 }

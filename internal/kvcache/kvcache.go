@@ -5,7 +5,7 @@
 //
 // GET/PUT requests travel as connection-less LTL service datagrams
 // (internal/ltl/service.go) to a keyspace-sharded pool of HaaS-leased
-// FPGAs. Each shard holds a set-associative tag directory in role SRAM
+// FPGAs. Each shard holds a cuckoo-hashed tag directory in role SRAM
 // and its key/value payloads in board DRAM (internal/dram), crossed
 // through the Elastic Router's DRAM port. Replies are generated entirely
 // on-fabric: a GET hit costs the ER hop, a DRAM read, and the return
@@ -452,7 +452,7 @@ type Shard struct {
 	// slot is the vFPGA slot the shard occupies (-1 = whole-board role).
 	slot int
 	// Store is the shard's directory + DRAM arena.
-	Store  Store
+	Store  *Store
 	tracer *obs.Tracer
 
 	opFree  []*StoreOp
@@ -475,7 +475,7 @@ func (shardRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([]b
 
 // AttachShard loads the shard role onto sh and wires the store to the
 // shell's service-datagram plane.
-func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
+func AttachShard(s *sim.Simulation, sh *shell.Shell, st *Store) *Shard {
 	sh.LoadRole(shardRole{})
 	return attachShard(s, sh, -1, st)
 }
@@ -484,13 +484,13 @@ func AttachShard(s *sim.Simulation, sh *shell.Shell, st Store) *Shard {
 // requests demux onto the slot's virtual channel and replies pay the
 // slot's egress token bucket. The role itself was loaded by the slot's
 // partial reconfiguration (haas.SlotFM wiring).
-func AttachShardSlot(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
+func AttachShardSlot(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard {
 	return attachShard(s, sh, slot, st)
 }
 
 // attachShard wires st to a loaded role: the whole board's service plane
 // (slot -1) or one vFPGA slot's.
-func attachShard(s *sim.Simulation, sh *shell.Shell, slot int, st Store) *Shard {
+func attachShard(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard {
 	d := &Shard{s: s, sh: sh, slot: slot, Store: st, tracer: obs.TracerOf(s)}
 	if reg := obs.RegistryOf(s); reg != nil {
 		reg.Counter("kvcache.fabric_replies", "dgrams", "kvcache", "replies generated on-fabric (no host round-trip)", &d.Replies)
@@ -859,9 +859,8 @@ type Result struct {
 
 	Evictions uint64
 	Rejected  uint64 // DRAM-pressure rejections at the stores
-	// Used/Slots aggregate directory occupancy across the shards' stores
-	// — the cuckoo-vs-set-associative A/B axis at matched hit rate.
-	// Kicks counts cuckoo relocations (zero on the set-associative store).
+	// Used/Slots aggregate directory occupancy across the shards' stores;
+	// Kicks counts the residents relocated by cuckoo inserts.
 	Used, Slots int
 	Kicks       uint64
 

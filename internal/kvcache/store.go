@@ -1,6 +1,7 @@
 package kvcache
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/dram"
@@ -15,28 +16,23 @@ import (
 // never leak into the model, mirroring the fixed comparator tree a
 // hardware lookup would be.
 //
-// Two directory designs exist behind the Store interface: the default
-// set-associative directory (one hash selects a set of Ways candidates,
-// LRU eviction) and a cuckoo directory (two hashes give every key two
-// candidate buckets; inserts relocate residents along a bounded BFS path
-// before giving up and evicting). Cuckoo trades insert-time DRAM moves
-// for a flatter collision curve, i.e. higher usable occupancy at the same
-// hit rate — the ROADMAP item 6 A/B.
+// The directory is a 2-hash cuckoo table: every key has two candidate
+// buckets of Ways slots, and an insert that finds both full relocates
+// residents along a bounded BFS path before giving up and evicting.
+// Relocation trades insert-time DRAM moves for a flatter collision
+// curve, i.e. higher usable occupancy at the same capacity.
 type StoreConfig struct {
-	// Sets x Ways is the directory geometry (buckets x slots for cuckoo;
-	// cuckoo rounds Sets up to a power of two for the partner-bucket XOR).
+	// Sets x Ways is the directory geometry (buckets x slots per bucket).
+	// Sets is rounded up to a power of two for the partner-bucket XOR.
 	Sets, Ways int
 	// SlotBytes is the DRAM arena reserved per directory slot (key
-	// followed by value; an entry larger than this is rejected).
+	// followed by value; an entry larger than this is rejected). The
+	// arena starts at DRAM address 0.
 	SlotBytes int
-	// Base is the DRAM byte address of slot 0.
-	Base int64
-
-	// Cuckoo selects the cuckoo directory; CuckooKicks bounds the BFS
-	// relocation path length per insert (default 8).
-	Cuckoo      bool
-	CuckooKicks int
 }
+
+// cuckooKicks bounds the BFS relocation path length per insert.
+const cuckooKicks = 8
 
 // DefaultStoreConfig sizes a shard at 1024 sets x 4 ways x 1 KiB slots —
 // a 4 MiB DRAM arena behind a 4K-entry SRAM directory.
@@ -51,9 +47,8 @@ type StoreStats struct {
 	Puts       metrics.Counter
 	Evictions  metrics.Counter // valid entry displaced by a Put
 	Collisions metrics.Counter // tag matched but DRAM key differed (hash alias)
-	Rejected   metrics.Counter // DRAM queue full: served as miss / dropped put
+	Rejected   metrics.Counter // DRAM queue full or slot still being written: served as miss / dropped put
 
-	// Cuckoo-only counters (zero on the set-associative store).
 	CuckooKicks  metrics.Counter // resident entries relocated by inserts
 	CuckooAborts metrics.Counter // relocation chains invalidated mid-flight
 }
@@ -84,270 +79,25 @@ type StoreOp struct {
 	reply   []byte // reply datagram under construction
 }
 
-// Store is one shard's DRAM-backed cache behind either directory design.
-type Store interface {
-	// Get probes key; op.Done(op, hit, val) fires exactly once. The key
-	// is only read during the call (implementations copy what they need),
-	// so callers may reuse the backing buffer immediately.
-	Get(key []byte, op *StoreOp)
-	// Put inserts or overwrites key=val with the same aliasing contract.
-	Put(key, val []byte, op *StoreOp)
-	// Stats exposes the shared counter block.
-	Stats() *StoreStats
-	// Occupancy reports used and total directory slots.
-	Occupancy() (used, total int)
-	// Config returns the store geometry.
-	Config() StoreConfig
-}
-
-// NewStore builds the directory cfg selects (set-associative unless
-// cfg.Cuckoo). The arena [Base, Base+Sets*Ways*SlotBytes) must fit the
-// controller's capacity.
-func NewStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) Store {
-	if cfg.Cuckoo {
-		return NewCuckooStore(s, mem, cfg)
-	}
-	return NewSetAssocStore(s, mem, cfg)
-}
-
-// tagEntry is one SRAM directory slot.
-type tagEntry struct {
-	used   bool
-	hash   uint64
-	keyLen uint16
-	valLen uint16
-	last   uint64 // LRU clock at last touch
-}
-
-func registerStoreStats(s *sim.Simulation, st *StoreStats) {
-	if reg := obs.RegistryOf(s); reg != nil {
-		reg.Counter("kvcache.store_hits", "reqs", "kvcache", "GETs answered from the cache", &st.Hits)
-		reg.Counter("kvcache.store_misses", "reqs", "kvcache", "GETs not present", &st.Misses)
-		reg.Counter("kvcache.store_puts", "reqs", "kvcache", "PUTs applied", &st.Puts)
-		reg.Counter("kvcache.store_evictions", "entries", "kvcache", "valid entries displaced by PUTs", &st.Evictions)
-		reg.Counter("kvcache.store_collisions", "reqs", "kvcache", "tag hits disproved by the DRAM key", &st.Collisions)
-		reg.Counter("kvcache.store_rejected", "reqs", "kvcache", "DRAM queue-full rejections", &st.Rejected)
-		reg.Counter("kvcache.cuckoo_kicks", "entries", "kvcache", "resident entries relocated by inserts", &st.CuckooKicks)
-		reg.Counter("kvcache.cuckoo_aborts", "chains", "kvcache", "relocation chains invalidated mid-flight", &st.CuckooAborts)
-	}
-}
-
-// ---- Set-associative directory ----
-
-// SetAssocStore is the default shard cache: one hash selects a set, the
-// Ways candidates are compared, and a full set evicts LRU.
-type SetAssocStore struct {
-	s    *sim.Simulation
-	mem  *dram.Controller
-	cfg  StoreConfig
-	tags []tagEntry
-	tick uint64
-
-	// opFree pools the per-request DRAM-confirm state; wbuf is the
-	// reused key+value concatenation buffer for writes (the DRAM
-	// controller copies it synchronously).
-	opFree []*saOp
-	wbuf   []byte
-
-	stats StoreStats
-}
-
-// saOp carries one in-flight DRAM confirm/write for the set-assoc store.
-// The key is copied in (the request buffer is recycled long before the
-// DRAM transaction completes).
-type saOp struct {
-	st      *SetAssocStore
-	op      *StoreOp
-	key     []byte
-	kl, vl  int
-	evicted bool
-}
-
-// NewSetAssocStore builds a set-associative store over mem.
-func NewSetAssocStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *SetAssocStore {
-	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SlotBytes <= 0 {
-		panic(fmt.Sprintf("kvcache: invalid store config %+v", cfg))
-	}
-	st := &SetAssocStore{s: s, mem: mem, cfg: cfg, tags: make([]tagEntry, cfg.Sets*cfg.Ways)}
-	registerStoreStats(s, &st.stats)
-	return st
-}
-
-// Config returns the store geometry.
-func (st *SetAssocStore) Config() StoreConfig { return st.cfg }
-
-// Stats exposes the counter block.
-func (st *SetAssocStore) Stats() *StoreStats { return &st.stats }
-
-// Occupancy reports used and total directory slots.
-func (st *SetAssocStore) Occupancy() (used, total int) {
-	for i := range st.tags {
-		if st.tags[i].used {
-			used++
-		}
-	}
-	return used, len(st.tags)
-}
-
-func (st *SetAssocStore) slotAddr(set, way int) int64 {
-	return st.cfg.Base + int64((set*st.cfg.Ways+way)*st.cfg.SlotBytes)
-}
-
-func (st *SetAssocStore) allocOp() *saOp {
-	if n := len(st.opFree); n > 0 {
-		o := st.opFree[n-1]
-		st.opFree = st.opFree[:n-1]
-		return o
-	}
-	return &saOp{st: st}
-}
-
-func (st *SetAssocStore) freeOp(o *saOp) {
-	o.op = nil
-	st.opFree = append(st.opFree, o)
-}
-
-// saGetDone completes a Get's DRAM confirm read.
-func saGetDone(arg any, data []byte) {
-	o := arg.(*saOp)
-	st, op := o.st, o.op
-	if !bytesEqual(data[:o.kl], o.key) {
-		st.stats.Collisions.Inc()
-		st.stats.Misses.Inc()
-		st.freeOp(o)
-		op.Done(op, false, nil)
-		return
-	}
-	st.stats.Hits.Inc()
-	val := data[o.kl : o.kl+o.vl]
-	st.freeOp(o)
-	op.Done(op, true, val)
-}
-
-// saPutDone completes a Put's DRAM write.
-func saPutDone(arg any, _ []byte) {
-	o := arg.(*saOp)
-	st, op, evicted := o.st, o.op, o.evicted
-	st.stats.Puts.Inc()
-	st.freeOp(o)
-	op.Evicted = evicted
-	op.Done(op, true, nil)
-}
-
-// Get looks key up: an SRAM directory probe, then (on a tag hit) a DRAM
-// read of the slot to fetch the value and disprove hash aliases. op.Done
-// fires exactly once; hit=false covers absent keys, aliases, and DRAM
-// pressure rejections alike — a cache never owes an answer, only speed.
-func (st *SetAssocStore) Get(key []byte, op *StoreOp) {
-	h := keyHash(key)
-	set := int(h % uint64(st.cfg.Sets))
-	st.tick++
-	for w := 0; w < st.cfg.Ways; w++ {
-		e := &st.tags[set*st.cfg.Ways+w]
-		if !e.used || e.hash != h || int(e.keyLen) != len(key) {
-			continue
-		}
-		e.last = st.tick
-		o := st.allocOp()
-		o.op = op
-		o.key = append(o.key[:0], key...)
-		o.kl, o.vl = int(e.keyLen), int(e.valLen)
-		err := st.mem.ReadCall(st.slotAddr(set, w), o.kl+o.vl, saGetDone, o)
-		if err != nil {
-			st.stats.Rejected.Inc()
-			st.stats.Misses.Inc()
-			st.freeOp(o)
-			op.Done(op, false, nil)
-		}
-		return
-	}
-	st.stats.Misses.Inc()
-	op.Done(op, false, nil)
-}
-
-// Put inserts or overwrites key. A full set evicts its least recently
-// used way. op.Done fires exactly once with ok=false when the entry is
-// too large for a slot or the DRAM controller rejected the write (the
-// entry is then invalidated rather than left stale).
-func (st *SetAssocStore) Put(key, val []byte, op *StoreOp) {
-	if len(key)+len(val) > st.cfg.SlotBytes {
-		op.Evicted = false
-		op.Done(op, false, nil)
-		return
-	}
-	h := keyHash(key)
-	set := int(h % uint64(st.cfg.Sets))
-	st.tick++
-
-	way, evicted := -1, false
-	// Overwrite an existing entry for the same hash/keyLen first.
-	for w := 0; w < st.cfg.Ways; w++ {
-		e := &st.tags[set*st.cfg.Ways+w]
-		if e.used && e.hash == h && int(e.keyLen) == len(key) {
-			way = w
-			break
-		}
-	}
-	if way < 0 { // then a free way
-		for w := 0; w < st.cfg.Ways; w++ {
-			if !st.tags[set*st.cfg.Ways+w].used {
-				way = w
-				break
-			}
-		}
-	}
-	if way < 0 { // else evict LRU
-		lru := uint64(1<<63 - 1)
-		for w := 0; w < st.cfg.Ways; w++ {
-			if e := &st.tags[set*st.cfg.Ways+w]; e.last < lru {
-				lru, way = e.last, w
-			}
-		}
-		evicted = true
-		st.stats.Evictions.Inc()
-	}
-
-	e := &st.tags[set*st.cfg.Ways+way]
-	st.wbuf = append(append(st.wbuf[:0], key...), val...)
-	o := st.allocOp()
-	o.op = op
-	o.evicted = evicted
-	err := st.mem.WriteCall(st.slotAddr(set, way), st.wbuf, saPutDone, o)
-	if err != nil {
-		st.stats.Rejected.Inc()
-		e.used = false // never leave a tag pointing at unwritten DRAM
-		st.freeOp(o)
-		op.Evicted = evicted
-		op.Done(op, false, nil)
-		return
-	}
-	e.used = true
-	e.hash = h
-	e.keyLen = uint16(len(key))
-	e.valLen = uint16(len(val))
-	e.last = st.tick
-}
-
-// ---- Cuckoo directory ----
-
-// CuckooStore hashes every key to two buckets (b2 = b1 XOR a second hash
-// of the key, the standard partner-bucket trick), probing 2 x Ways slots
-// per lookup. Inserts that find both buckets full relocate residents
-// along a BFS-shortest eviction path of at most CuckooKicks moves — each
-// move is a real DRAM read+write of the resident's slot, which is the
-// cost the A/B against the set-associative directory measures. When no
-// path exists within the bound, the insert falls back to evicting the
-// LRU way of the primary bucket (cache semantics: occupancy pressure
-// costs hit rate, never correctness).
-type CuckooStore struct {
-	s    *sim.Simulation
+// Store is one shard's DRAM-backed cache. Every key hashes to two
+// buckets (b2 = b1 XOR a second hash of the key, the standard
+// partner-bucket trick), so a lookup probes 2 x Ways slots. An insert
+// that finds both buckets full relocates residents along a BFS-shortest
+// path of at most cuckooKicks moves; each move is a real DRAM read+write
+// of the resident's slot. When no path exists within the bound, the
+// insert evicts the LRU way of the primary bucket (cache semantics:
+// occupancy pressure costs hit rate, never correctness).
+type Store struct {
 	mem  *dram.Controller
 	cfg  StoreConfig
 	mask uint64 // Sets-1 (Sets is a power of two)
 	tags []tagEntry
 	tick uint64
 
-	opFree []*ckOp
+	// opFree pools the per-request DRAM state; wbuf is the reused
+	// key+value concatenation buffer for writes (the DRAM controller
+	// copies it synchronously).
+	opFree []*dramOp
 	wbuf   []byte
 
 	// BFS scratch, reused across inserts.
@@ -357,28 +107,58 @@ type CuckooStore struct {
 	stats StoreStats
 }
 
-// ckOp carries one in-flight cuckoo operation: a Get's DRAM confirm, a
+// tagEntry is one SRAM directory slot (fields ordered to pack into 32
+// bytes). gen changes whenever an entry is written or moved into the
+// slot, so a relocation chain can tell that a slot it is copying from or
+// into changed under it. busy counts the DRAM writes still landing in
+// the slot: the controller does not order accesses to one address, so a
+// later read or write of the slot could overtake them. The store copies
+// nothing out of a busy slot and writes another entry into it only once
+// it is idle; overwrites of the same key may overlap.
+type tagEntry struct {
+	hash   uint64
+	last   uint64 // LRU clock at last touch
+	gen    uint32
+	keyLen uint16
+	valLen uint16
+	busy   uint16
+	used   bool
+}
+
+// free reports whether an insert may claim the slot: no entry, and no
+// DRAM write (such as a relocation copy) still landing in it.
+func (e *tagEntry) free() bool { return !e.used && e.busy == 0 }
+
+// dramOp carries one in-flight store operation: a Get's DRAM confirm, a
 // fast-path Put write, or a relocation chain (read resident, write it to
 // its partner bucket, repeat up the path, finally write the new entry).
-type ckOp struct {
-	st      *CuckooStore
+// The key is copied in (the request buffer is recycled long before the
+// DRAM transaction completes).
+type dramOp struct {
+	st      *Store
 	op      *StoreOp
 	key     []byte
 	val     []byte
 	kl, vl  int
 	evicted bool
 
+	// slot is where a Put's write lands.
+	slot int
+
 	// Relocation chain state: path[0] is the slot the new entry lands
 	// in; path[i+1] is where path[i]'s resident moves to. idx walks from
-	// the end (the free slot) backwards.
-	path []int32
-	idx  int
-	get  bool
+	// the end (the free slot) backwards. gen and dstGen are the source's
+	// and destination's generations when the current move began.
+	path   []int32
+	idx    int
+	gen    uint32
+	dstGen uint32
 }
 
-// NewCuckooStore builds a cuckoo store over mem. Sets is rounded up to a
-// power of two (the partner bucket is b XOR h2).
-func NewCuckooStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *CuckooStore {
+// NewStore builds a store over mem. Sets is rounded up to a power of two
+// (the partner bucket is b XOR h2); the arena [0, Sets*Ways*SlotBytes)
+// must fit the controller's capacity.
+func NewStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *Store {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 || cfg.SlotBytes <= 0 {
 		panic(fmt.Sprintf("kvcache: invalid store config %+v", cfg))
 	}
@@ -387,29 +167,28 @@ func NewCuckooStore(s *sim.Simulation, mem *dram.Controller, cfg StoreConfig) *C
 		sets <<= 1
 	}
 	cfg.Sets = sets
-	if cfg.CuckooKicks <= 0 {
-		cfg.CuckooKicks = 8
-	}
-	st := &CuckooStore{
-		s: s, mem: mem, cfg: cfg, mask: uint64(sets - 1),
+	st := &Store{
+		mem: mem, cfg: cfg, mask: uint64(sets - 1),
 		tags: make([]tagEntry, sets*cfg.Ways),
 	}
-	registerStoreStats(s, &st.stats)
 	if reg := obs.RegistryOf(s); reg != nil {
-		reg.Counter("kvcache.cuckoo_kicks", "moves", "kvcache", "resident entries relocated by cuckoo inserts", &st.stats.CuckooKicks)
+		reg.Counter("kvcache.store_hits", "reqs", "kvcache", "GETs answered from the cache", &st.stats.Hits)
+		reg.Counter("kvcache.store_misses", "reqs", "kvcache", "GETs not present", &st.stats.Misses)
+		reg.Counter("kvcache.store_puts", "reqs", "kvcache", "PUTs applied", &st.stats.Puts)
+		reg.Counter("kvcache.store_evictions", "entries", "kvcache", "valid entries displaced by PUTs", &st.stats.Evictions)
+		reg.Counter("kvcache.store_collisions", "reqs", "kvcache", "tag hits disproved by the DRAM key", &st.stats.Collisions)
+		reg.Counter("kvcache.store_rejected", "reqs", "kvcache", "DRAM queue-full rejections", &st.stats.Rejected)
+		reg.Counter("kvcache.cuckoo_kicks", "entries", "kvcache", "resident entries relocated by inserts", &st.stats.CuckooKicks)
 		reg.Counter("kvcache.cuckoo_aborts", "chains", "kvcache", "relocation chains invalidated mid-flight", &st.stats.CuckooAborts)
 	}
 	return st
 }
 
-// Config returns the store geometry (with Sets rounded up).
-func (st *CuckooStore) Config() StoreConfig { return st.cfg }
-
 // Stats exposes the counter block.
-func (st *CuckooStore) Stats() *StoreStats { return &st.stats }
+func (st *Store) Stats() *StoreStats { return &st.stats }
 
 // Occupancy reports used and total directory slots.
-func (st *CuckooStore) Occupancy() (used, total int) {
+func (st *Store) Occupancy() (used, total int) {
 	for i := range st.tags {
 		if st.tags[i].used {
 			used++
@@ -420,7 +199,7 @@ func (st *CuckooStore) Occupancy() (used, total int) {
 
 // altHash mixes h into the partner-bucket offset. It must be nonzero so
 // the two candidate buckets always differ (splitmix64 finalizer).
-func (st *CuckooStore) altHash(h uint64) uint64 {
+func (st *Store) altHash(h uint64) uint64 {
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -431,41 +210,41 @@ func (st *CuckooStore) altHash(h uint64) uint64 {
 	return o
 }
 
-func (st *CuckooStore) buckets(h uint64) (int, int) {
+func (st *Store) buckets(h uint64) (int, int) {
 	b1 := int(h & st.mask)
-	b2 := int((uint64(b1) ^ st.altHash(h)) & st.mask)
-	return b1, b2
+	return b1, st.altBucket(b1, h)
 }
 
-// altBucket returns the partner bucket of slot (b) holding hash h.
-func (st *CuckooStore) altBucket(b int, h uint64) int {
+// altBucket returns the partner bucket of bucket b for hash h.
+func (st *Store) altBucket(b int, h uint64) int {
 	return int((uint64(b) ^ st.altHash(h)) & st.mask)
 }
 
-func (st *CuckooStore) slotAddr(slot int) int64 {
-	return st.cfg.Base + int64(slot*st.cfg.SlotBytes)
+func (st *Store) slotAddr(slot int) int64 {
+	return int64(slot * st.cfg.SlotBytes)
 }
 
-func (st *CuckooStore) allocOp() *ckOp {
+func (st *Store) allocOp() *dramOp {
 	if n := len(st.opFree); n > 0 {
 		o := st.opFree[n-1]
 		st.opFree = st.opFree[:n-1]
 		return o
 	}
-	return &ckOp{st: st}
+	return &dramOp{st: st}
 }
 
-func (st *CuckooStore) freeOp(o *ckOp) {
+func (st *Store) freeOp(o *dramOp) {
 	o.op = nil
+	o.evicted = false
 	o.path = o.path[:0]
 	st.opFree = append(st.opFree, o)
 }
 
-// ckGetDone completes a Get's DRAM confirm read.
-func ckGetDone(arg any, data []byte) {
-	o := arg.(*ckOp)
+// getDone completes a Get's DRAM confirm read.
+func getDone(arg any, data []byte) {
+	o := arg.(*dramOp)
 	st, op := o.st, o.op
-	if !bytesEqual(data[:o.kl], o.key) {
+	if !bytes.Equal(data[:o.kl], o.key) {
 		st.stats.Collisions.Inc()
 		st.stats.Misses.Inc()
 		st.freeOp(o)
@@ -478,8 +257,13 @@ func ckGetDone(arg any, data []byte) {
 	op.Done(op, true, val)
 }
 
-// Get probes both candidate buckets, then confirms a tag hit in DRAM.
-func (st *CuckooStore) Get(key []byte, op *StoreOp) {
+// Get looks key up: an SRAM probe of both candidate buckets, then (on a
+// tag hit) a DRAM read of the slot to fetch the value and disprove hash
+// aliases. op.Done fires exactly once; hit=false covers absent keys,
+// aliases, and DRAM pressure rejections alike — a cache never owes an
+// answer, only speed. The key is only read during the call, so callers
+// may reuse its buffer immediately.
+func (st *Store) Get(key []byte, op *StoreOp) {
 	h := keyHash(key)
 	b1, b2 := st.buckets(h)
 	st.tick++
@@ -493,11 +277,9 @@ func (st *CuckooStore) Get(key []byte, op *StoreOp) {
 			e.last = st.tick
 			o := st.allocOp()
 			o.op = op
-			o.get = true
 			o.key = append(o.key[:0], key...)
 			o.kl, o.vl = int(e.keyLen), int(e.valLen)
-			err := st.mem.ReadCall(st.slotAddr(slot), o.kl+o.vl, ckGetDone, o)
-			if err != nil {
+			if err := st.mem.ReadCall(st.slotAddr(slot), o.kl+o.vl, getDone, o); err != nil {
 				st.stats.Rejected.Inc()
 				st.stats.Misses.Inc()
 				st.freeOp(o)
@@ -510,31 +292,44 @@ func (st *CuckooStore) Get(key []byte, op *StoreOp) {
 	op.Done(op, false, nil)
 }
 
-// ckPutDone completes the final (new-entry) DRAM write of a Put.
-func ckPutDone(arg any, _ []byte) {
-	o := arg.(*ckOp)
+// putDone completes the final (new-entry) DRAM write of a Put.
+func putDone(arg any, _ []byte) {
+	o := arg.(*dramOp)
 	st, op, evicted := o.st, o.op, o.evicted
+	st.tags[o.slot].busy--
 	st.stats.Puts.Inc()
 	st.freeOp(o)
 	op.Evicted = evicted
 	op.Done(op, true, nil)
 }
 
-// writeEntry issues the new entry's tag update and DRAM write into slot.
-func (st *CuckooStore) writeEntry(o *ckOp, slot int, h uint64, key, val []byte) {
+// writeEntry writes key=val into slot: the tag updates at once, and the
+// Put acks when the DRAM write lands. A valid entry of another key in the
+// slot counts as evicted. The Put is refused (acked !ok, counted as
+// Rejected) when it would replace another entry whose write is still
+// landing, since the older bytes could land last, and when the
+// controller rejects the write, which also invalidates the tag rather
+// than leave it pointing at unwritten DRAM.
+func (st *Store) writeEntry(o *dramOp, slot int, h uint64, key, val []byte) {
 	e := &st.tags[slot]
-	st.wbuf = append(append(st.wbuf[:0], key...), val...)
-	err := st.mem.WriteCall(st.slotAddr(slot), st.wbuf, ckPutDone, o)
-	if err != nil {
-		st.stats.Rejected.Inc()
-		e.used = false
-		evicted := o.evicted
-		op := o.op
-		st.freeOp(o)
-		op.Evicted = evicted
-		op.Done(op, false, nil)
+	same := e.used && e.hash == h && int(e.keyLen) == len(key)
+	if e.busy > 0 && !same {
+		st.refuse(o)
 		return
 	}
+	if e.used && !same {
+		st.stats.Evictions.Inc()
+		o.evicted = true
+	}
+	e.gen++
+	st.wbuf = append(append(st.wbuf[:0], key...), val...)
+	if err := st.mem.WriteCall(st.slotAddr(slot), st.wbuf, putDone, o); err != nil {
+		e.used = false
+		st.refuse(o)
+		return
+	}
+	o.slot = slot
+	e.busy++
 	e.used = true
 	e.hash = h
 	e.keyLen = uint16(len(key))
@@ -542,10 +337,22 @@ func (st *CuckooStore) writeEntry(o *ckOp, slot int, h uint64, key, val []byte) 
 	e.last = st.tick
 }
 
-// Put inserts or overwrites key=val. Fast paths (overwrite, free way)
-// cost one DRAM write like the set-associative store; a full pair of
-// buckets triggers the BFS relocation chain.
-func (st *CuckooStore) Put(key, val []byte, op *StoreOp) {
+// refuse acks a Put the store could not write.
+func (st *Store) refuse(o *dramOp) {
+	st.stats.Rejected.Inc()
+	op, evicted := o.op, o.evicted
+	st.freeOp(o)
+	op.Evicted = evicted
+	op.Done(op, false, nil)
+}
+
+// Put inserts or overwrites key=val with Get's aliasing contract. An
+// overwrite or a free way in either bucket costs one DRAM write; a full
+// pair of buckets triggers the BFS relocation chain. op.Done fires
+// exactly once with ok=false when the entry is too large for a slot or
+// the DRAM controller rejected the write; Evicted reports whether a
+// resident entry was displaced.
+func (st *Store) Put(key, val []byte, op *StoreOp) {
 	if len(key)+len(val) > st.cfg.SlotBytes {
 		op.Evicted = false
 		op.Done(op, false, nil)
@@ -573,7 +380,7 @@ func (st *CuckooStore) Put(key, val []byte, op *StoreOp) {
 	for _, b := range [2]int{b1, b2} {
 		for w := 0; w < st.cfg.Ways; w++ {
 			slot := b*st.cfg.Ways + w
-			if !st.tags[slot].used {
+			if st.tags[slot].free() {
 				o := st.allocOp()
 				o.op = op
 				st.writeEntry(o, slot, h, key, val)
@@ -599,18 +406,16 @@ func (st *CuckooStore) Put(key, val []byte, op *StoreOp) {
 			lru, way = e.last, w
 		}
 	}
-	st.stats.Evictions.Inc()
 	o := st.allocOp()
 	o.op = op
-	o.evicted = true
 	st.writeEntry(o, b1*st.cfg.Ways+way, h, key, val)
 }
 
 // findPath BFS-searches for a chain slot_0 <- slot_1 <- ... <- slot_k
-// where slot_k's partner bucket has a free way, k < CuckooKicks, and
+// where slot_k's partner bucket has a free way, k < cuckooKicks, and
 // slot_0 is in one of the insert's candidate buckets. It returns the
 // slot ids, ending with the free slot the chain drains into.
-func (st *CuckooStore) findPath(b1, b2 int) []int32 {
+func (st *Store) findPath(b1, b2 int) []int32 {
 	st.bfsSlot = st.bfsSlot[:0]
 	st.bfsPrev = st.bfsPrev[:0]
 	for _, b := range [2]int{b1, b2} {
@@ -621,7 +426,7 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 	}
 	// Depth-tracking: nodes [lo, hi) are the current BFS level.
 	lo, hi := 0, len(st.bfsSlot)
-	for depth := 0; depth < st.cfg.CuckooKicks && lo < hi; depth++ {
+	for depth := 0; depth < cuckooKicks && lo < hi; depth++ {
 		for i := lo; i < hi; i++ {
 			slot := int(st.bfsSlot[i])
 			e := &st.tags[slot]
@@ -629,7 +434,7 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 			// A free way in the resident's partner bucket ends the search.
 			for w := 0; w < st.cfg.Ways; w++ {
 				dst := alt*st.cfg.Ways + w
-				if !st.tags[dst].used {
+				if st.tags[dst].free() {
 					path := []int32{int32(dst)}
 					for j := i; j >= 0; j = int(st.bfsPrev[j]) {
 						path = append(path, st.bfsSlot[j])
@@ -660,79 +465,76 @@ func (st *CuckooStore) findPath(b1, b2 int) []int32 {
 // the path; when idx reaches 0 the new entry is written into path[0].
 // Chains interleave with other traffic at DRAM latency, so each step
 // re-validates its source and destination and aborts the chain into a
-// plain LRU eviction when the directory moved underneath it.
-func (st *CuckooStore) moveNext(o *ckOp) {
+// plain LRU eviction when the directory moved underneath it. A source
+// with a write still in flight aborts too: the move's read could
+// overtake that write and copy the bytes it replaces.
+func (st *Store) moveNext(o *dramOp) {
 	if o.idx == 0 {
-		h := keyHash(o.key)
-		st.writeEntry(o, int(o.path[0]), h, o.key, o.val)
+		st.writeEntry(o, int(o.path[0]), keyHash(o.key), o.key, o.val)
 		return
 	}
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
-	if !se.used || de.used || st.altBucket(src/st.cfg.Ways, se.hash)*st.cfg.Ways > dst ||
-		dst >= (st.altBucket(src/st.cfg.Ways, se.hash)+1)*st.cfg.Ways {
+	if !se.used || se.busy > 0 || !de.free() || st.altBucket(src/st.cfg.Ways, se.hash) != dst/st.cfg.Ways {
 		st.abortChain(o)
 		return
 	}
-	o.kl, o.vl = int(se.keyLen), int(se.valLen)
-	if err := st.mem.ReadCall(st.slotAddr(src), o.kl+o.vl, ckMoveRead, o); err != nil {
+	o.kl, o.vl, o.gen = int(se.keyLen), int(se.valLen), se.gen
+	if err := st.mem.ReadCall(st.slotAddr(src), o.kl+o.vl, moveRead, o); err != nil {
 		st.stats.Rejected.Inc()
 		st.abortChain(o)
 	}
 }
 
-// ckMoveRead has the resident's bytes; write them into the destination.
-func ckMoveRead(arg any, data []byte) {
-	o := arg.(*ckOp)
+// moveRead has the resident's bytes; copy them into the destination. A
+// source written since the read was issued (an overwrite of the same
+// key, or another entry landing there) holds newer bytes than data, so
+// the chain aborts rather than resurrect the old value.
+func moveRead(arg any, data []byte) {
+	o := arg.(*dramOp)
 	st := o.st
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
-	if !se.used || de.used {
+	if !se.used || se.gen != o.gen || !de.free() {
 		st.abortChain(o)
 		return
 	}
-	if err := st.mem.WriteCall(st.slotAddr(dst), data, ckMoveWrite, o); err != nil {
+	if err := st.mem.WriteCall(st.slotAddr(dst), data, moveWrite, o); err != nil {
 		st.stats.Rejected.Inc()
 		st.abortChain(o)
 		return
 	}
-	// Commit the relocation in the directory at write issue: the tag and
-	// its payload land together from the service's point of view because
-	// reads of the moved entry now target the destination slot, which the
-	// controller serializes behind this write.
-	*de = *se
-	se.used = false
-	st.stats.CuckooKicks.Inc()
+	de.busy++ // reserves the destination until the copy lands
+	o.dstGen = de.gen
 }
 
-// ckMoveWrite completes one relocation; continue up the chain.
-func ckMoveWrite(arg any, _ []byte) {
-	o := arg.(*ckOp)
+// moveWrite commits one relocation once its copy has landed, then
+// continues up the chain. Until then the entry stays readable and
+// writable at its source, so no access can overtake the copy: if the
+// source was written meanwhile (its bytes are newer than the copy) or
+// an eviction claimed the destination, the chain aborts instead.
+func moveWrite(arg any, _ []byte) {
+	o := arg.(*dramOp)
+	st := o.st
+	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
+	se, de := &st.tags[src], &st.tags[dst]
+	de.busy--
+	if !se.used || se.gen != o.gen || de.gen != o.dstGen {
+		st.abortChain(o)
+		return
+	}
+	gen := de.gen + 1
+	*de = *se
+	de.gen = gen
+	se.used = false
+	st.stats.CuckooKicks.Inc()
 	o.idx--
-	o.st.moveNext(o)
+	st.moveNext(o)
 }
 
 // abortChain gives up on a relocation chain (directory changed or DRAM
 // pressure) and falls back to evicting the primary candidate slot.
-func (st *CuckooStore) abortChain(o *ckOp) {
+func (st *Store) abortChain(o *dramOp) {
 	st.stats.CuckooAborts.Inc()
-	slot := int(o.path[0])
-	if st.tags[slot].used {
-		st.stats.Evictions.Inc()
-		o.evicted = true
-	}
-	h := keyHash(o.key)
-	st.writeEntry(o, slot, h, o.key, o.val)
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	st.writeEntry(o, int(o.path[0]), keyHash(o.key), o.key, o.val)
 }

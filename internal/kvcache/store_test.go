@@ -9,15 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-func newTestStore(t *testing.T, cfg StoreConfig) (*sim.Simulation, *SetAssocStore) {
+func newTestStore(t *testing.T, cfg StoreConfig) (*sim.Simulation, *Store) {
 	t.Helper()
 	s := sim.New(1)
 	mem := dram.New(s, dram.DefaultConfig())
-	return s, NewSetAssocStore(s, mem, cfg)
+	return s, NewStore(s, mem, cfg)
 }
 
 // storeGet runs one Get to completion and returns (hit, copied value).
-func storeGet(s *sim.Simulation, st Store, key []byte) (bool, []byte) {
+func storeGet(s *sim.Simulation, st *Store, key []byte) (bool, []byte) {
 	var hit bool
 	var got []byte
 	op := &StoreOp{Done: func(_ *StoreOp, ok bool, val []byte) {
@@ -30,7 +30,7 @@ func storeGet(s *sim.Simulation, st Store, key []byte) (bool, []byte) {
 }
 
 // storePut runs one Put to completion and returns (ok, evicted).
-func storePut(s *sim.Simulation, st Store, key, val []byte) (bool, bool) {
+func storePut(s *sim.Simulation, st *Store, key, val []byte) (bool, bool) {
 	var ok, evicted bool
 	op := &StoreOp{Done: func(o *StoreOp, k bool, _ []byte) {
 		ok, evicted = k, o.Evicted
@@ -89,8 +89,9 @@ func TestStoreKeyAliasSafe(t *testing.T) {
 }
 
 func TestStoreEvictsLRU(t *testing.T) {
-	// One set, two ways: the third distinct key must displace the least
-	// recently used of the first two.
+	// One bucket of two ways: both of every key's candidate buckets are
+	// that bucket, so no relocation path exists and the third distinct
+	// key must displace the least recently used of the first two.
 	cfg := StoreConfig{Sets: 1, Ways: 2, SlotBytes: 64}
 	s, st := newTestStore(t, cfg)
 
@@ -155,19 +156,8 @@ func TestStoreCollisionDisprovedByDRAM(t *testing.T) {
 	}
 }
 
-// ---- Cuckoo store ----
-
-func newCuckooStore(t *testing.T, cfg StoreConfig) (*sim.Simulation, *CuckooStore) {
-	t.Helper()
-	s := sim.New(1)
-	mem := dram.New(s, dram.DefaultConfig())
-	return s, NewCuckooStore(s, mem, cfg)
-}
-
 func TestCuckooPutGet(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.Cuckoo = true
-	s, st := newCuckooStore(t, cfg)
+	s, st := newTestStore(t, DefaultStoreConfig())
 	key, val := []byte("hello"), []byte("world")
 
 	if ok, _ := storePut(s, st, key, val); !ok {
@@ -183,9 +173,7 @@ func TestCuckooPutGet(t *testing.T) {
 }
 
 func TestCuckooOverwriteInPlace(t *testing.T) {
-	cfg := DefaultStoreConfig()
-	cfg.Cuckoo = true
-	s, st := newCuckooStore(t, cfg)
+	s, st := newTestStore(t, DefaultStoreConfig())
 	key := []byte("k")
 	storePut(s, st, key, []byte("v1"))
 	storePut(s, st, key, []byte("v2"))
@@ -199,15 +187,16 @@ func TestCuckooOverwriteInPlace(t *testing.T) {
 }
 
 func TestCuckooRelocatesUnderPressure(t *testing.T) {
-	// A tiny directory (4 buckets x 1 way) fills fast; keep inserting
+	// A small directory (8 buckets x 2 ways) fills fast; keep inserting
 	// distinct keys until a relocation (kick) happens, and verify every
-	// non-evicted key still reads back.
-	cfg := StoreConfig{Sets: 4, Ways: 1, SlotBytes: 64, Cuckoo: true, CuckooKicks: 4}
-	s, st := newCuckooStore(t, cfg)
+	// non-evicted key still reads back. (These key names reach a kick at
+	// the 11th insert; sequential "key-NN" names happen to land in
+	// distinct buckets and never need one.)
+	s, st := newTestStore(t, StoreConfig{Sets: 8, Ways: 2, SlotBytes: 64})
 
 	keys := make([][]byte, 0, 16)
 	for i := 0; i < 16; i++ {
-		k := []byte(fmt.Sprintf("key-%02d", i))
+		k := []byte(fmt.Sprintf("relocate-%d", i))
 		keys = append(keys, k)
 		if ok, _ := storePut(s, st, k, []byte{byte(i)}); !ok {
 			t.Fatalf("Put(%q) failed", k)
@@ -217,7 +206,7 @@ func TestCuckooRelocatesUnderPressure(t *testing.T) {
 		}
 	}
 	if st.stats.CuckooKicks.Value() == 0 {
-		t.Skip("no relocation triggered (hash spread); directory too friendly")
+		t.Fatal("no relocation within 16 inserts into 16 slots")
 	}
 	// Every key still present must return its own value (relocation must
 	// move payloads with tags, not just tags).
@@ -240,8 +229,7 @@ func TestCuckooRelocatesUnderPressure(t *testing.T) {
 func TestCuckooFullDirectoryEvicts(t *testing.T) {
 	// Fill a 2-bucket x 1-way directory past capacity: inserts must keep
 	// succeeding by evicting (cache semantics), never failing.
-	cfg := StoreConfig{Sets: 2, Ways: 1, SlotBytes: 64, Cuckoo: true, CuckooKicks: 2}
-	s, st := newCuckooStore(t, cfg)
+	s, st := newTestStore(t, StoreConfig{Sets: 2, Ways: 1, SlotBytes: 64})
 	for i := 0; i < 8; i++ {
 		k := []byte(fmt.Sprintf("key-%02d", i))
 		if ok, _ := storePut(s, st, k, []byte{byte(i)}); !ok {
@@ -258,8 +246,7 @@ func TestCuckooFullDirectoryEvicts(t *testing.T) {
 }
 
 func TestCuckooBucketsDiffer(t *testing.T) {
-	cfg := StoreConfig{Sets: 8, Ways: 2, SlotBytes: 64, Cuckoo: true}
-	_, st := newCuckooStore(t, cfg)
+	_, st := newTestStore(t, StoreConfig{Sets: 8, Ways: 2, SlotBytes: 64})
 	for i := 0; i < 256; i++ {
 		h := keyHash([]byte(fmt.Sprintf("key-%d", i)))
 		b1, b2 := st.buckets(h)
@@ -272,35 +259,191 @@ func TestCuckooBucketsDiffer(t *testing.T) {
 	}
 }
 
-// TestCuckooOccupancyBeatsSetAssoc is the directory A/B at equal
-// geometry: insert distinct keys until the first eviction; the cuckoo
-// directory must absorb at least as many entries as the set-associative
-// one before displacing anything.
-func TestCuckooOccupancyBeatsSetAssoc(t *testing.T) {
-	geo := StoreConfig{Sets: 16, Ways: 2, SlotBytes: 64}
-	fill := func(st Store, s *sim.Simulation) int {
-		for i := 0; ; i++ {
-			k := []byte(fmt.Sprintf("key-%04d", i))
-			storePut(s, st, k, []byte("v"))
-			if st.Stats().Evictions.Value() > 0 {
-				return i // entries inserted before the first displacement
-			}
-			if i > 16*2*4 {
-				return i
+// TestCuckooFillsBeforeDisplacing bounds occupancy at the first
+// displacement: inserting distinct keys into 16 buckets x 2 ways, the
+// directory relocates residents until every one of its 32 slots is
+// used before it evicts anything.
+func TestCuckooFillsBeforeDisplacing(t *testing.T) {
+	s, st := newTestStore(t, StoreConfig{Sets: 16, Ways: 2, SlotBytes: 64})
+	fill := 0
+	for st.Stats().Evictions.Value() == 0 && fill <= 4*32 {
+		storePut(s, st, []byte(fmt.Sprintf("key-%04d", fill)), []byte("v"))
+		fill++
+	}
+	// fill counts the insert that displaced; the ones before it fit.
+	if fill-1 < 32 {
+		t.Fatalf("first displacement after %d inserts, want all 32 slots used first", fill-1)
+	}
+	if used, _ := st.Occupancy(); used != 32 {
+		t.Fatalf("occupancy %d/32 after the first displacement", used)
+	}
+}
+
+// newPressuredStore builds a store over a DRAM controller that admits
+// one transaction at a time, so a second concurrent access is rejected.
+func newPressuredStore(t *testing.T, cfg StoreConfig) (*sim.Simulation, *Store) {
+	t.Helper()
+	s := sim.New(1)
+	dc := dram.DefaultConfig()
+	dc.QueueDepth = 1
+	return s, NewStore(s, dram.New(s, dc), cfg)
+}
+
+// opResult records one op's completion.
+type opResult struct {
+	called, ok, evicted bool
+}
+
+func (r *opResult) op() *StoreOp {
+	return &StoreOp{Done: func(o *StoreOp, ok bool, _ []byte) {
+		r.called, r.ok, r.evicted = true, ok, o.Evicted
+	}}
+}
+
+func TestStoreRejectedGetMisses(t *testing.T) {
+	s, st := newPressuredStore(t, DefaultStoreConfig())
+	key := []byte("key")
+	if ok, _ := storePut(s, st, key, []byte("v")); !ok {
+		t.Fatal("Put failed")
+	}
+	var first, second opResult
+	st.Get(key, first.op()) // occupies the controller's only slot
+	st.Get(key, second.op())
+	if !second.called || second.ok {
+		t.Fatalf("rejected Get: called=%v hit=%v, want an immediate miss", second.called, second.ok)
+	}
+	s.RunUntil(s.Now() + sim.Millisecond)
+	if !first.ok {
+		t.Fatal("admitted Get missed")
+	}
+	if got := st.Stats().Rejected.Value(); got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+	if got := st.Stats().Misses.Value(); got != 1 {
+		t.Fatalf("misses = %d, want 1", got)
+	}
+}
+
+func TestStoreRejectedPutInvalidates(t *testing.T) {
+	s, st := newPressuredStore(t, DefaultStoreConfig())
+	key := []byte("key")
+	if ok, _ := storePut(s, st, key, []byte("v1")); !ok {
+		t.Fatal("Put failed")
+	}
+	var get, put opResult
+	st.Get(key, get.op()) // occupies the controller's only slot
+	st.Put(key, []byte("v2"), put.op())
+	if !put.called || put.ok {
+		t.Fatalf("rejected Put: called=%v ok=%v, want an immediate !ok", put.called, put.ok)
+	}
+	s.RunUntil(s.Now() + sim.Millisecond)
+	if hit, got := storeGet(s, st, key); hit {
+		t.Fatalf("Get after a rejected overwrite hit %q; the tag must be invalidated", got)
+	}
+	if got := st.Stats().Rejected.Value(); got != 1 {
+		t.Fatalf("rejected = %d, want 1", got)
+	}
+}
+
+// fillUntilChain fills an 8 x 1 directory until some fresh key's two
+// buckets are both full but a relocation path exists for it. It returns
+// the last key inserted and that fresh key.
+func fillUntilChain(t *testing.T, s *sim.Simulation, st *Store) (resident, probe []byte) {
+	t.Helper()
+	for i := 0; probe == nil; i++ {
+		if i == 8 {
+			t.Fatal("no relocation candidate in an 8-slot directory")
+		}
+		resident = []byte(fmt.Sprintf("key-%02d", i))
+		if ok, _ := storePut(s, st, resident, []byte("v")); !ok {
+			t.Fatalf("Put(%q) failed", resident)
+		}
+		for j := 0; j < 64 && probe == nil; j++ {
+			p := []byte(fmt.Sprintf("probe-%02d", j))
+			b1, b2 := st.buckets(keyHash(p))
+			if st.tags[b1].used && st.tags[b2].used && st.findPath(b1, b2) != nil {
+				probe = p
 			}
 		}
 	}
-	sa, ssa := sim.New(1), geo
-	saStore := NewSetAssocStore(sa, dram.New(sa, dram.DefaultConfig()), ssa)
-	saFill := fill(saStore, sa)
+	return resident, probe
+}
 
-	ck, sck := sim.New(1), geo
-	sck.Cuckoo = true
-	ckStore := NewCuckooStore(ck, dram.New(ck, dram.DefaultConfig()), sck)
-	ckFill := fill(ckStore, ck)
+func TestStoreChainAbortsUnderPressure(t *testing.T) {
+	s, st := newPressuredStore(t, StoreConfig{Sets: 8, Ways: 1, SlotBytes: 64})
+	resident, probe := fillUntilChain(t, s, st)
+	used, _ := st.Occupancy()
 
-	if ckFill < saFill {
-		t.Fatalf("cuckoo displaced after %d inserts, set-assoc after %d — cuckoo should hold more", ckFill, saFill)
+	var get, put opResult
+	st.Get(resident, get.op()) // occupies the controller's only slot
+	st.Put(probe, []byte("p"), put.op())
+	s.RunUntil(s.Now() + sim.Millisecond)
+
+	stats := st.Stats()
+	if stats.CuckooAborts.Value() != 1 || stats.CuckooKicks.Value() != 0 {
+		t.Fatalf("aborts=%d kicks=%d, want the chain aborted before its first move",
+			stats.CuckooAborts.Value(), stats.CuckooKicks.Value())
 	}
-	t.Logf("first displacement: set-assoc after %d inserts, cuckoo after %d (of %d slots)", saFill, ckFill, 16*2)
+	if stats.Evictions.Value() != 1 || !put.evicted {
+		t.Fatalf("evictions=%d put.Evicted=%v, want the abort counted as an eviction",
+			stats.Evictions.Value(), put.evicted)
+	}
+	// The move read and the fallback write were both refused, so the Put
+	// is refused and its landing slot left empty rather than stale.
+	if !put.called || put.ok || stats.Rejected.Value() != 2 {
+		t.Fatalf("put ok=%v rejected=%d, want !ok and 2 rejections", put.ok, stats.Rejected.Value())
+	}
+	if now, _ := st.Occupancy(); now != used-1 {
+		t.Fatalf("occupancy %d, want %d", now, used-1)
+	}
+	if hit, _ := storeGet(s, st, probe); hit {
+		t.Fatal("refused Put is readable")
+	}
+}
+
+// TestCuckooMoveReservesDestination: while a relocation's copy is still
+// landing, its destination is not free, so a Put that would otherwise
+// claim that slot goes elsewhere instead of racing the copy. With one
+// 8 KiB slot per DRAM row, the Put's write would be a row hit and land
+// before the copy (a row miss), leaving the Put's tag over the moved
+// entry's bytes.
+func TestCuckooMoveReservesDestination(t *testing.T) {
+	s, st := newTestStore(t, StoreConfig{Sets: 8, Ways: 1, SlotBytes: 8 << 10})
+	_, probe := fillUntilChain(t, s, st)
+	b1, b2 := st.buckets(keyHash(probe))
+	path := st.findPath(b1, b2)
+	dst := int(path[len(path)-1])
+
+	var chained opResult
+	writes := st.mem.Stats.Writes.Value()
+	st.Put(probe, []byte("p"), chained.op())
+	for st.mem.Stats.Writes.Value() == writes { // until the first copy is issued
+		if !s.Step() {
+			t.Fatal("the relocation never started its copy")
+		}
+	}
+	// A fresh key whose primary bucket is the reserved destination.
+	var fresh []byte
+	for j := 0; fresh == nil; j++ {
+		if j == 1024 {
+			t.Fatal("no fresh key hashes to the destination bucket")
+		}
+		k := []byte(fmt.Sprintf("fresh-%03d", j))
+		if b, _ := st.buckets(keyHash(k)); b == dst {
+			fresh = k
+		}
+	}
+	var put opResult
+	st.Put(fresh, []byte("f"), put.op())
+	s.RunUntil(s.Now() + sim.Millisecond)
+
+	if !chained.ok || !put.ok {
+		t.Fatalf("puts acked chained=%v fresh=%v", chained.ok, put.ok)
+	}
+	if hit, got := storeGet(s, st, fresh); !hit || string(got) != "f" {
+		t.Fatalf("fresh key: hit=%v val=%q, want its acked value", hit, got)
+	}
+	if c := st.Stats().Collisions.Value(); c != 0 {
+		t.Fatalf("collisions = %d: a tag points at another entry's bytes", c)
+	}
 }

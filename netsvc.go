@@ -9,7 +9,9 @@ package configcloud
 //  1. KV latency/throughput under uniform and Zipf-skewed load, with
 //     the on-fabric witness (fabric replies > 0, shard-host PCIe = 0).
 //  2. RPC offload vs the host-software baseline — same seed, topology,
-//     and workload; only the decode location differs.
+//     and workload; only the decode location differs — plus doorbell
+//     batching, KV multi-get coalescing, and the shards' cuckoo
+//     directory on a deliberately pressured geometry.
 //  3. The KV workload on the pod-sharded parallel kernel, sequential vs
 //     all cores: digest equality proves worker count changes nothing.
 //  4. The KV cache behind the live HTTP frontend (/v1/kv), driven over
@@ -141,14 +143,13 @@ func expNetsvcRPC(scale Scale) *Table {
 }
 
 // expNetsvcKVBatch is E18b's KV half: multi-get coalescing on the
-// unchanged set-associative store, then the cuckoo directory A/B against
-// set-associative on a deliberately pressured geometry (512 directory
-// slots across 4 shards for a 512-key working set), where what a 2-hash
-// x 4-way cuckoo table buys is visible as occupancy and hit rate at
-// identical workload, seed, and capacity.
+// default store, then the cuckoo directory on a deliberately pressured
+// geometry (512 directory slots across 4 shards for a 512-key working
+// set), where occupancy, evictions and relocation kicks show what the
+// 2-hash x 4-way table does with a full directory.
 func expNetsvcKVBatch(scale Scale) *Table {
 	t := &Table{
-		Title: "E18b (KV) — multi-get coalescing and cuckoo vs set-associative directory (occupancy at matched capacity)",
+		Title: "E18b (KV) — multi-get coalescing and the cuckoo directory under pressure (512 slots for 512 keys)",
 		Headers: []string{"variant", "offered", "completed", "hit rate",
 			"p50", "p99", "occupancy", "evictions", "kicks"},
 	}
@@ -171,16 +172,9 @@ func expNetsvcKVBatch(scale Scale) *Table {
 		}
 		row(name, cfg)
 	}
-	for _, cuckoo := range []bool{false, true} {
-		cfg := netsvcKVConfig(18, 25000, 0, scale)
-		cfg.Store.Sets, cfg.Store.Ways = 32, 4
-		cfg.Store.Cuckoo = cuckoo
-		name := "set-assoc 32x4"
-		if cuckoo {
-			name = "cuckoo 32x4"
-		}
-		row(name, cfg)
-	}
+	cfg := netsvcKVConfig(18, 25000, 0, scale)
+	cfg.Store.Sets, cfg.Store.Ways = 32, 4
+	row("cuckoo 32x4", cfg)
 	return t
 }
 
@@ -201,8 +195,6 @@ type NetsvcScaleConfig struct {
 	MeanGap           sim.Time
 	Timeout           sim.Time
 	Duration          sim.Time
-	// Cuckoo selects the cuckoo store directory on every shard.
-	Cuckoo bool
 	// MGetBatch > 1 coalesces each client's GETs into per-shard
 	// multi-get datagrams of that size; buffered keys ride the next
 	// flush, so the closed loop advances as soon as a key is queued.
@@ -272,9 +264,7 @@ func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
 		h := p*perPod + topo.HostsPerTOR
 		shardHosts[p] = h
 		n := c.Node(h)
-		sc := kvcache.DefaultStoreConfig()
-		sc.Cuckoo = cfg.Cuckoo
-		st := kvcache.NewStore(c.SimForHost(h), n.Shell.DRAM, sc)
+		st := kvcache.NewStore(c.SimForHost(h), n.Shell.DRAM, kvcache.DefaultStoreConfig())
 		kvcache.AttachShard(c.SimForHost(h), n.Shell, st)
 	}
 	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
