@@ -290,8 +290,8 @@ func BenchmarkAblationNACK(b *testing.B) {
 		cloud := New(Options{Seed: 31, Shell: shCfg})
 		a, c := cloud.Node(0), cloud.Node(1)
 		a.Shell.SetEgressLossRate(0.03)
-		must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-		must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
+		sim.Must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+		sim.Must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
 		h := metrics.NewHistogram()
 		payload := make([]byte, 512)
 		var send func(i int)
@@ -300,7 +300,7 @@ func BenchmarkAblationNACK(b *testing.B) {
 				return
 			}
 			t0 := cloud.Sim.Now()
-			must(a.Shell.Engine.SendMessage(2, payload, func() {
+			sim.Must(a.Shell.Engine.SendMessage(2, payload, func() {
 				h.Observe(int64(cloud.Sim.Now() - t0))
 			}))
 			cloud.Sim.Schedule(20*Microsecond, func() { send(i + 1) })
@@ -332,11 +332,11 @@ func BenchmarkAblationLossless(b *testing.B) {
 		for i := 0; i < 3000; i++ {
 			bulk.Host.SendUDPRaw(c.Host.IP(), 5, 5, pkt.ClassBestEffort, make([]byte, 1400))
 		}
-		must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-		must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
+		sim.Must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+		sim.Must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
 		delivered := 0
 		for i := 0; i < 200; i++ {
-			must(a.Shell.Engine.SendMessage(2, make([]byte, 800), func() { delivered++ }))
+			sim.Must(a.Shell.Engine.SendMessage(2, make([]byte, 800), func() { delivered++ }))
 		}
 		cloud.Run(200 * Millisecond)
 		if delivered != 200 {
@@ -365,10 +365,10 @@ func BenchmarkAblationDCQCN(b *testing.B) {
 		for i := 1; i <= senders; i++ {
 			src := cloud.Node(i)
 			conn := uint16(i)
-			must(dst.Shell.Engine.OpenRecv(conn, netsim.HostIP(i), nil))
-			must(src.Shell.Engine.OpenSend(conn, netsim.HostIP(0), netsim.HostMAC(0), conn, 0, nil))
+			sim.Must(dst.Shell.Engine.OpenRecv(conn, netsim.HostIP(i), nil))
+			sim.Must(src.Shell.Engine.OpenSend(conn, netsim.HostIP(0), netsim.HostMAC(0), conn, 0, nil))
 			for m := 0; m < 1500; m++ {
-				must(src.Shell.Engine.SendMessage(conn, make([]byte, 1400), nil))
+				sim.Must(src.Shell.Engine.SendMessage(conn, make([]byte, 1400), nil))
 			}
 		}
 		cloud.Run(50 * Millisecond)
@@ -476,13 +476,13 @@ func BenchmarkERMessage(b *testing.B) {
 func BenchmarkLTLSameTORMessage(b *testing.B) {
 	cloud := New(Options{Seed: 41})
 	a, c := cloud.Node(0), cloud.Node(1)
-	must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-	must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
+	sim.Must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+	sim.Must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
 	payload := make([]byte, 256)
 	done := 0
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must(a.Shell.Engine.SendMessage(2, payload, func() { done++ }))
+		sim.Must(a.Shell.Engine.SendMessage(2, payload, func() { done++ }))
 		cloud.Run(10 * Microsecond)
 	}
 	b.StopTimer()
@@ -507,13 +507,13 @@ func BenchmarkLTLEngineThroughput(b *testing.B) {
 	// path, window-limited.
 	cloud := New(Options{Seed: 43})
 	a, c := cloud.Node(0), cloud.Node(1)
-	must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-	must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
+	sim.Must(c.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+	sim.Must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
 	payload := make([]byte, 1400)
 	b.SetBytes(1400)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		must(a.Shell.Engine.SendMessage(2, payload, nil))
+		sim.Must(a.Shell.Engine.SendMessage(2, payload, nil))
 		if i%64 == 0 {
 			cloud.Run(100 * Microsecond)
 		}

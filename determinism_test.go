@@ -378,6 +378,58 @@ func TestNetsvcScaleDeterminism(t *testing.T) {
 	}
 }
 
+// A multi-get batch above kvcache.MaxMultiKeys is clamped to it: the
+// closed-loop KV point with MGetBatch 32 sends the same datagrams, and so
+// folds the same digest, as with MGetBatch 16.
+func TestNetsvcScaleMGetClamp(t *testing.T) {
+	run := func(batch int) NetsvcScaleResult {
+		cfg := DefaultNetsvcScaleConfig(2)
+		cfg.HostsPerTOR = 6
+		cfg.TORsPerPod = 4
+		cfg.RequestsPerClient = 100
+		cfg.Duration = 6 * Millisecond
+		cfg.Workers = 1
+		cfg.MGetBatch = batch
+		return RunNetsvcScalePoint(cfg)
+	}
+	at16, at32 := run(16), run(32)
+	if at16.Completed == 0 {
+		t.Fatal("mget16: no completions")
+	}
+	if at32.Digest != at16.Digest || at32.Completed != at16.Completed {
+		t.Errorf("mget32 digest %016x (completed %d), mget16 %016x (completed %d)",
+			at32.Digest, at32.Completed, at16.Digest, at16.Completed)
+	}
+}
+
+// MeanGap 0 means back-to-back requests: every sharded point still
+// draws its per-chain state and completes its whole workload.
+func TestShardedPointsZeroMeanGap(t *testing.T) {
+	scfg := DefaultScaleConfig(2)
+	scfg.HostsPerTOR = 6
+	scfg.TORsPerPod = 4
+	scfg.PingsPerPair = 20
+	scfg.MeanGap = 0
+	scfg.Duration = 3 * Millisecond
+	scfg.Workers = 1
+	sr := RunScalePoint(scfg)
+	if want := uint64(scfg.Pods * (scfg.IntraPairsPerPod + scfg.CrossPairsPerPod) * scfg.PingsPerPair); sr.Pings != want {
+		t.Errorf("scale: %d pings completed, want %d", sr.Pings, want)
+	}
+
+	ncfg := DefaultNetsvcScaleConfig(2)
+	ncfg.HostsPerTOR = 6
+	ncfg.TORsPerPod = 4
+	ncfg.RequestsPerClient = 40
+	ncfg.MeanGap = 0
+	ncfg.Duration = 6 * Millisecond
+	ncfg.Workers = 1
+	nr := RunNetsvcScalePoint(ncfg)
+	if want := uint64(ncfg.Pods * ncfg.ClientsPerPod * ncfg.RequestsPerClient); nr.Completed != want || nr.Offered != want {
+		t.Errorf("netsvc: %d offered, %d completed, want %d", nr.Offered, nr.Completed, want)
+	}
+}
+
 // The wall-free E19 tables (pool packing, noisy neighbor) render
 // byte-identically run over run; E19c carries wall-clock columns and is
 // covered by the digest test below instead.

@@ -303,8 +303,8 @@ func ExpCryptoFunctional() *Table {
 		Src: netsim.HostIP(0), Dst: netsim.HostIP(1), SrcPort: 7000, DstPort: 7000,
 	}
 	id, err := taps[0].AddFlow(flow, cryptoflow.AESCBC128SHA1, key)
-	must(err)
-	must(taps[1].AddFlowWithID(flow, cryptoflow.AESCBC128SHA1, key, id))
+	sim.Must(err)
+	sim.Must(taps[1].AddFlowWithID(flow, cryptoflow.AESCBC128SHA1, key, id))
 
 	h1 := cloud.Node(1).Host
 	plain := 0
@@ -346,8 +346,8 @@ func MeasureLTLRTTs(seed int64, tier, n int) []sim.Time {
 		b = topo.HostsPerTOR * topo.TORsPerPod
 	}
 	na, nb := cloud.Node(0), cloud.Node(b)
-	must(nb.Shell.Engine.OpenRecv(9, netsim.HostIP(0), nil))
-	must(na.Shell.Engine.OpenSend(9, netsim.HostIP(b), netsim.HostMAC(b), 9, 0, nil))
+	sim.Must(nb.Shell.Engine.OpenRecv(9, netsim.HostIP(0), nil))
+	sim.Must(na.Shell.Engine.OpenSend(9, netsim.HostIP(b), netsim.HostMAC(b), 9, 0, nil))
 	var out []sim.Time
 	payload := make([]byte, 64)
 	var ping func()
@@ -356,7 +356,7 @@ func MeasureLTLRTTs(seed int64, tier, n int) []sim.Time {
 			return
 		}
 		t0 := cloud.Sim.Now()
-		must(na.Shell.Engine.SendMessage(9, payload, func() {
+		sim.Must(na.Shell.Engine.SendMessage(9, payload, func() {
 			out = append(out, cloud.Sim.Now()-t0)
 			cloud.Sim.Schedule(20*Microsecond, ping)
 		}))
@@ -512,24 +512,24 @@ func ExpBioinfo() *Table {
 	var localAl, remoteAl bioinfo.Alignment
 	req := bioinfo.EncodeRequest(read, ref)
 	t0 := cloud.Sim.Now()
-	must(local.Shell.PCIeCall(req, func(resp []byte) {
+	sim.Must(local.Shell.PCIeCall(req, func(resp []byte) {
 		localAl, _ = bioinfo.DecodeResponse(resp)
 		localT = cloud.Sim.Now() - t0
 	}))
 	cloud.Run(Millisecond)
 
-	must(remote.Shell.OpenRemoteRecv(3, 0, func(p []byte) {
+	sim.Must(remote.Shell.OpenRemoteRecv(3, 0, func(p []byte) {
 		remoteRole.HandleRequest(shell.FromLTL, p, func(resp []byte) {
 			remote.Shell.SendRemote(4, resp, nil)
 		})
 	}))
-	must(remote.Shell.OpenRemoteSend(4, 0, 4, nil))
+	sim.Must(remote.Shell.OpenRemoteSend(4, 0, 4, nil))
 	t1 := cloud.Sim.Now()
-	must(local.Shell.OpenRemoteRecv(4, 100, func(resp []byte) {
+	sim.Must(local.Shell.OpenRemoteRecv(4, 100, func(resp []byte) {
 		remoteAl, _ = bioinfo.DecodeResponse(resp)
 		remoteT = cloud.Sim.Now() - t1
 	}))
-	must(local.Shell.OpenRemoteSend(3, 100, 3, nil))
+	sim.Must(local.Shell.OpenRemoteSend(3, 100, 3, nil))
 	local.Shell.SendRemote(3, req, nil)
 	cloud.Run(Millisecond)
 
@@ -568,8 +568,8 @@ func ExpHaaS() *Table {
 	}
 	smA := haas.NewServiceManager(s, rm, "ranking", "rank-v2")
 	smB := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	must(smA.Scale(6, haas.Constraints{Pod: -1}))
-	must(smB.Scale(4, haas.Constraints{Pod: -1}))
+	sim.Must(smA.Scale(6, haas.Constraints{Pod: -1}))
+	sim.Must(smB.Scale(4, haas.Constraints{Pod: -1}))
 	freeBefore := rm.FreeCount()
 
 	victim := smA.Members()[2]
@@ -647,8 +647,8 @@ func runFaultWorkload(prof string, scale Scale) []*Table {
 		a.Shell.LoadRole(echoRole{})
 		b.Shell.LoadRole(echoRole{})
 		conn := uint16(10 + p)
-		must(b.Shell.Engine.OpenRecv(conn, netsim.HostIP(a.ID), nil))
-		must(a.Shell.Engine.OpenSend(conn, netsim.HostIP(b.ID), netsim.HostMAC(b.ID), conn, 0,
+		sim.Must(b.Shell.Engine.OpenRecv(conn, netsim.HostIP(a.ID), nil))
+		sim.Must(a.Shell.Engine.OpenSend(conn, netsim.HostIP(b.ID), netsim.HostMAC(b.ID), conn, 0,
 			func() { connFailed++ }))
 		payload := make([]byte, 256)
 		var send func(i int)
@@ -705,8 +705,8 @@ func ExpLTLLoss(scale Scale) *Table {
 		a, b := cloud.Node(0), cloud.Node(1)
 		a.Shell.SetEgressLossRate(loss)
 		failed := false
-		must(b.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-		must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0,
+		sim.Must(b.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+		sim.Must(a.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0,
 			func() { failed = true }))
 		h := metrics.NewHistogram()
 		delivered := 0

@@ -37,6 +37,23 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 	}
 }
 
+// Every seq-vs-parallel row of the sharded points (E16, E16b, E18c,
+// E19c) must report identical = true: the worker count changed nothing
+// but the wall clock.
+func TestShardedTablesIdentical(t *testing.T) {
+	for _, tab := range []*Table{ExpScale(Quick), ExpScaleCurve(Quick), expNetsvcScale(Quick), expTenancyScale(Quick)} {
+		col := len(tab.Headers) - 1
+		if tab.Headers[col] != "identical" || len(tab.Rows) == 0 {
+			t.Fatalf("%s: no identical column or no rows", tab.Title)
+		}
+		for _, row := range tab.Rows {
+			if row[col] != "true" {
+				t.Errorf("%s: row %v is not identical", tab.Title, row)
+			}
+		}
+	}
+}
+
 func TestExpCryptoTransparency(t *testing.T) {
 	tab := ExpCryptoFunctional()
 	out := tab.String()

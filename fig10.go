@@ -115,8 +115,8 @@ func Fig10(cfg Fig10Config) Fig10Result {
 			}
 			myConn := conn
 			conn++
-			must(b.Shell.Engine.OpenRecv(myConn, netsim.HostIP(p.a), nil))
-			must(a.Shell.Engine.OpenSend(myConn, netsim.HostIP(p.b), netsim.HostMAC(p.b), myConn, 0, nil))
+			sim.Must(b.Shell.Engine.OpenRecv(myConn, netsim.HostIP(p.a), nil))
+			sim.Must(a.Shell.Engine.OpenSend(myConn, netsim.HostIP(p.b), netsim.HostMAC(p.b), myConn, 0, nil))
 
 			h := hists[tier]
 			eng := a.Shell.Engine
@@ -129,7 +129,7 @@ func Fig10(cfg Fig10Config) Fig10Result {
 				}
 				remaining--
 				t0 := cloud.Sim.Now()
-				must(eng.SendMessage(myConn, payload, func() {
+				sim.Must(eng.SendMessage(myConn, payload, func() {
 					h.Observe(int64(cloud.Sim.Now() - t0))
 					gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
 					cloud.Sim.Schedule(gap, ping)
@@ -165,10 +165,4 @@ func Fig10(cfg Fig10Config) Fig10Result {
 	res.Torus1HopRTT, _, _ = tor.RTT(0, 1, cfg.PayloadSize+64)
 	res.TorusWorstRTT, _, _ = tor.RTT(tor.Node(0, 0), tor.Node(3, 4), cfg.PayloadSize+64)
 	return res
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

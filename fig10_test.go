@@ -134,8 +134,8 @@ func TestCloudDeterminism(t *testing.T) {
 		cloud := New(Options{Seed: 42})
 		a, b := cloud.Node(0), cloud.Node(30)
 		var doneAt Time
-		must(b.Shell.OpenRemoteRecv(1, 0, nil))
-		must(a.Shell.OpenRemoteSend(1, 30, 1, nil))
+		sim.Must(b.Shell.OpenRemoteRecv(1, 0, nil))
+		sim.Must(a.Shell.OpenRemoteSend(1, 30, 1, nil))
 		a.Shell.SendRemote(1, make([]byte, 2000), func() { doneAt = cloud.Sim.Now() })
 		cloud.Run(Millisecond)
 		return doneAt

@@ -76,8 +76,8 @@ func TestLTLUnaffectedByBestEffortFloods(t *testing.T) {
 	measure := func(flood bool) sim.Time {
 		cloud := New(Options{Seed: 52})
 		a, b, c := cloud.Node(0), cloud.Node(1), cloud.Node(2)
-		must(b.Shell.Engine.OpenRecv(3, netsim.HostIP(0), nil))
-		must(a.Shell.Engine.OpenSend(3, netsim.HostIP(1), netsim.HostMAC(1), 3, 0, nil))
+		sim.Must(b.Shell.Engine.OpenRecv(3, netsim.HostIP(0), nil))
+		sim.Must(a.Shell.Engine.OpenSend(3, netsim.HostIP(1), netsim.HostMAC(1), 3, 0, nil))
 		if flood {
 			b.Host.RegisterUDP(9, func(*pkt.Frame) {})
 			for i := 0; i < 2000; i++ {
@@ -89,7 +89,7 @@ func TestLTLUnaffectedByBestEffortFloods(t *testing.T) {
 		var ping func()
 		ping = func() {
 			t0 := cloud.Sim.Now()
-			must(a.Shell.Engine.SendMessage(3, make([]byte, 64), func() {
+			sim.Must(a.Shell.Engine.SendMessage(3, make([]byte, 64), func() {
 				h.Observe(int64(cloud.Sim.Now() - t0))
 				n++
 				if n < 100 {
@@ -125,8 +125,8 @@ func TestCryptoAndLTLShareTheShell(t *testing.T) {
 	key := []byte("0123456789abcdef")
 	flow := cryptoflow.FlowKey{Src: netsim.HostIP(0), Dst: netsim.HostIP(1), SrcPort: 443, DstPort: 443}
 	id, err := tapA.AddFlow(flow, cryptoflow.AESGCM128, key)
-	must(err)
-	must(tapB.AddFlowWithID(flow, cryptoflow.AESGCM128, key, id))
+	sim.Must(err)
+	sim.Must(tapB.AddFlowWithID(flow, cryptoflow.AESGCM128, key, id))
 
 	gotPlain := 0
 	b.Host.RegisterUDP(443, func(f *pkt.Frame) {
@@ -135,8 +135,8 @@ func TestCryptoAndLTLShareTheShell(t *testing.T) {
 		}
 	})
 	gotLTL := 0
-	must(b.Shell.OpenRemoteRecv(4, 0, func(p []byte) { gotLTL++ }))
-	must(a.Shell.OpenRemoteSend(4, 1, 4, nil))
+	sim.Must(b.Shell.OpenRemoteRecv(4, 0, func(p []byte) { gotLTL++ }))
+	sim.Must(a.Shell.OpenRemoteSend(4, 1, 4, nil))
 
 	for i := 0; i < 50; i++ {
 		a.Host.SendUDP(b.Host.IP(), 443, 443, pkt.ClassBestEffort, []byte("host secret"))
@@ -168,18 +168,18 @@ func TestRemoteRankingOverRealLTL(t *testing.T) {
 	role := ranking.NewFPGARole(cloud.Sim)
 	accel.Shell.LoadRole(role)
 	// Remote request path: client role -> LTL -> accel; response back.
-	must(accel.Shell.OpenRemoteRecv(6, 0, func(p []byte) {
+	sim.Must(accel.Shell.OpenRemoteRecv(6, 0, func(p []byte) {
 		role.HandleRequest(1, p, func(resp []byte) {
 			accel.Shell.SendRemote(7, resp, nil)
 		})
 	}))
-	must(accel.Shell.OpenRemoteSend(7, 0, 7, nil))
-	must(client.Shell.OpenRemoteSend(6, 30, 6, nil))
+	sim.Must(accel.Shell.OpenRemoteSend(7, 0, 7, nil))
+	sim.Must(client.Shell.OpenRemoteSend(6, 30, 6, nil))
 
 	pool := ranking.NewProfilePool(rand.New(rand.NewSource(3)), 100, ranking.DefaultCostModel())
 	p := pool.Sample()
 	var gotAt sim.Time = -1
-	must(client.Shell.OpenRemoteRecv(7, 30, func(resp []byte) { gotAt = cloud.Sim.Now() }))
+	sim.Must(client.Shell.OpenRemoteRecv(7, 30, func(resp []byte) { gotAt = cloud.Sim.Now() }))
 
 	t0 := cloud.Sim.Now()
 	client.Shell.SendRemote(6, ranking.EncodeRequest(p), nil)
@@ -248,8 +248,8 @@ func TestBandwidthLimitProtectsHostTraffic(t *testing.T) {
 
 		// Remote service: the donor's FPGA streams results to the remote
 		// FPGA continuously (e.g. a borrowed accelerator's output).
-		must(remote.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
-		must(donor.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
+		sim.Must(remote.Shell.Engine.OpenRecv(2, netsim.HostIP(0), nil))
+		sim.Must(donor.Shell.Engine.OpenSend(2, netsim.HostIP(1), netsim.HostMAC(1), 2, 0, nil))
 		var pump func()
 		pump = func() {
 			donor.Shell.Engine.SendMessage(2, make([]byte, 1400), nil)

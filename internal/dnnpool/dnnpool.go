@@ -141,9 +141,9 @@ func RunRemote(cfg Config) Result {
 		for fi, fh := range poolHosts {
 			ci, fh := ci, fh
 			cs, fs := shells[ch], shells[fh]
-			must(cs.OpenRemoteSend(uint16(fi)+1, fh, uint16(ci)+1, nil))
-			must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(fi)+1000, nil))
-			must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
+			sim.Must(cs.OpenRemoteSend(uint16(fi)+1, fh, uint16(ci)+1, nil))
+			sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(fi)+1000, nil))
+			sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
 				// DNN work queue: service then respond over LTL.
 				reqID := binary.BigEndian.Uint64(payload)
 				queues[fh].Submit(cfg.ServiceTime, func() {
@@ -205,7 +205,7 @@ func RunRemote(cfg Config) Result {
 		pending := map[uint64]pendingReq{}
 		for fi := range poolHosts {
 			fi := fi
-			must(cs.OpenRemoteRecv(uint16(fi)+1000, poolHosts[fi], func(payload []byte) {
+			sim.Must(cs.OpenRemoteRecv(uint16(fi)+1000, poolHosts[fi], func(payload []byte) {
 				reqID := binary.BigEndian.Uint64(payload)
 				p, ok := pending[reqID]
 				if !ok {
@@ -269,12 +269,6 @@ func RunRemote(cfg Config) Result {
 		P99:             sim.Time(lat.Percentile(99)),
 		Completed:       lat.Count(),
 		PoolHostCPUJobs: poolHostFrames,
-	}
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
 	}
 }
 

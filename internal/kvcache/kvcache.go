@@ -62,7 +62,8 @@ type Config struct {
 	// MGetBatch > 1 makes Run's clients coalesce GETs into multi-get
 	// datagrams: each client buffers GET keys per keyspace slice and
 	// sends an OpMGet when a slice's buffer reaches MGetBatch (partial
-	// batches flush when load generation stops). PUTs are never batched.
+	// batches flush when load generation stops). Batches above
+	// MaxMultiKeys are clamped to it. PUTs are never batched.
 	MGetBatch int
 
 	// Duration generates load; the run then drains for Drain before
@@ -210,7 +211,10 @@ type Client struct {
 	pending map[uint64]*kvCall
 	nextSeq uint64
 	tracer  *obs.Tracer
-	digest  uint64
+	// digest folds every completion (obs.FNVFold). Completions on one
+	// client are totally ordered by the simulation, so the digest is a
+	// replay-determinism witness per client end.
+	digest uint64
 
 	// callFree pools kvCalls; scratch is the reused request encode buffer
 	// (SendDatagram copies synchronously, so one buffer per client is
@@ -227,7 +231,7 @@ func NewClient(s *sim.Simulation, sh *shell.Shell, timeout sim.Time, lookup func
 		s: s, sh: sh, host: sh.HostID(), timeout: timeout, lookup: lookup,
 		pending: make(map[uint64]*kvCall),
 		tracer:  obs.TracerOf(s),
-		digest:  14695981039346656037,
+		digest:  obs.FNVOffset,
 		Stats:   ClientStats{Latency: metrics.NewHistogram()},
 	}
 	if reg := obs.RegistryOf(s); reg != nil {
@@ -241,7 +245,7 @@ func NewClient(s *sim.Simulation, sh *shell.Shell, timeout sim.Time, lookup func
 		reg.Counter("kvcache.errors", "reqs", "kvcache", "error or undecodable replies", &c.Stats.Errors)
 		reg.Histogram("kvcache.latency", "ns", "kvcache", "client-observed request latency", c.Stats.Latency)
 	}
-	must(sh.SetServiceHandler(c.onDatagram))
+	sim.Must(sh.SetServiceHandler(c.onDatagram))
 	return c
 }
 
@@ -282,7 +286,7 @@ func (c *Client) send(r Req, done func(Outcome)) {
 	c.pending[r.ID] = call
 	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendReq(c.scratch[:0], r)
-	must(c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch))
+	sim.Must(c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch))
 }
 
 // MultiGet sends up to MaxMultiKeys keys as one OpMGet datagram, routed
@@ -305,13 +309,75 @@ func (c *Client) MultiGet(keys [][]byte, done func(m MResp, lat sim.Time, ok boo
 	c.pending[id] = call
 	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendMReq(c.scratch[:0], MReq{ID: id, Keys: keys})
-	must(c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch))
+	sim.Must(c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch))
 }
 
 // ShardOf reports the keyspace slice index key currently routes to —
 // what MultiGet callers group by.
 func (c *Client) ShardOf(key []byte, shards int) int {
 	return int(keyHash(key) % uint64(shards))
+}
+
+// MGetBatcher coalesces one client's GETs into multi-get datagrams. GET
+// key indices are buffered per keyspace slice (keys in one OpMGet must
+// share a shard) and a slice is sent when its buffer fills; the keys are
+// rebuilt into a reused arena at flush time.
+type MGetBatcher struct {
+	cl       *Client
+	batch    int
+	keyBytes int
+	pend     [][]int
+	mkeys    [][]byte
+	arena    []byte
+	done     func(MResp, sim.Time, bool)
+}
+
+// NewMGetBatcher batches cl's GETs over shards keyspace slices, batch
+// keys of keyBytes each per datagram; done (optional) is every
+// datagram's MultiGet callback. batch is clamped to MaxMultiKeys, and a
+// batch of 1 or less returns nil: GETs go out one by one.
+func NewMGetBatcher(cl *Client, shards, batch, keyBytes int, done func(m MResp, lat sim.Time, ok bool)) *MGetBatcher {
+	batch = min(batch, MaxMultiKeys)
+	if batch <= 1 {
+		return nil
+	}
+	return &MGetBatcher{
+		cl: cl, batch: batch, keyBytes: keyBytes, done: done,
+		pend:  make([][]int, shards),
+		mkeys: make([][]byte, batch),
+		arena: make([]byte, batch*keyBytes),
+	}
+}
+
+// Add buffers the GET of key (keyspace index idx) and reports whether
+// that filled its slice's batch and sent it.
+func (b *MGetBatcher) Add(key []byte, idx int) bool {
+	sidx := b.cl.ShardOf(key, len(b.pend))
+	b.pend[sidx] = append(b.pend[sidx], idx)
+	if len(b.pend[sidx]) < b.batch {
+		return false
+	}
+	b.flush(sidx)
+	return true
+}
+
+// Flush sends every slice's partial batch.
+func (b *MGetBatcher) Flush() {
+	for sidx := range b.pend {
+		b.flush(sidx)
+	}
+}
+
+func (b *MGetBatcher) flush(sidx int) {
+	n := len(b.pend[sidx])
+	if n == 0 {
+		return
+	}
+	for i, idx := range b.pend[sidx] {
+		b.mkeys[i] = MakeKeyInto(b.arena[i*b.keyBytes:(i+1)*b.keyBytes], idx)
+	}
+	b.pend[sidx] = b.pend[sidx][:0]
+	b.cl.MultiGet(b.mkeys[:n], b.done)
 }
 
 // expireCall is the static timeout callback (the timer arg is the call).
@@ -324,7 +390,7 @@ func expireCall(v any) {
 	delete(c.pending, call.id)
 	c.Stats.Timeouts.Inc()
 	c.endSpan(call)
-	c.fold(call.id, 0x7F) // timeout marker, distinct from every Resp op
+	c.digest = obs.FNVFold(c.digest, call.id, 0x7F) // timeout marker, distinct from every Resp op
 	done, mdone := call.done, call.mdone
 	c.freeCall(call)
 	if done != nil {
@@ -372,8 +438,7 @@ func (c *Client) onDatagram(from int, kind uint8, payload []byte) {
 		c.Stats.Errors.Inc()
 		out.Ok = false
 	}
-	c.fold(resp.ID, uint64(resp.Op))
-	c.fold(resp.ID, uint64(lat))
+	c.digest = obs.FNVFold(c.digest, resp.ID, uint64(resp.Op), resp.ID, uint64(lat))
 	done := call.done
 	c.freeCall(call)
 	if done != nil {
@@ -409,8 +474,7 @@ func (c *Client) onMResp(payload []byte) {
 			c.Stats.Misses.Inc()
 		}
 	}
-	c.fold(m.ID, uint64(RespMGet)<<32|bitmap)
-	c.fold(m.ID, uint64(lat))
+	c.digest = obs.FNVFold(c.digest, m.ID, uint64(RespMGet)<<32|bitmap, m.ID, uint64(lat))
 	mdone := call.mdone
 	c.freeCall(call)
 	if mdone != nil {
@@ -421,18 +485,6 @@ func (c *Client) onMResp(payload []byte) {
 func (c *Client) endSpan(call *kvCall) {
 	if c.tracer != nil {
 		c.tracer.End(call.span)
-	}
-}
-
-// fold mixes one completion into the client's FNV digest. Completions on
-// one client are totally ordered by the simulation, so the digest is a
-// replay-determinism witness per client end.
-func (c *Client) fold(vs ...uint64) {
-	for _, v := range vs {
-		for i := 0; i < 64; i += 8 {
-			c.digest ^= (v >> i) & 0xff
-			c.digest *= 1099511628211
-		}
 	}
 }
 
@@ -497,9 +549,9 @@ func attachShard(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard
 		reg.Counter("kvcache.decode_errors", "reqs", "kvcache", "undecodable request datagrams dropped", &d.DecodeErrors)
 	}
 	if slot < 0 {
-		must(sh.SetServiceHandler(d.onDatagram))
+		sim.Must(sh.SetServiceHandler(d.onDatagram))
 	} else {
-		must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
+		sim.Must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
 	}
 	return d
 }
@@ -538,7 +590,7 @@ func (d *Shard) sendRaw(to int, payload []byte) {
 		_ = d.sh.SendDatagramSlot(d.slot, to, KindResp, payload)
 		return
 	}
-	must(d.sh.SendDatagram(to, KindResp, payload))
+	sim.Must(d.sh.SendDatagram(to, KindResp, payload))
 }
 
 // shardGetDone completes a single-key GET probe.
@@ -885,7 +937,7 @@ type Result struct {
 // independent of any scheduling freedom the run had.
 func (sv *Service) Result() Result {
 	var r Result
-	r.Digest = 14695981039346656037
+	r.Digest = obs.FNVOffset
 	lat := metrics.NewHistogram()
 	for _, c := range sv.clients {
 		r.Gets += c.Stats.Gets.Value()
@@ -895,10 +947,7 @@ func (sv *Service) Result() Result {
 		r.Timeouts += c.Stats.Timeouts.Value()
 		r.Completed += c.Stats.Hits.Value() + c.Stats.Misses.Value() + c.Stats.PutAcks.Value()
 		lat.Merge(c.Stats.Latency)
-		for i := 0; i < 64; i += 8 {
-			r.Digest ^= (c.Digest() >> i) & 0xff
-			r.Digest *= 1099511628211
-		}
+		r.Digest = obs.FNVFold(r.Digest, c.Digest())
 	}
 	r.Offered = r.Gets + r.Puts
 	if n := r.Hits + r.Misses; n > 0 {
@@ -940,12 +989,8 @@ func Run(cfg Config) Result {
 	sv := NewService(cfg)
 	s := sv.s
 
-	batch := cfg.MGetBatch
-	if batch > MaxMultiKeys {
-		batch = MaxMultiKeys
-	}
 	gens := make([]*workload.OpenLoop, len(sv.clients))
-	var flushAll []func()
+	var batchers []*MGetBatcher
 	for ci, cl := range sv.clients {
 		cl := cl
 		rng := s.NewRand()
@@ -958,33 +1003,9 @@ func Run(cfg Config) Result {
 		keyBuf := make([]byte, cfg.KeyBytes)
 		valBuf := make([]byte, cfg.ValBytes)
 
-		// Multi-get coalescing state: GET key indices buffered per
-		// keyspace slice (keys in one OpMGet must share a shard), with a
-		// reused key arena for the flush.
-		var pend [][]int
-		var mkeys [][]byte
-		var arena []byte
-		var flush func(sidx int)
-		if batch > 1 {
-			pend = make([][]int, cfg.Shards)
-			mkeys = make([][]byte, batch)
-			arena = make([]byte, batch*cfg.KeyBytes)
-			flush = func(sidx int) {
-				n := len(pend[sidx])
-				if n == 0 {
-					return
-				}
-				for i, idx := range pend[sidx] {
-					mkeys[i] = MakeKeyInto(arena[i*cfg.KeyBytes:(i+1)*cfg.KeyBytes], idx)
-				}
-				pend[sidx] = pend[sidx][:0]
-				cl.MultiGet(mkeys[:n], nil)
-			}
-			flushAll = append(flushAll, func() {
-				for sidx := range pend {
-					flush(sidx)
-				}
-			})
+		mget := NewMGetBatcher(cl, cfg.Shards, cfg.MGetBatch, cfg.KeyBytes, nil)
+		if mget != nil {
+			batchers = append(batchers, mget)
 		}
 		gens[ci] = workload.NewOpenLoop(s, cfg.ClientRate, func() {
 			idx := 0
@@ -995,12 +1016,8 @@ func Run(cfg Config) Result {
 			}
 			key := MakeKeyInto(keyBuf, idx)
 			if rng.Float64() < cfg.GetFraction {
-				if batch > 1 {
-					sidx := cl.ShardOf(key, cfg.Shards)
-					pend[sidx] = append(pend[sidx], idx)
-					if len(pend[sidx]) >= batch {
-						flush(sidx)
-					}
+				if mget != nil {
+					mget.Add(key, idx)
 					return
 				}
 				cl.Get(key, nil)
@@ -1014,8 +1031,8 @@ func Run(cfg Config) Result {
 		for _, g := range gens {
 			g.Stop()
 		}
-		for _, f := range flushAll {
-			f()
+		for _, b := range batchers {
+			b.Flush()
 		}
 	})
 	s.RunUntil(cfg.Duration + cfg.Drain)
@@ -1051,10 +1068,4 @@ func MakeValInto(val []byte, idx int) []byte {
 		val[i] = byte(idx + i)
 	}
 	return val
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -21,6 +21,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -224,14 +225,7 @@ func summarize(receipts []receipt, elapsed time.Duration) Result {
 	res := Result{Sent: len(receipts), Elapsed: elapsed}
 	var walls []time.Duration
 	var virts []sim.Time
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
+	h := uint64(obs.FNVOffset)
 	// Conservation: every scripted seq must be named by exactly one
 	// well-formed response. A crossed response (naming another request's
 	// seq) surfaces as a Dup there and a Lost here.
@@ -258,13 +252,10 @@ func summarize(receipts []receipt, elapsed time.Duration) Result {
 		} else if n > 1 {
 			res.Dup += n - 1
 		}
-		fold(uint64(seq))
 		if ok && rec.admitted {
-			fold(1)
-			fold(uint64(rec.virtLat))
+			h = obs.FNVFold(h, uint64(seq), 1, uint64(rec.virtLat))
 		} else {
-			fold(0)
-			fold(0)
+			h = obs.FNVFold(h, uint64(seq), 0, 0)
 		}
 	}
 	res.Digest = h

@@ -122,17 +122,21 @@ func RegistryOf(s *sim.Simulation) *Registry {
 // lease) across subsystems. Zero means "untraced".
 type FlowID uint64
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+// FNVOffset is the FNV-1a offset basis: the state FNVFold starts from.
+const FNVOffset = 14695981039346656037
 
-// fnv folds one 64-bit word into an FNV-1a state byte by byte.
-func fnv(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
+const fnvPrime = 1099511628211
+
+// FNVFold folds 64-bit words, in order, into an FNV-1a state byte by
+// byte, least significant byte first. Every determinism digest in the
+// repository is built with it.
+func FNVFold(h uint64, vs ...uint64) uint64 {
+	for _, v := range vs {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= fnvPrime
+			v >>= 8
+		}
 	}
 	return h
 }
@@ -158,7 +162,7 @@ const (
 // ID travels in the first 8 payload bytes of svclb requests, so both the
 // balancer and the backend can recompute the same flow.
 func ReqFlow(reqID uint64) FlowID {
-	return nonzero(fnv(fnv(fnvOffset, domReq), reqID))
+	return nonzero(FNVFold(FNVOffset, domReq, reqID))
 }
 
 // LTLFlow returns the flow ID for one direction of an LTL connection.
@@ -166,9 +170,7 @@ func ReqFlow(reqID uint64) FlowID {
 // ID from the frame alone. Request and response directions are distinct
 // flows (the tuple is reversed); service-level spans correlate them.
 func LTLFlow(srcIP, dstIP uint32, srcConn, dstConn uint16) FlowID {
-	h := fnv(fnvOffset, domLTL)
-	h = fnv(h, uint64(srcIP)<<32|uint64(dstIP))
-	h = fnv(h, uint64(srcConn)<<16|uint64(dstConn))
+	h := FNVFold(FNVOffset, domLTL, uint64(srcIP)<<32|uint64(dstIP), uint64(srcConn)<<16|uint64(dstConn))
 	return nonzero(h)
 }
 
@@ -176,15 +178,13 @@ func LTLFlow(srcIP, dstIP uint32, srcConn, dstConn uint16) FlowID {
 // routerID disambiguates the per-shell routers (terminal node IDs and
 // message IDs restart at zero in every shell).
 func ERFlow(routerID int, srcNode int, msgID uint64) FlowID {
-	h := fnv(fnvOffset, domER)
-	h = fnv(h, uint64(uint32(routerID))<<32|uint64(uint32(srcNode)))
-	h = fnv(h, msgID)
+	h := FNVFold(FNVOffset, domER, uint64(uint32(routerID))<<32|uint64(uint32(srcNode)), msgID)
 	return nonzero(h)
 }
 
 // LeaseFlow returns the flow ID for one HaaS lease.
 func LeaseFlow(leaseID uint64) FlowID {
-	return nonzero(fnv(fnv(fnvOffset, domLease), leaseID))
+	return nonzero(FNVFold(FNVOffset, domLease, leaseID))
 }
 
 // IPHost derives the host ID from an address under the simulation's

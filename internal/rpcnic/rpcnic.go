@@ -267,7 +267,7 @@ func sendReply(v any) {
 	if d.tracer != nil {
 		d.tracer.End(j.span)
 	}
-	must(d.shells[d.dispHost].SendDatagram(j.caller, KindReply, j.buf))
+	sim.Must(d.shells[d.dispHost].SendDatagram(j.caller, KindReply, j.buf))
 	d.replyFree = append(d.replyFree, j)
 }
 
@@ -328,7 +328,10 @@ type Dispatcher struct {
 
 	hostEnd     int
 	hostsPerTOR int
-	digest      uint64
+	// digest folds every completion (obs.FNVFold). All folds happen on
+	// the one simulation thread in event order, so the digest is a
+	// replay-determinism witness.
+	digest uint64
 
 	Stats Stats
 }
@@ -365,7 +368,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		gossip:      map[int]*sim.Ticker{},
 		tracer:      obs.TracerOf(s),
 		hostsPerTOR: dcCfg.HostsPerTOR,
-		digest:      14695981039346656037,
+		digest:      obs.FNVOffset,
 		Stats:       Stats{Latency: metrics.NewHistogram()},
 	}
 	if reg := obs.RegistryOf(s); reg != nil {
@@ -386,7 +389,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		h := hostBase + i
 		dc.Host(h)
 		c := &caller{d: d, sh: shells[h], host: h, pending: map[uint64]*rpcCall{}}
-		must(c.sh.SetServiceHandler(c.onDatagram))
+		sim.Must(c.sh.SetServiceHandler(c.onDatagram))
 		d.callers = append(d.callers, c)
 	}
 
@@ -409,8 +412,8 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 
 	// The dispatcher node terminates ingress and backend responses on the
 	// service-datagram plane, and depth gossip on the control plane.
-	must(shells[d.dispHost].SetServiceHandler(d.onDatagram))
-	must(shells[d.dispHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
+	sim.Must(shells[d.dispHost].SetServiceHandler(d.onDatagram))
+	sim.Must(shells[d.dispHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
 		if kind == ctrlDepth && len(payload) >= 4 {
 			depth := int(payload[0])<<24 | int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
 			d.router.ReportDepth(from, depth, s.Now())
@@ -454,7 +457,7 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 	d.queues[h] = q
 	ret := make([]byte, d.cfg.RetBytes)
 	var out []byte
-	must(sh.SetServiceHandler(func(from int, kind uint8, payload []byte) {
+	sim.Must(sh.SetServiceHandler(func(from int, kind uint8, payload []byte) {
 		if kind != KindWork {
 			return
 		}
@@ -472,13 +475,13 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 				ret[i] = byte(id) + byte(i)
 			}
 			out = AppendResp(out[:0], Resp{Method: method, ID: id, Ret: ret})
-			must(sh.SendDatagram(from, KindWorkResp, out))
+			sim.Must(sh.SendDatagram(from, KindWorkResp, out))
 		})
 	}))
 	if len(d.gossip) < 64 { // phase-offset like svclb's backends
 		d.gossip[h] = d.s.Every(d.cfg.GossipInterval*sim.Time(1+d.phases%8)/8, d.cfg.GossipInterval, func() {
 			depth := q.Depth()
-			must(sh.SendControl(d.dispHost, ctrlDepth, []byte{
+			sim.Must(sh.SendControl(d.dispHost, ctrlDepth, []byte{
 				byte(depth >> 24), byte(depth >> 16), byte(depth >> 8), byte(depth)}))
 		})
 		d.phases++
@@ -628,7 +631,7 @@ func (d *Dispatcher) decodeAndDispatch(from int, buf []byte) {
 	}
 	d.table[req.ID] = st
 	d.Stats.Dispatched.Inc()
-	must(d.shells[d.dispHost].SendDatagram(slot.Host, KindWork, buf))
+	sim.Must(d.shells[d.dispHost].SendDatagram(slot.Host, KindWork, buf))
 }
 
 // onWorkResp completes one dispatched request: the response returns to
@@ -672,7 +675,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		if d.tracer != nil {
 			d.tracer.End(span)
 		}
-		must(d.shells[d.dispHost].SendDatagram(caller, KindReply, buf))
+		sim.Must(d.shells[d.dispHost].SendDatagram(caller, KindReply, buf))
 	}
 	pcie := d.pcieTime(len(buf))
 	decode := d.cfg.HostDecodeFixed/2 + d.cfg.HostDecodePerByte*sim.Time(len(buf))
@@ -715,7 +718,7 @@ func (c *caller) call(method byte, args []byte) {
 	c.pending[id] = rc
 	rc.timer = c.d.s.ScheduleCall(c.d.cfg.Timeout, expireRPC, rc)
 	c.scratch = AppendReq(c.scratch[:0], Req{Method: method, ID: id, Args: args})
-	must(c.sh.SendDatagram(c.d.dispHost, KindIngress, c.scratch))
+	sim.Must(c.sh.SendDatagram(c.d.dispHost, KindIngress, c.scratch))
 }
 
 // expireRPC is the static caller-timeout callback (the timer arg is the
@@ -731,7 +734,7 @@ func expireRPC(v any) {
 	if c.d.tracer != nil {
 		c.d.tracer.End(rc.span)
 	}
-	c.d.fold(rc.id, 0x7F)
+	c.d.digest = obs.FNVFold(c.d.digest, rc.id, 0x7F)
 	c.callFree = append(c.callFree, rc)
 }
 
@@ -754,20 +757,8 @@ func (c *caller) onDatagram(from int, kind uint8, payload []byte) {
 	if c.d.tracer != nil {
 		c.d.tracer.End(rc.span)
 	}
-	c.d.fold(resp.ID, uint64(lat))
+	c.d.digest = obs.FNVFold(c.d.digest, resp.ID, uint64(lat))
 	c.callFree = append(c.callFree, rc)
-}
-
-// fold mixes one completion into the dispatcher-wide FNV digest. All
-// folds happen on the one simulation thread in event order, so the
-// digest is a replay-determinism witness.
-func (d *Dispatcher) fold(vs ...uint64) {
-	for _, v := range vs {
-		for i := 0; i < 64; i += 8 {
-			d.digest ^= (v >> i) & 0xff
-			d.digest *= 1099511628211
-		}
-	}
 }
 
 // Sim returns the simulation the dispatcher runs on.
@@ -883,10 +874,4 @@ func Run(cfg Config) Result {
 	res := d.Result()
 	res.Record = d.Telemetry(fmt.Sprintf("rpc %s rate=%g", res.Mode, cfg.Rate))
 	return res
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }

@@ -134,6 +134,15 @@ func New(seed int64) *Simulation {
 	return &Simulation{rng: rand.New(rand.NewSource(seed)), seed: seed}
 }
 
+// Must panics on err. Models call it where an error can only come from
+// a bug in seeded construction code (a connection opened twice, a slot
+// loaded out of range), never from outside input.
+func Must(err error) {
+	if err != nil {
+		panic(err)
+	}
+}
+
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -172,7 +173,7 @@ func NewRouter(rng *rand.Rand, policy string) (*Router, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Router{rng: rng, policy: p, byHost: make(map[int]*Slot), hash: fnvOffset}, nil
+	return &Router{rng: rng, policy: p, byHost: make(map[int]*Slot), hash: obs.FNVOffset}, nil
 }
 
 // Policy returns the router's policy name.
@@ -259,8 +260,7 @@ func (r *Router) pickFrom(live []*Slot) (*Slot, bool) {
 	sl := r.policy.pick(live, r.rng, &r.rr)
 	sl.Outstanding++
 	r.routes++
-	r.hash = fnvFold(r.hash, r.routes)
-	r.hash = fnvFold(r.hash, uint64(sl.Index))
+	r.hash = obs.FNVFold(r.hash, r.routes, uint64(sl.Index))
 	return sl, true
 }
 
@@ -288,17 +288,3 @@ func (r *Router) Routes() uint64 { return r.routes }
 // RouteHash returns an FNV-1a digest of every routing decision so far —
 // the determinism witness: same seed, same policy, same digest.
 func (r *Router) RouteHash() uint64 { return r.hash }
-
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-func fnvFold(h, v uint64) uint64 {
-	for i := 0; i < 8; i++ {
-		h ^= v & 0xff
-		h *= fnvPrime
-		v >>= 8
-	}
-	return h
-}

@@ -417,7 +417,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	})
 
 	// The SM host terminates the depth gossip.
-	must(shells[b.smHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
+	sim.Must(shells[b.smHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
 		if kind == ctrlDepth && len(payload) >= 4 {
 			b.router.ReportDepth(from, int(binary.BigEndian.Uint32(payload)), s.Now())
 		}
@@ -724,7 +724,7 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 			b.tracer.Event(p.flow, "svclb.cancel", p.span, int64(c.slot.Host))
 			var idb [8]byte
 			binary.BigEndian.PutUint64(idb[:], reqID)
-			must(b.clients[ci].sh.SendControl(c.slot.Host, ctrlCancel, idb[:]))
+			sim.Must(b.clients[ci].sh.SendControl(c.slot.Host, ctrlCancel, idb[:]))
 		}
 	}
 	if winnerIdx >= 0 {
@@ -793,7 +793,7 @@ func (b *Balancer) addBackend(h int) {
 	fs := b.shells[h]
 	sl := b.router.AddSlot(h)
 
-	must(fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
+	sim.Must(fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
 		if kind == ctrlCancel && len(payload) >= 8 {
 			if q.Cancel(binary.BigEndian.Uint64(payload)) {
 				b.cancelHits.Inc()
@@ -804,9 +804,9 @@ func (b *Balancer) addBackend(h int) {
 	for ci := range b.clients {
 		ci, ch := ci, b.clients[ci].host
 		cs := b.clients[ci].sh
-		must(cs.OpenRemoteSend(uint16(sl.Index)+1, h, uint16(ci)+1, nil))
-		must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(sl.Index)+1000, nil))
-		must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
+		sim.Must(cs.OpenRemoteSend(uint16(sl.Index)+1, h, uint16(ci)+1, nil))
+		sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(sl.Index)+1000, nil))
+		sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
 			reqID := binary.BigEndian.Uint64(payload)
 			q.Submit(reqID, b.serviceOf(reqID), func() {
 				resp := make([]byte, b.cfg.RespBytes)
@@ -814,7 +814,7 @@ func (b *Balancer) addBackend(h int) {
 				fs.SendRemote(uint16(ci)+1000, resp, nil)
 			})
 		}))
-		must(cs.OpenRemoteRecv(uint16(sl.Index)+1000, h, func(payload []byte) {
+		sim.Must(cs.OpenRemoteRecv(uint16(sl.Index)+1000, h, func(payload []byte) {
 			b.onResponse(ci, sl, binary.BigEndian.Uint64(payload))
 		}))
 	}
@@ -831,7 +831,7 @@ func (b *Balancer) addBackend(h int) {
 	b.gossip[h] = b.s.Every(first, b.cfg.GossipInterval, func() {
 		var buf [4]byte
 		binary.BigEndian.PutUint32(buf[:], uint32(q.Depth()))
-		must(fs.SendControl(b.smHost, ctrlDepth, buf[:]))
+		sim.Must(fs.SendControl(b.smHost, ctrlDepth, buf[:]))
 	})
 }
 
@@ -965,12 +965,6 @@ func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []
 		})
 	}
 	return pool, in
-}
-
-func must(err error) {
-	if err != nil {
-		panic(err)
-	}
 }
 
 // svcRole marks pool shells' role slot occupied; the data path runs

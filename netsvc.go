@@ -27,8 +27,8 @@ import (
 	"repro/internal/kvcache"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
-	"repro/internal/obs"
 	"repro/internal/rpcnic"
+	"repro/internal/shell"
 	"repro/internal/sim"
 )
 
@@ -178,200 +178,151 @@ func expNetsvcKVBatch(scale Scale) *Table {
 	return t
 }
 
-// NetsvcScaleConfig drives one sharded-kernel KV point: per pod, a
-// cluster of closed-loop KV clients and one shard host, with the
-// keyspace hashed across every pod's shard — so most requests cross pod
-// (= shard) boundaries and the conservative windows carry real traffic.
-type NetsvcScaleConfig struct {
-	Seed int64
-	Pods int
-	// Topology dimensions (zero = the paper's).
-	HostsPerTOR, TORsPerPod int
-	// Workload shape.
+// KVLoad is the closed-loop KV client population shared by the sharded
+// KV points (E18c, E19c): per pod, ClientsPerPod clients each issue
+// RequestsPerClient requests over a Keys-key space, one at a time, with
+// exponential think times of mean MeanGap (0 = back to back).
+type KVLoad struct {
 	ClientsPerPod     int
 	RequestsPerClient int
 	Keys              int
 	GetFraction       float64
 	MeanGap           sim.Time
 	Timeout           sim.Time
-	Duration          sim.Time
-	// MGetBatch > 1 coalesces each client's GETs into per-shard
-	// multi-get datagrams of that size; buffered keys ride the next
-	// flush, so the closed loop advances as soon as a key is queued.
-	MGetBatch int
-	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers   int
-	Telemetry bool
-	SpanLimit int
 }
 
-// DefaultNetsvcScaleConfig sizes the sharded KV workload for pods.
-func DefaultNetsvcScaleConfig(pods int) NetsvcScaleConfig {
-	return NetsvcScaleConfig{
-		Seed:              18,
-		Pods:              pods,
-		ClientsPerPod:     2,
-		RequestsPerClient: 150,
-		Keys:              256,
-		GetFraction:       0.8,
-		MeanGap:           30 * sim.Microsecond,
-		Timeout:           2 * sim.Millisecond,
-		Duration:          20 * sim.Millisecond,
-	}
-}
-
-// NetsvcScaleResult summarizes one sharded KV run.
-type NetsvcScaleResult struct {
-	Workers   int
-	Offered   uint64
-	Completed uint64
-	Hits      uint64
-	Timeouts  uint64
-	Events    uint64
-	Crossings uint64
-	// Digest folds every client's completion stream in client order plus
-	// the kernel's event and crossing totals: worker-count-independent by
-	// construction.
-	Digest  uint64
-	Elapsed time.Duration
-	Record  *obs.Record
-}
-
-// RunNetsvcScalePoint runs the KV service on the pod-sharded kernel.
-// Shard placement, client order, RNG streams, and the digest fold order
-// are all fixed before the clock starts, so the only thing Workers can
-// change is the wall clock.
-func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
-	topo := netsim.DefaultConfig()
-	topo.Pods = cfg.Pods
-	if cfg.HostsPerTOR > 0 {
-		topo.HostsPerTOR = cfg.HostsPerTOR
-	}
-	if cfg.TORsPerPod > 0 {
-		topo.TORsPerPod = cfg.TORsPerPod
-	}
-	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Telemetry: cfg.Telemetry}, cfg.Workers)
-	if cfg.SpanLimit > 0 {
-		for _, ctx := range c.Obs {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
+// start places one KV shard per pod on the pod's second TOR — attach
+// serves each pod's store on its board (nil = kvcache.AttachShard, the
+// whole board) — then starts the clients pod-major on each pod's first
+// TOR, issuing from virtual time from. mget > 1 coalesces each client's GETs into
+// per-shard multi-gets (kvcache.MGetBatcher); buffered keys ride the
+// next flush, so the closed loop advances as soon as a key is queued.
+// Each client's RNG and closed-loop chain live on its own shard's wheel,
+// and every order here is fixed before the clock starts, so the only
+// thing the worker count can change is the wall clock.
+func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Time,
+	attach func(pod int, n Node, st *kvcache.Store)) []*kvcache.Client {
 	perPod := topo.HostsPerTOR * topo.TORsPerPod
-
-	// One shard per pod, on its pod's second TOR (fixed order).
-	shardHosts := make([]int, cfg.Pods)
-	for p := 0; p < cfg.Pods; p++ {
+	shardHosts := make([]int, topo.Pods)
+	for p := range shardHosts {
 		h := p*perPod + topo.HostsPerTOR
 		shardHosts[p] = h
 		n := c.Node(h)
 		st := kvcache.NewStore(c.SimForHost(h), n.Shell.DRAM, kvcache.DefaultStoreConfig())
-		kvcache.AttachShard(c.SimForHost(h), n.Shell, st)
+		if attach != nil {
+			attach(p, n, st)
+		} else {
+			kvcache.AttachShard(c.SimForHost(h), n.Shell, st)
+		}
 	}
 	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
 
-	// Clients pod-major on each pod's first TOR. Each client's RNG and
-	// closed-loop chain live on its own shard's wheel.
 	var clients []*kvcache.Client
-	for p := 0; p < cfg.Pods; p++ {
-		for i := 0; i < cfg.ClientsPerPod; i++ {
+	for p := range shardHosts {
+		for i := 0; i < w.ClientsPerPod; i++ {
 			h := p*perPod + i
-			n := c.Node(h)
 			ps := c.SimForHost(h)
-			cl := kvcache.NewClient(ps, n.Shell, cfg.Timeout, lookup)
+			cl := kvcache.NewClient(ps, c.Node(h).Shell, w.Timeout, lookup)
 			clients = append(clients, cl)
 
 			rng := ps.NewRand()
-			remaining := cfg.RequestsPerClient
+			remaining := w.RequestsPerClient
 			var next func(kvcache.Outcome)
-			var pend [][]int
-			var mkeys [][]byte
-			var arena []byte
-			if cfg.MGetBatch > 1 {
-				pend = make([][]int, len(shardHosts))
-				mkeys = make([][]byte, cfg.MGetBatch)
-				arena = make([]byte, cfg.MGetBatch*16)
-			}
-			mnext := func(kvcache.MResp, sim.Time, bool) { next(kvcache.Outcome{}) }
+			batcher := kvcache.NewMGetBatcher(cl, len(shardHosts), mget, 16,
+				func(kvcache.MResp, sim.Time, bool) { next(kvcache.Outcome{}) })
 			issue := func() {
 				if remaining == 0 {
 					return
 				}
 				remaining--
-				idx := rng.Intn(cfg.Keys)
+				idx := rng.Intn(w.Keys)
 				key := kvcache.MakeKey(idx, 16)
-				if rng.Float64() < cfg.GetFraction {
-					if cfg.MGetBatch > 1 {
-						sidx := cl.ShardOf(key, len(shardHosts))
-						pend[sidx] = append(pend[sidx], idx)
-						if len(pend[sidx]) >= cfg.MGetBatch {
-							for i, kidx := range pend[sidx] {
-								mkeys[i] = kvcache.MakeKeyInto(arena[i*16:(i+1)*16], kidx)
-							}
-							n := len(pend[sidx])
-							pend[sidx] = pend[sidx][:0]
-							cl.MultiGet(mkeys[:n], mnext)
-						} else {
-							next(kvcache.Outcome{}) // buffered: the loop advances
-						}
-						return
-					}
-					cl.Get(key, next)
-				} else {
+				switch {
+				case rng.Float64() >= w.GetFraction:
 					cl.Put(key, kvcache.MakeVal(idx, 128), next)
+				case batcher == nil:
+					cl.Get(key, next)
+				case !batcher.Add(key, idx):
+					next(kvcache.Outcome{}) // buffered: the loop advances
 				}
 			}
 			next = func(kvcache.Outcome) {
-				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
+				gap := sim.Time(rng.ExpFloat64() * float64(w.MeanGap))
 				ps.Schedule(gap, issue)
 			}
-			ps.Schedule(sim.Time(rng.Intn(int(cfg.MeanGap))), issue)
+			ps.Schedule(from+startOffset(rng, w.MeanGap), issue)
 		}
 	}
+	return clients
+}
 
-	start := time.Now()
-	c.Run(cfg.Duration)
-	elapsed := time.Since(start)
-
-	res := NetsvcScaleResult{
-		Workers:   c.Group.Workers(),
-		Events:    c.Fired(),
-		Crossings: c.Group.Crossings,
-		Elapsed:   elapsed,
-	}
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
+// foldClients tallies the clients' request counters and folds each
+// client's completion digest, in client order.
+func foldClients(clients []*kvcache.Client, fold func(...uint64)) (offered, completed, hits, timeouts uint64) {
 	for _, cl := range clients {
-		res.Offered += cl.Stats.Gets.Value() + cl.Stats.Puts.Value()
-		res.Completed += cl.Stats.Hits.Value() + cl.Stats.Misses.Value() + cl.Stats.PutAcks.Value()
-		res.Hits += cl.Stats.Hits.Value()
-		res.Timeouts += cl.Stats.Timeouts.Value()
+		s := &cl.Stats
+		offered += s.Gets.Value() + s.Puts.Value()
+		completed += s.Hits.Value() + s.Misses.Value() + s.PutAcks.Value()
+		hits += s.Hits.Value()
+		timeouts += s.Timeouts.Value()
 		fold(cl.Digest())
 	}
-	fold(res.Events)
-	fold(res.Crossings)
-	res.Digest = h
+	return offered, completed, hits, timeouts
+}
 
-	if cfg.Telemetry {
-		// The label omits the worker count: a parallel run's telemetry
-		// must be byte-identical to the sequential run's.
-		res.Record = obs.CollectGroup(c.Obs, "netsvc",
-			fmt.Sprintf("shardkv pods=%d", cfg.Pods), cfg.Seed)
+// NetsvcScaleConfig drives one sharded-kernel KV point: per pod, a
+// cluster of closed-loop KV clients and one shard host, with the
+// keyspace hashed across every pod's shard — so most requests cross pod
+// (= shard) boundaries and the conservative windows carry real traffic.
+type NetsvcScaleConfig struct {
+	ShardedPoint
+	KVLoad
+	// MGetBatch > 1 coalesces each client's GETs into per-shard
+	// multi-get datagrams of that size (clamped to kvcache.MaxMultiKeys).
+	MGetBatch int
+}
+
+// DefaultNetsvcScaleConfig sizes the sharded KV workload for pods.
+func DefaultNetsvcScaleConfig(pods int) NetsvcScaleConfig {
+	return NetsvcScaleConfig{
+		ShardedPoint: ShardedPoint{Seed: 18, Pods: pods, Duration: 20 * sim.Millisecond},
+		KVLoad: KVLoad{
+			ClientsPerPod:     2,
+			RequestsPerClient: 150,
+			Keys:              256,
+			GetFraction:       0.8,
+			MeanGap:           30 * sim.Microsecond,
+			Timeout:           2 * sim.Millisecond,
+		},
 	}
+}
+
+// NetsvcScaleResult summarizes one sharded KV run. The digest folds
+// every client's completion stream in client order.
+type NetsvcScaleResult struct {
+	ShardedRun
+	Offered   uint64
+	Completed uint64
+	Hits      uint64
+	Timeouts  uint64
+}
+
+// RunNetsvcScalePoint runs the KV service on the pod-sharded kernel.
+func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
+	c, topo := cfg.build(netsim.DefaultConfig(), shell.Config{})
+	clients := cfg.KVLoad.start(c, topo, cfg.MGetBatch, 0, nil)
+	var res NetsvcScaleResult
+	res.ShardedRun = cfg.run(c, "netsvc", fmt.Sprintf("shardkv pods=%d", cfg.Pods), func(fold func(...uint64)) {
+		res.Offered, res.Completed, res.Hits, res.Timeouts = foldClients(clients, fold)
+	})
 	return res
 }
 
 // expNetsvcScale runs the sharded KV point sequentially and on all
 // cores; the identical column is bit-equality of the two digests.
 func expNetsvcScale(scale Scale) *Table {
-	workers := scaleWorkers()
 	t := &Table{
-		Title: fmt.Sprintf("E18c — KV service on the sharded kernel (sequential vs %d workers; identical = bit-equal digests)", workers),
+		Title: fmt.Sprintf("E18c — KV service on the sharded kernel (sequential vs %d workers; identical = bit-equal digests)", scaleWorkers()),
 		Headers: []string{"pods", "offered", "completed", "hits", "timeouts",
 			"events", "crossings", "seq wall", "par wall", "identical"},
 	}
@@ -390,19 +341,10 @@ func expNetsvcScale(scale Scale) *Table {
 	}
 	for _, p := range pods {
 		cfg := mk(p)
-		cfg.Workers = 1
-		seq := RunNetsvcScalePoint(cfg)
-		cfg.Telemetry = TelemetryEnabled()
-		if cfg.Telemetry {
-			cfg.SpanLimit = 4096
-		}
-		cfg.Workers = workers
-		par := RunNetsvcScalePoint(cfg)
+		seq, par := seqVsPar(&cfg.ShardedPoint, func() NetsvcScaleResult { return RunNetsvcScalePoint(cfg) })
 		addTelemetry("netsvc", par.Record)
 		t.AddRow(p, seq.Offered, seq.Completed, seq.Hits, seq.Timeouts,
-			seq.Events, seq.Crossings,
-			seq.Elapsed.Round(time.Millisecond).String(),
-			par.Elapsed.Round(time.Millisecond).String(),
+			seq.Events, seq.Crossings, seq.wall(), par.wall(),
 			seq.Digest == par.Digest && seq.Completed == par.Completed)
 	}
 	return t

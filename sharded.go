@@ -2,7 +2,9 @@ package configcloud
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
+	"time"
 
 	"repro/internal/faultinject"
 	"repro/internal/netsim"
@@ -143,3 +145,123 @@ func (c *ShardedCloud) Tier(a, b int) int { return c.DC.Tier(a, b) }
 // SimForHost returns the shard simulation host id lives on — for
 // scheduling workload callbacks next to the components they drive.
 func (c *ShardedCloud) SimForHost(id int) *sim.Simulation { return c.DC.SimForHost(id) }
+
+// ShardedPoint is the set-up shared by every pod-sharded experiment point
+// (E16, E18c, E19c): seed, down-sized topology, run length, and how the
+// run is advanced and observed.
+type ShardedPoint struct {
+	Seed int64
+	// Topology dimensions. Zero HostsPerTOR/TORsPerPod mean the paper's
+	// (24 hosts/TOR, 40 TORs/pod); Pods must be set.
+	Pods        int
+	HostsPerTOR int
+	TORsPerPod  int
+	// Duration is the virtual run time.
+	Duration sim.Time
+	// Workers is the goroutine count advancing the shards (0 = one per
+	// core). The digest is worker-count-independent by construction.
+	Workers int
+	// Telemetry collects a merged obs Record for the run; SpanLimit
+	// caps each shard's span log (0 = tracer default).
+	Telemetry bool
+	SpanLimit int
+}
+
+// ShardedRun is what every sharded point reports about its run.
+type ShardedRun struct {
+	Workers   int
+	Events    uint64
+	Crossings uint64
+	Rounds    uint64
+	// Digest folds the point's own values in construction order, then
+	// the event and crossing totals: two runs agree on the digest iff the
+	// simulation behaved identically.
+	Digest  uint64
+	Elapsed time.Duration
+	// Record is the merged telemetry (nil unless Telemetry was set).
+	Record *obs.Record
+}
+
+// build sets the point's dimensions on topo (which may carry cable-delay
+// overrides) and constructs the pod-sharded cloud with shCfg (zero = the
+// default shell). It returns the cloud and the topology it was built on.
+func (p ShardedPoint) build(topo netsim.Config, shCfg shell.Config) (*ShardedCloud, netsim.Config) {
+	topo.Pods = p.Pods
+	if p.HostsPerTOR > 0 {
+		topo.HostsPerTOR = p.HostsPerTOR
+	}
+	if p.TORsPerPod > 0 {
+		topo.TORsPerPod = p.TORsPerPod
+	}
+	c := NewSharded(Options{Seed: p.Seed, Topology: topo, Shell: shCfg, Telemetry: p.Telemetry}, p.Workers)
+	if p.SpanLimit > 0 {
+		for _, ctx := range c.Obs {
+			ctx.Tracer.SetLimit(p.SpanLimit)
+		}
+	}
+	return c, topo
+}
+
+// run advances the built cloud for p.Duration, timing it on the wall
+// clock. tally folds the point's own values into the digest in a fixed
+// order (tallying its result as it goes); the event and crossing totals
+// follow. The telemetry label must omit the worker count: a parallel
+// run's telemetry has to be byte-identical to the sequential run's.
+func (p ShardedPoint) run(c *ShardedCloud, experiment, label string, tally func(fold func(...uint64))) ShardedRun {
+	start := time.Now()
+	c.Run(p.Duration)
+	r := ShardedRun{
+		Elapsed:   time.Since(start),
+		Workers:   c.Group.Workers(),
+		Events:    c.Fired(),
+		Crossings: c.Group.Crossings,
+		Rounds:    c.Group.Rounds,
+	}
+	h := uint64(obs.FNVOffset)
+	tally(func(vs ...uint64) { h = obs.FNVFold(h, vs...) })
+	r.Digest = obs.FNVFold(h, r.Events, r.Crossings)
+	if p.Telemetry {
+		r.Record = obs.CollectGroup(c.Obs, experiment, label, p.Seed)
+	}
+	return r
+}
+
+// wall renders the run's wall-clock time for the seq-vs-parallel tables.
+func (r ShardedRun) wall() string { return r.Elapsed.Round(time.Millisecond).String() }
+
+// startOffset draws a request chain's first-send jitter in [0, meanGap);
+// a zero meanGap means back-to-back requests from time zero.
+func startOffset(rng *rand.Rand, meanGap sim.Time) sim.Time {
+	if meanGap <= 0 {
+		return 0
+	}
+	return sim.Time(rng.Intn(int(meanGap)))
+}
+
+// scaleWorkers resolves the parallel worker count for the seq-vs-parallel
+// tables: the -shards flag when set, else one worker per core — but never
+// fewer than two, so the parallel rows exercise the concurrent path (and
+// the digest comparison stays meaningful) even on a single-core machine.
+func scaleWorkers() int {
+	if n := Shards(); n > 0 {
+		return n
+	}
+	return max(runtime.GOMAXPROCS(0), 2)
+}
+
+// seqVsPar runs one sharded point twice through run, which reads pt:
+// sequentially (one worker), then on scaleWorkers() workers. Telemetry
+// rides the parallel run only: the sequential run's record would be
+// byte-identical (the determinism tests enforce that), so collecting
+// both would just duplicate records. Tracing appends spans but schedules
+// nothing, so the traced run's digest still matches the untraced one.
+func seqVsPar[R any](pt *ShardedPoint, run func() R) (seq, par R) {
+	pt.Workers = 1
+	seq = run()
+	pt.Telemetry = TelemetryEnabled()
+	if pt.Telemetry {
+		pt.SpanLimit = 4096
+	}
+	pt.Workers = scaleWorkers()
+	return seq, run()
+}

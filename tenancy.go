@@ -22,7 +22,6 @@ package configcloud
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/haas"
 	"repro/internal/kvcache"
@@ -148,7 +147,7 @@ func expTenancyPool(scale Scale) *Table {
 			DistinctNodes: true,
 			OnReady:       func(*haas.SlotClaim) { ready++ },
 		})
-		must(err)
+		sim.Must(err)
 		claims[spec.name] = cs
 		instances += spec.count
 		wantALMs += spec.alms * spec.count
@@ -245,8 +244,8 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 	// Victim tenant: slot 0, echoing pings back through its slot's
 	// shaped egress path.
 	_, err := victim.ReconfigureSlot(0, "victim", tenantStub{"victim"}, 17500, nil)
-	must(err)
-	must(victim.SetServiceHandlerSlot(0, []uint8{kindTenantPing}, func(from int, _ uint8, p []byte) {
+	sim.Must(err)
+	sim.Must(victim.SetServiceHandlerSlot(0, []uint8{kindTenantPing}, func(from int, _ uint8, p []byte) {
 		_ = victim.SendDatagramSlot(0, from, kindTenantPong, p)
 	}))
 
@@ -256,9 +255,9 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 	var elephantSent uint64
 	if elephant {
 		_, err := victim.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
-		must(err)
+		sim.Must(err)
 		if shapeBps > 0 {
-			must(victim.SetSlotEgressRate(1, shapeBps, 16<<10))
+			sim.Must(victim.SetSlotEgressRate(1, shapeBps, 16<<10))
 		}
 	}
 
@@ -286,7 +285,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 	h := metrics.NewHistogram()
 	var replies uint64
 	sentAt := map[uint64]sim.Time{}
-	must(client.SetServiceHandler(func(_ int, kind uint8, p []byte) {
+	sim.Must(client.SetServiceHandler(func(_ int, kind uint8, p []byte) {
 		if kind != kindTenantPong || len(p) < 8 {
 			return
 		}
@@ -306,7 +305,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 		}
 		binary.BigEndian.PutUint64(payload, seq)
 		sentAt[seq] = s.Now()
-		must(client.SendDatagram(0, kindTenantPing, payload))
+		sim.Must(client.SendDatagram(0, kindTenantPing, payload))
 		seq++
 		s.Schedule(pingGap, ping)
 	}
@@ -368,221 +367,109 @@ func expTenancyNeighbor(scale Scale) *Table {
 	return t
 }
 
-// TenancyScaleConfig drives one multi-tenant sharded-kernel point: per
-// pod, a KV shard in its board's slot 0 and a shaped elephant tenant in
-// slot 1, with closed-loop KV clients hashing across every pod's shard.
+// TenancyScaleConfig drives one multi-tenant sharded-kernel point: the
+// E18c KV point with each pod's board split into two vFPGA slots — the
+// KV shard in slot 0 and a shaped elephant tenant in slot 1.
 type TenancyScaleConfig struct {
-	Seed int64
-	Pods int
-	// Topology dimensions (zero = the paper's).
-	HostsPerTOR, TORsPerPod int
-	// Workload shape.
-	ClientsPerPod     int
-	RequestsPerClient int
-	Keys              int
-	GetFraction       float64
-	MeanGap           sim.Time
-	Timeout           sim.Time
+	ShardedPoint
+	KVLoad
 	// Warmup delays traffic until the slots' partial reconfigurations
 	// complete; Duration is total virtual run time including warmup.
-	Warmup   sim.Time
-	Duration sim.Time
+	Warmup sim.Time
 	// ElephantShapeBps caps each elephant slot's egress (0 = unshaped).
 	ElephantShapeBps int64
-	// Workers is the shard-advancing goroutine count (0 = one per core).
-	Workers   int
-	Telemetry bool
-	SpanLimit int
 }
 
 // DefaultTenancyScaleConfig sizes the multi-tenant sharded point.
 func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
 	return TenancyScaleConfig{
-		Seed:              19,
-		Pods:              pods,
-		ClientsPerPod:     2,
-		RequestsPerClient: 100,
-		Keys:              256,
-		GetFraction:       0.8,
-		MeanGap:           30 * sim.Microsecond,
-		Timeout:           2 * sim.Millisecond,
-		Warmup:            12 * sim.Millisecond,
-		Duration:          24 * sim.Millisecond,
-		ElephantShapeBps:  2e9,
+		ShardedPoint: ShardedPoint{Seed: 19, Pods: pods, Duration: 24 * sim.Millisecond},
+		KVLoad: KVLoad{
+			ClientsPerPod:     2,
+			RequestsPerClient: 100,
+			Keys:              256,
+			GetFraction:       0.8,
+			MeanGap:           30 * sim.Microsecond,
+			Timeout:           2 * sim.Millisecond,
+		},
+		Warmup:           12 * sim.Millisecond,
+		ElephantShapeBps: 2e9,
 	}
 }
 
-// TenancyScaleResult summarizes one multi-tenant sharded run.
+// TenancyScaleResult summarizes one multi-tenant sharded run. The digest
+// folds every client's completion stream, then each pod's elephant
+// send and throttle totals.
 type TenancyScaleResult struct {
-	Workers      int
+	ShardedRun
 	Offered      uint64
 	Completed    uint64
 	Timeouts     uint64
 	ElephantSent uint64
 	Throttled    uint64
-	Events       uint64
-	Crossings    uint64
-	// Digest folds every client's completion stream plus the elephant
-	// and kernel totals: worker-count-independent by construction.
-	Digest  uint64
-	Elapsed time.Duration
-	Record  *obs.Record
 }
 
 // RunTenancyScalePoint runs the multi-tenant KV workload on the
-// pod-sharded kernel. Slot loads, client order, RNG streams, and the
-// digest fold order are fixed before the clock starts, so the only thing
-// Workers can change is the wall clock.
+// pod-sharded kernel: E18c's placement and clients, with every client
+// held back until Warmup, and each shard board loading its two slots and
+// starting its elephant as it is placed.
 func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
-	topo := netsim.DefaultConfig()
-	topo.Pods = cfg.Pods
-	if cfg.HostsPerTOR > 0 {
-		topo.HostsPerTOR = cfg.HostsPerTOR
-	}
-	if cfg.TORsPerPod > 0 {
-		topo.TORsPerPod = cfg.TORsPerPod
-	}
 	shCfg := shell.DefaultConfig()
 	shCfg.Slots = shell.DefaultSlotConfig(2)
-	c := NewSharded(Options{Seed: cfg.Seed, Topology: topo, Shell: shCfg,
-		Telemetry: cfg.Telemetry}, cfg.Workers)
-	if cfg.SpanLimit > 0 {
-		for _, ctx := range c.Obs {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	perPod := topo.HostsPerTOR * topo.TORsPerPod
+	c, topo := cfg.build(netsim.DefaultConfig(), shCfg)
 
-	// One multi-tenant board per pod, on its pod's second TOR: KV shard
-	// in slot 0, elephant in slot 1 blasting a same-pod sink host.
-	shardHosts := make([]int, cfg.Pods)
-	elephants := make([]*shell.Shell, cfg.Pods)
-	for p := 0; p < cfg.Pods; p++ {
-		h := p*perPod + topo.HostsPerTOR
-		shardHosts[p] = h
-		n := c.Node(h)
-		ps := c.SimForHost(h)
-		c.Node(h + 1) // elephant sink (no handler: frames still load the wire)
-		st := kvcache.NewStore(ps, n.Shell.DRAM, kvcache.DefaultStoreConfig())
+	// Each elephant bursts 8 KB-sized datagrams every 5 us (~13 Gbps
+	// offered) at a same-pod sink host from warmup until the run ends.
+	boards := make([]*shell.Shell, cfg.Pods)
+	sent := make([]uint64, cfg.Pods)
+	blastPayload := make([]byte, 1024)
+	loadSlots := func(p int, n Node, st *kvcache.Store) {
+		ps := c.SimForHost(n.ID)
+		sink := n.ID + 1
+		c.Node(sink) // no handler: frames still load the wire
 		_, err := n.Shell.ReconfigureSlot(0, "kvcache", tenantStub{"kvcache"}, 17500, nil)
-		must(err)
+		sim.Must(err)
 		kvcache.AttachShardSlot(ps, n.Shell, 0, st)
 		_, err = n.Shell.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
-		must(err)
+		sim.Must(err)
 		if cfg.ElephantShapeBps > 0 {
-			must(n.Shell.SetSlotEgressRate(1, cfg.ElephantShapeBps, 16<<10))
+			sim.Must(n.Shell.SetSlotEgressRate(1, cfg.ElephantShapeBps, 16<<10))
 		}
-		elephants[p] = n.Shell
-	}
-	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
-
-	// Elephant load: each board bursts 8 KB-sized datagrams every 5 us
-	// (~13 Gbps offered) from warmup until the run ends.
-	var elephantSent []uint64 = make([]uint64, cfg.Pods)
-	blastPayload := make([]byte, 1024)
-	for p := 0; p < cfg.Pods; p++ {
-		p := p
-		sh := elephants[p]
-		ps := c.SimForHost(shardHosts[p])
-		sink := shardHosts[p] + 1
+		boards[p] = n.Shell
 		var blast func()
 		blast = func() {
 			if ps.Now() >= cfg.Duration {
 				return
 			}
 			for i := 0; i < 8; i++ {
-				if sh.SendDatagramSlot(1, sink, kindTenantBlast, blastPayload) == nil {
-					elephantSent[p]++
+				if n.Shell.SendDatagramSlot(1, sink, kindTenantBlast, blastPayload) == nil {
+					sent[p]++
 				}
 			}
 			ps.Schedule(5*sim.Microsecond, blast)
 		}
 		ps.Schedule(cfg.Warmup, blast)
 	}
+	clients := cfg.KVLoad.start(c, topo, 0, cfg.Warmup, loadSlots)
 
-	// Clients pod-major on each pod's first TOR, issuing from warmup.
-	var clients []*kvcache.Client
-	for p := 0; p < cfg.Pods; p++ {
-		for i := 0; i < cfg.ClientsPerPod; i++ {
-			h := p*perPod + i
-			n := c.Node(h)
-			ps := c.SimForHost(h)
-			cl := kvcache.NewClient(ps, n.Shell, cfg.Timeout, lookup)
-			clients = append(clients, cl)
-
-			rng := ps.NewRand()
-			remaining := cfg.RequestsPerClient
-			var next func(kvcache.Outcome)
-			issue := func() {
-				if remaining == 0 {
-					return
-				}
-				remaining--
-				idx := rng.Intn(cfg.Keys)
-				key := kvcache.MakeKey(idx, 16)
-				if rng.Float64() < cfg.GetFraction {
-					cl.Get(key, next)
-				} else {
-					cl.Put(key, kvcache.MakeVal(idx, 128), next)
-				}
-			}
-			next = func(kvcache.Outcome) {
-				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
-				ps.Schedule(gap, issue)
-			}
-			ps.Schedule(cfg.Warmup+sim.Time(rng.Intn(int(cfg.MeanGap))), issue)
+	var res TenancyScaleResult
+	res.ShardedRun = cfg.run(c, "tenancy", fmt.Sprintf("shardkv+elephant pods=%d", cfg.Pods), func(fold func(...uint64)) {
+		res.Offered, res.Completed, _, res.Timeouts = foldClients(clients, fold)
+		for p, sh := range boards {
+			throttled := sh.Tenant.EgressThrottled.Value()
+			res.ElephantSent += sent[p]
+			res.Throttled += throttled
+			fold(sent[p], throttled)
 		}
-	}
-
-	start := time.Now()
-	c.Run(cfg.Duration)
-	elapsed := time.Since(start)
-
-	res := TenancyScaleResult{
-		Workers:   c.Group.Workers(),
-		Events:    c.Fired(),
-		Crossings: c.Group.Crossings,
-		Elapsed:   elapsed,
-	}
-	h := uint64(14695981039346656037)
-	fold := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= v & 0xff
-			h *= 1099511628211
-			v >>= 8
-		}
-	}
-	for _, cl := range clients {
-		res.Offered += cl.Stats.Gets.Value() + cl.Stats.Puts.Value()
-		res.Completed += cl.Stats.Hits.Value() + cl.Stats.Misses.Value() + cl.Stats.PutAcks.Value()
-		res.Timeouts += cl.Stats.Timeouts.Value()
-		fold(cl.Digest())
-	}
-	for p := 0; p < cfg.Pods; p++ {
-		res.ElephantSent += elephantSent[p]
-		res.Throttled += elephants[p].Tenant.EgressThrottled.Value()
-		fold(elephantSent[p])
-		fold(elephants[p].Tenant.EgressThrottled.Value())
-	}
-	fold(res.Events)
-	fold(res.Crossings)
-	res.Digest = h
-
-	if cfg.Telemetry {
-		// The label omits the worker count: a parallel run's telemetry
-		// must be byte-identical to the sequential run's.
-		res.Record = obs.CollectGroup(c.Obs, "tenancy",
-			fmt.Sprintf("shardkv+elephant pods=%d", cfg.Pods), cfg.Seed)
-	}
+	})
 	return res
 }
 
 // expTenancyScale is E19c: the multi-tenant board on the sharded kernel,
 // sequentially and on all cores; identical = bit-equal digests.
 func expTenancyScale(scale Scale) *Table {
-	workers := scaleWorkers()
 	t := &Table{
-		Title: fmt.Sprintf("E19c — Multi-tenant boards on the sharded kernel (KV slot + shaped elephant slot; sequential vs %d workers)", workers),
+		Title: fmt.Sprintf("E19c — Multi-tenant boards on the sharded kernel (KV slot + shaped elephant slot; sequential vs %d workers)", scaleWorkers()),
 		Headers: []string{"pods", "offered", "completed", "timeouts", "elephant dgrams",
 			"throttled", "events", "crossings", "seq wall", "par wall", "identical"},
 	}
@@ -601,19 +488,10 @@ func expTenancyScale(scale Scale) *Table {
 	}
 	for _, p := range pods {
 		cfg := mk(p)
-		cfg.Workers = 1
-		seq := RunTenancyScalePoint(cfg)
-		cfg.Telemetry = TelemetryEnabled()
-		if cfg.Telemetry {
-			cfg.SpanLimit = 4096
-		}
-		cfg.Workers = workers
-		par := RunTenancyScalePoint(cfg)
+		seq, par := seqVsPar(&cfg.ShardedPoint, func() TenancyScaleResult { return RunTenancyScalePoint(cfg) })
 		addTelemetry("tenancy", par.Record)
 		t.AddRow(p, seq.Offered, seq.Completed, seq.Timeouts, seq.ElephantSent,
-			seq.Throttled, seq.Events, seq.Crossings,
-			seq.Elapsed.Round(time.Millisecond).String(),
-			par.Elapsed.Round(time.Millisecond).String(),
+			seq.Throttled, seq.Events, seq.Crossings, seq.wall(), par.wall(),
 			seq.Digest == par.Digest && seq.Completed == par.Completed)
 	}
 	return t
