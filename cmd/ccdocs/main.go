@@ -1,5 +1,5 @@
 // Command ccdocs is the documentation linter run by CI's docs job. It
-// enforces three repo invariants with nothing but the standard library:
+// enforces four repo invariants with nothing but the standard library:
 //
 //   - every relative markdown link in the repo's *.md files resolves to a
 //     file or directory that exists (anchors and external URLs are not
@@ -9,7 +9,9 @@
 //     section must not rot as packages are added, and
 //   - every metric, span, and event name registered in code appears in
 //     OBSERVABILITY.md and every name documented there is still
-//     registered by code (see telemetry.go for the extraction rules).
+//     registered by code (see telemetry.go for the extraction rules), and
+//   - every flag a ccexperiment command line in the docs passes is one
+//     cmd/ccexperiment defines (see flags.go).
 //
 // Usage:
 //
@@ -42,6 +44,7 @@ func main() {
 	problems = append(problems, checkMarkdownLinks(*root)...)
 	problems = append(problems, checkPackageDocs(*root)...)
 	problems = append(problems, checkTelemetryDocs(*root)...)
+	problems = append(problems, checkExperimentFlags(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {

@@ -11,7 +11,7 @@
 //	ccexperiment -exp fig6 -cpuprofile cpu.pb.gz  # profile the hot path
 //	ccexperiment -exp svclb -telemetry out.jsonl  # per-point metrics+spans
 //	ccexperiment -exp svclb -telemetry out.jsonl -trace-dump 3  # + waterfalls
-//	ccexperiment -exp scale -shards 8        # sharded-kernel scaling sweep
+//	ccexperiment -exp scale                  # sharded-kernel scaling sweep
 //	ccexperiment -exp serve                  # live HTTP frontend + load generator
 //
 // Experiments (and the sweep points inside them) are independent
@@ -43,7 +43,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables (for plotting)")
 	faults := flag.String("faults", "", "run experiments under a fault profile (see -list)")
 	lb := flag.String("lb", "", "service-level load-balancing policy for svclb/fig12 (see -list)")
-	shards := flag.Int("shards", 0, "worker goroutines for sharded-kernel runs (scale experiment); 0 = one per core")
 	seq := flag.Bool("seq", false, "run everything sequentially on one goroutine")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -69,9 +68,6 @@ func main() {
 		fail("%v", err)
 	}
 	if err := configcloud.SetDefaultLB(*lb); err != nil {
-		fail("%v", err)
-	}
-	if err := configcloud.SetShards(*shards); err != nil {
 		fail("%v", err)
 	}
 	sweep.SetSequential(*seq)

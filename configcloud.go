@@ -120,26 +120,6 @@ func SetDefaultLB(name string) error {
 // LBPolicyNames lists the built-in svclb routing policies.
 func LBPolicyNames() []string { return svclb.PolicyNames() }
 
-// defaultShards is the process-wide worker count for sharded
-// (conservative-parallel) runs — how cmd/ccexperiment's -shards flag
-// reaches the scale experiment without threading an option through.
-// Zero means "pick automatically" (one worker per core, capped at the
-// shard count).
-var defaultShards int
-
-// SetShards sets (or, with 0, clears) the process-default worker count
-// for sharded runs. Negative counts error.
-func SetShards(n int) error {
-	if n < 0 {
-		return fmt.Errorf("configcloud: shard worker count %d < 0", n)
-	}
-	defaultShards = n
-	return nil
-}
-
-// Shards returns the process-default sharded worker count (0 = auto).
-func Shards() int { return defaultShards }
-
 // Node pairs a server with its FPGA shell.
 type Node struct {
 	ID    int

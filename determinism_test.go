@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/obs"
+	"repro/internal/pkt"
 	"repro/internal/ranking"
 	"repro/internal/svclb"
 	"repro/internal/sweep"
@@ -153,16 +154,16 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 }
 
-// The sharded kernel's headline guarantee (ROADMAP: conservative-
-// lookahead PDES): the worker count changes only the wall clock. Every
-// worker count must match the single-worker run of the same partition
-// bit for bit — same behaviour digest (per-pair ping counts and RTTs,
-// event and crossing totals) and byte-identical telemetry JSONL.
+// The sharded kernel's headline guarantee (conservative-lookahead
+// PDES over a pod partition): a run is a pure function of its seed.
+// Two same-seed runs agree bit for bit — same behaviour digest
+// (per-pair ping counts and RTTs, event and crossing totals) and
+// byte-identical telemetry JSONL.
 //
-// Comparing runs within one build cannot catch a drift every worker
-// count shares, so the single-worker results are also pinned to
-// literals: the digest, and the SHA-256 of the telemetry JSONL. A change
-// to either is a behaviour change and must be deliberate.
+// Comparing runs within one build cannot catch a drift both runs share,
+// so the results are also pinned to literals: the digest, and the
+// SHA-256 of the telemetry JSONL. A change to either is a behaviour
+// change and must be deliberate.
 const (
 	pinScaleDigest      = "045264282139d999"
 	pinScaleTelemetry   = "d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"
@@ -188,19 +189,6 @@ func checkPinned(t *testing.T, label string, digest uint64, tel, wantDigest, wan
 	}
 }
 
-// raiseGOMAXPROCS lifts scheduler parallelism for one test so that
-// multi-worker shard-group runs spawn real goroutines (the group
-// clamps its pool to GOMAXPROCS) and the race detector sees them.
-func raiseGOMAXPROCS(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(0)
-	if prev >= n {
-		return
-	}
-	runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
 // encodeRecord renders one telemetry record as JSONL.
 func encodeRecord(t *testing.T, r *obs.Record) string {
 	t.Helper()
@@ -211,60 +199,98 @@ func encodeRecord(t *testing.T, r *obs.Record) string {
 	return b.String()
 }
 
+// pinnedScaleConfig is the scale point whose digest and telemetry are
+// pinned (pinScaleDigest, pinScaleTelemetry).
+func pinnedScaleConfig() ScaleConfig {
+	cfg := DefaultScaleConfig(3)
+	cfg.HostsPerTOR = 6
+	cfg.TORsPerPod = 4
+	cfg.PingsPerPair = 25
+	cfg.MeanGap = 20 * Microsecond
+	cfg.Duration = 3 * Millisecond
+	cfg.BackgroundUtil = 0.01
+	return cfg
+}
+
 func TestShardedScaleDeterminism(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
-	run := func(workers int) (ScaleResult, string) {
-		cfg := DefaultScaleConfig(3)
-		cfg.HostsPerTOR = 6
-		cfg.TORsPerPod = 4
-		cfg.PingsPerPair = 25
-		cfg.MeanGap = 20 * Microsecond
-		cfg.Duration = 3 * Millisecond
-		cfg.BackgroundUtil = 0.01
-		cfg.Workers = workers
+	run := func() (ScaleResult, string) {
+		cfg := pinnedScaleConfig()
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunScalePoint(cfg)
 		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1)
+	ref, refTel := run()
 	// Guard against a vacuous pass before comparing anything.
-	if seq.Pings == 0 {
+	if ref.Pings == 0 {
 		t.Fatal("workload completed no pings")
 	}
-	if seq.Crossings == 0 {
+	if ref.Crossings == 0 {
 		t.Fatal("workload never crossed a shard boundary")
 	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
+	if len(refTel) < 1000 {
+		t.Fatalf("telemetry suspiciously small (%d bytes)", len(refTel))
 	}
-	checkPinned(t, "scale", seq.Digest, seqTel, pinScaleDigest, pinScaleTelemetry)
-	for _, workers := range []int{2, 4} {
-		par, parTel := run(workers)
-		if par.Workers < 2 {
-			t.Fatalf("parallel run used %d workers", par.Workers)
-		}
-		if seq.Digest != par.Digest {
-			t.Errorf("workers=%d: digest diverged from sequential %016x vs %016x (pings %d vs %d, events %d vs %d)",
-				workers, seq.Digest, par.Digest, seq.Pings, par.Pings, seq.Events, par.Events)
-		}
-		if seqTel != parTel {
-			t.Errorf("workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-				workers, len(seqTel), len(parTel))
-		}
+	checkPinned(t, "scale", ref.Digest, refTel, pinScaleDigest, pinScaleTelemetry)
+	got, gotTel := run()
+	if got.Digest != ref.Digest {
+		t.Errorf("same-seed rerun diverged: digest %016x vs %016x (pings %d vs %d, events %d vs %d)",
+			got.Digest, ref.Digest, got.Pings, ref.Pings, got.Events, ref.Events)
+	}
+	if gotTel != refTel {
+		t.Errorf("same-seed rerun: telemetry JSONL diverged (%d vs %d bytes)", len(gotTel), len(refTel))
 	}
 }
 
-// The ISSUE 8 property test: random small topologies — random pod
+// A sharded run advances every shard on the caller's goroutine: no event
+// of a run may see a goroutine the run started, whatever worker count
+// NewSharded is handed. RunScalePoint likewise ignores
+// ScaleConfig.Workers, which cmd/ccperf still sets, so a 2-worker config
+// folds the pinned digest.
+func TestShardedRunStartsNoGoroutines(t *testing.T) {
+	// Give the scheduler two Ps at least, so a run that did fan out
+	// could not hide behind a single-P clamp.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	topo := netsim.DefaultConfig()
+	topo.Pods, topo.HostsPerTOR, topo.TORsPerPod = 3, 4, 2
+	c := NewSharded(Options{Seed: 5, Topology: topo}, 8)
+	c.DC.StartBackgroundLoad(0.01, pkt.ClassBestEffort, 700)
+	// One datagram from pod 0 to pod 1 crosses through the spine's shard.
+	src, far := c.DC.Host(0), topo.HostsPerTOR*topo.TORsPerPod
+	c.SimForHost(0).Schedule(0, func() {
+		src.SendUDP(netsim.HostIP(far), 4000, 4000, pkt.ClassBestEffort, []byte("cross-pod"))
+	})
+	sims := c.Group.Sims()
+	seen := make([]int, len(sims))
+	for i, s := range sims {
+		s.Schedule(Time(i+1)*10*Microsecond, func() { seen[i] = runtime.NumGoroutine() })
+	}
+	before := runtime.NumGoroutine()
+	c.Run(200 * Microsecond)
+	if c.Group.Crossings == 0 {
+		t.Fatal("run never crossed a shard boundary; test is vacuous")
+	}
+	for i, n := range seen {
+		if n != before {
+			t.Errorf("shard %d: %d goroutines inside the run, %d before it", i, n, before)
+		}
+	}
+
+	cfg := pinnedScaleConfig()
+	cfg.Workers = 2
+	checkPinned(t, "scale workers=2", RunScalePoint(cfg).Digest, "", pinScaleDigest, "")
+}
+
+// Property test: random small topologies — random pod
 // counts, random L1<->L2 cable delays and per-pod spreads, random
-// cross-traffic — run sequentially and at 2/4/8 workers. Every run must
-// produce the same digest and byte-identical telemetry JSONL as the
-// sequential reference.
+// cross-traffic — each run twice. The rerun must produce the same
+// digest and byte-identical telemetry JSONL.
 func TestShardEngineRandomTopologyProperty(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs 4 sharded clouds per trial")
+		t.Skip("runs 2 sharded clouds per trial")
 	}
-	raiseGOMAXPROCS(t, 8)
 	rng := rand.New(rand.NewSource(816))
 	for trial := 0; trial < 3; trial++ {
 		cfg := DefaultScaleConfig(1 + rng.Intn(4))
@@ -284,97 +310,80 @@ func TestShardEngineRandomTopologyProperty(t *testing.T) {
 		label := fmt.Sprintf("trial=%d pods=%d hosts/tor=%d prop=%d spread=%d",
 			trial, cfg.Pods, cfg.HostsPerTOR, cfg.L1UplinkProp, cfg.L2CableSpread)
 
-		run := func(workers int) (ScaleResult, string) {
-			c := cfg
-			c.Workers = workers
-			res := RunScalePoint(c)
+		run := func() (ScaleResult, string) {
+			res := RunScalePoint(cfg)
 			return res, encodeRecord(t, res.Record)
 		}
-		ref, refTel := run(1)
+		ref, refTel := run()
 		if ref.Pings == 0 || ref.Crossings == 0 {
 			t.Fatalf("%s: vacuous workload (pings=%d crossings=%d)", label, ref.Pings, ref.Crossings)
 		}
-		for _, workers := range []int{2, 4, 8} {
-			got, gotTel := run(workers)
-			if got.Digest != ref.Digest {
-				t.Errorf("%s: workers=%d digest %016x, sequential %016x",
-					label, workers, got.Digest, ref.Digest)
-			}
-			if gotTel != refTel {
-				t.Errorf("%s: workers=%d telemetry diverged (%d vs %d bytes)",
-					label, workers, len(gotTel), len(refTel))
-			}
+		got, gotTel := run()
+		if got.Digest != ref.Digest {
+			t.Errorf("%s: rerun digest %016x, first run %016x", label, got.Digest, ref.Digest)
+		}
+		if gotTel != refTel {
+			t.Errorf("%s: rerun telemetry diverged (%d vs %d bytes)", label, len(gotTel), len(refTel))
 		}
 	}
 }
 
-// The KV service inherits the sharded kernel's guarantee: running the
-// same KV workload (clients, shards, and closed-loop request chains
-// spread across pods) on one worker or many must agree bit for bit —
-// same completion-stream digest and byte-identical telemetry JSONL.
-// This is E18's "seq-vs-sharded digest determinism" acceptance check.
+// The KV service inherits the sharded kernel's guarantee: the same KV
+// workload (clients, shards, and closed-loop request chains spread
+// across pods) run twice must agree bit for bit — same completion-stream
+// digest and byte-identical telemetry JSONL.
 func TestNetsvcScaleDeterminism(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
-	base := func(workers int) NetsvcScaleConfig {
+	base := func() NetsvcScaleConfig {
 		cfg := DefaultNetsvcScaleConfig(3)
 		cfg.HostsPerTOR = 6
 		cfg.TORsPerPod = 4
 		cfg.RequestsPerClient = 50
 		cfg.Duration = 6 * Millisecond
-		cfg.Workers = workers
 		return cfg
 	}
-	run := func(workers int) (NetsvcScaleResult, string) {
-		cfg := base(workers)
+	run := func() (NetsvcScaleResult, string) {
+		cfg := base()
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunNetsvcScalePoint(cfg)
 		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1)
-	if seq.Completed == 0 {
+	ref, refTel := run()
+	if ref.Completed == 0 {
 		t.Fatal("workload completed no KV requests")
 	}
-	if seq.Crossings == 0 {
+	if ref.Crossings == 0 {
 		t.Fatal("workload never crossed a shard boundary")
 	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
+	if len(refTel) < 1000 {
+		t.Fatalf("telemetry suspiciously small (%d bytes)", len(refTel))
 	}
-	checkPinned(t, "netsvc", seq.Digest, seqTel, pinNetsvcDigest, pinNetsvcTelemetry)
-	par, parTel := run(4)
-	if par.Workers < 2 {
-		t.Fatalf("parallel run used %d workers", par.Workers)
+	checkPinned(t, "netsvc", ref.Digest, refTel, pinNetsvcDigest, pinNetsvcTelemetry)
+	got, gotTel := run()
+	if got.Digest != ref.Digest {
+		t.Errorf("same-seed rerun diverged: digest %016x vs %016x (completed %d vs %d, events %d vs %d)",
+			got.Digest, ref.Digest, got.Completed, ref.Completed, got.Events, ref.Events)
 	}
-	if seq.Digest != par.Digest {
-		t.Errorf("digest diverged: sequential %016x, parallel %016x (completed %d vs %d, events %d vs %d)",
-			seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
-	}
-	if seqTel != parTel {
-		t.Errorf("telemetry JSONL diverged between worker counts (%d vs %d bytes)",
-			len(seqTel), len(parTel))
+	if gotTel != refTel {
+		t.Errorf("same-seed rerun: telemetry JSONL diverged (%d vs %d bytes)", len(gotTel), len(refTel))
 	}
 
-	// Multi-get coalescing must be exactly as worker-count-independent as
-	// the base service: its digest is pinned and compared across 1/2/4/8
-	// workers.
-	var ref NetsvcScaleResult
-	for i, workers := range []int{1, 2, 4, 8} {
-		cfg := base(workers)
+	// Multi-get coalescing replays exactly like the base service: its
+	// digest is pinned and rerun.
+	mget := func() NetsvcScaleResult {
+		cfg := base()
 		cfg.MGetBatch = 4
 		res := RunNetsvcScalePoint(cfg)
 		if res.Completed == 0 {
-			t.Fatalf("mget4: no completions at workers=%d", workers)
+			t.Fatal("mget4: no completions")
 		}
-		if i == 0 {
-			checkPinned(t, "netsvc mget4", res.Digest, "", pinNetsvcMGet4, "")
-			ref = res
-			continue
-		}
-		if res.Digest != ref.Digest || res.Completed != ref.Completed {
-			t.Errorf("mget4: workers=%d diverged: digest %016x vs %016x (completed %d vs %d)",
-				workers, res.Digest, ref.Digest, res.Completed, ref.Completed)
-		}
+		return res
+	}
+	first := mget()
+	checkPinned(t, "netsvc mget4", first.Digest, "", pinNetsvcMGet4, "")
+	if again := mget(); again.Digest != first.Digest || again.Completed != first.Completed {
+		t.Errorf("mget4: rerun diverged: digest %016x vs %016x (completed %d vs %d)",
+			again.Digest, first.Digest, again.Completed, first.Completed)
 	}
 }
 
@@ -388,7 +397,6 @@ func TestNetsvcScaleMGetClamp(t *testing.T) {
 		cfg.TORsPerPod = 4
 		cfg.RequestsPerClient = 100
 		cfg.Duration = 6 * Millisecond
-		cfg.Workers = 1
 		cfg.MGetBatch = batch
 		return RunNetsvcScalePoint(cfg)
 	}
@@ -411,7 +419,6 @@ func TestShardedPointsZeroMeanGap(t *testing.T) {
 	scfg.PingsPerPair = 20
 	scfg.MeanGap = 0
 	scfg.Duration = 3 * Millisecond
-	scfg.Workers = 1
 	sr := RunScalePoint(scfg)
 	if want := uint64(scfg.Pods * (scfg.IntraPairsPerPod + scfg.CrossPairsPerPod) * scfg.PingsPerPair); sr.Pings != want {
 		t.Errorf("scale: %d pings completed, want %d", sr.Pings, want)
@@ -423,7 +430,6 @@ func TestShardedPointsZeroMeanGap(t *testing.T) {
 	ncfg.RequestsPerClient = 40
 	ncfg.MeanGap = 0
 	ncfg.Duration = 6 * Millisecond
-	ncfg.Workers = 1
 	nr := RunNetsvcScalePoint(ncfg)
 	if want := uint64(ncfg.Pods * ncfg.ClientsPerPod * ncfg.RequestsPerClient); nr.Completed != want || nr.Offered != want {
 		t.Errorf("netsvc: %d offered, %d completed, want %d", nr.Offered, nr.Completed, want)
@@ -447,52 +453,43 @@ func TestTenancyTableDeterminism(t *testing.T) {
 
 // The E19 acceptance check: the multi-tenant board — KV shard slot plus
 // a shaped elephant slot, both loaded by partial reconfiguration — runs
-// on the sharded kernel with the same guarantee as every other workload:
-// the worker count changes only the wall clock. Same digest (client
-// completion streams + elephant send/throttle totals) and byte-identical
-// telemetry JSONL across 1/2/4 workers.
+// on the sharded kernel with the same guarantee as every other workload.
+// A same-seed rerun gives the same digest (client completion streams +
+// elephant send/throttle totals) and byte-identical telemetry JSONL.
 func TestTenancyScaleDeterminism(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
-	run := func(workers int) (TenancyScaleResult, string) {
+	run := func() (TenancyScaleResult, string) {
 		cfg := DefaultTenancyScaleConfig(3)
 		cfg.HostsPerTOR = 6
 		cfg.TORsPerPod = 4
 		cfg.RequestsPerClient = 30
 		cfg.Duration = 16 * Millisecond
-		cfg.Workers = workers
 		cfg.Telemetry = true
 		cfg.SpanLimit = 3000
 		res := RunTenancyScalePoint(cfg)
 		return res, encodeRecord(t, res.Record)
 	}
-	seq, seqTel := run(1)
-	if seq.Completed == 0 {
+	ref, refTel := run()
+	if ref.Completed == 0 {
 		t.Fatal("workload completed no KV requests")
 	}
-	if seq.Crossings == 0 {
+	if ref.Crossings == 0 {
 		t.Fatal("workload never crossed a shard boundary")
 	}
-	if seq.ElephantSent == 0 || seq.Throttled == 0 {
+	if ref.ElephantSent == 0 || ref.Throttled == 0 {
 		t.Fatalf("elephant tenants idle (sent=%d throttled=%d): the point is not multi-tenant",
-			seq.ElephantSent, seq.Throttled)
+			ref.ElephantSent, ref.Throttled)
 	}
-	if len(seqTel) < 1000 {
-		t.Fatalf("telemetry suspiciously small (%d bytes)", len(seqTel))
+	if len(refTel) < 1000 {
+		t.Fatalf("telemetry suspiciously small (%d bytes)", len(refTel))
 	}
-	checkPinned(t, "tenancy", seq.Digest, seqTel, pinTenancyDigest, pinTenancyTelemetry)
-	for _, workers := range []int{2, 4} {
-		par, parTel := run(workers)
-		if par.Workers < 2 {
-			t.Fatalf("parallel run used %d workers", par.Workers)
-		}
-		if seq.Digest != par.Digest {
-			t.Errorf("workers=%d: digest diverged %016x vs %016x (completed %d vs %d, events %d vs %d)",
-				workers, seq.Digest, par.Digest, seq.Completed, par.Completed, seq.Events, par.Events)
-		}
-		if seqTel != parTel {
-			t.Errorf("workers=%d: telemetry JSONL diverged (%d vs %d bytes)",
-				workers, len(seqTel), len(parTel))
-		}
+	checkPinned(t, "tenancy", ref.Digest, refTel, pinTenancyDigest, pinTenancyTelemetry)
+	got, gotTel := run()
+	if got.Digest != ref.Digest {
+		t.Errorf("same-seed rerun diverged: digest %016x vs %016x (completed %d vs %d, events %d vs %d)",
+			got.Digest, ref.Digest, got.Completed, ref.Completed, got.Events, ref.Events)
+	}
+	if gotTel != refTel {
+		t.Errorf("same-seed rerun: telemetry JSONL diverged (%d vs %d bytes)", len(gotTel), len(refTel))
 	}
 }
 

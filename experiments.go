@@ -91,8 +91,8 @@ var experiments = []experimentDef{
 		func(scale Scale) ([]*Table, error) { return ExpFaults(scale), nil }},
 	{"svclb", "SM as an informed load balancer (Sec. V-F ext)",
 		func(scale Scale) ([]*Table, error) { return []*Table{ExpSvcLB(scale)}, nil }},
-	{"scale", "E16: sharded-kernel scaling, sequential vs parallel",
-		func(scale Scale) ([]*Table, error) { return []*Table{ExpScale(scale), ExpScaleCurve(scale)}, nil }},
+	{"scale", "E16: sharded-kernel scaling to 250k hosts",
+		func(scale Scale) ([]*Table, error) { return []*Table{ExpScale(scale)}, nil }},
 	{"serve", "E17: live HTTP frontend + open-loop load generator",
 		func(scale Scale) ([]*Table, error) { return []*Table{ExpServe(scale)}, nil }},
 	{"netsvc", "E18: on-fabric network services — line-rate KV cache + RPC NIC offload",

@@ -112,7 +112,7 @@ type Datacenter struct {
 	Sim *sim.Simulation
 	cfg Config
 
-	// group partitions the fabric for conservative-parallel execution:
+	// group partitions the fabric for conservative execution:
 	// the L2 spine on shard 0, pod p on shard p+1. nil for the ordinary
 	// single-wheel datacenter.
 	group *shard.Group
@@ -141,10 +141,10 @@ func NewDatacenter(s *sim.Simulation, cfg Config) *Datacenter {
 }
 
 // NewShardedDatacenter builds a datacenter partitioned across g for
-// conservative-parallel execution: the L2 spine lives on shard 0 and
-// pod p on shard p+1, so g must have exactly cfg.Pods+1 shards. The
-// partition is part of the model — results depend on the shard count
-// and assignment (they fix RNG streams) but never on g's worker count.
+// conservative execution: the L2 spine lives on shard 0 and pod p on
+// shard p+1, so g must have exactly cfg.Pods+1 shards. The partition is
+// part of the model — results depend on the shard count and assignment,
+// which fix the RNG streams and the cross-shard merge order.
 // The pod <-> spine cables are the only cross-shard edges, so their
 // minimum propagation delay (cfg.L1Uplink.Prop, before the per-pod
 // cable spread, which only adds) is the group lookahead; it must be

@@ -14,9 +14,9 @@ import (
 // per-switch noise streams) and returns every delivery event in host-id
 // order. Each host's log is appended only by its own shard, so the
 // harness itself is race-free.
-func runShardedFabric(workers int) ([]string, *Datacenter) {
+func runShardedFabric() ([]string, *Datacenter) {
 	cfg := smallConfig()
-	g := shard.NewGroup(77, cfg.Pods+1, workers)
+	g := shard.NewGroup(77, cfg.Pods+1)
 	dc := NewShardedDatacenter(g, cfg)
 	perPod := cfg.HostsPerTOR * cfg.TORsPerPod
 	n := 2 * perPod
@@ -49,38 +49,39 @@ func runShardedFabric(workers int) ([]string, *Datacenter) {
 
 const msFabric = 1000000 // 1 ms in sim.Time ns
 
-func TestShardedFabricParallelMatchesSequential(t *testing.T) {
-	seqLog, seqDC := runShardedFabric(1)
-	if len(seqLog) == 0 {
+// A sharded fabric run is a pure function of its seed: two runs agree
+// on every delivery, the event and crossing totals, and the frames each
+// spine port saw.
+func TestShardedFabricReplaysIdentically(t *testing.T) {
+	refLog, refDC := runShardedFabric()
+	if len(refLog) == 0 {
 		t.Fatal("no datagrams delivered; workload is vacuous")
 	}
-	if seqDC.Group().Crossings == 0 {
+	if refDC.Group().Crossings == 0 {
 		t.Fatal("no cross-shard traffic; workload is vacuous")
 	}
-	for _, workers := range []int{2, 4} {
-		parLog, parDC := runShardedFabric(workers)
-		if !reflect.DeepEqual(seqLog, parLog) {
-			t.Fatalf("workers=%d: delivery log diverged (%d vs %d entries)", workers, len(parLog), len(seqLog))
-		}
-		if a, b := seqDC.Group().Fired(), parDC.Group().Fired(); a != b {
-			t.Fatalf("workers=%d: fired %d events, sequential %d", workers, b, a)
-		}
-		if a, b := seqDC.Group().Crossings, parDC.Group().Crossings; a != b {
-			t.Fatalf("workers=%d: %d crossings, sequential %d", workers, b, a)
-		}
-		for pod := 0; pod < seqDC.Config().Pods; pod++ {
-			a := seqDC.L2().Port(pod).Stats.RxFrames.Value()
-			b := parDC.L2().Port(pod).Stats.RxFrames.Value()
-			if a != b {
-				t.Fatalf("workers=%d: L2 port %d saw %d frames, sequential %d", workers, pod, b, a)
-			}
+	gotLog, gotDC := runShardedFabric()
+	if !reflect.DeepEqual(refLog, gotLog) {
+		t.Fatalf("delivery log diverged (%d vs %d entries)", len(gotLog), len(refLog))
+	}
+	if a, b := refDC.Group().Fired(), gotDC.Group().Fired(); a != b {
+		t.Fatalf("fired %d events, first run %d", b, a)
+	}
+	if a, b := refDC.Group().Crossings, gotDC.Group().Crossings; a != b {
+		t.Fatalf("%d crossings, first run %d", b, a)
+	}
+	for pod := 0; pod < refDC.Config().Pods; pod++ {
+		a := refDC.L2().Port(pod).Stats.RxFrames.Value()
+		b := gotDC.L2().Port(pod).Stats.RxFrames.Value()
+		if a != b {
+			t.Fatalf("L2 port %d saw %d frames, first run %d", pod, b, a)
 		}
 	}
 }
 
 func TestShardedDatacenterShape(t *testing.T) {
 	cfg := smallConfig()
-	g := shard.NewGroup(1, cfg.Pods+1, 2)
+	g := shard.NewGroup(1, cfg.Pods+1)
 	dc := NewShardedDatacenter(g, cfg)
 	if dc.Sim != g.Sim(0) {
 		t.Fatal("spine simulation is not shard 0")
@@ -116,5 +117,5 @@ func TestShardedDatacenterWrongGroupSizePanics(t *testing.T) {
 			t.Fatal("mismatched shard count did not panic")
 		}
 	}()
-	NewShardedDatacenter(shard.NewGroup(1, 2, 1), smallConfig()) // needs 3
+	NewShardedDatacenter(shard.NewGroup(1, 2), smallConfig()) // needs 3
 }

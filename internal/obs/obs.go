@@ -71,14 +71,10 @@ func Enable(s *sim.Simulation) *Context {
 }
 
 // EnableGroup enables observability across the shards of one logical
-// (conservative-parallel) simulation: each shard gets its own Tracer —
-// spans are appended by the shard's goroutine during parallel windows,
-// so the log must be shard-private — while all shards share a single
-// Registry. The shared registry is safe because metric registration
-// happens at single-threaded construction time and each registered
-// counter/histogram is mutated only by the shard that owns its
-// component. Returns one Context per simulation, in shard order; merge
-// the results after a run with CollectGroup.
+// (pod-sharded) simulation: each shard gets its own Tracer, so a span
+// log holds exactly the spans its shard's components opened, while all
+// shards share a single Registry. Returns one Context per simulation,
+// in shard order; merge the results after a run with CollectGroup.
 func EnableGroup(sims []*sim.Simulation) []*Context {
 	reg := NewRegistry()
 	ctxs := make([]*Context, len(sims))
@@ -231,7 +227,7 @@ type entry struct {
 	// kernel's park times and scheduler step counts): real diagnostics,
 	// but not pure functions of the seed. They are excluded from
 	// Snapshot — and therefore from telemetry, which must stay
-	// byte-identical across worker counts — and read via
+	// byte-identical across same-seed runs — and read via
 	// RuntimeSnapshot instead.
 	runtime  bool
 	counters []*metrics.Counter

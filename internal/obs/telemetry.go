@@ -42,10 +42,9 @@ func Collect(c *Context, experiment, point string) *Record {
 // sharded run (see EnableGroup): the shared registry is snapshotted
 // once, and span logs concatenate in shard order with IDs (and parent
 // references) rebased so they stay unique within the merged log. seed
-// is the group seed the shard streams were derived from. Every shard's
-// span log is independent of the worker count, so the merged record —
-// like the single-simulation one — encodes byte-identically across
-// same-seed runs.
+// is the group seed the shard streams were derived from. The merged
+// record — like the single-simulation one — encodes byte-identically
+// across same-seed runs.
 func CollectGroup(ctxs []*Context, experiment, point string, seed int64) *Record {
 	if len(ctxs) == 0 {
 		return nil

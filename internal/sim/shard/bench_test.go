@@ -13,7 +13,7 @@ import (
 // per-event floor).
 func benchGroup() (*Group, sim.Time) {
 	const look = sim.Time(500)
-	g := NewGroup(1, 4, 2)
+	g := NewGroup(1, 4)
 	g.SetLookahead(look)
 	for i := 0; i < g.N(); i++ {
 		s := g.Sim(i)

@@ -1,39 +1,31 @@
 // Package shard runs a set of sim.Simulation instances as one logical
-// simulation using conservative parallel discrete-event simulation
+// simulation using conservative discrete-event simulation
 // (Chandy–Misra–Bryant-style lookahead). The model is partitioned at
 // construction time into shards — in the datacenter topology, the L2
 // spine is shard 0 and each pod is its own shard — and events that
 // cross a shard boundary travel through per-directed-pair Outboxes
 // (channels) instead of being scheduled directly.
 //
-// Execution is barrier-synchronous: each round the coordinator
-// computes the earliest pending event time T across all shards and lets
-// every shard with work execute events in [T, T+lookahead-1]
-// concurrently, where lookahead is the minimum virtual latency of any
-// cross-shard edge. A message sent inside the window therefore always
-// lands beyond it.
+// Execution is barrier-synchronous on the caller's goroutine: each
+// round finds the earliest pending event time T across all shards and
+// advances every shard with work through [T, T+lookahead-1], where
+// lookahead is the minimum virtual latency of any cross-shard edge. A
+// message sent inside the window therefore always lands beyond it.
 //
 // Cross-shard messages are consumed with one canonical interleave: per
 // destination, the wheel is advanced in bulk to just before the
 // earliest pending in-message (ordered by arrival time, then source
 // shard, then source sequence), which is then inserted and overtaken.
 // The resulting event order is a pure function of the model — (time,
-// shard, seq) — and never of where a window happened to end, so a run
-// with W workers is bit-identical to the same partition run
-// sequentially.
+// shard, seq) — and never of where a window happened to end.
 //
-// Determinism contract: the partition is part of the model, not of the
-// execution. Varying the worker count never changes results; varying
-// the partition (a different shard count or assignment) is a different
-// model with different RNG streams, exactly like changing a topology
-// parameter.
+// The partition is part of the model: it fixes each shard's RNG stream
+// and the merge order, so a different shard count or assignment is a
+// different model, exactly like changing a topology parameter.
 package shard
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -62,38 +54,24 @@ func msgLess(a, b xmsg) bool {
 // starts). Obtain outboxes during model construction via Group.Outbox —
 // never while the group is running.
 //
-// Internally the outbox is three single-owner regions plus a locked
-// handoff: buf is staged by the source shard's goroutine during its
-// window; msgs is the mutex-guarded handoff the source flushes into;
-// heap/drainBuf belong to the destination shard's goroutine. All
-// buffers are reused run to run, so steady-state traffic allocates
-// nothing.
+// Sends are staged in buf; at the top of every round the group moves
+// them into heap, the destination's merge queue. Both buffers are
+// reused run to run, so steady-state traffic allocates nothing.
 type Outbox struct {
 	g        *Group
 	src, dst int32
 
-	// Producer side (source shard's goroutine only).
-	seq uint64
-	buf []xmsg
-
-	// Handoff, guarded by mu. news is the producer's "handoff changed"
-	// flag: drain skips the mutex entirely while it is clear, which is
-	// what keeps a hub shard (the spine has one channel pair per pod)
-	// from paying a lock pair per channel per round.
-	news atomic.Uint32
-	mu   sync.Mutex
-	msgs []xmsg
-
-	// Consumer side (destination shard's goroutine only).
-	heap     []xmsg // min-heap by (at, seq)
-	drainBuf []xmsg // swap buffer exchanged with msgs at drain
-	merged   uint64 // messages consumed; deterministic
+	seq    uint64
+	buf    []xmsg // staged by the source shard this round
+	heap   []xmsg // min-heap by (at, seq), merged by the destination
+	merged uint64 // messages consumed; deterministic
 }
 
 // Send schedules fn(arg) on the destination shard after delay, measured
 // from the source shard's clock. delay must be at least the group
-// lookahead: that is the safety condition that lets shards advance
-// concurrently, so a smaller delay is a partitioning bug and panics.
+// lookahead: that is the safety condition that lets a shard run a whole
+// window without missing a message sent during it, so a smaller delay
+// is a partitioning bug and panics.
 func (o *Outbox) Send(delay sim.Time, fn func(any), arg any) {
 	if l := o.g.lookahead; delay < l {
 		panic(fmt.Sprintf("shard: cross-shard delay %d < lookahead %d (shard %d -> %d)",
@@ -108,7 +86,7 @@ func (o *Outbox) Send(delay sim.Time, fn func(any), arg any) {
 	o.seq++
 }
 
-// pushMsg adds m to the consumer-side heap.
+// pushMsg adds m to the merge heap.
 func (o *Outbox) pushMsg(m xmsg) {
 	h := append(o.heap, m)
 	i := len(h) - 1
@@ -154,8 +132,7 @@ func (o *Outbox) popMsg() xmsg {
 
 // shardState is the per-shard scheduler block.
 type shardState struct {
-	ins  []*Outbox // in-channels, sorted by source shard
-	outs []*Outbox // out-channels, in creation order
+	ins []*Outbox // in-channels, sorted by source shard
 
 	hp    []*Outbox // channel tournament heap scratch
 	next  sim.Time  // earliest pending time at the current round
@@ -171,34 +148,14 @@ type ShardStats struct {
 // Group is a fixed set of shards advanced together under a common
 // virtual clock. Construct the model across the shards' simulations,
 // register every cross-shard edge with Outbox, set the group lookahead,
-// and drive the whole thing with Run/RunUntil/RunFor from one
-// goroutine.
+// and drive the whole thing with Run/RunUntil/RunFor.
 type Group struct {
-	seed      int64
 	lookahead sim.Time
-	workers   int
 	shards    []*sim.Simulation
 	outboxes  []*Outbox // creation order
 	byPair    map[[2]int32]*Outbox
 	states    []shardState
 	running   bool
-
-	// Round dispatch. runq is the stack of shards still to advance this
-	// round; windowEnd is the round bound (written by the coordinator
-	// before the round's enqueue, so the queue mutex orders it against
-	// worker reads).
-	qmu       sync.Mutex
-	qcond     sync.Cond
-	runq      []int32
-	stop      bool
-	windowEnd sim.Time
-	roundWG   sync.WaitGroup
-	workerWG  sync.WaitGroup // spawned workers, joined at run end
-	// single is set per run when only one goroutine will advance shards
-	// (workers or GOMAXPROCS is 1): handoff mutexes are skipped, since
-	// every producer and the sole consumer share one goroutine. Written
-	// before workers could exist, constant all run.
-	single bool
 
 	// Observability, bound lazily at the first RunUntil (EnableGroup
 	// runs after NewGroup).
@@ -214,7 +171,7 @@ type Group struct {
 }
 
 // splitmix64 is the shard seed derivation: shard i of a group seeded S
-// always gets the same RNG stream, regardless of worker count.
+// always gets the same RNG stream.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
@@ -223,22 +180,15 @@ func splitmix64(x uint64) uint64 {
 }
 
 // NewGroup creates n shards seeded deterministically from seed.
-// workers caps the goroutines advancing shards; values < 1 (and any
-// value for a single-shard group) mean "one", which executes the whole
-// schedule inline — the degenerate sequential mode every parallel run
-// is compared against.
-func NewGroup(seed int64, n, workers int) *Group {
+func NewGroup(seed int64, n int) *Group {
 	if n < 1 {
 		panic("shard: group needs at least one shard")
 	}
 	g := &Group{
-		seed:    seed,
-		workers: workers,
-		shards:  make([]*sim.Simulation, n),
-		byPair:  make(map[[2]int32]*Outbox),
-		states:  make([]shardState, n),
+		shards: make([]*sim.Simulation, n),
+		byPair: make(map[[2]int32]*Outbox),
+		states: make([]shardState, n),
 	}
-	g.qcond.L = &g.qmu
 	for i := range g.shards {
 		g.shards[i] = sim.New(int64(splitmix64(uint64(seed) + uint64(i))))
 	}
@@ -247,20 +197,6 @@ func NewGroup(seed int64, n, workers int) *Group {
 
 // N returns the number of shards.
 func (g *Group) N() int { return len(g.shards) }
-
-// Workers returns the effective worker count.
-func (g *Group) Workers() int {
-	if g.workers < 1 || len(g.shards) == 1 {
-		return 1
-	}
-	if g.workers > len(g.shards) {
-		return len(g.shards)
-	}
-	return g.workers
-}
-
-// Seed returns the group seed shard streams were derived from.
-func (g *Group) Seed() int64 { return g.seed }
 
 // Sim returns shard i's simulation, for constructing model components
 // on it.
@@ -302,7 +238,6 @@ func (g *Group) Outbox(src, dst int) *Outbox {
 	o := &Outbox{g: g, src: int32(src), dst: int32(dst)}
 	g.byPair[key] = o
 	g.outboxes = append(g.outboxes, o)
-	g.states[src].outs = append(g.states[src].outs, o)
 	// Keep in-channels sorted by source shard: the tournament heap
 	// breaks arrival-time ties by source, and a sorted base makes the
 	// scan order deterministic too.
@@ -364,8 +299,7 @@ func (g *Group) bindObs() {
 }
 
 // publishMerged folds this run's merge count into Crossings and the
-// telemetry-visible shard.merged counter. Runs single-threaded after
-// the workers have joined.
+// telemetry-visible shard.merged counter.
 func (g *Group) publishMerged() {
 	var merged uint64
 	for _, o := range g.outboxes {
@@ -402,59 +336,12 @@ func (g *Group) RunUntil(deadline sim.Time) {
 // RunFor advances the group clock by d from its current rest point.
 func (g *Group) RunFor(d sim.Time) { g.RunUntil(g.Now() + d) }
 
-// seedChannels moves construction-time (or previous-run) producer
-// buffers into the locked handoffs. Called single-threaded before
-// workers start.
-func (g *Group) seedChannels() {
-	for _, o := range g.outboxes {
-		if len(o.buf) > 0 {
-			o.msgs = append(o.msgs, o.buf...)
-			for i := range o.buf {
-				o.buf[i] = xmsg{}
-			}
-			o.buf = o.buf[:0]
-		}
-		if len(o.msgs) > 0 {
-			o.news.Store(1)
-		}
-	}
-}
-
-// drain moves flushed messages from shard j's in-channel handoffs into
-// its consumer heaps. Runs on the goroutine currently owning shard j.
-func (g *Group) drain(j int) {
-	for _, c := range g.states[j].ins {
-		if c.news.Load() == 0 {
-			continue
-		}
-		c.news.Store(0)
-		if !g.single {
-			c.mu.Lock()
-		}
-		taken := c.msgs
-		if len(taken) > 0 {
-			c.msgs = c.drainBuf[:0]
-		}
-		if !g.single {
-			c.mu.Unlock()
-		}
-		if len(taken) > 0 {
-			for i := range taken {
-				c.pushMsg(taken[i])
-				taken[i] = xmsg{}
-			}
-			c.drainBuf = taken[:0]
-		}
-	}
-}
-
 // advance is the canonical merge-execute loop: run shard j's wheel and
 // its pending in-messages in (time, source shard, source sequence)
 // order up to and including limit, leaving the wheel clock at limit.
 // The interleave is pause-point-independent — the sequence of wheel
 // operations depends only on the model's event and message times, never
-// on where a window boundary fell — so every worker count produces the
-// identical wheel history.
+// on where a window boundary fell.
 func (g *Group) advance(j int, limit sim.Time) {
 	st := &g.states[j]
 	s := g.shards[j]
@@ -524,61 +411,25 @@ func (g *Group) advance(j int, limit sim.Time) {
 	st.limit = limit
 }
 
-// workerLoop advances queued shards to the current window end until the
-// run stops. The coordinator does not run it; it helps drain the queue
-// inline each round instead.
-func (g *Group) workerLoop() {
-	defer g.workerWG.Done()
-	for {
-		g.qmu.Lock()
-		for len(g.runq) == 0 && !g.stop {
-			g.qcond.Wait()
+// collect moves every outbox's staged sends into its destination heap.
+// It runs at the top of each round, so the window computation sees
+// every send, including those staged before the run.
+func (g *Group) collect() {
+	for _, o := range g.outboxes {
+		for i, m := range o.buf {
+			o.pushMsg(m)
+			o.buf[i] = xmsg{}
 		}
-		if g.stop {
-			g.qmu.Unlock()
-			return
-		}
-		j := g.runq[len(g.runq)-1]
-		g.runq = g.runq[:len(g.runq)-1]
-		g.qmu.Unlock()
-		g.advance(int(j), g.windowEnd)
-		g.flushBuffersOf(int(j))
-		g.roundWG.Done()
+		o.buf = o.buf[:0]
 	}
-}
-
-// spawnWorkers is the goroutine count actually used for a run: the
-// configured worker cap, clamped to GOMAXPROCS. Workers beyond the
-// processor count cannot add parallelism — results are identical at
-// every worker count by construction — but they do add futex ping-pong
-// on every round, so a single-core box runs every window on the
-// coordinator alone.
-func (g *Group) spawnWorkers() int {
-	w := g.Workers()
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	return w
 }
 
 // run executes lockstep windows of one lookahead each until no event at
 // or before deadline remains anywhere in the group.
 func (g *Group) run(deadline sim.Time) {
-	g.seedChannels()
-	w := g.spawnWorkers()
-	g.stop = false
-	g.single = w == 1
-	g.runq = g.runq[:0]
-	g.workerWG.Add(w - 1)
-	for k := 0; k < w-1; k++ {
-		go g.workerLoop()
-	}
 	for {
-		// Single-threaded between rounds: drain handoffs and find the
-		// earliest pending event across wheels and heaps.
-		for j := range g.states {
-			g.drain(j)
-		}
+		g.collect()
+		// Find the earliest pending event across wheels and heaps.
 		tmin := maxTime
 		for j := range g.states {
 			t, ok := g.shards[j].NextEventTime()
@@ -604,74 +455,11 @@ func (g *Group) run(deadline sim.Time) {
 		if end > deadline {
 			end = deadline
 		}
-		g.windowEnd = end
-		nbusy := 0
 		for j := range g.states {
 			if g.states[j].next <= end {
-				nbusy++
+				g.advance(j, end)
 			}
-		}
-		if w == 1 || nbusy == 1 {
-			for j := range g.states {
-				if g.states[j].next <= end {
-					g.advance(j, end)
-					g.flushBuffersOf(j)
-				}
-			}
-		} else {
-			g.roundWG.Add(nbusy)
-			g.qmu.Lock()
-			for j := range g.states {
-				if g.states[j].next <= end {
-					g.runq = append(g.runq, int32(j))
-				}
-			}
-			g.qmu.Unlock()
-			g.qcond.Broadcast()
-			// The coordinator helps until the queue empties, then waits
-			// for stragglers.
-			for {
-				g.qmu.Lock()
-				if len(g.runq) == 0 {
-					g.qmu.Unlock()
-					break
-				}
-				j := g.runq[len(g.runq)-1]
-				g.runq = g.runq[:len(g.runq)-1]
-				g.qmu.Unlock()
-				g.advance(int(j), end)
-				g.flushBuffersOf(int(j))
-				g.roundWG.Done()
-			}
-			g.roundWG.Wait()
 		}
 		g.Rounds++
-	}
-	g.qmu.Lock()
-	g.stop = true
-	g.qmu.Unlock()
-	g.qcond.Broadcast()
-	g.workerWG.Wait()
-}
-
-// flushBuffersOf moves shard j's staged out-messages into their
-// handoffs, where the next round's drain picks them up.
-func (g *Group) flushBuffersOf(j int) {
-	for _, c := range g.states[j].outs {
-		if len(c.buf) == 0 {
-			continue
-		}
-		if !g.single {
-			c.mu.Lock()
-		}
-		c.msgs = append(c.msgs, c.buf...)
-		if !g.single {
-			c.mu.Unlock()
-		}
-		c.news.Store(1)
-		for i := range c.buf {
-			c.buf[i] = xmsg{}
-		}
-		c.buf = c.buf[:0]
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"repro/internal/obs"
@@ -33,8 +32,8 @@ type ringNode struct {
 
 const ringLookahead = sim.Time(100)
 
-func buildRing(seed int64, n, workers int) *ringModel {
-	g := shard.NewGroup(seed, n, workers)
+func buildRing(seed int64, n int) *ringModel {
+	g := shard.NewGroup(seed, n)
 	g.SetLookahead(ringLookahead)
 	m := &ringModel{g: g, logs: make([][]string, n)}
 	for i := 0; i < n; i++ {
@@ -75,60 +74,42 @@ func (nd *ringNode) token(hop int) {
 	nd.out.Send(delay, func(arg any) { nd.m.nodes[(nd.id+1)%len(nd.m.nodes)].token(arg.(int) + 1) }, hop)
 }
 
-func runRing(seed int64, n, workers int, until sim.Time) *ringModel {
-	m := buildRing(seed, n, workers)
+func runRing(seed int64, n int, until sim.Time) *ringModel {
+	m := buildRing(seed, n)
 	m.g.RunUntil(until)
 	return m
 }
 
-// raiseGOMAXPROCS lifts scheduler parallelism for the duration of a
-// test. The group clamps its worker pool to GOMAXPROCS, so on a
-// single-CPU box every multi-worker run would silently collapse to
-// the lock-free single-goroutine mode and the race detector would
-// never see the concurrent paths.
-func raiseGOMAXPROCS(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(0)
-	if prev >= n {
-		return
-	}
-	runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-// The headline guarantee: the worker count may change nothing but the
-// wall clock. Every run is compared against the sequential run event
-// for event, and takes the same coordinator rounds.
-func TestParallelMatchesSequential(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
+// The headline guarantee: a run is a pure function of model and seed.
+// Two runs of the same ring agree event for event and take the same
+// coordinator rounds.
+func TestRingReplaysIdentically(t *testing.T) {
 	const until = 20000
-	seq := runRing(42, 5, 1, until)
-	if seq.g.Crossings == 0 {
+	ref := runRing(42, 5, until)
+	if ref.g.Crossings == 0 {
 		t.Fatal("ring produced no cross-shard traffic; test is vacuous")
 	}
-	if seq.nodes[0].hops < 2 {
-		t.Fatalf("token visited shard 0 only %d times", seq.nodes[0].hops)
+	if ref.nodes[0].hops < 2 {
+		t.Fatalf("token visited shard 0 only %d times", ref.nodes[0].hops)
 	}
-	if seq.g.Rounds == 0 {
-		t.Fatal("sequential run took no rounds; test is vacuous")
+	if ref.g.Rounds == 0 {
+		t.Fatal("run took no rounds; test is vacuous")
 	}
-	for _, workers := range []int{2, 4, 16} {
-		m := runRing(42, 5, workers, until)
-		if !reflect.DeepEqual(seq.logs, m.logs) {
-			t.Fatalf("workers=%d: event logs differ from sequential run", workers)
-		}
-		if seq.g.Fired() != m.g.Fired() {
-			t.Fatalf("workers=%d: fired %d events, sequential fired %d", workers, m.g.Fired(), seq.g.Fired())
-		}
-		if seq.g.Crossings != m.g.Crossings {
-			t.Fatalf("workers=%d: crossings %d, sequential %d", workers, m.g.Crossings, seq.g.Crossings)
-		}
-		if seq.g.Rounds != m.g.Rounds {
-			t.Fatalf("workers=%d: %d rounds, sequential %d", workers, m.g.Rounds, seq.g.Rounds)
-		}
-		if m.g.Now() != until {
-			t.Fatalf("workers=%d: group clock %d, want %d", workers, m.g.Now(), until)
-		}
+	m := runRing(42, 5, until)
+	if !reflect.DeepEqual(ref.logs, m.logs) {
+		t.Fatal("event logs differ between same-seed runs")
+	}
+	if ref.g.Fired() != m.g.Fired() {
+		t.Fatalf("fired %d events, first run fired %d", m.g.Fired(), ref.g.Fired())
+	}
+	if ref.g.Crossings != m.g.Crossings {
+		t.Fatalf("crossings %d, first run %d", m.g.Crossings, ref.g.Crossings)
+	}
+	if ref.g.Rounds != m.g.Rounds {
+		t.Fatalf("%d rounds, first run %d", m.g.Rounds, ref.g.Rounds)
+	}
+	if m.g.Now() != until {
+		t.Fatalf("group clock %d, want %d", m.g.Now(), until)
 	}
 }
 
@@ -152,7 +133,7 @@ func TestSingleShardMatchesPlainSim(t *testing.T) {
 	build(plain, &plainLog)
 	plain.RunUntil(4000)
 
-	g := shard.NewGroup(12345, 1, 8)
+	g := shard.NewGroup(12345, 1)
 	var groupLog []string
 	build(g.Sim(0), &groupLog)
 	g.RunUntil(4000)
@@ -170,9 +151,9 @@ func TestSingleShardMatchesPlainSim(t *testing.T) {
 
 func TestMergeOrderIsSourceDeterministic(t *testing.T) {
 	// Two shards send to shard 0 with identical arrival times; the merge
-	// must order them by (time, source shard, source sequence) no matter
-	// how the goroutines interleave.
-	g := shard.NewGroup(7, 3, 4)
+	// must order them by (time, source shard, source sequence), not by
+	// the order the shards ran in.
+	g := shard.NewGroup(7, 3)
 	g.SetLookahead(50)
 	var got []string
 	rec := func(arg any) { got = append(got, arg.(string)) }
@@ -199,7 +180,7 @@ func TestPreRunStagedSendIsNotLost(t *testing.T) {
 	// A cross-shard send staged before RunUntil (construction-time
 	// stimulus) must be visible to the first window computation even
 	// when no shard has wheel events of its own.
-	g := shard.NewGroup(1, 2, 2)
+	g := shard.NewGroup(1, 2)
 	g.SetLookahead(10)
 	fired := sim.Time(-1)
 	g.Outbox(0, 1).Send(25, func(any) { fired = g.Sim(1).Now() }, nil)
@@ -213,7 +194,7 @@ func TestPreRunStagedSendIsNotLost(t *testing.T) {
 }
 
 func TestLookaheadViolationPanics(t *testing.T) {
-	g := shard.NewGroup(1, 2, 1)
+	g := shard.NewGroup(1, 2)
 	g.SetLookahead(100)
 	defer func() {
 		if recover() == nil {
@@ -224,7 +205,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 }
 
 func TestRunForAdvancesFromBarrier(t *testing.T) {
-	m := buildRing(3, 4, 4)
+	m := buildRing(3, 4)
 	m.g.RunFor(5000)
 	if m.g.Now() != 5000 {
 		t.Fatalf("Now = %d after RunFor(5000)", m.g.Now())
@@ -241,12 +222,11 @@ func TestRunForAdvancesFromBarrier(t *testing.T) {
 }
 
 func TestResumedRunMatchesSingleRun(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
 	// Splitting a run into two RunUntil calls must not change anything:
 	// the group leaves no hidden state between deadlines (messages
 	// staged beyond the first deadline survive in their channels).
-	one := runRing(11, 4, 3, 30000)
-	two := runRing(11, 4, 3, 12345)
+	one := runRing(11, 4, 30000)
+	two := runRing(11, 4, 12345)
 	two.g.RunUntil(30000)
 	if !reflect.DeepEqual(one.logs, two.logs) {
 		t.Fatal("split run diverged from single run")
@@ -257,15 +237,15 @@ func TestResumedRunMatchesSingleRun(t *testing.T) {
 }
 
 func TestSeedChangesStreams(t *testing.T) {
-	a := runRing(1, 3, 1, 10000)
-	b := runRing(2, 3, 1, 10000)
+	a := runRing(1, 3, 10000)
+	b := runRing(2, 3, 10000)
 	if reflect.DeepEqual(a.logs, b.logs) {
 		t.Fatal("different seeds produced identical runs")
 	}
 }
 
 func TestShardStats(t *testing.T) {
-	m := runRing(42, 5, 2, 20000)
+	m := runRing(42, 5, 20000)
 	var merged uint64
 	for i := 0; i < m.g.N(); i++ {
 		st := m.g.ShardStats(i)
@@ -284,11 +264,11 @@ func TestShardStats(t *testing.T) {
 // own minimum delay at or above the group lookahead. This is the
 // kernel-level shakeout for the merge: heterogeneous delays, cycles,
 // fan-in ties, and shards with no channels at all.
-func runGraph(t *testing.T, seed int64, workers int) [][]string {
+func runGraph(t *testing.T, seed int64) [][]string {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	n := 2 + rng.Intn(5)
-	g := shard.NewGroup(seed, n, workers)
+	g := shard.NewGroup(seed, n)
 	g.SetLookahead(20)
 	logs := make([][]string, n)
 	type edge struct {
@@ -339,25 +319,21 @@ func runGraph(t *testing.T, seed int64, workers int) [][]string {
 	return logs
 }
 
-func TestRandomGraphWorkersAgree(t *testing.T) {
-	raiseGOMAXPROCS(t, 8)
+func TestRandomGraphReplaysIdentically(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
-		ref := runGraph(t, seed, 1)
-		for _, workers := range []int{3, 8} {
-			if got := runGraph(t, seed, workers); !reflect.DeepEqual(ref, got) {
-				t.Fatalf("seed=%d workers=%d: diverged from sequential run", seed, workers)
-			}
+		ref := runGraph(t, seed)
+		if got := runGraph(t, seed); !reflect.DeepEqual(ref, got) {
+			t.Fatalf("seed=%d: diverged from the first run", seed)
 		}
 	}
 }
 
 // shard.merged is the group's one telemetry series: it lands in the
-// deterministic snapshot, so its value must not depend on the worker
-// count.
+// deterministic snapshot, so it must equal the group's crossings and
+// replay identically.
 func TestMergedCounterIsDeterministic(t *testing.T) {
-	raiseGOMAXPROCS(t, 4)
-	merged := func(workers int) (uint64, uint64) {
-		m := buildRing(42, 3, workers)
+	merged := func() (uint64, uint64) {
+		m := buildRing(42, 3)
 		ctxs := obs.EnableGroup(m.g.Sims())
 		m.g.RunUntil(20000)
 		for _, s := range ctxs[0].Registry.Snapshot() {
@@ -368,11 +344,11 @@ func TestMergedCounterIsDeterministic(t *testing.T) {
 		t.Fatal("shard.merged missing from the deterministic snapshot")
 		return 0, 0
 	}
-	seq, crossings := merged(1)
-	if seq == 0 || seq != crossings {
-		t.Fatalf("shard.merged = %d, group crossings %d", seq, crossings)
+	first, crossings := merged()
+	if first == 0 || first != crossings {
+		t.Fatalf("shard.merged = %d, group crossings %d", first, crossings)
 	}
-	if par, _ := merged(3); par != seq {
-		t.Fatalf("shard.merged at 3 workers = %d, sequential %d", par, seq)
+	if again, _ := merged(); again != first {
+		t.Fatalf("shard.merged = %d on a same-seed rerun, first run %d", again, first)
 	}
 }

@@ -12,8 +12,7 @@ package configcloud
 //     and workload; only the decode location differs — plus doorbell
 //     batching, KV multi-get coalescing, and the shards' cuckoo
 //     directory on a deliberately pressured geometry.
-//  3. The KV workload on the pod-sharded parallel kernel, sequential vs
-//     all cores: digest equality proves worker count changes nothing.
+//  3. The KV workload on the pod-sharded kernel, at up to 16 pods.
 //  4. The KV cache behind the live HTTP frontend (/v1/kv), driven over
 //     real sockets by the open-loop load generator.
 
@@ -198,8 +197,7 @@ type KVLoad struct {
 // per-shard multi-gets (kvcache.MGetBatcher); buffered keys ride the
 // next flush, so the closed loop advances as soon as a key is queued.
 // Each client's RNG and closed-loop chain live on its own shard's wheel,
-// and every order here is fixed before the clock starts, so the only
-// thing the worker count can change is the wall clock.
+// and every order here is fixed before the clock starts.
 func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Time,
 	attach func(pod int, n Node, st *kvcache.Store)) []*kvcache.Client {
 	perPod := topo.HostsPerTOR * topo.TORsPerPod
@@ -318,13 +316,12 @@ func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
 	return res
 }
 
-// expNetsvcScale runs the sharded KV point sequentially and on all
-// cores; the identical column is bit-equality of the two digests.
+// expNetsvcScale runs the sharded KV point once per pod count.
 func expNetsvcScale(scale Scale) *Table {
 	t := &Table{
-		Title: fmt.Sprintf("E18c — KV service on the sharded kernel (sequential vs %d workers; identical = bit-equal digests)", scaleWorkers()),
+		Title: "E18c — KV service on the sharded kernel",
 		Headers: []string{"pods", "offered", "completed", "hits", "timeouts",
-			"events", "crossings", "seq wall", "par wall", "identical"},
+			"events", "crossings", "seq wall"},
 	}
 	pods := []int{2, 4}
 	mk := func(p int) NetsvcScaleConfig {
@@ -341,11 +338,10 @@ func expNetsvcScale(scale Scale) *Table {
 	}
 	for _, p := range pods {
 		cfg := mk(p)
-		seq, par := seqVsPar(&cfg.ShardedPoint, func() NetsvcScaleResult { return RunNetsvcScalePoint(cfg) })
-		addTelemetry("netsvc", par.Record)
-		t.AddRow(p, seq.Offered, seq.Completed, seq.Hits, seq.Timeouts,
-			seq.Events, seq.Crossings, seq.wall(), par.wall(),
-			seq.Digest == par.Digest && seq.Completed == par.Completed)
+		cfg.observe()
+		r := RunNetsvcScalePoint(cfg)
+		addTelemetry("netsvc", r.Record)
+		t.AddRow(p, r.Offered, r.Completed, r.Hits, r.Timeouts, r.Events, r.Crossings, r.wall())
 	}
 	return t
 }

@@ -11,12 +11,17 @@ import (
 
 // ScaleConfig drives one point of the E16 scale experiment: an LTL
 // ping workload spread across every pod of a (possibly down-sized)
-// datacenter, run on the pod-sharded conservative-parallel kernel.
-// Each pod carries intra-pod pairs (across two of its TORs) and
-// cross-pod pairs into the next pod, so both the parallel bulk and the
-// serializing spine traffic scale with the pod count.
+// datacenter, run on the pod-sharded kernel. Each pod carries intra-pod
+// pairs (across two of its TORs) and cross-pod pairs into the next pod,
+// so both the per-pod bulk and the spine traffic scale with the pod
+// count.
 type ScaleConfig struct {
 	ShardedPoint
+	// Deprecated: Workers is ignored; a sharded run advances its shards
+	// on one goroutine. It remains only because cmd/ccperf, the frozen
+	// end-to-end benchmark, still sets it; the next change to that
+	// benchmark drops it.
+	Workers int
 	// Cable-delay overrides (zero = the paper's defaults). L1UplinkProp
 	// is the base pod<->spine propagation delay — the sharded kernel's
 	// lookahead; L2CableSpread adds a per-pod deterministic extra in
@@ -46,21 +51,6 @@ func DefaultScaleConfig(pods int) ScaleConfig {
 		MeanGap:          50 * sim.Microsecond,
 		BackgroundUtil:   0.005,
 	}
-}
-
-// scaleConfig is E16's point at the given sizing: Quick shrinks the pods
-// to 32 hosts and the run to 4 ms.
-func scaleConfig(pods int, scale Scale) ScaleConfig {
-	cfg := DefaultScaleConfig(pods)
-	if scale == Quick {
-		cfg.HostsPerTOR = 8
-		cfg.TORsPerPod = 4
-		cfg.PingsPerPair = 40
-		cfg.MeanGap = 20 * sim.Microsecond
-		cfg.Duration = 4 * sim.Millisecond
-		cfg.BackgroundUtil = 0.01
-	}
-	return cfg
 }
 
 // ScaleResult summarizes one sharded run. The digest folds every pair's
@@ -96,7 +86,7 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 
 	// Pair construction order is fixed (pod-major, intra before cross),
 	// so connection IDs, RNG streams, and the digest fold order are all
-	// independent of the worker count.
+	// fixed by the config.
 	type pair struct{ a, b int }
 	var pairs []pair
 	for p := 0; p < topo.Pods; p++ {
@@ -124,8 +114,8 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 
 		// The pair's RNG and clock both live on the sender's shard: every
 		// draw and every timestamp is taken by the shard that owns the
-		// sending engine, never by a shared stream a different worker
-		// interleaving could reorder.
+		// sending engine, never by a shared stream whose order would
+		// depend on how shards interleave.
 		ps := c.SimForHost(pr.a)
 		rng := ps.NewRand()
 		st := &stats[pi]
@@ -168,68 +158,31 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 }
 
 // ExpScale is experiment E16: sweep the datacenter from one pod toward
-// the paper's 250,560 hosts, running every point twice — sequentially
-// (one worker) and on all cores — and report the wall-clock speedup of
-// the conservative-parallel kernel alongside proof (digest equality)
-// that parallelism changed nothing but the wall clock.
+// the paper's 250,560 hosts on the pod-sharded kernel, one run per
+// point, reporting the work done and the wall-clock time it took.
 func ExpScale(scale Scale) *Table {
 	podCounts := []int{1, 4, 16, 64, 261}
 	if scale == Quick {
 		podCounts = []int{1, 2, 4}
 	}
 	t := &Table{
-		Title: fmt.Sprintf("E16 — Sharded kernel scaling (sequential vs %d workers; identical = bit-equal digests)", scaleWorkers()),
-		Headers: []string{"pods", "hosts", "pings", "events", "crossings",
-			"seq wall", "par wall", "speedup", "identical"},
+		Title:   "E16 — Sharded kernel scaling (pod-sharded model, one goroutine)",
+		Headers: []string{"pods", "hosts", "pings", "events", "crossings", "seq wall"},
 	}
 	for _, pods := range podCounts {
-		cfg := scaleConfig(pods, scale)
-		seq, par := seqVsPar(&cfg.ShardedPoint, func() ScaleResult { return RunScalePoint(cfg) })
-		addTelemetry("scale", par.Record)
-		t.AddRow(pods, seq.Hosts, seq.Pings, seq.Events, seq.Crossings, seq.wall(), par.wall(),
-			fmt.Sprintf("%.2fx", float64(seq.Elapsed)/float64(par.Elapsed)),
-			seq.Digest == par.Digest && seq.Pings == par.Pings)
-	}
-	return t
-}
-
-// ExpScaleCurve is the second E16 table: an events/sec-per-core scaling
-// curve on one fixed datacenter, sweeping the worker count 1→4. Every
-// row pays one barrier round per lookahead window, so the curve exposes
-// the per-event coordination overhead against the core budget. Every
-// row's digest must equal the first row's: the worker count is a
-// wall-clock-only knob.
-func ExpScaleCurve(scale Scale) *Table {
-	pods := 16
-	if scale == Quick {
-		pods = 2
-	}
-	t := &Table{
-		Title: fmt.Sprintf("E16b — Events/sec-per-core scaling curve (%d pods; identical = digest equals 1 worker)", pods),
-		Headers: []string{"workers", "events", "rounds", "wall",
-			"events/sec", "ev/s/core", "vs 1 worker", "identical"},
-	}
-	// Unmeasured warm-up run: the first point on a cold machine gets a
-	// turbo/cold-cache bonus of tens of percent, which would silently
-	// flatter the 1-worker baseline.
-	cfg := scaleConfig(pods, scale)
-	cfg.Workers = 1
-	RunScalePoint(cfg)
-
-	var refDigest uint64
-	var baseline float64
-	for _, workers := range []int{1, 2, 4} {
-		cfg.Workers = workers
-		r := RunScalePoint(cfg)
-		evs := float64(r.Events) / r.Elapsed.Seconds()
-		if baseline == 0 {
-			baseline, refDigest = evs, r.Digest
+		cfg := DefaultScaleConfig(pods)
+		if scale == Quick { // 32-host pods, a 4 ms run
+			cfg.HostsPerTOR = 8
+			cfg.TORsPerPod = 4
+			cfg.PingsPerPair = 40
+			cfg.MeanGap = 20 * sim.Microsecond
+			cfg.Duration = 4 * sim.Millisecond
+			cfg.BackgroundUtil = 0.01
 		}
-		t.AddRow(workers, r.Events, r.Rounds, r.wall(),
-			fmt.Sprintf("%.0f", evs),
-			fmt.Sprintf("%.0f", evs/float64(workers)),
-			fmt.Sprintf("%.2fx", evs/baseline),
-			r.Digest == refDigest)
+		cfg.observe()
+		r := RunScalePoint(cfg)
+		addTelemetry("scale", r.Record)
+		t.AddRow(pods, r.Hosts, r.Pings, r.Events, r.Crossings, r.wall())
 	}
 	return t
 }

@@ -3,7 +3,6 @@ package configcloud
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"repro/internal/faultinject"
@@ -14,13 +13,12 @@ import (
 	"repro/internal/sim/shard"
 )
 
-// ShardedCloud is a Cloud partitioned by pod for conservative-parallel
-// execution (internal/sim/shard): the L2 spine runs on shard 0 and each
-// pod on its own shard, with the pod<->spine cable latency as the
-// lookahead. The partition is fixed by the topology — the worker count
-// chosen at construction only decides how many goroutines advance the
-// shards, never the results: a run with W workers is bit-identical to
-// the same cloud run with one worker.
+// ShardedCloud is a Cloud partitioned by pod for conservative execution
+// (internal/sim/shard): the L2 spine runs on shard 0 and each pod on its
+// own shard, with the pod<->spine cable latency as the lookahead. The
+// partition is fixed by the topology and is part of the model: it sets
+// the per-shard RNG streams and the cross-shard merge order. Runs
+// advance every shard on the caller's goroutine.
 //
 // Construction (Node calls, connection setup, load generators) must
 // finish before the first Run: lazy instantiation registers cross-shard
@@ -40,19 +38,19 @@ type ShardedCloud struct {
 	profile  *faultinject.Profile
 }
 
-// NewSharded builds a pod-sharded cloud. workers caps the goroutines
-// advancing the shards each conservative window; 0 means one per core
-// (capped at the shard count), 1 means sequential execution of the same
-// partition.
-func NewSharded(opts Options, workers int) *ShardedCloud {
+// NewSharded builds a pod-sharded cloud.
+//
+// Deprecated: the int argument is ignored. It remains only because
+// cmd/ccperf, the frozen end-to-end benchmark, still passes a worker
+// count; the next change to that benchmark drops it.
+func NewSharded(opts Options, _ int) *ShardedCloud { return newSharded(opts) }
+
+func newSharded(opts Options) *ShardedCloud {
 	topo := opts.Topology
 	if topo.HostsPerTOR == 0 {
 		topo = netsim.DefaultConfig()
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	g := shard.NewGroup(opts.Seed, topo.Pods+1, workers)
+	g := shard.NewGroup(opts.Seed, topo.Pods+1)
 	shCfg := opts.Shell
 	if shCfg.BridgeLatency == 0 {
 		shCfg = shell.DefaultConfig()
@@ -91,19 +89,14 @@ func NewSharded(opts Options, workers int) *ShardedCloud {
 
 // Node instantiates (if needed) and returns server id with its shell.
 // Under a fault profile, the node registers with its pod's injector —
-// fault schedules and draws stay on the shard that owns the node, so
-// they replay identically at any worker count.
+// fault schedules and draws stay on the shard that owns the node.
 func (c *ShardedCloud) Node(id int) Node {
 	_, known := c.shells[id]
 	h := c.DC.Host(id)
 	sh := c.shells[id]
 	if sh != nil && !known {
 		pod, _, _ := c.DC.Locate(id)
-		inj := c.faults[pod]
-		if inj == nil {
-			inj = faultinject.New(c.DC.SimForPod(pod))
-			c.faults[pod] = inj
-		}
+		inj := c.Injector(pod)
 		inj.AddNode(id, sh)
 		if c.profile != nil {
 			inj.Start(*c.profile)
@@ -158,9 +151,6 @@ type ShardedPoint struct {
 	TORsPerPod  int
 	// Duration is the virtual run time.
 	Duration sim.Time
-	// Workers is the goroutine count advancing the shards (0 = one per
-	// core). The digest is worker-count-independent by construction.
-	Workers int
 	// Telemetry collects a merged obs Record for the run; SpanLimit
 	// caps each shard's span log (0 = tracer default).
 	Telemetry bool
@@ -169,10 +159,8 @@ type ShardedPoint struct {
 
 // ShardedRun is what every sharded point reports about its run.
 type ShardedRun struct {
-	Workers   int
 	Events    uint64
 	Crossings uint64
-	Rounds    uint64
 	// Digest folds the point's own values in construction order, then
 	// the event and crossing totals: two runs agree on the digest iff the
 	// simulation behaved identically.
@@ -193,7 +181,7 @@ func (p ShardedPoint) build(topo netsim.Config, shCfg shell.Config) (*ShardedClo
 	if p.TORsPerPod > 0 {
 		topo.TORsPerPod = p.TORsPerPod
 	}
-	c := NewSharded(Options{Seed: p.Seed, Topology: topo, Shell: shCfg, Telemetry: p.Telemetry}, p.Workers)
+	c := newSharded(Options{Seed: p.Seed, Topology: topo, Shell: shCfg, Telemetry: p.Telemetry})
 	if p.SpanLimit > 0 {
 		for _, ctx := range c.Obs {
 			ctx.Tracer.SetLimit(p.SpanLimit)
@@ -205,17 +193,14 @@ func (p ShardedPoint) build(topo netsim.Config, shCfg shell.Config) (*ShardedClo
 // run advances the built cloud for p.Duration, timing it on the wall
 // clock. tally folds the point's own values into the digest in a fixed
 // order (tallying its result as it goes); the event and crossing totals
-// follow. The telemetry label must omit the worker count: a parallel
-// run's telemetry has to be byte-identical to the sequential run's.
+// follow.
 func (p ShardedPoint) run(c *ShardedCloud, experiment, label string, tally func(fold func(...uint64))) ShardedRun {
 	start := time.Now()
 	c.Run(p.Duration)
 	r := ShardedRun{
 		Elapsed:   time.Since(start),
-		Workers:   c.Group.Workers(),
 		Events:    c.Fired(),
 		Crossings: c.Group.Crossings,
-		Rounds:    c.Group.Rounds,
 	}
 	h := uint64(obs.FNVOffset)
 	tally(func(vs ...uint64) { h = obs.FNVFold(h, vs...) })
@@ -226,7 +211,7 @@ func (p ShardedPoint) run(c *ShardedCloud, experiment, label string, tally func(
 	return r
 }
 
-// wall renders the run's wall-clock time for the seq-vs-parallel tables.
+// wall renders the run's wall-clock time for the tables.
 func (r ShardedRun) wall() string { return r.Elapsed.Round(time.Millisecond).String() }
 
 // startOffset draws a request chain's first-send jitter in [0, meanGap);
@@ -238,30 +223,13 @@ func startOffset(rng *rand.Rand, meanGap sim.Time) sim.Time {
 	return sim.Time(rng.Intn(int(meanGap)))
 }
 
-// scaleWorkers resolves the parallel worker count for the seq-vs-parallel
-// tables: the -shards flag when set, else one worker per core — but never
-// fewer than two, so the parallel rows exercise the concurrent path (and
-// the digest comparison stays meaningful) even on a single-core machine.
-func scaleWorkers() int {
-	if n := Shards(); n > 0 {
-		return n
+// observe turns on telemetry for a table's point when the process
+// exports it (ccexperiment -telemetry), capping each shard's span log.
+// Tracing appends spans but schedules nothing, so the digest is the one
+// an untraced run gets.
+func (p *ShardedPoint) observe() {
+	p.Telemetry = TelemetryEnabled()
+	if p.Telemetry {
+		p.SpanLimit = 4096
 	}
-	return max(runtime.GOMAXPROCS(0), 2)
-}
-
-// seqVsPar runs one sharded point twice through run, which reads pt:
-// sequentially (one worker), then on scaleWorkers() workers. Telemetry
-// rides the parallel run only: the sequential run's record would be
-// byte-identical (the determinism tests enforce that), so collecting
-// both would just duplicate records. Tracing appends spans but schedules
-// nothing, so the traced run's digest still matches the untraced one.
-func seqVsPar[R any](pt *ShardedPoint, run func() R) (seq, par R) {
-	pt.Workers = 1
-	seq = run()
-	pt.Telemetry = TelemetryEnabled()
-	if pt.Telemetry {
-		pt.SpanLimit = 4096
-	}
-	pt.Workers = scaleWorkers()
-	return seq, run()
 }
