@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"os/exec"
 	"runtime"
 	"strings"
 	"testing"
@@ -503,5 +504,46 @@ func TestFig10Determinism(t *testing.T) {
 	b := Fig10(cfg)
 	if a.Table().String() != b.Table().String() {
 		t.Fatal("Fig10 is non-deterministic")
+	}
+}
+
+// The control-plane outputs that TestExperimentDeterminism only checks
+// as "same run twice" are pinned to literals as well: the SHA-256 of
+// the rendered haas (Fig. 13) and fig12 (Fig. 12) tables at Quick
+// sizing, and of examples/haasdemo's stdout.
+const (
+	pinHaaSTable  = "d1e2d8b0a5b68851671a9d8fb698cc70a585dfa6acc15c8a1f1300b8db50d3f9"
+	pinFig12Table = "2df6b9162b389f790a283eea2397668b04906cc3abdc50cd596cce2f5b198566"
+	pinHaaSDemo   = "29a9520e8e265247a8fa67be94c518aa7610ea898606740c0b33a962f0bc0e34"
+)
+
+func TestControlPlanePins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig12 and builds an example")
+	}
+	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	for _, p := range []struct{ id, want string }{{"haas", pinHaaSTable}, {"fig12", pinFig12Table}} {
+		tabs, err := RunExperiment(p.id, Quick)
+		if err != nil {
+			t.Fatalf("%s: %v", p.id, err)
+		}
+		out := ""
+		for _, tab := range tabs {
+			out += tab.String()
+		}
+		if got := sum([]byte(out)); got != p.want {
+			t.Errorf("%s table sha256 %s, pinned %s:\n%s", p.id, got, p.want, out)
+		}
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	out, err := exec.Command(goTool, "run", "./examples/haasdemo").Output()
+	if err != nil {
+		t.Fatalf("haasdemo: %v", err)
+	}
+	if got := sum(out); got != pinHaaSDemo {
+		t.Errorf("haasdemo stdout sha256 %s, pinned %s:\n%s", got, pinHaaSDemo, out)
 	}
 }
