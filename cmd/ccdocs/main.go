@@ -1,5 +1,5 @@
 // Command ccdocs is the documentation linter run by CI's docs job. It
-// enforces four repo invariants with nothing but the standard library:
+// enforces five repo invariants with nothing but the standard library:
 //
 //   - every relative markdown link in the repo's *.md files resolves to a
 //     file or directory that exists (anchors and external URLs are not
@@ -11,7 +11,9 @@
 //     OBSERVABILITY.md and every name documented there is still
 //     registered by code (see telemetry.go for the extraction rules), and
 //   - every flag a ccexperiment command line in the docs passes is one
-//     cmd/ccexperiment defines (see flags.go).
+//     cmd/ccexperiment defines (see flags.go), and
+//   - every backticked pkg.Name in the reference docs whose pkg is an
+//     internal/ package names a declaration of it (see idents.go).
 //
 // Usage:
 //
@@ -45,6 +47,7 @@ func main() {
 	problems = append(problems, checkPackageDocs(*root)...)
 	problems = append(problems, checkTelemetryDocs(*root)...)
 	problems = append(problems, checkExperimentFlags(*root)...)
+	problems = append(problems, checkDocIdents(*root)...)
 
 	if len(problems) > 0 {
 		for _, p := range problems {

@@ -548,13 +548,11 @@ func ExpBioinfo() *Table {
 }
 
 // ExpHaaS demonstrates the Fig. 13 lease lifecycle: two services share
-// the pool, a node dies, the SM repairs itself.
+// the pool, a node dies, and service A's pool swaps in a spare.
 func ExpHaaS() *Table {
 	s := sim.New(5)
 	healthy := map[haas.NodeID]*bool{}
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		PodOf: func(id haas.NodeID) int { return int(id) / 8 },
-	})
+	rm := haas.NewResourceManager(s, haas.RMConfig{})
 	const nodes = 16
 	for i := 0; i < nodes; i++ {
 		ok := true
@@ -566,13 +564,21 @@ func ExpHaaS() *Table {
 			Healthy:   func() bool { return *healthy[id] },
 		})
 	}
-	smA := haas.NewServiceManager(s, rm, "ranking", "rank-v2")
-	smB := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	sim.Must(smA.Scale(6, haas.Constraints{Pod: -1}))
-	sim.Must(smB.Scale(4, haas.Constraints{Pod: -1}))
+	repaired := 0
+	poolA := haas.NewPool(rm, haas.PoolSpec{
+		Tenant: "ranking", Image: "rank-v2",
+		OnLost: func(m *haas.Member, dead haas.NodeID) {
+			if m.Node != dead {
+				repaired++
+			}
+		},
+	})
+	poolB := haas.NewPool(rm, haas.PoolSpec{Tenant: "dnn", Image: "dnn-v1"})
+	growN(poolA, 6)
+	growN(poolB, 4)
 	freeBefore := rm.FreeCount()
 
-	victim := smA.Members()[2]
+	victim := poolA.Members()[2].Node
 	*healthy[victim] = false
 	s.RunFor(2 * sim.Second)
 
@@ -581,15 +587,23 @@ func ExpHaaS() *Table {
 		Headers: []string{"metric", "value"},
 	}
 	t.AddRow("pool size", nodes)
-	t.AddRow("service A (ranking) FPGAs", len(smA.Members()))
-	t.AddRow("service B (dnn) FPGAs", len(smB.Members()))
+	t.AddRow("service A (ranking) FPGAs", len(poolA.Members()))
+	t.AddRow("service B (dnn) FPGAs", len(poolB.Members()))
 	t.AddRow("unallocated before failure", freeBefore)
 	t.AddRow("failures detected", rm.Failures.Value())
 	t.AddRow("replacements issued", rm.Replaced.Value())
-	t.AddRow("service A repaired", smA.Repaired.Value())
+	t.AddRow("service A repaired", repaired)
 	t.AddRow("unallocated after repair", rm.FreeCount())
 	rm.Stop()
 	return t
+}
+
+// growN leases n whole boards into p.
+func growN(p *haas.Pool, n int) {
+	for range n {
+		_, err := p.Grow()
+		sim.Must(err)
+	}
 }
 
 // echoRole is the trivial role used by fault experiments: it answers

@@ -13,10 +13,11 @@ import (
 // TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce is the headline fault
 // scenario: a client streams sequenced LTL messages to a HaaS-leased
 // FPGA, the injector hard-kills that FPGA mid-stream, the RM health poll
-// detects it, the SM re-leases a replacement, and the client fails over —
-// after which every message (including those in flight across the kill)
-// completes exactly once, in order, with the kill→first-recovered-send
-// latency recorded in the injector's recovery histogram.
+// detects it, the service's pool swaps in a replacement, and the client
+// fails over — after which every message (including those in flight
+// across the kill) completes exactly once, in order, with the
+// kill→first-recovered-send latency recorded in the injector's recovery
+// histogram.
 func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 	shCfg := DefaultShellConfig()
 	cloud := New(Options{Seed: 7, Shell: shCfg})
@@ -28,10 +29,7 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 		cloud.Node(id)
 	}
 
-	rm := haas.NewResourceManager(cloud.Sim, haas.RMConfig{
-		HealthPollInterval: 500 * Microsecond,
-		PodOf:              func(haas.NodeID) int { return 0 },
-	})
+	rm := haas.NewResourceManager(cloud.Sim, haas.RMConfig{HealthPollInterval: 500 * Microsecond})
 	for _, id := range pool {
 		id := id
 		rm.Register(&haas.FPGAManager{
@@ -40,11 +38,20 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 			Healthy:   func() bool { return cloud.Faults.NodeAlive(id) },
 		})
 	}
-	sm := haas.NewServiceManager(cloud.Sim, rm, "echo", "echo-v1")
-	if err := sm.Scale(1, haas.Constraints{Pod: -1}); err != nil {
+	repaired := 0
+	sm := haas.NewPool(rm, haas.PoolSpec{
+		Tenant: "echo", Image: "echo-v1",
+		OnLost: func(m *haas.Member, dead haas.NodeID) {
+			if m.Node != dead {
+				repaired++
+			}
+		},
+	})
+	m, err := sm.Grow()
+	if err != nil {
 		t.Fatalf("initial lease: %v", err)
 	}
-	victim := int(sm.Members()[0])
+	victim := int(m.Node)
 
 	const total = 100
 	const gap = 30 * Microsecond
@@ -112,8 +119,8 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 	var watch func()
 	watch = func() {
 		members := sm.Members()
-		if len(members) == 1 && int(members[0]) != activeMember {
-			activeMember = int(members[0])
+		if len(members) == 1 && int(members[0].Node) != activeMember {
+			activeMember = int(members[0].Node)
 			activeConn++
 			openRecvOn(activeMember, activeConn)
 			if err := client.Shell.Engine.OpenSend(activeConn, netsim.HostIP(activeMember),
@@ -166,14 +173,14 @@ func TestKillFPGAMidRunHaaSReleasesAndLTLExactlyOnce(t *testing.T) {
 	if got := rm.Replaced.Value(); got != 1 {
 		t.Fatalf("RM replacements = %d, want 1", got)
 	}
-	if sm.Repaired.Value() != 1 {
-		t.Fatalf("SM repairs = %d, want 1", sm.Repaired.Value())
+	if repaired != 1 {
+		t.Fatalf("SM repairs = %d, want 1", repaired)
 	}
 	if st := rm.NodeStateOf(haas.NodeID(victim)); st != haas.NodeDead {
 		t.Fatalf("victim state = %v, want dead", st)
 	}
-	if int(sm.Members()[0]) != last {
-		t.Fatalf("lease member %v does not match delivery tail %d", sm.Members(), last)
+	if int(m.Node) != last {
+		t.Fatalf("lease member %d does not match delivery tail %d", m.Node, last)
 	}
 
 	// Recovery latency landed in the injector's histogram.

@@ -20,7 +20,6 @@ import (
 	"repro/internal/haas"
 	"repro/internal/host"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/shell"
@@ -87,14 +86,7 @@ type Result struct {
 // RunRemote measures the remote pool at cfg's client:FPGA ratio.
 func RunRemote(cfg Config) Result {
 	s := sim.New(cfg.Seed)
-	dcCfg := netsim.DefaultConfig()
-	shells := map[int]*shell.Shell{}
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
-		shells[hostID] = sh
-		return sh
-	}
-	dc := netsim.NewDatacenter(s, dcCfg)
+	dc, shells := svclb.NewFabric(s, false, 0)
 
 	// Clients fill TORs starting at host 0; the pool lives on the next
 	// TORs of the same pod (requests cross the L1 tier, as a real global
@@ -105,16 +97,15 @@ func RunRemote(cfg Config) Result {
 		dc.Host(i)
 	}
 	poolHosts := make([]int, cfg.FPGAs)
-	base := ((cfg.Clients + dcCfg.HostsPerTOR - 1) / dcCfg.HostsPerTOR) * dcCfg.HostsPerTOR
+	perTOR := dc.Config().HostsPerTOR
+	base := ((cfg.Clients + perTOR - 1) / perTOR) * perTOR
 	for i := range poolHosts {
 		poolHosts[i] = base + i
 		dc.Host(base + i)
 	}
 
-	// HaaS manages the pool: one service manager leases all pool FPGAs.
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		PodOf: func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
-	})
+	// HaaS manages the pool: one service pool leases all pool FPGAs.
+	rm := haas.NewResourceManager(s, haas.RMConfig{})
 	for _, h := range poolHosts {
 		h := h
 		rm.Register(&haas.FPGAManager{
@@ -123,10 +114,13 @@ func RunRemote(cfg Config) Result {
 			Healthy:   func() bool { return true },
 		})
 	}
-	sm := haas.NewServiceManager(s, rm, "dnn", "dnn-v1")
-	if err := sm.Scale(cfg.FPGAs, haas.Constraints{Pod: -1}); err != nil {
-		panic(fmt.Sprintf("dnnpool: %v", err))
+	pool := haas.NewPool(rm, haas.PoolSpec{Tenant: "dnn", Image: "dnn-v1"})
+	for range cfg.FPGAs {
+		if _, err := pool.Grow(); err != nil {
+			panic(fmt.Sprintf("dnnpool: %v", err))
+		}
 	}
+	members := pool.Members()
 
 	// Accelerator work queues (one in-order engine per pool FPGA).
 	queues := map[int]*host.CPU{}
@@ -158,9 +152,6 @@ func RunRemote(cfg Config) Result {
 	lat := metrics.NewHistogram()
 	obs.RegistryOf(s).Histogram("dnnpool.latency", "ns", "dnnpool", "remote-pool request latency", lat)
 	pcie := shell.DefaultConfig()
-	pcieTime := func(n int) sim.Time {
-		return pcie.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/pcie.PCIeBps)
-	}
 
 	// Map a HaaS node id back to a pool index for connection addressing.
 	poolIndex := map[haas.NodeID]int{}
@@ -200,7 +191,7 @@ func RunRemote(cfg Config) Result {
 		slot *svclb.Slot
 	}
 	nextReq := uint64(0)
-	for _, ch := range clientHosts {
+	for ci, ch := range clientHosts {
 		cs := shells[ch]
 		pending := map[uint64]pendingReq{}
 		for fi := range poolHosts {
@@ -215,7 +206,7 @@ func RunRemote(cfg Config) Result {
 				if router != nil && p.slot != nil {
 					router.Done(p.slot)
 				}
-				s.Schedule(pcieTime(cfg.RespBytes), func() {
+				s.Schedule(pcie.PCIeTime(cfg.RespBytes), func() {
 					if p.t0 >= cfg.Warmup {
 						lat.Observe(int64(s.Now() - p.t0))
 					}
@@ -224,13 +215,9 @@ func RunRemote(cfg Config) Result {
 		}
 		// The SM hands each client a pointer to one pool member ("A SM
 		// provides pointers to the hardware service to one or more end
-		// users"); oversubscription is the number of clients sharing each
-		// pointer.
-		node, ok := sm.Pick()
-		if !ok {
-			panic("dnnpool: empty pool")
-		}
-		assigned := poolIndex[node]
+		// users"), round-robin; oversubscription is the number of
+		// clients sharing each pointer.
+		assigned := poolIndex[members[ci%len(members)].Node]
 		gen := workload.NewOpenLoop(s, cfg.ClientRate, func() {
 			fi := assigned
 			var slot *svclb.Slot
@@ -246,7 +233,7 @@ func RunRemote(cfg Config) Result {
 			pending[reqID] = pendingReq{t0: s.Now(), slot: slot}
 			req := make([]byte, cfg.ReqBytes)
 			binary.BigEndian.PutUint64(req, reqID)
-			s.Schedule(pcieTime(cfg.ReqBytes), func() {
+			s.Schedule(pcie.PCIeTime(cfg.ReqBytes), func() {
 				cs.SendRemote(uint16(fi)+1, req, nil)
 			})
 		})
@@ -289,16 +276,13 @@ func RunLocalBaseline(cfg Config) Result {
 	lat := metrics.NewHistogram()
 	obs.RegistryOf(s).Histogram("dnnpool.latency", "ns", "dnnpool", "local-baseline request latency", lat)
 	pcie := shell.DefaultConfig()
-	pcieTime := func(n int) sim.Time {
-		return pcie.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/pcie.PCIeBps)
-	}
 	for c := 0; c < cfg.Clients; c++ {
 		queue := host.NewCPU(s, 1) // dedicated accelerator
 		gen := workload.NewOpenLoop(s, cfg.ClientRate, func() {
 			t0 := s.Now()
-			s.Schedule(pcieTime(cfg.ReqBytes), func() {
+			s.Schedule(pcie.PCIeTime(cfg.ReqBytes), func() {
 				queue.Submit(cfg.ServiceTime, func() {
-					s.Schedule(pcieTime(cfg.RespBytes), func() {
+					s.Schedule(pcie.PCIeTime(cfg.RespBytes), func() {
 						if t0 >= cfg.Warmup {
 							lat.Observe(int64(s.Now() - t0))
 						}

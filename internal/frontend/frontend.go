@@ -32,7 +32,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pkt"
-	"repro/internal/shell"
 	"repro/internal/sim"
 	"repro/internal/svclb"
 	"repro/internal/workload"
@@ -291,14 +290,7 @@ func New(cfg Config) *Service {
 			c.Tracer.SetLimit(cfg.SpanLimit)
 		}
 	}
-	shells := map[int]*shell.Shell{}
-	dcCfg := netsim.DefaultConfig()
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
-		shells[hostID] = sh
-		return sh
-	}
-	dc := netsim.NewDatacenter(s, dcCfg)
+	dc, shells := svclb.NewFabric(s, false, 0)
 
 	f := &Service{
 		cfg: cfg, s: s, dc: dc,

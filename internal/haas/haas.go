@@ -1,11 +1,10 @@
 // Package haas implements the Hardware-as-a-Service platform of §V-F
 // (Fig. 13): a logically centralized Resource Manager (RM) tracks FPGA
-// resources across the datacenter and leases them to Service Managers
-// (SM) as Components — instances of a hardware service made up of one or
-// more FPGAs plus placement constraints. An FPGA Manager (FM) on each
-// node handles configuration and status monitoring. SMs handle
-// service-level tasks: load balancing, inter-component connectivity, and
-// failure handling by requesting and releasing leases.
+// resources across the datacenter and leases them as Components — one
+// whole board each — or as vFPGA slot claims. An FPGA Manager (FM) on
+// each node handles configuration and status monitoring. A service's
+// Service Manager is a Pool (pool.go): it only grows and shrinks, and
+// the pool owns placement, release and failover.
 package haas
 
 import (
@@ -42,21 +41,13 @@ func (s NodeState) String() string {
 	}
 }
 
-// Constraints restrict Component placement.
-type Constraints struct {
-	// Count is the number of FPGAs in the component.
-	Count int
-	// SamePod requires all members to share a pod (locality/bandwidth).
-	SamePod bool
-	// Pod restricts placement to one pod (-1 = any).
-	Pod int
-}
-
-// Component is a leased hardware-service instance.
+// Component is a leased hardware-service instance: one whole board.
 type Component struct {
 	LeaseID int
-	Nodes   []NodeID
-	Owner   string // service name
+	Node    NodeID
+
+	onFailure func(NodeID) // lessee's board-death notification (optional)
+	span      obs.SpanID   // open "haas.lease" span (0 when tracing is off)
 }
 
 // FPGAManager is the per-node agent: it configures the node's shell and
@@ -68,57 +59,43 @@ type FPGAManager struct {
 	Configure func(image string)
 	// Healthy reports node liveness (polled by the RM).
 	Healthy func() bool
-	// Depth reports the node's outstanding-work depth (queued plus
-	// in-service requests). Optional; nil reports as -1 in NodeView so
-	// service-level schedulers and tests can read load without reaching
-	// into the data plane.
-	Depth func() int
 }
 
 // RMConfig parameterizes the Resource Manager.
 type RMConfig struct {
 	// HealthPollInterval is the FM status-poll period.
 	HealthPollInterval sim.Time
-	// PodOf maps nodes to pods for locality constraints.
-	PodOf func(NodeID) int
 }
 
 // ResourceManager tracks the global FPGA pool and grants leases.
 type ResourceManager struct {
 	sim *sim.Simulation
-	cfg RMConfig
 
 	nodes  map[NodeID]*nodeEntry
 	leases map[int]*Component
 	nextID int
 
-	// onFailure callbacks per lease (SM failure notification).
-	onFailure map[int]func(NodeID)
-
-	Granted   metrics.Counter
-	Released  metrics.Counter
-	Failures  metrics.Counter
-	Rejected  metrics.Counter
-	Replaced  metrics.Counter
-	poll      *sim.Ticker
-	stopped   bool
-	leaseByNd map[NodeID]int
+	Granted  metrics.Counter
+	Released metrics.Counter
+	Failures metrics.Counter
+	Rejected metrics.Counter
+	Replaced metrics.Counter
+	poll     *sim.Ticker
 
 	// Slot scheduling state (slots.go). slotClaims is nil until the
 	// first RegisterSlots, which also registers the Slot metrics.
 	slotClaims map[int]*SlotClaim
 	Slot       SlotMetrics
 
-	// tracer is cached at construction (nil when observability is off);
-	// leaseSpans holds each live lease's open "haas.lease" span.
-	tracer     *obs.Tracer
-	leaseSpans map[int]obs.SpanID
+	// tracer is cached at construction (nil when observability is off).
+	tracer *obs.Tracer
 }
 
 type nodeEntry struct {
 	id    NodeID
 	state NodeState
 	fm    *FPGAManager
+	lease *Component // the whole-board lease holding the node, if any
 	// slots is non-nil for a slotted node (RegisterSlots): the node is
 	// scheduled per vFPGA slot and never granted as a whole board.
 	slots *slotState
@@ -129,19 +106,11 @@ func NewResourceManager(s *sim.Simulation, cfg RMConfig) *ResourceManager {
 	if cfg.HealthPollInterval <= 0 {
 		cfg.HealthPollInterval = 100 * sim.Millisecond
 	}
-	if cfg.PodOf == nil {
-		cfg.PodOf = func(NodeID) int { return 0 }
-	}
 	rm := &ResourceManager{
-		sim: s, cfg: cfg,
-		nodes:     make(map[NodeID]*nodeEntry),
-		leases:    make(map[int]*Component),
-		onFailure: make(map[int]func(NodeID)),
-		leaseByNd: make(map[NodeID]int),
-		tracer:    obs.TracerOf(s),
-	}
-	if rm.tracer != nil {
-		rm.leaseSpans = make(map[int]obs.SpanID)
+		sim:    s,
+		nodes:  make(map[NodeID]*nodeEntry),
+		leases: make(map[int]*Component),
+		tracer: obs.TracerOf(s),
 	}
 	if r := obs.RegistryOf(s); r != nil {
 		r.Counter("haas.granted", "leases", "haas", "component leases granted", &rm.Granted)
@@ -182,175 +151,86 @@ func (rm *ResourceManager) NodeStateOf(id NodeID) NodeState {
 	return NodeDead
 }
 
-// NodeView is the RM's status-report view of one node, as assembled from
-// FPGA Manager reports: lease state, pod placement, and the FM's
-// outstanding-work depth (-1 when the FM does not report one).
-type NodeView struct {
-	Node  NodeID
-	State NodeState
-	Pod   int
-	Depth int
-}
-
-// NodeViewOf returns the status view for one node (ok=false if the node
-// was never registered).
-func (rm *ResourceManager) NodeViewOf(id NodeID) (NodeView, bool) {
-	e, ok := rm.nodes[id]
+// Lease grants one free board as a Component, configuring it via its
+// FM. onFailure (optional) notifies the lessee when the board dies.
+func (rm *ResourceManager) Lease(owner, image string, onFailure func(NodeID)) (*Component, error) {
+	id, ok := rm.freeNode()
 	if !ok {
-		return NodeView{}, false
-	}
-	return rm.viewOf(e), true
-}
-
-// NodeViews returns the status view of every registered node in node-id
-// order (deterministic iteration for schedulers and tests).
-func (rm *ResourceManager) NodeViews() []NodeView {
-	out := make([]NodeView, 0, len(rm.nodes))
-	for _, e := range rm.nodes {
-		out = append(out, rm.viewOf(e))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
-}
-
-func (rm *ResourceManager) viewOf(e *nodeEntry) NodeView {
-	v := NodeView{Node: e.id, State: e.state, Pod: rm.cfg.PodOf(e.id), Depth: -1}
-	if e.fm.Depth != nil {
-		v.Depth = e.fm.Depth()
-	}
-	return v
-}
-
-// Lease grants a Component satisfying the constraints, configuring each
-// member's FPGA via its FM. onFailure (optional) notifies the lessee of
-// member failures.
-func (rm *ResourceManager) Lease(owner, image string, c Constraints, onFailure func(NodeID)) (*Component, error) {
-	if c.Count <= 0 {
-		return nil, fmt.Errorf("haas: component count must be positive")
-	}
-	candidates := rm.freeNodes(c)
-	if len(candidates) < c.Count {
 		rm.Rejected.Inc()
 		if rm.tracer != nil {
-			rm.tracer.Event(obs.LeaseFlow(uint64(rm.nextID)), "haas.reject", 0, int64(c.Count))
+			rm.tracer.Event(obs.LeaseFlow(uint64(rm.nextID)), "haas.reject", 0, 1)
 		}
-		return nil, fmt.Errorf("haas: insufficient free FPGAs for %q: need %d, have %d",
-			owner, c.Count, len(candidates))
+		return nil, fmt.Errorf("haas: no free FPGA for %q", owner)
 	}
-	comp := &Component{LeaseID: rm.nextID, Owner: owner, Nodes: candidates[:c.Count]}
+	comp := &Component{LeaseID: rm.nextID, onFailure: onFailure}
 	rm.nextID++
-	for _, id := range comp.Nodes {
-		e := rm.nodes[id]
-		e.state = NodeLeased
-		rm.leaseByNd[id] = comp.LeaseID
-		if e.fm.Configure != nil {
-			e.fm.Configure(image)
-		}
-	}
+	rm.grant(comp, id, image)
 	rm.leases[comp.LeaseID] = comp
-	if onFailure != nil {
-		rm.onFailure[comp.LeaseID] = onFailure
-	}
 	rm.Granted.Inc()
 	if rm.tracer != nil {
-		id := rm.tracer.Start(obs.LeaseFlow(uint64(comp.LeaseID)), "haas.lease", 0)
-		rm.tracer.SetArg(id, int64(len(comp.Nodes)))
-		rm.leaseSpans[comp.LeaseID] = id
+		comp.span = rm.tracer.Start(obs.LeaseFlow(uint64(comp.LeaseID)), "haas.lease", 0)
+		rm.tracer.SetArg(comp.span, 1)
 	}
 	return comp, nil
 }
 
-// freeNodes lists free nodes satisfying the constraints, deterministically
-// ordered.
-func (rm *ResourceManager) freeNodes(c Constraints) []NodeID {
-	var ids []NodeID
-	byPod := make(map[int][]NodeID)
+// freeNode returns the free unslotted node with the lowest id.
+func (rm *ResourceManager) freeNode() (NodeID, bool) {
+	best, ok := NodeID(0), false
 	for _, e := range rm.nodes {
-		if e.state != NodeFree || e.slots != nil {
-			continue
-		}
-		pod := rm.cfg.PodOf(e.id)
-		if c.Pod >= 0 && c.Pod != pod && !c.SamePod {
-			continue
-		}
-		if c.Pod >= 0 && c.Pod != pod {
-			continue
-		}
-		ids = append(ids, e.id)
-		byPod[pod] = append(byPod[pod], e.id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	if !c.SamePod {
-		return ids
-	}
-	// Pick the pod with the most free nodes that satisfies Count.
-	bestPod, bestN := -1, -1
-	for pod, list := range byPod {
-		if len(list) > bestN {
-			bestPod, bestN = pod, len(list)
+		if e.state == NodeFree && e.slots == nil && (!ok || e.id < best) {
+			best, ok = e.id, true
 		}
 	}
-	if bestPod < 0 {
-		return nil
-	}
-	list := byPod[bestPod]
-	sort.Slice(list, func(i, j int) bool { return list[i] < list[j] })
-	return list
+	return best, ok
 }
 
-// Release returns a component's nodes to the pool.
+// grant puts comp on node id and configures it with image.
+func (rm *ResourceManager) grant(comp *Component, id NodeID, image string) {
+	comp.Node = id
+	e := rm.nodes[id]
+	e.state, e.lease = NodeLeased, comp
+	if e.fm.Configure != nil {
+		e.fm.Configure(image)
+	}
+}
+
+// Release returns a component's board to the pool.
 func (rm *ResourceManager) Release(leaseID int) {
 	comp, ok := rm.leases[leaseID]
 	if !ok {
 		return
 	}
-	for _, id := range comp.Nodes {
-		if e, ok := rm.nodes[id]; ok && e.state == NodeLeased {
-			e.state = NodeFree
-		}
-		delete(rm.leaseByNd, id)
+	e := rm.nodes[comp.Node]
+	if e.state == NodeLeased {
+		e.state = NodeFree
 	}
+	e.lease = nil
 	delete(rm.leases, leaseID)
-	delete(rm.onFailure, leaseID)
 	rm.Released.Inc()
-	if rm.leaseSpans != nil {
-		if id, ok := rm.leaseSpans[leaseID]; ok {
-			delete(rm.leaseSpans, leaseID)
-			rm.tracer.End(id)
-		}
+	if rm.tracer != nil {
+		rm.tracer.End(comp.span)
 	}
 }
 
-// ReplaceNode swaps a failed member of a lease for a fresh node ("Failing
+// ReplaceNode swaps a lease's failed board for a fresh one ("Failing
 // nodes are removed from the pool with replacements quickly added").
-func (rm *ResourceManager) ReplaceNode(leaseID int, failed NodeID, image string) (NodeID, error) {
+func (rm *ResourceManager) ReplaceNode(leaseID int, image string) (NodeID, error) {
 	comp, ok := rm.leases[leaseID]
 	if !ok {
 		return 0, fmt.Errorf("haas: unknown lease %d", leaseID)
 	}
-	candidates := rm.freeNodes(Constraints{Count: 1, Pod: -1})
-	if len(candidates) == 0 {
+	repl, ok := rm.freeNode()
+	if !ok {
 		return 0, fmt.Errorf("haas: no spare FPGAs")
 	}
-	repl := candidates[0]
-	for i, id := range comp.Nodes {
-		if id == failed {
-			comp.Nodes[i] = repl
-			e := rm.nodes[repl]
-			e.state = NodeLeased
-			rm.leaseByNd[repl] = leaseID
-			delete(rm.leaseByNd, failed)
-			if e.fm.Configure != nil {
-				e.fm.Configure(image)
-			}
-			rm.Replaced.Inc()
-			if rm.tracer != nil {
-				rm.tracer.Event(obs.LeaseFlow(uint64(leaseID)), "haas.replace", rm.leaseSpans[leaseID], int64(repl))
-			}
-			return repl, nil
-		}
+	rm.nodes[comp.Node].lease = nil
+	rm.grant(comp, repl, image)
+	rm.Replaced.Inc()
+	if rm.tracer != nil {
+		rm.tracer.Event(obs.LeaseFlow(uint64(leaseID)), "haas.replace", comp.span, int64(repl))
 	}
-	return 0, fmt.Errorf("haas: node %d not in lease %d", failed, leaseID)
+	return repl, nil
 }
 
 // pollHealth marks dead nodes and notifies lessees (in node order, so
@@ -374,88 +254,13 @@ func (rm *ResourceManager) pollHealth() {
 		if rm.tracer != nil {
 			var parent obs.SpanID
 			var flow obs.FlowID
-			if leaseID, ok := rm.leaseByNd[e.id]; ok {
-				parent = rm.leaseSpans[leaseID]
-				flow = obs.LeaseFlow(uint64(leaseID))
+			if e.lease != nil {
+				parent, flow = e.lease.span, obs.LeaseFlow(uint64(e.lease.LeaseID))
 			}
 			rm.tracer.Event(flow, "haas.node_dead", parent, int64(e.id))
 		}
-		if leaseID, ok := rm.leaseByNd[e.id]; ok {
-			if fn := rm.onFailure[leaseID]; fn != nil {
-				fn(e.id)
-			}
+		if e.lease != nil && e.lease.onFailure != nil {
+			e.lease.onFailure(e.id)
 		}
-	}
-}
-
-// ServiceManager administers one hardware service: it maintains a desired
-// number of FPGAs via leases, replaces failed members, and load-balances
-// callers across members.
-type ServiceManager struct {
-	Name  string
-	rm    *ResourceManager
-	sim   *sim.Simulation
-	image string
-
-	comp *Component
-	rr   int
-
-	Reconfigured metrics.Counter
-	Repaired     metrics.Counter
-}
-
-// NewServiceManager creates an SM (no resources yet; call Scale).
-func NewServiceManager(s *sim.Simulation, rm *ResourceManager, name, image string) *ServiceManager {
-	return &ServiceManager{Name: name, rm: rm, sim: s, image: image}
-}
-
-// Scale acquires (or re-acquires) a component of n FPGAs.
-func (sm *ServiceManager) Scale(n int, c Constraints) error {
-	if sm.comp != nil {
-		sm.rm.Release(sm.comp.LeaseID)
-		sm.comp = nil
-	}
-	c.Count = n
-	comp, err := sm.rm.Lease(sm.Name, sm.image, c, sm.onMemberFailure)
-	if err != nil {
-		return err
-	}
-	sm.comp = comp
-	return nil
-}
-
-// Release gives all resources back.
-func (sm *ServiceManager) Release() {
-	if sm.comp != nil {
-		sm.rm.Release(sm.comp.LeaseID)
-		sm.comp = nil
-	}
-}
-
-// Members returns the current component's nodes.
-func (sm *ServiceManager) Members() []NodeID {
-	if sm.comp == nil {
-		return nil
-	}
-	return append([]NodeID(nil), sm.comp.Nodes...)
-}
-
-// Pick load-balances: returns the next member round-robin.
-func (sm *ServiceManager) Pick() (NodeID, bool) {
-	if sm.comp == nil || len(sm.comp.Nodes) == 0 {
-		return 0, false
-	}
-	id := sm.comp.Nodes[sm.rr%len(sm.comp.Nodes)]
-	sm.rr++
-	return id, true
-}
-
-// onMemberFailure replaces a dead member with a spare.
-func (sm *ServiceManager) onMemberFailure(dead NodeID) {
-	if sm.comp == nil {
-		return
-	}
-	if _, err := sm.rm.ReplaceNode(sm.comp.LeaseID, dead, sm.image); err == nil {
-		sm.Repaired.Inc()
 	}
 }

@@ -30,10 +30,7 @@ func faultbed(t *testing.T, seed int64, n int, poll sim.Time) (*sim.Simulation, 
 	}
 	dc := netsim.NewDatacenter(s, cfg)
 	in := faultinject.New(s)
-	rm := haas.NewResourceManager(s, haas.RMConfig{
-		HealthPollInterval: poll,
-		PodOf:              func(haas.NodeID) int { return 0 },
-	})
+	rm := haas.NewResourceManager(s, haas.RMConfig{HealthPollInterval: poll})
 	for i := 0; i < n; i++ {
 		dc.Host(i) // instantiate so the shell is wired NIC<->TOR
 		id := i
@@ -49,18 +46,45 @@ func faultbed(t *testing.T, seed int64, n int, poll sim.Time) (*sim.Simulation, 
 	return s, in, rm
 }
 
+// repairPool returns an n-member pool on rm and a count of its
+// members replaced after a board death.
+func repairPool(t *testing.T, rm *haas.ResourceManager, n int) (*haas.Pool, *int) {
+	t.Helper()
+	repaired := new(int)
+	p := haas.NewPool(rm, haas.PoolSpec{
+		Tenant: "svc", Image: "img-v1",
+		OnLost: func(m *haas.Member, dead haas.NodeID) {
+			if m.Node != dead {
+				*repaired++
+			}
+		},
+	})
+	for range n {
+		if _, err := p.Grow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return p, repaired
+}
+
+// nodes lists p's boards in grant order.
+func nodes(p *haas.Pool) []haas.NodeID {
+	var ids []haas.NodeID
+	for _, m := range p.Members() {
+		ids = append(ids, m.Node)
+	}
+	return ids
+}
+
 // An injector hard-kill propagates through the RM health poll to a lease
 // replacement, and the dead board stays decommissioned even after a
 // reboot brings its bridge back.
 func TestInjectorKillCascadesToReplacement(t *testing.T) {
 	s, in, rm := faultbed(t, 5, 4, 500*sim.Microsecond)
 	defer rm.Stop()
-	sm := haas.NewServiceManager(s, rm, "svc", "img-v1")
-	if err := sm.Scale(2, haas.Constraints{Pod: -1}); err != nil {
-		t.Fatal(err)
-	}
-	victim := sm.Members()[0]
-	survivor := sm.Members()[1]
+	p, repaired := repairPool(t, rm, 2)
+	victim := nodes(p)[0]
+	survivor := nodes(p)[1]
 
 	s.Schedule(sim.Millisecond, func() { in.KillNode(int(victim)) })
 	s.RunFor(10 * sim.Millisecond)
@@ -68,10 +92,10 @@ func TestInjectorKillCascadesToReplacement(t *testing.T) {
 	if rm.NodeStateOf(victim) != haas.NodeDead {
 		t.Fatalf("victim state %v, want dead", rm.NodeStateOf(victim))
 	}
-	if rm.Replaced.Value() != 1 || sm.Repaired.Value() != 1 {
-		t.Fatalf("replaced=%d repaired=%d, want 1/1", rm.Replaced.Value(), sm.Repaired.Value())
+	if rm.Replaced.Value() != 1 || *repaired != 1 {
+		t.Fatalf("replaced=%d repaired=%d, want 1/1", rm.Replaced.Value(), *repaired)
 	}
-	members := sm.Members()
+	members := nodes(p)
 	if len(members) != 2 {
 		t.Fatalf("service has %d members, want 2", len(members))
 	}
@@ -108,11 +132,8 @@ func TestInjectorKillCascadesToReplacement(t *testing.T) {
 func TestLinkFlapShortVsLong(t *testing.T) {
 	s, in, rm := faultbed(t, 6, 4, sim.Millisecond)
 	defer rm.Stop()
-	sm := haas.NewServiceManager(s, rm, "svc", "img-v1")
-	if err := sm.Scale(1, haas.Constraints{Pod: -1}); err != nil {
-		t.Fatal(err)
-	}
-	member := sm.Members()[0]
+	p, _ := repairPool(t, rm, 1)
+	member := nodes(p)[0]
 
 	// Short flap: down 300 us starting just after a poll; healed before
 	// the next poll looks.
@@ -123,7 +144,7 @@ func TestLinkFlapShortVsLong(t *testing.T) {
 	if rm.Failures.Value() != 0 {
 		t.Fatalf("transient flap was flagged as a failure (%d)", rm.Failures.Value())
 	}
-	if sm.Members()[0] != member {
+	if nodes(p)[0] != member {
 		t.Fatal("transient flap churned the lease")
 	}
 	if in.Stats.Recovery[faultinject.LinkFlap].Count() != 1 {
@@ -137,7 +158,7 @@ func TestLinkFlapShortVsLong(t *testing.T) {
 	if rm.Failures.Value() != 1 {
 		t.Fatalf("sustained flap not detected (failures=%d)", rm.Failures.Value())
 	}
-	if got := sm.Members()[0]; got == member {
+	if got := nodes(p)[0]; got == member {
 		t.Fatal("sustained flap did not trigger replacement")
 	}
 	if rm.NodeStateOf(member) != haas.NodeDead {

@@ -8,13 +8,10 @@ import (
 
 // testbed registers n nodes whose health and configured image are
 // tracked in the returned maps.
-func testbed(s *sim.Simulation, n int, podSize int) (*ResourceManager, map[NodeID]*bool, map[NodeID]string) {
+func testbed(s *sim.Simulation, n int) (*ResourceManager, map[NodeID]*bool, map[NodeID]string) {
 	healthy := map[NodeID]*bool{}
 	images := map[NodeID]string{}
-	rm := NewResourceManager(s, RMConfig{
-		HealthPollInterval: 10 * sim.Millisecond,
-		PodOf:              func(id NodeID) int { return int(id) / podSize },
-	})
+	rm := NewResourceManager(s, RMConfig{HealthPollInterval: 10 * sim.Millisecond})
 	for i := 0; i < n; i++ {
 		id := NodeID(i)
 		ok := true
@@ -30,26 +27,32 @@ func testbed(s *sim.Simulation, n int, podSize int) (*ResourceManager, map[NodeI
 
 func TestLeaseAndRelease(t *testing.T) {
 	s := sim.New(1)
-	rm, _, images := testbed(s, 8, 4)
-	comp, err := rm.Lease("svcA", "dnn-v1", Constraints{Count: 3, Pod: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(comp.Nodes) != 3 {
-		t.Fatalf("component size %d", len(comp.Nodes))
+	rm, _, images := testbed(s, 8)
+	var comps []*Component
+	for i := 0; i < 3; i++ {
+		comp, err := rm.Lease("svcA", "dnn-v1", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if comp.Node != NodeID(i) {
+			t.Fatalf("lease %d got node %d, want the lowest free id %d", i, comp.Node, i)
+		}
+		comps = append(comps, comp)
 	}
 	if rm.FreeCount() != 5 {
 		t.Fatalf("free = %d, want 5", rm.FreeCount())
 	}
-	for _, id := range comp.Nodes {
-		if images[id] != "dnn-v1" {
-			t.Errorf("node %d not configured", id)
+	for _, comp := range comps {
+		if images[comp.Node] != "dnn-v1" {
+			t.Errorf("node %d not configured", comp.Node)
 		}
-		if rm.NodeStateOf(id) != NodeLeased {
-			t.Errorf("node %d state %v", id, rm.NodeStateOf(id))
+		if rm.NodeStateOf(comp.Node) != NodeLeased {
+			t.Errorf("node %d state %v", comp.Node, rm.NodeStateOf(comp.Node))
 		}
 	}
-	rm.Release(comp.LeaseID)
+	for _, comp := range comps {
+		rm.Release(comp.LeaseID)
+	}
 	if rm.FreeCount() != 8 {
 		t.Fatalf("free after release = %d", rm.FreeCount())
 	}
@@ -58,9 +61,12 @@ func TestLeaseAndRelease(t *testing.T) {
 
 func TestLeaseInsufficientResources(t *testing.T) {
 	s := sim.New(1)
-	rm, _, _ := testbed(s, 4, 4)
-	if _, err := rm.Lease("big", "x", Constraints{Count: 5, Pod: -1}, nil); err == nil {
-		t.Fatal("oversized lease granted")
+	rm, _, _ := testbed(s, 1)
+	if _, err := rm.Lease("a", "x", nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rm.Lease("b", "x", nil); err == nil {
+		t.Fatal("lease granted from an empty pool")
 	}
 	if rm.Rejected.Value() != 1 {
 		t.Error("rejection not counted")
@@ -73,26 +79,27 @@ func TestTwoServicesShareThePool(t *testing.T) {
 	// under HaaS. FPGAs are allocated to each service from the Resource
 	// Manager's resource pool."
 	s := sim.New(1)
-	rm, _, images := testbed(s, 12, 6)
-	a, err := rm.Lease("svcA", "rank-v2", Constraints{Count: 4, Pod: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := rm.Lease("svcB", "dnn-v1", Constraints{Count: 4, Pod: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
+	rm, _, images := testbed(s, 12)
+	a := NewPool(rm, PoolSpec{Tenant: "svcA", Image: "rank-v2"})
+	b := NewPool(rm, PoolSpec{Tenant: "svcB", Image: "dnn-v1"})
+	for i := 0; i < 4; i++ {
+		mustGrow(t, a)
+		mustGrow(t, b)
 	}
 	seen := map[NodeID]bool{}
-	for _, id := range a.Nodes {
-		seen[id] = true
-	}
-	for _, id := range b.Nodes {
-		if seen[id] {
-			t.Fatalf("node %d double-leased", id)
+	for _, m := range a.Members() {
+		seen[m.Node] = true
+		if images[m.Node] != "rank-v2" {
+			t.Errorf("service A's node %d runs %q", m.Node, images[m.Node])
 		}
 	}
-	if images[a.Nodes[0]] != "rank-v2" || images[b.Nodes[0]] != "dnn-v1" {
-		t.Error("services got wrong images")
+	for _, m := range b.Members() {
+		if seen[m.Node] {
+			t.Fatalf("node %d double-leased", m.Node)
+		}
+		if images[m.Node] != "dnn-v1" {
+			t.Errorf("service B's node %d runs %q", m.Node, images[m.Node])
+		}
 	}
 	if rm.FreeCount() != 4 {
 		t.Errorf("unallocated pool = %d, want 4", rm.FreeCount())
@@ -100,47 +107,19 @@ func TestTwoServicesShareThePool(t *testing.T) {
 	rm.Stop()
 }
 
-func TestSamePodConstraint(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 12, 4) // pods of 4
-	comp, err := rm.Lease("local", "x", Constraints{Count: 3, SamePod: true, Pod: -1}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pod := int(comp.Nodes[0]) / 4
-	for _, id := range comp.Nodes {
-		if int(id)/4 != pod {
-			t.Fatalf("component spans pods: %v", comp.Nodes)
-		}
-	}
-	rm.Stop()
-}
-
-func TestPodPinning(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 12, 4)
-	comp, err := rm.Lease("pinned", "x", Constraints{Count: 2, Pod: 2}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range comp.Nodes {
-		if int(id)/4 != 2 {
-			t.Fatalf("node %d not in pod 2", id)
-		}
-	}
-	rm.Stop()
-}
-
 func TestFailureDetectionAndNotification(t *testing.T) {
 	s := sim.New(1)
-	rm, healthy, _ := testbed(s, 6, 6)
+	rm, healthy, _ := testbed(s, 6)
 	var failed []NodeID
-	comp, err := rm.Lease("svc", "x", Constraints{Count: 3, Pod: -1},
-		func(id NodeID) { failed = append(failed, id) })
-	if err != nil {
-		t.Fatal(err)
+	var comps []*Component
+	for i := 0; i < 3; i++ {
+		comp, err := rm.Lease("svc", "x", func(id NodeID) { failed = append(failed, id) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		comps = append(comps, comp)
 	}
-	victim := comp.Nodes[1]
+	victim := comps[1].Node
 	*healthy[victim] = false
 	s.RunFor(50 * sim.Millisecond)
 	if len(failed) != 1 || failed[0] != victim {
@@ -157,10 +136,13 @@ func TestFailureDetectionAndNotification(t *testing.T) {
 
 func TestReplaceNode(t *testing.T) {
 	s := sim.New(1)
-	rm, _, images := testbed(s, 6, 6)
-	comp, _ := rm.Lease("svc", "img", Constraints{Count: 2, Pod: -1}, nil)
-	dead := comp.Nodes[0]
-	repl, err := rm.ReplaceNode(comp.LeaseID, dead, "img")
+	rm, _, images := testbed(s, 6)
+	comp, err := rm.Lease("svc", "img", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := comp.Node
+	repl, err := rm.ReplaceNode(comp.LeaseID, "img")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,144 +152,65 @@ func TestReplaceNode(t *testing.T) {
 	if images[repl] != "img" {
 		t.Error("replacement not configured")
 	}
-	found := false
-	for _, id := range comp.Nodes {
-		if id == repl {
-			found = true
-		}
-		if id == dead {
-			t.Error("dead node still in component")
-		}
+	if comp.Node != repl {
+		t.Errorf("component holds node %d, want the replacement %d", comp.Node, repl)
 	}
-	if !found {
-		t.Error("replacement not in component")
+	if _, err := rm.ReplaceNode(99, "img"); err == nil {
+		t.Error("replaced a board of an unknown lease")
 	}
 	rm.Stop()
 }
 
+// A pool is its service's Service Manager: it grows, swaps a spare in
+// for a dead member, and shrinks back to nothing.
 func TestServiceManagerLifecycle(t *testing.T) {
 	s := sim.New(1)
-	rm, healthy, _ := testbed(s, 8, 8)
-	sm := NewServiceManager(s, rm, "ranker", "rank-v1")
-	if err := sm.Scale(4, Constraints{Pod: -1}); err != nil {
-		t.Fatal(err)
+	rm, healthy, images := testbed(s, 8)
+	repaired := 0
+	p := NewPool(rm, PoolSpec{
+		Tenant: "ranker", Image: "rank-v1",
+		OnLost: func(m *Member, dead NodeID) {
+			if m.Node != dead {
+				repaired++
+			}
+		},
+	})
+	for i := 0; i < 4; i++ {
+		mustGrow(t, p)
 	}
-	if len(sm.Members()) != 4 {
-		t.Fatalf("members = %d", len(sm.Members()))
-	}
-	// Round-robin covers all members.
-	seen := map[NodeID]int{}
-	for i := 0; i < 8; i++ {
-		id, ok := sm.Pick()
-		if !ok {
-			t.Fatal("Pick failed")
-		}
-		seen[id]++
-	}
-	if len(seen) != 4 {
-		t.Fatalf("round robin visited %d members, want 4", len(seen))
-	}
-	for id, n := range seen {
-		if n != 2 {
-			t.Errorf("member %d picked %d times, want 2", id, n)
-		}
+	if len(p.Members()) != 4 {
+		t.Fatalf("members = %d", len(p.Members()))
 	}
 
-	// Kill a member: the SM must self-heal via replacement.
-	victim := sm.Members()[0]
+	// Kill a member: the pool must self-heal via replacement.
+	victim := p.Members()[0].Node
 	*healthy[victim] = false
 	s.RunFor(100 * sim.Millisecond)
-	if sm.Repaired.Value() != 1 {
-		t.Fatal("SM did not repair the failed member")
+	if repaired != 1 {
+		t.Fatal("pool did not repair the failed member")
 	}
-	for _, id := range sm.Members() {
-		if id == victim {
+	for _, m := range p.Members() {
+		if m.Node == victim {
 			t.Fatal("dead member still serving")
+		}
+		if images[m.Node] != "rank-v1" {
+			t.Errorf("member %d on node %d runs %q", m.Index, m.Node, images[m.Node])
 		}
 	}
 	// Grow then shrink ("a global manager grows or shrinks the pools").
-	if err := sm.Scale(6, Constraints{Pod: -1}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 2; i++ {
+		mustGrow(t, p)
 	}
-	if len(sm.Members()) != 6 {
+	if len(p.Members()) != 6 {
 		t.Fatal("grow failed")
 	}
-	sm.Release()
+	for p.Shrink() != nil {
+	}
+	if len(p.Members()) != 0 {
+		t.Fatalf("%d members left after shrinking to empty", len(p.Members()))
+	}
 	if rm.FreeCount() != 7 { // 8 minus the dead one
 		t.Fatalf("free after release = %d, want 7", rm.FreeCount())
-	}
-	rm.Stop()
-}
-
-func TestPickOnEmptyService(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 2, 2)
-	sm := NewServiceManager(s, rm, "empty", "x")
-	if _, ok := sm.Pick(); ok {
-		t.Fatal("Pick succeeded with no component")
-	}
-	rm.Stop()
-}
-
-func TestInvalidLeaseCount(t *testing.T) {
-	s := sim.New(1)
-	rm, _, _ := testbed(s, 2, 2)
-	if _, err := rm.Lease("z", "x", Constraints{Count: 0, Pod: -1}, nil); err == nil {
-		t.Fatal("zero-count lease granted")
-	}
-	rm.Stop()
-}
-
-func TestNodeViewsCarryDepthAndState(t *testing.T) {
-	s := sim.New(1)
-	rm := NewResourceManager(s, RMConfig{
-		PodOf: func(id NodeID) int { return int(id) / 2 },
-	})
-	depths := map[NodeID]int{0: 3, 1: 0}
-	for i := 0; i < 3; i++ {
-		id := NodeID(i)
-		fm := &FPGAManager{
-			Node:      id,
-			Configure: func(string) {},
-			Healthy:   func() bool { return true },
-		}
-		if i < 2 {
-			fm.Depth = func() int { return depths[id] }
-		}
-		rm.Register(fm)
-	}
-	if _, err := rm.Lease("svc", "img", Constraints{Count: 1, Pod: -1}, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	views := rm.NodeViews()
-	if len(views) != 3 {
-		t.Fatalf("got %d views, want 3", len(views))
-	}
-	for i, v := range views {
-		if int(v.Node) != i {
-			t.Fatalf("views not in node order: %v", views)
-		}
-	}
-	if views[0].Depth != 3 || views[1].Depth != 0 {
-		t.Fatalf("depths = %d,%d, want 3,0", views[0].Depth, views[1].Depth)
-	}
-	if views[2].Depth != -1 {
-		t.Fatalf("depth without FM hook = %d, want -1", views[2].Depth)
-	}
-	if views[0].State != NodeLeased {
-		t.Fatalf("node 0 state = %v, want leased", views[0].State)
-	}
-	if views[0].Pod != 0 || views[2].Pod != 1 {
-		t.Fatalf("pods = %d,%d, want 0,1", views[0].Pod, views[2].Pod)
-	}
-
-	depths[0] = 7
-	if v, ok := rm.NodeViewOf(0); !ok || v.Depth != 7 {
-		t.Fatalf("NodeViewOf(0) = %+v,%v, want live depth 7", v, ok)
-	}
-	if _, ok := rm.NodeViewOf(99); ok {
-		t.Fatal("NodeViewOf invented an unregistered node")
 	}
 	rm.Stop()
 }

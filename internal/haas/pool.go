@@ -1,9 +1,10 @@
 package haas
 
-// Backend pools (§V-F): a service only asks to Grow or Shrink; the pool
-// decides what to lease (a whole board, or a vFPGA slot claim off the
-// boards the pool already uses), replaces members whose board dies, and
-// reports each change through the PoolSpec callbacks.
+// Backend pools (§V-F): a pool is its service's Service Manager. The
+// service only asks to Grow or Shrink; the pool decides what to lease (a
+// whole board, or a vFPGA slot claim off the boards the pool already
+// uses), replaces members whose board dies, and reports each change
+// through the PoolSpec callbacks.
 
 import "slices"
 
@@ -122,12 +123,11 @@ func (p *Pool) nodesExcept(skip *Member) []NodeID {
 // lease places m on a whole board, or on a slot off the avoided boards.
 func (p *Pool) lease(m *Member, avoid []NodeID) error {
 	if !p.slotted() {
-		comp, err := p.rm.Lease(p.spec.Tenant, p.spec.Image, Constraints{Count: 1, Pod: -1},
-			func(dead NodeID) { p.fail(m, dead) })
+		comp, err := p.rm.Lease(p.spec.Tenant, p.spec.Image, func(dead NodeID) { p.fail(m, dead) })
 		if err != nil {
 			return err
 		}
-		m.lease, m.Node = comp.LeaseID, comp.Nodes[0]
+		m.lease, m.Node = comp.LeaseID, comp.Node
 		return nil
 	}
 	claims, err := p.rm.LeaseSlots(SlotRequest{
@@ -161,7 +161,7 @@ func (p *Pool) fail(m *Member, dead NodeID) {
 	var err error
 	if !p.slotted() {
 		var repl NodeID
-		if repl, err = p.rm.ReplaceNode(m.lease, dead, p.spec.Image); err == nil {
+		if repl, err = p.rm.ReplaceNode(m.lease, p.spec.Image); err == nil {
 			m.Node = repl
 		} else {
 			p.rm.Release(m.lease)

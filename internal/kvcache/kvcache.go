@@ -814,7 +814,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	// pool keeps every slice off the boards the others occupy; requests
 	// arriving during a slot's partial reconfiguration are swallowed and
 	// surface as client timeouts.
-	sv.pool, sv.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, shardRole{}, nil, haas.PoolSpec{
+	sv.pool, sv.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, shardRole{}, haas.PoolSpec{
 		Tenant: "kvcache", Image: shardImage, ALMs: cfg.SlotALMs,
 		OnReady: func(m *haas.Member) {
 			h := int(m.Node)

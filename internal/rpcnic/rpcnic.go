@@ -300,7 +300,7 @@ type Dispatcher struct {
 	dispHost int
 	router   *svclb.Router
 	table    map[uint64]*dispatchState
-	queues   map[int]*svclb.WorkQueue
+	pcie     shell.Config // host-software baseline's DMA model
 
 	pool    *haas.Pool
 	in      *faultinject.Injector
@@ -364,7 +364,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 	d := &Dispatcher{
 		s: s, dc: dc, cfg: cfg, shells: shells,
 		table:       map[uint64]*dispatchState{},
-		queues:      map[int]*svclb.WorkQueue{},
+		pcie:        shell.DefaultConfig(),
 		gossip:      map[int]*sim.Ticker{},
 		tracer:      obs.TracerOf(s),
 		hostsPerTOR: dcCfg.HostsPerTOR,
@@ -420,7 +420,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		}
 	}))
 
-	d.pool, d.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, backendRole{}, d.queues, haas.PoolSpec{
+	d.pool, d.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, backendRole{}, haas.PoolSpec{
 		Tenant: "rpcnic", Image: backendImage,
 		OnReady: d.attachBackend,
 		OnLost:  d.detachBackend,
@@ -454,7 +454,6 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 	h := int(m.Node)
 	sh := d.shells[h]
 	q := svclb.NewWorkQueue(d.s, h)
-	d.queues[h] = q
 	ret := make([]byte, d.cfg.RetBytes)
 	var out []byte
 	sim.Must(sh.SetServiceHandler(func(from int, kind uint8, payload []byte) {
@@ -578,7 +577,7 @@ func (d *Dispatcher) flushBatch() {
 // whose decode cost scales with the serialized size, PCIe back down.
 func (d *Dispatcher) hostIngress(from int, payload []byte) {
 	buf := append([]byte(nil), payload...)
-	pcie := d.pcieTime(len(buf))
+	pcie := d.pcie.PCIeTime(len(buf))
 	decode := d.cfg.HostDecodeFixed + d.cfg.HostDecodePerByte*sim.Time(len(buf))
 	d.s.Schedule(pcie, func() {
 		now := d.s.Now()
@@ -600,7 +599,7 @@ func (d *Dispatcher) hostIngress(from int, payload []byte) {
 			d.hostQueueLen--
 			d.Stats.HostQueue.Set(int64(d.hostQueueLen))
 			// Dispatch crosses PCIe back to the shell before entering LTL.
-			d.s.Schedule(d.pcieTime(len(buf)), func() { d.decodeAndDispatch(from, buf) })
+			d.s.Schedule(d.pcie.PCIeTime(len(buf)), func() { d.decodeAndDispatch(from, buf) })
 		})
 	})
 }
@@ -677,7 +676,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		}
 		sim.Must(d.shells[d.dispHost].SendDatagram(caller, KindReply, buf))
 	}
-	pcie := d.pcieTime(len(buf))
+	pcie := d.pcie.PCIeTime(len(buf))
 	decode := d.cfg.HostDecodeFixed/2 + d.cfg.HostDecodePerByte*sim.Time(len(buf))
 	d.s.Schedule(pcie, func() {
 		start := d.s.Now()
@@ -688,14 +687,9 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		d.hostBusyUntil = fin
 		d.hostBusyTotal += decode
 		d.s.Schedule(fin-d.s.Now(), func() {
-			d.s.Schedule(d.pcieTime(len(buf)), send)
+			d.s.Schedule(d.pcie.PCIeTime(len(buf)), send)
 		})
 	})
-}
-
-func (d *Dispatcher) pcieTime(n int) sim.Time {
-	c := shell.DefaultConfig()
-	return c.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/c.PCIeBps)
 }
 
 // ---- caller side ----

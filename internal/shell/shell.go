@@ -121,6 +121,12 @@ func DefaultConfig() Config {
 	}
 }
 
+// PCIeTime is the one-way DMA time of an n-byte transfer: the fixed
+// latency plus serialization at PCIeBps.
+func (c *Config) PCIeTime(n int) sim.Time {
+	return c.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/c.PCIeBps)
+}
+
 // Stats aggregates shell counters.
 type Stats struct {
 	Bridged      metrics.Counter // frames passed NIC<->TOR
@@ -632,16 +638,12 @@ func (sh *Shell) PCIeCall(payload []byte, reply func([]byte)) error {
 	sh.nextReqID++
 	id := sh.nextReqID
 	sh.pcieWaiters[id] = reply
-	dma := sh.pcieTime(len(payload))
+	dma := sh.cfg.PCIeTime(len(payload))
 	msg := encodeReq(id, FromPCIe, payload)
 	sh.sim.Schedule(dma, func() {
 		sh.termPCIe.Send(er.PortRole, 0, msg)
 	})
 	return nil
-}
-
-func (sh *Shell) pcieTime(n int) sim.Time {
-	return sh.cfg.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/sh.cfg.PCIeBps)
 }
 
 // onRoleMessage delivers ER messages addressed to the role slot. Requests
@@ -684,7 +686,7 @@ func (sh *Shell) onPCIeMessage(m *er.Message) {
 		return
 	}
 	delete(sh.pcieWaiters, id)
-	sh.sim.Schedule(sh.pcieTime(len(payload)), func() { reply(payload) })
+	sh.sim.Schedule(sh.cfg.PCIeTime(len(payload)), func() { reply(payload) })
 }
 
 // ---- Remote (LTL) acceleration path ----

@@ -258,7 +258,6 @@ type Balancer struct {
 	smHost  int
 
 	pool   *haas.Pool
-	queues map[int]*WorkQueue
 	gossip map[int]*sim.Ticker
 	unwire map[int]func() // per-host teardown of a previous wiring epoch
 
@@ -368,7 +367,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	b := &Balancer{
 		s: s, cfg: cfg,
 		shells:  shells,
-		queues:  map[int]*WorkQueue{},
 		gossip:  map[int]*sim.Ticker{},
 		unwire:  map[int]func(){},
 		pending: map[uint64]*pendingReq{},
@@ -395,9 +393,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	b.hostsPerTOR = dcCfg.HostsPerTOR
 
 	pcieCfg := shell.DefaultConfig()
-	b.pcie = func(n int) sim.Time {
-		return pcieCfg.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/pcieCfg.PCIeBps)
-	}
+	b.pcie = pcieCfg.PCIeTime
 	if b.cfg.Admission && b.cfg.NetOverhead <= 0 {
 		b.cfg.NetOverhead = b.pcie(cfg.ReqBytes) + b.pcie(cfg.RespBytes) + 20*sim.Microsecond
 	}
@@ -411,7 +407,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	}
 	b.router = router
 
-	b.pool, b.in = NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, svcRole{}, b.queues, haas.PoolSpec{
+	b.pool, b.in = NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, svcRole{}, haas.PoolSpec{
 		Tenant: "svclb", Image: serviceImage, ALMs: cfg.SlotALMs,
 		OnLost: b.onLost,
 	})
@@ -789,7 +785,6 @@ func (b *Balancer) addBackend(h int) {
 		tear() // host reused after a drain: drop the stale wiring epoch
 	}
 	q := NewWorkQueue(b.s, h)
-	b.queues[h] = q
 	fs := b.shells[h]
 	sl := b.router.AddSlot(h)
 
@@ -929,34 +924,20 @@ func NewFabric(s *sim.Simulation, slotted bool, slotsPerBoard int) (*netsim.Data
 // built like it: a Resource Manager polling health every rmPoll, a fault
 // injector that can kill any of hosts, and a haas.Pool leasing them
 // under spec. Each host registers through an FPGA Manager that loads
-// role (the pool picks board or slot registration from spec.ALMs); when
-// queues is non-nil the FM reports each host's WorkQueue depth (-1
-// before the host is wired).
+// role (the pool picks board or slot registration from spec.ALMs).
 func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []int, rmPoll sim.Time,
-	role shell.Role, queues map[int]*WorkQueue, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
-	pool := haas.NewPool(haas.NewResourceManager(dc.Sim, haas.RMConfig{
-		HealthPollInterval: rmPoll,
-		PodOf:              func(id haas.NodeID) int { p, _, _ := dc.Locate(int(id)); return p },
-	}), spec)
+	role shell.Role, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
+	pool := haas.NewPool(haas.NewResourceManager(dc.Sim, haas.RMConfig{HealthPollInterval: rmPoll}), spec)
 	in := faultinject.New(dc.Sim)
 	for _, h := range hosts {
 		h, sh := h, shells[h]
 		in.AddNode(h, sh)
-		fm := &haas.FPGAManager{
-			Node:      haas.NodeID(h),
-			Configure: func(string) { sh.LoadRole(role) },
-			Healthy:   func() bool { return in.NodeAlive(h) },
-		}
-		if queues != nil {
-			fm.Depth = func() int {
-				if q := queues[h]; q != nil {
-					return q.Depth()
-				}
-				return -1
-			}
-		}
 		pool.AddNode(&haas.SlotFM{
-			FM:   fm,
+			FM: &haas.FPGAManager{
+				Node:      haas.NodeID(h),
+				Configure: func(string) { sh.LoadRole(role) },
+				Healthy:   func() bool { return in.NodeAlive(h) },
+			},
 			Caps: sh.SlotCaps(),
 			ConfigureSlot: func(slot int, tenant, _ string, alms int, done func(ok bool)) (sim.Time, error) {
 				return sh.ReconfigureSlot(slot, tenant, role, alms, done)
