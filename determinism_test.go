@@ -547,3 +547,40 @@ func TestControlPlanePins(t *testing.T) {
 		t.Errorf("haasdemo stdout sha256 %s, pinned %s:\n%s", got, pinHaaSDemo, out)
 	}
 }
+
+// The experiments that carry fabric background noise are pinned the same
+// way: the SHA-256 of the rendered fig10 (Fig. 10) table at Quick sizing,
+// of the same table under the chaos fault profile, whose frame faults
+// draw on every noise frame, and of the svclb (Sec. V-F) table.
+const (
+	pinFig10Table      = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
+	pinFig10ChaosTable = "8279649f6fe4734caf891e43079d7c0919ac6b7dfa97f4338fbc465265907683"
+	pinSvcLBTable      = "0e4fa00f4e03dc21a12505effca151dd0e77baf8585033a8ededb031c92cca80"
+)
+
+func TestNoiseCarryingPins(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs fig10 twice and the svclb sweep")
+	}
+	defer SetDefaultFaultProfile("")
+	for _, p := range []struct{ id, profile, want string }{
+		{"fig10", "", pinFig10Table},
+		{"fig10", "chaos", pinFig10ChaosTable},
+		{"svclb", "", pinSvcLBTable},
+	} {
+		if err := SetDefaultFaultProfile(p.profile); err != nil {
+			t.Fatal(err)
+		}
+		tabs, err := RunExperiment(p.id, Quick)
+		if err != nil {
+			t.Fatalf("%s: %v", p.id, err)
+		}
+		out := ""
+		for _, tab := range tabs {
+			out += tab.String()
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != p.want {
+			t.Errorf("%s (faults %q) table sha256 %s, pinned %s:\n%s", p.id, p.profile, got, p.want, out)
+		}
+	}
+}
