@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"os"
@@ -42,6 +43,9 @@ func main() {
 	dilation := flag.Float64("dilation", 1.0, "virtual ns per wall ns (realtime)")
 	background := flag.Float64("background", 0.0, "self-serve: background fabric load")
 	flag.Parse()
+	if err := checkBackground(*background); err != nil {
+		fail("%v", err)
+	}
 
 	var m frontend.Mode
 	switch *mode {
@@ -122,6 +126,15 @@ func newServer(h http.Handler) *http.Server {
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// checkBackground rejects a -background the fabric cannot run: a load
+// that is not finite, or is negative.
+func checkBackground(v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+		return fmt.Errorf("-background %v: want a finite load of 0 or more", v)
+	}
+	return nil
 }
 
 func fail(format string, args ...any) {

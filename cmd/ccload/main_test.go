@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"testing"
@@ -61,5 +62,19 @@ func TestServerAnswersPromptClient(t *testing.T) {
 	body, err := io.ReadAll(resp.Body)
 	if err != nil || string(body) != "ok" {
 		t.Fatalf("body %q, err %v", body, err)
+	}
+}
+
+func TestCheckBackground(t *testing.T) {
+	for _, tc := range []struct {
+		v  float64
+		ok bool
+	}{
+		{0, true}, {0.05, true}, {1.5, true},
+		{-0.01, false}, {math.NaN(), false}, {math.Inf(1), false}, {math.Inf(-1), false},
+	} {
+		if err := checkBackground(tc.v); (err == nil) != tc.ok {
+			t.Errorf("checkBackground(%v) = %v, want ok %v", tc.v, err, tc.ok)
+		}
 	}
 }

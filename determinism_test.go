@@ -166,8 +166,8 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 // SHA-256 of the telemetry JSONL. A change to either is a behaviour
 // change and must be deliberate.
 const (
-	pinScaleDigest      = "045264282139d999"
-	pinScaleTelemetry   = "d64b5a50ea96b7a56bbe401ea87bf037d1272b78bdc4468d61472a73e5b34767"
+	pinScaleDigest      = "d697c2810daa604c"
+	pinScaleTelemetry   = "6b60f06d946907fcb24189ab70dc1755ce1caacca56e19efd43764c4f1f09adc"
 	pinNetsvcDigest     = "427f71d71f34996c"
 	pinNetsvcTelemetry  = "371cc6796fecfe3184caea5ccf215aada3f892e795535326f70e9d3750da3656"
 	pinNetsvcMGet4      = "8375c29437f42720"

@@ -78,10 +78,10 @@ func BenchmarkNetsimHotPathObsOff(b *testing.B) { benchHotPath(b, false) }
 func BenchmarkNetsimHotPathObsOn(b *testing.B) { benchHotPath(b, true) }
 
 // BenchmarkNetsimNoise measures one background frame's whole life, the
-// fabric's per-hop cost for synthetic cross traffic: InjectNoise encodes
-// it into a pooled packet, the L1 port queues and serializes it, and it
-// propagates to the TOR, which drops it for want of a route and recycles
-// the packet.
+// fabric's per-hop cost for synthetic cross traffic: InjectNoise fills a
+// pooled packet's view, the L1 port queues and serializes it, and it
+// ends on the wire to the TOR, which counts it received and never sees
+// it, and the packet is recycled.
 func BenchmarkNetsimNoise(b *testing.B) {
 	s, l1 := noiseFabric()
 	b.ReportAllocs()

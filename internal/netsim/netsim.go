@@ -8,7 +8,8 @@
 //
 // Devices (switches, hosts, FPGA shells) exchange fully encoded Ethernet
 // frames (see internal/pkt); everything a device learns about a frame it
-// learns by decoding bytes.
+// learns by decoding bytes. Background noise, which no device ever
+// receives, is the one frame without bytes (see Packet).
 package netsim
 
 import (
@@ -38,9 +39,16 @@ type Device interface {
 // pool-backed: the frame is decoded exactly once, into storage embedded
 // in the Packet, and the Packet is recycled via Free at points where it
 // provably dies (congestion drops, terminated control frames, routing
-// dead ends). NewPacketCopy and InjectNoise also write the bytes into
-// the packet's own recycled buffer, so a background noise frame, which
-// dies at its next hop, costs no allocation at all.
+// dead ends). NewPacketCopy also writes the bytes into the packet's own
+// recycled buffer.
+//
+// A background noise frame from InjectNoise is the exception to "view
+// plus bytes": it carries only the parsed view, with Buf empty and a
+// Payload that aliases a shared all-zero array. It is queued, marked,
+// serialized and faulted like any frame, then ends on the wire: the
+// transmitting port counts it received by the peer and recycles it
+// without a propagation leg. Only a fault that duplicates or corrupts
+// it, or paranoid mode, encodes its bytes (materialize).
 //
 // Retention rule: a device receiving HandleFrame may retain packet (and
 // packet.F, whose Payload aliases packet.Buf) past the call only if it
@@ -57,6 +65,8 @@ type Packet struct {
 	// it leaves (or is dropped at) the egress queue.
 	ingress *Port
 	held    bool
+	// noise marks a byte-free background frame from InjectNoise.
+	noise bool
 
 	// EnqueuedAt is when the packet last entered an egress queue.
 	EnqueuedAt sim.Time
@@ -86,7 +96,7 @@ type Packet struct {
 	hopSpan obs.SpanID
 
 	frame pkt.Frame // storage F points at for pool-backed packets
-	// mem is recycled byte storage for NewPacketCopy and InjectNoise: it
+	// mem is recycled byte storage for NewPacketCopy and materialize: it
 	// survives Free so a pool hit writes into an already-sized buffer
 	// with no allocation.
 	mem []byte
@@ -166,6 +176,19 @@ func (p *Packet) decodeMem() *Packet {
 	p.Buf = p.mem
 	p.F = &p.frame
 	return p
+}
+
+// materialize encodes a noise packet's view into its recycled buffer,
+// CE mark included, so the frame has the bytes a real sender would have
+// put on the wire. The view is left as it was; it still describes them.
+func (p *Packet) materialize() {
+	f := p.F
+	p.mem = pkt.AppendUDP(p.mem[:0], f.Src, f.Dst, f.SrcIP, f.DstIP,
+		f.SrcPort, f.DstPort, f.Class(), f.TTL, f.IPID, f.Payload)
+	if f.ECN == pkt.ECNCE {
+		pkt.SetECNCE(p.mem)
+	}
+	p.Buf = p.mem
 }
 
 // Free returns a pool-backed packet for reuse. Callers must prove the
@@ -269,6 +292,10 @@ type PortStats struct {
 	DupsInjected    metrics.Counter
 	CorruptInjected metrics.Counter
 	DelayedInjected metrics.Counter
+
+	// NoiseEnded counts the background frames among RxFrames: they end
+	// on the wire into this port instead of reaching its device.
+	NoiseEnded metrics.Counter
 }
 
 // FaultOp selects the wire-level fault applied to one frame.
@@ -614,11 +641,18 @@ func propagationDone(v any) {
 }
 
 // deliver propagates packet to peer, applying the port's fault hook (if
-// any) now that the frame is fully on the wire.
+// any) now that the frame is fully on the wire. A noise frame goes
+// through the hook like any other, so every hook draws once per frame,
+// and then ends here; a copy the hook duplicates or corrupts gets real
+// bytes and propagates as an ordinary frame.
 func (p *Port) deliver(peer *Port, packet *Packet) {
 	prop := p.cfg.Link.Prop
 	if p.fault != nil {
-		switch d := p.fault(p, packet); d.Op {
+		d := p.fault(p, packet)
+		if packet.noise && (d.Op == FaultDuplicate || d.Op == FaultCorrupt) {
+			packet.materialize()
+		}
+		switch d.Op {
 		case FaultDrop:
 			p.Stats.DropsInjected.Inc()
 			packet.Free()
@@ -655,6 +689,16 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			p.Stats.DelayedInjected.Inc()
 			prop += d.Delay
 		}
+	}
+	if packet.noise {
+		if paranoid {
+			packet.materialize()
+			verifyCached(packet)
+		}
+		peer.Stats.RxFrames.Inc()
+		peer.Stats.NoiseEnded.Inc()
+		packet.Free()
+		return
 	}
 	packet.NextPort = peer
 	p.propagate(prop, packet)

@@ -45,11 +45,13 @@ func TestParanoidRedecode(t *testing.T) {
 
 // TestParanoidNoiseUnderFaults runs background noise past line rate
 // with per-hop re-decode on, ECN thresholds low enough that noise frames
-// are CE-marked in their recycled buffers, and a fault hook that
-// corrupts and duplicates frames on every L1 port. Nothing may panic,
-// and every frame a switch takes in must leave it or be counted as
-// dropped, with each link delivering what its transmitter sent, less
-// injected drops, plus injected duplicates.
+// are CE-marked, and a fault hook that corrupts and duplicates frames on
+// every L1 port, so noise frames are materialized both for the hook and
+// for the re-decode. Nothing may panic, and every frame a switch takes
+// in must leave it, be counted as dropped, or have ended on the wire
+// into one of its ports (in = out + drops + ended-on-wire), with each
+// link delivering what its transmitter sent, less injected drops, plus
+// injected duplicates.
 func TestParanoidNoiseUnderFaults(t *testing.T) {
 	SetParanoid(true)
 	defer SetParanoid(false)
@@ -103,9 +105,9 @@ func TestParanoidNoiseUnderFaults(t *testing.T) {
 	dc.StopBackgroundLoad()
 	s.RunFor(sim.Millisecond) // drain every queue and pipeline
 
-	var injected, marks, dups, corrupt, red, tail uint64
+	var injected, marks, dups, corrupt, red, tail, ended uint64
 	for _, sw := range switches {
-		in, out := sw.Stats.Injected.Value(), uint64(0)
+		in, out, endedHere := sw.Stats.Injected.Value(), uint64(0), uint64(0)
 		dropped := sw.Stats.NoRoute.Value() + sw.Stats.DeadPort.Value()
 		for i := 0; i < sw.NumPorts(); i++ {
 			p := sw.Port(i)
@@ -113,6 +115,7 @@ func TestParanoidNoiseUnderFaults(t *testing.T) {
 			in += st.RxFrames.Value()
 			out += st.TxFrames.Value()
 			dropped += st.DropsRED.Value() + st.DropsTail.Value()
+			endedHere += st.NoiseEnded.Value()
 			marks += st.ECNMarks.Value()
 			dups += st.DupsInjected.Value()
 			corrupt += st.CorruptInjected.Value()
@@ -129,12 +132,14 @@ func TestParanoidNoiseUnderFaults(t *testing.T) {
 			}
 		}
 		injected += sw.Stats.Injected.Value()
-		if in != out+dropped {
-			t.Errorf("%s: %d frames in, %d out + %d dropped", sw.DeviceName(), in, out, dropped)
+		ended += endedHere
+		if in != out+dropped+endedHere {
+			t.Errorf("%s: %d frames in, %d out + %d dropped + %d ended on the wire",
+				sw.DeviceName(), in, out, dropped, endedHere)
 		}
 	}
-	if injected == 0 || marks == 0 || dups == 0 || corrupt == 0 || red == 0 || tail == 0 {
-		t.Fatalf("load did not exercise the noise path: injected=%d ecn=%d dups=%d corrupt=%d red=%d tail=%d",
-			injected, marks, dups, corrupt, red, tail)
+	if injected == 0 || marks == 0 || dups == 0 || corrupt == 0 || red == 0 || tail == 0 || ended == 0 {
+		t.Fatalf("load did not exercise the noise path: injected=%d ecn=%d dups=%d corrupt=%d red=%d tail=%d ended=%d",
+			injected, marks, dups, corrupt, red, tail, ended)
 	}
 }

@@ -204,27 +204,43 @@ func (sw *Switch) armPauseRefresh(in *Port, class pkt.TrafficClass) {
 	})
 }
 
-// noisePayload is the all-zero body every background frame carries;
-// AppendUDP copies a prefix of it into the frame's pooled buffer.
+// noisePayload is the all-zero body every background frame's view
+// points into; nothing writes to it.
 var noisePayload [pkt.MaxMTU]byte
 
 // InjectNoise enqueues a synthetic background frame directly on egress
 // port out. It models cross-traffic from parts of the datacenter that are
 // not individually instantiated; the frame is addressed outside the
-// instantiated subgraph and vanishes at the next hop. size is the frame's
-// length on the wire, clamped to [64, pkt.MaxMTU]; a tagged class adds
-// its VLAN tag. The frame is encoded straight into a pooled packet's
-// recycled buffer, so a steady stream of noise allocates nothing.
+// instantiated subgraph (broadcast from 02:ee:00:00:00:01, UDP 9→9 from
+// 255.255.255.254 to .255, TTL 1) and ends on the wire it leaves by.
+// size is the frame's length on the wire, clamped to [64, pkt.MaxMTU]; a
+// tagged class adds its VLAN tag.
+//
+// The frame has no bytes: InjectNoise fills a pooled packet's parsed
+// view directly and leaves Buf empty, so a steady stream of noise
+// allocates, encodes and copies nothing. It still occupies its queue,
+// draws RED and ECN, serializes, triggers PFC and passes the port's
+// fault hook exactly as an encoded frame would (see Packet).
 func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
 	size = max(64, min(size, pkt.MaxMTU))
-	payload := noisePayload[:size-pkt.EthHeaderLen-pkt.IPv4HeaderLen-pkt.UDPHeaderLen-pkt.EthFCSLen]
+	n := size - pkt.EthHeaderLen - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.EthFCSLen
 	p := packetPool.Get().(*Packet)
-	p.mem = pkt.AppendUDP(p.mem[:0],
-		pkt.MAC{0x02, 0xee, 0, 0, 0, 1}, pkt.Broadcast,
-		pkt.IP{255, 255, 255, 254}, pkt.IP{255, 255, 255, 255},
-		9, 9, class, 1, 0, payload)
+	p.frame = pkt.Frame{
+		Dst: pkt.Broadcast, Src: pkt.MAC{0x02, 0xee, 0, 0, 0, 1},
+		EtherType: pkt.EtherTypeIPv4,
+		IPValid:   true,
+		SrcIP:     pkt.IP{255, 255, 255, 254}, DstIP: pkt.IP{255, 255, 255, 255},
+		Protocol: pkt.ProtoUDP, TTL: 1, ECN: pkt.ECNCapable,
+		UDPValid: true, SrcPort: 9, DstPort: 9,
+		Payload: noisePayload[:n:n],
+	}
+	if class != pkt.ClassBestEffort {
+		p.frame.HasVLAN, p.frame.PCP, p.frame.VLAN = true, class, 1
+	}
+	p.F = &p.frame
+	p.noise = true
 	sw.Stats.Injected.Inc()
-	sw.ports[out].Enqueue(p.decodeMem())
+	sw.ports[out].Enqueue(p)
 }
 
 // IngressHeldBytes reports the PFC account for (ingress port, class) —

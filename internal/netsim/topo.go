@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -440,12 +441,28 @@ func (dc *Datacenter) L1Switches() []*Switch {
 	return out
 }
 
+// maxNoiseGap caps one background inter-arrival gap (about 146 years of
+// virtual time), so a vanishing util saturates instead of overflowing
+// sim.Time.
+const maxNoiseGap = sim.Time(1 << 62)
+
 // StartBackgroundLoad injects Poisson cross-traffic of the given class on
 // every wired L1 and L2 port, at utilization util of each port's line
 // rate with the given mean frame size. It models "other datacenter
-// traffic ... flowing through the same switches" (§V-C). Stop with
+// traffic ... flowing through the same switches" (§V-C). Frame sizes are
+// drawn uniformly on [64, 2·meanSize) and clamped to pkt.MaxMTU, so a
+// meanSize above about 750 bytes puts less than util on the wire
+// (DESIGN.md §6.2). A util of zero or below starts nothing. It panics on
+// a non-finite util, a meanSize below 64, or a util so high that the
+// mean gap between frames is under a nanosecond. Stop with
 // StopBackgroundLoad.
 func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, meanSize int) {
+	if math.IsNaN(util) || math.IsInf(util, 0) {
+		panic(fmt.Sprintf("netsim: background util %v is not finite", util))
+	}
+	if meanSize < 64 {
+		panic(fmt.Sprintf("netsim: background meanSize %d is below the 64-byte minimum frame", meanSize))
+	}
 	if util <= 0 {
 		return
 	}
@@ -470,15 +487,26 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 			}
 			i := i
 			meanGap := float64(meanSize*8) / (float64(port.cfg.Link.RateBps) * util) // seconds
+			if meanGap*float64(sim.Second) < 1 {
+				panic(fmt.Sprintf("netsim: background util %v puts frames less than 1ns apart on %s port %d",
+					util, sw.DeviceName(), i))
+			}
+			gap := func() sim.Time {
+				ns := rng.ExpFloat64() * meanGap * float64(sim.Second)
+				if !(ns < float64(maxNoiseGap)) {
+					return maxNoiseGap
+				}
+				return sim.Time(ns)
+			}
 			var next func()
 			next = func() {
 				if dc.noiseGen != gen {
 					return
 				}
 				sw.InjectNoise(i, class, 64+rng.Intn(2*meanSize-64))
-				sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)
+				sw.sim.Schedule(gap(), next)
 			}
-			sw.sim.Schedule(sim.Time(rng.ExpFloat64()*meanGap*float64(sim.Second)), next)
+			sw.sim.Schedule(gap(), next)
 		}
 	}
 	if dc.l2 != nil {

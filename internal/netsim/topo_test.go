@@ -1,6 +1,9 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/pkt"
@@ -397,5 +400,60 @@ func TestLossyIncastDropsInsteadOfPausing(t *testing.T) {
 	}
 	if recv+int(drops) != 400 {
 		t.Errorf("conservation violated: recv=%d drops=%d want sum 400", recv, drops)
+	}
+}
+
+// StartBackgroundLoad rejects input it cannot run with a panic naming
+// the argument, never a kernel panic or an unbounded loop of zero gaps,
+// and a vanishing load saturates its gap instead of wrapping sim.Time.
+func TestBackgroundLoadBadInput(t *testing.T) {
+	for _, tc := range []struct {
+		util     float64
+		meanSize int
+		panics   string // substring of the panic; "" = no panic
+	}{
+		{math.NaN(), 1400, "util NaN"},
+		{math.Inf(1), 1400, "util +Inf"},
+		{math.Inf(-1), 1400, "util -Inf"},
+		{1e300, 1400, "less than 1ns apart"},
+		{0.05, 32, "meanSize 32"},
+		{0.05, 63, "meanSize 63"},
+		{0, 0, "meanSize 0"},
+		{0, 1400, ""},
+		{-1, 1400, ""},
+		{1e-300, 1400, ""},
+		{5e-324, 1400, ""},
+		{0.05, 64, ""},
+	} {
+		t.Run(fmt.Sprintf("util=%g/meanSize=%d", tc.util, tc.meanSize), func(t *testing.T) {
+			s := sim.New(1)
+			dc := NewDatacenter(s, smallConfig())
+			dc.Host(0)
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				dc.StartBackgroundLoad(tc.util, pkt.ClassRDMA, tc.meanSize)
+				s.RunFor(sim.Millisecond)
+			}()
+			switch {
+			case tc.panics == "" && got != "":
+				t.Fatalf("panicked: %s", got)
+			case tc.panics != "" && !strings.Contains(got, tc.panics):
+				t.Fatalf("panic %q, want one containing %q", got, tc.panics)
+			}
+			if tc.panics != "" || tc.util >= 0.01 {
+				return
+			}
+			// A vanishing load puts nothing on the wire in a millisecond.
+			for _, sw := range dc.L1Switches() {
+				if n := sw.Stats.Injected.Value(); n != 0 {
+					t.Fatalf("%s injected %d frames", sw.DeviceName(), n)
+				}
+			}
+		})
 	}
 }
