@@ -584,3 +584,37 @@ func TestNoiseCarryingPins(t *testing.T) {
 		}
 	}
 }
+
+// The remaining tables with no wall-clock column are pinned the same
+// way, at Quick sizing, so a change that moves any of them shows it: the
+// SHA-256 of each experiment's rendered tables.
+var pinQuickTables = []struct{ id, want string }{
+	{"fig5", "9e6aa29223907a05ed20c04ad2ff2332e8429bf54bbf8d4a67a323c8aaedc6f5"},
+	{"power", "175ed2b4e6985c665f7b15eb50cfec182bc1489415f519e5616219ab0466bfde"},
+	{"reliability", "219c03811a30b1784d36c892d22cfe9d028b0f049f762c57b045708fa7731df1"},
+	{"fig6", "e973327623468f9aa04a81a44169d8fc2e861d804552c5ff0e4a0783ccfd47c8"},
+	{"fig7", "ccbfc6aafad908af9bdba8b50f95b99464ec3e529cb7838358f396ed01ecbf52"},
+	{"fig8", "4875c0a78fd8d1c6d525ba689eb3f02a894eefad1cedde49e9acfcc374e5517a"},
+	{"crypto", "063f4031c917aba14125ea7bebf1b6d871996da5b6c97573cbb1be96dd066cdf"},
+	{"fig11", "dc8f2f867f390587d4d19358b3fd9f071ce74d763718cf3afd2357f07fbf766e"},
+	{"ltlloss", "8cc57f51d126671b1822238aee3c7f0a0110941c2ba05a54098d9dcad8c29be7"},
+	{"faults", "f9d7e103c38d266f8b2816f1f231cffc5adba8e21dd9ca99f017f835189f8aaf"},
+	{"ext-bioinfo", "0b6e4c5e500cbc64bebc675d1e21d5d548d0d0db13fdbf6d65411f96f22ed859"},
+	{"ext-compression", "b6f017e7ea846410bfa6ab56950515d802dee21277c658473789e14568f78272"},
+}
+
+func TestQuickTablePins(t *testing.T) {
+	for _, p := range pinQuickTables {
+		tabs, err := RunExperiment(p.id, Quick)
+		if err != nil {
+			t.Fatalf("%s: %v", p.id, err)
+		}
+		out := ""
+		for _, tab := range tabs {
+			out += tab.String()
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != p.want {
+			t.Errorf("%s table sha256 %s, pinned %s:\n%s", p.id, got, p.want, out)
+		}
+	}
+}
