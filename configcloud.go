@@ -137,7 +137,6 @@ type Cloud struct {
 
 	shellCfg shell.Config
 	shells   map[int]*shell.Shell
-	profile  *faultinject.Profile
 }
 
 // New builds a cloud. Servers (and their TOR/L1/L2 chains) instantiate
@@ -167,7 +166,7 @@ func New(opts Options) *Cloud {
 		if err != nil {
 			panic(fmt.Sprintf("configcloud: %v", err))
 		}
-		c.profile = &p
+		c.Faults.Start(p)
 	}
 	if !opts.NoFPGAs {
 		topo.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
@@ -183,17 +182,14 @@ func New(opts Options) *Cloud {
 }
 
 // Node instantiates (if needed) and returns server id with its shell.
-// Under a fault profile, each new node is registered with the injector and
-// the profile's schedules restart to cover it.
+// Each new node is registered with the injector; under a fault profile it
+// joins the running schedule.
 func (c *Cloud) Node(id int) Node {
 	_, known := c.shells[id]
 	h := c.DC.Host(id)
 	sh := c.shells[id]
 	if sh != nil && !known {
 		c.Faults.AddNode(id, sh)
-		if c.profile != nil {
-			c.Faults.Start(*c.profile)
-		}
 	}
 	return Node{ID: id, Host: h, Shell: sh}
 }

@@ -554,7 +554,7 @@ func TestControlPlanePins(t *testing.T) {
 // draw on every noise frame, and of the svclb (Sec. V-F) table.
 const (
 	pinFig10Table      = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
-	pinFig10ChaosTable = "8279649f6fe4734caf891e43079d7c0919ac6b7dfa97f4338fbc465265907683"
+	pinFig10ChaosTable = "1f431d6995f7ab49def571d49689cf48b18fe0cba50209c651cba074753c73bc"
 	pinSvcLBTable      = "0e4fa00f4e03dc21a12505effca151dd0e77baf8585033a8ededb031c92cca80"
 )
 
@@ -598,7 +598,7 @@ var pinQuickTables = []struct{ id, want string }{
 	{"crypto", "063f4031c917aba14125ea7bebf1b6d871996da5b6c97573cbb1be96dd066cdf"},
 	{"fig11", "dc8f2f867f390587d4d19358b3fd9f071ce74d763718cf3afd2357f07fbf766e"},
 	{"ltlloss", "8cc57f51d126671b1822238aee3c7f0a0110941c2ba05a54098d9dcad8c29be7"},
-	{"faults", "f9d7e103c38d266f8b2816f1f231cffc5adba8e21dd9ca99f017f835189f8aaf"},
+	{"faults", "e9b9fa5e65c84e461c63e3fbbb085b574da9da8764cb1b859b7b5d9b89319ef6"},
 	{"ext-bioinfo", "0b6e4c5e500cbc64bebc675d1e21d5d548d0d0db13fdbf6d65411f96f22ed859"},
 	{"ext-compression", "b6f017e7ea846410bfa6ab56950515d802dee21277c658473789e14568f78272"},
 }

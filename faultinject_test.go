@@ -257,3 +257,29 @@ func TestFaultsExperimentRuns(t *testing.T) {
 		}
 	}
 }
+
+// A fault profile schedules a fixed number of arrivals per node, so N
+// nodes instantiated one by one under chaos leave O(N) pending events:
+// registering a node must start only that node's schedule, not restart
+// every node registered before it.
+func TestFaultProfilePendingEventsLinear(t *testing.T) {
+	pending := func(n int) int {
+		c := New(Options{Seed: 3, FaultProfile: "chaos"})
+		for id := 0; id < n; id++ {
+			c.Node(id)
+		}
+		return c.Sim.Pending()
+	}
+	idle := New(Options{Seed: 3})
+	idle.Node(0)
+	perNode := pending(1) // one node's faults plus its shell's own timers
+	if perNode <= idle.Sim.Pending() {
+		t.Fatalf("chaos scheduled nothing for one node (%d pending, %d without faults)", perNode, idle.Sim.Pending())
+	}
+	for _, n := range []int{50, 200} {
+		if got := pending(n); got > n*perNode {
+			t.Errorf("%d nodes under chaos leave %d pending events, want at most %d (%d per node)",
+				n, got, n*perNode, perNode)
+		}
+	}
+}

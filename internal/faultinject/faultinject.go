@@ -134,6 +134,7 @@ type Injector struct {
 	nodes map[int]*node
 	order []int // AddNode order: deterministic iteration
 	stop  *bool // current schedule generation; nil when idle
+	prof  Profile
 
 	Stats Stats
 }
@@ -161,7 +162,9 @@ func (in *Injector) RecordRecovery(c FaultClass, d sim.Time) {
 // AddNode registers an FPGA shell so node-level faults (kill, flap,
 // wedge) can target it. Idempotent per host id. Wedge repairs by the
 // scrubber are timed via the shell's OnScrubRepair hook (chained with any
-// existing hook).
+// existing hook). While a profile started by Start is running, the new
+// node joins it: its fault arrivals and link faults start at once, and
+// no other node's schedule is touched.
 func (in *Injector) AddNode(hostID int, sh *shell.Shell) {
 	if _, ok := in.nodes[hostID]; ok {
 		return
@@ -178,6 +181,9 @@ func (in *Injector) AddNode(hostID int, sh *shell.Shell) {
 		if prev != nil {
 			prev()
 		}
+	}
+	if in.stop != nil && !*in.stop {
+		in.startNode(n, in.prof, in.stop)
 	}
 }
 
@@ -366,41 +372,19 @@ func (in *Injector) WedgeRole(hostID int) {
 
 // Start schedules Poisson fault arrivals per registered node according to
 // the profile, and installs the profile's frame-level faults on each
-// node's TOR link (both directions). It returns a stop function;
-// Start-ing again implicitly stops the previous schedule's arrivals.
+// node's TOR link (both directions). Nodes added later join the running
+// profile (AddNode). It returns a stop function; Start-ing again
+// implicitly stops the previous schedule's arrivals.
 func (in *Injector) Start(p Profile) func() {
 	if in.stop != nil {
 		*in.stop = true
 	}
 	stopped := false
 	in.stop = &stopped
+	in.prof = p
 
 	for _, id := range in.order {
-		n := in.nodes[id]
-		id := id
-		if p.Link.active() {
-			in.InjectLink(n.sh.NetPort(), p.Link)
-			if peer := n.sh.NetPort().Peer(); peer != nil {
-				in.InjectLink(peer, p.Link)
-			}
-		}
-		in.poisson(p.KillRate, &stopped, func() {
-			in.KillNode(id)
-			if p.RepairTime > 0 {
-				in.sim.Schedule(p.RepairTime, func() {
-					if !stopped {
-						in.RebootNode(id)
-					}
-				})
-			}
-		})
-		in.poisson(p.FlapRate, &stopped, func() { in.FlapLink(id, p.FlapDown) })
-		in.poisson(p.WedgeRate, &stopped, func() { in.WedgeRole(id) })
-		in.poisson(p.SEURate, &stopped, func() {
-			if !in.nodes[id].sh.Failed() {
-				in.nodes[id].sh.InjectSEU(false)
-			}
-		})
+		in.startNode(in.nodes[id], p, &stopped)
 	}
 	return func() {
 		stopped = true
@@ -412,6 +396,35 @@ func (in *Injector) Start(p Profile) func() {
 			}
 		}
 	}
+}
+
+// startNode installs p's link faults on n's TOR link and schedules n's
+// fault arrivals until *stopped.
+func (in *Injector) startNode(n *node, p Profile, stopped *bool) {
+	id := n.id
+	if p.Link.active() {
+		in.InjectLink(n.sh.NetPort(), p.Link)
+		if peer := n.sh.NetPort().Peer(); peer != nil {
+			in.InjectLink(peer, p.Link)
+		}
+	}
+	in.poisson(p.KillRate, stopped, func() {
+		in.KillNode(id)
+		if p.RepairTime > 0 {
+			in.sim.Schedule(p.RepairTime, func() {
+				if !*stopped {
+					in.RebootNode(id)
+				}
+			})
+		}
+	})
+	in.poisson(p.FlapRate, stopped, func() { in.FlapLink(id, p.FlapDown) })
+	in.poisson(p.WedgeRate, stopped, func() { in.WedgeRole(id) })
+	in.poisson(p.SEURate, stopped, func() {
+		if !n.sh.Failed() {
+			n.sh.InjectSEU(false)
+		}
+	})
 }
 
 // poisson schedules fire at exponential intervals of the given rate

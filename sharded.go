@@ -96,11 +96,7 @@ func (c *ShardedCloud) Node(id int) Node {
 	sh := c.shells[id]
 	if sh != nil && !known {
 		pod, _, _ := c.DC.Locate(id)
-		inj := c.Injector(pod)
-		inj.AddNode(id, sh)
-		if c.profile != nil {
-			inj.Start(*c.profile)
-		}
+		c.Injector(pod).AddNode(id, sh)
 	}
 	return Node{ID: id, Host: h, Shell: sh}
 }
@@ -111,6 +107,9 @@ func (c *ShardedCloud) Injector(pod int) *faultinject.Injector {
 	inj := c.faults[pod]
 	if inj == nil {
 		inj = faultinject.New(c.DC.SimForPod(pod))
+		if c.profile != nil {
+			inj.Start(*c.profile)
+		}
 		c.faults[pod] = inj
 	}
 	return inj
