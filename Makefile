@@ -26,8 +26,8 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# Hot-path benchmark packages: the sim kernel, the shard coordinator,
-# the fabric, and the on-fabric network services. BENCH_10.json is the
+# Hot-path benchmark packages: the sim kernel, the fabric, and the
+# on-fabric network services. BENCH_10.json is the
 # committed baseline the CI perf guard compares fresh runs against:
 # ns/op within ±15%, allocs/op a hard ceiling (±2%).
 BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/

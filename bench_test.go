@@ -521,12 +521,12 @@ func BenchmarkLTLEngineThroughput(b *testing.B) {
 	cloud.Run(100 * Millisecond)
 }
 
-// ---- Sharded kernel (E16) ----
+// ---- Fabric scale point (E16) ----
 
-// BenchmarkShardedScale runs the pod-sharded ping workload and fails if
-// a run's digest differs from the first run's — CI's cheap probe that
-// the sharded kernel replays a seed exactly.
-func BenchmarkShardedScale(b *testing.B) {
+// BenchmarkScalePoint runs the E16 ping workload across 8 pods and fails
+// if a run's digest differs from the first run's — CI's cheap probe that
+// a fabric-wide run replays a seed exactly.
+func BenchmarkScalePoint(b *testing.B) {
 	cfg := DefaultScaleConfig(8)
 	cfg.HostsPerTOR = 8
 	cfg.TORsPerPod = 4

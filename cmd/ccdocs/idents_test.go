@@ -1,6 +1,8 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -16,8 +18,18 @@ func TestInternalDeclsReadsPackages(t *testing.T) {
 	if haas["ServiceManager"] {
 		t.Error("haas.ServiceManager reported, but package haas does not declare it")
 	}
-	if !decls["shard"]["NewGroup"] {
-		t.Error("a nested package (internal/sim/shard) was not read")
+
+	// No internal package is nested today, so build one.
+	root := t.TempDir()
+	dir := filepath.Join(root, "internal", "outer", "inner")
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "inner.go"), []byte("package inner\n\nfunc Nested() {}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if !internalDecls(root)["inner"]["Nested"] {
+		t.Error("a nested package (internal/outer/inner) was not read")
 	}
 }
 

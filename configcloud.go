@@ -74,8 +74,8 @@ type Options struct {
 	// Empty means the process default set via SetDefaultFaultProfile (and
 	// failing that, no faults). Unknown names panic at New.
 	FaultProfile string
-	// Telemetry enables observability (metrics registry + span tracers)
-	// on the cloud's simulation(s) before any component is constructed.
+	// Telemetry enables observability (metrics registry + span tracer)
+	// on the cloud's simulation before any component is constructed.
 	Telemetry bool
 }
 
@@ -170,9 +170,7 @@ func New(opts Options) *Cloud {
 	}
 	if !opts.NoFPGAs {
 		topo.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-			// SimForHost keeps the shell on its pod's wheel in sharded
-			// datacenters; on a single wheel it is just dc.Sim.
-			sh := shell.New(dc.SimForHost(hostID), hostID, netsim.DefaultPortConfig(), shCfg)
+			sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
 			c.shells[hostID] = sh
 			return sh
 		}

@@ -91,7 +91,7 @@ var experiments = []experimentDef{
 		func(scale Scale) ([]*Table, error) { return ExpFaults(scale), nil }},
 	{"svclb", "SM as an informed load balancer (Sec. V-F ext)",
 		func(scale Scale) ([]*Table, error) { return []*Table{ExpSvcLB(scale)}, nil }},
-	{"scale", "E16: sharded-kernel scaling to 250k hosts",
+	{"scale", "E16: fabric scaling to 250k hosts on one kernel",
 		func(scale Scale) ([]*Table, error) { return []*Table{ExpScale(scale)}, nil }},
 	{"serve", "E17: live HTTP frontend + open-loop load generator",
 		func(scale Scale) ([]*Table, error) { return []*Table{ExpServe(scale)}, nil }},

@@ -22,7 +22,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Device is anything attached to the fabric by one or more ports.
@@ -365,14 +364,6 @@ type Port struct {
 	// so the hot path pays one nil compare, never a lookup.
 	tracer *obs.Tracer
 
-	// xout, when non-nil, marks the peer as living on another shard of a
-	// sharded datacenter: the propagation leg travels through this
-	// outbox instead of the local wheel. Cross-shard links must never be
-	// Unwired while a group is running — the conservative windows rely
-	// on their latency, and serializationDone reads peer.peer from the
-	// transmitting shard.
-	xout *shard.Outbox
-
 	Stats PortStats
 }
 
@@ -665,7 +656,7 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 				extra = prop
 			}
 			dup.NextPort = peer
-			p.propagate(prop+extra, dup)
+			p.sim.ScheduleCall(prop+extra, propagationDone, dup)
 		case FaultCorrupt:
 			p.Stats.CorruptInjected.Inc()
 			buf := append([]byte(nil), packet.Buf...)
@@ -701,25 +692,6 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 		return
 	}
 	packet.NextPort = peer
-	p.propagate(prop, packet)
-}
-
-// propagate schedules the frame's propagation leg: on the local wheel
-// for an ordinary link, or through the cross-shard outbox when the peer
-// lives on another shard. In the cross case the in-flight hop span is
-// closed here on the transmitting shard's tracer — at the precomputed
-// arrival time, so the recorded interval matches local delivery — since
-// propagationDone will run on the receiving shard, whose tracer the
-// span does not belong to.
-func (p *Port) propagate(prop sim.Time, packet *Packet) {
-	if p.xout != nil {
-		if packet.hopSpan != 0 {
-			p.tracer.EndAt(packet.hopSpan, int64(p.sim.Now()+prop))
-			packet.hopSpan = 0
-		}
-		p.xout.Send(prop, propagationDone, packet)
-		return
-	}
 	p.sim.ScheduleCall(prop, propagationDone, packet)
 }
 

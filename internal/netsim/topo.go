@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/pkt"
 	"repro/internal/sim"
-	"repro/internal/sim/shard"
 )
 
 // Interposer is a bump-in-the-wire device placed between a host's NIC and
@@ -107,16 +106,8 @@ func expJitter(r *rand.Rand, mean, max sim.Time) sim.Time {
 // routed toward un-instantiated regions vanishes at the first unwired
 // port (counted in switch stats).
 type Datacenter struct {
-	// Sim is the spine shard's simulation in a sharded datacenter, or
-	// the single simulation otherwise. Components attached to a specific
-	// pod must use SimForPod/SimForHost instead.
 	Sim *sim.Simulation
 	cfg Config
-
-	// group partitions the fabric for conservative execution:
-	// the L2 spine on shard 0, pod p on shard p+1. nil for the ordinary
-	// single-wheel datacenter.
-	group *shard.Group
 
 	l2    *Switch
 	l1    map[int]*Switch // pod -> L1
@@ -141,63 +132,8 @@ func NewDatacenter(s *sim.Simulation, cfg Config) *Datacenter {
 	}
 }
 
-// NewShardedDatacenter builds a datacenter partitioned across g for
-// conservative execution: the L2 spine lives on shard 0 and pod p on
-// shard p+1, so g must have exactly cfg.Pods+1 shards. The partition is
-// part of the model — results depend on the shard count and assignment,
-// which fix the RNG streams and the cross-shard merge order.
-// The pod <-> spine cables are the only cross-shard edges, so their
-// minimum propagation delay (cfg.L1Uplink.Prop, before the per-pod
-// cable spread, which only adds) is the group lookahead; it must be
-// positive. The whole fabric an experiment touches must be
-// instantiated before the group runs: lazy instantiation registers
-// cross-shard outboxes, which is a construction-time operation.
-func NewShardedDatacenter(g *shard.Group, cfg Config) *Datacenter {
-	if cfg.HostsPerTOR <= 0 || cfg.TORsPerPod <= 0 || cfg.Pods <= 0 {
-		panic("netsim: invalid topology dimensions")
-	}
-	if g.N() != cfg.Pods+1 {
-		panic(fmt.Sprintf("netsim: sharded datacenter needs %d shards (spine + one per pod), group has %d",
-			cfg.Pods+1, g.N()))
-	}
-	if cfg.L1Uplink.Prop <= 0 {
-		panic("netsim: sharded datacenter needs positive L1Uplink.Prop (it is the lookahead)")
-	}
-	g.SetLookahead(cfg.L1Uplink.Prop)
-	return &Datacenter{
-		Sim: g.Sim(0), cfg: cfg, group: g,
-		l1:    make(map[int]*Switch),
-		tors:  make(map[int]*Switch),
-		hosts: make(map[int]*Host),
-		inter: make(map[int]Interposer),
-	}
-}
-
 // Config returns the topology configuration.
 func (dc *Datacenter) Config() Config { return dc.cfg }
-
-// Group returns the shard group driving a sharded datacenter (nil for
-// the single-wheel form).
-func (dc *Datacenter) Group() *shard.Group { return dc.group }
-
-// SimForPod returns the simulation pod's switches and hosts live on:
-// shard pod+1 of a sharded datacenter, the lone simulation otherwise.
-func (dc *Datacenter) SimForPod(pod int) *sim.Simulation {
-	if dc.group == nil {
-		return dc.Sim
-	}
-	return dc.group.Sim(pod + 1)
-}
-
-// SimForHost returns the simulation host id lives on. Components
-// attached to a host (shells, NIC-side devices) must be built on it.
-func (dc *Datacenter) SimForHost(id int) *sim.Simulation {
-	if dc.group == nil {
-		return dc.Sim
-	}
-	pod, _, _ := dc.Locate(id)
-	return dc.group.Sim(pod + 1)
-}
 
 // NumHosts returns the total addressable host count.
 func (dc *Datacenter) NumHosts() int {
@@ -300,23 +236,15 @@ func (dc *Datacenter) L1(pod int) *Switch {
 			return (id % perPod) / dc.cfg.HostsPerTOR
 		},
 	}
-	ps := dc.SimForPod(pod)
-	sw := NewSwitch(ps, cfg)
+	sw := NewSwitch(dc.Sim, cfg)
 	dc.l1[pod] = sw
 
-	// Wire the uplink to L2 with a pod-specific cable length. In a
-	// sharded datacenter this is the shard boundary: the L1 end lives on
-	// the pod's wheel, the L2 end on the spine's, and each direction's
-	// propagation leg crosses through the pair's outbox.
-	up := NewPort(ps, sw, uplink, dc.podUplinkPortConfig(pod))
+	// Wire the uplink to L2 with a pod-specific cable length.
+	up := NewPort(dc.Sim, sw, uplink, dc.podUplinkPortConfig(pod))
 	sw.ports[uplink] = up
 	l2 := dc.L2()
 	l2.ports[pod] = NewPort(dc.Sim, l2, pod, dc.podUplinkPortConfig(pod))
 	Wire(up, l2.Port(pod))
-	if dc.group != nil {
-		up.xout = dc.group.Outbox(pod+1, 0)
-		l2.ports[pod].xout = dc.group.Outbox(0, pod+1)
-	}
 	return sw
 }
 
@@ -366,10 +294,9 @@ func (dc *Datacenter) TOR(pod, tor int) *Switch {
 			return id - base
 		},
 	}
-	ps := dc.SimForPod(pod)
-	sw := NewSwitch(ps, cfg)
+	sw := NewSwitch(dc.Sim, cfg)
 	// Uplink port uses the TOR<->L1 link parameters.
-	up := NewPort(ps, sw, uplink, dc.portConfig(dc.cfg.TORUplink))
+	up := NewPort(dc.Sim, sw, uplink, dc.portConfig(dc.cfg.TORUplink))
 	sw.ports[uplink] = up
 	dc.tors[key] = sw
 	Wire(up, dc.L1(pod).Port(tor))
@@ -394,7 +321,7 @@ func (dc *Datacenter) Host(id int) *Host {
 	}
 	pod, tor, idx := dc.Locate(id)
 	sw := dc.TOR(pod, tor)
-	h := NewHost(dc.SimForPod(pod), id, dc.portConfig(dc.cfg.HostLink))
+	h := NewHost(dc.Sim, id, dc.portConfig(dc.cfg.HostLink))
 	dc.hosts[id] = h
 
 	if dc.cfg.Interposer != nil {
@@ -468,18 +395,8 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 	}
 	dc.noiseGen++
 	gen := dc.noiseGen
-	// One shared noise stream on a single wheel; per-switch streams
-	// (derived from each switch's own shard) when sharded, so injectors
-	// draw and schedule only on the wheel that owns their switch.
-	var shared *rand.Rand
-	if dc.group == nil {
-		shared = dc.Sim.NewRand()
-	}
+	rng := dc.Sim.NewRand() // one noise stream shared by every port
 	attach := func(sw *Switch) {
-		rng := shared
-		if rng == nil {
-			rng = sw.sim.NewRand()
-		}
 		for i := 0; i < sw.NumPorts(); i++ {
 			port := sw.Port(i)
 			if port.Peer() == nil {

@@ -70,22 +70,6 @@ func Enable(s *sim.Simulation) *Context {
 	return c
 }
 
-// EnableGroup enables observability across the shards of one logical
-// (pod-sharded) simulation: each shard gets its own Tracer, so a span
-// log holds exactly the spans its shard's components opened, while all
-// shards share a single Registry. Returns one Context per simulation,
-// in shard order; merge the results after a run with CollectGroup.
-func EnableGroup(sims []*sim.Simulation) []*Context {
-	reg := NewRegistry()
-	ctxs := make([]*Context, len(sims))
-	for i, s := range sims {
-		c := &Context{Sim: s, Tracer: NewTracer(s), Registry: reg}
-		s.SetObsData(c)
-		ctxs[i] = c
-	}
-	return ctxs
-}
-
 // Of returns the Context attached to s, or nil when observability is
 // disabled.
 func Of(s *sim.Simulation) *Context {
@@ -223,8 +207,7 @@ type Registry struct {
 
 type entry struct {
 	unit, pkg, help string
-	// runtime marks wall-clock-dependent series (e.g. the sharded
-	// kernel's park times and scheduler step counts): real diagnostics,
+	// runtime marks wall-clock-dependent series: real diagnostics,
 	// but not pure functions of the seed. They are excluded from
 	// Snapshot — and therefore from telemetry, which must stay
 	// byte-identical across same-seed runs — and read via

@@ -315,79 +315,3 @@ func TestWaterfall(t *testing.T) {
 		}
 	}
 }
-
-func TestEnableGroupSharesRegistry(t *testing.T) {
-	sims := []*sim.Simulation{sim.New(1), sim.New(2), sim.New(3)}
-	ctxs := EnableGroup(sims)
-	if len(ctxs) != 3 {
-		t.Fatalf("got %d contexts", len(ctxs))
-	}
-	for i, s := range sims {
-		if Of(s) != ctxs[i] {
-			t.Fatalf("context %d not attached to its simulation", i)
-		}
-		if ctxs[i].Registry != ctxs[0].Registry {
-			t.Fatalf("shard %d has a private registry", i)
-		}
-		if i > 0 && ctxs[i].Tracer == ctxs[0].Tracer {
-			t.Fatalf("shard %d shares shard 0's tracer", i)
-		}
-	}
-	var c0, c1 metrics.Counter
-	ctxs[0].Registry.Counter("x.count", "frames", "x", "", &c0)
-	ctxs[2].Registry.Counter("x.count", "frames", "x", "", &c1)
-	c0.Add(3)
-	c1.Add(4)
-	snap := ctxs[1].Registry.Snapshot()
-	if len(snap) != 1 || snap[0].N != 7 {
-		t.Fatalf("shared registry snapshot = %+v, want one sample with N=7", snap)
-	}
-}
-
-func TestCollectGroupRebasesSpanIDs(t *testing.T) {
-	sims := []*sim.Simulation{sim.New(1), sim.New(2)}
-	ctxs := EnableGroup(sims)
-	// Shard 0: two spans, the second a child of the first.
-	a := ctxs[0].Tracer.Start(5, "root", 0)
-	ctxs[0].Tracer.Start(5, "child", a)
-	// Shard 1: one span with a parent of its own.
-	b := ctxs[1].Tracer.Start(9, "other", 0)
-	ctxs[1].Tracer.Start(9, "otherchild", b)
-	rec := CollectGroup(ctxs, "exp", "pt", 42)
-	if rec.Seed != 42 || rec.Experiment != "exp" || rec.Point != "pt" {
-		t.Fatalf("record identity = %+v", rec)
-	}
-	if len(rec.Spans) != 4 {
-		t.Fatalf("merged %d spans, want 4", len(rec.Spans))
-	}
-	seen := map[SpanID]bool{}
-	for _, sp := range rec.Spans {
-		if seen[sp.ID] {
-			t.Fatalf("duplicate span id %d after merge", sp.ID)
-		}
-		seen[sp.ID] = true
-	}
-	if rec.Spans[3].Parent != rec.Spans[2].ID {
-		t.Fatalf("shard 1 parent link broken: parent=%d want %d", rec.Spans[3].Parent, rec.Spans[2].ID)
-	}
-	if rec.Spans[1].Parent != rec.Spans[0].ID {
-		t.Fatalf("shard 0 parent link broken: parent=%d want %d", rec.Spans[1].Parent, rec.Spans[0].ID)
-	}
-}
-
-func TestCollectGroupSumsDropped(t *testing.T) {
-	sims := []*sim.Simulation{sim.New(1), sim.New(2)}
-	ctxs := EnableGroup(sims)
-	for _, c := range ctxs {
-		c.Tracer.SetLimit(1)
-		c.Tracer.Start(1, "a", 0)
-		c.Tracer.Start(1, "b", 0) // dropped
-	}
-	rec := CollectGroup(ctxs, "e", "p", 0)
-	if rec.Dropped != 2 {
-		t.Fatalf("Dropped = %d, want 2", rec.Dropped)
-	}
-	if len(rec.Spans) != 2 {
-		t.Fatalf("kept %d spans, want 2", len(rec.Spans))
-	}
-}

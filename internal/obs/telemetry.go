@@ -38,39 +38,6 @@ func Collect(c *Context, experiment, point string) *Record {
 	}
 }
 
-// CollectGroup builds one Record from the per-shard contexts of a
-// sharded run (see EnableGroup): the shared registry is snapshotted
-// once, and span logs concatenate in shard order with IDs (and parent
-// references) rebased so they stay unique within the merged log. seed
-// is the group seed the shard streams were derived from. The merged
-// record — like the single-simulation one — encodes byte-identically
-// across same-seed runs.
-func CollectGroup(ctxs []*Context, experiment, point string, seed int64) *Record {
-	if len(ctxs) == 0 {
-		return nil
-	}
-	rec := &Record{
-		Experiment: experiment,
-		Point:      point,
-		Seed:       seed,
-		Metrics:    ctxs[0].Registry.Snapshot(),
-	}
-	var offset SpanID
-	for _, c := range ctxs {
-		spans := c.Tracer.Spans()
-		for _, sp := range spans {
-			sp.ID += offset
-			if sp.Parent != 0 {
-				sp.Parent += offset
-			}
-			rec.Spans = append(rec.Spans, sp)
-		}
-		offset += SpanID(len(spans))
-		rec.Dropped += c.Tracer.Dropped()
-	}
-	return rec
-}
-
 // MarshalJSON renders a FlowID as a fixed-width hex string: flows are
 // hashes, not quantities, and hex keeps eyeballing/grepping two JSONL
 // files sane.

@@ -100,23 +100,6 @@ func (t *Tracer) End(id SpanID) {
 	}
 }
 
-// EndAt closes span id at an explicit virtual time, for spans whose
-// completion instant is already determined before it is reached — e.g.
-// a cross-shard network hop, closed on the transmitting shard's tracer
-// at the precomputed arrival time since the receiving shard's tracer
-// belongs to another goroutine. Virtual time is global across shards,
-// so the recorded interval is identical to the one the local-delivery
-// path records.
-func (t *Tracer) EndAt(id SpanID, end int64) {
-	if t == nil || id == 0 {
-		return
-	}
-	sp := &t.spans[id-1]
-	if sp.End < 0 {
-		sp.End = end
-	}
-}
-
 // EndArg closes span id and sets its Arg value.
 func (t *Tracer) EndArg(id SpanID, arg int64) {
 	if t == nil || id == 0 {

@@ -272,10 +272,9 @@ func (s *Simulation) next(limit Time) *event {
 // NextEventTime reports the timestamp of the earliest pending live event
 // without executing it; ok is false when the queue is empty. The peek is
 // strictly read-only: it must not cascade or advance the wheel cursor,
-// because shard coordinators peek a shard and then possibly merge
-// cross-shard events *earlier* than the shard's own next event — a
-// cursor moved up to that event would leave those merges behind it,
-// violating the insert invariant. Buckets are ordered by time within a
+// because a caller may schedule an event *earlier* than the one it
+// peeked — a cursor moved up to that event would leave the new one
+// behind it, violating the insert invariant. Buckets are ordered by time within a
 // level and lower levels strictly precede higher ones, so the earliest
 // live event is the minimum over the first non-tombstone bucket of the
 // lowest occupied level.

@@ -12,7 +12,8 @@ package configcloud
 //     and workload; only the decode location differs — plus doorbell
 //     batching, KV multi-get coalescing, and the shards' cuckoo
 //     directory on a deliberately pressured geometry.
-//  3. The KV workload on the pod-sharded kernel, at up to 16 pods.
+//  3. The KV workload with every pod's shard in one keyspace, at up to
+//     16 pods.
 //  4. The KV cache behind the live HTTP frontend (/v1/kv), driven over
 //     real sockets by the open-loop load generator.
 
@@ -177,8 +178,8 @@ func expNetsvcKVBatch(scale Scale) *Table {
 	return t
 }
 
-// KVLoad is the closed-loop KV client population shared by the sharded
-// KV points (E18c, E19c): per pod, ClientsPerPod clients each issue
+// KVLoad is the closed-loop KV client population shared by the
+// fabric-wide KV points (E18c, E19c): per pod, ClientsPerPod clients each issue
 // RequestsPerClient requests over a Keys-key space, one at a time, with
 // exponential think times of mean MeanGap (0 = back to back).
 type KVLoad struct {
@@ -196,9 +197,8 @@ type KVLoad struct {
 // TOR, issuing from virtual time from. mget > 1 coalesces each client's GETs into
 // per-shard multi-gets (kvcache.MGetBatcher); buffered keys ride the
 // next flush, so the closed loop advances as soon as a key is queued.
-// Each client's RNG and closed-loop chain live on its own shard's wheel,
-// and every order here is fixed before the clock starts.
-func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Time,
+// Every order here is fixed before the clock starts.
+func (w KVLoad) start(c *Cloud, topo netsim.Config, mget int, from sim.Time,
 	attach func(pod int, n Node, st *kvcache.Store)) []*kvcache.Client {
 	perPod := topo.HostsPerTOR * topo.TORsPerPod
 	shardHosts := make([]int, topo.Pods)
@@ -206,11 +206,11 @@ func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Ti
 		h := p*perPod + topo.HostsPerTOR
 		shardHosts[p] = h
 		n := c.Node(h)
-		st := kvcache.NewStore(c.SimForHost(h), n.Shell.DRAM, kvcache.DefaultStoreConfig())
+		st := kvcache.NewStore(c.Sim, n.Shell.DRAM, kvcache.DefaultStoreConfig())
 		if attach != nil {
 			attach(p, n, st)
 		} else {
-			kvcache.AttachShard(c.SimForHost(h), n.Shell, st)
+			kvcache.AttachShard(c.Sim, n.Shell, st)
 		}
 	}
 	lookup := func(hash uint64) int { return shardHosts[hash%uint64(len(shardHosts))] }
@@ -219,11 +219,10 @@ func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Ti
 	for p := range shardHosts {
 		for i := 0; i < w.ClientsPerPod; i++ {
 			h := p*perPod + i
-			ps := c.SimForHost(h)
-			cl := kvcache.NewClient(ps, c.Node(h).Shell, w.Timeout, lookup)
+			cl := kvcache.NewClient(c.Sim, c.Node(h).Shell, w.Timeout, lookup)
 			clients = append(clients, cl)
 
-			rng := ps.NewRand()
+			rng := c.Sim.NewRand()
 			remaining := w.RequestsPerClient
 			var next func(kvcache.Outcome)
 			batcher := kvcache.NewMGetBatcher(cl, len(shardHosts), mget, 16,
@@ -246,9 +245,9 @@ func (w KVLoad) start(c *ShardedCloud, topo netsim.Config, mget int, from sim.Ti
 			}
 			next = func(kvcache.Outcome) {
 				gap := sim.Time(rng.ExpFloat64() * float64(w.MeanGap))
-				ps.Schedule(gap, issue)
+				c.Sim.Schedule(gap, issue)
 			}
-			ps.Schedule(from+startOffset(rng, w.MeanGap), issue)
+			c.Sim.Schedule(from+startOffset(rng, w.MeanGap), issue)
 		}
 	}
 	return clients
@@ -268,22 +267,21 @@ func foldClients(clients []*kvcache.Client, fold func(...uint64)) (offered, comp
 	return offered, completed, hits, timeouts
 }
 
-// NetsvcScaleConfig drives one sharded-kernel KV point: per pod, a
-// cluster of closed-loop KV clients and one shard host, with the
-// keyspace hashed across every pod's shard — so most requests cross pod
-// (= shard) boundaries and the conservative windows carry real traffic.
+// NetsvcScaleConfig drives one fabric-wide KV point: per pod, a cluster
+// of closed-loop KV clients and one shard host, with the keyspace hashed
+// across every pod's shard — so most requests cross the L2 spine.
 type NetsvcScaleConfig struct {
-	ShardedPoint
+	FabricPoint
 	KVLoad
 	// MGetBatch > 1 coalesces each client's GETs into per-shard
 	// multi-get datagrams of that size (clamped to kvcache.MaxMultiKeys).
 	MGetBatch int
 }
 
-// DefaultNetsvcScaleConfig sizes the sharded KV workload for pods.
+// DefaultNetsvcScaleConfig sizes the fabric-wide KV workload for pods.
 func DefaultNetsvcScaleConfig(pods int) NetsvcScaleConfig {
 	return NetsvcScaleConfig{
-		ShardedPoint: ShardedPoint{Seed: 18, Pods: pods, Duration: 20 * sim.Millisecond},
+		FabricPoint: FabricPoint{Seed: 18, Pods: pods, Duration: 20 * sim.Millisecond},
 		KVLoad: KVLoad{
 			ClientsPerPod:     2,
 			RequestsPerClient: 150,
@@ -295,33 +293,33 @@ func DefaultNetsvcScaleConfig(pods int) NetsvcScaleConfig {
 	}
 }
 
-// NetsvcScaleResult summarizes one sharded KV run. The digest folds
+// NetsvcScaleResult summarizes one fabric-wide KV run. The digest folds
 // every client's completion stream in client order.
 type NetsvcScaleResult struct {
-	ShardedRun
+	FabricRun
 	Offered   uint64
 	Completed uint64
 	Hits      uint64
 	Timeouts  uint64
 }
 
-// RunNetsvcScalePoint runs the KV service on the pod-sharded kernel.
+// RunNetsvcScalePoint runs the KV service with one shard per pod.
 func RunNetsvcScalePoint(cfg NetsvcScaleConfig) NetsvcScaleResult {
 	c, topo := cfg.build(netsim.DefaultConfig(), shell.Config{})
 	clients := cfg.KVLoad.start(c, topo, cfg.MGetBatch, 0, nil)
 	var res NetsvcScaleResult
-	res.ShardedRun = cfg.run(c, "netsvc", fmt.Sprintf("shardkv pods=%d", cfg.Pods), func(fold func(...uint64)) {
+	res.FabricRun = cfg.run(c, "netsvc", fmt.Sprintf("shardkv pods=%d", cfg.Pods), func(fold func(...uint64)) {
 		res.Offered, res.Completed, res.Hits, res.Timeouts = foldClients(clients, fold)
 	})
 	return res
 }
 
-// expNetsvcScale runs the sharded KV point once per pod count.
+// expNetsvcScale runs the fabric-wide KV point once per pod count.
 func expNetsvcScale(scale Scale) *Table {
 	t := &Table{
-		Title: "E18c — KV service on the sharded kernel",
+		Title: "E18c — KV service with one shard per pod, keys hashed across pods",
 		Headers: []string{"pods", "offered", "completed", "hits", "timeouts",
-			"events", "crossings", "seq wall"},
+			"events", "seq wall"},
 	}
 	pods := []int{2, 4}
 	mk := func(p int) NetsvcScaleConfig {
@@ -341,7 +339,7 @@ func expNetsvcScale(scale Scale) *Table {
 		cfg.observe()
 		r := RunNetsvcScalePoint(cfg)
 		addTelemetry("netsvc", r.Record)
-		t.AddRow(p, r.Offered, r.Completed, r.Hits, r.Timeouts, r.Events, r.Crossings, r.wall())
+		t.AddRow(p, r.Offered, r.Completed, r.Hits, r.Timeouts, r.Events, r.wall())
 	}
 	return t
 }

@@ -11,23 +11,19 @@ import (
 
 // ScaleConfig drives one point of the E16 scale experiment: an LTL
 // ping workload spread across every pod of a (possibly down-sized)
-// datacenter, run on the pod-sharded kernel. Each pod carries intra-pod
-// pairs (across two of its TORs) and cross-pod pairs into the next pod,
-// so both the per-pod bulk and the spine traffic scale with the pod
-// count.
+// datacenter. Each pod carries intra-pod pairs (across two of its TORs)
+// and cross-pod pairs into the next pod, so both the per-pod bulk and
+// the spine traffic scale with the pod count.
 type ScaleConfig struct {
-	ShardedPoint
-	// Deprecated: Workers is ignored; a sharded run advances its shards
-	// on one goroutine. It remains only because cmd/ccperf, the frozen
-	// end-to-end benchmark, still sets it; the next change to that
-	// benchmark drops it.
+	FabricPoint
+	// Deprecated: Workers is ignored; every run is on one goroutine. It
+	// remains only because cmd/ccperf, the frozen end-to-end benchmark,
+	// still sets it; the next change to that benchmark drops it.
 	Workers int
 	// Cable-delay overrides (zero = the paper's defaults). L1UplinkProp
-	// is the base pod<->spine propagation delay — the sharded kernel's
-	// lookahead; L2CableSpread adds a per-pod deterministic extra in
-	// [0, spread) to each pod's cable, which changes the model's delays
-	// but not the lookahead (the extra only adds). The property tests
-	// randomize both.
+	// is the base pod<->spine propagation delay; L2CableSpread adds a
+	// per-pod deterministic extra in [0, spread) to each pod's cable.
+	// The property tests randomize both.
 	L1UplinkProp  sim.Time
 	L2CableSpread sim.Time
 	// Workload shape. MeanGap 0 sends each pair's pings back to back.
@@ -43,7 +39,7 @@ type ScaleConfig struct {
 // sized for the given pod count.
 func DefaultScaleConfig(pods int) ScaleConfig {
 	return ScaleConfig{
-		ShardedPoint:     ShardedPoint{Seed: 16, Pods: pods, Duration: 25 * sim.Millisecond},
+		FabricPoint:      FabricPoint{Seed: 16, Pods: pods, Duration: 25 * sim.Millisecond},
 		IntraPairsPerPod: 2,
 		CrossPairsPerPod: 2,
 		PingsPerPair:     200,
@@ -53,23 +49,22 @@ func DefaultScaleConfig(pods int) ScaleConfig {
 	}
 }
 
-// ScaleResult summarizes one sharded run. The digest folds every pair's
+// ScaleResult summarizes one scale run. The digest folds every pair's
 // (count, RTT sum, RTT max) in pair order.
 type ScaleResult struct {
-	ShardedRun
+	FabricRun
 	Hosts int // addressable hosts in the topology
 	Pings uint64
 }
 
-// pairStats accumulates one ping pair's completions; updated only on
-// the sending host's shard.
+// pairStats accumulates one ping pair's completions.
 type pairStats struct {
 	count  uint64
 	rttSum uint64
 	rttMax uint64
 }
 
-// RunScalePoint builds the sharded cloud, runs the ping workload for
+// RunScalePoint builds the cloud, runs the ping workload for
 // cfg.Duration, and returns counters, digest, and wall-clock time.
 func RunScalePoint(cfg ScaleConfig) ScaleResult {
 	topo := netsim.DefaultConfig()
@@ -112,12 +107,7 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 		sim.Must(b.Shell.Engine.OpenRecv(myConn, netsim.HostIP(pr.a), nil))
 		sim.Must(a.Shell.Engine.OpenSend(myConn, netsim.HostIP(pr.b), netsim.HostMAC(pr.b), myConn, 0, nil))
 
-		// The pair's RNG and clock both live on the sender's shard: every
-		// draw and every timestamp is taken by the shard that owns the
-		// sending engine, never by a shared stream whose order would
-		// depend on how shards interleave.
-		ps := c.SimForHost(pr.a)
-		rng := ps.NewRand()
+		rng := c.Sim.NewRand()
 		st := &stats[pi]
 		eng := a.Shell.Engine
 		payload := make([]byte, cfg.PayloadSize)
@@ -128,19 +118,19 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 				return
 			}
 			remaining--
-			t0 := ps.Now()
+			t0 := c.Sim.Now()
 			sim.Must(eng.SendMessage(myConn, payload, func() {
-				rtt := uint64(ps.Now() - t0)
+				rtt := uint64(c.Sim.Now() - t0)
 				st.count++
 				st.rttSum += rtt
 				if rtt > st.rttMax {
 					st.rttMax = rtt
 				}
 				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
-				ps.Schedule(gap, ping)
+				c.Sim.Schedule(gap, ping)
 			}))
 		}
-		ps.Schedule(startOffset(rng, cfg.MeanGap), ping)
+		c.Sim.Schedule(startOffset(rng, cfg.MeanGap), ping)
 	}
 
 	if cfg.BackgroundUtil > 0 {
@@ -148,7 +138,7 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 	}
 
 	res := ScaleResult{Hosts: topo.Pods * perPod}
-	res.ShardedRun = cfg.run(c, "scale", fmt.Sprintf("pods=%d", cfg.Pods), func(fold func(...uint64)) {
+	res.FabricRun = cfg.run(c, "scale", fmt.Sprintf("pods=%d", cfg.Pods), func(fold func(...uint64)) {
 		for _, st := range stats {
 			res.Pings += st.count
 			fold(st.count, st.rttSum, st.rttMax)
@@ -158,16 +148,16 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 }
 
 // ExpScale is experiment E16: sweep the datacenter from one pod toward
-// the paper's 250,560 hosts on the pod-sharded kernel, one run per
-// point, reporting the work done and the wall-clock time it took.
+// the paper's 250,560 hosts on one kernel, one run per point, reporting
+// the work done and the wall-clock time it took.
 func ExpScale(scale Scale) *Table {
 	podCounts := []int{1, 4, 16, 64, 261}
 	if scale == Quick {
 		podCounts = []int{1, 2, 4}
 	}
 	t := &Table{
-		Title:   "E16 — Sharded kernel scaling (pod-sharded model, one goroutine)",
-		Headers: []string{"pods", "hosts", "pings", "events", "crossings", "seq wall"},
+		Title:   "E16 — Fabric scaling toward 250,560 hosts (one kernel)",
+		Headers: []string{"pods", "hosts", "pings", "events", "seq wall"},
 	}
 	for _, pods := range podCounts {
 		cfg := DefaultScaleConfig(pods)
@@ -182,7 +172,7 @@ func ExpScale(scale Scale) *Table {
 		cfg.observe()
 		r := RunScalePoint(cfg)
 		addTelemetry("scale", r.Record)
-		t.AddRow(pods, r.Hosts, r.Pings, r.Events, r.Crossings, r.wall())
+		t.AddRow(pods, r.Hosts, r.Pings, r.Events, r.wall())
 	}
 	return t
 }

@@ -15,8 +15,8 @@ package configcloud
 //     co-located with an elephant tenant blasting datagrams through the
 //     shared 40G link — unshaped, and with the slot's egress token
 //     bucket capping the elephant before its frames reach the wire.
-//  3. The multi-tenant board on the pod-sharded kernel: KV shard in
-//     slot 0, shaped elephant in slot 1, at up to 8 pods.
+//  3. The multi-tenant board in every pod: KV shard in slot 0, shaped
+//     elephant in slot 1, at up to 8 pods.
 
 import (
 	"encoding/binary"
@@ -365,11 +365,11 @@ func expTenancyNeighbor(scale Scale) *Table {
 	return t
 }
 
-// TenancyScaleConfig drives one multi-tenant sharded-kernel point: the
+// TenancyScaleConfig drives one multi-tenant fabric-wide point: the
 // E18c KV point with each pod's board split into two vFPGA slots — the
 // KV shard in slot 0 and a shaped elephant tenant in slot 1.
 type TenancyScaleConfig struct {
-	ShardedPoint
+	FabricPoint
 	KVLoad
 	// Warmup delays traffic until the slots' partial reconfigurations
 	// complete; Duration is total virtual run time including warmup.
@@ -378,10 +378,10 @@ type TenancyScaleConfig struct {
 	ElephantShapeBps int64
 }
 
-// DefaultTenancyScaleConfig sizes the multi-tenant sharded point.
+// DefaultTenancyScaleConfig sizes the multi-tenant fabric-wide point.
 func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
 	return TenancyScaleConfig{
-		ShardedPoint: ShardedPoint{Seed: 19, Pods: pods, Duration: 24 * sim.Millisecond},
+		FabricPoint: FabricPoint{Seed: 19, Pods: pods, Duration: 24 * sim.Millisecond},
 		KVLoad: KVLoad{
 			ClientsPerPod:     2,
 			RequestsPerClient: 100,
@@ -395,11 +395,11 @@ func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
 	}
 }
 
-// TenancyScaleResult summarizes one multi-tenant sharded run. The digest
+// TenancyScaleResult summarizes one multi-tenant fabric-wide run. The digest
 // folds every client's completion stream, then each pod's elephant
 // send and throttle totals.
 type TenancyScaleResult struct {
-	ShardedRun
+	FabricRun
 	Offered      uint64
 	Completed    uint64
 	Timeouts     uint64
@@ -407,8 +407,7 @@ type TenancyScaleResult struct {
 	Throttled    uint64
 }
 
-// RunTenancyScalePoint runs the multi-tenant KV workload on the
-// pod-sharded kernel: E18c's placement and clients, with every client
+// RunTenancyScalePoint runs the multi-tenant KV workload: E18c's placement and clients, with every client
 // held back until Warmup, and each shard board loading its two slots and
 // starting its elephant as it is placed.
 func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
@@ -422,12 +421,12 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 	sent := make([]uint64, cfg.Pods)
 	blastPayload := make([]byte, 1024)
 	loadSlots := func(p int, n Node, st *kvcache.Store) {
-		ps := c.SimForHost(n.ID)
+		s := c.Sim
 		sink := n.ID + 1
 		c.Node(sink) // no handler: frames still load the wire
 		_, err := n.Shell.ReconfigureSlot(0, "kvcache", tenantStub{"kvcache"}, 17500, nil)
 		sim.Must(err)
-		kvcache.AttachShardSlot(ps, n.Shell, 0, st)
+		kvcache.AttachShardSlot(s, n.Shell, 0, st)
 		_, err = n.Shell.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
 		sim.Must(err)
 		if cfg.ElephantShapeBps > 0 {
@@ -436,7 +435,7 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 		boards[p] = n.Shell
 		var blast func()
 		blast = func() {
-			if ps.Now() >= cfg.Duration {
+			if s.Now() >= cfg.Duration {
 				return
 			}
 			for i := 0; i < 8; i++ {
@@ -444,14 +443,14 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 					sent[p]++
 				}
 			}
-			ps.Schedule(5*sim.Microsecond, blast)
+			s.Schedule(5*sim.Microsecond, blast)
 		}
-		ps.Schedule(cfg.Warmup, blast)
+		s.Schedule(cfg.Warmup, blast)
 	}
 	clients := cfg.KVLoad.start(c, topo, 0, cfg.Warmup, loadSlots)
 
 	var res TenancyScaleResult
-	res.ShardedRun = cfg.run(c, "tenancy", fmt.Sprintf("shardkv+elephant pods=%d", cfg.Pods), func(fold func(...uint64)) {
+	res.FabricRun = cfg.run(c, "tenancy", fmt.Sprintf("shardkv+elephant pods=%d", cfg.Pods), func(fold func(...uint64)) {
 		res.Offered, res.Completed, _, res.Timeouts = foldClients(clients, fold)
 		for p, sh := range boards {
 			throttled := sh.Tenant.EgressThrottled.Value()
@@ -463,13 +462,13 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 	return res
 }
 
-// expTenancyScale is E19c: the multi-tenant board on the sharded kernel,
-// one run per pod count.
+// expTenancyScale is E19c: the multi-tenant board in every pod, one run
+// per pod count.
 func expTenancyScale(scale Scale) *Table {
 	t := &Table{
-		Title: "E19c — Multi-tenant boards on the sharded kernel (KV slot + shaped elephant slot)",
+		Title: "E19c — Multi-tenant boards in every pod (KV slot + shaped elephant slot)",
 		Headers: []string{"pods", "offered", "completed", "timeouts", "elephant dgrams",
-			"throttled", "events", "crossings", "seq wall"},
+			"throttled", "events", "seq wall"},
 	}
 	pods := []int{2}
 	mk := func(p int) TenancyScaleConfig {
@@ -490,7 +489,7 @@ func expTenancyScale(scale Scale) *Table {
 		r := RunTenancyScalePoint(cfg)
 		addTelemetry("tenancy", r.Record)
 		t.AddRow(p, r.Offered, r.Completed, r.Timeouts, r.ElephantSent,
-			r.Throttled, r.Events, r.Crossings, r.wall())
+			r.Throttled, r.Events, r.wall())
 	}
 	return t
 }
