@@ -132,9 +132,9 @@ type Injector struct {
 	sim   *sim.Simulation
 	rng   *rand.Rand
 	nodes map[int]*node
-	order []int // AddNode order: deterministic iteration
-	stop  *bool // current schedule generation; nil when idle
-	prof  Profile
+	order []int   // AddNode order: deterministic iteration
+	stop  *bool   // current schedule generation; nil when idle
+	prof  Profile // the profile of the current generation
 
 	Stats Stats
 }

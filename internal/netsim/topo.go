@@ -106,6 +106,7 @@ func expJitter(r *rand.Rand, mean, max sim.Time) sim.Time {
 // routed toward un-instantiated regions vanishes at the first unwired
 // port (counted in switch stats).
 type Datacenter struct {
+	// Sim runs every switch, host and link of the fabric.
 	Sim *sim.Simulation
 	cfg Config
 

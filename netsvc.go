@@ -179,9 +179,9 @@ func expNetsvcKVBatch(scale Scale) *Table {
 }
 
 // KVLoad is the closed-loop KV client population shared by the
-// fabric-wide KV points (E18c, E19c): per pod, ClientsPerPod clients each issue
-// RequestsPerClient requests over a Keys-key space, one at a time, with
-// exponential think times of mean MeanGap (0 = back to back).
+// fabric-wide KV points (E18c, E19c): per pod, ClientsPerPod clients
+// each issue RequestsPerClient requests over a Keys-key space, one at a
+// time, with exponential think times of mean MeanGap (0 = back to back).
 type KVLoad struct {
 	ClientsPerPod     int
 	RequestsPerClient int
