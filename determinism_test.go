@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frontend"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pkt"
@@ -594,5 +595,61 @@ func TestQuickTablePins(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != p.want {
 			t.Errorf("%s table sha256 %s, pinned %s:\n%s", p.id, got, p.want, out)
 		}
+	}
+}
+
+// The service-layer experiments are pinned the same way. E18a, E18b and
+// E18b's KV half build on kvcache.Run and rpcnic.Run and have no
+// wall-clock column: each is pinned by the SHA-256 of its Quick table.
+// E18d and E17 serve over a real socket, so their tables carry client
+// wall latencies; their replay-mode request digests and OK counts are
+// pinned instead, plus the SHA-256 of the E17 point's telemetry JSONL.
+const (
+	pinNetsvcKVTable      = "05e5d2ccaa742bfc7144dc9c79b0446e2e8e8b43adf500c92a3ca7b9b332b4f4"
+	pinNetsvcRPCTable     = "07b3098ea784261af55a1f2f8004befd05b62dc5cbcd28ad53f216188f5163cf"
+	pinNetsvcKVBatchTable = "aa8c16faa918aa2231853207e1286eb9bfe71f9752e4386a9dcaf68676317a95"
+	pinNetsvcHTTP         = "digest=39f8d6bc2240bf89 ok=89"
+	pinServeReplay        = "digest=ea19094a948fc180 ok=53"
+	pinServeTelemetry     = "36d5aa4b0813a34d7595f090fe55578506f02135f3844411a1dee46f7118cbad"
+)
+
+func TestServiceLayerPins(t *testing.T) {
+	for _, p := range []struct {
+		name string
+		exp  func(Scale) *Table
+		want string
+	}{
+		{"E18a", expNetsvcKV, pinNetsvcKVTable},
+		{"E18b", expNetsvcRPC, pinNetsvcRPCTable},
+		{"E18b KV", expNetsvcKVBatch, pinNetsvcKVBatchTable},
+	} {
+		out := p.exp(Quick).String()
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != p.want {
+			t.Errorf("%s table sha256 %s, pinned %s:\n%s", p.name, got, p.want, out)
+		}
+	}
+
+	res, _, err := RunNetsvcHTTPPoint(18, 3000, 30*Millisecond, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("digest=%016x ok=%d", res.Digest, res.OK); got != pinNetsvcHTTP {
+		t.Errorf("E18d replay: %s, pinned %s", got, pinNetsvcHTTP)
+	}
+
+	sr, err := RunServePoint(ServeConfig{
+		Seed: 17, Mode: frontend.Replay,
+		Rate: 3000, Duration: 20 * Millisecond, RankFraction: 0.6,
+		Clients: 4, Telemetry: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("digest=%016x ok=%d", sr.Load.Digest, sr.Load.OK); got != pinServeReplay {
+		t.Errorf("E17 replay: %s, pinned %s", got, pinServeReplay)
+	}
+	tel := encodeRecord(t, sr.Record)
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(tel))); got != pinServeTelemetry {
+		t.Errorf("E17 replay telemetry sha256 %s, pinned %s", got, pinServeTelemetry)
 	}
 }
