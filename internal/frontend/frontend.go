@@ -281,16 +281,7 @@ type driver interface {
 // pools on disjoint TOR-aligned host ranges, and the mode's driver.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := sim.New(cfg.Seed)
-	if cfg.Telemetry {
-		// Must precede component construction: shells, ports, and queues
-		// cache the tracer pointer when they are built.
-		c := obs.Enable(s)
-		if cfg.SpanLimit > 0 {
-			c.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	dc, shells := svclb.NewFabric(s, false, 0)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, false, 0)
 
 	f := &Service{
 		cfg: cfg, s: s, dc: dc,

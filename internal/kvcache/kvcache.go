@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/faultinject"
 	"repro/internal/haas"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -733,25 +732,16 @@ func shardMGetDone(op *StoreOp, hit bool, val []byte) {
 // Service is a deployed KV cache: client ends, a HaaS-leased shard pool,
 // and the failover plumbing between them.
 type Service struct {
-	s   *sim.Simulation
-	dc  *netsim.Datacenter
+	// The deployment's Pool holds slice i's lease as the member with
+	// Index i; it has no head host.
+	*svclb.Deployment
 	cfg Config
 
-	shells  map[int]*shell.Shell
 	clients []*Client
 	// shardHosts[i] is the host currently serving keyspace slice i.
 	shardHosts []int
 	// shards maps pool host -> its Shard (built when the lease serves).
 	shards map[int]*Shard
-	// pool holds slice i's lease as the member with Index i.
-	pool *haas.Pool
-
-	in *faultinject.Injector
-
-	hostEnd     int
-	hostsPerTOR int
-	obsCtx      *obs.Context
-	stopFaults  func()
 
 	Failovers metrics.Counter
 }
@@ -760,19 +750,8 @@ type Service struct {
 // datacenter (cf. svclb.NewService).
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := sim.New(cfg.Seed)
-	var ctx *obs.Context
-	if cfg.Telemetry {
-		// Must precede component construction: shells, stores, and
-		// tracers cache the context when built.
-		ctx = obs.Enable(s)
-		if cfg.SpanLimit > 0 {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	dc, shells := svclb.NewFabric(s, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
-	sv.obsCtx = ctx
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return sv
 }
@@ -782,39 +761,20 @@ func NewService(cfg Config) *Service {
 // so requests cross the L1 tier like a real disaggregated cache's.
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	dcCfg := dc.Config()
 	sv := &Service{
-		s: s, dc: dc, cfg: cfg, shells: shells,
-		shardHosts:  make([]int, cfg.Shards),
-		shards:      map[int]*Shard{},
-		hostsPerTOR: dcCfg.HostsPerTOR,
+		cfg:        cfg,
+		shardHosts: make([]int, cfg.Shards),
+		shards:     map[int]*Shard{},
 	}
 	if reg := obs.RegistryOf(s); reg != nil {
 		reg.Counter("kvcache.failovers", "leases", "kvcache", "shard leases replaced after failure", &sv.Failovers)
 	}
 
-	lookup := func(hash uint64) int {
-		return sv.shardHosts[int(hash%uint64(len(sv.shardHosts)))]
-	}
-	for i := 0; i < cfg.Clients; i++ {
-		dc.Host(hostBase + i)
-		sv.clients = append(sv.clients, NewClient(s, shells[hostBase+i], cfg.Timeout, lookup))
-	}
-
-	base := hostBase + ((cfg.Clients+dcCfg.HostsPerTOR-1)/dcCfg.HostsPerTOR)*dcCfg.HostsPerTOR
-	poolSize := cfg.Shards + cfg.Spares
-	poolHosts := make([]int, poolSize)
-	for i := range poolHosts {
-		poolHosts[i] = base + i
-		dc.Host(base + i)
-	}
-	sv.hostEnd = base + poolSize
-
 	// The shard's request kind demuxes per board, so in slot mode the
 	// pool keeps every slice off the boards the others occupy; requests
 	// arriving during a slot's partial reconfiguration are swallowed and
 	// surface as client timeouts.
-	sv.pool, sv.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, shardRole{}, haas.PoolSpec{
+	sv.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Clients, "", cfg.Shards+cfg.Spares, cfg.RMPoll, shardRole{}, haas.PoolSpec{
 		Tenant: "kvcache", Image: shardImage, ALMs: cfg.SlotALMs,
 		OnReady: func(m *haas.Member) {
 			h := int(m.Node)
@@ -834,20 +794,20 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 			sv.shardHosts[m.Index] = int(m.Node)
 		},
 	})
+	lookup := func(hash uint64) int {
+		return sv.shardHosts[int(hash%uint64(len(sv.shardHosts)))]
+	}
+	for _, sh := range sv.ClientEnds {
+		sv.clients = append(sv.clients, NewClient(s, sh, cfg.Timeout, lookup))
+	}
 	for i := 0; i < cfg.Shards; i++ {
-		m, err := sv.pool.Grow()
+		m, err := sv.Pool.Grow()
 		if err != nil {
 			panic(fmt.Sprintf("kvcache: initial lease: %v", err))
 		}
 		sv.shardHosts[i] = int(m.Node)
 	}
-	if cfg.FaultProfile != "" {
-		p, err := faultinject.ByName(cfg.FaultProfile)
-		if err != nil {
-			panic(fmt.Sprintf("kvcache: %v", err))
-		}
-		sv.stopFaults = sv.in.Start(p)
-	}
+	sv.StartFaults(cfg.FaultProfile)
 	return sv
 }
 
@@ -855,7 +815,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 // entries lost their board with no spare to re-lease on).
 func (sv *Service) SlotClaims() []*haas.SlotClaim {
 	claims := make([]*haas.SlotClaim, sv.cfg.Shards)
-	for _, m := range sv.pool.Members() {
+	for _, m := range sv.Pool.Members() {
 		claims[m.Index] = m.Claim()
 	}
 	return claims
@@ -863,10 +823,7 @@ func (sv *Service) SlotClaims() []*haas.SlotClaim {
 
 // RM exposes the service's Resource Manager (E19 reads pool occupancy
 // and drives defragmentation through it).
-func (sv *Service) RM() *haas.ResourceManager { return sv.pool.RM() }
-
-// Sim returns the simulation the service runs on.
-func (sv *Service) Sim() *sim.Simulation { return sv.s }
+func (sv *Service) RM() *haas.ResourceManager { return sv.Pool.RM() }
 
 // Clients returns the client ends (index-addressable ingress points).
 func (sv *Service) Clients() []*Client { return sv.clients }
@@ -874,26 +831,10 @@ func (sv *Service) Clients() []*Client { return sv.clients }
 // ShardHosts returns the current keyspace slice -> host table.
 func (sv *Service) ShardHosts() []int { return append([]int(nil), sv.shardHosts...) }
 
-// NextHostBase returns the first TOR-aligned host id past this service.
-func (sv *Service) NextHostBase() int {
-	return ((sv.hostEnd + sv.hostsPerTOR - 1) / sv.hostsPerTOR) * sv.hostsPerTOR
-}
-
-// Stop releases control-plane resources (HaaS polling, fault storms).
-func (sv *Service) Stop() {
-	sv.pool.RM().Stop()
-	if sv.stopFaults != nil {
-		sv.stopFaults()
-	}
-}
-
-// Telemetry collects the service's observability record (nil unless the
-// service was built with Telemetry).
+// Telemetry collects the service's observability record under the
+// netsvc experiment (nil unless telemetry is enabled).
 func (sv *Service) Telemetry(point string) *obs.Record {
-	if sv.obsCtx == nil {
-		return nil
-	}
-	return obs.Collect(sv.obsCtx, "netsvc", point)
+	return sv.Deployment.Telemetry("netsvc", point)
 }
 
 // Result is one measurement of the service.
@@ -973,7 +914,7 @@ func (sv *Service) Result() Result {
 			r.Evictions += d.Store.Stats().Evictions.Value()
 			r.Rejected += d.Store.Stats().Rejected.Value()
 			r.FabricReplies += d.Replies.Value()
-			r.HostRoundTrips += sv.shells[h].Stats.PCIeReqs.Value()
+			r.HostRoundTrips += sv.Shells[h].Stats.PCIeReqs.Value()
 		}
 	}
 	r.OnFabric = r.FabricReplies > 0 && r.HostRoundTrips == 0
@@ -987,7 +928,7 @@ func (sv *Service) Result() Result {
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
 	sv := NewService(cfg)
-	s := sv.s
+	s := sv.Sim()
 
 	gens := make([]*workload.OpenLoop, len(sv.clients))
 	var batchers []*MGetBatcher

@@ -88,7 +88,7 @@ func runPinned(t *testing.T, cfg Config, actions ...midRun) (string, string) {
 }
 
 func killShard(i int) func(sv *Service) {
-	return func(sv *Service) { sv.in.KillNode(sv.ShardHosts()[i]) }
+	return func(sv *Service) { sv.In.KillNode(sv.ShardHosts()[i]) }
 }
 
 // TestPinnedBoardFailover: whole-board shards, slice 0's board killed at

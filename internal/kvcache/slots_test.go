@@ -70,7 +70,7 @@ func TestSlotModeFailover(t *testing.T) {
 	warmupSlots(sv)
 
 	victim := sv.ShardHosts()[0]
-	sv.in.KillNode(victim)
+	sv.In.KillNode(victim)
 	s.RunFor(20 * sim.Millisecond) // detection + replacement reconfig
 
 	if got := sv.Failovers.Value(); got == 0 {

@@ -32,7 +32,7 @@ func runPinned(t *testing.T, offload bool) (string, string) {
 	cfg.Telemetry = true
 	d := NewDispatcher(cfg)
 	s := d.s
-	s.Schedule(2500*sim.Microsecond-s.Now(), func() { d.in.KillNode(d.router.Live()[0].Host) })
+	s.Schedule(2500*sim.Microsecond-s.Now(), func() { d.In.KillNode(d.Router.Live()[0].Host) })
 	methods := []byte{MethodEcho, MethodHash, MethodRank}
 	args := []byte("pinned-args")
 	n := 0
@@ -51,7 +51,7 @@ func runPinned(t *testing.T, offload bool) (string, string) {
 	d.Stop()
 	r := d.Result()
 	res := fmt.Sprintf("digest=%016x route=%016x offered=%d completed=%d timeouts=%d p99=%d live=%d",
-		r.Digest, r.RouteHash, r.Offered, r.Completed, r.Timeouts, r.P99, len(d.router.Live()))
+		r.Digest, r.RouteHash, r.Offered, r.Completed, r.Timeouts, r.P99, len(d.Router.Live()))
 	var b strings.Builder
 	if err := obs.EncodeAll(&b, []*obs.Record{d.Telemetry("pin")}); err != nil {
 		t.Fatal(err)

@@ -19,7 +19,6 @@ package rpcnic
 import (
 	"fmt"
 
-	"repro/internal/faultinject"
 	"repro/internal/haas"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
@@ -267,7 +266,7 @@ func sendReply(v any) {
 	if d.tracer != nil {
 		d.tracer.End(j.span)
 	}
-	sim.Must(d.shells[d.dispHost].SendDatagram(j.caller, KindReply, j.buf))
+	sim.Must(d.Shells[d.Head].SendDatagram(j.caller, KindReply, j.buf))
 	d.replyFree = append(d.replyFree, j)
 }
 
@@ -288,27 +287,17 @@ type Stats struct {
 	BatchWindow  metrics.Counter // flushes triggered by window expiry
 }
 
-// Dispatcher is one deployed RPC NIC: callers, the dispatcher node, and
-// its HaaS-leased backend pool.
+// Dispatcher is one deployed RPC NIC: callers, the dispatcher node (the
+// deployment's head host), and its HaaS-leased backend pool.
 type Dispatcher struct {
+	*svclb.Deployment
 	s   *sim.Simulation
-	dc  *netsim.Datacenter
 	cfg Config
 
-	shells   map[int]*shell.Shell
-	callers  []*caller
-	dispHost int
-	router   *svclb.Router
-	table    map[uint64]*dispatchState
-	pcie     shell.Config // host-software baseline's DMA model
-
-	pool    *haas.Pool
-	in      *faultinject.Injector
-	gossip  map[int]*sim.Ticker // live backends' depth-gossip tickers
-	phases  int                 // gossip tickers started (phase offsets)
+	callers []*caller
+	table   map[uint64]*dispatchState
+	pcie    shell.Config // host-software baseline's DMA model
 	tracer  *obs.Tracer
-	obsCtx  *obs.Context
-	stopFns []func()
 
 	// host-software baseline state: a single-server CPU queue.
 	hostBusyUntil sim.Time
@@ -326,8 +315,6 @@ type Dispatcher struct {
 	batch      []*ingressJob
 	batchTimer sim.Timer
 
-	hostEnd     int
-	hostsPerTOR int
 	// digest folds every completion (obs.FNVFold). All folds happen on
 	// the one simulation thread in event order, so the digest is a
 	// replay-determinism witness.
@@ -340,17 +327,8 @@ type Dispatcher struct {
 // datacenter.
 func NewDispatcher(cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
-	s := sim.New(cfg.Seed)
-	var ctx *obs.Context
-	if cfg.Telemetry {
-		ctx = obs.Enable(s)
-		if cfg.SpanLimit > 0 {
-			ctx.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	dc, shells := svclb.NewFabric(s, false, 0)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, false, 0)
 	d := NewDispatcherOn(s, dc, shells, 0, cfg)
-	d.obsCtx = ctx
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return d
 }
@@ -360,16 +338,13 @@ func NewDispatcher(cfg Config) *Dispatcher {
 // its backend pool, mirroring svclb's layout.
 func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
-	dcCfg := dc.Config()
 	d := &Dispatcher{
-		s: s, dc: dc, cfg: cfg, shells: shells,
-		table:       map[uint64]*dispatchState{},
-		pcie:        shell.DefaultConfig(),
-		gossip:      map[int]*sim.Ticker{},
-		tracer:      obs.TracerOf(s),
-		hostsPerTOR: dcCfg.HostsPerTOR,
-		digest:      obs.FNVOffset,
-		Stats:       Stats{Latency: metrics.NewHistogram()},
+		s: s, cfg: cfg,
+		table:  map[uint64]*dispatchState{},
+		pcie:   shell.DefaultConfig(),
+		tracer: obs.TracerOf(s),
+		digest: obs.FNVOffset,
+		Stats:  Stats{Latency: metrics.NewHistogram()},
 	}
 	if reg := obs.RegistryOf(s); reg != nil {
 		reg.Counter("rpcnic.ingress", "reqs", "rpcnic", "serialized RPCs arriving at the dispatcher", &d.Stats.Ingress)
@@ -385,58 +360,27 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		reg.Counter("rpcnic.batch_window", "doorbells", "rpcnic", "flushes triggered by window expiry", &d.Stats.BatchWindow)
 	}
 
-	for i := 0; i < cfg.Callers; i++ {
-		h := hostBase + i
-		dc.Host(h)
-		c := &caller{d: d, sh: shells[h], host: h, pending: map[uint64]*rpcCall{}}
-		sim.Must(c.sh.SetServiceHandler(c.onDatagram))
-		d.callers = append(d.callers, c)
-	}
-
-	base := hostBase + ((cfg.Callers+dcCfg.HostsPerTOR-1)/dcCfg.HostsPerTOR)*dcCfg.HostsPerTOR
-	d.dispHost = base
-	dc.Host(base)
-	poolSize := cfg.Backends + cfg.Spares
-	poolHosts := make([]int, poolSize)
-	for i := range poolHosts {
-		poolHosts[i] = base + 1 + i
-		dc.Host(base + 1 + i)
-	}
-	d.hostEnd = base + 1 + poolSize
-
-	router, err := svclb.NewRouter(s.NewRand(), cfg.Policy)
-	if err != nil {
-		panic(fmt.Sprintf("rpcnic: %v", err))
-	}
-	d.router = router
-
-	// The dispatcher node terminates ingress and backend responses on the
-	// service-datagram plane, and depth gossip on the control plane.
-	sim.Must(shells[d.dispHost].SetServiceHandler(d.onDatagram))
-	sim.Must(shells[d.dispHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
-		if kind == ctrlDepth && len(payload) >= 4 {
-			depth := int(payload[0])<<24 | int(payload[1])<<16 | int(payload[2])<<8 | int(payload[3])
-			d.router.ReportDepth(from, depth, s.Now())
-		}
-	}))
-
-	d.pool, d.in = svclb.NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, backendRole{}, haas.PoolSpec{
+	// A dead backend's requests surface as caller timeouts; the pool's
+	// replacement (if any) attaches next.
+	d.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Callers, cfg.Policy, cfg.Backends+cfg.Spares, cfg.RMPoll, backendRole{}, haas.PoolSpec{
 		Tenant: "rpcnic", Image: backendImage,
 		OnReady: d.attachBackend,
-		OnLost:  d.detachBackend,
+		OnLost:  func(_ *haas.Member, dead haas.NodeID) { d.Retire(int(dead)) },
 	})
+	for _, sh := range d.ClientEnds {
+		c := &caller{d: d, sh: sh, host: sh.HostID(), pending: map[uint64]*rpcCall{}}
+		sim.Must(sh.SetServiceHandler(c.onDatagram))
+		d.callers = append(d.callers, c)
+	}
+	// The dispatcher node terminates ingress and backend responses on the
+	// service-datagram plane; the deployment terminates the depth gossip.
+	sim.Must(shells[d.Head].SetServiceHandler(d.onDatagram))
 	for i := 0; i < cfg.Backends; i++ {
-		if _, err := d.pool.Grow(); err != nil {
+		if _, err := d.Pool.Grow(); err != nil {
 			panic(fmt.Sprintf("rpcnic: initial lease: %v", err))
 		}
 	}
-	if cfg.FaultProfile != "" {
-		p, err := faultinject.ByName(cfg.FaultProfile)
-		if err != nil {
-			panic(fmt.Sprintf("rpcnic: %v", err))
-		}
-		d.stopFns = append(d.stopFns, d.in.Start(p))
-	}
+	d.StartFaults(cfg.FaultProfile)
 	return d
 }
 
@@ -449,10 +393,10 @@ func (backendRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([
 }
 
 // attachBackend wires a serving backend: work queue, the datagram work
-// handler, the depth gossip ticker, and its routing slot.
+// handler, and its routing slot and depth gossip.
 func (d *Dispatcher) attachBackend(m *haas.Member) {
 	h := int(m.Node)
-	sh := d.shells[h]
+	sh := d.Shells[h]
 	q := svclb.NewWorkQueue(d.s, h)
 	ret := make([]byte, d.cfg.RetBytes)
 	var out []byte
@@ -477,29 +421,7 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 			sim.Must(sh.SendDatagram(from, KindWorkResp, out))
 		})
 	}))
-	if len(d.gossip) < 64 { // phase-offset like svclb's backends
-		d.gossip[h] = d.s.Every(d.cfg.GossipInterval*sim.Time(1+d.phases%8)/8, d.cfg.GossipInterval, func() {
-			depth := q.Depth()
-			sim.Must(sh.SendControl(d.dispHost, ctrlDepth, []byte{
-				byte(depth >> 24), byte(depth >> 16), byte(depth >> 8), byte(depth)}))
-		})
-		d.phases++
-	}
-	d.router.AddSlot(h)
-}
-
-// detachBackend retires a dead backend's routing slot and gossip ticker.
-// Requests in flight to it surface as caller timeouts; the pool's
-// replacement (if any) attaches next.
-func (d *Dispatcher) detachBackend(_ *haas.Member, dead haas.NodeID) {
-	h := int(dead)
-	if sl := d.router.SlotOnHost(h); sl != nil {
-		d.router.RemoveSlot(sl)
-	}
-	if t := d.gossip[h]; t != nil {
-		t.Stop()
-		delete(d.gossip, h)
-	}
+	d.Serve(h, d.cfg.GossipInterval, q.Depth)
 }
 
 // onDatagram is the dispatcher node's service-plane receiver.
@@ -612,7 +534,7 @@ func (d *Dispatcher) decodeAndDispatch(from int, buf []byte) {
 		d.Stats.DecodeErrors.Inc()
 		return
 	}
-	slot, ok := d.router.Pick()
+	slot, ok := d.Router.Pick()
 	if !ok {
 		d.Stats.DecodeErrors.Inc() // no live backend: drop, caller times out
 		return
@@ -630,7 +552,7 @@ func (d *Dispatcher) decodeAndDispatch(from int, buf []byte) {
 	}
 	d.table[req.ID] = st
 	d.Stats.Dispatched.Inc()
-	sim.Must(d.shells[d.dispHost].SendDatagram(slot.Host, KindWork, buf))
+	sim.Must(d.Shells[d.Head].SendDatagram(slot.Host, KindWork, buf))
 }
 
 // onWorkResp completes one dispatched request: the response returns to
@@ -646,7 +568,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		return
 	}
 	delete(d.table, resp.ID)
-	d.router.Done(st.slot)
+	d.Router.Done(st.slot)
 	caller, span := st.caller, st.span
 	st.slot = nil
 	d.stateFree = append(d.stateFree, st)
@@ -674,7 +596,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		if d.tracer != nil {
 			d.tracer.End(span)
 		}
-		sim.Must(d.shells[d.dispHost].SendDatagram(caller, KindReply, buf))
+		sim.Must(d.Shells[d.Head].SendDatagram(caller, KindReply, buf))
 	}
 	pcie := d.pcie.PCIeTime(len(buf))
 	decode := d.cfg.HostDecodeFixed/2 + d.cfg.HostDecodePerByte*sim.Time(len(buf))
@@ -712,7 +634,7 @@ func (c *caller) call(method byte, args []byte) {
 	c.pending[id] = rc
 	rc.timer = c.d.s.ScheduleCall(c.d.cfg.Timeout, expireRPC, rc)
 	c.scratch = AppendReq(c.scratch[:0], Req{Method: method, ID: id, Args: args})
-	sim.Must(c.sh.SendDatagram(c.d.dispHost, KindIngress, c.scratch))
+	sim.Must(c.sh.SendDatagram(c.d.Head, KindIngress, c.scratch))
 }
 
 // expireRPC is the static caller-timeout callback (the timer arg is the
@@ -755,25 +677,6 @@ func (c *caller) onDatagram(from int, kind uint8, payload []byte) {
 	c.callFree = append(c.callFree, rc)
 }
 
-// Sim returns the simulation the dispatcher runs on.
-func (d *Dispatcher) Sim() *sim.Simulation { return d.s }
-
-// NextHostBase returns the first TOR-aligned host id past this deployment.
-func (d *Dispatcher) NextHostBase() int {
-	return ((d.hostEnd + d.hostsPerTOR - 1) / d.hostsPerTOR) * d.hostsPerTOR
-}
-
-// Stop releases control-plane resources.
-func (d *Dispatcher) Stop() {
-	d.pool.RM().Stop()
-	for _, t := range d.gossip {
-		t.Stop()
-	}
-	for _, fn := range d.stopFns {
-		fn()
-	}
-}
-
 // Result is one measurement of the dispatcher.
 type Result struct {
 	Mode      string // "offload" or "host"
@@ -809,7 +712,7 @@ func (d *Dispatcher) Result() Result {
 		HostBusy:    float64(d.hostBusyTotal) / float64(d.cfg.Duration),
 		Doorbells:   d.Stats.BatchFlushes.Value(),
 		BatchedReqs: d.Stats.BatchReqs.Value(),
-		RouteHash:   d.router.RouteHash(),
+		RouteHash:   d.Router.RouteHash(),
 		Digest:      d.digest,
 	}
 	if d.Stats.Latency.Count() > 0 {
@@ -820,13 +723,10 @@ func (d *Dispatcher) Result() Result {
 	return r
 }
 
-// Telemetry collects the deployment's observability record (nil unless
-// built with Telemetry).
+// Telemetry collects the deployment's observability record under the
+// netsvc experiment (nil unless telemetry is enabled).
 func (d *Dispatcher) Telemetry(point string) *obs.Record {
-	if d.obsCtx == nil {
-		return nil
-	}
-	return obs.Collect(d.obsCtx, "netsvc", point)
+	return d.Deployment.Telemetry("netsvc", point)
 }
 
 // Run executes one standalone measurement: open-loop callers drawing a

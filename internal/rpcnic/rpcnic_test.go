@@ -137,11 +137,11 @@ func TestBackendFailover(t *testing.T) {
 	cfg.RMPoll = 1 * sim.Millisecond
 	d := NewDispatcher(cfg)
 	s := d.s
-	victim := d.router.Live()[0].Host
-	s.Schedule(2*sim.Millisecond-s.Now(), func() { d.in.KillNode(victim) })
+	victim := d.Router.Live()[0].Host
+	s.Schedule(2*sim.Millisecond-s.Now(), func() { d.In.KillNode(victim) })
 	s.RunUntil(8 * sim.Millisecond)
 
-	live := d.router.Live()
+	live := d.Router.Live()
 	if len(live) != cfg.Backends {
 		t.Fatalf("pool not repaired: %d live backends, want %d", len(live), cfg.Backends)
 	}
@@ -170,32 +170,30 @@ func TestFailoverReplacesLease(t *testing.T) {
 	cfg := smallConfig(41, true)
 	cfg.RMPoll = 1 * sim.Millisecond
 	d := NewDispatcher(cfg)
-	victim := d.router.Live()[0].Host
-	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.in.KillNode(victim) })
+	victim := d.Router.Live()[0].Host
+	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.In.KillNode(victim) })
 	d.s.RunUntil(8 * sim.Millisecond)
 	d.Stop()
-	if g, r := d.pool.RM().Granted.Value(), d.pool.RM().Replaced.Value(); g != uint64(cfg.Backends) || r != 1 {
+	if g, r := d.Pool.RM().Granted.Value(), d.Pool.RM().Replaced.Value(); g != uint64(cfg.Backends) || r != 1 {
 		t.Fatalf("haas granted=%d replaced=%d, want %d and 1", g, r, cfg.Backends)
 	}
 }
 
 // TestDeadBackendStopsGossip: once the RM reports a backend dead, its
-// depth-gossip ticker stops; only live backends keep reporting.
+// depth-gossip ticker stops and it sends no more control datagrams
+// (svclb's TestRetireStopsGossip checks the ticker bookkeeping).
 func TestDeadBackendStopsGossip(t *testing.T) {
 	cfg := smallConfig(43, true)
 	cfg.RMPoll = 1 * sim.Millisecond
 	d := NewDispatcher(cfg)
-	victim := d.router.Live()[0].Host
-	eng := d.shells[victim].Engine
-	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.in.KillNode(victim) })
+	victim := d.Router.Live()[0].Host
+	eng := d.Shells[victim].Engine
+	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.In.KillNode(victim) })
 	d.s.RunUntil(3 * sim.Millisecond) // past detection
 	sent := eng.Stats.ControlSent.Value()
 	d.s.RunUntil(8 * sim.Millisecond)
 	d.Stop()
 	if got := eng.Stats.ControlSent.Value(); got != sent {
 		t.Fatalf("dead backend %d sent %d control datagrams after detection", victim, got-sent)
-	}
-	if len(d.gossip) != len(d.router.Live()) {
-		t.Fatalf("%d gossip tickers for %d live backends", len(d.gossip), len(d.router.Live()))
 	}
 }

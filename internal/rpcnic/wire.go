@@ -17,10 +17,6 @@ const (
 	KindReply uint8 = 0x33
 )
 
-// Control-datagram kind for backend queue-depth gossip to the dispatcher
-// (distinct from svclb's kinds; both ride pkt.LTLControl frames).
-const ctrlDepth uint8 = 0x34
-
 // RPC methods and their backend service times (fixed hardware pipelines
 // at the backend role; see methodTime).
 const (

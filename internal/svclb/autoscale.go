@@ -49,7 +49,7 @@ func (as *autoscaler) tick() {
 		return
 	}
 	p99 := sim.Time(snap.Percentile(99))
-	live := len(b.router.Live())
+	live := len(b.Router.Live())
 	switch {
 	case p99 > as.cfg.HighP99 && live < as.cfg.Max:
 		// Lease rejection (no free FPGAs) is not fatal; the next window

@@ -50,7 +50,7 @@ func TestSlotModePoolAccounting(t *testing.T) {
 	cfg.SlotALMs = 40000
 	sv := NewService(cfg)
 	b := sv.b
-	used, total, usedALMs, _ := b.pool.RM().SlotPoolStats()
+	used, total, usedALMs, _ := b.Pool.RM().SlotPoolStats()
 	if used != cfg.FPGAs {
 		t.Errorf("slots used = %d, want %d", used, cfg.FPGAs)
 	}
@@ -60,7 +60,7 @@ func TestSlotModePoolAccounting(t *testing.T) {
 	if want := cfg.FPGAs * cfg.SlotALMs; usedALMs != want {
 		t.Errorf("ALMs used = %d, want %d", usedALMs, want)
 	}
-	if got := b.pool.RM().SlotBoardsInUse(); got != cfg.FPGAs {
+	if got := b.Pool.RM().SlotBoardsInUse(); got != cfg.FPGAs {
 		t.Errorf("boards in use = %d, want %d (one slot per board)", got, cfg.FPGAs)
 	}
 	sv.Stop()

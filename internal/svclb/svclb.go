@@ -36,7 +36,7 @@ import (
 
 // Control-datagram kinds used on the service plane.
 const (
-	ctrlDepth  uint8 = 1 // backend -> SM: uint32 queue depth
+	ctrlDepth  uint8 = 1 // backend -> head: uint32 queue depth
 	ctrlCancel uint8 = 2 // client -> backend: uint64 request id to cancel
 )
 
@@ -237,28 +237,14 @@ type pendingReq struct {
 	span obs.SpanID // the svclb.request root span
 }
 
-type clientEnd struct {
-	host int
-	sh   *shell.Shell
-}
-
 // Balancer is the Service Manager: it owns the lease set, the routing
 // view, and every in-flight request. The routing decision is shared state
 // between the SM and the clients it hands pointers to — only the load
 // signals it decides on travel the simulated network.
 type Balancer struct {
-	s   *sim.Simulation
+	*Deployment
 	cfg Config
 
-	in     *faultinject.Injector
-	router *Router
-
-	shells  map[int]*shell.Shell
-	clients []clientEnd
-	smHost  int
-
-	pool   *haas.Pool
-	gossip map[int]*sim.Ticker
 	unwire map[int]func() // per-host teardown of a previous wiring epoch
 
 	pending map[uint64]*pendingReq
@@ -270,12 +256,6 @@ type Balancer struct {
 
 	started bool // past initial lease setup: grows/shrinks are elastic events
 	tracer  *obs.Tracer
-
-	// hostEnd is one past the last host id this balancer's layout claims;
-	// hostsPerTOR is the fabric's TOR width (for aligning the next
-	// service's base on a shared fabric).
-	hostEnd     int
-	hostsPerTOR int
 
 	offered, admitted, shed, completed     metrics.Counter
 	wOffered, wAdmitted, wCompleted        metrics.Counter
@@ -337,16 +317,7 @@ type Request struct {
 // fabric, ready for externally driven requests.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s := sim.New(cfg.Seed)
-	if cfg.Telemetry {
-		// Must precede component construction: shells, ports, and queues
-		// cache the tracer pointer when they are built.
-		c := obs.Enable(s)
-		if cfg.SpanLimit > 0 {
-			c.Tracer.SetLimit(cfg.SpanLimit)
-		}
-	}
-	dc, shells := NewFabric(s, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
+	s, dc, shells := Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return sv
@@ -356,69 +327,32 @@ func NewService(cfg Config) *Service {
 // so several services (a frontend's ranking and DNN pipelines) can share
 // one virtual clock and one datacenter. hostBase is the first host id
 // this service may claim and must be TOR-aligned; the caller owns
-// telemetry enablement and background load. Layout from hostBase
-// mirrors the standalone layout from host 0: clients fill TORs first,
-// then the SM host and the pool candidates on the following TORs, so
-// request and gossip traffic cross the L1 tier like a real global
-// pool's.
+// telemetry enablement and background load. The SM is the deployment's
+// head host (see Deploy for the layout).
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	dcCfg := dc.Config()
+	pcieCfg := shell.DefaultConfig()
 	b := &Balancer{
-		s: s, cfg: cfg,
-		shells:  shells,
-		gossip:  map[int]*sim.Ticker{},
-		unwire:  map[int]func(){},
-		pending: map[uint64]*pendingReq{},
-		winLat:  metrics.NewWindowed(),
+		cfg:      cfg,
+		unwire:   map[int]func(){},
+		pending:  map[uint64]*pendingReq{},
+		winLat:   metrics.NewWindowed(),
+		measured: metrics.NewHistogram(),
+		pcie:     pcieCfg.PCIeTime,
+		tracer:   obs.TracerOf(s),
 	}
-	b.tracer = obs.TracerOf(s)
-	for i := 0; i < cfg.Clients; i++ {
-		dc.Host(hostBase + i)
-		b.clients = append(b.clients, clientEnd{host: hostBase + i, sh: shells[hostBase+i]})
+	if b.cfg.Admission && b.cfg.NetOverhead <= 0 {
+		b.cfg.NetOverhead = b.pcie(cfg.ReqBytes) + b.pcie(cfg.RespBytes) + 20*sim.Microsecond
 	}
-	base := hostBase + ((cfg.Clients+dcCfg.HostsPerTOR-1)/dcCfg.HostsPerTOR)*dcCfg.HostsPerTOR
-	b.smHost = base
-	dc.Host(base)
+	b.registerMetrics(obs.RegistryOf(s))
 	poolSize := cfg.FPGAs + cfg.Spares
 	if cfg.Autoscale.Interval > 0 && cfg.Autoscale.Max > cfg.FPGAs {
 		poolSize = cfg.Autoscale.Max + cfg.Spares
 	}
-	poolHosts := make([]int, poolSize)
-	for i := range poolHosts {
-		poolHosts[i] = base + 1 + i
-		dc.Host(base + 1 + i)
-	}
-	b.hostEnd = base + 1 + poolSize
-	b.hostsPerTOR = dcCfg.HostsPerTOR
-
-	pcieCfg := shell.DefaultConfig()
-	b.pcie = pcieCfg.PCIeTime
-	if b.cfg.Admission && b.cfg.NetOverhead <= 0 {
-		b.cfg.NetOverhead = b.pcie(cfg.ReqBytes) + b.pcie(cfg.RespBytes) + 20*sim.Microsecond
-	}
-	b.measured = metrics.NewHistogram()
-	b.registerMetrics(obs.RegistryOf(s))
-
-	rng := s.NewRand()
-	router, err := NewRouter(rng, cfg.Policy)
-	if err != nil {
-		panic(err)
-	}
-	b.router = router
-
-	b.pool, b.in = NewBackendPool(dc, shells, poolHosts, cfg.RMPoll, svcRole{}, haas.PoolSpec{
+	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, poolSize, cfg.RMPoll, svcRole{}, haas.PoolSpec{
 		Tenant: "svclb", Image: serviceImage, ALMs: cfg.SlotALMs,
 		OnLost: b.onLost,
 	})
-
-	// The SM host terminates the depth gossip.
-	sim.Must(shells[b.smHost].SetControlHandler(func(from int, kind uint8, payload []byte) {
-		if kind == ctrlDepth && len(payload) >= 4 {
-			b.router.ReportDepth(from, int(binary.BigEndian.Uint32(payload)), s.Now())
-		}
-	}))
-
 	for i := 0; i < cfg.FPGAs; i++ {
 		if err := b.grow(); err != nil {
 			panic(fmt.Sprintf("svclb: initial lease: %v", err))
@@ -433,14 +367,11 @@ func (sv *Service) Sim() *sim.Simulation { return sv.b.s }
 
 // Clients returns the number of ingress client hosts the service was
 // built with; Submit's client index must be in [0, Clients).
-func (sv *Service) Clients() int { return len(sv.b.clients) }
+func (sv *Service) Clients() int { return len(sv.b.ClientEnds) }
 
 // NextHostBase returns the first TOR-aligned host id past the hosts this
 // service occupies — where the next service on the same fabric starts.
-func (sv *Service) NextHostBase() int {
-	hpt := sv.b.hostsPerTOR
-	return ((sv.b.hostEnd + hpt - 1) / hpt) * hpt
-}
+func (sv *Service) NextHostBase() int { return sv.b.NextHostBase() }
 
 // Submit runs one request from client index ci through admission,
 // routing, and the packet-level data plane. It returns the request id
@@ -459,12 +390,7 @@ func (sv *Service) Admission(svc sim.Time) Admission {
 // Stop releases control-plane resources (the HaaS health poll and
 // depth gossip). In-flight requests still complete if the caller keeps
 // running the simulation.
-func (sv *Service) Stop() {
-	sv.b.pool.RM().Stop()
-	for _, t := range sv.b.gossip {
-		t.Stop()
-	}
-}
+func (sv *Service) Stop() { sv.b.Stop() }
 
 // Result snapshots the service's counters and latency percentiles.
 func (sv *Service) Result() Result { return sv.b.result() }
@@ -477,8 +403,7 @@ func Run(cfg Config) Result {
 	s := b.s
 
 	gens := make([]*workload.OpenLoop, cfg.Clients)
-	for ci := range b.clients {
-		ci := ci
+	for ci := range b.ClientEnds {
 		gens[ci] = workload.NewOpenLoop(s, cfg.ClientRate, func() { b.arrive(ci) })
 		gens[ci].Start()
 	}
@@ -490,13 +415,13 @@ func Run(cfg Config) Result {
 
 	if cfg.KillAt > 0 {
 		s.Schedule(cfg.KillAt, func() {
-			live := b.router.Live()
+			live := b.Router.Live()
 			if len(live) == 0 {
 				return
 			}
 			b.killAt = s.Now()
 			b.awaitRecovery = true
-			b.in.KillNode(live[0].Host)
+			b.In.KillNode(live[0].Host)
 		})
 	}
 
@@ -506,7 +431,7 @@ func Run(cfg Config) Result {
 		g.Stop()
 	}
 	s.RunUntil(end + cfg.Drain)
-	b.pool.RM().Stop()
+	b.Pool.RM().Stop()
 	if as != nil {
 		as.stop()
 	}
@@ -536,17 +461,17 @@ func (b *Balancer) result() Result {
 		Failovers: b.failovers.Value(), Resent: b.resent.Value(),
 		Grown: b.grown.Value(), Shrunk: b.shrunk.Value(),
 
-		FinalBackends: len(b.router.Live()),
-		RouteHash:     b.router.RouteHash(),
+		FinalBackends: len(b.Router.Live()),
+		RouteHash:     b.Router.RouteHash(),
 	}
 	if b.wOffered.Value() > 0 {
 		res.AdmitRate = float64(b.wAdmitted.Value()) / float64(b.wOffered.Value())
 		res.Goodput = float64(b.wCompleted.Value()) / float64(b.wOffered.Value())
 	}
-	if h := b.in.Stats.Recovery[faultinject.NodeKill]; h.Count() > 0 {
+	if h := b.In.Stats.Recovery[faultinject.NodeKill]; h.Count() > 0 {
 		res.Recovery = sim.Time(h.Percentile(99))
 	}
-	if c := obs.Of(b.s); c != nil {
+	if obs.Of(b.s) != nil {
 		label := cfg.Policy
 		if cfg.Admission {
 			label += "+ac"
@@ -554,8 +479,7 @@ func (b *Balancer) result() Result {
 		if cfg.HedgeDelay > 0 {
 			label += "+hedge"
 		}
-		point := fmt.Sprintf("%s c=%d f=%d", label, cfg.Clients, cfg.FPGAs)
-		res.Telemetry = obs.Collect(c, "svclb", point)
+		res.Telemetry = b.Telemetry("svclb", fmt.Sprintf("%s c=%d f=%d", label, cfg.Clients, cfg.FPGAs))
 	}
 	return res
 }
@@ -600,14 +524,14 @@ func (b *Balancer) submit(ci int, req Request) (uint64, bool) {
 	if inWindow {
 		b.wOffered.Inc()
 	}
-	sl, ok := b.router.Pick()
+	sl, ok := b.Router.Pick()
 	if !ok {
 		b.shed.Inc()
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
 		return 0, false
 	}
 	if !b.admission(req.Service).Admit(estDepth(sl), req.Lag) {
-		b.router.Done(sl)
+		b.Router.Done(sl)
 		b.shed.Inc()
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
 		return 0, false
@@ -654,7 +578,7 @@ func (b *Balancer) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 	}
 	req := make([]byte, b.cfg.ReqBytes)
 	binary.BigEndian.PutUint64(req, p.id)
-	cs := b.clients[p.client].sh
+	cs := b.ClientEnds[p.client]
 	b.s.Schedule(b.pcie(b.cfg.ReqBytes), func() {
 		if c.gone {
 			return
@@ -683,7 +607,7 @@ func (b *Balancer) hedge(p *pendingReq) {
 			first = c.slot
 		}
 	}
-	sl, ok := b.router.PickExcluding(first)
+	sl, ok := b.Router.PickExcluding(first)
 	if !ok {
 		return
 	}
@@ -715,16 +639,16 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 		// back out of the backend's queue before it wastes service time.
 		c.gone = true
 		if c.slot.live {
-			b.router.Done(c.slot)
+			b.Router.Done(c.slot)
 			b.cancels.Inc()
 			b.tracer.Event(p.flow, "svclb.cancel", p.span, int64(c.slot.Host))
 			var idb [8]byte
 			binary.BigEndian.PutUint64(idb[:], reqID)
-			sim.Must(b.clients[ci].sh.SendControl(c.slot.Host, ctrlCancel, idb[:]))
+			sim.Must(b.ClientEnds[ci].SendControl(c.slot.Host, ctrlCancel, idb[:]))
 		}
 	}
 	if winnerIdx >= 0 {
-		b.router.Done(sl)
+		b.Router.Done(sl)
 		if p.copies[winnerIdx].hedge {
 			b.hedgeWins.Inc()
 			b.tracer.Event(p.flow, "svclb.hedge_win", p.span, int64(sl.Host))
@@ -743,7 +667,7 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 		if p.failedOver && b.awaitRecovery {
 			// First request completed after being re-routed off the killed
 			// backend: the fault is masked from this client's perspective.
-			b.in.RecordRecovery(faultinject.NodeKill, now-b.killAt)
+			b.In.RecordRecovery(faultinject.NodeKill, now-b.killAt)
 			b.awaitRecovery = false
 		}
 		if p.done != nil {
@@ -756,7 +680,7 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 // backend wires at grant like a board's: its reconfiguration window
 // plays the same part as a whole board's role load.
 func (b *Balancer) grow() error {
-	m, err := b.pool.Grow()
+	m, err := b.Pool.Grow()
 	if err != nil {
 		return err
 	}
@@ -771,11 +695,11 @@ func (b *Balancer) grow() error {
 // on it still completes: the lease is returned but the connections stay
 // up until the host is re-wired.
 func (b *Balancer) shrink() {
-	m := b.pool.Shrink()
+	m := b.Pool.Shrink()
 	if m == nil {
 		return
 	}
-	b.removeBackend(int(m.Node))
+	b.Retire(int(m.Node))
 	b.shrunk.Inc()
 }
 
@@ -785,8 +709,8 @@ func (b *Balancer) addBackend(h int) {
 		tear() // host reused after a drain: drop the stale wiring epoch
 	}
 	q := NewWorkQueue(b.s, h)
-	fs := b.shells[h]
-	sl := b.router.AddSlot(h)
+	fs := b.Shells[h]
+	sl := b.Serve(h, b.cfg.GossipInterval, q.Depth)
 
 	sim.Must(fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
 		if kind == ctrlCancel && len(payload) >= 8 {
@@ -796,9 +720,8 @@ func (b *Balancer) addBackend(h int) {
 		}
 	}))
 
-	for ci := range b.clients {
-		ci, ch := ci, b.clients[ci].host
-		cs := b.clients[ci].sh
+	for ci, cs := range b.ClientEnds {
+		ch := cs.HostID()
 		sim.Must(cs.OpenRemoteSend(uint16(sl.Index)+1, h, uint16(ci)+1, nil))
 		sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(sl.Index)+1000, nil))
 		sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
@@ -814,31 +737,10 @@ func (b *Balancer) addBackend(h int) {
 		}))
 	}
 	b.unwire[h] = func() {
-		for ci := range b.clients {
+		for ci := range b.ClientEnds {
 			fs.Engine.Close(uint16(ci) + 1)
 			fs.Engine.Close(uint16(ci) + 1000)
 		}
-	}
-
-	// Depth gossip, phase-offset per slot so the pool's reports interleave
-	// instead of arriving as a synchronized burst.
-	first := b.cfg.GossipInterval * sim.Time(1+sl.Index%8) / 8
-	b.gossip[h] = b.s.Every(first, b.cfg.GossipInterval, func() {
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(q.Depth()))
-		sim.Must(fs.SendControl(b.smHost, ctrlDepth, buf[:]))
-	})
-}
-
-// removeBackend takes host h out of the routing view and stops its
-// depth gossip.
-func (b *Balancer) removeBackend(h int) {
-	if sl := b.router.SlotOnHost(h); sl != nil {
-		b.router.RemoveSlot(sl)
-	}
-	if t := b.gossip[h]; t != nil {
-		t.Stop()
-		delete(b.gossip, h)
 	}
 }
 
@@ -847,7 +749,7 @@ func (b *Balancer) removeBackend(h int) {
 // request that was lost with the dead backend.
 func (b *Balancer) onLost(m *haas.Member, dead haas.NodeID) {
 	b.failovers.Inc()
-	b.removeBackend(int(dead))
+	b.Retire(int(dead))
 	delete(b.unwire, int(dead)) // the dead shell's connections die with it
 	if m.Node != dead {
 		b.addBackend(int(m.Node))
@@ -884,7 +786,7 @@ func (b *Balancer) resendOrphans() {
 
 // reroute resends a request whose copies were all lost to failures.
 func (b *Balancer) reroute(p *pendingReq) {
-	sl, ok := b.router.Pick()
+	sl, ok := b.Router.Pick()
 	if !ok {
 		// No live backend at all; retry when the pool recovers. The request
 		// stays pending, so it is never silently lost.
@@ -899,53 +801,6 @@ func (b *Balancer) reroute(p *pendingReq) {
 	b.resent.Inc()
 	b.tracer.Event(p.flow, "svclb.reroute", p.span, int64(sl.Host))
 	b.sendCopy(p, sl, false)
-}
-
-// NewFabric builds a standalone datacenter on s with a shell on every
-// host, for svclb and every service built like it. A slotted fabric
-// partitions each shell's role region into slotsPerBoard vFPGA slots
-// (at least 2).
-func NewFabric(s *sim.Simulation, slotted bool, slotsPerBoard int) (*netsim.Datacenter, map[int]*shell.Shell) {
-	shells := map[int]*shell.Shell{}
-	dcCfg := netsim.DefaultConfig()
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if slotted {
-			shCfg.Slots = shell.DefaultSlotConfig(max(slotsPerBoard, 2))
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
-		shells[hostID] = sh
-		return sh
-	}
-	return netsim.NewDatacenter(s, dcCfg), shells
-}
-
-// NewBackendPool builds the backend pool of svclb and every service
-// built like it: a Resource Manager polling health every rmPoll, a fault
-// injector that can kill any of hosts, and a haas.Pool leasing them
-// under spec. Each host registers through an FPGA Manager that loads
-// role (the pool picks board or slot registration from spec.ALMs).
-func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []int, rmPoll sim.Time,
-	role shell.Role, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
-	pool := haas.NewPool(haas.NewResourceManager(dc.Sim, haas.RMConfig{HealthPollInterval: rmPoll}), spec)
-	in := faultinject.New(dc.Sim)
-	for _, h := range hosts {
-		h, sh := h, shells[h]
-		in.AddNode(h, sh)
-		pool.AddNode(&haas.SlotFM{
-			FM: &haas.FPGAManager{
-				Node:      haas.NodeID(h),
-				Configure: func(string) { sh.LoadRole(role) },
-				Healthy:   func() bool { return in.NodeAlive(h) },
-			},
-			Caps: sh.SlotCaps(),
-			ConfigureSlot: func(slot int, tenant, _ string, alms int, done func(ok bool)) (sim.Time, error) {
-				return sh.ReconfigureSlot(slot, tenant, role, alms, done)
-			},
-			ClearSlot: sh.ClearSlot,
-		})
-	}
-	return pool, in
 }
 
 // svcRole marks pool shells' role slot occupied; the data path runs
