@@ -26,11 +26,11 @@ race:
 bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
-# Hot-path benchmark packages: the sim kernel, the fabric, and the
-# on-fabric network services. BENCH_10.json is the
+# Hot-path benchmark packages: the sim kernel, the fabric, the Elastic
+# Router, and the on-fabric network services. BENCH_10.json is the
 # committed baseline the CI perf guard compares fresh runs against:
 # ns/op within ±15%, allocs/op a hard ceiling (±2%).
-BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/
+BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/ ./internal/er/
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=200ms $(BENCH_PKGS) | $(GO) run ./cmd/ccbench -o BENCH_10.json
 
@@ -85,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz FuzzStoreOps -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
+	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
 
 clean:
 	$(GO) clean -testcache

@@ -19,6 +19,7 @@ package er
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -92,7 +93,10 @@ type Config struct {
 	Elastic bool
 	// ClockPeriod is one router cycle (default 6.4ns, 156.25 MHz per Fig. 5).
 	ClockPeriod sim.Time
-	// Route maps a destination node to a local output port (-1 to drop).
+	// Route maps a destination node to a local output port. A head flit
+	// routed outside [0, Ports), or to a port with nothing attached,
+	// panics when the router first arbitrates it: the flit could never
+	// leave, so nothing is silently dropped.
 	Route func(dstNode int) int
 }
 
@@ -241,6 +245,20 @@ type Router struct {
 	ticking bool
 	Stats   Stats
 
+	// occ is the occupancy bitmap of the (input, VC) FIFOs: bit i*VCs+v
+	// is set while input i's VC v holds a flit. Words are 64-bit because
+	// slotted shells raise VCs past two.
+	occ []uint64
+	// cand holds, within one tick, each output's candidate set: the
+	// occupied FIFOs whose head targets that output (output o's bitmap is
+	// cand[o*len(occ):(o+1)*len(occ)]). inTick marks that a cycle is in
+	// progress, so a flit injected into an empty FIFO mid-cycle (by a
+	// credit return that pumps a terminal) joins its output's set.
+	cand   []uint64
+	inTick bool
+	// attached is set once any output has a peer.
+	attached bool
+
 	// flitFree is the flit freelist (see Flit); scratchUsed is the
 	// per-cycle one-flit-per-input scoreboard, reused across ticks.
 	flitFree    []*Flit
@@ -310,6 +328,9 @@ func New(s *sim.Simulation, cfg Config) *Router {
 		r.outputs = append(r.outputs, out)
 	}
 	r.scratchUsed = make([]bool, cfg.Ports)
+	words := (cfg.Ports*cfg.VCs + 63) / 64
+	r.occ = make([]uint64, words)
+	r.cand = make([]uint64, cfg.Ports*words)
 	return r
 }
 
@@ -322,6 +343,7 @@ func (r *Router) Config() Config { return r.cfg }
 func (r *Router) Attach(port int, peer Link, creditReturn func(vc int)) {
 	out := r.outputs[port]
 	out.peer = peer
+	r.attached = true
 	if pool := peer.SharedCredits(); pool > 0 {
 		out.sharedMode = true
 		out.shared = pool
@@ -369,8 +391,16 @@ func (r *Router) Inject(port int, f *Flit) {
 		panic(fmt.Sprintf("er %s: input %d vc %d buffer overflow (credit protocol violated)",
 			r.cfg.Name, port, f.VC))
 	}
-	in.vcs[f.VC].fifo.push(f)
+	ivc := &in.vcs[f.VC]
+	ivc.fifo.push(f)
 	in.used++
+	if ivc.fifo.len() == 1 {
+		idx := port*r.cfg.VCs + f.VC
+		r.occ[idx>>6] |= 1 << (idx & 63)
+		if r.inTick {
+			r.resolve(idx)
+		}
+	}
 	r.Stats.BufOccupancy.Add(1)
 	r.wake()
 }
@@ -394,50 +424,88 @@ func (r *Router) wake() {
 	r.sim.ScheduleCall(r.cfg.ClockPeriod, tickCall, r)
 }
 
+// fifo returns the (input, VC) FIFO with occupancy index idx = i*VCs+v.
+func (r *Router) fifo(idx int) *inputVC {
+	return &r.inputs[idx/r.cfg.VCs].vcs[idx%r.cfg.VCs]
+}
+
+// route maps a head flit at input in to its output port. A port outside
+// [0, Ports) or one with nothing attached can never take the flit, so
+// the flit would sit at the head of its FIFO and tick the router
+// forever; that is a configuration bug, and it panics.
+func (r *Router) route(in int, f *Flit) int {
+	dst := f.DstNode
+	if r.cfg.Route != nil {
+		dst = r.cfg.Route(dst)
+	}
+	if dst < 0 || dst >= r.cfg.Ports || r.outputs[dst].peer == nil {
+		panic(fmt.Sprintf("er %s: input %d: no attached output for node %d (routed to port %d)",
+			r.cfg.Name, in, f.DstNode, dst))
+	}
+	return dst
+}
+
+// resolve enters FIFO idx's head flit in the candidate set of the one
+// output it targets this cycle: its packet's bound output, or the route
+// of a head flit.
+func (r *Router) resolve(idx int) {
+	ivc := r.fifo(idx)
+	dst := ivc.boundOut
+	if dst == -1 {
+		head := ivc.fifo.peek()
+		if !head.Head {
+			panic("er: body flit with no route binding")
+		}
+		dst = r.route(idx/r.cfg.VCs, head)
+	}
+	r.cand[dst*len(r.occ)+idx>>6] |= 1 << (idx & 63)
+}
+
 // tick performs one switch-allocation cycle: for every output port, pick
 // at most one eligible (input, VC) head flit by round-robin; honor one
 // flit per input per cycle; transmit winners and return input credits.
+//
+// Each occupied FIFO's head targets exactly one output, so the cycle
+// resolves every head once into per-output candidate sets and each
+// output visits only its own candidates, in ascending (input, VC) order.
+// A pop re-resolves the FIFO's new head (and a flit injected mid-cycle
+// into an empty FIFO resolves on arrival), so a later output in the
+// same cycle still sees, and stall-counts, exactly what a full scan of
+// every (input, VC) per output would.
 func (r *Router) tick() {
 	r.ticking = false
 	r.Stats.Cycles.Inc()
 	inputUsed := r.scratchUsed
-	for i := range inputUsed {
-		inputUsed[i] = false
-	}
+	clear(inputUsed)
+	clear(r.cand)
+	// Keep ticking while any input holds flits and something is attached
+	// to take them.
 	work := false
+	if r.attached {
+		for w, word := range r.occ {
+			for ; word != 0; word &= word - 1 {
+				work = true
+				r.resolve(w<<6 | bits.TrailingZeros64(word))
+			}
+		}
+	}
+	r.inTick = true
+	words := len(r.occ)
+	vcs := r.cfg.VCs
 
 	for o, out := range r.outputs {
 		if out.peer == nil {
 			continue
 		}
-		// Candidate scan. The first eligible (input, VC) and the first one
-		// at or past the round-robin pointer are tracked in place of a
-		// materialized candidate list; the scan itself still visits every
-		// (input, VC) so the stall counters see the same increments.
+		// The first eligible (input, VC) and the first one at or past the
+		// round-robin pointer stand in for a materialized candidate list.
 		firstIn, firstVC := -1, -1
 		pickIn, pickVC := -1, -1
-		for i, in := range r.inputs {
-			for v := range in.vcs {
-				ivc := &in.vcs[v]
-				if ivc.fifo.len() == 0 {
-					continue
-				}
-				work = true
-				head := ivc.fifo.peek()
-				dst := ivc.boundOut
-				if dst == -1 {
-					if !head.Head {
-						panic("er: body flit with no route binding")
-					}
-					if r.cfg.Route != nil {
-						dst = r.cfg.Route(head.DstNode)
-					} else {
-						dst = head.DstNode
-					}
-				}
-				if dst != o {
-					continue
-				}
+		for w, word := range r.cand[o*words : (o+1)*words] {
+			for ; word != 0; word &= word - 1 {
+				idx := w<<6 | bits.TrailingZeros64(word)
+				i, v := idx/vcs, idx%vcs
+				head := r.inputs[i].vcs[v].fifo.peek()
 				if inputUsed[i] {
 					r.Stats.StallConflict.Inc()
 					if r.tracer != nil {
@@ -491,16 +559,17 @@ func (r *Router) tick() {
 		inputUsed[pickIn] = true
 
 		if head.Head {
-			if r.cfg.Route != nil {
-				ivc.boundOut = r.cfg.Route(head.DstNode)
-			} else {
-				ivc.boundOut = head.DstNode
-			}
+			ivc.boundOut = o
 			out.owner[head.VC] = ownerRef{pickIn, pickVC, true}
 		}
 		if head.Tail {
 			ivc.boundOut = -1
 			out.owner[head.VC] = ownerRef{}
+		}
+		if idx := pickIn*vcs + pickVC; ivc.fifo.len() == 0 {
+			r.occ[idx>>6] &^= 1 << (idx & 63)
+		} else {
+			r.resolve(idx)
 		}
 
 		out.takeCredit(head.VC)
@@ -514,8 +583,8 @@ func (r *Router) tick() {
 		head.deliverTo = out.peer
 		r.sim.ScheduleCall(r.cfg.ClockPeriod, deliverFlit, head)
 	}
+	r.inTick = false
 
-	// Keep ticking while any input holds flits.
 	if work {
 		r.wake()
 	}

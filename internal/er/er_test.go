@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -291,6 +292,85 @@ func TestInjectInvalidVCPanics(t *testing.T) {
 		}
 	}()
 	r.Inject(0, &Flit{Head: true, Tail: true, VC: 99})
+}
+
+// expectPanic runs fn and returns the panic message it raised, failing
+// the test when fn returns normally.
+func expectPanic(t *testing.T, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("expected panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	fn()
+	return ""
+}
+
+// A head flit whose route names no attached output can never leave its
+// FIFO. Arbitration panics on it (naming the router, the node and the
+// port) instead of ticking the router every cycle forever, which kept
+// sim.Run from returning.
+func TestUnroutableHeadPanics(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		route     func(int) int
+		attach    int // terminals on ports [0, attach)
+		dst, port int
+	}{
+		{"route-drop", func(int) int { return -1 }, 4, 2, -1},
+		{"node-out-of-range", nil, 4, 9, 9},
+		{"unattached-output", nil, 3, 3, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s := sim.New(1)
+			cfg := DefaultConfig()
+			cfg.Name = "er-" + c.name
+			cfg.Route = c.route
+			r := New(s, cfg)
+			src := NewTerminal(s, r, 0, 0, 8)
+			for p := 1; p < c.attach; p++ {
+				NewTerminal(s, r, p, p, 8)
+			}
+			src.Send(c.dst, 0, []byte("x"))
+			msg := expectPanic(t, func() { s.RunFor(sim.Millisecond) })
+			for _, want := range []string{cfg.Name, fmt.Sprintf("node %d", c.dst), fmt.Sprintf("port %d", c.port)} {
+				if !strings.Contains(msg, want) {
+					t.Errorf("panic %q does not name %q", msg, want)
+				}
+			}
+			if s.Fired() > 4 {
+				t.Errorf("panicked only after %d events; the first arbitration cycle should catch it", s.Fired())
+			}
+		})
+	}
+}
+
+// Reassembly keeps one in-progress message per VC, which is sound only
+// because a router output VC is owned from head to tail: a head flit over
+// an unfinished message, or a body flit with none, is a protocol bug.
+func TestTerminalReassemblyProtocolPanics(t *testing.T) {
+	s := sim.New(1)
+	_, terms := buildRouter(s, DefaultConfig())
+	term := terms[1]
+	msg := expectPanic(t, func() { term.AcceptFlit(&Flit{VC: 1, SrcNode: 0, MsgID: 1}) })
+	if !strings.Contains(msg, "body flit with no head") {
+		t.Errorf("body flit with no head: panic %q", msg)
+	}
+	term.AcceptFlit(&Flit{Head: true, VC: 0, SrcNode: 0, MsgID: 1})
+	msg = expectPanic(t, func() { term.AcceptFlit(&Flit{Head: true, Tail: true, VC: 0, SrcNode: 2, MsgID: 1}) })
+	if !strings.Contains(msg, "unfinished message") {
+		t.Errorf("head over unfinished message: panic %q", msg)
+	}
+	// The other VC reassembles independently.
+	got := collect(term)
+	term.AcceptFlit(&Flit{Head: true, Tail: true, VC: 1, SrcNode: 2, MsgID: 1, Data: []byte("ok")})
+	s.RunFor(sim.Microsecond)
+	if len(*got) != 1 || string((*got)[0].Payload) != "ok" {
+		t.Fatalf("VC 1 delivery alongside an unfinished VC 0 message: %v", *got)
+	}
 }
 
 func TestSendInvalidVCPanics(t *testing.T) {

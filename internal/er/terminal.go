@@ -87,18 +87,15 @@ type Terminal struct {
 	// sendq holds flits awaiting credits, per VC.
 	sendq []flitFIFO
 
-	// reassembly state per (src, vc, msgID).
-	partial map[partialKey]*Message
+	// partial[vc] is the message being reassembled on vc, or nil. A
+	// router output VC is owned from a packet's head flit to its tail, so
+	// flits of different messages never interleave on one VC here.
+	partial []*Message
 
 	// creditArgs[vc] is the preallocated argument for returnCreditCall.
 	creditArgs []creditArg
 
 	nextMsgID uint64
-}
-
-type partialKey struct {
-	src, vc int
-	msgID   uint64
 }
 
 // NewTerminal creates a terminal and attaches it to router port. node is
@@ -107,7 +104,7 @@ func NewTerminal(s *sim.Simulation, router *Router, port, node, recvBufFlits int
 	t := &Terminal{
 		Node: node, sim: s, router: router, port: port,
 		RecvBufFlits: recvBufFlits,
-		partial:      make(map[partialKey]*Message),
+		partial:      make([]*Message, router.cfg.VCs),
 		sendq:        make([]flitFIFO, router.cfg.VCs),
 	}
 	t.creditArgs = make([]creditArg, router.cfg.VCs)
@@ -201,20 +198,21 @@ func (t *Terminal) pump() {
 // AcceptFlit implements Link: reassemble and return the credit after one
 // cycle of drain latency.
 func (t *Terminal) AcceptFlit(f *Flit) {
-	key := partialKey{f.SrcNode, f.VC, f.MsgID}
-	m, ok := t.partial[key]
-	if !ok {
-		if !f.Head {
-			panic("er: terminal received body flit with no head")
+	vc := f.VC
+	m := t.partial[vc]
+	if f.Head {
+		if m != nil {
+			panic(fmt.Sprintf("er: terminal %d received a head flit on vc %d over an unfinished message", t.Node, vc))
 		}
 		m = allocMessage()
 		m.SrcNode, m.DstNode, m.VC = f.SrcNode, f.DstNode, f.VC
-		t.partial[key] = m
+		t.partial[vc] = m
+	} else if m == nil {
+		panic("er: terminal received body flit with no head")
 	}
 	m.Payload = append(m.Payload, f.Data...)
-	tail, vc := f.Tail, f.VC
-	if tail {
-		delete(t.partial, key)
+	if f.Tail {
+		t.partial[vc] = nil
 		t.router.Stats.MsgsDelivered.Inc()
 		if t.router.msgSpans != nil {
 			sk := spanKey{f.SrcNode, f.VC, f.MsgID}
