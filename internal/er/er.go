@@ -246,8 +246,8 @@ type Router struct {
 	Stats   Stats
 
 	// occ is the occupancy bitmap of the (input, VC) FIFOs: bit i*VCs+v
-	// is set while input i's VC v holds a flit. Words are 64-bit because
-	// slotted shells raise VCs past two.
+	// is set while input i's VC v holds a flit. It spans several words
+	// when Ports*VCs exceeds 64 (slotted shells raise VCs to 2+slots).
 	occ []uint64
 	// cand holds, within one tick, each output's candidate set: the
 	// occupied FIFOs whose head targets that output (output o's bitmap is
@@ -256,8 +256,6 @@ type Router struct {
 	// credit return that pumps a terminal) joins its output's set.
 	cand   []uint64
 	inTick bool
-	// attached is set once any output has a peer.
-	attached bool
 
 	// flitFree is the flit freelist (see Flit); scratchUsed is the
 	// per-cycle one-flit-per-input scoreboard, reused across ticks.
@@ -343,7 +341,6 @@ func (r *Router) Config() Config { return r.cfg }
 func (r *Router) Attach(port int, peer Link, creditReturn func(vc int)) {
 	out := r.outputs[port]
 	out.peer = peer
-	r.attached = true
 	if pool := peer.SharedCredits(); pool > 0 {
 		out.sharedMode = true
 		out.shared = pool
@@ -424,11 +421,6 @@ func (r *Router) wake() {
 	r.sim.ScheduleCall(r.cfg.ClockPeriod, tickCall, r)
 }
 
-// fifo returns the (input, VC) FIFO with occupancy index idx = i*VCs+v.
-func (r *Router) fifo(idx int) *inputVC {
-	return &r.inputs[idx/r.cfg.VCs].vcs[idx%r.cfg.VCs]
-}
-
 // route maps a head flit at input in to its output port. A port outside
 // [0, Ports) or one with nothing attached can never take the flit, so
 // the flit would sit at the head of its FIFO and tick the router
@@ -449,14 +441,15 @@ func (r *Router) route(in int, f *Flit) int {
 // output it targets this cycle: its packet's bound output, or the route
 // of a head flit.
 func (r *Router) resolve(idx int) {
-	ivc := r.fifo(idx)
+	in := idx / r.cfg.VCs
+	ivc := &r.inputs[in].vcs[idx%r.cfg.VCs]
 	dst := ivc.boundOut
 	if dst == -1 {
 		head := ivc.fifo.peek()
 		if !head.Head {
 			panic("er: body flit with no route binding")
 		}
-		dst = r.route(idx/r.cfg.VCs, head)
+		dst = r.route(in, head)
 	}
 	r.cand[dst*len(r.occ)+idx>>6] |= 1 << (idx & 63)
 }
@@ -478,15 +471,12 @@ func (r *Router) tick() {
 	inputUsed := r.scratchUsed
 	clear(inputUsed)
 	clear(r.cand)
-	// Keep ticking while any input holds flits and something is attached
-	// to take them.
+	// Keep ticking while any input holds flits.
 	work := false
-	if r.attached {
-		for w, word := range r.occ {
-			for ; word != 0; word &= word - 1 {
-				work = true
-				r.resolve(w<<6 | bits.TrailingZeros64(word))
-			}
+	for w, word := range r.occ {
+		for ; word != 0; word &= word - 1 {
+			work = true
+			r.resolve(w<<6 | bits.TrailingZeros64(word))
 		}
 	}
 	r.inTick = true
