@@ -421,25 +421,11 @@ func (r *Router) wake() {
 	r.sim.ScheduleCall(r.cfg.ClockPeriod, tickCall, r)
 }
 
-// route maps a head flit at input in to its output port. A port outside
-// [0, Ports) or one with nothing attached can never take the flit, so
-// the flit would sit at the head of its FIFO and tick the router
-// forever; that is a configuration bug, and it panics.
-func (r *Router) route(in int, f *Flit) int {
-	dst := f.DstNode
-	if r.cfg.Route != nil {
-		dst = r.cfg.Route(dst)
-	}
-	if dst < 0 || dst >= r.cfg.Ports || r.outputs[dst].peer == nil {
-		panic(fmt.Sprintf("er %s: input %d: no attached output for node %d (routed to port %d)",
-			r.cfg.Name, in, f.DstNode, dst))
-	}
-	return dst
-}
-
 // resolve enters FIFO idx's head flit in the candidate set of the one
 // output it targets this cycle: its packet's bound output, or the route
-// of a head flit.
+// of a head flit. A head routed outside [0, Ports) or to a port with
+// nothing attached could never leave, and would tick the router forever;
+// that is a configuration bug, and it panics.
 func (r *Router) resolve(idx int) {
 	in := idx / r.cfg.VCs
 	ivc := &r.inputs[in].vcs[idx%r.cfg.VCs]
@@ -449,7 +435,14 @@ func (r *Router) resolve(idx int) {
 		if !head.Head {
 			panic("er: body flit with no route binding")
 		}
-		dst = r.route(in, head)
+		dst = head.DstNode
+		if r.cfg.Route != nil {
+			dst = r.cfg.Route(dst)
+		}
+		if dst < 0 || dst >= r.cfg.Ports || r.outputs[dst].peer == nil {
+			panic(fmt.Sprintf("er %s: input %d: no attached output for node %d (routed to port %d)",
+				r.cfg.Name, in, head.DstNode, dst))
+		}
 	}
 	r.cand[dst*len(r.occ)+idx>>6] |= 1 << (idx & 63)
 }

@@ -9,24 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// fuzzSink is a stalledSink that reassembles what it accepts, so the
-// fuzz ledgers cover messages into a credit-withholding port too. It
-// relies on the same invariant as Terminal: one message at a time per VC.
-type fuzzSink struct {
-	stalledSink
-	partial map[int][]byte
-	onMsg   func(src, vc int, payload []byte)
-}
-
-func (k *fuzzSink) AcceptFlit(f *Flit) {
-	k.partial[f.VC] = append(k.partial[f.VC], f.Data...)
-	if f.Tail {
-		k.onMsg(f.SrcNode, f.VC, k.partial[f.VC])
-		delete(k.partial, f.VC)
-	}
-	k.stalledSink.AcceptFlit(f)
-}
-
 // Fuzz input layout. The five header bytes pick the router; every
 // following 4-byte group is one script op.
 const (
@@ -79,7 +61,7 @@ func FuzzRouter(f *testing.F) {
 		flags := data[fuzzFlags]
 		var routers []*Router
 		var terms []*Terminal
-		var sinks []*fuzzSink
+		var sinks []*tapSink
 		var nodes []int // every addressable node
 		vcs := 1 + int(data[fuzzVCs])%6
 
@@ -129,8 +111,16 @@ func FuzzRouter(f *testing.F) {
 					terms = append(terms, NewTerminal(s, r, p, node, vcs*(1+p%3)))
 					continue
 				}
-				k := &fuzzSink{stalledSink: stalledSink{s: s, r: r, port: p}, partial: map[int][]byte{}}
-				k.onMsg = func(src, vc int, payload []byte) { deliver(node, src, vc, payload) }
+				// Reassemble as a Terminal does: one message at a time per VC.
+				partial := make([][]byte, vcs)
+				k := &tapSink{stalledSink: stalledSink{s: s, r: r, port: p}}
+				k.onFlit = func(f *Flit) {
+					partial[f.VC] = append(partial[f.VC], f.Data...)
+					if f.Tail {
+						deliver(node, f.SrcNode, f.VC, partial[f.VC])
+						partial[f.VC] = nil
+					}
+				}
 				r.Attach(p, k, nil)
 				sinks = append(sinks, k)
 			}

@@ -12,15 +12,15 @@ import (
 	"repro/internal/sim"
 )
 
-// pinSink is a stalledSink that also reports every flit it accepts, so
-// deliveries into a credit-withholding port are part of the schedule
-// digest.
-type pinSink struct {
+// tapSink is a stalledSink that also reports every flit it accepts, so
+// the schedule pin and the fuzz ledgers see deliveries into a
+// credit-withholding port.
+type tapSink struct {
 	stalledSink
 	onFlit func(f *Flit)
 }
 
-func (k *pinSink) AcceptFlit(f *Flit) {
+func (k *tapSink) AcceptFlit(f *Flit) {
 	k.onFlit(f)
 	k.stalledSink.AcceptFlit(f)
 }
@@ -72,7 +72,7 @@ func TestRouterSchedulePin(t *testing.T) {
 		return func(s *sim.Simulation, d *scheduleDigest) ([]*Router, []*Terminal, []int) {
 			r := New(s, cfg)
 			var terms []*Terminal
-			var sinks []*pinSink
+			var sinks []*tapSink
 			var dsts []int
 			for p := 0; p < cfg.Ports; p++ {
 				dsts = append(dsts, p)
@@ -85,7 +85,7 @@ func TestRouterSchedulePin(t *testing.T) {
 					continue
 				}
 				p := p
-				k := &pinSink{stalledSink: stalledSink{s: s, r: r, port: p}}
+				k := &tapSink{stalledSink: stalledSink{s: s, r: r, port: p}}
 				k.onFlit = func(f *Flit) {
 					d.add(int64(s.Now()), int64(p), int64(f.SrcNode), int64(f.MsgID), int64(f.VC), int64(len(f.Data)))
 				}
