@@ -74,7 +74,8 @@ examples:
 	$(GO) run ./examples/multifpga
 	$(GO) run ./examples/bioinformatics
 
-# Brief fuzzing passes over the wire decoders and the KV store.
+# Brief fuzzing passes over the wire decoders, the KV store, the Elastic
+# Router and the frontend's HTTP handler.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -86,6 +87,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
+	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 
 clean:
 	$(GO) clean -testcache

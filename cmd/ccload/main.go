@@ -56,6 +56,9 @@ func main() {
 	default:
 		fail("unknown -mode %q (replay or realtime)", *mode)
 	}
+	if m == frontend.Replay && sim.Time(*duration) > frontend.ReplayHorizon {
+		fail("-duration %v: a replay script must end within %v of virtual time", *duration, time.Duration(frontend.ReplayHorizon))
+	}
 	script := loadgen.Script(*seed, *rate, sim.Time(*duration), *rankFrac)
 	if len(script) == 0 {
 		fail("empty script: rate %g over %v produced no arrivals", *rate, *duration)

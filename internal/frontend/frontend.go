@@ -135,14 +135,16 @@ type Config struct {
 	// also carry the total, which must agree when both are set.
 	Expect int
 	// ReplayDrain bounds how far past the last scripted arrival the
-	// replay run extends waiting for stragglers (default 50ms virtual).
+	// replay run extends waiting for stragglers (default 50ms virtual,
+	// at most ReplayHorizon).
 	ReplayDrain sim.Time
 
 	// Dilation is virtual nanoseconds advanced per wall nanosecond in
 	// real-time mode (default 1.0; >1 runs the sim clock faster than
-	// wall). TickWall is the pacing granularity (default 200µs wall).
+	// wall). The driver polls the clock only while a request is
+	// outstanding and otherwise sleeps until the next pending event
+	// (DESIGN.md §6.8).
 	Dilation float64
-	TickWall int64 // wall ns per pacing tick
 
 	// BackgroundLoad is other tenants' lossless traffic (fabric noise).
 	BackgroundLoad float64
@@ -179,11 +181,11 @@ func (cfg Config) withDefaults() Config {
 	if cfg.ReplayDrain <= 0 {
 		cfg.ReplayDrain = 50 * sim.Millisecond
 	}
+	if cfg.ReplayDrain > ReplayHorizon {
+		cfg.ReplayDrain = ReplayHorizon
+	}
 	if cfg.Dilation <= 0 {
 		cfg.Dilation = 1.0
-	}
-	if cfg.TickWall <= 0 {
-		cfg.TickWall = 200_000 // 200µs wall
 	}
 	return cfg
 }
@@ -524,6 +526,14 @@ type Stats struct {
 	LagNs       int64                    `json:"lag_ns"`      // last injection's lag
 	LagPeakNs   int64                    `json:"lag_peak_ns"` // watermark
 	Pipelines   map[string]PipelineStats `json:"pipelines"`
+
+	// The real-time driver's wall-time split (zero in replay mode): wall
+	// ns spent running the simulation, wall ns asleep with no request
+	// outstanding, and the wakes from that sleep by cause.
+	AdvanceWallNs int64  `json:"advance_wall_ns,omitempty"`
+	SleepWallNs   int64  `json:"sleep_wall_ns,omitempty"`
+	TaskWakes     uint64 `json:"task_wakes,omitempty"`
+	TimerWakes    uint64 `json:"timer_wakes,omitempty"`
 }
 
 // snapshotStats must run on the sim thread.

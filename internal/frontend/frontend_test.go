@@ -310,3 +310,75 @@ func TestReplayVirtualClockAdvances(t *testing.T) {
 		t.Errorf("virtual percentiles p50=%v p99=%v", res.VirtP50, res.VirtP99)
 	}
 }
+
+// postWithin POSTs body to url and returns the status and decoded
+// response, failing the test (instead of hanging it) when no answer
+// comes within the wall deadline.
+func postWithin(t *testing.T, url, body string, deadline time.Duration) (int, frontend.Resp) {
+	t.Helper()
+	type answer struct {
+		code int
+		resp frontend.Resp
+		err  error
+	}
+	ch := make(chan answer, 1)
+	go func() {
+		r, err := http.Post(url, "application/json", strings.NewReader(body))
+		if err != nil {
+			ch <- answer{err: err}
+			return
+		}
+		defer r.Body.Close()
+		var a answer
+		a.code = r.StatusCode
+		a.err = json.NewDecoder(r.Body).Decode(&a.resp)
+		ch <- a
+	}()
+	select {
+	case a := <-ch:
+		if a.err != nil {
+			t.Fatalf("POST %s: %v", body, a.err)
+		}
+		return a.code, a.resp
+	case <-time.After(deadline):
+		t.Fatalf("POST %s: no answer within %v", body, deadline)
+		return 0, frontend.Resp{}
+	}
+}
+
+// TestReplayFarArrivalAnswered: a replay arrival past ReplayHorizon is
+// answered with an error at once instead of running the simulation out
+// to it, and a ReplayDrain too large to add to the last arrival is
+// capped rather than overflowing. The servers are closed only once
+// answered: a wedged driver would hang Close too.
+func TestReplayFarArrivalAnswered(t *testing.T) {
+	cfg := replayConfig(0)
+	cfg.Telemetry = false
+	f := frontend.New(cfg)
+	srv := httptest.NewServer(frontend.NewHandler(f))
+	code, resp := postWithin(t, srv.URL+"/v1/rank",
+		`{"seq":1,"at_ns":4611686018427387904,"total":1}`, 5*time.Second)
+	if code != http.StatusServiceUnavailable || resp.Error == "" {
+		t.Errorf("far arrival: status %d, resp %+v; want 503 with an error", code, resp)
+	}
+	code, _ = postWithin(t, srv.URL+"/v1/rank",
+		fmt.Sprintf(`{"seq":2,"at_ns":%d,"total":1}`, int64(frontend.ReplayHorizon)), 5*time.Second)
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("arrival at the horizon: status %d, want 503", code)
+	}
+	srv.Close()
+	f.Close()
+
+	cfg = replayConfig(1)
+	cfg.Telemetry = false
+	cfg.BackgroundLoad = 0
+	cfg.ReplayDrain = sim.Time(1<<63 - 1)
+	f = frontend.New(cfg)
+	srv = httptest.NewServer(frontend.NewHandler(f))
+	code, resp = postWithin(t, srv.URL+"/v1/dnn", `{"seq":1,"at_ns":1000,"total":1}`, 10*time.Second)
+	if code != http.StatusOK || !resp.Admitted {
+		t.Errorf("huge ReplayDrain: status %d, resp %+v; want 200 admitted", code, resp)
+	}
+	srv.Close()
+	f.Close()
+}

@@ -16,9 +16,9 @@ const maxBody = 1 << 16
 //	GET  /v1/stats  Stats snapshot
 //	GET  /healthz   liveness
 //
-// In replay mode at_ns is the virtual arrival time and total the script
-// length; in real-time mode both are ignored and the request is injected
-// at wall arrival.
+// In replay mode at_ns is the virtual arrival time, below ReplayHorizon,
+// and total the script length; in real-time mode both are ignored and
+// the request is injected at wall arrival.
 func NewHandler(f *Service) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/rank", f.handlePipeline("rank"))

@@ -6,6 +6,15 @@ import (
 	"repro/internal/sim"
 )
 
+// ReplayHorizon bounds a replay request's virtual arrival: an at_ns at
+// or past it is answered with an error and not buffered. A virtual
+// second of replay costs about two seconds of wall time with fabric
+// noise on, so an unbounded at_ns would hold the script lock, every
+// handler waiting on it, and Close for as long as the run takes. The
+// longest E17 script ends at 200 ms; ReplayDrain is capped at the
+// horizon too, so last + ReplayDrain cannot overflow.
+const ReplayHorizon = sim.Second
+
 // replayDriver is the deterministic clock: it buffers scripted requests
 // as they arrive over HTTP (any order, any connection count), and when
 // the script is complete runs the simulation once over the arrivals
@@ -45,8 +54,8 @@ func (d *replayDriver) submit(pl *pipeline, req inReq, respond func(Resp)) bool 
 		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "inconsistent script total"})
 		return true
 	}
-	if req.AtNs < 0 || d.seen[req.Seq] {
-		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "duplicate seq or negative arrival"})
+	if req.AtNs < 0 || req.AtNs >= int64(ReplayHorizon) || d.seen[req.Seq] {
+		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "duplicate seq or arrival outside [0, ReplayHorizon)"})
 		return true
 	}
 	d.seen[req.Seq] = true
