@@ -27,10 +27,11 @@ bench:
 	$(GO) test -run '^$$' -bench=. -benchmem ./...
 
 # Hot-path benchmark packages: the sim kernel, the fabric, the Elastic
-# Router, and the on-fabric network services. BENCH_10.json is the
-# committed baseline the CI perf guard compares fresh runs against:
+# Router, the latency histogram, and the network services (svclb's
+# per-request path, the on-fabric KV cache and RPC NIC). BENCH_10.json is
+# the committed baseline the CI perf guard compares fresh runs against:
 # ns/op within ±15%, allocs/op a hard ceiling (±2%).
-BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/ ./internal/er/
+BENCH_PKGS = ./internal/sim/... ./internal/netsim/ ./internal/kvcache/ ./internal/rpcnic/ ./internal/er/ ./internal/metrics/ ./internal/svclb/
 bench-json:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=200ms $(BENCH_PKGS) | $(GO) run ./cmd/ccbench -o BENCH_10.json
 

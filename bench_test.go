@@ -434,13 +434,6 @@ func BenchmarkPktEncodeDecode(b *testing.B) {
 	}
 }
 
-func BenchmarkHistogramObserve(b *testing.B) {
-	h := metrics.NewHistogram()
-	for i := 0; i < b.N; i++ {
-		h.Observe(int64(i%1000000) + 1)
-	}
-}
-
 func BenchmarkSimScheduling(b *testing.B) {
 	s := sim.New(1)
 	for i := 0; i < b.N; i++ {

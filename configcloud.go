@@ -13,6 +13,7 @@
 //
 //	cloud := configcloud.New(configcloud.Options{Seed: 1})
 //	a, b := cloud.Node(0), cloud.Node(1)
+//	// p is valid during the call only; a handler copies what it keeps.
 //	b.Shell.OpenRemoteRecv(7, a.ID, func(p []byte) { fmt.Printf("got %q\n", p) })
 //	a.Shell.OpenRemoteSend(7, b.ID, 7, nil)
 //	a.Shell.SendRemote(7, []byte("hello"), nil)

@@ -382,3 +382,52 @@ func TestReplayFarArrivalAnswered(t *testing.T) {
 	srv.Close()
 	f.Close()
 }
+
+// TestReplayRefusedRequestCompletesScript: a script request refused at
+// submission (here an arrival at the horizon) still counts toward the
+// script's length, so the rest of the script runs and is answered
+// without waiting for Close.
+func TestReplayRefusedRequestCompletesScript(t *testing.T) {
+	cfg := replayConfig(0)
+	cfg.Telemetry = false
+	cfg.BackgroundLoad = 0
+	f := frontend.New(cfg)
+	srv := httptest.NewServer(frontend.NewHandler(f))
+	defer srv.Close()
+	defer f.Close()
+
+	type answer struct {
+		code int
+		resp frontend.Resp
+	}
+	first := make(chan answer, 1)
+	go func() {
+		r, err := http.Post(srv.URL+"/v1/dnn", "application/json",
+			strings.NewReader(`{"seq":1,"at_ns":1000,"total":2}`))
+		if err != nil {
+			t.Error(err)
+			first <- answer{}
+			return
+		}
+		defer r.Body.Close()
+		var a answer
+		a.code = r.StatusCode
+		if err := json.NewDecoder(r.Body).Decode(&a.resp); err != nil {
+			t.Error(err)
+		}
+		first <- a
+	}()
+	code, _ := postWithin(t, srv.URL+"/v1/dnn",
+		fmt.Sprintf(`{"seq":2,"at_ns":%d,"total":2}`, int64(frontend.ReplayHorizon)), 5*time.Second)
+	if code != http.StatusServiceUnavailable {
+		t.Errorf("arrival at the horizon: status %d, want 503", code)
+	}
+	select {
+	case a := <-first:
+		if a.code != http.StatusOK || !a.resp.Admitted {
+			t.Errorf("valid request of the script: status %d, resp %+v; want 200 admitted", a.code, a.resp)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the rest of the script was not answered after a refused request")
+	}
+}

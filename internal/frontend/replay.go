@@ -26,9 +26,13 @@ const ReplayHorizon = sim.Second
 type replayDriver struct {
 	f *Service
 
-	mu      sync.Mutex
-	total   int // script length; fixed by Config.Expect or the first request
-	buf     []scriptedReq
+	mu    sync.Mutex
+	total int // script length; fixed by Config.Expect or the first request
+	buf   []scriptedReq
+	// refused counts script requests answered with an error at
+	// submission; they take their place in the script's length, so the
+	// rest of the script still runs.
+	refused int
 	seen    map[uint64]bool
 	ran     bool
 	stopped bool
@@ -41,6 +45,9 @@ func newReplayDriver(f *Service) *replayDriver {
 // submit buffers one scripted request; the goroutine that delivers the
 // final request of the script runs the whole simulation inline (under
 // the driver lock), answering every buffered responder before returning.
+// A request refused with an error still counts toward the script's
+// length: otherwise the script could never complete, and every buffered
+// request would wait for Close.
 func (d *replayDriver) submit(pl *pipeline, req inReq, respond func(Resp)) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -50,19 +57,25 @@ func (d *replayDriver) submit(pl *pipeline, req inReq, respond func(Resp)) bool 
 	if d.total == 0 {
 		d.total = req.Total
 	}
-	if d.total <= 0 || (req.Total > 0 && req.Total != d.total) {
+	if d.total <= 0 {
+		// No script length yet: nothing to count this request against.
 		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "inconsistent script total"})
 		return true
 	}
-	if req.AtNs < 0 || req.AtNs >= int64(ReplayHorizon) || d.seen[req.Seq] {
+	switch {
+	case req.Total > 0 && req.Total != d.total:
+		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "inconsistent script total"})
+		d.refused++
+	case req.AtNs < 0 || req.AtNs >= int64(ReplayHorizon) || d.seen[req.Seq]:
 		respond(Resp{Seq: req.Seq, Pipeline: pl.name, Error: "duplicate seq or arrival outside [0, ReplayHorizon)"})
-		return true
+		d.refused++
+	default:
+		d.seen[req.Seq] = true
+		d.buf = append(d.buf, scriptedReq{
+			seq: req.Seq, at: sim.Time(req.AtNs), pl: pl, respond: respond,
+		})
 	}
-	d.seen[req.Seq] = true
-	d.buf = append(d.buf, scriptedReq{
-		seq: req.Seq, at: sim.Time(req.AtNs), pl: pl, respond: respond,
-	})
-	if len(d.buf) == d.total {
+	if len(d.buf)+d.refused == d.total {
 		d.run()
 	}
 	return true

@@ -22,6 +22,7 @@ package ltl
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dcqcn"
 	"repro/internal/metrics"
@@ -123,10 +124,15 @@ type unackedFrame struct {
 	payload []byte
 	flags   uint8
 	sentAt  sim.Time
+	// owner, set on the last frame of a SendOwned message, goes to the
+	// engine's message-release hook once no frame of the message can be
+	// sent again.
+	owner any
 }
 
 // sendConn is a Send Connection Table entry.
 type sendConn struct {
+	e          *Engine
 	localID    uint16
 	remoteIP   pkt.IP
 	remoteMAC  pkt.MAC
@@ -136,7 +142,10 @@ type sendConn struct {
 	nextSeq  uint32
 	ackedSeq uint32 // all frames < ackedSeq are acknowledged
 
-	unacked []*unackedFrame // frames in [ackedSeq, nextSeq)
+	// unacked holds frames in [ackedSeq, nextSeq). Both queues pop from
+	// the front by shifting down (slices.Delete), so they keep their
+	// backing arrays and appends stop allocating.
+	unacked []*unackedFrame
 	// sendq holds frames not yet transmitted (beyond the window or
 	// awaiting rate tokens).
 	sendq []*unackedFrame
@@ -171,7 +180,8 @@ type recvConn struct {
 	remoteIP pkt.IP
 	// expectedSeq is the next in-order sequence number.
 	expectedSeq uint32
-	// assembling accumulates payload until a frame with FlagLast.
+	// assembling accumulates payload until a frame with FlagLast. It is
+	// reused for the next message once the handler returns.
 	assembling []byte
 	firstRxAt  sim.Time
 	onMessage  func(payload []byte)
@@ -216,11 +226,16 @@ type Engine struct {
 	txFree []*txBuf
 	// rxFree recycles rx dispatch jobs (single-threaded per simulation).
 	rxFree []*rxJob
+	// frFree recycles Unack'd Frame Store entries once acknowledged.
+	frFree []*unackedFrame
 	// release, when set, is called once the engine has fully consumed a
 	// frame passed to HandleFrame (handlers have run; no payload bytes
 	// are retained past the callback). The shell uses it to recycle the
 	// backing network packet.
 	release func(*pkt.Frame)
+	// msgRelease, when set, receives the owner of a SendOwned message
+	// once the engine no longer reads the message's payload.
+	msgRelease func(owner any)
 
 	Stats Stats
 }
@@ -335,6 +350,13 @@ func (e *Engine) emit(dstIP pkt.IP, dstMAC pkt.MAC, h pkt.LTLHeader, payload []b
 // bytes retained). Used by the shell to recycle packet buffers.
 func (e *Engine) SetFrameRelease(fn func(*pkt.Frame)) { e.release = fn }
 
+// SetMessageRelease installs the hook that hands back the owner of a
+// SendOwned message once the engine no longer reads its payload: when
+// every frame of the message is acknowledged, or when its connection
+// fails. Used by the shell to recycle the Elastic Router message that
+// LTL sends, and retransmits, from.
+func (e *Engine) SetMessageRelease(fn func(owner any)) { e.msgRelease = fn }
+
 // Config returns the engine configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -347,7 +369,7 @@ func (e *Engine) OpenSend(localID uint16, remoteIP pkt.IP, remoteMAC pkt.MAC, re
 		return fmt.Errorf("ltl: send connection %d already allocated", localID)
 	}
 	sc := &sendConn{
-		localID: localID, remoteIP: remoteIP, remoteMAC: remoteMAC,
+		e: e, localID: localID, remoteIP: remoteIP, remoteMAC: remoteMAC,
 		remoteConn: remoteConn, vc: vc,
 		completions: make(map[uint32]func()),
 		sentMsgAt:   make(map[uint32]sim.Time),
@@ -373,7 +395,9 @@ func (e *Engine) dcqcnConfig() dcqcn.Config {
 }
 
 // OpenRecv statically allocates a receive connection; onMessage receives
-// each reassembled message in order.
+// each reassembled message in order. The payload is valid for the
+// duration of the call only: the engine reassembles the connection's
+// next message into the same buffer, so a handler copies what it keeps.
 func (e *Engine) OpenRecv(localID uint16, remoteIP pkt.IP, onMessage func(payload []byte)) error {
 	if _, dup := e.recv[localID]; dup {
 		return fmt.Errorf("ltl: recv connection %d already allocated", localID)
@@ -408,8 +432,19 @@ func (e *Engine) ConnFailed(localID uint16) bool {
 // SendMessage segments payload into LTL Data frames on the given send
 // connection. done (optional) is invoked when every frame of the message
 // has been acknowledged — the paper's Fig. 10 latency measurement point
-// ("until the corresponding ACK for that packet is received").
+// ("until the corresponding ACK for that packet is received"). The
+// engine keeps reading payload for retransmissions until then, so the
+// caller must not modify it.
 func (e *Engine) SendMessage(conn uint16, payload []byte, done func()) error {
+	return e.SendOwned(conn, payload, done, nil)
+}
+
+// SendOwned is SendMessage for a payload that owner lends the engine:
+// once every frame is acknowledged, or the connection fails and drops
+// the message, the engine passes owner (if non-nil) to the
+// SetMessageRelease hook, after which the payload may be reused. On an
+// error return the caller keeps the owner.
+func (e *Engine) SendOwned(conn uint16, payload []byte, done func(), owner any) error {
 	sc, ok := e.send[conn]
 	if !ok {
 		return fmt.Errorf("ltl: send connection %d not allocated", conn)
@@ -433,8 +468,10 @@ func (e *Engine) SendMessage(conn uint16, payload []byte, done func()) error {
 		if i == n-1 {
 			flags = pkt.LTLFlagLast
 		}
-		fr := &unackedFrame{seq: sc.nextSeq, payload: payload[lo:hi], flags: flags}
+		fr := e.allocFrame()
+		*fr = unackedFrame{seq: sc.nextSeq, payload: payload[lo:hi], flags: flags}
 		if i == n-1 {
+			fr.owner = owner
 			if done != nil {
 				sc.completions[fr.seq] = done
 			}
@@ -452,26 +489,42 @@ func (e *Engine) SendMessage(conn uint16, payload []byte, done func()) error {
 	return nil
 }
 
+// allocFrame takes an Unack'd Frame Store entry from the freelist.
+func (e *Engine) allocFrame() *unackedFrame {
+	if n := len(e.frFree); n > 0 {
+		fr := e.frFree[n-1]
+		e.frFree = e.frFree[:n-1]
+		return fr
+	}
+	return new(unackedFrame)
+}
+
+// freeFrame returns an entry no queue holds any more.
+func (e *Engine) freeFrame(fr *unackedFrame) {
+	*fr = unackedFrame{}
+	e.frFree = append(e.frFree, fr)
+}
+
 // pump transmits queued frames subject to the window, DCQCN pacing, and
 // the engine bandwidth limit.
 func (e *Engine) pump(sc *sendConn) {
 	now := e.sim.Now()
-	for len(sc.sendq) > 0 {
+	sent := 0
+	for ; sent < len(sc.sendq); sent++ {
 		if len(sc.unacked) >= e.cfg.Window {
-			return // window full; ACKs will re-pump
+			break // window full; ACKs will re-pump
 		}
 		if sc.nextTxAt > now {
 			e.schedulePump(sc, sc.nextTxAt-now)
-			return
+			break
 		}
-		fr := sc.sendq[0]
+		fr := sc.sendq[sent]
 		size := len(fr.payload) + pkt.LTLHeaderLen + pkt.UDPHeaderLen + pkt.IPv4HeaderLen
 		if wait := e.throttle(size); wait > 0 {
 			e.Stats.ThrottleStalls.Inc()
 			e.schedulePump(sc, wait)
-			return
+			break
 		}
-		sc.sendq = sc.sendq[1:]
 		sc.unacked = append(sc.unacked, fr)
 		fr.sentAt = now
 		e.transmit(sc, fr)
@@ -483,6 +536,7 @@ func (e *Engine) pump(sc *sendConn) {
 			sc.nextTxAt = now + gap
 		}
 	}
+	sc.sendq = slices.Delete(sc.sendq, 0, sent)
 }
 
 // schedulePump arms (at most one) deferred pump for the connection; the
@@ -498,10 +552,14 @@ func (e *Engine) schedulePump(sc *sendConn, d sim.Time) {
 		}
 		e.sim.Cancel(sc.pumpTimer)
 	}
-	sc.pumpTimer = e.sim.Schedule(d, func() {
-		sc.pumpTimer = sim.Timer{}
-		e.pump(sc)
-	})
+	sc.pumpTimer = e.sim.ScheduleCall(d, pumpFire, sc)
+}
+
+// pumpFire is the static deferred-pump callback.
+func pumpFire(v any) {
+	sc := v.(*sendConn)
+	sc.pumpTimer = sim.Timer{}
+	sc.e.pump(sc)
 }
 
 // throttle implements the engine-wide token bucket; returns how long to
@@ -554,10 +612,14 @@ func (e *Engine) armRetransmit(sc *sendConn) {
 	if sc.rtxTimer != (sim.Timer{}) {
 		return
 	}
-	sc.rtxTimer = e.sim.Schedule(e.cfg.RetransmitTimeout, func() {
-		sc.rtxTimer = sim.Timer{}
-		e.onTimeout(sc)
-	})
+	sc.rtxTimer = e.sim.ScheduleCall(e.cfg.RetransmitTimeout, rtxFire, sc)
+}
+
+// rtxFire is the static retransmit-timer callback.
+func rtxFire(v any) {
+	sc := v.(*sendConn)
+	sc.rtxTimer = sim.Timer{}
+	sc.e.onTimeout(sc)
 }
 
 // onTimeout retransmits all unACKed frames (go-back-N) and counts strikes
@@ -574,6 +636,7 @@ func (e *Engine) onTimeout(sc *sendConn) {
 	if sc.retries > e.cfg.MaxRetries {
 		sc.failed = true
 		e.Stats.ConnFailures.Inc()
+		e.dropFrames(sc)
 		if sc.onFail != nil {
 			sc.onFail()
 		}
@@ -584,6 +647,27 @@ func (e *Engine) onTimeout(sc *sendConn) {
 		e.retransmitFrame(sc, fr)
 	}
 	e.armRetransmit(sc)
+}
+
+// dropFrames empties a failed connection's Unack'd Frame Store and send
+// queue: nothing is sent on it again, so each dropped message's owner is
+// released. Their completions never fire.
+func (e *Engine) dropFrames(sc *sendConn) {
+	for _, q := range [2][]*unackedFrame{sc.unacked, sc.sendq} {
+		for _, fr := range q {
+			e.releaseOwner(fr)
+			e.freeFrame(fr)
+		}
+	}
+	sc.unacked, sc.sendq = nil, nil
+}
+
+// releaseOwner hands fr's message owner (if any) to the release hook.
+func (e *Engine) releaseOwner(fr *unackedFrame) {
+	if fr.owner != nil && e.msgRelease != nil {
+		e.msgRelease(fr.owner)
+	}
+	fr.owner = nil
 }
 
 func (e *Engine) retransmitFrame(sc *sendConn, fr *unackedFrame) {
@@ -668,7 +752,6 @@ func (e *Engine) onData(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 		rc.assembling = append(rc.assembling, payload...)
 		if h.Flags&pkt.LTLFlagLast != 0 {
 			msg := rc.assembling
-			rc.assembling = nil
 			e.Stats.MessagesRecv.Inc()
 			e.Stats.DeliveryLatency.Observe(int64(e.sim.Now() - rc.firstRxAt))
 			if e.tracer != nil {
@@ -679,6 +762,7 @@ func (e *Engine) onData(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 			if rc.onMessage != nil {
 				rc.onMessage(msg)
 			}
+			rc.assembling = msg[:0]
 		}
 		e.scheduleAck(rc, f.SrcIP, f.Src, h.SrcConn)
 	case h.Seq < rc.expectedSeq:
@@ -757,7 +841,7 @@ func (e *Engine) onAck(h pkt.LTLHeader) {
 	advanced := false
 	for len(sc.unacked) > 0 && seqLess(sc.unacked[0].seq, h.Ack) {
 		fr := sc.unacked[0]
-		sc.unacked = sc.unacked[1:]
+		sc.unacked = slices.Delete(sc.unacked, 0, 1)
 		sc.ackedSeq = fr.seq + 1
 		advanced = true
 		if at, ok := sc.sentMsgAt[fr.seq]; ok {
@@ -774,6 +858,8 @@ func (e *Engine) onAck(h pkt.LTLHeader) {
 			delete(sc.completions, fr.seq)
 			done()
 		}
+		e.releaseOwner(fr)
+		e.freeFrame(fr)
 	}
 	if advanced {
 		sc.retries = 0

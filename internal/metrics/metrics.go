@@ -4,13 +4,17 @@
 //
 // The histogram is log-linear (HDR-style): values are bucketed with a
 // bounded relative error (~1/32 by default) so that tail percentiles of
-// microsecond-to-second latency distributions can be extracted from a
-// fixed, allocation-free structure.
+// microsecond-to-second latency distributions can be extracted cheaply.
+// Its bucket array grows one power-of-two range at a time, up to the
+// largest value observed, so the many per-port and per-engine histograms
+// of a fabric model hold only the ranges their samples reach; once a
+// histogram has seen its largest value, recording allocates nothing.
 package metrics
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 )
@@ -22,6 +26,8 @@ type Histogram struct {
 	// subBits controls precision: each power-of-two range is split into
 	// 2^subBits linear buckets, giving worst-case relative error 2^-subBits.
 	subBits uint
+	// buckets covers whole ranges up to the highest index observed (or
+	// merged in); indices past its end hold zero by definition.
 	buckets []uint64
 	count   uint64
 	sum     float64
@@ -33,15 +39,14 @@ type Histogram struct {
 func NewHistogram() *Histogram { return NewHistogramPrecision(5) }
 
 // NewHistogramPrecision returns a histogram whose relative error is
-// 2^-subBits. subBits must be in [1, 10].
+// 2^-subBits. subBits must be in [1, 10]. It allocates no buckets: the
+// first sample allocates the ranges up to its own (2^subBits counters
+// per power of two), and a later, larger sample extends them. Most ports
+// on an idle path never record a sample and never allocate.
 func NewHistogramPrecision(subBits uint) *Histogram {
 	if subBits < 1 || subBits > 10 {
 		panic(fmt.Sprintf("metrics: subBits %d out of range [1,10]", subBits))
 	}
-	// The bucket array (64 exponent ranges x 2^subBits sub-buckets,
-	// covering all of int64) is materialized on first Observe: fabric
-	// models allocate histograms per port, and most ports on an idle
-	// path never record a sample.
 	return &Histogram{
 		subBits: subBits,
 		min:     math.MaxInt64,
@@ -58,7 +63,7 @@ func (h *Histogram) bucketIndex(v int64) int {
 	if u < 1<<h.subBits {
 		return int(u)
 	}
-	exp := 63 - leadingZeros64(u)
+	exp := 63 - bits.LeadingZeros64(u)
 	shift := uint(exp) - h.subBits
 	sub := (u >> shift) & ((1 << h.subBits) - 1)
 	return int((uint(exp)-h.subBits+1)<<h.subBits) + int(sub)
@@ -76,16 +81,11 @@ func (h *Histogram) bucketLow(i int) int64 {
 	return int64(base + sub<<(exp-h.subBits))
 }
 
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
+// grow extends buckets to cover index i, rounded up to a whole range.
+func (h *Histogram) grow(i int) {
+	nb := make([]uint64, (i>>h.subBits+1)<<h.subBits)
+	copy(nb, h.buckets)
+	h.buckets = nb
 }
 
 // Observe records one sample. Negative samples are clamped to zero.
@@ -93,10 +93,11 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	if h.buckets == nil {
-		h.buckets = make([]uint64, 64<<h.subBits)
+	i := h.bucketIndex(v)
+	if i >= len(h.buckets) {
+		h.grow(i)
 	}
-	h.buckets[h.bucketIndex(v)]++
+	h.buckets[i]++
 	h.count++
 	h.sum += float64(v)
 	if v < h.min {
@@ -170,7 +171,8 @@ func (h *Histogram) Quantile(q float64) int64 {
 // Percentile is Quantile(p/100).
 func (h *Histogram) Percentile(p float64) int64 { return h.Quantile(p / 100) }
 
-// Reset clears all samples.
+// Reset clears all samples. The buckets keep their length, so a reused
+// histogram (Windowed's alternating windows) does not allocate again.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
@@ -186,8 +188,8 @@ func (h *Histogram) Merge(other *Histogram) {
 	if other.subBits != h.subBits {
 		panic("metrics: merging histograms of different precision")
 	}
-	if other.buckets != nil && h.buckets == nil {
-		h.buckets = make([]uint64, 64<<h.subBits)
+	if n := len(other.buckets); n > len(h.buckets) {
+		h.grow(n - 1)
 	}
 	for i, c := range other.buckets {
 		h.buckets[i] += c

@@ -110,7 +110,9 @@ func (g *Group) workerHandler(wi int) func([]byte) {
 			return
 		}
 		id := binary.BigEndian.Uint64(msg)
-		body := msg[8:]
+		// The payload is only valid during this call; the worker's queue
+		// holds it until service.
+		body := append([]byte(nil), msg[8:]...)
 		g.queues[wi].Submit(g.work.timeFor(len(body)), func() {
 			out := body
 			if g.work.Transform != nil {

@@ -149,7 +149,9 @@ func (p *Pipeline) stageHandler(i int) func(payload []byte) {
 			return
 		}
 		id := binary.BigEndian.Uint64(msg)
-		body := msg[8:]
+		// The payload is only valid during this call; the stage's queue
+		// holds it until service.
+		body := append([]byte(nil), msg[8:]...)
 		p.queues[i].Submit(p.stages[i].timeFor(len(body)), func() {
 			out := body
 			if p.stages[i].Transform != nil {
@@ -183,7 +185,7 @@ func (p *Pipeline) onResult(msg []byte) {
 	p.Completed.Inc()
 	p.Latency.Observe(int64(p.sim.Now() - req.at))
 	if req.done != nil {
-		req.done(msg[8:])
+		req.done(append([]byte(nil), msg[8:]...))
 	}
 }
 

@@ -51,9 +51,9 @@ func encodeDgram(kind uint8, host int, payload []byte) []byte {
 
 // appendDgram encodes a service datagram into dst's storage. The ER
 // terminal copies message payloads into flit-owned buffers at Send time,
-// so the send paths below build datagrams in a per-shell scratch buffer
-// and reuse it for every datagram (the allocating encodeDgram remains for
-// paths that must retain the message, e.g. a throttled slot send).
+// so the send paths below build datagrams in the per-shell scratch
+// buffer (the allocating encodeDgram remains for paths that must retain
+// the message, e.g. a throttled slot send).
 func appendDgram(dst []byte, kind uint8, host int, payload []byte) []byte {
 	dst = append(dst[:0], 0, 0, kind, 0, 0, 0, 0)
 	binary.BigEndian.PutUint16(dst, dgramConn)
@@ -69,8 +69,8 @@ func (sh *Shell) SendDatagram(remoteHost int, kind uint8, payload []byte) error 
 		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
 	}
 	sh.Stats.DgramsSent.Inc()
-	sh.dgramScratch = appendDgram(sh.dgramScratch, kind, remoteHost, payload)
-	sh.termRole.Send(er.PortRemote, VCService, sh.dgramScratch)
+	sh.scratch = appendDgram(sh.scratch, kind, remoteHost, payload)
+	sh.termRole.Send(er.PortRemote, VCService, sh.scratch)
 	return nil
 }
 

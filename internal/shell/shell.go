@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/dram"
 	"repro/internal/er"
@@ -196,9 +197,10 @@ type Shell struct {
 	// dgramIngress records that the engine-side datagram receiver is
 	// installed (shared by the global handler and slot handlers).
 	dgramIngress bool
-	// dgramScratch is the reused encode buffer for outgoing and
-	// ER-forwarded service datagrams (see appendDgram).
-	dgramScratch []byte
+	// scratch is the reused encode buffer for every message the shell
+	// builds for an ER terminal's Send (service datagrams and remote
+	// connection messages), which copies it into flits before returning.
+	scratch []byte
 
 	// ltlInflight tracks network packets loaned to the LTL engine
 	// (HandleFrame); the engine's frame-release hook recycles them.
@@ -255,6 +257,7 @@ func New(s *sim.Simulation, hostID int, portCfg netsim.PortConfig, cfg Config) *
 		sh.Engine = ltl.New(s, sh, cfg.LTL)
 		sh.ltlInflight = make(map[*pkt.Frame]*netsim.Packet)
 		sh.Engine.SetFrameRelease(sh.releaseLTLFrame)
+		sh.Engine.SetMessageRelease(releaseERMessage)
 	}
 
 	sh.Router = er.New(s, cfg.ER)
@@ -649,7 +652,8 @@ func (sh *Shell) PCIeCall(payload []byte, reply func([]byte)) error {
 // onRoleMessage delivers ER messages addressed to the role slot. Requests
 // from the PCIe DMA engine carry the request header and get the respond
 // plumbing; deliveries from the Remote (LTL) port dispatch to the handler
-// registered for their receive connection.
+// registered for their receive connection, and the message is recycled
+// when the handler returns.
 func (sh *Shell) onRoleMessage(m *er.Message) {
 	if m.SrcNode == er.PortRemote {
 		conn := binary.BigEndian.Uint16(m.Payload)
@@ -660,6 +664,7 @@ func (sh *Shell) onRoleMessage(m *er.Message) {
 		if h := sh.remoteRecv[conn]; h != nil {
 			h(m.Payload[2:])
 		}
+		er.FreeMessage(m)
 		return
 	}
 	if m.SrcNode == er.PortDRAM {
@@ -708,6 +713,9 @@ func (sh *Shell) OpenRemoteSend(conn uint16, remoteHost int, remoteConn uint16, 
 
 // OpenRemoteRecv allocates an LTL receive connection; handler receives
 // each message after it crosses the ER from the Remote port to the Role.
+// As for service datagrams, the payload is valid for the duration of the
+// call only: its buffer carries a later message once the handler
+// returns, so a handler copies what it keeps.
 func (sh *Shell) OpenRemoteRecv(conn uint16, fromHost int, handler func(payload []byte)) error {
 	if sh.Engine == nil {
 		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
@@ -718,15 +726,27 @@ func (sh *Shell) OpenRemoteRecv(conn uint16, fromHost int, handler func(payload 
 	sh.remoteRecv[conn] = handler
 	return sh.Engine.OpenRecv(conn, netsim.HostIP(fromHost), func(payload []byte) {
 		// Deliver through the ER: Remote -> Role, modeling the on-chip hop.
-		msg := make([]byte, 2+len(payload))
-		binary.BigEndian.PutUint16(msg, conn)
-		copy(msg[2:], payload)
-		sh.termRemote.Send(er.PortRole, VCLease, msg)
+		sh.termRemote.Send(er.PortRole, VCLease, sh.appendConnMsg(conn, payload))
 	})
 }
 
+// appendConnMsg builds a connection message (2-byte connection id, then
+// the payload) in the shell's scratch buffer for an ER terminal's Send.
+func (sh *Shell) appendConnMsg(conn uint16, payload []byte) []byte {
+	sh.scratch = binary.BigEndian.AppendUint16(sh.scratch[:0], conn)
+	sh.scratch = append(sh.scratch, payload...)
+	return sh.scratch
+}
+
+// releaseERMessage is the LTL engine's message-release hook: the ER
+// message a role-originated LTL message was sent from is recycled once
+// the engine stops reading it.
+func releaseERMessage(owner any) { er.FreeMessage(owner.(*er.Message)) }
+
 // onRemoteMessage moves role-originated messages into the LTL engine
-// (Role -> Remote direction).
+// (Role -> Remote direction). The engine sends and retransmits straight
+// from the ER message, which it hands back to releaseERMessage once the
+// message is acknowledged or its connection fails.
 func (sh *Shell) onRemoteMessage(m *er.Message) {
 	conn := binary.BigEndian.Uint16(m.Payload)
 	if conn == dgramConn {
@@ -738,16 +758,21 @@ func (sh *Shell) onRemoteMessage(m *er.Message) {
 	var done func()
 	if q := sh.remoteDone[conn]; len(q) > 0 {
 		done = q[0]
-		sh.remoteDone[conn] = q[1:]
+		sh.remoteDone[conn] = slices.Delete(q, 0, 1)
 	}
-	if err := sh.Engine.SendMessage(conn, payload, done); err != nil && done != nil {
-		done()
+	if err := sh.Engine.SendOwned(conn, payload, done, m); err != nil {
+		er.FreeMessage(m)
+		if done != nil {
+			done()
+		}
 	}
 }
 
 // SendRemote sends payload from the role to the remote shell on an
 // already-open send connection, crossing the on-chip ER and the LTL
-// engine. done (optional) fires when the message is fully ACKed.
+// engine. done (optional) fires when the message is fully ACKed. The
+// payload is copied into ER flits before SendRemote returns, so the
+// caller may reuse its buffer at once.
 //
 // SendRemote on one connection completes in order, so completion
 // callbacks are queued FIFO per connection.
@@ -755,10 +780,7 @@ func (sh *Shell) SendRemote(conn uint16, payload []byte, done func()) {
 	if done != nil {
 		sh.remoteDone[conn] = append(sh.remoteDone[conn], done)
 	}
-	msg := make([]byte, 2+len(payload))
-	binary.BigEndian.PutUint16(msg, conn)
-	copy(msg[2:], payload)
-	sh.termRole.Send(er.PortRemote, VCLease, msg)
+	sh.termRole.Send(er.PortRemote, VCLease, sh.appendConnMsg(conn, payload))
 }
 
 // RemoteHandler returns the handler registered for a receive connection

@@ -438,3 +438,59 @@ func TestNoLTLVariant(t *testing.T) {
 		t.Errorf("reclaimed = %d ALMs", NoLTLReclaimedALMs())
 	}
 }
+
+// TestRemoteMessagesSurviveBufferReuse sends waves of back-to-back
+// messages of different lengths over one LTL connection while both
+// directions lose frames. LTL retransmits straight from the Elastic
+// Router message it was handed, and completed messages' buffers are
+// recycled for the next reassembly (and the sender's payload buffer is
+// reused at once), so a buffer freed too early would put wrong bytes on
+// the wire. Every message must arrive intact and in order.
+func TestRemoteMessagesSurviveBufferReuse(t *testing.T) {
+	s := sim.New(7)
+	dc, shells := bed(s)
+	dc.Host(0)
+	dc.Host(5) // another TOR
+	a, b := shells[0], shells[5]
+	a.SetEgressLossRate(0.15)
+	b.SetEgressLossRate(0.15)
+	var got [][]byte
+	if err := b.OpenRemoteRecv(3, 0, func(p []byte) { got = append(got, append([]byte(nil), p...)) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.OpenRemoteSend(3, 5, 3, nil); err != nil {
+		t.Fatal(err)
+	}
+	rng := s.NewRand()
+	mtu := DefaultConfig().LTL.MTU
+	var want [][]byte
+	var buf []byte // one caller buffer, rewritten for every message
+	acked := 0
+	for wave := 0; wave < 8; wave++ {
+		for i := 0; i < 12; i++ {
+			n := 1 + rng.Intn(3*mtu)
+			if i%3 == 0 {
+				n = 1 + rng.Intn(64)
+			}
+			buf = buf[:0]
+			for j := 0; j < n; j++ {
+				buf = append(buf, byte(rng.Intn(256)))
+			}
+			want = append(want, append([]byte(nil), buf...))
+			a.SendRemote(3, buf, func() { acked++ })
+		}
+		s.RunFor(300 * sim.Microsecond)
+	}
+	s.RunFor(100 * sim.Millisecond)
+	if a.Engine.Stats.Retransmits.Value() == 0 {
+		t.Fatal("no frame was retransmitted: the loss did not exercise the retransmit path")
+	}
+	if len(got) != len(want) || acked != len(want) {
+		t.Fatalf("delivered %d, acked %d of %d messages", len(got), acked, len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("message %d (%d bytes) arrived corrupted", i, len(want[i]))
+		}
+	}
+}

@@ -390,8 +390,8 @@ func (sh *Shell) SendDatagramSlot(i int, remoteHost int, kind uint8, payload []b
 	sh.Stats.DgramsSent.Inc()
 	delay := s.bucket.charge(sh.sim.Now(), len(payload))
 	if delay <= 0 {
-		sh.dgramScratch = appendDgram(sh.dgramScratch, kind, remoteHost, payload)
-		sh.termRole.Send(er.PortRemote, s.vc, sh.dgramScratch)
+		sh.scratch = appendDgram(sh.scratch, kind, remoteHost, payload)
+		sh.termRole.Send(er.PortRemote, s.vc, sh.scratch)
 		return nil
 	}
 	// The throttled path holds the message across the pacing delay, so it
@@ -422,8 +422,8 @@ func (sh *Shell) ensureDgramIngress() error {
 		if si, ok := sh.kindSlot[kind]; ok {
 			vc = sh.slots[si].vc
 		}
-		sh.dgramScratch = appendDgram(sh.dgramScratch, kind, id, payload)
-		sh.termRemote.Send(er.PortRole, vc, sh.dgramScratch)
+		sh.scratch = appendDgram(sh.scratch, kind, id, payload)
+		sh.termRemote.Send(er.PortRole, vc, sh.scratch)
 	})
 	return nil
 }

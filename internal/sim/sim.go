@@ -197,8 +197,8 @@ func (s *Simulation) insert(e *event) {
 
 // cascade empties bucket (l, j), refiling its events one or more levels
 // down. Callers must first advance wheelTime to the bucket's window start
-// so every event refiles strictly below level l. Tombstones are dropped
-// here instead of being refiled.
+// so every event refiles strictly below level l. Tombstones go back to
+// the freelist here instead of being refiled.
 func (s *Simulation) cascade(l int, j uint64) {
 	b := &s.levels[l][j]
 	evs, head := b.evs, b.head
@@ -208,7 +208,7 @@ func (s *Simulation) cascade(l int, j uint64) {
 		e := evs[i]
 		evs[i] = nil
 		if e.stopped {
-			e.queued = false
+			s.recycleTombstone(e)
 			continue
 		}
 		s.insert(e)
@@ -216,6 +216,15 @@ func (s *Simulation) cascade(l int, j uint64) {
 	if b.evs == nil { // nothing refiled here; keep the capacity
 		b.evs = evs[:0]
 	}
+}
+
+// recycleTombstone returns a cancelled event leaving the wheel to the
+// freelist. Its seq stays until it is reissued, and a stale Timer can
+// no longer cancel it because it is no longer queued.
+func (s *Simulation) recycleTombstone(e *event) {
+	e.queued, e.stopped = false, false
+	e.call, e.arg = nil, nil
+	s.free = append(s.free, e)
 }
 
 // next pops the earliest live event with at <= limit, skipping lazily
@@ -239,13 +248,11 @@ func (s *Simulation) next(limit Time) *event {
 				b.head = 0
 				s.occ[0] &^= 1 << j
 			}
-			e.queued = false
 			if e.stopped {
-				e.call, e.arg = nil, nil
-				e.stopped = false
-				s.free = append(s.free, e)
+				s.recycleTombstone(e)
 				continue
 			}
+			e.queued = false
 			s.wheelTime = at
 			return e
 		}

@@ -797,3 +797,24 @@ func TestNextEventTimeAgainstReference(t *testing.T) {
 		t.Fatalf("Pending() = %d after drain", s.Pending())
 	}
 }
+
+func TestCascadedTombstoneReissued(t *testing.T) {
+	// A timer cancelled while it waits in a higher wheel level is dropped
+	// when its bucket cascades, not popped; it must still return to the
+	// freelist, and its stale Timer must not reach the next owner.
+	s := New(1)
+	old := s.Schedule(5000, func() {}) // level 1 or above at wheel time 0
+	s.Cancel(old)
+	s.Schedule(6000, func() {})
+	s.RunUntil(5500)
+	cur := s.Schedule(1, func() {})
+	if cur.e != old.e {
+		t.Fatal("cascaded tombstone was not reissued from the freelist")
+	}
+	if s.Cancel(old) {
+		t.Fatal("stale Timer cancelled the reissued event")
+	}
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+}

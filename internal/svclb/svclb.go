@@ -264,6 +264,21 @@ type Balancer struct {
 
 	killAt        sim.Time
 	awaitRecovery bool
+
+	// msg is the reused request/response body: a request id followed by
+	// zeros (only the first eight bytes are ever written). SendRemote
+	// copies it into flits before returning.
+	msg []byte
+}
+
+// message returns an n-byte wire body carrying request id in its first
+// eight bytes, built in the balancer's reused buffer.
+func (b *Balancer) message(id uint64, n int) []byte {
+	if len(b.msg) < n {
+		b.msg = make([]byte, n)
+	}
+	binary.BigEndian.PutUint64(b.msg, id)
+	return b.msg[:n]
 }
 
 // registerMetrics publishes the balancer's counters into the run's
@@ -576,8 +591,6 @@ func (b *Balancer) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 	} else {
 		b.tracer.Event(p.flow, "svclb.copy", p.span, int64(sl.Host))
 	}
-	req := make([]byte, b.cfg.ReqBytes)
-	binary.BigEndian.PutUint64(req, p.id)
 	cs := b.ClientEnds[p.client]
 	b.s.Schedule(b.pcie(b.cfg.ReqBytes), func() {
 		if c.gone {
@@ -591,7 +604,7 @@ func (b *Balancer) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 			b.reroute(p)
 			return
 		}
-		cs.SendRemote(uint16(c.slot.Index)+1, req, nil)
+		cs.SendRemote(uint16(c.slot.Index)+1, b.message(p.id, b.cfg.ReqBytes), nil)
 	})
 }
 
@@ -727,9 +740,7 @@ func (b *Balancer) addBackend(h int) {
 		sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
 			reqID := binary.BigEndian.Uint64(payload)
 			q.Submit(reqID, b.serviceOf(reqID), func() {
-				resp := make([]byte, b.cfg.RespBytes)
-				binary.BigEndian.PutUint64(resp, reqID)
-				fs.SendRemote(uint16(ci)+1000, resp, nil)
+				fs.SendRemote(uint16(ci)+1000, b.message(reqID, b.cfg.RespBytes), nil)
 			})
 		}))
 		sim.Must(cs.OpenRemoteRecv(uint16(sl.Index)+1000, h, func(payload []byte) {
