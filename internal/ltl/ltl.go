@@ -499,12 +499,6 @@ func (e *Engine) allocFrame() *unackedFrame {
 	return new(unackedFrame)
 }
 
-// freeFrame returns an entry no queue holds any more.
-func (e *Engine) freeFrame(fr *unackedFrame) {
-	*fr = unackedFrame{}
-	e.frFree = append(e.frFree, fr)
-}
-
 // pump transmits queued frames subject to the window, DCQCN pacing, and
 // the engine bandwidth limit.
 func (e *Engine) pump(sc *sendConn) {
@@ -655,19 +649,20 @@ func (e *Engine) onTimeout(sc *sendConn) {
 func (e *Engine) dropFrames(sc *sendConn) {
 	for _, q := range [2][]*unackedFrame{sc.unacked, sc.sendq} {
 		for _, fr := range q {
-			e.releaseOwner(fr)
-			e.freeFrame(fr)
+			e.retireFrame(fr)
 		}
 	}
 	sc.unacked, sc.sendq = nil, nil
 }
 
-// releaseOwner hands fr's message owner (if any) to the release hook.
-func (e *Engine) releaseOwner(fr *unackedFrame) {
+// retireFrame hands fr's message owner (if any) to the release hook and
+// returns fr, which no queue holds any more, to the freelist.
+func (e *Engine) retireFrame(fr *unackedFrame) {
 	if fr.owner != nil && e.msgRelease != nil {
 		e.msgRelease(fr.owner)
 	}
-	fr.owner = nil
+	*fr = unackedFrame{}
+	e.frFree = append(e.frFree, fr)
 }
 
 func (e *Engine) retransmitFrame(sc *sendConn, fr *unackedFrame) {
@@ -858,8 +853,7 @@ func (e *Engine) onAck(h pkt.LTLHeader) {
 			delete(sc.completions, fr.seq)
 			done()
 		}
-		e.releaseOwner(fr)
-		e.freeFrame(fr)
+		e.retireFrame(fr)
 	}
 	if advanced {
 		sc.retries = 0
