@@ -13,7 +13,8 @@
 //   - every flag a ccexperiment command line in the docs passes is one
 //     cmd/ccexperiment defines (see flags.go), and
 //   - every backticked pkg.Name in the reference docs whose pkg is an
-//     internal/ package names a declaration of it (see idents.go).
+//     internal/ package names a declaration of it, and each pkg.Type.Member
+//     a field or method of that type (see idents.go).
 //
 // Usage:
 //

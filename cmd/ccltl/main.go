@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	configcloud "repro"
 	"repro/internal/metrics"
@@ -27,6 +28,9 @@ func main() {
 	loss := flag.Float64("loss", 0, "injected egress frame loss on the sender")
 	seed := flag.Int64("seed", 7, "simulation seed")
 	flag.Parse()
+	if err := checkFlags(*tier, *n, *size, *gapUS, *loss); err != nil {
+		fail("%v", err)
+	}
 
 	cloud := configcloud.New(configcloud.Options{Seed: *seed})
 	topo := cloud.DC.Config()
@@ -74,8 +78,38 @@ func main() {
 		eng.Stats.NacksRecv.Value())
 }
 
+// Flag limits: n and gap keep the run's virtual length, n*gap*3, far
+// inside sim.Time, and size bounds the one payload buffer.
+const (
+	maxMessages = 1_000_000
+	maxGapUS    = 1_000_000
+	maxSize     = 16 << 20
+)
+
+// checkFlags rejects flag values the benchmark cannot run.
+func checkFlags(tier, n, size, gapUS int, loss float64) error {
+	switch {
+	case tier < 0 || tier > 2:
+		return fmt.Errorf("-tier %d: want 0, 1 or 2", tier)
+	case n < 1 || n > maxMessages:
+		return fmt.Errorf("-n %d: want 1 to %d messages", n, maxMessages)
+	case size < 0 || size > maxSize:
+		return fmt.Errorf("-size %d: want 0 to %d bytes", size, maxSize)
+	case gapUS < 0 || gapUS > maxGapUS:
+		return fmt.Errorf("-gap %d: want 0 to %d us", gapUS, maxGapUS)
+	case !(loss >= 0 && loss <= 1): // also rejects NaN
+		return fmt.Errorf("-loss %v: want a frame loss rate from 0 to 1", loss)
+	}
+	return nil
+}
+
 func check(err error) {
 	if err != nil {
-		panic(err)
+		fail("%v", err)
 	}
+}
+
+func fail(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "ccltl: "+format+"\n", args...)
+	os.Exit(1)
 }

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 
 	configcloud "repro"
 	"repro/internal/netsim"
@@ -23,6 +24,10 @@ func main() {
 	flag.Parse()
 
 	cloud := configcloud.New(configcloud.Options{Seed: *seed})
+	if err := checkHosts(*a, *b, cloud.DC.NumHosts()); err != nil {
+		fmt.Fprintf(os.Stderr, "cctopo: %v\n", err)
+		os.Exit(1)
+	}
 	cfg := cloud.DC.Config()
 	fmt.Printf("topology: %d hosts/TOR x %d TORs/pod x %d pods = %d hosts\n",
 		cfg.HostsPerTOR, cfg.TORsPerPod, cfg.Pods, cloud.DC.NumHosts())
@@ -30,7 +35,7 @@ func main() {
 		fmt.Printf("  %-16s reaches %d hosts\n", name, cloud.DC.ReachableAtTier(tier))
 	}
 
-	if *a < 0 || *b < 0 {
+	if *a == -1 && *b == -1 {
 		return
 	}
 	pa, ta, ia := cloud.DC.Locate(*a)
@@ -57,4 +62,21 @@ func main() {
 		cloud.Run(configcloud.Millisecond)
 		fmt.Printf("ltl ping %d -> %d: rtt %v\n", *a, *b, rtt)
 	}
+}
+
+// checkHosts accepts no pair (-a and -b both -1: the summary only) or
+// two host ids of the datacenter.
+func checkHosts(a, b, hosts int) error {
+	if a == -1 && b == -1 {
+		return nil
+	}
+	for _, h := range []struct {
+		flag string
+		id   int
+	}{{"-a", a}, {"-b", b}} {
+		if h.id < 0 || h.id >= hosts {
+			return fmt.Errorf("%s %d: want a host id from 0 to %d", h.flag, h.id, hosts-1)
+		}
+	}
+	return nil
 }

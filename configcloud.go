@@ -196,18 +196,6 @@ func (c *Cloud) Node(id int) Node {
 // Run advances virtual time by d.
 func (c *Cloud) Run(d Time) { c.Sim.RunFor(d) }
 
-// RunAll drains every pending event.
-func (c *Cloud) RunAll() { c.Sim.Run() }
-
 // Tier reports the network tier connecting two hosts (0 = same TOR,
 // 1 = same pod, 2 = cross-pod).
 func (c *Cloud) Tier(a, b int) int { return c.DC.Tier(a, b) }
-
-// SameTORPeers returns n hosts sharing host 0's TOR.
-func (c *Cloud) SameTORPeers(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

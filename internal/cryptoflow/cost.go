@@ -104,10 +104,6 @@ func (cm CostModel) FPGALatency(s Suite, bytes int) sim.Time {
 	return sim.Time(cycles / cm.FPGAHz * float64(sim.Second))
 }
 
-// FPGAThroughputBps: the FPGA sustains line rate for both suites (the
-// CBC interleave trades latency for full throughput).
-func (cm CostModel) FPGAThroughputBps() int64 { return 40e9 }
-
 // CostTable renders the §IV comparison rows.
 func (cm CostModel) CostTable() *metrics.Table {
 	t := &metrics.Table{

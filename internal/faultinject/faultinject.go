@@ -195,9 +195,6 @@ func (in *Injector) Node(hostID int) *shell.Shell {
 	return nil
 }
 
-// NodeIDs returns the registered host ids in registration order.
-func (in *Injector) NodeIDs() []int { return append([]int(nil), in.order...) }
-
 // NodeAlive reports whether hostID's FPGA is up and bridging.
 func (in *Injector) NodeAlive(hostID int) bool {
 	n, ok := in.nodes[hostID]

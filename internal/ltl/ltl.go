@@ -58,9 +58,6 @@ type Config struct {
 	// TxProc/RxProc model the engine's pipeline latency at 156 MHz.
 	TxProc sim.Time
 	RxProc sim.Time
-	// AckCoalesce delays ACK generation to piggyback consecutive frames
-	// (0 = ack every frame immediately, hardware-style).
-	AckCoalesce sim.Time
 	// BandwidthLimitBps caps total engine egress (0 = line rate only).
 	BandwidthLimitBps int64
 	// DisableNACK turns off reorder-triggered fast retransmission,
@@ -69,8 +66,6 @@ type Config struct {
 	DisableNACK bool
 	// DCQCN enables per-connection end-to-end congestion control.
 	DCQCN bool
-	// DCQCNConfig overrides dcqcn defaults when DCQCN is set.
-	DCQCNConfig dcqcn.Config
 	// Class is the traffic class LTL frames ride (lossless by default).
 	Class pkt.TrafficClass
 }
@@ -84,9 +79,7 @@ func DefaultConfig() Config {
 		MTU:               pkt.MaxMTU - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.LTLHeaderLen,
 		TxProc:            300 * sim.Nanosecond,
 		RxProc:            300 * sim.Nanosecond,
-		AckCoalesce:       0,
 		DCQCN:             true,
-		DCQCNConfig:       dcqcn.DefaultConfig(),
 		Class:             pkt.ClassLTL,
 	}
 }
@@ -186,8 +179,6 @@ type recvConn struct {
 	firstRxAt  sim.Time
 	onMessage  func(payload []byte)
 	np         *dcqcn.NotificationPoint
-	ackTimer   sim.Timer
-	pendingAck bool
 }
 
 // Engine is one FPGA's LTL protocol engine.
@@ -376,7 +367,7 @@ func (e *Engine) OpenSend(localID uint16, remoteIP pkt.IP, remoteMAC pkt.MAC, re
 		onFail:      onFail,
 	}
 	if e.cfg.DCQCN {
-		sc.rp = dcqcn.NewReactionPoint(e.sim, e.dcqcnConfig())
+		sc.rp = dcqcn.NewReactionPoint(e.sim, dcqcn.DefaultConfig())
 	}
 	if e.tracer != nil {
 		sc.flow = obs.LTLFlow(e.wire.LocalIP().U32(), remoteIP.U32(), localID, remoteConn)
@@ -384,14 +375,6 @@ func (e *Engine) OpenSend(localID uint16, remoteIP pkt.IP, remoteMAC pkt.MAC, re
 	}
 	e.send[localID] = sc
 	return nil
-}
-
-func (e *Engine) dcqcnConfig() dcqcn.Config {
-	c := e.cfg.DCQCNConfig
-	if c.LineRateBps == 0 {
-		c = dcqcn.DefaultConfig()
-	}
-	return c
 }
 
 // OpenRecv statically allocates a receive connection; onMessage receives
@@ -404,7 +387,7 @@ func (e *Engine) OpenRecv(localID uint16, remoteIP pkt.IP, onMessage func(payloa
 	}
 	rc := &recvConn{localID: localID, remoteIP: remoteIP, onMessage: onMessage}
 	if e.cfg.DCQCN {
-		rc.np = dcqcn.NewNotificationPoint(e.sim, e.dcqcnConfig())
+		rc.np = dcqcn.NewNotificationPoint(e.sim, dcqcn.DefaultConfig())
 	}
 	e.recv[localID] = rc
 	return nil
@@ -759,7 +742,7 @@ func (e *Engine) onData(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 			}
 			rc.assembling = msg[:0]
 		}
-		e.scheduleAck(rc, f.SrcIP, f.Src, h.SrcConn)
+		e.sendAck(rc, f.SrcIP, f.Src, h.SrcConn)
 	case h.Seq < rc.expectedSeq:
 		// Duplicate (retransmission of something we already have): re-ACK
 		// so the sender's store drains.
@@ -772,27 +755,6 @@ func (e *Engine) onData(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 		if !e.cfg.DisableNACK {
 			e.sendNack(rc, f.SrcIP, f.Src, h.SrcConn)
 		}
-	}
-}
-
-// scheduleAck acks immediately or arms the coalescing timer. dst is the
-// data frame's source connection id (already decoded by the caller).
-// The peer address is captured by value: the frame itself may be
-// recycled as soon as dispatch returns.
-func (e *Engine) scheduleAck(rc *recvConn, srcIP pkt.IP, srcMAC pkt.MAC, dst uint16) {
-	if e.cfg.AckCoalesce == 0 {
-		e.sendAck(rc, srcIP, srcMAC, dst)
-		return
-	}
-	rc.pendingAck = true
-	if rc.ackTimer == (sim.Timer{}) {
-		rc.ackTimer = e.sim.Schedule(e.cfg.AckCoalesce, func() {
-			rc.ackTimer = sim.Timer{}
-			if rc.pendingAck {
-				rc.pendingAck = false
-				e.sendAck(rc, srcIP, srcMAC, dst)
-			}
-		})
 	}
 }
 
@@ -923,5 +885,5 @@ func (e *Engine) SendRate(conn uint16) int64 {
 	if sc, ok := e.send[conn]; ok && sc.rp != nil {
 		return sc.rp.Rate()
 	}
-	return e.dcqcnConfig().LineRateBps
+	return dcqcn.DefaultConfig().LineRateBps
 }

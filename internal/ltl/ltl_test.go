@@ -388,27 +388,6 @@ func TestSendOnUnknownConnection(t *testing.T) {
 	}
 }
 
-func TestAckCoalescing(t *testing.T) {
-	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.AckCoalesce = 5 * sim.Microsecond
-	a, b, _, wb := pair(s, cfg, 100*sim.Nanosecond)
-	got := openPair(t, a, b, wb)
-	for i := 0; i < 10; i++ {
-		a.SendMessage(1, []byte{byte(i)}, nil)
-	}
-	s.RunFor(10 * sim.Millisecond)
-	if len(*got) != 10 {
-		t.Fatalf("delivered %d", len(*got))
-	}
-	if b.Stats.AcksSent.Value() >= 10 {
-		t.Errorf("acks = %d; coalescing had no effect", b.Stats.AcksSent.Value())
-	}
-	if a.InFlight(1) != 0 {
-		t.Errorf("in flight = %d after coalesced acks", a.InFlight(1))
-	}
-}
-
 func TestSeqLessWraparound(t *testing.T) {
 	cases := []struct {
 		a, b uint32

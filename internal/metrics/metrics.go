@@ -264,7 +264,7 @@ func (h *Histogram) Summary() string {
 	return fmt.Sprintf("n=%d mean=%s p50=%s p95=%s p99=%s p99.9=%s max=%s",
 		h.count, fmt.Sprintf("%.2fus", h.Mean()/1000),
 		us(h.Percentile(50)), us(h.Percentile(95)), us(h.Percentile(99)),
-		us(h.Percentile(99.9)), us(h.max))
+		us(h.Percentile(99.9)), us(h.Max()))
 }
 
 // Counter is a monotonically increasing count.

@@ -275,6 +275,10 @@ func TestHistogramSummaryFormat(t *testing.T) {
 	if !strings.Contains(s, "n=1") || !strings.Contains(s, "us") {
 		t.Errorf("unexpected summary: %s", s)
 	}
+	const empty = "n=0 mean=0.00us p50=0.00us p95=0.00us p99=0.00us p99.9=0.00us max=0.00us"
+	if s := NewHistogram().Summary(); s != empty {
+		t.Errorf("empty summary = %q, want %q", s, empty)
+	}
 }
 
 func TestBucketRoundTrip(t *testing.T) {

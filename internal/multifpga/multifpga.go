@@ -40,18 +40,14 @@ func (st Stage) timeFor(n int) sim.Time {
 	return st.Service + st.ServicePerByte*sim.Time(n)
 }
 
-// connection id plan: client->s0 uses base, s_i->s_{i+1} uses base+1+i,
-// last->client uses base+len(stages)+1. All ids live on the involved
-// engines' private tables, so multiple pipelines can coexist with
-// different bases.
+// connection id plan: the connection into stage i (from the client when
+// i == 0, else from stage i-1) uses base+i, and last->client uses
+// base+0x100. All ids live on the involved engines' private tables, so
+// multiple pipelines can coexist with different bases.
 type wiring struct{ base uint16 }
 
-func (w wiring) into(stage int) uint16   { return w.base + uint16(stage) }
-func (w wiring) backToClient() uint16    { return w.base + 0x100 }
-func (w wiring) fromPrev(i int) uint16   { return w.into(i) }
-func (w wiring) toNext(i int) uint16     { return w.into(i + 1) }
-func (w wiring) clientReturn() uint16    { return w.backToClient() }
-func (w wiring) entryFromClient() uint16 { return w.into(0) }
+func (w wiring) into(stage int) uint16 { return w.base + uint16(stage) }
+func (w wiring) toClient() uint16      { return w.base + 0x100 }
 
 // Pipeline is a deployed multi-FPGA service instance.
 type Pipeline struct {
@@ -95,15 +91,15 @@ func New(s *sim.Simulation, client *shell.Shell, shells []*shell.Shell, stages [
 	}
 
 	// client -> stage 0
-	if err := shells[0].OpenRemoteRecv(p.w.entryFromClient(), client.HostID(), p.stageHandler(0)); err != nil {
+	if err := shells[0].OpenRemoteRecv(p.w.into(0), client.HostID(), p.stageHandler(0)); err != nil {
 		return nil, err
 	}
-	if err := client.OpenRemoteSend(p.w.entryFromClient(), shells[0].HostID(), p.w.entryFromClient(), nil); err != nil {
+	if err := client.OpenRemoteSend(p.w.into(0), shells[0].HostID(), p.w.into(0), nil); err != nil {
 		return nil, err
 	}
 	// stage i -> stage i+1
 	for i := 0; i+1 < len(stages); i++ {
-		conn := p.w.toNext(i)
+		conn := p.w.into(i + 1)
 		if err := shells[i+1].OpenRemoteRecv(conn, shells[i].HostID(), p.stageHandler(i+1)); err != nil {
 			return nil, err
 		}
@@ -113,10 +109,10 @@ func New(s *sim.Simulation, client *shell.Shell, shells []*shell.Shell, stages [
 	}
 	// last stage -> client
 	last := len(stages) - 1
-	if err := client.OpenRemoteRecv(p.w.clientReturn(), shells[last].HostID(), p.onResult); err != nil {
+	if err := client.OpenRemoteRecv(p.w.toClient(), shells[last].HostID(), p.onResult); err != nil {
 		return nil, err
 	}
-	if err := shells[last].OpenRemoteSend(p.w.clientReturn(), client.HostID(), p.w.clientReturn(), nil); err != nil {
+	if err := shells[last].OpenRemoteSend(p.w.toClient(), client.HostID(), p.w.toClient(), nil); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -137,7 +133,7 @@ func (p *Pipeline) Submit(payload []byte, done func(result []byte)) {
 	msg := make([]byte, 8+len(payload))
 	binary.BigEndian.PutUint64(msg, id)
 	copy(msg[8:], payload)
-	p.client.SendRemote(p.w.entryFromClient(), msg, nil)
+	p.client.SendRemote(p.w.into(0), msg, nil)
 }
 
 // stageHandler returns the LTL receive handler for stage i: queue at the
@@ -161,9 +157,9 @@ func (p *Pipeline) stageHandler(i int) func(payload []byte) {
 			binary.BigEndian.PutUint64(fwd, id)
 			copy(fwd[8:], out)
 			if i+1 < len(p.stages) {
-				p.shells[i].SendRemote(p.w.toNext(i), fwd, nil)
+				p.shells[i].SendRemote(p.w.into(i+1), fwd, nil)
 			} else {
-				p.shells[i].SendRemote(p.w.clientReturn(), fwd, nil)
+				p.shells[i].SendRemote(p.w.toClient(), fwd, nil)
 			}
 		})
 	}
@@ -198,17 +194,17 @@ func (p *Pipeline) ReplaceStage(i int, fresh *shell.Shell) error {
 	old := p.shells[i]
 	// Tear down old connections touching stage i.
 	if i == 0 {
-		p.client.Engine.Close(p.w.entryFromClient())
+		p.client.Engine.Close(p.w.into(0))
 	} else {
-		p.shells[i-1].Engine.Close(p.w.fromPrev(i))
+		p.shells[i-1].Engine.Close(p.w.into(i))
 	}
-	old.Engine.Close(p.w.fromPrev(i)) // its recv side
+	old.Engine.Close(p.w.into(i)) // its recv side
 	if i+1 < len(p.stages) {
-		old.Engine.Close(p.w.toNext(i))
-		p.shells[i+1].Engine.Close(p.w.toNext(i))
+		old.Engine.Close(p.w.into(i + 1))
+		p.shells[i+1].Engine.Close(p.w.into(i + 1))
 	} else {
-		old.Engine.Close(p.w.clientReturn())
-		p.client.Engine.Close(p.w.clientReturn())
+		old.Engine.Close(p.w.toClient())
+		p.client.Engine.Close(p.w.toClient())
 	}
 
 	p.shells[i] = fresh
@@ -216,14 +212,14 @@ func (p *Pipeline) ReplaceStage(i int, fresh *shell.Shell) error {
 
 	// Rewire inbound.
 	if i == 0 {
-		if err := fresh.OpenRemoteRecv(p.w.entryFromClient(), p.client.HostID(), p.stageHandler(0)); err != nil {
+		if err := fresh.OpenRemoteRecv(p.w.into(0), p.client.HostID(), p.stageHandler(0)); err != nil {
 			return err
 		}
-		if err := p.client.OpenRemoteSend(p.w.entryFromClient(), fresh.HostID(), p.w.entryFromClient(), nil); err != nil {
+		if err := p.client.OpenRemoteSend(p.w.into(0), fresh.HostID(), p.w.into(0), nil); err != nil {
 			return err
 		}
 	} else {
-		conn := p.w.fromPrev(i)
+		conn := p.w.into(i)
 		if err := fresh.OpenRemoteRecv(conn, p.shells[i-1].HostID(), p.stageHandler(i)); err != nil {
 			return err
 		}
@@ -233,7 +229,7 @@ func (p *Pipeline) ReplaceStage(i int, fresh *shell.Shell) error {
 	}
 	// Rewire outbound.
 	if i+1 < len(p.stages) {
-		conn := p.w.toNext(i)
+		conn := p.w.into(i + 1)
 		if err := p.shells[i+1].OpenRemoteRecv(conn, fresh.HostID(), p.stageHandler(i+1)); err != nil {
 			return err
 		}
@@ -241,10 +237,10 @@ func (p *Pipeline) ReplaceStage(i int, fresh *shell.Shell) error {
 			return err
 		}
 	} else {
-		if err := p.client.OpenRemoteRecv(p.w.clientReturn(), fresh.HostID(), p.onResult); err != nil {
+		if err := p.client.OpenRemoteRecv(p.w.toClient(), fresh.HostID(), p.onResult); err != nil {
 			return err
 		}
-		if err := fresh.OpenRemoteSend(p.w.clientReturn(), p.client.HostID(), p.w.clientReturn(), nil); err != nil {
+		if err := fresh.OpenRemoteSend(p.w.toClient(), p.client.HostID(), p.w.toClient(), nil); err != nil {
 			return err
 		}
 	}

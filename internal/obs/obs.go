@@ -167,12 +167,6 @@ func LeaseFlow(leaseID uint64) FlowID {
 	return nonzero(FNVFold(FNVOffset, domLease, leaseID))
 }
 
-// IPHost derives the host ID from an address under the simulation's
-// 10.0.0.0/8 convention (netsim.HostIP(id) == 0x0a000000 + id). Kept
-// here so packages below netsim can label spans with host IDs without
-// an import cycle; pinned against netsim by an external test.
-func IPHost(ip uint32) int { return int(ip - 0x0a000000) }
-
 // Sample is one named metric reading produced by Registry.Snapshot.
 // Exactly one of the value groups is populated, per Kind.
 type Sample struct {

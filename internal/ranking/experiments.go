@@ -6,7 +6,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/metrics"
 	"repro/internal/sim"
-	"repro/internal/svclb"
 	"repro/internal/sweep"
 	"repro/internal/workload"
 )
@@ -27,12 +26,7 @@ type SweepConfig struct {
 	// for RemoteFPGA sweeps. It receives a point-private RNG (sweep
 	// points run concurrently) and must derive all randomness from it.
 	RemoteRTT func(rng *rand.Rand) sim.Time
-	// RemoteFPGAs > 1 replaces the single shared remote engine with a pool
-	// of that many engines, each call routed by a service-level balancer
-	// (policy named by LB, default p2c) instead of static assignment.
-	RemoteFPGAs int
-	LB          string
-	Cost        CostModel
+	Cost      CostModel
 }
 
 // DefaultSweepConfig returns a configuration sized for the benchmark
@@ -59,9 +53,6 @@ func (sc SweepConfig) Capacity(pool *ProfilePool, mode Mode) float64 {
 	default:
 		hostCap := float64(sc.Cores) / pool.MeanHostWithFPGA().Seconds()
 		fpgaCap := 1 / pool.MeanFpgaFeature().Seconds()
-		if mode == RemoteFPGA && sc.RemoteFPGAs > 1 {
-			fpgaCap *= float64(sc.RemoteFPGAs)
-		}
 		if fpgaCap < hostCap {
 			return fpgaCap
 		}
@@ -93,33 +84,7 @@ func Sweep(cfg SweepConfig, mode Mode) []SweepPoint {
 func runPoint(cfg SweepConfig, mode Mode, pool *Sampler, qps float64, seed int64) SweepPoint {
 	s := sim.New(seed)
 	var fpga *host.CPU
-	var fpgas []*host.CPU
-	var pick func() (*host.CPU, func())
-	switch {
-	case mode == RemoteFPGA && cfg.RemoteFPGAs > 1:
-		// Remote pool behind a service-level balancer: each feature call is
-		// routed per-request instead of pinned to one shared engine.
-		policy := cfg.LB
-		if policy == "" {
-			policy = svclb.PolicyP2C
-		}
-		router, err := svclb.NewRouter(s.NewRand(), policy)
-		if err != nil {
-			panic("ranking: " + err.Error())
-		}
-		fpgas = make([]*host.CPU, cfg.RemoteFPGAs)
-		for i := range fpgas {
-			fpgas[i] = host.NewCPU(s, 1)
-			router.AddSlot(i)
-		}
-		pick = func() (*host.CPU, func()) {
-			sl, ok := router.Pick()
-			if !ok {
-				panic("ranking: empty remote pool")
-			}
-			return fpgas[sl.Host], func() { router.Done(sl) }
-		}
-	case mode != Software:
+	if mode != Software {
 		fpga = host.NewCPU(s, 1)
 	}
 	var remoteRTT func() sim.Time
@@ -132,7 +97,6 @@ func runPoint(cfg SweepConfig, mode Mode, pool *Sampler, qps float64, seed int64
 		PCIeOverhead: cfg.PCIeOverhead,
 		RemoteRTT:    remoteRTT,
 		FPGA:         fpga,
-		PickFPGA:     pick,
 	})
 	remaining := cfg.QueriesPer
 	issued := 0
@@ -163,11 +127,6 @@ func runPoint(cfg SweepConfig, mode Mode, pool *Sampler, qps float64, seed int64
 	}
 	if fpga != nil {
 		pt.FPGAUtil = fpga.Utilization()
-	} else if len(fpgas) > 0 {
-		for _, f := range fpgas {
-			pt.FPGAUtil += f.Utilization()
-		}
-		pt.FPGAUtil /= float64(len(fpgas))
 	}
 	return pt
 }

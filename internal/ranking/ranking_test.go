@@ -280,38 +280,6 @@ func TestFig11RemoteOverheadMinimal(t *testing.T) {
 	}
 }
 
-func TestRemotePoolRoutedSweep(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sweep is heavy")
-	}
-	mk := func(lb string) SweepConfig {
-		cfg := smallSweepConfig()
-		cfg.RemoteFPGAs = 4
-		cfg.LB = lb
-		cfg.RemoteRTT = func(rng *rand.Rand) sim.Time {
-			return 7500*sim.Nanosecond + sim.Time(rng.ExpFloat64()*500)*sim.Nanosecond
-		}
-		return cfg
-	}
-	p2c := Sweep(mk("p2c"), RemoteFPGA)
-	again := Sweep(mk("p2c"), RemoteFPGA)
-	for i := range p2c {
-		if p2c[i] != again[i] {
-			t.Fatalf("routed sweep not deterministic at point %d:\n%+v\n%+v", i, p2c[i], again[i])
-		}
-		if p2c[i].Completed != uint64(mk("p2c").QueriesPer) {
-			t.Fatalf("point %d completed %d queries, want %d", i, p2c[i].Completed, mk("p2c").QueriesPer)
-		}
-	}
-	// At the top of the sweep the pool runs hot; informed routing must not
-	// tail worse than blind random dispatch over the same four engines.
-	random := Sweep(mk("random"), RemoteFPGA)
-	last := len(p2c) - 1
-	if p2c[last].P99 > random[last].P99 {
-		t.Errorf("p2c p99 %v worse than random %v at max load", p2c[last].P99, random[last].P99)
-	}
-}
-
 func TestProductionRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("production run is heavy")

@@ -48,11 +48,6 @@ type ServerConfig struct {
 	// one; in RemoteFPGA mode several servers may share one (the global
 	// pool). Nil in Software mode.
 	FPGA *host.CPU
-	// PickFPGA, when set in RemoteFPGA mode, routes each call through a
-	// service-level balancer instead of the static FPGA queue: it returns
-	// the engine for this call plus a release callback invoked when the
-	// engine finishes (so the balancer's outstanding counts stay exact).
-	PickFPGA func() (*host.CPU, func())
 }
 
 // Server is one ranking node: host cores plus (optionally) an FPGA
@@ -76,7 +71,7 @@ func NewServer(s *sim.Simulation, cfg ServerConfig) *Server {
 	if cfg.Cores <= 0 {
 		panic("ranking: cores must be positive")
 	}
-	if cfg.Mode != Software && cfg.FPGA == nil && cfg.PickFPGA == nil {
+	if cfg.Mode != Software && cfg.FPGA == nil {
 		panic("ranking: FPGA queue required in FPGA modes")
 	}
 	if cfg.Mode == RemoteFPGA && cfg.RemoteRTT == nil {
@@ -137,14 +132,9 @@ func (sv *Server) featureStage(p Profile, done func()) {
 			})
 		})
 	case RemoteFPGA:
-		fpga, release := sv.cfg.FPGA, func() {}
-		if sv.cfg.PickFPGA != nil {
-			fpga, release = sv.cfg.PickFPGA()
-		}
 		rtt := sv.cfg.RemoteRTT()
 		sv.sim.Schedule(rtt/2, func() {
-			fpga.Submit(p.FpgaFeature, func() {
-				release()
+			sv.cfg.FPGA.Submit(p.FpgaFeature, func() {
 				sv.sim.Schedule(rtt/2, done)
 			})
 		})

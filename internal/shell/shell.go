@@ -783,10 +783,6 @@ func (sh *Shell) SendRemote(conn uint16, payload []byte, done func()) {
 	sh.termRole.Send(er.PortRemote, VCLease, sh.appendConnMsg(conn, payload))
 }
 
-// RemoteHandler returns the handler registered for a receive connection
-// (nil if none) — used by roles that dispatch on connection.
-func (sh *Shell) RemoteHandler(conn uint16) func([]byte) { return sh.remoteRecv[conn] }
-
 // SendControl emits a connection-less LTL control datagram (best-effort,
 // no retransmission) toward a remote shell — the service-plane class used
 // for queue-depth gossip and hedge-cancel notices.

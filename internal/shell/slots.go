@@ -54,12 +54,6 @@ type SlotConfig struct {
 	// region. Partial reconfiguration rewrites the whole PR region, so
 	// cost scales with slot capacity, not with the incoming role's size.
 	ReconfigPerALM sim.Time
-	// EgressRateBps caps each slot's service-datagram egress bandwidth
-	// (token bucket; 0 = unshaped). Per-slot overrides via
-	// SetSlotEgressRate.
-	EgressRateBps int64
-	// EgressBurstBytes is the token-bucket depth (default one 9KB burst).
-	EgressBurstBytes int
 }
 
 // DefaultSlotConfig returns an n-slot partition of the role region with
@@ -67,10 +61,9 @@ type SlotConfig struct {
 // slot takes on the order of the shell's PartialReconfigTime.
 func DefaultSlotConfig(n int) SlotConfig {
 	return SlotConfig{
-		Count:            n,
-		ReconfigBase:     2 * sim.Millisecond,
-		ReconfigPerALM:   180 * sim.Nanosecond,
-		EgressBurstBytes: 9 << 10,
+		Count:          n,
+		ReconfigBase:   2 * sim.Millisecond,
+		ReconfigPerALM: 180 * sim.Nanosecond,
 	}
 }
 
@@ -78,6 +71,10 @@ func DefaultSlotConfig(n int) SlotConfig {
 // keep their service.go meanings (global service datagrams, lease plane);
 // slot i's datagrams ride VC slotVCBase+i.
 const slotVCBase = 2
+
+// slotBurstBits is a slot token bucket's depth, one 9 KiB burst. Slots
+// start unshaped; SetSlotEgressRate sets a rate and may change the depth.
+const slotBurstBits = 9 << 13
 
 // tokenBucket shapes egress bandwidth on the virtual clock. Tokens are
 // bits; the balance may run negative, which serializes queued sends by
@@ -180,14 +177,10 @@ func (sh *Shell) initSlots() {
 	if sum > RoleRegionALMs() {
 		panic(fmt.Sprintf("shell: slot capacities sum to %d ALMs, role region has %d", sum, RoleRegionALMs()))
 	}
-	burst := int64(sc.EgressBurstBytes) * 8
-	if burst <= 0 {
-		burst = 9 << 13 // 9KB default depth
-	}
 	for i := 0; i < sc.Count; i++ {
 		sh.slots = append(sh.slots, &vSlot{
 			index: i, cap: caps[i], vc: slotVCBase + i,
-			bucket: tokenBucket{rateBps: sc.EgressRateBps, burst: burst, tokens: burst},
+			bucket: tokenBucket{burst: slotBurstBits, tokens: slotBurstBits},
 		})
 	}
 	sh.kindSlot = make(map[uint8]int)

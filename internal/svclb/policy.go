@@ -122,14 +122,13 @@ func (p2cPolicy) pick(live []*Slot, rng *rand.Rand, _ *int) *Slot {
 	if len(live) == 1 {
 		return a
 	}
+	// spareDraw is never read. The sampler has always taken it, and
+	// dropping it would shift the stream and move every pinned RouteHash.
+	spareDraw := rng.Intn(len(live) - 1)
+	_ = spareDraw
+	// Distinct second sample without a rejection loop: draw from the
+	// first len-1 slots, and let the last slot stand in for a.
 	b := live[rng.Intn(len(live)-1)]
-	if b == a || b.Index >= a.Index && live[len(live)-1] != b {
-		// Re-index the second draw past the first to keep the two samples
-		// distinct without rejection loops (deterministic draw count).
-	}
-	// Distinct second sample: draw from the slice with a removed.
-	idx := rng.Intn(len(live) - 1)
-	b = live[idx]
 	if b == a {
 		b = live[len(live)-1]
 	}
@@ -151,8 +150,8 @@ func estDepth(sl *Slot) int {
 
 // Router is the embeddable routing core: a policy, its view of the
 // backend set, and deterministic bookkeeping. The full Balancer drives a
-// packet-level pool through it; experiments with their own data planes
-// (dnnpool, ranking) embed it directly to replace static assignment.
+// packet-level pool through it; dnnpool, which has its own data plane,
+// embeds it directly to replace static assignment.
 type Router struct {
 	rng    *rand.Rand
 	policy Policy
@@ -233,10 +232,10 @@ func (r *Router) SlotOnHost(host int) *Slot {
 // route hash. ok=false when no backend is live.
 func (r *Router) Pick() (*Slot, bool) { return r.pickFrom(r.live) }
 
-// PickExcluding routes one request avoiding ex (for hedges and failover
-// re-routes); falls back to ex-inclusive picking only if ex is the sole
-// live backend... it is not: with one live backend it returns ok=false,
-// since a hedge to the same queue buys nothing.
+// PickExcluding routes one request to a live slot other than ex (for
+// hedges and failover re-routes). When ex is the only live slot it
+// returns ok=false, since a hedge to the same queue buys nothing. A nil
+// or retired ex excludes nothing.
 func (r *Router) PickExcluding(ex *Slot) (*Slot, bool) {
 	if len(r.live) == 0 || (len(r.live) == 1 && r.live[0] == ex) {
 		return nil, false
@@ -281,9 +280,6 @@ func (r *Router) ReportDepth(host, depth int, at sim.Time) {
 		sl.GossipAt = at
 	}
 }
-
-// Routes reports how many requests have been routed.
-func (r *Router) Routes() uint64 { return r.routes }
 
 // RouteHash returns an FNV-1a digest of every routing decision so far —
 // the determinism witness: same seed, same policy, same digest.

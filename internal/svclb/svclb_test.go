@@ -1,6 +1,7 @@
 package svclb
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -254,4 +255,43 @@ func TestP2CAdmissionSustainsHigherRatioThanRandom(t *testing.T) {
 	}
 	t.Fatalf("no swept ratio separated the policies\nrandom: %+v\np2c: %+v",
 		random.Points, p2c.Points)
+}
+
+// TestP2CSamplesDistinctThreeDraws replays p2c's draws on a reference
+// stream of the same seed: the two samples always differ, the pick is
+// the shallower one, and each pick over two or more live slots takes
+// exactly three Intn draws, so the pinned RouteHash streams hold.
+func TestP2CSamplesDistinctThreeDraws(t *testing.T) {
+	for n := 2; n <= 6; n++ {
+		live := make([]*Slot, n)
+		for i := range live {
+			// Distinct depths, so the pick reveals which two were sampled.
+			live[i] = &Slot{Index: i, GossipDepth: n - i, live: true}
+		}
+		const seed = 11
+		rng := rand.New(rand.NewSource(seed))
+		ref := rand.New(rand.NewSource(seed))
+		for i := 0; i < 500; i++ {
+			got := p2cPolicy{}.pick(live, rng, nil)
+			a := live[ref.Intn(n)]
+			ref.Intn(n - 1)
+			b := live[ref.Intn(n-1)]
+			if b == a {
+				b = live[n-1]
+			}
+			if a == b {
+				t.Fatalf("n=%d pick %d: both samples are slot %d", n, i, a.Index)
+			}
+			want := a
+			if b.GossipDepth < a.GossipDepth {
+				want = b
+			}
+			if got != want {
+				t.Fatalf("n=%d pick %d: got slot %d, want %d", n, i, got.Index, want.Index)
+			}
+			if rng.Int63() != ref.Int63() {
+				t.Fatalf("n=%d pick %d: stream diverged from three Intn draws", n, i)
+			}
+		}
+	}
 }

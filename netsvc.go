@@ -19,8 +19,6 @@ package configcloud
 
 import (
 	"fmt"
-	"net"
-	"net/http"
 	"time"
 
 	"repro/internal/frontend"
@@ -355,23 +353,10 @@ func RunNetsvcHTTPPoint(seed int64, rate float64, duration sim.Time, clients int
 	fcfg.Mode = frontend.Replay
 	fcfg.Expect = len(script)
 	fcfg.KV = frontend.KVConfig{Enabled: true, Keys: 256}
-	f := frontend.New(fcfg)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	res, stats, err := serveLoopback(frontend.New(fcfg), loadgen.Config{Clients: clients}, script)
 	if err != nil {
-		f.Close()
 		return loadgen.Result{}, frontend.Stats{}, fmt.Errorf("netsvc: %w", err)
 	}
-	srv := &http.Server{Handler: frontend.NewHandler(f)}
-	go func() { _ = srv.Serve(ln) }()
-
-	res := loadgen.Run(loadgen.Config{
-		BaseURL: "http://" + ln.Addr().String(),
-		Clients: clients,
-	}, script)
-	stats := f.Stats()
-	f.Close()
-	_ = srv.Close()
 	return res, stats, nil
 }
 

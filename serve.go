@@ -69,28 +69,36 @@ func RunServePoint(cfg ServeConfig) (ServeResult, error) {
 		fcfg.Expect = len(script)
 	}
 	f := frontend.New(fcfg)
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		f.Close()
-		return ServeResult{}, fmt.Errorf("serve: %w", err)
-	}
-	srv := &http.Server{Handler: frontend.NewHandler(f)}
-	go func() { _ = srv.Serve(ln) }()
-
-	res := loadgen.Run(loadgen.Config{
-		BaseURL:  "http://" + ln.Addr().String(),
+	res, stats, err := serveLoopback(f, loadgen.Config{
 		Clients:  cfg.Clients,
 		RealTime: cfg.Mode == frontend.RealTime,
 		Dilation: cfg.Dilation,
 	}, script)
-
-	stats := f.Stats()
-	f.Close()
+	if err != nil {
+		return ServeResult{}, fmt.Errorf("serve: %w", err)
+	}
 	// Collect after Close: the clock is quiescent and every span ended.
 	rec := f.Telemetry(fmt.Sprintf("%s rate=%g", cfg.Mode, cfg.Rate))
-	_ = srv.Close()
 	return ServeResult{Load: res, Stats: stats, Record: rec}, nil
+}
+
+// serveLoopback serves f on a loopback listener and drives script
+// through it with lc, whose BaseURL it sets. It returns the load
+// result and f's stats, and closes f on every path.
+func serveLoopback(f *frontend.Service, lc loadgen.Config, script []loadgen.Req) (loadgen.Result, frontend.Stats, error) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		f.Close()
+		return loadgen.Result{}, frontend.Stats{}, err
+	}
+	srv := &http.Server{Handler: frontend.NewHandler(f)}
+	go func() { _ = srv.Serve(ln) }()
+	lc.BaseURL = "http://" + ln.Addr().String()
+	res := loadgen.Run(lc, script)
+	stats := f.Stats()
+	f.Close()
+	_ = srv.Close()
+	return res, stats, nil
 }
 
 // serveRow labels one E17 table row.

@@ -374,9 +374,10 @@ type TenancyScaleConfig struct {
 	// Warmup delays traffic until the slots' partial reconfigurations
 	// complete; Duration is total virtual run time including warmup.
 	Warmup sim.Time
-	// ElephantShapeBps caps each elephant slot's egress (0 = unshaped).
-	ElephantShapeBps int64
 }
+
+// elephantShapeBps caps each E19c elephant slot's egress.
+const elephantShapeBps = 2e9
 
 // DefaultTenancyScaleConfig sizes the multi-tenant fabric-wide point.
 func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
@@ -390,8 +391,7 @@ func DefaultTenancyScaleConfig(pods int) TenancyScaleConfig {
 			MeanGap:           30 * sim.Microsecond,
 			Timeout:           2 * sim.Millisecond,
 		},
-		Warmup:           12 * sim.Millisecond,
-		ElephantShapeBps: 2e9,
+		Warmup: 12 * sim.Millisecond,
 	}
 }
 
@@ -429,9 +429,7 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 		kvcache.AttachShardSlot(s, n.Shell, 0, st)
 		_, err = n.Shell.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
 		sim.Must(err)
-		if cfg.ElephantShapeBps > 0 {
-			sim.Must(n.Shell.SetSlotEgressRate(1, cfg.ElephantShapeBps, 16<<10))
-		}
+		sim.Must(n.Shell.SetSlotEgressRate(1, elephantShapeBps, 16<<10))
 		boards[p] = n.Shell
 		var blast func()
 		blast = func() {
