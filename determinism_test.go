@@ -529,22 +529,29 @@ func TestControlPlanePins(t *testing.T) {
 
 // The experiments that carry fabric background noise are pinned the same
 // way: the SHA-256 of the rendered fig10 (Fig. 10) table at Quick sizing,
-// of the same table under the chaos fault profile, whose frame faults
-// draw on every noise frame, and of the svclb (Sec. V-F) table.
+// of the same table under the chaos, paper, lossy and flaky fault
+// profiles, whose frame faults draw on every frame of a faulted link,
+// and of the svclb (Sec. V-F) table.
 const (
 	pinFig10Table      = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
 	pinFig10ChaosTable = "1f431d6995f7ab49def571d49689cf48b18fe0cba50209c651cba074753c73bc"
+	pinFig10PaperTable = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
+	pinFig10LossyTable = "1f431d6995f7ab49def571d49689cf48b18fe0cba50209c651cba074753c73bc"
+	pinFig10FlakyTable = "3bc93ac46a731a76797e1c81b468e594cec519ee7798c806abaab65e91e0470a"
 	pinSvcLBTable      = "0e4fa00f4e03dc21a12505effca151dd0e77baf8585033a8ededb031c92cca80"
 )
 
 func TestNoiseCarryingPins(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs fig10 twice and the svclb sweep")
+		t.Skip("runs fig10 five times and the svclb sweep")
 	}
 	defer SetDefaultFaultProfile("")
 	for _, p := range []struct{ id, profile, want string }{
 		{"fig10", "", pinFig10Table},
 		{"fig10", "chaos", pinFig10ChaosTable},
+		{"fig10", "paper", pinFig10PaperTable},
+		{"fig10", "lossy", pinFig10LossyTable},
+		{"fig10", "flaky", pinFig10FlakyTable},
 		{"svclb", "", pinSvcLBTable},
 	} {
 		if err := SetDefaultFaultProfile(p.profile); err != nil {
