@@ -76,7 +76,8 @@ examples:
 	$(GO) run ./examples/bioinformatics
 
 # Brief fuzzing passes over the wire decoders, the KV store, the Elastic
-# Router and the frontend's HTTP handler.
+# Router, the frontend's HTTP handler, and the in-line background noise
+# against its event-per-frame reference.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -89,6 +90,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
+	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
 
 clean:
 	$(GO) clean -testcache

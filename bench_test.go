@@ -373,7 +373,7 @@ func BenchmarkAblationDCQCN(b *testing.B) {
 		}
 		cloud.Run(50 * Millisecond)
 		tor := cloud.DC.TOR(0, 0)
-		return tor.Stats.PFCIssued.Value()
+		return tor.Stats().PFCIssued.Value()
 	}
 	var with, without uint64
 	for i := 0; i < b.N; i++ {

@@ -165,8 +165,8 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 // SHA-256 of the telemetry JSONL. A change to either is a behaviour
 // change and must be deliberate.
 const (
-	pinScaleDigest      = "eebe574f5b6beeb9"
-	pinScaleTelemetry   = "12d6ab5c94d19c3c93cbe739170bfc47957f110690699befd05614c18c019c39"
+	pinScaleDigest      = "a1f4a7d773c2d361"
+	pinScaleTelemetry   = "970f785ddafb9944ca5a006704270052a54cf8001b5447d57d869dec2eca308c"
 	pinNetsvcDigest     = "6b9fb3c15323d142"
 	pinNetsvcTelemetry  = "a675b17c772b15ffc4d3179d20a3411b19a118d03a43af922bd38e1808231015"
 	pinNetsvcMGet4      = "3d10d2debd014e73"
@@ -533,11 +533,11 @@ func TestControlPlanePins(t *testing.T) {
 // profiles, whose frame faults draw on every frame of a faulted link,
 // and of the svclb (Sec. V-F) table.
 const (
-	pinFig10Table      = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
-	pinFig10ChaosTable = "1f431d6995f7ab49def571d49689cf48b18fe0cba50209c651cba074753c73bc"
-	pinFig10PaperTable = "66fc2e1b4d4b24f5129f6ea903912c72345146f53b223b5ca611c81ee49e6c6d"
-	pinFig10LossyTable = "1f431d6995f7ab49def571d49689cf48b18fe0cba50209c651cba074753c73bc"
-	pinFig10FlakyTable = "3bc93ac46a731a76797e1c81b468e594cec519ee7798c806abaab65e91e0470a"
+	pinFig10Table      = "48b75bebe874480f319a33a448b0c9ae2dce38ed04177ac2afd574047ab017ec"
+	pinFig10ChaosTable = "368f9de26c4d4c9a748c80dc7f293bbac809ff1ea6e73307e8aaa7f9a637593a"
+	pinFig10PaperTable = "48b75bebe874480f319a33a448b0c9ae2dce38ed04177ac2afd574047ab017ec"
+	pinFig10LossyTable = "368f9de26c4d4c9a748c80dc7f293bbac809ff1ea6e73307e8aaa7f9a637593a"
+	pinFig10FlakyTable = "69189b36c243339f8e14497fad18afa2fbc9e3313a686a03e205bfcf25c34d90"
 	pinSvcLBTable      = "0e4fa00f4e03dc21a12505effca151dd0e77baf8585033a8ededb031c92cca80"
 )
 
@@ -615,7 +615,7 @@ const (
 	pinNetsvcKVTable      = "05e5d2ccaa742bfc7144dc9c79b0446e2e8e8b43adf500c92a3ca7b9b332b4f4"
 	pinNetsvcRPCTable     = "07b3098ea784261af55a1f2f8004befd05b62dc5cbcd28ad53f216188f5163cf"
 	pinNetsvcKVBatchTable = "aa8c16faa918aa2231853207e1286eb9bfe71f9752e4386a9dcaf68676317a95"
-	pinNetsvcHTTP         = "digest=39f8d6bc2240bf89 ok=89"
+	pinNetsvcHTTP         = "digest=950596555559ea4c ok=89"
 	pinServeReplay        = "digest=ea19094a948fc180 ok=53"
 	pinServeTelemetry     = "36d5aa4b0813a34d7595f090fe55578506f02135f3844411a1dee46f7118cbad"
 )

@@ -48,7 +48,7 @@ func TestLinkFaultsDeterministic(t *testing.T) {
 			in.Stats.Injected[FrameDup].Value(),
 			in.Stats.Injected[FrameCorrupt].Value(),
 			in.Stats.Injected[FrameDelay].Value(),
-			port.Stats.DropsInjected.Value(),
+			port.Stats().DropsInjected.Value(),
 		}
 	}
 	a, b := run(), run()

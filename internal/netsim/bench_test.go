@@ -77,20 +77,56 @@ func BenchmarkNetsimHotPathObsOff(b *testing.B) { benchHotPath(b, false) }
 // long traced run).
 func BenchmarkNetsimHotPathObsOn(b *testing.B) { benchHotPath(b, true) }
 
-// BenchmarkNetsimNoise measures one background frame's whole life, the
-// fabric's per-hop cost for synthetic cross traffic: InjectNoise fills a
-// pooled packet's view, the L1 port queues and serializes it, and it
-// ends on the wire to the TOR, which counts it received and never sees
-// it, and the packet is recycled.
+// BenchmarkNetsimNoise measures one background frame's whole life on
+// the event-per-frame path that the eager reference keeps (eager_test.go):
+// InjectNoise fills a pooled packet's view, the L1 port queues it and
+// serializes it by an event, and it ends on the wire to the TOR, which
+// counts it received and never sees it, and the packet is recycled.
+// BenchmarkNoisePort measures the in-line path that replaced it.
 func BenchmarkNetsimNoise(b *testing.B) {
-	s, l1 := noiseFabric()
+	s := sim.New(1)
+	cfg := DefaultConfig()
+	cfg.HostsPerTOR, cfg.TORsPerPod, cfg.Pods = 1, 1, 1
+	dc := NewDatacenter(s, cfg)
+	dc.Host(0)
+	l1 := dc.L1(0)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l1.InjectNoise(0, pkt.ClassRDMA, 1400)
 		s.Run()
 	}
-	if got := l1.Port(0).Stats.TxFrames.Value(); got < uint64(b.N) {
+	if got := l1.Port(0).Stats().TxFrames.Value(); got < uint64(b.N) {
 		b.Fatalf("transmitted %d/%d noise frames", got, b.N)
 	}
+}
+
+// BenchmarkNoisePort measures ns and allocs per background frame of a
+// port's own noise process (noise.go) at 50% load of 1400-byte frames:
+// on a port that also carries real traffic (one LTL frame every 20 µs,
+// each advancing the noise in line and waiting behind it), and on one
+// that carries none, whose noise runs only when its counters are read.
+func BenchmarkNoisePort(b *testing.B) {
+	b.Run("real", func(b *testing.B) {
+		s, port, k := noisyPort(0.5)
+		real := realFrame(512)
+		sent := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for port.stats.TxFrames.Value()-uint64(sent) < uint64(b.N) {
+			if k.got == sent {
+				port.Enqueue(real)
+				sent++
+			}
+			s.RunFor(20 * sim.Microsecond)
+		}
+	})
+	b.Run("idle", func(b *testing.B) {
+		s, port, _ := noisyPort(0.5)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for port.Stats().TxFrames.Value() < uint64(b.N) {
+			s.RunFor(sim.Millisecond)
+		}
+	})
 }

@@ -81,7 +81,7 @@ func TestCableFailureAndReplacement(t *testing.T) {
 	if got != 1 {
 		t.Fatal("frame delivered over a dead cable")
 	}
-	if tor.Stats.DeadPort.Value() == 0 {
+	if tor.Stats().DeadPort.Value() == 0 {
 		t.Error("dead-port drop not counted")
 	}
 
@@ -146,7 +146,7 @@ func TestInjectedDropAccountingReconciles(t *testing.T) {
 	}
 	s.RunFor(100 * sim.Millisecond)
 
-	st := &port.Stats
+	st := port.Stats()
 	if st.DropsInjected.Value() == 0 || st.DupsInjected.Value() == 0 || st.CorruptInjected.Value() == 0 {
 		t.Fatalf("fault mix did not exercise all classes: drops=%d dups=%d corrupt=%d",
 			st.DropsInjected.Value(), st.DupsInjected.Value(), st.CorruptInjected.Value())
@@ -233,7 +233,7 @@ func TestDisableNACKRecoversViaTimeoutUnderLoss(t *testing.T) {
 	}
 	s.RunFor(200 * sim.Millisecond)
 
-	if port.Stats.DropsInjected.Value() == 0 {
+	if port.Stats().DropsInjected.Value() == 0 {
 		t.Fatal("no frames were dropped; test exercises nothing")
 	}
 	if completed != msgs {

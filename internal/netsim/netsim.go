@@ -34,14 +34,14 @@ type Device interface {
 
 // Packet is a frame in flight: the encoded bytes plus a parsed view.
 //
-// Packets from NewPacket, NewPacketCopy and Switch.InjectNoise are
+// Packets from NewPacket, NewPacketCopy and background noise are
 // pool-backed: the frame is decoded exactly once, into storage embedded
 // in the Packet, and the Packet is recycled via Free at points where it
 // provably dies (congestion drops, terminated control frames, routing
 // dead ends). NewPacketCopy also writes the bytes into the packet's own
 // recycled buffer.
 //
-// A background noise frame from InjectNoise is the exception to "view
+// A background noise frame (newNoisePacket) is the exception to "view
 // plus bytes": it carries only the parsed view, with Buf empty and a
 // Payload that aliases a shared all-zero array. It is queued, marked,
 // serialized and faulted like any frame, then ends on the wire: the
@@ -64,7 +64,7 @@ type Packet struct {
 	// it leaves (or is dropped at) the egress queue.
 	ingress *Port
 	held    bool
-	// noise marks a byte-free background frame from InjectNoise.
+	// noise marks a byte-free background frame (newNoisePacket).
 	noise bool
 
 	// EnqueuedAt is when the packet last entered an egress queue.
@@ -359,16 +359,40 @@ type Port struct {
 	pausedUntil [pkt.NumClasses]sim.Time
 	busy        bool
 	retry       sim.Timer
+	// realQueued counts the queued data frames that are not noise.
+	realQueued int
+
+	// noise is the port's background traffic (noise.go); nil until a
+	// load is started on it.
+	noise *portNoise
 
 	// tracer is cached at construction (nil when observability is off),
 	// so the hot path pays one nil compare, never a lookup.
 	tracer *obs.Tracer
 
-	Stats PortStats
+	stats PortStats
+}
+
+// maxTime is the latest representable instant.
+const maxTime = sim.Time(1<<63 - 1)
+
+// Stats returns the port's counters, with its background traffic and its
+// peer's brought up to the current instant (the peer's noise counts as
+// received here).
+func (p *Port) Stats() *PortStats {
+	p.sync()
+	if p.peer != nil {
+		p.peer.sync()
+	}
+	return &p.stats
 }
 
 // SetFaultHook installs (or, with nil, removes) the port's fault hook.
-func (p *Port) SetFaultHook(h FaultHook) { p.fault = h }
+func (p *Port) SetFaultHook(h FaultHook) {
+	p.sync()
+	p.fault = h
+	p.sync()
+}
 
 // Index returns the port's number within its device.
 func (p *Port) Index() int { return p.index }
@@ -383,7 +407,10 @@ func (p *Port) Peer() *Port { return p.peer }
 func (p *Port) Config() PortConfig { return p.cfg }
 
 // QueuedBytes returns the bytes currently queued for class c.
-func (p *Port) QueuedBytes(c pkt.TrafficClass) int { return p.queuedBytes[c] }
+func (p *Port) QueuedBytes(c pkt.TrafficClass) int {
+	p.sync()
+	return p.queuedBytes[c]
+}
 
 // rand returns the port's private random stream, materializing it on
 // first use.
@@ -399,19 +426,19 @@ func NewPort(s *sim.Simulation, dev Device, index int, cfg PortConfig) *Port {
 	p := &Port{
 		dev: dev, index: index, sim: s, rngSeed: s.DrawSeed(), cfg: cfg,
 		tracer: obs.TracerOf(s),
-		Stats:  PortStats{QueueDelay: metrics.NewHistogram()},
+		stats:  PortStats{QueueDelay: metrics.NewHistogram()},
 	}
 	if r := obs.RegistryOf(s); r != nil {
-		r.Counter("net.tx_frames", "frames", "netsim", "frames serialized onto links", &p.Stats.TxFrames)
-		r.Counter("net.tx_bytes", "bytes", "netsim", "bytes serialized onto links", &p.Stats.TxBytes)
-		r.Counter("net.rx_frames", "frames", "netsim", "frames delivered to devices", &p.Stats.RxFrames)
-		r.Counter("net.drops_red", "frames", "netsim", "RED early drops", &p.Stats.DropsRED)
-		r.Counter("net.drops_tail", "frames", "netsim", "tail drops at full queues", &p.Stats.DropsTail)
-		r.Counter("net.ecn_marks", "frames", "netsim", "ECN CE marks applied", &p.Stats.ECNMarks)
-		r.Counter("net.pfc_sent", "frames", "netsim", "PFC pause frames sent", &p.Stats.PFCSent)
-		r.Counter("net.pfc_recv", "frames", "netsim", "PFC pause frames received", &p.Stats.PFCRecv)
-		r.Counter("net.drops_injected", "frames", "netsim", "fault-injected wire drops", &p.Stats.DropsInjected)
-		r.Histogram("net.queue_delay", "ns", "netsim", "egress queue wait per frame", p.Stats.QueueDelay)
+		r.Counter("net.tx_frames", "frames", "netsim", "frames serialized onto links", &p.stats.TxFrames)
+		r.Counter("net.tx_bytes", "bytes", "netsim", "bytes serialized onto links", &p.stats.TxBytes)
+		r.Counter("net.rx_frames", "frames", "netsim", "frames delivered to devices", &p.stats.RxFrames)
+		r.Counter("net.drops_red", "frames", "netsim", "RED early drops", &p.stats.DropsRED)
+		r.Counter("net.drops_tail", "frames", "netsim", "tail drops at full queues", &p.stats.DropsTail)
+		r.Counter("net.ecn_marks", "frames", "netsim", "ECN CE marks applied", &p.stats.ECNMarks)
+		r.Counter("net.pfc_sent", "frames", "netsim", "PFC pause frames sent", &p.stats.PFCSent)
+		r.Counter("net.pfc_recv", "frames", "netsim", "PFC pause frames received", &p.stats.PFCRecv)
+		r.Counter("net.drops_injected", "frames", "netsim", "fault-injected wire drops", &p.stats.DropsInjected)
+		r.Histogram("net.queue_delay", "ns", "netsim", "egress queue wait per frame", p.stats.QueueDelay)
 	}
 	return p
 }
@@ -421,6 +448,8 @@ func Wire(a, b *Port) {
 	if a.peer != nil || b.peer != nil {
 		panic("netsim: port already wired")
 	}
+	a.sync()
+	b.sync()
 	a.peer = b
 	b.peer = a
 }
@@ -430,6 +459,8 @@ func Wire(a, b *Port) {
 // nowhere.
 func Unwire(a *Port) {
 	if a.peer != nil {
+		a.sync()
+		a.peer.sync()
 		a.peer.peer = nil
 		a.peer = nil
 	}
@@ -439,6 +470,20 @@ func Unwire(a *Port) {
 // and ECN policy, then kicks the transmitter. It reports whether the packet
 // was accepted.
 func (p *Port) Enqueue(packet *Packet) bool {
+	nz := p.noise
+	if nz == nil {
+		return p.enqueue(packet, p.sim.Now())
+	}
+	now := p.sim.Now()
+	nz.advance(p, now)
+	ok := p.enqueue(packet, now)
+	nz.arm(p, now)
+	return ok
+}
+
+// enqueue is Enqueue at instant now: the current instant for a real
+// frame, a noise frame's arrival for background traffic.
+func (p *Port) enqueue(packet *Packet, now sim.Time) bool {
 	c := packet.Class()
 	depth := p.queuedBytes[c]
 	size := packet.WireLen()
@@ -452,13 +497,13 @@ func (p *Port) Enqueue(packet *Packet) bool {
 				float64(p.cfg.RED.MaxBytes-p.cfg.RED.MinBytes)
 		}
 		if p.rand().Float64() < pr {
-			p.Stats.DropsRED.Inc()
+			p.stats.DropsRED.Inc()
 			p.drop(packet)
 			return false
 		}
 	}
 	if depth+size > p.cfg.QueueBytes {
-		p.Stats.DropsTail.Inc()
+		p.stats.DropsTail.Inc()
 		p.drop(packet)
 		return false
 	}
@@ -473,19 +518,22 @@ func (p *Port) Enqueue(packet *Packet) bool {
 		if p.rand().Float64() < pr {
 			pkt.SetECNCE(packet.Buf)
 			packet.F.ECN = pkt.ECNCE
-			p.Stats.ECNMarks.Inc()
+			p.stats.ECNMarks.Inc()
 		}
 	}
 
-	packet.EnqueuedAt = p.sim.Now()
+	packet.EnqueuedAt = now
 	if p.qhead[c] == len(p.queues[c]) && p.qhead[c] > 0 {
 		p.queues[c] = p.queues[c][:0]
 		p.qhead[c] = 0
 	}
 	p.queues[c] = append(p.queues[c], packet)
 	p.queuedBytes[c] += size
-	p.Stats.QueueDepth.Add(int64(size))
-	p.kick()
+	if !packet.noise {
+		p.realQueued++
+	}
+	p.stats.QueueDepth.Add(int64(size))
+	p.kick(now)
 	return true
 }
 
@@ -509,49 +557,66 @@ func releaseHold(packet *Packet) {
 // EnqueueControl sends a MAC control frame (PFC). Control frames bypass
 // data queues and are never paused.
 func (p *Port) EnqueueControl(packet *Packet) {
+	now := p.sim.Now()
+	if p.noise != nil {
+		p.noise.advance(p, now)
+	}
 	if p.ctrlHead == len(p.ctrlQueue) && p.ctrlHead > 0 {
 		p.ctrlQueue = p.ctrlQueue[:0]
 		p.ctrlHead = 0
 	}
 	p.ctrlQueue = append(p.ctrlQueue, packet)
-	p.kick()
+	p.kick(now)
+	if p.noise != nil {
+		p.noise.arm(p, now)
+	}
 }
 
 // Pause sets the PFC pause state for class c for duration d (d == 0
 // resumes).
 func (p *Port) Pause(c pkt.TrafficClass, d sim.Time) {
-	p.Stats.PFCRecv.Inc()
+	now := p.sim.Now()
+	if p.noise != nil {
+		p.noise.advance(p, now)
+	}
+	p.stats.PFCRecv.Inc()
 	if d == 0 {
 		p.pausedUntil[c] = 0
 	} else {
-		p.pausedUntil[c] = p.sim.Now() + d
+		p.pausedUntil[c] = now + d
 	}
-	p.kick()
+	p.kick(now)
+	if p.noise != nil {
+		p.noise.arm(p, now)
+	}
 }
 
-// kick starts the transmitter if the port is idle.
-func (p *Port) kick() {
+// kick starts the transmitter at instant now if the port is idle.
+func (p *Port) kick(now sim.Time) {
 	if p.busy || p.peer == nil {
 		return
 	}
-	packet, ok := p.pick()
+	packet, ok := p.pick(now)
 	if !ok {
 		return
 	}
-	p.transmit(packet)
+	p.transmit(packet, now)
 }
 
 // pick selects the next frame honoring control priority, strict class
 // priority (higher class first), and pause state. When only paused traffic
-// is available, it arms a retry at the earliest resume time.
-func (p *Port) pick() (*Packet, bool) {
+// is available, it notes the earliest resume time for the port's noise
+// and, unless all of that traffic is noise, arms a retry then.
+func (p *Port) pick(now sim.Time) (*Packet, bool) {
+	if p.noise != nil {
+		p.noise.resume = 0
+	}
 	if p.ctrlHead < len(p.ctrlQueue) {
 		packet := p.ctrlQueue[p.ctrlHead]
 		p.ctrlQueue[p.ctrlHead] = nil
 		p.ctrlHead++
 		return packet, true
 	}
-	now := p.sim.Now()
 	var earliest sim.Time = -1
 	for c := pkt.NumClasses - 1; c >= 0; c-- {
 		if p.qhead[c] == len(p.queues[c]) {
@@ -568,34 +633,63 @@ func (p *Port) pick() (*Packet, bool) {
 		p.qhead[c]++
 		size := packet.WireLen()
 		p.queuedBytes[c] -= size
-		p.Stats.QueueDepth.Add(-int64(size))
-		p.Stats.QueueDelay.Observe(int64(now - packet.EnqueuedAt))
+		if !packet.noise {
+			p.realQueued--
+		}
+		p.stats.QueueDepth.Add(-int64(size))
+		p.stats.QueueDelay.Observe(int64(now - packet.EnqueuedAt))
 		if p.tracer != nil && packet.Flow != 0 && now > packet.EnqueuedAt {
 			p.tracer.Range(packet.Flow, "net.qwait", 0, int64(packet.EnqueuedAt), int64(p.index))
 		}
 		return packet, true
 	}
-	if earliest >= 0 {
+	if earliest < 0 {
+		return nil, false
+	}
+	if p.noise != nil {
+		p.noise.resume = earliest
+	}
+	if p.noise == nil || p.realQueued > 0 {
+		// A pick inside the noise advance runs at a past instant; a class
+		// whose pause has already expired since is resumed by the advance
+		// itself, so the retry goes no earlier than now.
 		p.sim.Cancel(p.retry)
-		p.retry = p.sim.Schedule(earliest-now, func() {
-			p.retry = sim.Timer{}
-			p.kick()
-		})
+		p.retry = p.sim.ScheduleCall(max(0, earliest-p.sim.Now()), retryKick, p)
 	}
 	return nil, false
 }
 
-// transmit serializes packet onto the wire and schedules delivery. The
-// serialization-done and propagation events run closure-free: the packet
-// itself carries the port context through sim.ScheduleCall.
-func (p *Port) transmit(packet *Packet) {
+// retryKick is the PFC retry: a paused class may have resumed.
+func retryKick(v any) {
+	p := v.(*Port)
+	p.retry = sim.Timer{}
+	now := p.sim.Now()
+	if p.noise != nil {
+		p.noise.advance(p, now)
+	}
+	p.kick(now)
+	if p.noise != nil {
+		p.noise.arm(p, now)
+	}
+}
+
+// transmit serializes packet onto the wire at instant now and schedules
+// delivery. The serialization-done and propagation events run
+// closure-free: the packet itself carries the port context through
+// sim.ScheduleCall. A frame of the port's own background traffic
+// schedules nothing: the port finishes it in line (noise.go).
+func (p *Port) transmit(packet *Packet, now sim.Time) {
 	p.busy = true
 	releaseHold(packet)
 	ser := p.cfg.Link.SerializationTime(packet.WireLen())
-	p.Stats.TxFrames.Inc()
-	p.Stats.TxBytes.Add(uint64(packet.WireLen()))
+	p.stats.TxFrames.Inc()
+	p.stats.TxBytes.Add(uint64(packet.WireLen()))
 	packet.txPort = p
 	packet.NextPort = p.peer
+	if packet.noise && p.noise != nil {
+		p.noise.tx, p.noise.txEnd = packet, now+ser
+		return
+	}
 	if p.tracer != nil && packet.Flow != 0 {
 		packet.hopSpan = p.tracer.Start(packet.Flow, "net.hop", 0)
 		p.tracer.SetArg(packet.hopSpan, int64(packet.FlowSeq))
@@ -604,18 +698,32 @@ func (p *Port) transmit(packet *Packet) {
 }
 
 // serializationDone fires when the last bit of a frame leaves the
-// transmitter: the port goes idle, the frame starts propagating (unless
-// the link failed mid-flight), and the next queued frame is picked up.
+// transmitter.
 func serializationDone(v any) {
 	packet := v.(*Packet)
-	p, peer := packet.txPort, packet.NextPort
+	p := packet.txPort
+	now := p.sim.Now()
+	if p.noise == nil {
+		p.finish(packet, now)
+		return
+	}
+	p.noise.advance(p, now)
+	p.finish(packet, now)
+	p.noise.arm(p, now)
+}
+
+// finish ends packet's serialization at instant now: the port goes idle,
+// the frame starts propagating (unless the link failed mid-flight), and
+// the next queued frame is picked up.
+func (p *Port) finish(packet *Packet, now sim.Time) {
+	peer := packet.NextPort
 	p.busy = false
 	if peer != nil && peer.peer == p { // link may have failed mid-flight
 		p.deliver(peer, packet)
 	} else {
 		packet.Free() // frame lost with the link
 	}
-	p.kick()
+	p.kick(now)
 }
 
 // propagationDone completes a frame's flight: the receiving port's device
@@ -623,7 +731,7 @@ func serializationDone(v any) {
 func propagationDone(v any) {
 	packet := v.(*Packet)
 	peer := packet.NextPort
-	peer.Stats.RxFrames.Inc()
+	peer.stats.RxFrames.Inc()
 	if packet.hopSpan != 0 {
 		peer.tracer.End(packet.hopSpan)
 		packet.hopSpan = 0
@@ -645,11 +753,11 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 		}
 		switch d.Op {
 		case FaultDrop:
-			p.Stats.DropsInjected.Inc()
+			p.stats.DropsInjected.Inc()
 			packet.Free()
 			return
 		case FaultDuplicate:
-			p.Stats.DupsInjected.Inc()
+			p.stats.DupsInjected.Inc()
 			dup := NewPacket(append([]byte(nil), packet.Buf...))
 			extra := d.Delay
 			if extra <= 0 {
@@ -658,7 +766,7 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			dup.NextPort = peer
 			p.sim.ScheduleCall(prop+extra, propagationDone, dup)
 		case FaultCorrupt:
-			p.Stats.CorruptInjected.Inc()
+			p.stats.CorruptInjected.Inc()
 			buf := append([]byte(nil), packet.Buf...)
 			if d.Corrupt != nil {
 				d.Corrupt(buf)
@@ -671,13 +779,13 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			if err := pkt.DecodeInto(&np.frame, buf); err != nil {
 				// The mangled frame fails the peer MAC's FCS check.
 				np.Free()
-				p.Stats.DropsInjected.Inc()
+				p.stats.DropsInjected.Inc()
 				return
 			}
 			np.EnqueuedAt = enq
 			packet = np
 		case FaultDelay:
-			p.Stats.DelayedInjected.Inc()
+			p.stats.DelayedInjected.Inc()
 			prop += d.Delay
 		}
 	}
@@ -686,9 +794,13 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 			packet.materialize()
 			verifyCached(packet)
 		}
-		peer.Stats.RxFrames.Inc()
-		peer.Stats.NoiseEnded.Inc()
-		packet.Free()
+		peer.stats.RxFrames.Inc()
+		peer.stats.NoiseEnded.Inc()
+		if nz := p.noise; nz != nil && nz.spare == nil && len(packet.Buf) == 0 {
+			nz.spare = packet
+		} else {
+			packet.Free()
+		}
 		return
 	}
 	packet.NextPort = peer

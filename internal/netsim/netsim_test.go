@@ -126,8 +126,8 @@ func TestTailDrop(t *testing.T) {
 	if accepted != 3 {
 		t.Errorf("accepted %d frames, want 3", accepted)
 	}
-	if a.Stats.DropsTail.Value() != 7 {
-		t.Errorf("tail drops = %d, want 7", a.Stats.DropsTail.Value())
+	if a.Stats().DropsTail.Value() != 7 {
+		t.Errorf("tail drops = %d, want 7", a.Stats().DropsTail.Value())
 	}
 }
 
@@ -140,7 +140,7 @@ func TestREDDropsUnderPressure(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		a.Enqueue(testFrame(pkt.ClassBestEffort, 1500))
 	}
-	if a.Stats.DropsRED.Value() == 0 {
+	if a.Stats().DropsRED.Value() == 0 {
 		t.Error("RED never dropped despite deep queue")
 	}
 	// Lossless class must never RED-drop.
@@ -148,8 +148,8 @@ func TestREDDropsUnderPressure(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		b.Enqueue(testFrame(pkt.ClassLTL, 1500))
 	}
-	if b.Stats.DropsRED.Value() != 0 {
-		t.Errorf("lossless class RED-dropped %d frames", b.Stats.DropsRED.Value())
+	if b.Stats().DropsRED.Value() != 0 {
+		t.Errorf("lossless class RED-dropped %d frames", b.Stats().DropsRED.Value())
 	}
 }
 
@@ -175,8 +175,8 @@ func TestECNMarking(t *testing.T) {
 	if marked == 0 {
 		t.Error("no frames ECN-marked despite deep queue")
 	}
-	if a.Stats.ECNMarks.Value() != uint64(marked) {
-		t.Errorf("mark counter %d != observed %d", a.Stats.ECNMarks.Value(), marked)
+	if a.Stats().ECNMarks.Value() != uint64(marked) {
+		t.Errorf("mark counter %d != observed %d", a.Stats().ECNMarks.Value(), marked)
 	}
 }
 

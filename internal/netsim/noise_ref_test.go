@@ -1,0 +1,334 @@
+package netsim
+
+import (
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/pkt"
+	"repro/internal/sim"
+)
+
+// The per-port noise process must be indistinguishable from the eager
+// reference (eager_test.go) on every real frame: each test below runs one
+// script of background loads and real operations on one switch port both
+// ways and compares everything the port and its peer expose.
+
+// rigLoad is one background load of a script.
+type rigLoad struct {
+	seed     uint64
+	util     float64
+	class    pkt.TrafficClass
+	meanSize int
+	start    sim.Time
+}
+
+type rigOpKind uint8
+
+const (
+	opStart rigOpKind = iota // start loads[arg]
+	opStop                   // stop every running load
+	opData                   // enqueue a real frame of class and arg bytes
+	opCtrl                   // enqueue a PFC frame
+	opPause                  // pause class for d (0 resumes)
+	opHook                   // install (arg 1) or remove (arg 0) the fault hook
+	opRead                   // read every counter and queue
+)
+
+type rigOp struct {
+	at    sim.Time
+	kind  rigOpKind
+	class pkt.TrafficClass
+	arg   int
+	d     sim.Time
+}
+
+type rigScript struct {
+	loads    []rigLoad
+	ops      []rigOp // in time order; a start comes first at its instant
+	hookSeed int64
+	horizon  sim.Time
+}
+
+// rigPortConfig is a 40G port with small queues and low RED and ECN
+// thresholds, so modest overloads reach every one of them.
+func rigPortConfig() PortConfig {
+	c := DefaultPortConfig()
+	c.QueueBytes = 48 << 10
+	c.RED = REDConfig{MinBytes: 8 << 10, MaxBytes: 32 << 10, PMax: 0.3}
+	c.ECN = ECNConfig{KMinBytes: 4 << 10, KMaxBytes: 16 << 10, PMax: 0.3}
+	return c
+}
+
+// proc is the load's process on a port of rate bps.
+func (l rigLoad) proc(bps int64) noiseProc {
+	gap := noiseWireMean(l.class, l.meanSize) * 8 * float64(sim.Second) / (float64(bps) * l.util)
+	return newNoiseProc(l.seed, gap, l.class, l.meanSize, l.start)
+}
+
+// rigSink is the port's peer device: it logs every frame that reaches it.
+type rigSink struct {
+	s   *sim.Simulation
+	log []string
+}
+
+func (k *rigSink) DeviceName() string { return "sink" }
+func (k *rigSink) HandleFrame(_ *Port, packet *Packet) {
+	f := packet.F
+	what := fmt.Sprintf("ipid=%d class=%d ecn=%d len=%d", f.IPID, f.Class(), f.ECN, f.WireLen())
+	if f.EtherType == pkt.EtherTypePFC {
+		what = "pfc"
+	}
+	k.log = append(k.log, fmt.Sprintf("%9d %s", k.s.Now(), what))
+	packet.Free()
+}
+
+// runRig runs sc with the per-port process (lazy) or with the eager
+// reference and returns everything observed, one fact per line.
+func runRig(sc rigScript, lazy bool) []string {
+	s := sim.New(1)
+	cfg := rigPortConfig()
+	sw := NewSwitch(s, SwitchConfig{Name: "sw", Radix: 1, Port: cfg})
+	k := &rigSink{s: s}
+	port, peer := sw.Port(0), NewPort(s, k, 0, cfg)
+	Wire(port, peer)
+	var out []string
+	logf := func(format string, args ...any) { out = append(out, fmt.Sprintf(format, args...)) }
+
+	hookRNG := rand.New(rand.NewSource(sc.hookSeed))
+	hook := func(_ *Port, packet *Packet) FaultDecision {
+		r := hookRNG.Float64()
+		var d FaultDecision
+		switch {
+		case r < 0.1:
+			d.Op = FaultDrop
+		case r < 0.18:
+			d = FaultDecision{Op: FaultDuplicate, Delay: sim.Time(hookRNG.Intn(200))}
+		case r < 0.22:
+			d = FaultDecision{Op: FaultCorrupt, Corrupt: func(buf []byte) { buf[20] ^= 0xff }}
+		case r < 0.25:
+			d = FaultDecision{Op: FaultCorrupt, Corrupt: func(buf []byte) { buf[len(buf)-1] ^= 0xff }}
+		case r < 0.3:
+			d = FaultDecision{Op: FaultDelay, Delay: sim.Time(1 + hookRNG.Intn(500))}
+		}
+		logf("hook %d noise=%v class=%d len=%d ecn=%d op=%d", s.Now(), packet.noise, packet.Class(),
+			packet.WireLen(), packet.F.ECN, d.Op)
+		return d
+	}
+	read := func(tag string) {
+		st := port.Stats()
+		h := st.QueueDelay
+		logf("%s %d tx=%d/%d red=%d tail=%d ecn=%d depth=%d/%d delay=%d/%.3f/%d/%d faults=%d/%d/%d/%d injected=%d",
+			tag, s.Now(), st.TxFrames.Value(), st.TxBytes.Value(), st.DropsRED.Value(), st.DropsTail.Value(),
+			st.ECNMarks.Value(), st.QueueDepth.Value(), st.QueueDepth.Watermark(),
+			h.Count(), h.Mean(), h.Percentile(99), h.Max(),
+			st.DropsInjected.Value(), st.DupsInjected.Value(), st.CorruptInjected.Value(), st.DelayedInjected.Value(),
+			sw.Stats().Injected.Value())
+		var q []string
+		for c := pkt.TrafficClass(0); c < pkt.NumClasses; c++ {
+			q = append(q, fmt.Sprint(port.QueuedBytes(c)))
+		}
+		ps := peer.Stats()
+		logf("%s peer rx=%d ended=%d queued=%s", tag, ps.RxFrames.Value(), ps.NoiseEnded.Value(), strings.Join(q, ","))
+	}
+
+	if !lazy {
+		// Loads in start order, each stopped by the first stop at or
+		// after its start.
+		for i, start := range sc.ops {
+			if start.kind != opStart {
+				continue
+			}
+			pr := sc.loads[start.arg].proc(cfg.Link.RateBps)
+			for _, op := range sc.ops[i:] {
+				if op.kind == opStop {
+					pr.stop = op.at
+					break
+				}
+			}
+			scheduleEager(s, sw, 0, pr, sc.horizon)
+		}
+	}
+	for i, op := range sc.ops {
+		s.RunUntil(op.at)
+		switch op.kind {
+		case opStart:
+			if lazy {
+				port.startNoise(sc.loads[op.arg].proc(cfg.Link.RateBps), &sw.stats.Injected)
+			}
+		case opStop:
+			if lazy {
+				port.stopNoise(s.Now())
+			}
+		case opData:
+			n := op.arg - pkt.EthHeaderLen - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.EthFCSLen
+			buf := pkt.EncodeUDP(pkt.MAC{2}, pkt.MAC{3}, pkt.IP{10, 0, 0, 1}, pkt.IP{10, 0, 0, 2}, 7, 7,
+				op.class, 64, uint16(i), make([]byte, n))
+			logf("enqueue %d ipid=%d ok=%v", s.Now(), i, port.Enqueue(NewPacket(buf)))
+		case opCtrl:
+			var f pkt.PFCFrame
+			f.Enabled[op.class] = true
+			port.EnqueueControl(NewPacket(pkt.EncodePFC(pkt.MAC{2}, f)))
+		case opPause:
+			port.Pause(op.class, op.d)
+		case opHook:
+			if op.arg == 1 {
+				port.SetFaultHook(hook)
+			} else {
+				port.SetFaultHook(nil)
+			}
+		case opRead:
+			read("read")
+		}
+		s.RunUntil(op.at)
+	}
+	s.RunUntil(sc.horizon)
+	read("final")
+	logf("final queue delay %+v", *port.Stats().QueueDelay)
+	logf("final port stream %d", port.rand().Int63())
+	sort.Strings(k.log)
+	return append(out, k.log...)
+}
+
+// genScript draws a script from seed: one to three overlapping loads on
+// the lossy, LTL and RDMA classes, some of them past line rate, stops,
+// and real operations of every kind. Half the operations land exactly on
+// a noise arrival, and some share an instant with each other.
+func genScript(seed int64) rigScript {
+	r := rand.New(rand.NewSource(seed))
+	classes := []pkt.TrafficClass{pkt.ClassBestEffort, 1, pkt.ClassLTL, pkt.ClassRDMA}
+	sc := rigScript{hookSeed: r.Int63(), horizon: sim.Time(50+r.Intn(150)) * sim.Microsecond}
+	var ops []rigOp
+	var arrivals []sim.Time
+	for i, n := 0, 1+r.Intn(3); i < n; i++ {
+		l := rigLoad{
+			seed:     r.Uint64(),
+			util:     0.2 + 1.4*r.Float64(),
+			class:    classes[r.Intn(len(classes))],
+			meanSize: 64 + r.Intn(1500),
+		}
+		if i > 0 {
+			l.start = sim.Time(r.Int63n(int64(sc.horizon)))
+		}
+		sc.loads = append(sc.loads, l)
+		ops = append(ops, rigOp{at: l.start, kind: opStart, arg: i})
+		pr := l.proc(rigPortConfig().Link.RateBps)
+		for j := 0; j < 200 && pr.next < sc.horizon; j++ {
+			arrivals = append(arrivals, pr.next)
+			pr.drawSize()
+			pr.next += pr.drawGap()
+		}
+	}
+	for i, n := 0, r.Intn(3); i < n; i++ {
+		ops = append(ops, rigOp{at: sim.Time(r.Int63n(int64(sc.horizon))), kind: opStop})
+	}
+	for i, n := 0, 20+r.Intn(280); i < n; i++ {
+		op := rigOp{at: sim.Time(r.Int63n(int64(sc.horizon))), class: classes[r.Intn(len(classes))]}
+		switch {
+		case r.Intn(2) == 0 && len(arrivals) > 0:
+			op.at = arrivals[r.Intn(len(arrivals))]
+		case r.Intn(4) == 0 && len(ops) > 0:
+			op.at = ops[r.Intn(len(ops))].at
+		}
+		switch x := r.Intn(20); {
+		case x < 10:
+			op.kind, op.arg = opData, 64+r.Intn(pkt.MaxMTU-63)
+		case x < 12:
+			op.kind = opCtrl
+		case x < 15:
+			op.kind = opPause
+			if r.Intn(4) > 0 {
+				op.d = sim.Time(1 + r.Intn(20000))
+			}
+		case x < 17:
+			op.kind, op.arg = opHook, r.Intn(2)
+		default:
+			op.kind = opRead
+		}
+		ops = append(ops, op)
+	}
+	sort.SliceStable(ops, func(i, j int) bool {
+		if ops[i].at != ops[j].at {
+			return ops[i].at < ops[j].at
+		}
+		return ops[i].kind == opStart && ops[j].kind != opStart
+	})
+	sc.ops = ops
+	return sc
+}
+
+// compareRig runs sc both ways and reports the first line that differs.
+func compareRig(t *testing.T, sc rigScript) (lines int) {
+	t.Helper()
+	lazy, eager := runRig(sc, true), runRig(sc, false)
+	for i := 0; i < len(lazy) && i < len(eager); i++ {
+		if lazy[i] != eager[i] {
+			t.Fatalf("line %d differs:\nlazy  %s\neager %s", i, lazy[i], eager[i])
+		}
+	}
+	if len(lazy) != len(eager) {
+		t.Fatalf("lazy observed %d facts, eager %d", len(lazy), len(eager))
+	}
+	return len(lazy)
+}
+
+// TestNoiseMatchesEager runs seeded scripts through both paths, and
+// checks that together they reached RED drops, ECN marks, tail drops,
+// PFC pauses, hooked noise and equal-time ties between noise arrivals
+// and real operations.
+func TestNoiseMatchesEager(t *testing.T) {
+	seeds := 60
+	if testing.Short() {
+		seeds = 15
+	}
+	var red, ecn, tail, pauses, hooked, ties uint64
+	for seed := int64(1); seed <= int64(seeds); seed++ {
+		sc := genScript(seed)
+		compareRig(t, sc)
+		lines := runRig(sc, true)
+		var f [5]uint64
+		for _, l := range lines {
+			if strings.HasPrefix(l, "final ") && strings.Contains(l, " tx=") {
+				fmt.Sscanf(l[strings.Index(l, "red="):], "red=%d tail=%d ecn=%d", &f[0], &f[1], &f[2])
+			}
+			if strings.HasPrefix(l, "hook ") && strings.Contains(l, "noise=true") {
+				f[3]++
+			}
+		}
+		red, tail, ecn, hooked = red+f[0], tail+f[1], ecn+f[2], hooked+f[3]
+		arrive := map[sim.Time]bool{}
+		for _, l := range sc.loads {
+			pr := l.proc(rigPortConfig().Link.RateBps)
+			for pr.next < sc.horizon {
+				arrive[pr.next] = true
+				pr.drawSize()
+				pr.next += pr.drawGap()
+			}
+		}
+		for _, op := range sc.ops {
+			if op.kind == opPause && op.d > 0 {
+				pauses++
+			}
+			if op.kind != opStart && arrive[op.at] {
+				ties++
+			}
+		}
+	}
+	t.Logf("red=%d tail=%d ecn=%d pauses=%d hooked-noise=%d ties=%d", red, tail, ecn, pauses, hooked, ties)
+	if red == 0 || tail == 0 || ecn == 0 || pauses == 0 || hooked == 0 || ties == 0 {
+		t.Fatal("the scripts did not reach every case")
+	}
+}
+
+// FuzzNoiseMatchesEager checks the lazy path against the eager reference
+// on scripts drawn from arbitrary seeds.
+func FuzzNoiseMatchesEager(f *testing.F) {
+	for _, seed := range []int64{0, 7, 42, 1 << 40} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		compareRig(t, genScript(seed))
+	})
+}

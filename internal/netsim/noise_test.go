@@ -8,36 +8,61 @@ import (
 	"repro/internal/sim"
 )
 
-// noiseFabric is the smallest datacenter with a wired L1 port: the
-// frames InjectNoise puts on L1 port 0 end on the wire to TOR 0.
-func noiseFabric() (*sim.Simulation, *Switch) {
+// noisyPort is a 40G switch port wired to a sink device and loaded with
+// util of 1400-byte RDMA background traffic from its own noise process.
+// The sink keeps what it receives, so a test can send one real frame
+// over and over.
+func noisyPort(util float64) (*sim.Simulation, *Port, *keepSink) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.HostsPerTOR = 1
-	cfg.TORsPerPod = 1
-	cfg.Pods = 1
-	dc := NewDatacenter(s, cfg)
-	dc.Host(0)
-	return s, dc.L1(0)
+	cfg := DefaultPortConfig()
+	sw := NewSwitch(s, SwitchConfig{Name: "sw", Radix: 1, Port: cfg})
+	k := &keepSink{}
+	Wire(sw.Port(0), NewPort(s, k, 0, cfg))
+	gap := noiseWireMean(pkt.ClassRDMA, 1400) * 8 * float64(sim.Second) / (float64(cfg.Link.RateBps) * util)
+	sw.Port(0).startNoise(newNoiseProc(1, gap, pkt.ClassRDMA, 1400, 0), &sw.stats.Injected)
+	return s, sw.Port(0), k
+}
+
+// keepSink counts the real frames it receives and keeps none of them
+// from their sender.
+type keepSink struct{ got int }
+
+func (k *keepSink) DeviceName() string             { return "keep" }
+func (k *keepSink) HandleFrame(_ *Port, _ *Packet) { k.got++ }
+
+// realFrame is one encoded LTL-class frame of the given wire size.
+func realFrame(size int) *Packet {
+	n := size - pkt.EthHeaderLen - pkt.VLANTagLen - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.EthFCSLen
+	return NewPacket(pkt.EncodeUDP(pkt.MAC{2}, pkt.MAC{3}, pkt.IP{10, 0, 0, 1}, pkt.IP{10, 0, 0, 2}, 7, 7,
+		pkt.ClassLTL, 64, 1, make([]byte, n)))
 }
 
 // TestInjectNoiseNoAllocs guards the noise path: once the packet pool is
-// warm, a background frame is built, queued, serialized and ended on the
-// wire with no allocation.
+// warm, background frames on a port that real frames use are built,
+// queued, serialized and ended on the wire in line with no allocation,
+// and so is the wake that a real frame waiting behind one of them takes.
 func TestInjectNoiseNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a random share of Puts")
 	}
-	s, l1 := noiseFabric()
-	allocs := testing.AllocsPerRun(200, func() {
-		l1.InjectNoise(0, pkt.ClassRDMA, pkt.MaxMTU)
-		s.Run()
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state noise frame: %v allocs, want 0", allocs)
+	s, port, k := noisyPort(0.8)
+	real := realFrame(1024)
+	step := func() {
+		port.Enqueue(real)
+		s.RunFor(10 * sim.Microsecond)
 	}
-	if got := l1.Port(0).Stats.TxFrames.Value(); got < 200 {
-		t.Fatalf("only %d noise frames transmitted", got)
+	// Warm the packet pool and the timing wheel's buckets first.
+	for i := 0; i < 3000; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(200, step); allocs != 0 {
+		t.Fatalf("steady-state noise with real traffic: %v allocs, want 0", allocs)
+	}
+	if k.got != 3201 {
+		t.Fatalf("%d of 3201 real frames arrived", k.got)
+	}
+	if tx := port.Stats().TxFrames.Value(); tx < 3201*20 {
+		t.Fatalf("only %d frames transmitted", tx)
 	}
 }
 
@@ -62,10 +87,10 @@ func TestInjectNoiseClampsSize(t *testing.T) {
 		Wire(sw.Port(0), peer)
 		sw.InjectNoise(0, tc.class, tc.size)
 		s.Run()
-		if got := sw.Port(0).Stats.TxBytes.Value(); got != uint64(tc.want) {
+		if got := sw.Port(0).Stats().TxBytes.Value(); got != uint64(tc.want) {
 			t.Errorf("class %d size %d: sent %d bytes, want %d", tc.class, tc.size, got, tc.want)
 		}
-		if got := peer.Stats.RxFrames.Value(); got != 1 {
+		if got := peer.Stats().RxFrames.Value(); got != 1 {
 			t.Errorf("class %d size %d: peer received %d frames, want 1", tc.class, tc.size, got)
 		}
 		if len(dst.got) != 0 {

@@ -107,11 +107,11 @@ func TestParanoidNoiseUnderFaults(t *testing.T) {
 
 	var injected, marks, dups, corrupt, red, tail, ended uint64
 	for _, sw := range switches {
-		in, out, endedHere := sw.Stats.Injected.Value(), uint64(0), uint64(0)
-		dropped := sw.Stats.NoRoute.Value() + sw.Stats.DeadPort.Value()
+		in, out, endedHere := sw.Stats().Injected.Value(), uint64(0), uint64(0)
+		dropped := sw.Stats().NoRoute.Value() + sw.Stats().DeadPort.Value()
 		for i := 0; i < sw.NumPorts(); i++ {
 			p := sw.Port(i)
-			st := &p.Stats
+			st := p.Stats()
 			in += st.RxFrames.Value()
 			out += st.TxFrames.Value()
 			dropped += st.DropsRED.Value() + st.DropsTail.Value()
@@ -126,12 +126,12 @@ func TestParanoidNoiseUnderFaults(t *testing.T) {
 			}
 			if peer := p.Peer(); peer != nil {
 				want := st.TxFrames.Value() - st.DropsInjected.Value() + st.DupsInjected.Value()
-				if got := peer.Stats.RxFrames.Value(); got != want {
+				if got := peer.Stats().RxFrames.Value(); got != want {
 					t.Errorf("%s port %d: peer received %d, want %d", sw.DeviceName(), i, got, want)
 				}
 			}
 		}
-		injected += sw.Stats.Injected.Value()
+		injected += sw.Stats().Injected.Value()
 		ended += endedHere
 		if in != out+dropped+endedHere {
 			t.Errorf("%s: %d frames in, %d out + %d dropped + %d ended on the wire",

@@ -51,7 +51,7 @@ type SwitchConfig struct {
 // SwitchStats aggregates switch-level counters.
 type SwitchStats struct {
 	Forwarded   metrics.Counter
-	Injected    metrics.Counter // background frames from InjectNoise
+	Injected    metrics.Counter // background frames arriving at its ports
 	NoRoute     metrics.Counter
 	DeadPort    metrics.Counter // routed to an unwired port (outside the instantiated subgraph)
 	PFCIssued   metrics.Counter
@@ -71,7 +71,7 @@ type Switch struct {
 	ingressBytes [][]int
 	paused       [][]bool
 
-	Stats SwitchStats
+	stats SwitchStats
 }
 
 // NewSwitch builds a switch with cfg.Radix unwired ports.
@@ -93,6 +93,15 @@ func (sw *Switch) DeviceName() string { return sw.cfg.Name }
 
 // Port returns port i.
 func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
+
+// Stats returns the switch's counters, with the background traffic of its
+// ports brought up to the current instant.
+func (sw *Switch) Stats() *SwitchStats {
+	for _, p := range sw.ports {
+		p.sync()
+	}
+	return &sw.stats
+}
 
 // NumPorts returns the switch radix.
 func (sw *Switch) NumPorts() int { return len(sw.ports) }
@@ -116,20 +125,20 @@ func (sw *Switch) HandleFrame(p *Port, packet *Packet) {
 		return
 	}
 	if !packet.F.IPValid || sw.cfg.Route == nil {
-		sw.Stats.NoRoute.Inc()
+		sw.stats.NoRoute.Inc()
 		packet.Free()
 		return
 	}
 	out := sw.cfg.Route(packet.F.DstIP)
 	if out < 0 || out >= len(sw.ports) {
-		sw.Stats.NoRoute.Inc()
+		sw.stats.NoRoute.Inc()
 		packet.Free()
 		return
 	}
 	egress := sw.ports[out]
 	if egress.Peer() == nil {
 		// Traffic leaving the instantiated subgraph (sparse topologies).
-		sw.Stats.DeadPort.Inc()
+		sw.stats.DeadPort.Inc()
 		packet.Free()
 		return
 	}
@@ -143,7 +152,7 @@ func (sw *Switch) HandleFrame(p *Port, packet *Packet) {
 	if sw.cfg.Jitter != nil {
 		delay += sw.cfg.Jitter(sw.rng)
 	}
-	sw.Stats.Forwarded.Inc()
+	sw.stats.Forwarded.Inc()
 	packet.NextPort = egress
 	sw.sim.ScheduleCall(delay, EnqueueCall, packet)
 }
@@ -154,7 +163,7 @@ func (sw *Switch) holdIngress(in *Port, class pkt.TrafficClass, packet *Packet) 
 	i := in.Index()
 	size := packet.WireLen()
 	sw.ingressBytes[i][class] += size
-	sw.Stats.IngressHold.Add(int64(size))
+	sw.stats.IngressHold.Add(int64(size))
 	packet.ingress = in
 	packet.held = true
 	if !sw.paused[i][class] && sw.ingressBytes[i][class] > sw.cfg.PFC.XoffBytes {
@@ -167,11 +176,11 @@ func (sw *Switch) holdIngress(in *Port, class pkt.TrafficClass, packet *Packet) 
 func (sw *Switch) releaseIngress(in *Port, class pkt.TrafficClass, size int) {
 	i := in.Index()
 	sw.ingressBytes[i][class] -= size
-	sw.Stats.IngressHold.Add(int64(-size))
+	sw.stats.IngressHold.Add(int64(-size))
 	if sw.paused[i][class] && sw.ingressBytes[i][class] < sw.cfg.PFC.XonBytes {
 		sw.paused[i][class] = false
 		sw.sendPause(in, class, 0) // resume
-		sw.Stats.PFCResumed.Inc()
+		sw.stats.PFCResumed.Inc()
 	}
 }
 
@@ -182,9 +191,9 @@ func (sw *Switch) sendPause(in *Port, class pkt.TrafficClass, quanta uint16) {
 	f.Quanta[class] = quanta
 	src := pkt.MAC{0x02, 0xff, byte(in.Index()), 0, 0, 0}
 	in.EnqueueControl(NewPacket(pkt.EncodePFC(src, f)))
-	in.Stats.PFCSent.Inc()
+	in.stats.PFCSent.Inc()
 	if quanta != 0 {
-		sw.Stats.PFCIssued.Inc()
+		sw.stats.PFCIssued.Inc()
 	}
 }
 
@@ -199,45 +208,6 @@ func (sw *Switch) armPauseRefresh(in *Port, class pkt.TrafficClass) {
 			sw.armPauseRefresh(in, class)
 		}
 	})
-}
-
-// noisePayload is the all-zero body every background frame's view
-// points into; nothing writes to it.
-var noisePayload [pkt.MaxMTU]byte
-
-// InjectNoise enqueues a synthetic background frame directly on egress
-// port out. It models cross-traffic from parts of the datacenter that are
-// not individually instantiated; the frame is addressed outside the
-// instantiated subgraph (broadcast from 02:ee:00:00:00:01, UDP 9→9 from
-// 255.255.255.254 to .255, TTL 1) and ends on the wire it leaves by.
-// size is the frame's length on the wire, clamped to [64, pkt.MaxMTU]; a
-// tagged class adds its VLAN tag.
-//
-// The frame has no bytes: InjectNoise fills a pooled packet's parsed
-// view directly and leaves Buf empty, so a steady stream of noise
-// allocates, encodes and copies nothing. It still occupies its queue,
-// draws RED and ECN, serializes, triggers PFC and passes the port's
-// fault hook exactly as an encoded frame would (see Packet).
-func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
-	size = max(64, min(size, pkt.MaxMTU))
-	n := size - pkt.EthHeaderLen - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.EthFCSLen
-	p := packetPool.Get().(*Packet)
-	p.frame = pkt.Frame{
-		Dst: pkt.Broadcast, Src: pkt.MAC{0x02, 0xee, 0, 0, 0, 1},
-		EtherType: pkt.EtherTypeIPv4,
-		IPValid:   true,
-		SrcIP:     pkt.IP{255, 255, 255, 254}, DstIP: pkt.IP{255, 255, 255, 255},
-		Protocol: pkt.ProtoUDP, TTL: 1, ECN: pkt.ECNCapable,
-		UDPValid: true, SrcPort: 9, DstPort: 9,
-		Payload: noisePayload[:n:n],
-	}
-	if class != pkt.ClassBestEffort {
-		p.frame.HasVLAN, p.frame.PCP, p.frame.VLAN = true, class, 1
-	}
-	p.F = &p.frame
-	p.noise = true
-	sw.Stats.Injected.Inc()
-	sw.ports[out].Enqueue(p)
 }
 
 // IngressHeldBytes reports the PFC account for (ingress port, class) —

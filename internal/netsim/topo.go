@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/sim"
 )
@@ -116,7 +117,7 @@ type Datacenter struct {
 	hosts map[int]*Host
 	inter map[int]Interposer
 
-	noiseGen int // generation counter; bumping it stops existing injectors
+	noisy []*Port // every port a background load was started on
 }
 
 // NewDatacenter builds an empty datacenter on s.
@@ -369,20 +370,18 @@ func (dc *Datacenter) L1Switches() []*Switch {
 	return out
 }
 
-// maxNoiseGap caps one background inter-arrival gap (about 146 years of
-// virtual time), so a vanishing util saturates instead of overflowing
-// sim.Time.
-const maxNoiseGap = sim.Time(1 << 62)
-
-// StartBackgroundLoad injects Poisson cross-traffic of the given class on
+// StartBackgroundLoad starts Poisson cross-traffic of the given class on
 // every wired L1 and L2 port, at utilization util of each port's line
-// rate with the given mean frame size. It models "other datacenter
-// traffic ... flowing through the same switches" (§V-C). Frame sizes are
-// drawn uniformly on [64, 2·meanSize) and clamped to pkt.MaxMTU, so a
-// meanSize above about 750 bytes puts less than util on the wire
-// (DESIGN.md §6.2). A util of zero or below starts nothing. It panics on
-// a non-finite util, a meanSize below 64, or a util so high that the
-// mean gap between frames is under a nanosecond. Stop with
+// rate with the given mean frame size, replacing any load started
+// before. It models "other datacenter traffic ... flowing through the
+// same switches" (§V-C). Frame sizes are drawn uniformly on
+// [64, 2·meanSize) and clamped to pkt.MaxMTU, and frames are spaced by
+// the mean of the sizes so drawn, so each port carries util on the wire
+// (DESIGN.md §6.2). Each port runs its own process (noise.go), on a
+// stream derived from one seed drawn here and the port's identity. A
+// util of zero or below starts nothing and leaves a running load as it
+// is. It panics on a non-finite util, a meanSize below 64, or a util so
+// high that the mean gap between frames is under a nanosecond. Stop with
 // StopBackgroundLoad.
 func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, meanSize int) {
 	if math.IsNaN(util) || math.IsInf(util, 0) {
@@ -394,46 +393,56 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 	if util <= 0 {
 		return
 	}
-	dc.noiseGen++
-	gen := dc.noiseGen
-	rng := dc.Sim.NewRand() // one noise stream shared by every port
-	attach := func(sw *Switch) {
-		for i := 0; i < sw.NumPorts(); i++ {
-			port := sw.Port(i)
-			if port.Peer() == nil {
-				continue
+	var ports []*Port
+	add := func(sw *Switch) {
+		for _, p := range sw.ports {
+			if p.Peer() != nil {
+				ports = append(ports, p)
 			}
-			i := i
-			meanGap := float64(meanSize*8) / (float64(port.cfg.Link.RateBps) * util) // seconds
-			if meanGap*float64(sim.Second) < 1 {
-				panic(fmt.Sprintf("netsim: background util %v puts frames less than 1ns apart on %s port %d",
-					util, sw.DeviceName(), i))
-			}
-			gap := func() sim.Time {
-				ns := rng.ExpFloat64() * meanGap * float64(sim.Second)
-				if !(ns < float64(maxNoiseGap)) {
-					return maxNoiseGap
-				}
-				return sim.Time(ns)
-			}
-			var next func()
-			next = func() {
-				if dc.noiseGen != gen {
-					return
-				}
-				sw.InjectNoise(i, class, 64+rng.Intn(2*meanSize-64))
-				sw.sim.Schedule(gap(), next)
-			}
-			sw.sim.Schedule(gap(), next)
 		}
 	}
 	if dc.l2 != nil {
-		attach(dc.l2)
+		add(dc.l2)
 	}
 	for _, sw := range dc.L1Switches() {
-		attach(sw)
+		add(sw)
+	}
+	wire := noiseWireMean(class, meanSize)
+	gaps := make([]float64, len(ports))
+	for i, p := range ports {
+		gaps[i] = wire * 8 * float64(sim.Second) / (float64(p.cfg.Link.RateBps) * util)
+		if gaps[i] < 1 {
+			panic(fmt.Sprintf("netsim: background util %v puts frames less than 1ns apart on %s port %d",
+				util, p.dev.DeviceName(), p.index))
+		}
+	}
+	dc.StopBackgroundLoad()
+	base, now := dc.Sim.DrawSeed(), dc.Sim.Now()
+	for i, p := range ports {
+		if p.noise == nil {
+			if len(dc.noisy) == 0 {
+				obs.RegistryOf(dc.Sim).Refresh(dc.syncNoise)
+			}
+			dc.noisy = append(dc.noisy, p)
+		}
+		sw := p.dev.(*Switch)
+		seed := noiseSeed(base, sw.DeviceName(), p.index)
+		p.startNoise(newNoiseProc(seed, gaps[i], class, meanSize, now), &sw.stats.Injected)
 	}
 }
 
-// StopBackgroundLoad halts all injectors started by StartBackgroundLoad.
-func (dc *Datacenter) StopBackgroundLoad() { dc.noiseGen++ }
+// StopBackgroundLoad ends every load started by StartBackgroundLoad. A
+// load still takes its arrivals at the current instant.
+func (dc *Datacenter) StopBackgroundLoad() {
+	for _, p := range dc.noisy {
+		p.stopNoise(dc.Sim.Now())
+	}
+}
+
+// syncNoise brings every port's background traffic up to the current
+// instant, so a snapshot of the obs registry counts it.
+func (dc *Datacenter) syncNoise() {
+	for _, p := range dc.noisy {
+		p.sync()
+	}
+}

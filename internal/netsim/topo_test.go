@@ -203,8 +203,8 @@ func TestTrafficToUninstantiatedHostVanishes(t *testing.T) {
 	src.SendUDP(HostIP(2), 1, 1, pkt.ClassBestEffort, []byte("x"))
 	s.RunFor(sim.Millisecond)
 	tor := dc.TOR(0, 0)
-	if tor.Stats.DeadPort.Value() != 1 {
-		t.Errorf("dead-port count = %d, want 1", tor.Stats.DeadPort.Value())
+	if tor.Stats().DeadPort.Value() != 1 {
+		t.Errorf("dead-port count = %d, want 1", tor.Stats().DeadPort.Value())
 	}
 }
 
@@ -305,7 +305,7 @@ func TestBackgroundLoadCausesQueueing(t *testing.T) {
 	var forwarded uint64
 	for _, sw := range dc.L1Switches() {
 		for i := 0; i < sw.NumPorts(); i++ {
-			forwarded += sw.Port(i).Stats.TxFrames.Value()
+			forwarded += sw.Port(i).Stats().TxFrames.Value()
 		}
 	}
 	if forwarded == 0 {
@@ -317,7 +317,7 @@ func TestBackgroundLoadCausesQueueing(t *testing.T) {
 	var after uint64
 	for _, sw := range dc.L1Switches() {
 		for i := 0; i < sw.NumPorts(); i++ {
-			after += sw.Port(i).Stats.TxFrames.Value()
+			after += sw.Port(i).Stats().TxFrames.Value()
 		}
 	}
 	// A few in-flight frames may drain, but the stream must stop growing.
@@ -325,7 +325,7 @@ func TestBackgroundLoadCausesQueueing(t *testing.T) {
 	var final uint64
 	for _, sw := range dc.L1Switches() {
 		for i := 0; i < sw.NumPorts(); i++ {
-			final += sw.Port(i).Stats.TxFrames.Value()
+			final += sw.Port(i).Stats().TxFrames.Value()
 		}
 	}
 	if final-after > after-before+5 {
@@ -356,18 +356,18 @@ func TestSwitchPFCBackpressure(t *testing.T) {
 	s.RunFor(10 * sim.Millisecond)
 
 	tor := dc.TOR(0, 0)
-	if tor.Stats.PFCIssued.Value() == 0 {
+	if tor.Stats().PFCIssued.Value() == 0 {
 		t.Error("PFC never issued under lossless incast")
 	}
 	egress := tor.Port(1) // toward h1
-	if egress.Stats.DropsTail.Value() != 0 || egress.Stats.DropsRED.Value() != 0 {
+	if egress.Stats().DropsTail.Value() != 0 || egress.Stats().DropsRED.Value() != 0 {
 		t.Errorf("lossless frames dropped: tail=%d red=%d",
-			egress.Stats.DropsTail.Value(), egress.Stats.DropsRED.Value())
+			egress.Stats().DropsTail.Value(), egress.Stats().DropsRED.Value())
 	}
 	if recv != 400 {
 		t.Errorf("received %d lossless frames, want all 400", recv)
 	}
-	if tor.Stats.PFCResumed.Value() == 0 {
+	if tor.Stats().PFCResumed.Value() == 0 {
 		t.Error("PFC never resumed after drain")
 	}
 	// Ingress accounting must drain to zero.
@@ -394,7 +394,7 @@ func TestLossyIncastDropsInsteadOfPausing(t *testing.T) {
 	s.RunFor(10 * sim.Millisecond)
 	tor := dc.TOR(0, 0)
 	egress := tor.Port(1)
-	drops := egress.Stats.DropsTail.Value() + egress.Stats.DropsRED.Value()
+	drops := egress.Stats().DropsTail.Value() + egress.Stats().DropsRED.Value()
 	if drops == 0 {
 		t.Error("lossy incast produced no drops")
 	}
@@ -450,10 +450,32 @@ func TestBackgroundLoadBadInput(t *testing.T) {
 			}
 			// A vanishing load puts nothing on the wire in a millisecond.
 			for _, sw := range dc.L1Switches() {
-				if n := sw.Stats.Injected.Value(); n != 0 {
+				if n := sw.Stats().Injected.Value(); n != 0 {
 					t.Fatalf("%s injected %d frames", sw.DeviceName(), n)
 				}
 			}
 		})
+	}
+}
+
+// The background load puts its nominal utilization on the wire whatever
+// the mean frame size: frames are spaced by the mean of the sizes drawn,
+// after clamping to the MTU (DESIGN.md §6.2).
+func TestBackgroundLoadOfferedMatchesUtil(t *testing.T) {
+	const util, window = 0.05, 200 * sim.Millisecond
+	for _, meanSize := range []int{700, 1100, 1400} {
+		s := sim.New(1)
+		dc := NewDatacenter(s, DefaultConfig())
+		dc.Host(0) // one pod: L1 port 0 down to TOR 0, the L1 uplink, and L2 port 0
+		dc.StartBackgroundLoad(util, pkt.ClassRDMA, meanSize)
+		s.RunFor(window)
+		l1 := dc.L1(0)
+		for _, i := range []int{0, l1.NumPorts() - 1} {
+			p := l1.Port(i)
+			offered := float64(p.Stats().TxBytes.Value()*8) / (float64(p.Config().Link.RateBps) * window.Seconds())
+			if math.Abs(offered/util-1) > 0.03 {
+				t.Errorf("meanSize %d: L1 port %d offered %.4f of its line rate, want %.4f ±3%%", meanSize, i, offered, util)
+			}
+		}
 	}
 }

@@ -197,6 +197,8 @@ type Sample struct {
 // each build their own Registry stay deterministic.
 type Registry struct {
 	entries map[string]*entry
+	// refresh runs before every snapshot (see Refresh).
+	refresh []func()
 }
 
 type entry struct {
@@ -284,6 +286,15 @@ func (r *Registry) RuntimeGauge(name, unit, pkg, help string, g *metrics.Gauge) 
 	return g
 }
 
+// Refresh registers fn to run before every snapshot, for a source that
+// brings its registered metrics up to date only when asked (netsim's
+// background traffic). Nil-safe.
+func (r *Registry) Refresh(fn func()) {
+	if r != nil {
+		r.refresh = append(r.refresh, fn)
+	}
+}
+
 // Snapshot reads every registered deterministic metric and returns one
 // Sample per name, sorted by name. Counters sharing a name are summed;
 // histograms are merged; gauges sum values and take the max watermark.
@@ -298,6 +309,9 @@ func (r *Registry) RuntimeSnapshot() []Sample { return r.snapshot(true) }
 func (r *Registry) snapshot(runtime bool) []Sample {
 	if r == nil {
 		return nil
+	}
+	for _, fn := range r.refresh {
+		fn()
 	}
 	names := make([]string, 0, len(r.entries))
 	for n := range r.entries {

@@ -351,7 +351,7 @@ func TestShellPFCGeneration(t *testing.T) {
 		t.Fatalf("lossless delivery incomplete: %d/400", recv)
 	}
 	sh := shells[0]
-	drops := sh.netPort.Stats.DropsTail.Value() + sh.netPort.Stats.DropsRED.Value()
+	drops := sh.netPort.Stats().DropsTail.Value() + sh.netPort.Stats().DropsRED.Value()
 	if drops != 0 {
 		t.Errorf("shell dropped %d lossless frames", drops)
 	}

@@ -18,9 +18,9 @@ import (
 // behaviour change and must be deliberate.
 const (
 	pinBoardResult    = "route=3f5c11fb1b0be727 offered=447 admitted=447 shed=0 completed=447 failovers=1 resent=1 grown=6 shrunk=5 final=2 p99=1835008"
-	pinBoardTelemetry = "9d7582b7a89a987d0b4c2de485032011cf127d0162129ca038e69f4b95aa1638"
+	pinBoardTelemetry = "45b20f5b60f35347be1ec0645f359001d7a6e4d431c1f31752a7013c4004c96e"
 	pinSlotResult     = "route=657caa419345a80b offered=348 admitted=348 shed=0 completed=348 failovers=1 resent=1 grown=0 shrunk=0 final=2 p99=655360"
-	pinSlotTelemetry  = "a3a15ac5449261c61cb93434e9a3ed7a9959121cfe737253c1f64f76ad559a06"
+	pinSlotTelemetry  = "107840ef82f5d4582d2e158b66d7af650e3079fb00a9689651af4f367198771a"
 )
 
 // pinResult renders the digest-bearing fields of one run.
