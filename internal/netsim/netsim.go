@@ -373,9 +373,6 @@ type Port struct {
 	stats PortStats
 }
 
-// maxTime is the latest representable instant.
-const maxTime = sim.Time(1<<63 - 1)
-
 // Stats returns the port's counters, with its background traffic and its
 // peer's brought up to the current instant (the peer's noise counts as
 // received here).
@@ -389,9 +386,9 @@ func (p *Port) Stats() *PortStats {
 
 // SetFaultHook installs (or, with nil, removes) the port's fault hook.
 func (p *Port) SetFaultHook(h FaultHook) {
-	p.sync()
+	now := p.catchUp()
 	p.fault = h
-	p.sync()
+	p.rearm(now)
 }
 
 // Index returns the port's number within its device.
@@ -470,14 +467,9 @@ func Unwire(a *Port) {
 // and ECN policy, then kicks the transmitter. It reports whether the packet
 // was accepted.
 func (p *Port) Enqueue(packet *Packet) bool {
-	nz := p.noise
-	if nz == nil {
-		return p.enqueue(packet, p.sim.Now())
-	}
-	now := p.sim.Now()
-	nz.advance(p, now)
+	now := p.catchUp()
 	ok := p.enqueue(packet, now)
-	nz.arm(p, now)
+	p.rearm(now)
 	return ok
 }
 
@@ -557,28 +549,20 @@ func releaseHold(packet *Packet) {
 // EnqueueControl sends a MAC control frame (PFC). Control frames bypass
 // data queues and are never paused.
 func (p *Port) EnqueueControl(packet *Packet) {
-	now := p.sim.Now()
-	if p.noise != nil {
-		p.noise.advance(p, now)
-	}
+	now := p.catchUp()
 	if p.ctrlHead == len(p.ctrlQueue) && p.ctrlHead > 0 {
 		p.ctrlQueue = p.ctrlQueue[:0]
 		p.ctrlHead = 0
 	}
 	p.ctrlQueue = append(p.ctrlQueue, packet)
 	p.kick(now)
-	if p.noise != nil {
-		p.noise.arm(p, now)
-	}
+	p.rearm(now)
 }
 
 // Pause sets the PFC pause state for class c for duration d (d == 0
 // resumes).
 func (p *Port) Pause(c pkt.TrafficClass, d sim.Time) {
-	now := p.sim.Now()
-	if p.noise != nil {
-		p.noise.advance(p, now)
-	}
+	now := p.catchUp()
 	p.stats.PFCRecv.Inc()
 	if d == 0 {
 		p.pausedUntil[c] = 0
@@ -586,9 +570,7 @@ func (p *Port) Pause(c pkt.TrafficClass, d sim.Time) {
 		p.pausedUntil[c] = now + d
 	}
 	p.kick(now)
-	if p.noise != nil {
-		p.noise.arm(p, now)
-	}
+	p.rearm(now)
 }
 
 // kick starts the transmitter at instant now if the port is idle.
@@ -663,14 +645,9 @@ func (p *Port) pick(now sim.Time) (*Packet, bool) {
 func retryKick(v any) {
 	p := v.(*Port)
 	p.retry = sim.Timer{}
-	now := p.sim.Now()
-	if p.noise != nil {
-		p.noise.advance(p, now)
-	}
+	now := p.catchUp()
 	p.kick(now)
-	if p.noise != nil {
-		p.noise.arm(p, now)
-	}
+	p.rearm(now)
 }
 
 // transmit serializes packet onto the wire at instant now and schedules
@@ -702,14 +679,9 @@ func (p *Port) transmit(packet *Packet, now sim.Time) {
 func serializationDone(v any) {
 	packet := v.(*Packet)
 	p := packet.txPort
-	now := p.sim.Now()
-	if p.noise == nil {
-		p.finish(packet, now)
-		return
-	}
-	p.noise.advance(p, now)
+	now := p.catchUp()
 	p.finish(packet, now)
-	p.noise.arm(p, now)
+	p.rearm(now)
 }
 
 // finish ends packet's serialization at instant now: the port goes idle,

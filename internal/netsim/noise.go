@@ -49,6 +49,9 @@ type noiseProc struct {
 	class pkt.TrafficClass
 }
 
+// maxTime is the latest representable instant.
+const maxTime = sim.Time(1<<63 - 1)
+
 // maxNoiseGap caps one background inter-arrival gap (about 146 years of
 // virtual time), so a vanishing util saturates instead of overflowing
 // sim.Time.
@@ -188,18 +191,16 @@ type portNoise struct {
 
 // startNoise adds a load to the port.
 func (p *Port) startNoise(pr noiseProc, injected *metrics.Counter) {
-	now := p.sim.Now()
 	if p.noise == nil {
 		p.noise = &portNoise{injected: injected}
 		// Registered with the first load, so a run without background
 		// traffic reports no such series.
 		obs.RegistryOf(p.sim).Counter("net.noise_ended", "frames", "netsim",
 			"background frames ended on the wire into a port", &p.peer.stats.NoiseEnded)
-	} else {
-		p.noise.advance(p, now)
 	}
+	now := p.catchUp()
 	p.noise.procs = append(p.noise.procs, pr)
-	p.noise.arm(p, now)
+	p.rearm(now)
 }
 
 // stopNoise ends every load on the port at now.
@@ -210,14 +211,26 @@ func (p *Port) stopNoise(now sim.Time) {
 	}
 }
 
-// sync advances the port's noise to the current instant.
-func (p *Port) sync() {
-	if nz := p.noise; nz != nil {
-		now := p.sim.Now()
-		nz.advance(p, now)
-		nz.arm(p, now)
+// catchUp advances the port's noise to the current instant, which it
+// returns. Every operation on a real frame starts with it and ends with
+// rearm.
+func (p *Port) catchUp() sim.Time {
+	now := p.sim.Now()
+	if p.noise != nil {
+		p.noise.advance(p, now)
+	}
+	return now
+}
+
+// rearm keeps the port's wake, if it needs one, after an operation at now.
+func (p *Port) rearm(now sim.Time) {
+	if p.noise != nil {
+		p.noise.arm(p, now)
 	}
 }
+
+// sync brings the port's noise up to the current instant.
+func (p *Port) sync() { p.rearm(p.catchUp()) }
 
 // nextArrival returns the earliest pending arrival and the load it
 // belongs to (-1 when none), dropping loads that have ended. On a tie
@@ -288,16 +301,17 @@ func (nz *portNoise) arm(p *Port, now sim.Time) {
 	case nz.tx != nil && (p.realQueued > 0 || p.ctrlHead < len(p.ctrlQueue)):
 		at = nz.txEnd
 	}
-	if at == nz.wakeAt || (at == maxTime && nz.wakeAt == 0) {
+	if at == maxTime {
+		at = 0 // no wake
+	}
+	if at == nz.wakeAt {
 		return
 	}
 	if nz.wakeAt != 0 {
 		p.sim.Cancel(nz.wake)
-		nz.wakeAt = 0
 	}
-	if at != maxTime {
+	if nz.wakeAt = at; at != 0 {
 		nz.wake = p.sim.ScheduleCall(at-now, noiseWake, p)
-		nz.wakeAt = at
 	}
 }
 
