@@ -18,9 +18,10 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLData, SrcConn: 1, DstConn: 1, Seq: 7, Flags: 0xff}, []byte("gap")))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLAck, DstConn: 1, Ack: 1 << 30}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLNack, DstConn: 1, Seq: 2}, nil))
-	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLSetup, SrcConn: 9, VC: 3}, nil))
-	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLSetupAck, SrcConn: 1, DstConn: 9}, nil))
-	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLTeardown, DstConn: 1}, nil))
+	// The unassigned types 4-6, which the engine drops.
+	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 4, SrcConn: 9, VC: 3}, nil))
+	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 5, SrcConn: 1, DstConn: 9}, nil))
+	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 6, DstConn: 1}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLCNP, DstConn: 1}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLControl, VC: 2}, []byte{0, 0, 0, 9}))
 	// Service datagrams as the network services send them (kind in the VC
@@ -56,7 +57,6 @@ func FuzzHandleFrame(f *testing.F) {
 		}
 		s := sim.New(1)
 		a, b, wa, wb := pair(s, DefaultConfig(), sim.Microsecond)
-		b.Listen(func(pkt.IP, uint8) func([]byte) { return func([]byte) {} })
 		// Datagram handlers on both ends so fuzzed LTLDatagram frames take
 		// the full dispatch path, not the no-handler drop.
 		a.SetDatagramHandler(func(pkt.IP, uint8, []byte) {})
@@ -85,9 +85,11 @@ func FuzzHandleFrame(f *testing.F) {
 		inject(a, wb.ip, wa.ip, wb.mac, wa.mac)
 		s.RunFor(sim.Millisecond)
 
-		// The engine survives further use (a fuzzed frame may have
-		// legitimately torn down conn 1, so an error return is fine —
-		// only a panic is a failure).
+		// The engine survives further use. A fuzzed ACK or NACK may
+		// have upset conn 1's sequence state until it failed, so an
+		// error return is fine; only a panic is a failure. No frame
+		// closes the connection: unassigned types are dropped
+		// (TestUnassignedFrameTypeDropped).
 		a.SendMessage(1, []byte("after"), nil)
 		s.RunFor(sim.Millisecond)
 	})

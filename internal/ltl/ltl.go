@@ -199,12 +199,6 @@ type Engine struct {
 	// service-datagram receiver (service.go).
 	datagram DatagramHandler
 
-	// dynamic connection setup (setup.go).
-	accept      AcceptFunc
-	dials       map[uint16]*pendingDial
-	dialPeers   map[uint16]dialPeer
-	nextDynRecv uint16
-
 	ipID uint16
 
 	// tracer is cached at construction; nil when observability is off.
@@ -278,10 +272,8 @@ func New(s *sim.Simulation, wire Wire, cfg Config) *Engine {
 	}
 	e := &Engine{
 		cfg: cfg, sim: s, wire: wire,
-		send:      make(map[uint16]*sendConn),
-		recv:      make(map[uint16]*recvConn),
-		dials:     make(map[uint16]*pendingDial),
-		dialPeers: make(map[uint16]dialPeer),
+		send: make(map[uint16]*sendConn),
+		recv: make(map[uint16]*recvConn),
 		Stats: Stats{
 			MessageRTT:      metrics.NewHistogram(),
 			DeliveryLatency: metrics.NewHistogram(),
@@ -681,6 +673,8 @@ func (e *Engine) HandleFrame(f *pkt.Frame) {
 	e.sim.ScheduleCall(e.cfg.RxProc, dispatchJob, j)
 }
 
+// dispatch hands a received frame to its type's handler. A frame of any
+// other type, such as the unassigned 4-6, is dropped.
 func (e *Engine) dispatch(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 	switch h.Type {
 	case pkt.LTLData:
@@ -691,12 +685,6 @@ func (e *Engine) dispatch(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 		e.onNack(h)
 	case pkt.LTLCNP:
 		e.onCNP(h)
-	case pkt.LTLSetup:
-		e.onSetup(f, h)
-	case pkt.LTLSetupAck:
-		e.onSetupAck(h)
-	case pkt.LTLTeardown:
-		e.onTeardown(h)
 	case pkt.LTLControl:
 		e.onControl(f, h, payload)
 	case pkt.LTLDatagram:

@@ -513,3 +513,30 @@ func TestVCCarriedOnWire(t *testing.T) {
 		t.Fatalf("wire VC = %d, want 3", sawVC)
 	}
 }
+
+// A frame of an unassigned type is dropped, whatever connection it names.
+// Wire types 4-6 once carried a connection handshake; a corrupted frame
+// whose type byte reads one of them must leave the static connection it
+// names open, so a later message is still delivered.
+func TestUnassignedFrameTypeDropped(t *testing.T) {
+	for _, ty := range []pkt.LTLType{4, 5, 6} {
+		s := sim.New(1)
+		a, b, wa, wb := pair(s, DefaultConfig(), sim.Microsecond)
+		got := openPair(t, a, b, wb)
+		a.SendMessage(1, []byte("before"), nil)
+		s.RunFor(sim.Millisecond)
+		stray := pkt.EncodeLTL(pkt.LTLHeader{Type: ty, SrcConn: 1, DstConn: 1}, nil)
+		f, err := pkt.Decode(pkt.EncodeUDP(wa.mac, wb.mac, wa.ip, wb.ip,
+			pkt.LTLPort, pkt.LTLPort, pkt.ClassLTL, 64, 0, stray))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.HandleFrame(f)
+		s.RunFor(sim.Millisecond)
+		a.SendMessage(1, []byte("after"), nil)
+		s.RunFor(sim.Millisecond)
+		if len(*got) != 2 {
+			t.Errorf("type %d: %d of 2 messages delivered after a stray frame", ty, len(*got))
+		}
+	}
+}

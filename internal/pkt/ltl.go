@@ -30,14 +30,13 @@ const (
 // LTLType enumerates LTL frame types.
 type LTLType uint8
 
-// LTL frame types.
+// LTL frame types. Connections are statically allocated (§V-A), so no
+// type sets one up or tears one down; 4-6 are unassigned, and an engine
+// drops a frame of an unassigned type.
 const (
 	LTLData     LTLType = 1 // ordered payload frame
 	LTLAck      LTLType = 2 // cumulative acknowledgement
 	LTLNack     LTLType = 3 // out-of-order detected; request retransmit from Ack
-	LTLSetup    LTLType = 4 // connection establishment
-	LTLSetupAck LTLType = 5 // connection establishment acknowledgement
-	LTLTeardown LTLType = 6 // connection deallocation
 	LTLCNP      LTLType = 7 // DCQCN congestion notification packet
 	LTLControl  LTLType = 8 // connection-less control datagram (unreliable)
 	LTLDatagram LTLType = 9 // connection-less service datagram (unreliable data plane)
@@ -52,12 +51,6 @@ func (t LTLType) String() string {
 		return "ACK"
 	case LTLNack:
 		return "NACK"
-	case LTLSetup:
-		return "SETUP"
-	case LTLSetupAck:
-		return "SETUP-ACK"
-	case LTLTeardown:
-		return "TEARDOWN"
 	case LTLCNP:
 		return "CNP"
 	case LTLControl:
