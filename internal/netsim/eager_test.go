@@ -20,18 +20,17 @@ func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
 	sw.ports[out].Enqueue(newNoisePacket(class, size))
 }
 
-// scheduleEager draws every arrival of pr up to min(pr.stop, horizon)
-// and schedules each as an event that injects its frame on sw's port out.
-// It draws exactly as the lazy process does (a size, then the next gap),
-// so both see the same frames at the same instants.
+// scheduleEager draws every arrival of pr up to horizon and schedules
+// each as an event that injects its frame on sw's port out. It draws
+// exactly as the lazy process does (a size, then the next gap), so both
+// see the same frames at the same instants.
 //
-// Scheduling every load's arrivals before any other event is what makes
-// the event order follow the tie rule (noise.go): at one instant, an
+// Scheduling every arrival before any other event is what makes the
+// event order follow the tie rule (noise.go): at one instant, an
 // arrival's event precedes any event scheduled later, and therefore every
-// serialization end and every real operation the run schedules, and the
-// arrivals of an older load precede those of a newer one.
+// serialization end and every real operation the run schedules.
 func scheduleEager(s *sim.Simulation, sw *Switch, out int, pr noiseProc, horizon sim.Time) {
-	for last := min(pr.stop, horizon); pr.next <= last; {
+	for pr.next <= horizon {
 		at, size := pr.next, pr.drawSize()
 		pr.next = at + pr.drawGap()
 		class := pr.class

@@ -30,19 +30,17 @@ import (
 // at its own time, so while a hook is installed the port keeps a wake at
 // its next noise instant; the wake runs the same advance.
 //
-// Tie rule. At one instant on one port, noise arrivals come first, the
-// older process's before the newer one's; then the noise frame on the
-// wire finishes (or, if the transmitter is idle with only paused frames
-// queued, a pause expires); then real operations run, in event order. A
-// load stopped at t still takes its arrivals at t; a load started at t
-// takes its first arrival at t or later.
+// Tie rule. At one instant on one port, a noise arrival comes first; then
+// the noise frame on the wire finishes (or, if the transmitter is idle
+// with only paused frames queued, a pause expires); then real operations
+// run, in event order. A load started at t takes its first arrival at t
+// or later.
 
-// noiseProc is one background load on one port: Poisson arrivals at a
-// fixed mean gap, frame sizes drawn uniformly on [64, 64+n) and clamped
-// to pkt.MaxMTU, all from one splitmix64 stream.
+// noiseProc is a port's background load: Poisson arrivals at a fixed
+// mean gap, frame sizes drawn uniformly on [64, 64+n) and clamped to
+// pkt.MaxMTU, all from one splitmix64 stream.
 type noiseProc struct {
 	next  sim.Time // next arrival
-	stop  sim.Time // last instant an arrival is taken
 	gap   float64  // mean inter-arrival gap, ns
 	rng   splitmix
 	n     int // size range
@@ -61,7 +59,7 @@ const maxNoiseGap = sim.Time(1 << 62)
 // draws the first gap; arrivals then alternate a size draw and a gap
 // draw.
 func newNoiseProc(seed uint64, gap float64, class pkt.TrafficClass, meanSize int, now sim.Time) noiseProc {
-	pr := noiseProc{stop: maxTime, gap: gap, rng: splitmix(seed), n: 2*meanSize - 64, class: class}
+	pr := noiseProc{gap: gap, rng: splitmix(seed), n: 2*meanSize - 64, class: class}
 	pr.next = now + pr.drawGap()
 	return pr
 }
@@ -172,10 +170,10 @@ func (p *Packet) shapeNoise(class pkt.TrafficClass, size int) {
 	}
 }
 
-// portNoise is a port's background traffic: its loads in start order and
-// the noise frame on its wire.
+// portNoise is a port's background traffic: its load and the noise frame
+// on its wire.
 type portNoise struct {
-	procs []noiseProc
+	proc  noiseProc
 	tx    *Packet  // noise frame being serialized; nil otherwise
 	txEnd sim.Time // when tx finishes
 	// resume is, while the transmitter is idle with only paused frames
@@ -189,26 +187,14 @@ type portNoise struct {
 	spare *Packet
 }
 
-// startNoise adds a load to the port.
+// startNoise starts the port's load; a port carries at most one.
 func (p *Port) startNoise(pr noiseProc, injected *metrics.Counter) {
-	if p.noise == nil {
-		p.noise = &portNoise{injected: injected}
-		// Registered with the first load, so a run without background
-		// traffic reports no such series.
-		obs.RegistryOf(p.sim).Counter("net.noise_ended", "frames", "netsim",
-			"background frames ended on the wire into a port", &p.peer.stats.NoiseEnded)
-	}
-	now := p.catchUp()
-	p.noise.procs = append(p.noise.procs, pr)
-	p.rearm(now)
-}
-
-// stopNoise ends every load on the port at now.
-func (p *Port) stopNoise(now sim.Time) {
-	for i := range p.noise.procs {
-		pr := &p.noise.procs[i]
-		pr.stop = min(pr.stop, now)
-	}
+	p.noise = &portNoise{proc: pr, injected: injected}
+	// Registered with the load, so a run without background traffic
+	// reports no such series.
+	obs.RegistryOf(p.sim).Counter("net.noise_ended", "frames", "netsim",
+		"background frames ended on the wire into a port", &p.peer.stats.NoiseEnded)
+	p.rearm(p.sim.Now())
 }
 
 // catchUp advances the port's noise to the current instant, which it
@@ -232,33 +218,14 @@ func (p *Port) rearm(now sim.Time) {
 // sync brings the port's noise up to the current instant.
 func (p *Port) sync() { p.rearm(p.catchUp()) }
 
-// nextArrival returns the earliest pending arrival and the load it
-// belongs to (-1 when none), dropping loads that have ended. On a tie
-// the older load comes first.
-func (nz *portNoise) nextArrival() (sim.Time, int) {
-	at, k := maxTime, -1
-	for i := 0; i < len(nz.procs); i++ {
-		pr := &nz.procs[i]
-		if pr.next > pr.stop {
-			nz.procs = append(nz.procs[:i], nz.procs[i+1:]...)
-			i--
-			continue
-		}
-		if pr.next < at {
-			at, k = pr.next, i
-		}
-	}
-	return at, k
-}
-
 // advance runs the port's noise through now, in the order of the tie
 // rule.
 func (nz *portNoise) advance(p *Port, now sim.Time) {
+	pr := &nz.proc
 	for {
-		at, k := nz.nextArrival()
+		at := pr.next
 		switch {
 		case at <= now && (nz.tx == nil || at <= nz.txEnd) && (nz.resume == 0 || at <= nz.resume):
-			pr := &nz.procs[k]
 			size := pr.drawSize()
 			pr.next = at + pr.drawGap()
 			nz.injected.Inc()
@@ -291,7 +258,7 @@ func (nz *portNoise) arm(p *Port, now sim.Time) {
 	at := maxTime
 	switch {
 	case p.fault != nil:
-		at, _ = nz.nextArrival()
+		at = nz.proc.next
 		if nz.tx != nil {
 			at = min(at, nz.txEnd)
 		}

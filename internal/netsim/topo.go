@@ -372,18 +372,20 @@ func (dc *Datacenter) L1Switches() []*Switch {
 
 // StartBackgroundLoad starts Poisson cross-traffic of the given class on
 // every wired L1 and L2 port, at utilization util of each port's line
-// rate with the given mean frame size, replacing any load started
-// before. It models "other datacenter traffic ... flowing through the
-// same switches" (§V-C). Frame sizes are drawn uniformly on
-// [64, 2·meanSize) and clamped to pkt.MaxMTU, and frames are spaced by
-// the mean of the sizes so drawn, so each port carries util on the wire
-// (DESIGN.md §6.2). Each port runs its own process (noise.go), on a
-// stream derived from one seed drawn here and the port's identity. A
-// util of zero or below starts nothing and leaves a running load as it
-// is. It panics on a non-finite util, a meanSize below 64, or a util so
-// high that the mean gap between frames is under a nanosecond. Stop with
-// StopBackgroundLoad.
+// rate with the given mean frame size, for the rest of the run. It models
+// "other datacenter traffic ... flowing through the same switches"
+// (§V-C). Frame sizes are drawn uniformly on [64, 2·meanSize) and
+// clamped to pkt.MaxMTU, and frames are spaced by the mean of the sizes
+// so drawn, so each port carries util on the wire (DESIGN.md §6.2). Each
+// port runs its own process (noise.go), on a stream derived from one seed
+// drawn here and the port's identity. A util of zero or below starts
+// nothing. A datacenter carries at most one load: it panics if one is
+// already running, and on a non-finite util, a meanSize below 64, or a
+// util so high that the mean gap between frames is under a nanosecond.
 func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, meanSize int) {
+	if len(dc.noisy) > 0 {
+		panic("netsim: a background load is already running on this datacenter")
+	}
 	if math.IsNaN(util) || math.IsInf(util, 0) {
 		panic(fmt.Sprintf("netsim: background util %v is not finite", util))
 	}
@@ -416,27 +418,14 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 				util, p.dev.DeviceName(), p.index))
 		}
 	}
-	dc.StopBackgroundLoad()
+	obs.RegistryOf(dc.Sim).Refresh(dc.syncNoise)
 	base, now := dc.Sim.DrawSeed(), dc.Sim.Now()
 	for i, p := range ports {
-		if p.noise == nil {
-			if len(dc.noisy) == 0 {
-				obs.RegistryOf(dc.Sim).Refresh(dc.syncNoise)
-			}
-			dc.noisy = append(dc.noisy, p)
-		}
 		sw := p.dev.(*Switch)
 		seed := noiseSeed(base, sw.DeviceName(), p.index)
 		p.startNoise(newNoiseProc(seed, gaps[i], class, meanSize, now), &sw.stats.Injected)
 	}
-}
-
-// StopBackgroundLoad ends every load started by StartBackgroundLoad. A
-// load still takes its arrivals at the current instant.
-func (dc *Datacenter) StopBackgroundLoad() {
-	for _, p := range dc.noisy {
-		p.stopNoise(dc.Sim.Now())
-	}
+	dc.noisy = ports
 }
 
 // syncNoise brings every port's background traffic up to the current
