@@ -1,7 +1,7 @@
-// Package compressor implements the "Expensive compression" workload of
-// Fig. 1a as a shell role: blocks offloaded over PCIe (or LTL) are
-// DEFLATE-compressed for real (stdlib compress/flate), with a timing
-// model for the hardware pipeline versus software.
+// Package compressor models the "Expensive compression" workload of
+// Fig. 1a as offload economics: a timing model for a hardware DEFLATE
+// pipeline versus software, and the table of what a sustained stream
+// costs each way.
 //
 // The economics mirror §VI's crypto/compression discussion: compression
 // is a stable, high-volume infrastructure function — exactly the class
@@ -10,13 +10,9 @@
 package compressor
 
 import (
-	"bytes"
-	"compress/flate"
 	"fmt"
-	"io"
 
 	"repro/internal/metrics"
-	"repro/internal/shell"
 	"repro/internal/sim"
 )
 
@@ -52,80 +48,6 @@ func (cm CostModel) FPGATime(n int) sim.Time {
 // CoresSaved reports CPU cores freed by offloading a sustained stream.
 func (cm CostModel) CoresSaved(streamBps float64) float64 {
 	return streamBps / 8 / cm.SwBytesPerSec
-}
-
-// Compress DEFLATEs data (the functional kernel, shared by the software
-// baseline and the role).
-func Compress(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Decompress inflates data.
-func Decompress(data []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(data))
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// Role is the compression offload engine.
-type Role struct {
-	sim  *sim.Simulation
-	cost CostModel
-	busy sim.Time
-
-	Blocks   metrics.Counter
-	BytesIn  metrics.Counter
-	BytesOut metrics.Counter
-}
-
-// NewRole builds the role.
-func NewRole(s *sim.Simulation, cost CostModel) *Role {
-	return &Role{sim: s, cost: cost}
-}
-
-// Name implements shell.Role.
-func (r *Role) Name() string { return "deflate" }
-
-// HandleRequest implements shell.Role: compress the payload, respond
-// after the pipeline time (single in-order engine).
-func (r *Role) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
-	out, err := Compress(payload)
-	if err != nil {
-		respond(nil)
-		return
-	}
-	service := r.cost.FPGATime(len(payload))
-	now := r.sim.Now()
-	if r.busy < now {
-		r.busy = now
-	}
-	r.busy += service
-	wait := r.busy - now
-	r.sim.Schedule(wait, func() {
-		r.Blocks.Inc()
-		r.BytesIn.Add(uint64(len(payload)))
-		r.BytesOut.Add(uint64(len(out)))
-		respond(out)
-	})
-}
-
-// Ratio reports the cumulative compression ratio (in/out).
-func (r *Role) Ratio() float64 {
-	if r.BytesOut.Value() == 0 {
-		return 0
-	}
-	return float64(r.BytesIn.Value()) / float64(r.BytesOut.Value())
 }
 
 // Table renders the offload economics for a sustained stream.

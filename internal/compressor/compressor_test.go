@@ -1,52 +1,9 @@
 package compressor
 
 import (
-	"bytes"
-	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/netsim"
-	"repro/internal/shell"
-	"repro/internal/sim"
 )
-
-func TestCompressRoundTrip(t *testing.T) {
-	data := bytes.Repeat([]byte("the quick brown fox "), 100)
-	c, err := Compress(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(c) >= len(data) {
-		t.Fatalf("repetitive data did not compress: %d -> %d", len(data), len(c))
-	}
-	d, err := Decompress(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(d, data) {
-		t.Fatal("round trip corrupted data")
-	}
-}
-
-// Property: any input round-trips.
-func TestPropertyRoundTrip(t *testing.T) {
-	f := func(data []byte) bool {
-		c, err := Compress(data)
-		if err != nil {
-			return false
-		}
-		d, err := Decompress(c)
-		if err != nil {
-			return false
-		}
-		return bytes.Equal(d, data)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(91))}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestCostModel(t *testing.T) {
 	cm := DefaultCostModel()
@@ -58,56 +15,6 @@ func TestCostModel(t *testing.T) {
 	}
 	if cm.FPGATime(64<<10) >= cm.SoftwareTime(64<<10) {
 		t.Fatal("FPGA not faster than software")
-	}
-}
-
-func TestRoleOverPCIe(t *testing.T) {
-	s := sim.New(1)
-	sh := shell.New(s, 0, netsim.DefaultPortConfig(), shell.DefaultConfig())
-	role := NewRole(s, DefaultCostModel())
-	sh.LoadRole(role)
-
-	data := bytes.Repeat([]byte("log line: request served in 12ms\n"), 500)
-	var got []byte
-	var at sim.Time
-	err := sh.PCIeCall(data, func(resp []byte) {
-		got = resp
-		at = s.Now()
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(50 * sim.Millisecond)
-	if got == nil {
-		t.Fatal("no response")
-	}
-	d, err := Decompress(got)
-	if err != nil || !bytes.Equal(d, data) {
-		t.Fatal("offloaded compression corrupted data")
-	}
-	if at < DefaultCostModel().FPGAFixed {
-		t.Errorf("completed at %v, below pipeline fixed cost", at)
-	}
-	if role.Ratio() < 5 {
-		t.Errorf("ratio %.1f too low for repetitive logs", role.Ratio())
-	}
-}
-
-func TestRoleInOrder(t *testing.T) {
-	s := sim.New(1)
-	role := NewRole(s, DefaultCostModel())
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		role.HandleRequest(0, bytes.Repeat([]byte{byte(i)}, 1000*(4-i)), func([]byte) {
-			order = append(order, i)
-		})
-	}
-	s.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("completions out of order: %v", order)
-		}
 	}
 }
 

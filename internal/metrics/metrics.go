@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives used by every
 // experiment: high-dynamic-range latency histograms with percentile
-// queries, windowed time series, and counter sets.
+// queries, counters and gauges, and the tables experiments print.
 //
 // The histogram is log-linear (HDR-style): values are bucketed with a
 // bounded relative error (~1/32 by default) so that tail percentiles of
@@ -301,47 +301,6 @@ func (g *Gauge) Value() int64 { return g.v }
 
 // Watermark returns the maximum value ever set.
 func (g *Gauge) Watermark() int64 { return g.max }
-
-// Point is one (time, value) observation of a Series.
-type Point struct {
-	T int64 // virtual ns
-	V float64
-}
-
-// Series is an append-only time series (e.g. per-window throughput).
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Append adds an observation.
-func (s *Series) Append(t int64, v float64) { s.Points = append(s.Points, Point{t, v}) }
-
-// Len returns the number of points.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Max returns the largest value in the series (0 when empty).
-func (s *Series) Max() float64 {
-	m := 0.0
-	for _, p := range s.Points {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Mean returns the mean value of the series (0 when empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
 
 // Table renders experiment output in the aligned plain-text format used by
 // cmd/ccexperiment and the benchmark harness.

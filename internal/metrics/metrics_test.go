@@ -217,26 +217,6 @@ func TestCounterAndGauge(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Append(1, 2.0)
-	s.Append(2, 6.0)
-	s.Append(3, 4.0)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	if s.Max() != 6.0 {
-		t.Fatalf("Max = %v", s.Max())
-	}
-	if s.Mean() != 4.0 {
-		t.Fatalf("Mean = %v", s.Mean())
-	}
-	var empty Series
-	if empty.Max() != 0 || empty.Mean() != 0 {
-		t.Fatal("empty series should report zeros")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{Title: "Demo", Headers: []string{"name", "value"}}
 	tab.AddRow("alpha", 1.5)

@@ -1,8 +1,7 @@
 // Package workload provides the load generators the experiments drive
 // their systems with: open-loop Poisson arrivals (the single-box latency/
-// throughput sweeps of Fig. 6), a five-day diurnal load trace with bursts
-// (the production measurements of Figs. 7 and 8), and closed-loop clients
-// (the oversubscription study of Fig. 12).
+// throughput sweeps of Fig. 6) and a five-day diurnal load trace with
+// bursts (the production measurements of Figs. 7 and 8).
 package workload
 
 import (
@@ -12,8 +11,8 @@ import (
 	"repro/internal/sim"
 )
 
-// OpenLoop generates Poisson arrivals at a configurable rate, independent
-// of service completions — matching the paper's single-box test that
+// OpenLoop generates Poisson arrivals at a fixed rate, independent of
+// service completions — matching the paper's single-box test that
 // "varied the arrival rate of requests to measure query latency versus
 // throughput".
 type OpenLoop struct {
@@ -28,12 +27,6 @@ type OpenLoop struct {
 func NewOpenLoop(s *sim.Simulation, ratePerSecond float64, arrive func()) *OpenLoop {
 	return &OpenLoop{sim: s, rng: s.NewRand(), ratePS: ratePerSecond, arrive: arrive}
 }
-
-// SetRate changes the arrival rate; takes effect at the next arrival.
-func (o *OpenLoop) SetRate(ratePerSecond float64) { o.ratePS = ratePerSecond }
-
-// Rate returns the current rate.
-func (o *OpenLoop) Rate() float64 { return o.ratePS }
 
 // Start schedules the first arrival.
 func (o *OpenLoop) Start() {
@@ -109,49 +102,6 @@ func (d Diurnal) Load(t sim.Time, rng *rand.Rand) float64 {
 		load = 0.05
 	}
 	return load
-}
-
-// ClosedLoop models a client that keeps a fixed number of requests
-// outstanding: issue fires for each request and must eventually invoke
-// the provided completion to release the slot. Optional think time is
-// inserted between a completion and the next issue.
-type ClosedLoop struct {
-	sim         *sim.Simulation
-	rng         *rand.Rand
-	concurrency int
-	think       sim.Time
-	issue       func(release func())
-	stopped     bool
-}
-
-// NewClosedLoop creates a client with the given concurrency.
-func NewClosedLoop(s *sim.Simulation, concurrency int, think sim.Time, issue func(release func())) *ClosedLoop {
-	return &ClosedLoop{sim: s, rng: s.NewRand(), concurrency: concurrency, think: think, issue: issue}
-}
-
-// Start launches the initial window of requests.
-func (c *ClosedLoop) Start() {
-	c.stopped = false
-	for i := 0; i < c.concurrency; i++ {
-		c.dispatch()
-	}
-}
-
-// Stop prevents new requests from being issued.
-func (c *ClosedLoop) Stop() { c.stopped = true }
-
-func (c *ClosedLoop) dispatch() {
-	if c.stopped {
-		return
-	}
-	c.issue(func() {
-		if c.think > 0 {
-			gap := sim.Time(c.rng.ExpFloat64() * float64(c.think))
-			c.sim.Schedule(gap, c.dispatch)
-		} else {
-			c.sim.Schedule(0, c.dispatch)
-		}
-	})
 }
 
 // LogNormal draws a lognormal with the given mean and sigma (of the

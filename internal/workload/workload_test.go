@@ -33,24 +33,6 @@ func TestOpenLoopStop(t *testing.T) {
 	}
 }
 
-func TestOpenLoopSetRate(t *testing.T) {
-	s := sim.New(1)
-	n := 0
-	g := NewOpenLoop(s, 1000, func() { n++ })
-	g.Start()
-	s.RunUntil(sim.Second)
-	base := n
-	g.SetRate(5000)
-	s.RunUntil(2 * sim.Second)
-	delta := n - base
-	if delta < 4500 || delta > 5500 {
-		t.Fatalf("arrivals after rate change = %d, want ~5000", delta)
-	}
-	if g.Rate() != 5000 {
-		t.Errorf("Rate() = %v", g.Rate())
-	}
-}
-
 func TestOpenLoopZeroRate(t *testing.T) {
 	s := sim.New(1)
 	g := NewOpenLoop(s, 0, func() { t.Fatal("arrival at zero rate") })
@@ -119,48 +101,6 @@ func TestDiurnalFloor(t *testing.T) {
 		if d.Load(ts, nil) < 0.05 {
 			t.Fatalf("load below floor at %v", ts)
 		}
-	}
-}
-
-func TestClosedLoopMaintainsConcurrency(t *testing.T) {
-	s := sim.New(1)
-	inFlight, maxInFlight, issued := 0, 0, 0
-	c := NewClosedLoop(s, 8, 0, func(release func()) {
-		issued++
-		inFlight++
-		if inFlight > maxInFlight {
-			maxInFlight = inFlight
-		}
-		s.Schedule(10*sim.Microsecond, func() {
-			inFlight--
-			release()
-		})
-	})
-	c.Start()
-	s.RunUntil(10 * sim.Millisecond)
-	c.Stop()
-	if maxInFlight != 8 {
-		t.Fatalf("max in flight = %d, want 8", maxInFlight)
-	}
-	// 8 concurrent, 10us service => ~800 per ms => ~8000 total.
-	if issued < 7000 || issued > 9000 {
-		t.Errorf("issued = %d, want ~8000", issued)
-	}
-}
-
-func TestClosedLoopThinkTime(t *testing.T) {
-	s := sim.New(1)
-	issued := 0
-	c := NewClosedLoop(s, 1, sim.Millisecond, func(release func()) {
-		issued++
-		s.Schedule(0, release)
-	})
-	c.Start()
-	s.RunUntil(100 * sim.Millisecond)
-	c.Stop()
-	// ~1 per ms of think time.
-	if issued < 50 || issued > 200 {
-		t.Fatalf("issued = %d, want ~100", issued)
 	}
 }
 
