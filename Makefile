@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test test-short race bench bench-json bench-check cover-frontend e2e experiments examples fuzz docs telemetry clean
+.PHONY: all build vet test test-short race bench bench-json bench-check cover-frontend e2e experiments examples fuzz docs telemetry loc clean
 
 all: build vet test docs
 
@@ -91,6 +91,13 @@ fuzz:
 	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
+
+# Go line counts outside cmd/ccperf (the benchmark harness): non-test
+# files, then _test.go files.
+LOC_FILES = find . -path ./cmd/ccperf -prune -o -name '*.go'
+loc:
+	@printf 'non-test %d\n' $$($(LOC_FILES) ! -name '*_test.go' -print | xargs cat | wc -l)
+	@printf 'test     %d\n' $$($(LOC_FILES) -name '*_test.go' -print | xargs cat | wc -l)
 
 clean:
 	$(GO) clean -testcache
