@@ -76,8 +76,9 @@ examples:
 	$(GO) run ./examples/bioinformatics
 
 # Brief fuzzing passes over the wire decoders, the KV store, the Elastic
-# Router, the frontend's HTTP handler, and the in-line background noise
-# against its event-per-frame reference.
+# Router, the frontend's HTTP handler, the in-line background noise
+# against its event-per-frame reference, and a port's class pick against
+# the eight-class scan.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/
 
 # Go line counts outside cmd/ccperf (the benchmark harness): non-test
 # files, then _test.go files.

@@ -14,6 +14,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -354,6 +355,10 @@ type Port struct {
 	queues      [pkt.NumClasses][]*Packet
 	qhead       [pkt.NumClasses]int
 	queuedBytes [pkt.NumClasses]int
+	// nonEmpty has bit c set while class c's queue holds a frame: enqueue
+	// sets it and pick clears it when its pop empties the class, so pick
+	// visits only occupied classes and never rescans the queues.
+	nonEmpty    uint8
 	ctrlQueue   []*Packet // PFC / MAC control: bypasses data queues
 	ctrlHead    int
 	pausedUntil [pkt.NumClasses]sim.Time
@@ -520,6 +525,7 @@ func (p *Port) enqueue(packet *Packet, now sim.Time) bool {
 		p.qhead[c] = 0
 	}
 	p.queues[c] = append(p.queues[c], packet)
+	p.nonEmpty |= 1 << c
 	p.queuedBytes[c] += size
 	if !packet.noise {
 		p.realQueued++
@@ -600,10 +606,9 @@ func (p *Port) pick(now sim.Time) (*Packet, bool) {
 		return packet, true
 	}
 	var earliest sim.Time = -1
-	for c := pkt.NumClasses - 1; c >= 0; c-- {
-		if p.qhead[c] == len(p.queues[c]) {
-			continue
-		}
+	for m := p.nonEmpty; m != 0; {
+		c := bits.Len8(m) - 1 // the highest occupied class first
+		m &^= 1 << c
 		if until := p.pausedUntil[c]; until > now {
 			if earliest < 0 || until < earliest {
 				earliest = until
@@ -612,7 +617,9 @@ func (p *Port) pick(now sim.Time) (*Packet, bool) {
 		}
 		packet := p.queues[c][p.qhead[c]]
 		p.queues[c][p.qhead[c]] = nil
-		p.qhead[c]++
+		if p.qhead[c]++; p.qhead[c] == len(p.queues[c]) {
+			p.nonEmpty &^= 1 << c
+		}
 		size := packet.WireLen()
 		p.queuedBytes[c] -= size
 		if !packet.noise {

@@ -62,10 +62,13 @@ type SwitchStats struct {
 // Switch is an output-queued store-and-forward Ethernet switch with
 // per-class priority queues, RED, ECN marking, and ingress-driven PFC.
 type Switch struct {
-	cfg   SwitchConfig
-	sim   *sim.Simulation
-	rng   *rand.Rand
-	ports []*Port
+	cfg SwitchConfig
+	sim *sim.Simulation
+	// rng is the jitter stream, built from rngSeed on the first Jitter
+	// draw (as Port.rand does): a switch without Jitter never builds it.
+	rng     *rand.Rand
+	rngSeed int64
+	ports   []*Port
 
 	// ingress accounting for PFC, per ingress port per class.
 	ingressBytes [][]int
@@ -76,7 +79,7 @@ type Switch struct {
 
 // NewSwitch builds a switch with cfg.Radix unwired ports.
 func NewSwitch(s *sim.Simulation, cfg SwitchConfig) *Switch {
-	sw := &Switch{cfg: cfg, sim: s, rng: s.NewRand()}
+	sw := &Switch{cfg: cfg, sim: s, rngSeed: s.DrawSeed()}
 	sw.ports = make([]*Port, cfg.Radix)
 	sw.ingressBytes = make([][]int, cfg.Radix)
 	sw.paused = make([][]bool, cfg.Radix)
@@ -150,6 +153,9 @@ func (sw *Switch) HandleFrame(p *Port, packet *Packet) {
 
 	delay := sw.cfg.ForwardLatency
 	if sw.cfg.Jitter != nil {
+		if sw.rng == nil {
+			sw.rng = rand.New(rand.NewSource(sw.rngSeed))
+		}
 		delay += sw.cfg.Jitter(sw.rng)
 	}
 	sw.stats.Forwarded.Inc()
