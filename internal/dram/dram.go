@@ -2,9 +2,10 @@
 // DDR3-1600 channel, 72 bits wide with ECC (Fig. 2), behind the shell's
 // DDR3 memory controller. The model is transaction-level: requests queue
 // at the controller, bank row-buffer locality determines access latency,
-// and the channel's 12.8 GB/s peak bandwidth bounds throughput. Contents
-// are stored sparsely (pages allocate on first write), so a full 4 GB
-// address space costs only what is touched.
+// and the channel's 12.8 GB/s peak bandwidth bounds throughput. Each bank
+// completes its accesses in issue order, so accesses to one address are
+// ordered. Contents are stored sparsely (pages allocate on first write),
+// so a full 4 GB address space costs only what is touched.
 package dram
 
 import (
@@ -48,15 +49,10 @@ func DefaultConfig() Config {
 
 // Stats aggregates controller counters.
 type Stats struct {
-	Reads     metrics.Counter
 	Writes    metrics.Counter
 	RowHits   metrics.Counter
 	RowMisses metrics.Counter
-	BytesRead metrics.Counter
-	BytesWrit metrics.Counter
 	Rejected  metrics.Counter // queue-full rejections
-	Latency   *metrics.Histogram
-	ECCFixed  metrics.Counter // correctable errors scrubbed (§II-B)
 }
 
 const pageSize = 4096
@@ -66,8 +62,9 @@ type Controller struct {
 	cfg Config
 	sim *sim.Simulation
 
-	pages   map[int64][]byte
-	openRow []int64 // per bank: currently open row (-1 = none)
+	pages    map[int64][]byte
+	openRow  []int64    // per bank: currently open row (-1 = none)
+	bankDone []sim.Time // per bank: completion time of its last access
 
 	busyUntil sim.Time
 	pending   int
@@ -85,6 +82,7 @@ func New(s *sim.Simulation, cfg Config) *Controller {
 	}
 	c := &Controller{cfg: cfg, sim: s, pages: make(map[int64][]byte)}
 	c.openRow = make([]int64, cfg.Banks)
+	c.bankDone = make([]sim.Time, cfg.Banks)
 	for i := range c.openRow {
 		c.openRow[i] = -1
 	}
@@ -95,7 +93,10 @@ func New(s *sim.Simulation, cfg Config) *Controller {
 func (c *Controller) Pending() int { return c.pending }
 
 // access computes the service completion time for n bytes at addr and
-// updates bank state; it returns the total latency for this request.
+// updates bank state; it returns the total latency for this request. A
+// bank completes its accesses in issue order: a row hit cannot finish
+// before an earlier access to the same bank (such as the row miss that
+// opened its row), so accesses to one address never overtake each other.
 func (c *Controller) access(addr int64, n int) sim.Time {
 	if n < 1 {
 		n = 1
@@ -118,7 +119,12 @@ func (c *Controller) access(addr int64, n int) sim.Time {
 		c.busyUntil = now
 	}
 	c.busyUntil += xfer
-	return (c.busyUntil - now) + lat
+	done := c.busyUntil + lat
+	if done < c.bankDone[bank] {
+		done = c.bankDone[bank]
+	}
+	c.bankDone[bank] = done
+	return done - now
 }
 
 // checkRange validates [addr, addr+n).
@@ -129,48 +135,17 @@ func (c *Controller) checkRange(addr int64, n int) error {
 	return nil
 }
 
-// Write stores data at addr; done (optional) fires when the transaction
-// completes. Returns an error for out-of-range or queue-full conditions.
-func (c *Controller) Write(addr int64, data []byte, done func()) error {
-	if err := c.checkRange(addr, len(data)); err != nil {
-		return err
-	}
-	if c.pending >= c.cfg.QueueDepth {
-		c.Stats.Rejected.Inc()
-		return fmt.Errorf("dram: controller queue full")
-	}
-	c.pending++
-	c.Stats.Writes.Inc()
-	c.Stats.BytesWrit.Add(uint64(len(data)))
-	lat := c.access(addr, len(data))
-	start := c.sim.Now()
-	// Contents update at completion time (write buffer semantics are
-	// invisible at this abstraction level because reads also queue).
-	buf := append([]byte(nil), data...)
-	c.sim.Schedule(lat, func() {
-		c.store(addr, buf)
-		c.pending--
-		c.observe(start)
-		if done != nil {
-			done()
-		}
-	})
-	return nil
-}
-
 // OpFn is the completion callback of the pooled-op API (ReadCall and
 // WriteCall): data is the read result (nil for writes) and is valid only
 // for the duration of the call — the controller reuses the buffer.
 type OpFn func(arg any, data []byte)
 
-// memOp is a pooled in-flight transaction: the closure-free counterpart
-// of Read/Write's captured state. The buf is reused across transactions,
-// so the steady-state DRAM path performs no allocation.
+// memOp is a pooled in-flight transaction. The buf is reused across
+// transactions, so the steady-state DRAM path performs no allocation.
 type memOp struct {
 	c     *Controller
 	addr  int64
 	n     int
-	start sim.Time
 	fn    OpFn
 	arg   any
 	buf   []byte
@@ -189,7 +164,6 @@ func opDone(v any) {
 		data = o.buf
 	}
 	c.pending--
-	c.observe(o.start)
 	if o.fn != nil {
 		o.fn(o.arg, data)
 	}
@@ -206,78 +180,45 @@ func (c *Controller) allocOp() *memOp {
 	return &memOp{c: c}
 }
 
-// WriteCall is Write on the pooled-op path: data is copied into a reused
-// transaction buffer (the caller's slice is free after the call returns)
-// and fn(arg, nil) fires at completion without allocating a closure.
+// WriteCall stores data at addr: data is copied into a reused
+// transaction buffer (the caller's slice is free after the call returns),
+// the contents update at completion, and fn(arg, nil) (fn may be nil)
+// fires then without allocating a closure. It returns an error for
+// out-of-range or queue-full conditions.
 func (c *Controller) WriteCall(addr int64, data []byte, fn OpFn, arg any) error {
-	if err := c.checkRange(addr, len(data)); err != nil {
+	o, err := c.issue(addr, len(data), fn, arg)
+	if err != nil {
 		return err
 	}
-	if c.pending >= c.cfg.QueueDepth {
-		c.Stats.Rejected.Inc()
-		return fmt.Errorf("dram: controller queue full")
-	}
-	c.pending++
 	c.Stats.Writes.Inc()
-	c.Stats.BytesWrit.Add(uint64(len(data)))
-	lat := c.access(addr, len(data))
-	o := c.allocOp()
-	o.addr, o.n, o.start, o.fn, o.arg, o.write = addr, len(data), c.sim.Now(), fn, arg, true
+	o.write = true
 	o.buf = append(o.buf[:0], data...)
-	c.sim.ScheduleCall(lat, opDone, o)
 	return nil
 }
 
-// ReadCall is Read on the pooled-op path: fn(arg, data) receives the
-// result in a reused buffer valid only during the call.
+// ReadCall fetches n bytes at addr: fn(arg, data) (fn may be nil)
+// receives the result at completion in a reused buffer valid only during
+// the call. Errors are WriteCall's.
 func (c *Controller) ReadCall(addr int64, n int, fn OpFn, arg any) error {
+	_, err := c.issue(addr, n, fn, arg)
+	return err
+}
+
+// issue admits one n-byte transaction at addr and schedules its
+// completion; the op is a read unless the caller marks it a write.
+func (c *Controller) issue(addr int64, n int, fn OpFn, arg any) (*memOp, error) {
 	if err := c.checkRange(addr, n); err != nil {
-		return err
+		return nil, err
 	}
 	if c.pending >= c.cfg.QueueDepth {
 		c.Stats.Rejected.Inc()
-		return fmt.Errorf("dram: controller queue full")
+		return nil, fmt.Errorf("dram: controller queue full")
 	}
 	c.pending++
-	c.Stats.Reads.Inc()
-	c.Stats.BytesRead.Add(uint64(n))
-	lat := c.access(addr, n)
 	o := c.allocOp()
-	o.addr, o.n, o.start, o.fn, o.arg, o.write = addr, n, c.sim.Now(), fn, arg, false
-	c.sim.ScheduleCall(lat, opDone, o)
-	return nil
-}
-
-// Read fetches n bytes at addr; done receives the data at completion.
-func (c *Controller) Read(addr int64, n int, done func(data []byte)) error {
-	if err := c.checkRange(addr, n); err != nil {
-		return err
-	}
-	if c.pending >= c.cfg.QueueDepth {
-		c.Stats.Rejected.Inc()
-		return fmt.Errorf("dram: controller queue full")
-	}
-	c.pending++
-	c.Stats.Reads.Inc()
-	c.Stats.BytesRead.Add(uint64(n))
-	lat := c.access(addr, n)
-	start := c.sim.Now()
-	c.sim.Schedule(lat, func() {
-		data := c.load(addr, n)
-		c.pending--
-		c.observe(start)
-		if done != nil {
-			done(data)
-		}
-	})
-	return nil
-}
-
-func (c *Controller) observe(start sim.Time) {
-	if c.Stats.Latency == nil {
-		c.Stats.Latency = metrics.NewHistogram()
-	}
-	c.Stats.Latency.Observe(int64(c.sim.Now() - start))
+	o.addr, o.n, o.fn, o.arg, o.write = addr, n, fn, arg, false
+	c.sim.ScheduleCall(c.access(addr, n), opDone, o)
+	return o, nil
 }
 
 // store writes through the sparse page map.
@@ -296,13 +237,9 @@ func (c *Controller) store(addr int64, data []byte) {
 	}
 }
 
-// load reads through the sparse page map (unwritten bytes are zero, like
-// initialized DRAM after calibration).
-func (c *Controller) load(addr int64, n int) []byte {
-	return c.loadInto(make([]byte, 0, n), addr, n)
-}
-
-// loadInto appends n bytes at addr to dst (the pooled-op read path).
+// loadInto appends n bytes at addr to dst, reading through the sparse
+// page map (unwritten bytes are zero, like initialized DRAM after
+// calibration).
 func (c *Controller) loadInto(dst []byte, addr int64, n int) []byte {
 	for n > 0 {
 		page := addr / pageSize
@@ -322,14 +259,4 @@ func (c *Controller) loadInto(dst []byte, addr int64, n int) []byte {
 		addr += int64(span)
 	}
 	return dst
-}
-
-// InjectECCError simulates a correctable single-bit upset: ECC fixes it
-// transparently and the counter records it (the paper "measured a low
-// number of soft errors, which were all correctable").
-func (c *Controller) InjectECCError() { c.Stats.ECCFixed.Inc() }
-
-// TouchedBytes reports allocated (written) memory.
-func (c *Controller) TouchedBytes() int64 {
-	return int64(len(c.pages)) * pageSize
 }

@@ -9,13 +9,32 @@ import (
 	"repro/internal/sim"
 )
 
+// read issues a ReadCall whose completion hands done (if set) a copy of
+// the data.
+func read(c *Controller, addr int64, n int, done func(data []byte)) error {
+	return c.ReadCall(addr, n, func(_ any, data []byte) {
+		if done != nil {
+			done(append([]byte(nil), data...))
+		}
+	}, nil)
+}
+
+// write issues a WriteCall whose completion calls done (if set).
+func write(c *Controller, addr int64, data []byte, done func()) error {
+	return c.WriteCall(addr, data, func(any, []byte) {
+		if done != nil {
+			done()
+		}
+	}, nil)
+}
+
 func TestWriteReadRoundTrip(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, DefaultConfig())
 	data := []byte("the ranking model weights live here")
 	var got []byte
-	if err := c.Write(1<<20, data, func() {
-		c.Read(1<<20, len(data), func(d []byte) { got = d })
+	if err := write(c, 1<<20, data, func() {
+		read(c, 1<<20, len(data), func(d []byte) { got = d })
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +48,7 @@ func TestUnwrittenReadsZero(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, DefaultConfig())
 	var got []byte
-	c.Read(3<<30, 16, func(d []byte) { got = d })
+	read(c, 3<<30, 16, func(d []byte) { got = d })
 	s.Run()
 	for _, b := range got {
 		if b != 0 {
@@ -47,8 +66,8 @@ func TestCrossPageWrite(t *testing.T) {
 	}
 	addr := int64(pageSize - 50) // straddle page boundaries
 	var got []byte
-	c.Write(addr, data, func() {
-		c.Read(addr, len(data), func(d []byte) { got = d })
+	write(c, addr, data, func() {
+		read(c, addr, len(data), func(d []byte) { got = d })
 	})
 	s.Run()
 	if !bytes.Equal(got, data) {
@@ -59,10 +78,10 @@ func TestCrossPageWrite(t *testing.T) {
 func TestOutOfRange(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, DefaultConfig())
-	if err := c.Write(c.cfg.CapacityBytes-4, make([]byte, 8), nil); err == nil {
+	if err := c.WriteCall(c.cfg.CapacityBytes-4, make([]byte, 8), nil, nil); err == nil {
 		t.Error("write past capacity accepted")
 	}
-	if err := c.Read(-1, 4, nil); err == nil {
+	if err := c.ReadCall(-1, 4, nil, nil); err == nil {
 		t.Error("negative address accepted")
 	}
 }
@@ -73,7 +92,7 @@ func TestRowBufferLocality(t *testing.T) {
 	c := New(s, cfg)
 	// Sequential accesses within a row: first miss, then hits.
 	for i := 0; i < 8; i++ {
-		c.Read(int64(i*64), 64, nil)
+		c.ReadCall(int64(i*64), 64, nil, nil)
 	}
 	s.Run()
 	if c.Stats.RowMisses.Value() != 1 {
@@ -91,7 +110,7 @@ func TestRandomAccessesMissMore(t *testing.T) {
 	rng := s.NewRand()
 	for i := 0; i < 64; i++ {
 		addr := rng.Int63n(cfg.CapacityBytes - 64)
-		c.Read(addr, 64, nil)
+		c.ReadCall(addr, 64, nil, nil)
 		s.Run() // serialize so queue depth never binds
 	}
 	if c.Stats.RowMisses.Value() < c.Stats.RowHits.Value() {
@@ -116,7 +135,7 @@ func TestBandwidthBound(t *testing.T) {
 			return
 		}
 		issued++
-		c.Read(int64(issued*chunk), chunk, func([]byte) { issue() })
+		read(c, int64(issued*chunk), chunk, func([]byte) { issue() })
 	}
 	issue()
 	s.Run()
@@ -136,7 +155,7 @@ func TestQueueDepthRejects(t *testing.T) {
 	c := New(s, cfg)
 	errs := 0
 	for i := 0; i < 10; i++ {
-		if err := c.Read(int64(i*1024), 1024, nil); err != nil {
+		if err := c.ReadCall(int64(i*1024), 1024, nil, nil); err != nil {
 			errs++
 		}
 	}
@@ -152,36 +171,29 @@ func TestQueueDepthRejects(t *testing.T) {
 	}
 }
 
-func TestLatencyMeasured(t *testing.T) {
+// TestBankCompletesInOrder: a row hit issued right after a row miss to
+// the same bank has the shorter latency, but its row only opens when the
+// miss's activate finishes, so it completes no earlier than the miss. A
+// read after a write to one address therefore sees the written bytes.
+func TestBankCompletesInOrder(t *testing.T) {
 	s := sim.New(1)
-	c := New(s, DefaultConfig())
-	c.Read(0, 64, nil)
+	cfg := DefaultConfig()
+	c := New(s, cfg)
+	addr := int64(cfg.Banks * cfg.RowBytes) // bank 0, row Banks
+	data := []byte("written by the row miss")
+	var wroteAt, readAt sim.Time
+	var got []byte
+	write(c, addr, data, func() { wroteAt = s.Now() })
+	read(c, addr, len(data), func(d []byte) { readAt, got = s.Now(), d })
 	s.Run()
-	if c.Stats.Latency == nil || c.Stats.Latency.Count() != 1 {
-		t.Fatal("latency not recorded")
+	if c.Stats.RowMisses.Value() != 1 || c.Stats.RowHits.Value() != 1 {
+		t.Fatalf("misses=%d hits=%d, want one of each", c.Stats.RowMisses.Value(), c.Stats.RowHits.Value())
 	}
-	if c.Stats.Latency.Min() < int64(DefaultConfig().RowMiss) {
-		t.Error("read faster than a row miss")
+	if readAt < wroteAt {
+		t.Fatalf("row hit completed at %v, before the earlier row miss at %v", readAt, wroteAt)
 	}
-}
-
-func TestTouchedBytesSparse(t *testing.T) {
-	s := sim.New(1)
-	c := New(s, DefaultConfig())
-	c.Write(0, make([]byte, 100), nil)
-	c.Write(1<<30, make([]byte, 100), nil)
-	s.Run()
-	if got := c.TouchedBytes(); got != 2*pageSize {
-		t.Fatalf("touched %d bytes, want 2 pages", got)
-	}
-}
-
-func TestECCCounter(t *testing.T) {
-	s := sim.New(1)
-	c := New(s, DefaultConfig())
-	c.InjectECCError()
-	if c.Stats.ECCFixed.Value() != 1 {
-		t.Fatal("ECC counter broken")
+	if !bytes.Equal(got, data) {
+		t.Fatalf("read after write got %q, want %q", got, data)
 	}
 }
 
@@ -205,7 +217,7 @@ func TestPropertyMemoryConsistency(t *testing.T) {
 				o.Data = o.Data[:4096]
 			}
 			addr := int64(o.Addr)
-			if err := c.Write(addr, o.Data, nil); err != nil {
+			if err := c.WriteCall(addr, o.Data, nil, nil); err != nil {
 				continue
 			}
 			s.Run() // serialize
@@ -216,7 +228,7 @@ func TestPropertyMemoryConsistency(t *testing.T) {
 		ok := true
 		for addr, want := range shadow {
 			addr, want := addr, want
-			c.Read(addr, 1, func(d []byte) {
+			read(c, addr, 1, func(d []byte) {
 				if d[0] != want {
 					ok = false
 				}

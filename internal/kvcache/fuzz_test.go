@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/dram"
@@ -154,31 +155,56 @@ func FuzzDecodeMResp(f *testing.F) {
 // (each waits for the previous one's ack), ops on different keys
 // overlap, and the directory is small enough for relocation chains,
 // evictions and (at shallow DRAM queues) rejections to interleave with
-// them.
+// them. An odd mode overlaps Puts of one key too: each Put is a longer
+// value followed at once by a shorter one, and a hit must then return
+// some value a Put of that key wrote, never the shorter length read over
+// the longer bytes. The keys' hashes are distinct, so no tag hit may be
+// disproved by the DRAM key either.
 func FuzzStoreOps(f *testing.F) {
-	// seed, sets, ways, keys, slot, depth: see storeOps for the ranges.
-	f.Add(int64(1), uint8(0), uint8(0), uint8(16), uint8(0), uint8(62)) // 8x2, 18 keys, 64 B slots
-	f.Add(int64(2), uint8(0), uint8(0), uint8(16), uint8(7), uint8(0))  // 8 KiB slots, 2-deep queue
-	f.Add(int64(16), uint8(191), uint8(177), uint8(159), uint8(54), uint8(62))
-	f.Add(int64(29), uint8(96), uint8(196), uint8(219), uint8(83), uint8(137))
-	f.Add(int64(240), uint8(110), uint8(193), uint8(124), uint8(201), uint8(62))
-	f.Add(int64(340), uint8(167), uint8(249), uint8(30), uint8(22), uint8(62))
-	f.Add(int64(2059), uint8(94), uint8(127), uint8(184), uint8(143), uint8(198))
-	f.Add(int64(-82), uint8(152), uint8(159), uint8(157), uint8(7), uint8(7))
-	f.Fuzz(func(t *testing.T, seed int64, sets, ways, keys, slot, depth uint8) {
-		if stale, hits, first := storeOps(seed, sets, ways, keys, slot, depth); stale > 0 {
-			t.Fatalf("%d of %d hits returned a value older than the last acked Put; first: %s", stale, hits, first)
+	seen := map[uint64]bool{}
+	for k := 0; k < maxStoreOpsKeys; k++ {
+		h := keyHash(storeOpsKey(k))
+		if seen[h] {
+			f.Fatalf("key %q shares its hash with another key", storeOpsKey(k))
+		}
+		seen[h] = true
+	}
+	// seed, sets, ways, keys, slot, depth, mode: see storeOps for the ranges.
+	f.Add(int64(1), uint8(0), uint8(0), uint8(16), uint8(0), uint8(62), uint8(0)) // 8x2, 18 keys, 64 B slots
+	f.Add(int64(2), uint8(0), uint8(0), uint8(16), uint8(7), uint8(0), uint8(0))  // 8 KiB slots, 2-deep queue
+	f.Add(int64(16), uint8(191), uint8(177), uint8(159), uint8(54), uint8(62), uint8(0))
+	f.Add(int64(29), uint8(96), uint8(196), uint8(219), uint8(83), uint8(137), uint8(0))
+	f.Add(int64(240), uint8(110), uint8(193), uint8(124), uint8(201), uint8(62), uint8(0))
+	f.Add(int64(340), uint8(167), uint8(249), uint8(30), uint8(22), uint8(62), uint8(0))
+	f.Add(int64(2059), uint8(94), uint8(127), uint8(184), uint8(143), uint8(198), uint8(0))
+	f.Add(int64(-82), uint8(152), uint8(159), uint8(157), uint8(7), uint8(7), uint8(0))
+	f.Add(int64(3), uint8(0), uint8(0), uint8(16), uint8(7), uint8(62), uint8(1)) // overlapping Puts, 8 KiB slots
+	f.Fuzz(func(t *testing.T, seed int64, sets, ways, keys, slot, depth, mode uint8) {
+		bad, hits, first, collisions := storeOps(seed, sets, ways, keys, slot, depth, mode)
+		if bad > 0 {
+			t.Fatalf("%d of %d hits broke the contract; first: %s", bad, hits, first)
+		}
+		if collisions > 0 {
+			t.Fatalf("%d tag hits were disproved by the DRAM key, though no two keys share a hash", collisions)
 		}
 	})
 }
 
+// maxStoreOpsKeys bounds the keys one storeOps workload uses.
+const maxStoreOpsKeys = 33
+
+// storeOpsKey is the key storeOps uses for key index k.
+func storeOpsKey(k int) []byte { return []byte(fmt.Sprintf("k%03d", k)) }
+
 // storeOps runs one randomized workload: 8 or 16 buckets of 2 to 4 ways,
-// 2 to 33 keys, 64 B to 8 KiB slots, and a DRAM queue 2 to 64 deep. At
-// 64 B one DRAM row holds the whole directory and every access is a row
-// hit; at 8 KiB each slot is its own row, so a row hit can complete
-// before an earlier row miss to the same slot. It returns the stale
-// hits, all hits, and a description of the first stale hit.
-func storeOps(seed int64, sets, ways, keys, slot, depth uint8) (stale, hits int, first string) {
+// 2 to 33 keys, 64 B to 8 KiB slots, a DRAM queue 2 to 64 deep, and
+// overlapping Puts of one key when mode is odd. At 64 B one DRAM row
+// holds the whole directory and every access is a row hit; at 8 KiB each
+// slot is its own row, so a row hit issued after a row miss to the same
+// slot would, without the controller's per-bank order, complete first.
+// It returns the hits that broke the contract (see FuzzStoreOps), all
+// hits, a description of the first bad hit, and the store's collisions.
+func storeOps(seed int64, sets, ways, keys, slot, depth, mode uint8) (bad, hits int, first string, collisions uint64) {
 	const opsPerKey = 64
 	s := sim.New(seed)
 	dc := dram.DefaultConfig()
@@ -187,8 +213,10 @@ func storeOps(seed int64, sets, ways, keys, slot, depth uint8) (stale, hits int,
 		Sets: 8 << (sets % 2), Ways: 2 + int(ways)%3, SlotBytes: 64 << (slot % 8),
 	})
 	rng := rand.New(rand.NewSource(seed))
-	n := 2 + int(keys)%32
+	n := 2 + int(keys)%(maxStoreOpsKeys-1)
+	overlap := mode%2 == 1
 	acked := make([][]byte, n) // last acked value per key (nil: none)
+	wrote := map[string]int{}  // every value a Put issued -> its key
 	puts := 0
 	var issue func(k, left int)
 	issue = func(k, left int) {
@@ -198,26 +226,45 @@ func storeOps(seed int64, sets, ways, keys, slot, depth uint8) (stale, hits int,
 		next := func() {
 			s.Schedule(sim.Time(rng.Intn(120))*sim.Nanosecond, func() { issue(k, left-1) })
 		}
-		key := []byte(fmt.Sprintf("k%03d", k))
+		key := storeOpsKey(k)
 		if rng.Intn(3) == 0 {
-			puts++
-			val := []byte(fmt.Sprintf("v%06d-%d", puts, k))
-			st.Put(key, val, &StoreOp{Done: func(_ *StoreOp, ok bool, _ []byte) {
-				if ok {
-					acked[k] = val
+			vals := 1
+			if overlap {
+				vals = 2
+			}
+			pending := vals
+			for i := 0; i < vals; i++ {
+				puts++
+				v := fmt.Sprintf("v%06d-%d", puts, k)
+				if i+1 < vals {
+					v += strings.Repeat("+", 1+rng.Intn(16))
 				}
-				next()
-			}})
+				wrote[v] = k
+				val := []byte(v)
+				st.Put(key, val, &StoreOp{Done: func(_ *StoreOp, ok bool, _ []byte) {
+					if ok {
+						acked[k] = val
+					}
+					if pending--; pending == 0 {
+						next()
+					}
+				}})
+			}
 			return
 		}
 		st.Get(key, &StoreOp{Done: func(_ *StoreOp, hit bool, val []byte) {
 			if hit {
 				hits++
-				if !bytes.Equal(val, acked[k]) {
-					if stale == 0 {
+				ok := bytes.Equal(val, acked[k])
+				if overlap {
+					wk, found := wrote[string(val)]
+					ok = found && wk == k
+				}
+				if !ok {
+					if bad == 0 {
 						first = fmt.Sprintf("t=%d %s got %q, last acked %q", s.Now(), key, val, acked[k])
 					}
-					stale++
+					bad++
 				}
 			}
 			next()
@@ -228,5 +275,5 @@ func storeOps(seed int64, sets, ways, keys, slot, depth uint8) (stale, hits int,
 		s.Schedule(sim.Time(rng.Intn(200))*sim.Nanosecond, func() { issue(k, opsPerKey) })
 	}
 	s.Run()
-	return stale, hits, first
+	return bad, hits, first, st.Stats().Collisions.Value()
 }

@@ -6,8 +6,8 @@
 // GET/PUT requests travel as connection-less LTL service datagrams
 // (internal/ltl/service.go) to a keyspace-sharded pool of HaaS-leased
 // FPGAs. Each shard holds a cuckoo-hashed tag directory in role SRAM
-// and its key/value payloads in board DRAM (internal/dram), crossed
-// through the Elastic Router's DRAM port. Replies are generated entirely
+// and its key/value payloads in board DRAM (internal/dram), whose
+// controller the shard calls directly. Replies are generated entirely
 // on-fabric: a GET hit costs the ER hop, a DRAM read, and the return
 // datagram — the server's CPU never sees the request, which is the
 // paper's line-rate argument and what Result.OnFabric witnesses

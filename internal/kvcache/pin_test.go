@@ -17,10 +17,10 @@ import (
 // (Digest plus counts) and the SHA-256 of the run's telemetry JSONL. A
 // change to either is a behaviour change and must be deliberate.
 const (
-	pinBoardResult    = "digest=ed0ce1e65e1f1bed offered=2396 completed=2380 hits=1055 misses=730 timeouts=16 failovers=1 replies=2297 p99=8192 hosts=[26 25]"
-	pinBoardTelemetry = "26d5a542802c0a0f533f3ae61af6c3c7074b8780bb1088e197c5b436d81d9cc0"
-	pinSlotResult     = "digest=62f7c49b66baf09f offered=2396 completed=1454 hits=504 misses=609 timeouts=942 failovers=1 replies=534 p99=8192 hosts=[26 27]"
-	pinSlotTelemetry  = "290db1c76220fcd58515ae55e68a63062313a3ffcb1d3637c72dca1b214d657c"
+	pinBoardResult    = "digest=5c361cf1afc9151a offered=2396 completed=2380 hits=1055 misses=730 timeouts=16 failovers=1 replies=2297 p99=8192 hosts=[26 25]"
+	pinBoardTelemetry = "0e3cc51f30f68ac0ca45e1158f8a21f9946b72bfcbace8bcfc1f702b23282c91"
+	pinSlotResult     = "digest=48e6756e149a5011 offered=2396 completed=1454 hits=505 misses=608 timeouts=942 failovers=1 replies=534 p99=8192 hosts=[26 27]"
+	pinSlotTelemetry  = "a4242b3080e31989f80982d874f203fade723cdd6e69faf2f64c6a3595203bd5"
 )
 
 // pinResult renders the digest-bearing fields of one run.

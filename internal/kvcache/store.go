@@ -11,10 +11,10 @@ import (
 )
 
 // StoreConfig sizes one shard's cache: a tag directory held in role SRAM,
-// with key+value payloads in the board's DRAM channel through the ER's
-// DRAM port. The directory is arrays, not Go maps — iteration order can
-// never leak into the model, mirroring the fixed comparator tree a
-// hardware lookup would be.
+// with key+value payloads in the board's DRAM channel, whose controller
+// the store calls directly. The directory is arrays, not Go maps —
+// iteration order can never leak into the model, mirroring the fixed
+// comparator tree a hardware lookup would be.
 //
 // The directory is a 2-hash cuckoo table: every key has two candidate
 // buckets of Ways slots, and an insert that finds both full relocates
@@ -47,7 +47,7 @@ type StoreStats struct {
 	Puts       metrics.Counter
 	Evictions  metrics.Counter // valid entry displaced by a Put
 	Collisions metrics.Counter // tag matched but DRAM key differed (hash alias)
-	Rejected   metrics.Counter // DRAM queue full or slot still being written: served as miss / dropped put
+	Rejected   metrics.Counter // DRAM queue full: served as miss / dropped put
 
 	CuckooKicks  metrics.Counter // resident entries relocated by inserts
 	CuckooAborts metrics.Counter // relocation chains invalidated mid-flight
@@ -109,25 +109,18 @@ type Store struct {
 
 // tagEntry is one SRAM directory slot (fields ordered to pack into 32
 // bytes). gen changes whenever an entry is written or moved into the
-// slot, so a relocation chain can tell that a slot it is copying from or
-// into changed under it. busy counts the DRAM writes still landing in
-// the slot: the controller does not order accesses to one address, so a
-// later read or write of the slot could overtake them. The store copies
-// nothing out of a busy slot and writes another entry into it only once
-// it is idle; overwrites of the same key may overlap.
+// slot, so a relocation chain can tell that the slot it is copying from
+// changed under it. The DRAM controller completes accesses to one slot
+// in issue order, so the tag may describe a write from the moment it is
+// issued: any later read or write of the slot lands after it.
 type tagEntry struct {
 	hash   uint64
 	last   uint64 // LRU clock at last touch
 	gen    uint32
 	keyLen uint16
 	valLen uint16
-	busy   uint16
 	used   bool
 }
-
-// free reports whether an insert may claim the slot: no entry, and no
-// DRAM write (such as a relocation copy) still landing in it.
-func (e *tagEntry) free() bool { return !e.used && e.busy == 0 }
 
 // dramOp carries one in-flight store operation: a Get's DRAM confirm, a
 // fast-path Put write, or a relocation chain (read resident, write it to
@@ -142,17 +135,13 @@ type dramOp struct {
 	kl, vl  int
 	evicted bool
 
-	// slot is where a Put's write lands.
-	slot int
-
 	// Relocation chain state: path[0] is the slot the new entry lands
 	// in; path[i+1] is where path[i]'s resident moves to. idx walks from
-	// the end (the free slot) backwards. gen and dstGen are the source's
-	// and destination's generations when the current move began.
-	path   []int32
-	idx    int
-	gen    uint32
-	dstGen uint32
+	// the end (the free slot) backwards. gen is the source's generation
+	// when the current move's read was issued.
+	path []int32
+	idx  int
+	gen  uint32
 }
 
 // NewStore builds a store over mem. Sets is rounded up to a power of two
@@ -296,7 +285,6 @@ func (st *Store) Get(key []byte, op *StoreOp) {
 func putDone(arg any, _ []byte) {
 	o := arg.(*dramOp)
 	st, op, evicted := o.st, o.op, o.evicted
-	st.tags[o.slot].busy--
 	st.stats.Puts.Inc()
 	st.freeOp(o)
 	op.Evicted = evicted
@@ -305,19 +293,12 @@ func putDone(arg any, _ []byte) {
 
 // writeEntry writes key=val into slot: the tag updates at once, and the
 // Put acks when the DRAM write lands. A valid entry of another key in the
-// slot counts as evicted. The Put is refused (acked !ok, counted as
-// Rejected) when it would replace another entry whose write is still
-// landing, since the older bytes could land last, and when the
-// controller rejects the write, which also invalidates the tag rather
-// than leave it pointing at unwritten DRAM.
+// slot counts as evicted. When the controller rejects the write, the Put
+// is refused (acked !ok, counted as Rejected) and the tag invalidated
+// rather than left pointing at unwritten DRAM.
 func (st *Store) writeEntry(o *dramOp, slot int, h uint64, key, val []byte) {
 	e := &st.tags[slot]
-	same := e.used && e.hash == h && int(e.keyLen) == len(key)
-	if e.busy > 0 && !same {
-		st.refuse(o)
-		return
-	}
-	if e.used && !same {
+	if e.used && (e.hash != h || int(e.keyLen) != len(key)) {
 		st.stats.Evictions.Inc()
 		o.evicted = true
 	}
@@ -328,8 +309,6 @@ func (st *Store) writeEntry(o *dramOp, slot int, h uint64, key, val []byte) {
 		st.refuse(o)
 		return
 	}
-	o.slot = slot
-	e.busy++
 	e.used = true
 	e.hash = h
 	e.keyLen = uint16(len(key))
@@ -380,7 +359,7 @@ func (st *Store) Put(key, val []byte, op *StoreOp) {
 	for _, b := range [2]int{b1, b2} {
 		for w := 0; w < st.cfg.Ways; w++ {
 			slot := b*st.cfg.Ways + w
-			if st.tags[slot].free() {
+			if !st.tags[slot].used {
 				o := st.allocOp()
 				o.op = op
 				st.writeEntry(o, slot, h, key, val)
@@ -434,7 +413,7 @@ func (st *Store) findPath(b1, b2 int) []int32 {
 			// A free way in the resident's partner bucket ends the search.
 			for w := 0; w < st.cfg.Ways; w++ {
 				dst := alt*st.cfg.Ways + w
-				if st.tags[dst].free() {
+				if !st.tags[dst].used {
 					path := []int32{int32(dst)}
 					for j := i; j >= 0; j = int(st.bfsPrev[j]) {
 						path = append(path, st.bfsSlot[j])
@@ -465,9 +444,7 @@ func (st *Store) findPath(b1, b2 int) []int32 {
 // the path; when idx reaches 0 the new entry is written into path[0].
 // Chains interleave with other traffic at DRAM latency, so each step
 // re-validates its source and destination and aborts the chain into a
-// plain LRU eviction when the directory moved underneath it. A source
-// with a write still in flight aborts too: the move's read could
-// overtake that write and copy the bytes it replaces.
+// plain LRU eviction when the directory moved underneath it.
 func (st *Store) moveNext(o *dramOp) {
 	if o.idx == 0 {
 		st.writeEntry(o, int(o.path[0]), keyHash(o.key), o.key, o.val)
@@ -475,7 +452,7 @@ func (st *Store) moveNext(o *dramOp) {
 	}
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
-	if !se.used || se.busy > 0 || !de.free() || st.altBucket(src/st.cfg.Ways, se.hash) != dst/st.cfg.Ways {
+	if !se.used || de.used || st.altBucket(src/st.cfg.Ways, se.hash) != dst/st.cfg.Ways {
 		st.abortChain(o)
 		return
 	}
@@ -486,16 +463,18 @@ func (st *Store) moveNext(o *dramOp) {
 	}
 }
 
-// moveRead has the resident's bytes; copy them into the destination. A
-// source written since the read was issued (an overwrite of the same
-// key, or another entry landing there) holds newer bytes than data, so
-// the chain aborts rather than resurrect the old value.
+// moveRead has the resident's bytes; copy them into the destination and
+// move the tag with the copy's write, which lands before any later access
+// to the destination. A source written since the read was issued (an
+// overwrite of the same key, or another entry landing there) holds newer
+// bytes than data, so the chain aborts rather than resurrect the old
+// value; so does a destination claimed meanwhile.
 func moveRead(arg any, data []byte) {
 	o := arg.(*dramOp)
 	st := o.st
 	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
 	se, de := &st.tags[src], &st.tags[dst]
-	if !se.used || se.gen != o.gen || !de.free() {
+	if !se.used || se.gen != o.gen || de.used {
 		st.abortChain(o)
 		return
 	}
@@ -504,32 +483,18 @@ func moveRead(arg any, data []byte) {
 		st.abortChain(o)
 		return
 	}
-	de.busy++ // reserves the destination until the copy lands
-	o.dstGen = de.gen
-}
-
-// moveWrite commits one relocation once its copy has landed, then
-// continues up the chain. Until then the entry stays readable and
-// writable at its source, so no access can overtake the copy: if the
-// source was written meanwhile (its bytes are newer than the copy) or
-// an eviction claimed the destination, the chain aborts instead.
-func moveWrite(arg any, _ []byte) {
-	o := arg.(*dramOp)
-	st := o.st
-	src, dst := int(o.path[o.idx-1]), int(o.path[o.idx])
-	se, de := &st.tags[src], &st.tags[dst]
-	de.busy--
-	if !se.used || se.gen != o.gen || de.gen != o.dstGen {
-		st.abortChain(o)
-		return
-	}
 	gen := de.gen + 1
 	*de = *se
 	de.gen = gen
 	se.used = false
-	st.stats.CuckooKicks.Inc()
+}
+
+// moveWrite continues up the chain once a relocation's copy has landed.
+func moveWrite(arg any, _ []byte) {
+	o := arg.(*dramOp)
+	o.st.stats.CuckooKicks.Inc()
 	o.idx--
-	st.moveNext(o)
+	o.st.moveNext(o)
 }
 
 // abortChain gives up on a relocation chain (directory changed or DRAM

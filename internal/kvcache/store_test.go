@@ -401,12 +401,12 @@ func TestStoreChainAbortsUnderPressure(t *testing.T) {
 	}
 }
 
-// TestCuckooMoveReservesDestination: while a relocation's copy is still
-// landing, its destination is not free, so a Put that would otherwise
-// claim that slot goes elsewhere instead of racing the copy. With one
-// 8 KiB slot per DRAM row, the Put's write would be a row hit and land
-// before the copy (a row miss), leaving the Put's tag over the moved
-// entry's bytes.
+// TestCuckooMoveReservesDestination: a relocation's tag moves to its
+// destination when the copy's write is issued, so a Put that would
+// otherwise claim that slot either goes elsewhere or evicts the moved
+// entry. With one 8 KiB slot per DRAM row, the Put's write is a row hit
+// issued after the copy (a row miss); the controller lands it last, so
+// the Put's tag never sits over the moved entry's bytes.
 func TestCuckooMoveReservesDestination(t *testing.T) {
 	s, st := newTestStore(t, StoreConfig{Sets: 8, Ways: 1, SlotBytes: 8 << 10})
 	_, probe := fillUntilChain(t, s, st)

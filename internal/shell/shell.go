@@ -6,7 +6,9 @@
 //   - a network tap for roles to inspect, alter, inject, or consume
 //     passing traffic (used by the crypto offload of §IV),
 //   - the LTL protocol engine for direct FPGA-to-FPGA messaging,
-//   - an Elastic Router connecting Role, PCIe DMA, DRAM, and LTL,
+//   - an Elastic Router connecting Role, PCIe DMA, and LTL (its DRAM
+//     port is left unattached: on-chip services call the board's DRAM
+//     controller directly),
 //   - full/partial reconfiguration semantics (full reconfig briefly drops
 //     the link; partial keeps packets flowing),
 //   - configuration-scrubbing and SEU recovery (§II-B), and
@@ -162,13 +164,12 @@ type Shell struct {
 	Engine *ltl.Engine
 	// Router is the on-chip Elastic Router.
 	Router *er.Router
-	// DRAM is the board's DDR3 channel, reachable by the role through the
-	// ER's DRAM port.
+	// DRAM is the board's DDR3 channel; on-chip services (the KV store)
+	// call its controller directly.
 	DRAM *dram.Controller
 
 	termPCIe   *er.Terminal
 	termRole   *er.Terminal
-	termDRAM   *er.Terminal
 	termRemote *er.Terminal
 
 	role     Role
@@ -219,8 +220,6 @@ type Shell struct {
 	remoteDone map[uint16][]func()
 	// pending PCIe responses keyed by request id.
 	pcieWaiters map[uint64]func([]byte)
-	// pending DRAM responses keyed by request id.
-	dramWaiters map[uint64]func([]byte)
 	nextReqID   uint64
 
 	// tracer is cached at construction; nil when observability is off.
@@ -248,7 +247,6 @@ func New(s *sim.Simulation, hostID int, portCfg netsim.PortConfig, cfg Config) *
 		remoteRecv:   make(map[uint16]func([]byte)),
 		remoteDone:   make(map[uint16][]func()),
 		pcieWaiters:  make(map[uint64]func([]byte)),
-		dramWaiters:  make(map[uint64]func([]byte)),
 		tracer:       obs.TracerOf(s),
 	}
 	sh.hostPort = netsim.NewPort(s, sh, 0, portCfg)
@@ -281,13 +279,11 @@ func New(s *sim.Simulation, hostID int, portCfg netsim.PortConfig, cfg Config) *
 	buf := cfg.ER.BufFlits
 	sh.termPCIe = er.NewTerminal(s, sh.Router, er.PortPCIe, er.PortPCIe, buf)
 	sh.termRole = er.NewTerminal(s, sh.Router, er.PortRole, er.PortRole, buf)
-	sh.termDRAM = er.NewTerminal(s, sh.Router, er.PortDRAM, er.PortDRAM, buf)
 	sh.termRemote = er.NewTerminal(s, sh.Router, er.PortRemote, er.PortRemote, buf)
 
 	sh.termRole.OnMessage = sh.onRoleMessage
 	sh.termRemote.OnMessage = sh.onRemoteMessage
 	sh.termPCIe.OnMessage = sh.onPCIeMessage
-	sh.termDRAM.OnMessage = sh.onDRAMMessage
 	sh.DRAM = dram.New(s, dram.DefaultConfig())
 
 	sh.initSlots()
@@ -665,10 +661,6 @@ func (sh *Shell) onRoleMessage(m *er.Message) {
 			h(m.Payload[2:])
 		}
 		er.FreeMessage(m)
-		return
-	}
-	if m.SrcNode == er.PortDRAM {
-		sh.onDRAMReply(m)
 		return
 	}
 	if !sh.RoleUp() {

@@ -357,46 +357,6 @@ func TestShellPFCGeneration(t *testing.T) {
 	}
 }
 
-func TestDRAMThroughER(t *testing.T) {
-	s := sim.New(1)
-	sh := New(s, 0, netsim.DefaultPortConfig(), DefaultConfig())
-	data := []byte("feature tables cached in board DRAM")
-	var got []byte
-	var readAt sim.Time
-	err := sh.DRAMWrite(64<<10, data, func() {
-		sh.DRAMRead(64<<10, len(data), func(d []byte) {
-			got = d
-			readAt = s.Now()
-		})
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(10 * sim.Millisecond)
-	if !bytes.Equal(got, data) {
-		t.Fatalf("got %q", got)
-	}
-	// Round trip crosses the ER twice per op plus DRAM timing: order
-	// hundreds of ns.
-	if readAt < 100*sim.Nanosecond || readAt > 10*sim.Microsecond {
-		t.Errorf("DRAM round trip completed at %v", readAt)
-	}
-	if sh.DRAM.Stats.Reads.Value() != 1 || sh.DRAM.Stats.Writes.Value() != 1 {
-		t.Error("controller counters wrong")
-	}
-}
-
-func TestDRAMOutOfRangeNacks(t *testing.T) {
-	s := sim.New(1)
-	sh := New(s, 0, netsim.DefaultPortConfig(), DefaultConfig())
-	var got []byte = []byte("sentinel")
-	sh.DRAMRead(-5, 4, func(d []byte) { got = d })
-	s.RunFor(10 * sim.Millisecond)
-	if len(got) != 0 {
-		t.Fatalf("out-of-range read returned %q, want empty nack", got)
-	}
-}
-
 func TestNoLTLVariant(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
