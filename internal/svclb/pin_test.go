@@ -12,22 +12,22 @@ import (
 )
 
 // Pinned outputs of the balancer's lease lifecycle: a whole-board run
-// that fails over and scales both ways, and a slot-mode run that fails
-// over. Each pin is the result line (RouteHash plus counts) and the
-// SHA-256 of the run's telemetry JSONL. A change to either is a
-// behaviour change and must be deliberate.
+// and a slot-mode run, each losing one backend's board mid-run. Each pin
+// is the result line (RouteHash plus counts) and the SHA-256 of the
+// run's telemetry JSONL. A change to either is a behaviour change and
+// must be deliberate.
 const (
-	pinBoardResult    = "route=3f5c11fb1b0be727 offered=447 admitted=447 shed=0 completed=447 failovers=1 resent=1 grown=6 shrunk=5 final=2 p99=1835008"
-	pinBoardTelemetry = "45b20f5b60f35347be1ec0645f359001d7a6e4d431c1f31752a7013c4004c96e"
-	pinSlotResult     = "route=657caa419345a80b offered=348 admitted=348 shed=0 completed=348 failovers=1 resent=1 grown=0 shrunk=0 final=2 p99=655360"
+	pinBoardResult    = "route=334a58b901396cf4 offered=432 admitted=432 shed=0 completed=432 failovers=1 resent=1 final=1 p99=3145728"
+	pinBoardTelemetry = "8e43df77509a7a2b87c6640a6354cc9765a52d75bd83305bbe2e644af5cf967f"
+	pinSlotResult     = "route=657caa419345a80b offered=348 admitted=348 shed=0 completed=348 failovers=1 resent=1 final=2 p99=655360"
 	pinSlotTelemetry  = "107840ef82f5d4582d2e158b66d7af650e3079fb00a9689651af4f367198771a"
 )
 
 // pinResult renders the digest-bearing fields of one run.
 func pinResult(r Result) string {
-	return fmt.Sprintf("route=%016x offered=%d admitted=%d shed=%d completed=%d failovers=%d resent=%d grown=%d shrunk=%d final=%d p99=%d",
+	return fmt.Sprintf("route=%016x offered=%d admitted=%d shed=%d completed=%d failovers=%d resent=%d final=%d p99=%d",
 		r.RouteHash, r.Offered, r.Admitted, r.Shed, r.Completed,
-		r.Failovers, r.Resent, r.Grown, r.Shrunk, r.FinalBackends, r.P99)
+		r.Failovers, r.Resent, r.FinalBackends, r.P99)
 }
 
 // telemetrySHA is the SHA-256 of a record's JSONL encoding.
@@ -50,26 +50,25 @@ func checkPins(t *testing.T, r Result, wantResult, wantTel string) {
 	}
 }
 
-// TestPinnedBoardLifecycle: whole-board backends under autoscale grow
-// and shrink, with one board killed mid-run and replaced from a spare.
-func TestPinnedBoardLifecycle(t *testing.T) {
+// boardFailoverConfig is one overloaded whole-board backend killed
+// mid-run and replaced from a spare. The kill lands 100µs past a round
+// 30ms so a request is in flight on the dead board and must be resent.
+func boardFailoverConfig() Config {
 	cfg := quickConfig()
 	cfg.Clients = 20
 	cfg.FPGAs = 1
 	cfg.Spares = 2
 	cfg.Admission = false
 	cfg.Telemetry = true
-	cfg.Autoscale = AutoscaleConfig{
-		Interval: 10 * sim.Millisecond,
-		HighP99:  4 * cfg.ServiceTime,
-		LowP99:   3 * cfg.ServiceTime,
-		Min:      1,
-		Max:      3,
-	}
-	cfg.KillAt = cfg.Warmup + 30*sim.Millisecond
-	r := Run(cfg)
-	if r.Failovers == 0 || r.Grown == 0 || r.Shrunk == 0 {
-		t.Fatalf("lifecycle not exercised: %s", pinResult(r))
+	cfg.KillAt = cfg.Warmup + 30*sim.Millisecond + 100*sim.Microsecond
+	return cfg
+}
+
+// TestPinnedBoardFailover pins the whole-board failover run.
+func TestPinnedBoardFailover(t *testing.T) {
+	r := Run(boardFailoverConfig())
+	if r.Failovers == 0 || r.Resent == 0 {
+		t.Fatalf("failover not exercised: %s", pinResult(r))
 	}
 	checkPins(t, r, pinBoardResult, pinBoardTelemetry)
 }
@@ -94,13 +93,13 @@ func TestPinnedSlotFailover(t *testing.T) {
 	checkPins(t, r, pinSlotResult, pinSlotTelemetry)
 }
 
-// TestPinnedSlotFailoverParanoid reruns the slot-mode failover with the
-// fabric re-decoding every frame at every hop, the background noise
+// TestPinnedBoardFailoverParanoid reruns the whole-board failover with
+// the fabric re-decoding every frame at every hop, the background noise
 // frames included, and must land on the same pins: the cached frame
 // views never diverge from the bytes, and checking them changes nothing.
-func TestPinnedSlotFailoverParanoid(t *testing.T) {
+func TestPinnedBoardFailoverParanoid(t *testing.T) {
 	netsim.SetParanoid(true)
 	defer netsim.SetParanoid(false)
-	r := Run(slotFailoverConfig())
-	checkPins(t, r, pinSlotResult, pinSlotTelemetry)
+	r := Run(boardFailoverConfig())
+	checkPins(t, r, pinBoardResult, pinBoardTelemetry)
 }
