@@ -77,8 +77,8 @@ examples:
 
 # Brief fuzzing passes over the wire decoders, the KV store, the Elastic
 # Router, the frontend's HTTP handler, the in-line background noise
-# against its event-per-frame reference, and a port's class pick against
-# the eight-class scan.
+# against its event-per-frame reference, a port's class pick against
+# the eight-class scan, and a HaaS pool's lease ledger.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz FuzzPoolLedger -fuzztime 30s ./internal/haas/
 
 # Go line counts outside cmd/ccperf (the benchmark harness): non-test
 # files, then _test.go files.

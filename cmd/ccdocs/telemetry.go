@@ -51,7 +51,7 @@ var placeholderRe = regexp.MustCompile(`<[^<>]+>`)
 // nameArgIndex maps registration/tracing method names to the position
 // of their name argument.
 var nameArgIndex = map[string]int{
-	"Counter": 0, "Gauge": 0, "Histogram": 0, "Windowed": 0,
+	"Counter": 0, "Gauge": 0, "Histogram": 0,
 	"RuntimeCounter": 0, "RuntimeGauge": 0,
 	"Start": 1, "StartAt": 1, "Event": 1, "Range": 1,
 }

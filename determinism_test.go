@@ -617,7 +617,7 @@ const (
 	pinNetsvcKVBatchTable = "aa8c16faa918aa2231853207e1286eb9bfe71f9752e4386a9dcaf68676317a95"
 	pinNetsvcHTTP         = "digest=950596555559ea4c ok=89"
 	pinServeReplay        = "digest=ea19094a948fc180 ok=53"
-	pinServeTelemetry     = "36d5aa4b0813a34d7595f090fe55578506f02135f3844411a1dee46f7118cbad"
+	pinServeTelemetry     = "1d73e67cbcf6aac73f60becbc4944a820815554d295104eeb20b612abb2ab4a6"
 )
 
 func TestServiceLayerPins(t *testing.T) {

@@ -85,7 +85,7 @@ type Result struct {
 
 // RunRemote measures the remote pool at cfg's client:FPGA ratio.
 func RunRemote(cfg Config) Result {
-	s, dc, shells := svclb.Standalone(cfg.Seed, false, 0, false, 0)
+	s, dc, shells := svclb.Standalone(cfg.Seed, false, 0)
 
 	// Clients fill TORs starting at host 0; the pool lives on the next
 	// TORs of the same pod (requests cross the L1 tier, as a real global

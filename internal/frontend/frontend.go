@@ -283,7 +283,7 @@ type driver interface {
 // pools on disjoint TOR-aligned host ranges, and the mode's driver.
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, false, 0)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 
 	f := &Service{
 		cfg: cfg, s: s, dc: dc,

@@ -24,13 +24,10 @@ func boardBed(s *sim.Simulation, n int) (*ResourceManager, map[NodeID]*bool) {
 // poolLog records a pool's callbacks as readable lines.
 type poolLog []string
 
-func (l *poolLog) spec(tenant string, alms int) PoolSpec {
+func (l *poolLog) spec(tenant string) PoolSpec {
 	return PoolSpec{
-		Tenant: tenant, Image: tenant + "-v1", ALMs: alms,
-		OnReady: func(m *Member) { *l = append(*l, fmt.Sprintf("ready %d@%d/%d", m.Index, m.Node, m.Slot)) },
-		OnMove: func(m *Member, from NodeID) {
-			*l = append(*l, fmt.Sprintf("move %d %d->%d", m.Index, from, m.Node))
-		},
+		Tenant: tenant, Image: tenant + "-v1",
+		OnReady: func(m *Member) { *l = append(*l, fmt.Sprintf("ready %d@%d", m.Index, m.Node)) },
 		OnLost: func(m *Member, dead NodeID) {
 			*l = append(*l, fmt.Sprintf("lost %d %d->%d", m.Index, dead, m.Node))
 		},
@@ -67,12 +64,12 @@ func TestPoolBoardGrowShrinkOrder(t *testing.T) {
 	s := sim.New(1)
 	rm, _ := boardBed(s, 4)
 	var log poolLog
-	p := NewPool(rm, log.spec("svc", 0))
+	p := NewPool(rm, log.spec("svc"))
 	for i := 0; i < 3; i++ {
 		mustGrow(t, p)
 	}
-	// A whole board serves at grant.
-	log.expect(t, "ready 0@0/-1", "ready 1@1/-1", "ready 2@2/-1")
+	// A board serves at grant.
+	log.expect(t, "ready 0@0", "ready 1@1", "ready 2@2")
 	if m := p.Shrink(); m == nil || m.Index != 2 || m.Node != 2 {
 		t.Fatalf("shrink released %+v, want the newest member (2 on node 2)", m)
 	}
@@ -92,45 +89,19 @@ func TestPoolBoardGrowShrinkOrder(t *testing.T) {
 	}
 }
 
-func TestPoolSlotGrowShrinkOrder(t *testing.T) {
-	s := sim.New(1)
-	rm, _, tenants := slotBed(s, 3, []int{30000, 30000}, sim.Millisecond)
-	var log poolLog
-	p := NewPool(rm, log.spec("svc", 20000))
-	a, b := mustGrow(t, p), mustGrow(t, p)
-	// Each grant avoids the boards members already use, although board 0
-	// still has a free slot.
-	if a.Node != 0 || b.Node != 1 || a.Slot != 0 || b.Slot != 0 {
-		t.Fatalf("slot grants at %d/%d and %d/%d, want 0/0 and 1/0", a.Node, a.Slot, b.Node, b.Slot)
-	}
-	// A claim serves only once its slot has reconfigured.
-	log.expect(t)
-	s.RunFor(2 * sim.Millisecond)
-	log.expect(t, "ready 0@0/0", "ready 1@1/0")
-	if m := p.Shrink(); m != b {
-		t.Fatalf("shrink released index %d, want the newest (1)", m.Index)
-	}
-	if used, _, _, _ := rm.SlotPoolStats(); used != 1 || tenants[1][0] != "" {
-		t.Fatalf("after shrink: %d slots used, board 1 slot 0 holds %q", used, tenants[1][0])
-	}
-	if m := mustGrow(t, p); m.Index != 2 || m.Node != 1 {
-		t.Fatalf("regrow = index %d on node %d, want index 2 on node 1", m.Index, m.Node)
-	}
-}
-
 func TestPoolBoardFailover(t *testing.T) {
 	s := sim.New(1)
 	rm, healthy := boardBed(s, 3)
 	var log poolLog
-	p := NewPool(rm, log.spec("svc", 0))
+	p := NewPool(rm, log.spec("svc"))
 	mustGrow(t, p)
 	mustGrow(t, p)
-	log.expect(t, "ready 0@0/-1", "ready 1@1/-1")
+	log.expect(t, "ready 0@0", "ready 1@1")
 
 	*healthy[0] = false
 	s.RunFor(15 * sim.Millisecond)
 	// The spare takes the lost member's place: same index, same lease.
-	log.expect(t, "lost 0 0->2", "ready 0@2/-1")
+	log.expect(t, "lost 0 0->2", "ready 0@2")
 	if got := placement(p); !reflect.DeepEqual(got, [][2]int{{0, 2}, {1, 1}}) {
 		t.Fatalf("placement %v", got)
 	}
@@ -151,60 +122,58 @@ func TestPoolBoardFailover(t *testing.T) {
 	}
 }
 
-func TestPoolSlotFailover(t *testing.T) {
-	s := sim.New(1)
-	rm, healthy, _ := slotBed(s, 4, []int{30000, 30000}, sim.Millisecond)
-	var log poolLog
-	p := NewPool(rm, log.spec("svc", 20000))
-	mustGrow(t, p)
-	mustGrow(t, p)
-	s.RunFor(2 * sim.Millisecond)
-	log.expect(t, "ready 0@0/0", "ready 1@1/0")
-
-	// Board 1 has a free slot, but the re-lease avoids every live
-	// member's board as well as the dead one.
-	*healthy[0] = false
-	s.RunFor(10 * sim.Millisecond)
-	log.expect(t, "lost 0 0->2", "ready 0@2/0")
-	if got := placement(p); !reflect.DeepEqual(got, [][2]int{{0, 2}, {1, 1}}) {
-		t.Fatalf("placement %v", got)
-	}
-	if c := p.Members()[0].Claim(); c == nil || !c.Ready || c.Node != 2 {
-		t.Fatalf("replacement claim %+v, want ready on node 2", c)
-	}
-
-	// Board 3 is the last one no member uses; losing board 1 takes it.
-	// Losing board 3 then finds nothing that avoids board 2.
-	*healthy[1] = false
-	s.RunFor(10 * sim.Millisecond)
-	log.expect(t, "lost 1 1->3", "ready 1@3/0")
-	*healthy[3] = false
-	s.RunFor(10 * sim.Millisecond)
-	log.expect(t, "lost 1 3->3")
-	if got := placement(p); !reflect.DeepEqual(got, [][2]int{{0, 2}}) {
-		t.Fatalf("placement %v", got)
-	}
-}
-
-func TestPoolDefragmentMovesMember(t *testing.T) {
-	s := sim.New(1)
-	rm, _, tenants := slotBed(s, 3, []int{30000, 30000}, sim.Millisecond)
-	var log poolLog
-	p := NewPool(rm, log.spec("svc", 20000))
-	m := mustGrow(t, p)
-	if _, err := rm.LeaseSlots(SlotRequest{Tenant: "other", ALMs: 25000, Count: 1, Avoid: []NodeID{m.Node}}); err != nil {
-		t.Fatal(err)
-	}
-	s.RunFor(2 * sim.Millisecond)
-	log.expect(t, "ready 0@0/0")
-
-	// Board 1 is fuller, so defrag drains board 0 onto its free slot.
-	if moves := rm.Defragment(); moves != 1 {
-		t.Fatalf("defrag moves = %d, want 1", moves)
-	}
-	s.RunFor(2 * sim.Millisecond)
-	log.expect(t, "move 0 0->1", "ready 0@1/1")
-	if m.Node != 1 || m.Slot != 1 || tenants[0][0] != "" || tenants[1][1] != "svc" {
-		t.Fatalf("member at %d/%d, boards %v", m.Node, m.Slot, tenants)
-	}
+// FuzzPoolLedger drives a pool through random Grow, Shrink, board-kill
+// and health-poll steps on a board bed and checks the lease ledger after
+// each: every member holds a live lease on its own node, no two members
+// share a node, the RM's grants net of releases equal the member count,
+// Grow fails only when no board is free, and after a poll no member
+// sits on a node the RM marks dead.
+func FuzzPoolLedger(f *testing.F) {
+	// Each op byte: low two bits pick Grow, Shrink, kill or poll; a kill
+	// takes board (op>>2) mod the bed size.
+	f.Add(uint8(3), []byte{0, 0, 2, 3, 0, 3})
+	f.Add(uint8(4), []byte{0, 0, 0, 6, 3, 1, 0, 10, 14, 3, 3})
+	f.Add(uint8(6), []byte{0, 0, 0, 0, 2, 6, 10, 3, 1, 0, 0, 14, 18, 22, 3, 1, 1})
+	f.Fuzz(func(t *testing.T, boards uint8, ops []byte) {
+		const poll = 10 * sim.Millisecond
+		n := 1 + int(boards)%8
+		s := sim.New(1)
+		rm, healthy := boardBed(s, n)
+		p := NewPool(rm, PoolSpec{Tenant: "svc", Image: "svc-v1"})
+		for i, op := range ops {
+			polled := false
+			switch op % 4 {
+			case 0:
+				free := rm.FreeCount()
+				if _, err := p.Grow(); (err != nil) != (free == 0) {
+					t.Fatalf("step %d: grow with %d free boards returned %v", i, free, err)
+				}
+			case 1:
+				p.Shrink()
+			case 2:
+				*healthy[NodeID(int(op>>2)%n)] = false
+			case 3:
+				s.RunFor(poll)
+				polled = true
+			}
+			members := p.Members()
+			nodes := map[NodeID]int{}
+			for _, m := range members {
+				c := rm.leases[m.lease]
+				if c == nil || c.Node != m.Node || rm.nodes[m.Node].lease != c {
+					t.Fatalf("step %d: member %d's lease %d is not live on node %d", i, m.Index, m.lease, m.Node)
+				}
+				if o, dup := nodes[m.Node]; dup {
+					t.Fatalf("step %d: members %d and %d share node %d", i, o, m.Index, m.Node)
+				}
+				nodes[m.Node] = m.Index
+				if polled && rm.NodeStateOf(m.Node) == NodeDead {
+					t.Fatalf("step %d: member %d sits on dead node %d after a poll", i, m.Index, m.Node)
+				}
+			}
+			if held := rm.Granted.Value() - rm.Released.Value(); held != uint64(len(members)) {
+				t.Fatalf("step %d: granted-released = %d, members = %d", i, held, len(members))
+			}
+		}
+	})
 }

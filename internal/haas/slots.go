@@ -74,9 +74,6 @@ type SlotRequest struct {
 	// service whose demux key cannot distinguish co-located slots needs
 	// this; it is also the availability-domain constraint).
 	DistinctNodes bool
-	// Avoid excludes boards from placement — how a service keeps a
-	// replacement claim off the boards its other members already occupy.
-	Avoid []NodeID
 	// OnReady fires when a claim's slot finishes reconfiguring (also
 	// after each defrag move of the claim).
 	OnReady func(c *SlotClaim)
@@ -219,13 +216,9 @@ func (rm *ResourceManager) LeaseSlots(req SlotRequest) ([]*SlotClaim, error) {
 	}
 	cands := rm.freeSlots(req.ALMs)
 	var picks []slotCandidate
-	avoid := map[NodeID]bool{}
-	for _, id := range req.Avoid {
-		avoid[id] = true
-	}
 	usedNode := map[NodeID]bool{}
 	for _, c := range cands {
-		if avoid[c.node] || (req.DistinctNodes && usedNode[c.node]) {
+		if req.DistinctNodes && usedNode[c.node] {
 			continue
 		}
 		picks = append(picks, c)

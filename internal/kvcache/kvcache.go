@@ -76,15 +76,6 @@ type Config struct {
 	// Store sizes each shard's directory and DRAM arena.
 	Store StoreConfig
 
-	// SlotALMs, when positive, leases each shard as a vFPGA slot claim of
-	// that ALM footprint instead of a whole board: the pool registers with
-	// HaaS per slot, shards load by partial reconfiguration, and the
-	// boards' remaining slots stay open for other tenants (E19).
-	SlotALMs int
-	// SlotsPerBoard partitions standalone pool shells (default 2); on a
-	// shared fabric the caller slots the shells it passes in.
-	SlotsPerBoard int
-
 	// FaultProfile optionally names a faultinject profile applied to the
 	// shard pool's links and boards (incast, pfcstorm, ...).
 	FaultProfile string
@@ -750,7 +741,7 @@ type Service struct {
 // datacenter (cf. svclb.NewService).
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return sv
@@ -770,24 +761,15 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		reg.Counter("kvcache.failovers", "leases", "kvcache", "shard leases replaced after failure", &sv.Failovers)
 	}
 
-	// The shard's request kind demuxes per board, so in slot mode the
-	// pool keeps every slice off the boards the others occupy; requests
-	// arriving during a slot's partial reconfiguration are swallowed and
-	// surface as client timeouts.
 	sv.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Clients, "", cfg.Shards+cfg.Spares, cfg.RMPoll, shardRole{}, haas.PoolSpec{
-		Tenant: "kvcache", Image: shardImage, ALMs: cfg.SlotALMs,
+		Tenant: "kvcache", Image: shardImage,
 		OnReady: func(m *haas.Member) {
 			h := int(m.Node)
-			sv.shards[h] = attachShard(s, shells[h], m.Slot, NewStore(s, shells[h].DRAM, cfg.Store))
+			sv.shards[h] = attachShard(s, shells[h], -1, NewStore(s, shells[h].DRAM, cfg.Store))
 		},
-		// A defrag cutover restarts the slice cold on its new board, like
-		// a failover (cache semantics: loss costs hit rate only).
-		OnMove: func(m *haas.Member, from haas.NodeID) {
-			delete(sv.shards, int(from))
-			sv.shardHosts[m.Index] = int(m.Node)
-		},
-		// Without a spare the slice keeps routing at the dead host and its
-		// requests time out.
+		// A replacement starts the slice cold (cache semantics: loss
+		// costs hit rate only). Without a spare the slice keeps routing
+		// at the dead host and its requests time out.
 		OnLost: func(m *haas.Member, dead haas.NodeID) {
 			sv.Failovers.Inc()
 			delete(sv.shards, int(dead))
@@ -810,20 +792,6 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 	sv.StartFaults(cfg.FaultProfile)
 	return sv
 }
-
-// SlotClaims reports the per-slice slot claims (slot mode only; nil
-// entries lost their board with no spare to re-lease on).
-func (sv *Service) SlotClaims() []*haas.SlotClaim {
-	claims := make([]*haas.SlotClaim, sv.cfg.Shards)
-	for _, m := range sv.Pool.Members() {
-		claims[m.Index] = m.Claim()
-	}
-	return claims
-}
-
-// RM exposes the service's Resource Manager (E19 reads pool occupancy
-// and drives defragmentation through it).
-func (sv *Service) RM() *haas.ResourceManager { return sv.Pool.RM() }
 
 // Clients returns the client ends (index-addressable ingress points).
 func (sv *Service) Clients() []*Client { return sv.clients }

@@ -142,7 +142,7 @@ func TestFailoverReplacesLease(t *testing.T) {
 	sv.Sim().Schedule(2*sim.Millisecond-sv.Sim().Now(), func() { sv.In.KillNode(victim) })
 	sv.Sim().RunUntil(6 * sim.Millisecond)
 	sv.Stop()
-	if g, r := sv.RM().Granted.Value(), sv.RM().Replaced.Value(); g != uint64(cfg.Shards) || r != 1 {
+	if g, r := sv.Pool.RM().Granted.Value(), sv.Pool.RM().Replaced.Value(); g != uint64(cfg.Shards) || r != 1 {
 		t.Fatalf("haas granted=%d replaced=%d, want %d and 1", g, r, cfg.Shards)
 	}
 }

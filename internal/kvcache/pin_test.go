@@ -6,21 +6,17 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/haas"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-// Pinned outputs of the shard pool's lease lifecycle: a whole-board
-// service and a slot-mode service, each losing one shard's board mid-run
-// (the slot-mode run also defragments). Each pin is the result line
-// (Digest plus counts) and the SHA-256 of the run's telemetry JSONL. A
-// change to either is a behaviour change and must be deliberate.
+// Pinned output of the shard pool's lease lifecycle: a service losing
+// one shard's board mid-run. The pin is the result line (Digest plus
+// counts) and the SHA-256 of the run's telemetry JSONL. A change to
+// either is a behaviour change and must be deliberate.
 const (
 	pinBoardResult    = "digest=5c361cf1afc9151a offered=2396 completed=2380 hits=1055 misses=730 timeouts=16 failovers=1 replies=2297 p99=8192 hosts=[26 25]"
 	pinBoardTelemetry = "0e3cc51f30f68ac0ca45e1158f8a21f9946b72bfcbace8bcfc1f702b23282c91"
-	pinSlotResult     = "digest=48e6756e149a5011 offered=2396 completed=1454 hits=505 misses=608 timeouts=942 failovers=1 replies=534 p99=8192 hosts=[26 27]"
-	pinSlotTelemetry  = "a4242b3080e31989f80982d874f203fade723cdd6e69faf2f64c6a3595203bd5"
 )
 
 // pinResult renders the digest-bearing fields of one run.
@@ -102,42 +98,6 @@ func TestPinnedBoardFailover(t *testing.T) {
 	}
 	if tel != pinBoardTelemetry {
 		t.Errorf("telemetry sha256 %s, pinned %s", tel, pinBoardTelemetry)
-	}
-}
-
-// TestPinnedSlotFailoverDefrag: slot-claim shards, slice 0's board killed
-// once serving and re-leased on a spare, then another tenant's claim
-// makes a spare board fuller and one Defragment pass moves a shard onto
-// it.
-func TestPinnedSlotFailoverDefrag(t *testing.T) {
-	cfg := slotConfig(89)
-	cfg.RMPoll = sim.Millisecond
-	cfg.Spares = 2
-	cfg.SlotsPerBoard = 3
-	moves := -1
-	res, tel := runPinned(t, cfg,
-		midRun{8500 * sim.Microsecond, killShard(0)},
-		midRun{16 * sim.Millisecond, func(sv *Service) {
-			var avoid []haas.NodeID
-			for _, h := range sv.ShardHosts() {
-				avoid = append(avoid, haas.NodeID(h))
-			}
-			if _, err := sv.RM().LeaseSlots(haas.SlotRequest{
-				Tenant: "other", Image: "other-v1", ALMs: 24000, Count: 1, Avoid: avoid,
-			}); err != nil {
-				t.Errorf("foreign claim: %v", err)
-			}
-		}},
-		midRun{24 * sim.Millisecond, func(sv *Service) { moves = sv.RM().Defragment() }},
-	)
-	if moves != 1 {
-		t.Fatalf("defrag moves = %d, want 1", moves)
-	}
-	if res != pinSlotResult {
-		t.Errorf("result\n got %s\nwant %s", res, pinSlotResult)
-	}
-	if tel != pinSlotTelemetry {
-		t.Errorf("telemetry sha256 %s, pinned %s", tel, pinSlotTelemetry)
 	}
 }
 

@@ -172,7 +172,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 func (h *Histogram) Percentile(p float64) int64 { return h.Quantile(p / 100) }
 
 // Reset clears all samples. The buckets keep their length, so a reused
-// histogram (Windowed's alternating windows) does not allocate again.
+// histogram does not allocate again.
 func (h *Histogram) Reset() {
 	for i := range h.buckets {
 		h.buckets[i] = 0
@@ -211,50 +211,6 @@ func (h *Histogram) Clone() *Histogram {
 	c := *h
 	c.buckets = append([]uint64(nil), h.buckets...)
 	return &c
-}
-
-// Windowed layers rolling-window semantics over a pair of histograms: a
-// cumulative total since construction and a window since the last
-// Snapshot. Control loops (e.g. watermark autoscalers) read percentiles
-// of the recent window; reports read the total.
-type Windowed struct {
-	win   *Histogram
-	spare *Histogram
-	total *Histogram
-}
-
-// NewWindowed returns a windowed histogram at default precision.
-func NewWindowed() *Windowed {
-	return &Windowed{
-		win:   NewHistogram(),
-		spare: NewHistogram(),
-		total: NewHistogram(),
-	}
-}
-
-// Observe records one sample into both the window and the total.
-func (w *Windowed) Observe(v int64) {
-	w.win.Observe(v)
-	w.total.Observe(v)
-}
-
-// Window returns the current (in-progress) window without resetting it.
-func (w *Windowed) Window() *Histogram { return w.win }
-
-// Total returns the cumulative histogram since construction.
-func (w *Windowed) Total() *Histogram { return w.total }
-
-// Snapshot closes the current window: it returns the window's histogram
-// and starts a fresh one. The returned histogram is owned by the caller
-// until the next Snapshot (the two window buffers alternate, so nothing
-// allocates in steady state). An empty window snapshots as an empty
-// histogram whose quantiles are all zero.
-func (w *Windowed) Snapshot() *Histogram {
-	snap := w.win
-	w.win = w.spare
-	w.win.Reset()
-	w.spare = snap
-	return snap
 }
 
 // Summary formats mean/p50/p95/p99/p99.9/max assuming samples are

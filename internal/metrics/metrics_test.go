@@ -80,6 +80,25 @@ func TestHistogramQuantileEdges(t *testing.T) {
 	if got := h.Quantile(1); got != 30 {
 		t.Errorf("Quantile(1) = %d, want 30", got)
 	}
+
+	// An empty histogram reads zero everywhere.
+	h = NewHistogram()
+	for _, q := range []float64{0, 0.5, 0.99, 1} {
+		if got := h.Quantile(q); got != 0 {
+			t.Errorf("empty Quantile(%v) = %d, want 0", q, got)
+		}
+	}
+	if h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
+		t.Error("empty mean/min/max not all zero")
+	}
+	// Every quantile of one sample is that sample: min/max clamping
+	// makes it exact despite the bucket width.
+	h.Observe(12345)
+	for _, q := range []float64{0, 0.001, 0.5, 0.99, 0.999, 1} {
+		if got := h.Quantile(q); got != 12345 {
+			t.Errorf("single-sample Quantile(%v) = %d, want 12345", q, got)
+		}
+	}
 }
 
 func TestHistogramReset(t *testing.T) {
@@ -283,66 +302,6 @@ func TestTableCSV(t *testing.T) {
 	want := "a,b\nplain,\"with \"\"quotes\"\", and comma\"\n"
 	if csv != want {
 		t.Fatalf("CSV:\n%q\nwant:\n%q", csv, want)
-	}
-}
-
-func TestWindowedEmptyWindowQuantiles(t *testing.T) {
-	w := NewWindowed()
-	snap := w.Snapshot()
-	if snap.Count() != 0 {
-		t.Fatalf("empty snapshot has %d samples", snap.Count())
-	}
-	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := snap.Quantile(q); got != 0 {
-			t.Fatalf("empty-window q%.2f = %d, want 0", q, got)
-		}
-	}
-	if snap.Mean() != 0 || snap.Min() != 0 || snap.Max() != 0 {
-		t.Fatal("empty-window mean/min/max not all zero")
-	}
-}
-
-func TestWindowedSingleSampleQuantiles(t *testing.T) {
-	w := NewWindowed()
-	w.Observe(12345)
-	snap := w.Snapshot()
-	if snap.Count() != 1 {
-		t.Fatalf("window count = %d, want 1", snap.Count())
-	}
-	// Every quantile of a single-sample window is that sample (within the
-	// histogram's relative-error bound; min/max clamping makes it exact).
-	for _, q := range []float64{0, 0.001, 0.5, 0.99, 0.999, 1} {
-		if got := snap.Quantile(q); got != 12345 {
-			t.Fatalf("single-sample q%.3f = %d, want 12345", q, got)
-		}
-	}
-}
-
-func TestWindowedSnapshotResetsWindowKeepsTotal(t *testing.T) {
-	w := NewWindowed()
-	for i := 1; i <= 100; i++ {
-		w.Observe(int64(i) * 1000)
-	}
-	first := w.Snapshot()
-	if first.Count() != 100 {
-		t.Fatalf("first window count = %d, want 100", first.Count())
-	}
-	if w.Window().Count() != 0 {
-		t.Fatal("snapshot did not reset the live window")
-	}
-	w.Observe(5_000_000)
-	second := w.Snapshot()
-	if second.Count() != 1 || second.Max() != 5_000_000 {
-		t.Fatalf("second window n=%d max=%d, want 1, 5000000", second.Count(), second.Max())
-	}
-	if w.Total().Count() != 101 {
-		t.Fatalf("total count = %d, want 101", w.Total().Count())
-	}
-	// The alternating buffers must not alias: `second` stays intact after
-	// more observations land in the live window.
-	w.Observe(777)
-	if second.Count() != 1 {
-		t.Fatal("returned snapshot aliases the live window")
 	}
 }
 

@@ -140,9 +140,8 @@ func sample(rng *rand.Rand, bitsMax int) int64 {
 
 // TestHistogramMatchesFullArray is the property behind sizing buckets by
 // what they hold: on seeded sample sets, Observe, Merge in both
-// directions, Clone, Reset followed by new samples and Windowed snapshots
-// all give the full-array histogram's count, extremes, mean and
-// quantiles.
+// directions, Clone, and Reset followed by new samples all give the
+// full-array histogram's count, extremes, mean and quantiles.
 func TestHistogramMatchesFullArray(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	for trial := 0; trial < 300; trial++ {
@@ -193,27 +192,6 @@ func TestHistogramMatchesFullArray(t *testing.T) {
 			rr.observe(v)
 		}
 		check("reset and refilled", ls, rr)
-	}
-}
-
-func TestWindowedMatchesFullArray(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	w, total := NewWindowed(), newRef(5)
-	for win := 0; win < 40; win++ {
-		r := newRef(5)
-		bitsMax := 10 + rng.Intn(53) // windows alternate short and long
-		for i := rng.Intn(300); i > 0; i-- {
-			v := sample(rng, bitsMax)
-			w.Observe(v)
-			r.observe(v)
-			total.observe(v)
-		}
-		if d := sameAsRef(w.Snapshot(), r); d != "" {
-			t.Fatalf("window %d differs from the full array in %s", win, d)
-		}
-		if d := sameAsRef(w.Total(), total); d != "" {
-			t.Fatalf("total after window %d differs from the full array in %s", win, d)
-		}
 	}
 }
 

@@ -212,7 +212,6 @@ type entry struct {
 	counters []*metrics.Counter
 	gauges   []*metrics.Gauge
 	hists    []*metrics.Histogram
-	windows  []*metrics.Windowed
 }
 
 // NewRegistry returns an empty registry.
@@ -255,14 +254,6 @@ func (r *Registry) Histogram(name, unit, pkg, help string, h *metrics.Histogram)
 		e.hists = append(e.hists, h)
 	}
 	return h
-}
-
-// Windowed registers w's cumulative total under name. Nil-safe.
-func (r *Registry) Windowed(name, unit, pkg, help string, w *metrics.Windowed) *metrics.Windowed {
-	if e := r.entryFor(name, unit, pkg, help); e != nil {
-		e.windows = append(e.windows, w)
-	}
-	return w
 }
 
 // RuntimeCounter registers c under name as a runtime-class series:
@@ -343,9 +334,6 @@ func (r *Registry) snapshot(runtime bool) []Sample {
 			m := metrics.NewHistogram()
 			for _, h := range e.hists {
 				m.Merge(h)
-			}
-			for _, w := range e.windows {
-				m.Merge(w.Total())
 			}
 			s.N = m.Count()
 			s.Mean = m.Mean()

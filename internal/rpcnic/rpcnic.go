@@ -327,7 +327,7 @@ type Dispatcher struct {
 // datacenter.
 func NewDispatcher(cfg Config) *Dispatcher {
 	cfg = cfg.withDefaults()
-	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, false, 0)
+	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	d := NewDispatcherOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return d

@@ -79,18 +79,17 @@ func TestAdmissionEstimate(t *testing.T) {
 	}
 }
 
-// TestBalancerAdmissionMatchesArrivePath checks that the Balancer's
-// admission() accessor reproduces the arrival-path estimate: default
+// TestBalancerAdmissionMatchesArrivePath checks that the balancer's
+// Admission accessor reproduces the arrival-path estimate: default
 // service time when the request carries none, the override when it
 // does, and an always-admit rule when admission control is off.
 func TestBalancerAdmissionMatchesArrivePath(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Duration = sim.Millisecond
 	cfg.Warmup = 0
-	sv := NewService(cfg)
-	b := sv.b
+	b := NewService(cfg)
 
-	a := b.admission(0)
+	a := b.Admission(0)
 	if a.ServiceTime != cfg.ServiceTime {
 		t.Fatalf("default admission service time = %v, want %v", a.ServiceTime, cfg.ServiceTime)
 	}
@@ -109,13 +108,13 @@ func TestBalancerAdmissionMatchesArrivePath(t *testing.T) {
 		t.Errorf("depth %d (est %v) should miss deadline %v", breakEven+1, a.Estimate(breakEven+1, 0), cfg.Deadline)
 	}
 
-	over := b.admission(2 * cfg.ServiceTime)
+	over := b.Admission(2 * cfg.ServiceTime)
 	if over.ServiceTime != 2*cfg.ServiceTime {
 		t.Fatalf("override admission service time = %v, want %v", over.ServiceTime, 2*cfg.ServiceTime)
 	}
 
 	b.cfg.Admission = false
-	if off := b.admission(0); off.Deadline != 0 || !off.Admit(1<<20, sim.Second) {
+	if off := b.Admission(0); off.Deadline != 0 || !off.Admit(1<<20, sim.Second) {
 		t.Fatalf("admission-off rule should admit everything, got %+v", off)
 	}
 }

@@ -14,7 +14,7 @@ import (
 // Deployment is one service deployed the way §V's Service Manager
 // deploys every accelerated service: client ends, an optional head host
 // that routes over gossiped queue depths, and a HaaS-leased pool of
-// interchangeable FPGAs with a fault injector over it. svclb's Balancer,
+// interchangeable FPGAs with a fault injector over it. svclb's Service,
 // kvcache.Service and rpcnic.Dispatcher embed one; each supplies only
 // its role, its client ends' handlers and its per-request path.
 type Deployment struct {
@@ -42,9 +42,8 @@ type Deployment struct {
 // a shell on every host, for a service that owns its fabric. Telemetry
 // is enabled first, with the tracer's capture limit raised to spanLimit
 // when positive: shells, ports and queues cache the tracer when they are
-// built. A slotted fabric partitions each shell's role region into
-// slotsPerBoard vFPGA slots (at least 2).
-func Standalone(seed int64, telemetry bool, spanLimit int, slotted bool, slotsPerBoard int) (*sim.Simulation, *netsim.Datacenter, map[int]*shell.Shell) {
+// built.
+func Standalone(seed int64, telemetry bool, spanLimit int) (*sim.Simulation, *netsim.Datacenter, map[int]*shell.Shell) {
 	s := sim.New(seed)
 	if telemetry {
 		c := obs.Enable(s)
@@ -55,11 +54,7 @@ func Standalone(seed int64, telemetry bool, spanLimit int, slotted bool, slotsPe
 	shells := map[int]*shell.Shell{}
 	dcCfg := netsim.DefaultConfig()
 	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		shCfg := shell.DefaultConfig()
-		if slotted {
-			shCfg.Slots = shell.DefaultSlotConfig(max(slotsPerBoard, 2))
-		}
-		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
+		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shell.DefaultConfig())
 		shells[hostID] = sh
 		return sh
 	}
@@ -187,27 +182,20 @@ func (d *Deployment) Telemetry(experiment, point string) *obs.Record {
 // NewBackendPool builds the backend pool of svclb and every service
 // built like it: a Resource Manager polling health every rmPoll, a fault
 // injector that can kill any of hosts, and a haas.Pool leasing them
-// under spec. Each host registers through an FPGA Manager that loads
-// role (the pool picks board or slot registration from spec.ALMs).
+// under spec. Each host registers as a whole board through an FPGA
+// Manager that loads role.
 func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []int, rmPoll sim.Time,
 	role shell.Role, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
-	pool := haas.NewPool(haas.NewResourceManager(dc.Sim, haas.RMConfig{HealthPollInterval: rmPoll}), spec)
+	rm := haas.NewResourceManager(dc.Sim, haas.RMConfig{HealthPollInterval: rmPoll})
 	in := faultinject.New(dc.Sim)
 	for _, h := range hosts {
 		sh := shells[h]
 		in.AddNode(h, sh)
-		pool.AddNode(&haas.SlotFM{
-			FM: &haas.FPGAManager{
-				Node:      haas.NodeID(h),
-				Configure: func(string) { sh.LoadRole(role) },
-				Healthy:   func() bool { return in.NodeAlive(h) },
-			},
-			Caps: sh.SlotCaps(),
-			ConfigureSlot: func(slot int, tenant, _ string, alms int, done func(ok bool)) (sim.Time, error) {
-				return sh.ReconfigureSlot(slot, tenant, role, alms, done)
-			},
-			ClearSlot: sh.ClearSlot,
+		rm.Register(&haas.FPGAManager{
+			Node:      haas.NodeID(h),
+			Configure: func(string) { sh.LoadRole(role) },
+			Healthy:   func() bool { return in.NodeAlive(h) },
 		})
 	}
-	return pool, in
+	return haas.NewPool(rm, spec), in
 }

@@ -17,7 +17,7 @@ import (
 func TestDeployLayoutProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 50; trial++ {
-		s, dc, shells := Standalone(int64(trial), false, 0, false, 0)
+		s, dc, shells := Standalone(int64(trial), false, 0)
 		hpt := dc.Config().HostsPerTOR
 		owner := map[int]int{}
 		claim := func(di, h int) {
@@ -83,12 +83,11 @@ func TestDeployLayoutProperty(t *testing.T) {
 // routing slots keep a gossip ticker, and the dead host's ticker is gone.
 func TestRetireStopsGossip(t *testing.T) {
 	cfg := quickConfig()
-	sv := NewService(cfg)
-	b := sv.b
+	b := NewService(cfg)
 	victim := b.Router.Live()[0].Host
 	b.s.Schedule(5*sim.Millisecond, func() { b.In.KillNode(victim) })
 	b.s.RunUntil(5*sim.Millisecond + 3*cfg.RMPoll)
-	sv.Stop()
+	b.Stop()
 	if b.failovers.Value() != 1 {
 		t.Fatalf("failovers = %d, want 1", b.failovers.Value())
 	}

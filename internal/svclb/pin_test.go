@@ -11,16 +11,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Pinned outputs of the balancer's lease lifecycle: a whole-board run
-// and a slot-mode run, each losing one backend's board mid-run. Each pin
-// is the result line (RouteHash plus counts) and the SHA-256 of the
-// run's telemetry JSONL. A change to either is a behaviour change and
-// must be deliberate.
+// Pinned output of the balancer's lease lifecycle: a run that loses one
+// backend's board mid-run. The pin is the result line (RouteHash plus
+// counts) and the SHA-256 of the run's telemetry JSONL. A change to
+// either is a behaviour change and must be deliberate.
 const (
 	pinBoardResult    = "route=334a58b901396cf4 offered=432 admitted=432 shed=0 completed=432 failovers=1 resent=1 final=1 p99=3145728"
-	pinBoardTelemetry = "8e43df77509a7a2b87c6640a6354cc9765a52d75bd83305bbe2e644af5cf967f"
-	pinSlotResult     = "route=657caa419345a80b offered=348 admitted=348 shed=0 completed=348 failovers=1 resent=1 final=2 p99=655360"
-	pinSlotTelemetry  = "107840ef82f5d4582d2e158b66d7af650e3079fb00a9689651af4f367198771a"
+	pinBoardTelemetry = "2a1576ca44732b60033be4f2c95e22b434201b4408d9042b80e1c7587821f64f"
 )
 
 // pinResult renders the digest-bearing fields of one run.
@@ -40,13 +37,13 @@ func telemetrySHA(t *testing.T, rec *obs.Record) string {
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(b.String())))
 }
 
-func checkPins(t *testing.T, r Result, wantResult, wantTel string) {
+func checkPins(t *testing.T, r Result) {
 	t.Helper()
-	if got := pinResult(r); got != wantResult {
-		t.Errorf("result\n got %s\nwant %s", got, wantResult)
+	if got := pinResult(r); got != pinBoardResult {
+		t.Errorf("result\n got %s\nwant %s", got, pinBoardResult)
 	}
-	if got := telemetrySHA(t, r.Telemetry); got != wantTel {
-		t.Errorf("telemetry sha256 %s, pinned %s", got, wantTel)
+	if got := telemetrySHA(t, r.Telemetry); got != pinBoardTelemetry {
+		t.Errorf("telemetry sha256 %s, pinned %s", got, pinBoardTelemetry)
 	}
 }
 
@@ -70,27 +67,7 @@ func TestPinnedBoardFailover(t *testing.T) {
 	if r.Failovers == 0 || r.Resent == 0 {
 		t.Fatalf("failover not exercised: %s", pinResult(r))
 	}
-	checkPins(t, r, pinBoardResult, pinBoardTelemetry)
-}
-
-// slotFailoverConfig is slot-claim backends with one board killed
-// mid-run and the claim re-leased on a spare board.
-func slotFailoverConfig() Config {
-	cfg := quickConfig()
-	cfg.Clients = 16
-	cfg.SlotALMs = 40000
-	cfg.Telemetry = true
-	cfg.KillAt = cfg.Warmup + 30*sim.Millisecond
-	return cfg
-}
-
-// TestPinnedSlotFailover pins the slot-mode failover run.
-func TestPinnedSlotFailover(t *testing.T) {
-	r := Run(slotFailoverConfig())
-	if r.Failovers == 0 {
-		t.Fatalf("kill not detected: %s", pinResult(r))
-	}
-	checkPins(t, r, pinSlotResult, pinSlotTelemetry)
+	checkPins(t, r)
 }
 
 // TestPinnedBoardFailoverParanoid reruns the whole-board failover with
@@ -101,5 +78,5 @@ func TestPinnedBoardFailoverParanoid(t *testing.T) {
 	netsim.SetParanoid(true)
 	defer netsim.SetParanoid(false)
 	r := Run(boardFailoverConfig())
-	checkPins(t, r, pinBoardResult, pinBoardTelemetry)
+	checkPins(t, r)
 }

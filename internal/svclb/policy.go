@@ -10,9 +10,9 @@ import (
 )
 
 // Slot is one routable backend in a Router's view. A slot is created when
-// an FPGA joins the service (lease grant, autoscale grow, or failure
-// replacement) and retired when it leaves; Index is monotonic across the
-// balancer's lifetime, so a replacement never aliases its predecessor.
+// an FPGA joins the service (lease grant or failure replacement) and
+// retired when it leaves; Index is monotonic across the balancer's
+// lifetime, so a replacement never aliases its predecessor.
 type Slot struct {
 	// Index is the stable slot id (assigned at AddSlot, never reused).
 	Index int
@@ -149,7 +149,7 @@ func estDepth(sl *Slot) int {
 }
 
 // Router is the embeddable routing core: a policy, its view of the
-// backend set, and deterministic bookkeeping. The full Balancer drives a
+// backend set, and deterministic bookkeeping. The full Service drives a
 // packet-level pool through it; dnnpool, which has its own data plane,
 // embeds it directly to replace static assignment.
 type Router struct {

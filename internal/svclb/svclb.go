@@ -3,9 +3,9 @@
 // requests through pluggable policies (random, round-robin,
 // join-shortest-queue, power-of-two-choices over stale gossiped queue
 // depths), sheds load that cannot meet its deadline, optionally hedges
-// slow requests onto a second replica (cancelling the loser), and grows
-// or shrinks its lease set as the windowed tail latency crosses
-// watermarks.
+// slow requests onto a second replica (cancelling the loser), and masks
+// a backend's board death by re-leasing a spare and resending what it
+// lost.
 //
 // The data plane is fully packet-level: requests cross PCIe, LTL, and the
 // simulated fabric exactly as dnnpool's do. The control plane uses the
@@ -46,8 +46,8 @@ const serviceImage = "svclb-v1"
 type Config struct {
 	Seed    int64
 	Clients int
-	// FPGAs is the initial leased pool size; Spares are additional
-	// registered-but-free nodes available for failover and autoscale.
+	// FPGAs is the leased pool size; Spares are additional
+	// registered-but-free nodes available for failover.
 	FPGAs  int
 	Spares int
 	Policy string
@@ -85,18 +85,6 @@ type Config struct {
 
 	// RMPoll is the HaaS health-poll period (failure-detection latency).
 	RMPoll sim.Time
-
-	// SlotALMs, when positive, leases each backend as a vFPGA slot claim
-	// of that ALM footprint instead of a whole board: the pool registers
-	// with HaaS per slot and leases map to (node, slot). The data plane
-	// still keys backends by host, so at most one svclb slot per board is
-	// claimed (replacement claims avoid boards the pool already uses).
-	SlotALMs int
-	// SlotsPerBoard partitions standalone pool shells (default 2); on a
-	// shared fabric the caller slots the shells it passes in.
-	SlotsPerBoard int
-
-	Autoscale AutoscaleConfig
 
 	// KillAt, when positive, hard-kills one pool FPGA at that time; the
 	// balancer must mask it via HaaS replacement and resend.
@@ -171,7 +159,7 @@ type Result struct {
 	Policy  string
 	Clients int
 	FPGAs   int
-	Ratio   float64 // clients per initially-leased FPGA
+	Ratio   float64 // clients per leased FPGA
 
 	// Totals over the whole run (warmup, window, and drain) — Admitted ==
 	// Completed is the no-loss conservation law once arrivals stop.
@@ -198,8 +186,6 @@ type Result struct {
 
 	Failovers uint64
 	Resent    uint64
-	Grown     uint64
-	Shrunk    uint64
 
 	FinalBackends int
 	// RouteHash digests every routing decision: the determinism witness.
@@ -229,7 +215,7 @@ type pendingReq struct {
 
 	// svc is the per-request service time (0 = Config.ServiceTime) and
 	// done the per-request completion callback; both are only set for
-	// externally submitted requests (Service.Submit).
+	// externally submitted requests (Submit).
 	svc  sim.Time
 	done func(latency sim.Time)
 
@@ -237,30 +223,31 @@ type pendingReq struct {
 	span obs.SpanID // the svclb.request root span
 }
 
-// Balancer is the Service Manager: it owns the lease set, the routing
-// view, and every in-flight request. The routing decision is shared state
-// between the SM and the clients it hands pointers to — only the load
-// signals it decides on travel the simulated network.
-type Balancer struct {
+// Service is the balancer, svclb's Service Manager: it owns the lease
+// set, the routing view, and every in-flight request. The routing
+// decision is shared state between the SM and the clients it hands
+// pointers to — only the load signals it decides on travel the simulated
+// network. Its requests, run loop and clock belong to the caller: svclb's
+// own Run drives one with open-loop generators; the live-traffic HTTP
+// frontend (internal/frontend) drives one from real network requests.
+// All methods must be called from the goroutine that owns the
+// simulation.
+type Service struct {
 	*Deployment
 	cfg Config
-
-	unwire map[int]func() // per-host teardown of a previous wiring epoch
 
 	pending map[uint64]*pendingReq
 	nextReq uint64
 
-	winLat   *metrics.Windowed  // all completions (autoscale control signal)
 	measured *metrics.Histogram // window-scoped completions (the result)
 	pcie     func(int) sim.Time
 
-	started bool // past initial lease setup: grows/shrinks are elastic events
-	tracer  *obs.Tracer
+	tracer *obs.Tracer
 
 	offered, admitted, shed, completed     metrics.Counter
 	wOffered, wAdmitted, wCompleted        metrics.Counter
 	hedged, hedgeWins, cancels, cancelHits metrics.Counter
-	failovers, resent, grown, shrunk       metrics.Counter
+	failovers, resent                      metrics.Counter
 
 	killAt        sim.Time
 	awaitRecovery bool
@@ -273,7 +260,7 @@ type Balancer struct {
 
 // message returns an n-byte wire body carrying request id in its first
 // eight bytes, built in the balancer's reused buffer.
-func (b *Balancer) message(id uint64, n int) []byte {
+func (b *Service) message(id uint64, n int) []byte {
 	if len(b.msg) < n {
 		b.msg = make([]byte, n)
 	}
@@ -285,7 +272,7 @@ func (b *Balancer) message(id uint64, n int) []byte {
 // registry (no-op when observability is disabled). The window-scoped
 // w* counters stay unregistered: they are a measurement-window subset
 // of offered/admitted/completed, not independent series.
-func (b *Balancer) registerMetrics(reg *obs.Registry) {
+func (b *Service) registerMetrics(reg *obs.Registry) {
 	const pkg = "svclb"
 	reg.Counter("svclb.offered", "reqs", pkg, "client requests arriving at the SM", &b.offered)
 	reg.Counter("svclb.admitted", "reqs", pkg, "requests passing admission control", &b.admitted)
@@ -297,19 +284,7 @@ func (b *Balancer) registerMetrics(reg *obs.Registry) {
 	reg.Counter("svclb.cancel_hits", "msgs", pkg, "cancels that pulled the loser out of a queue", &b.cancelHits)
 	reg.Counter("svclb.failovers", "events", pkg, "backend deaths handled via HaaS replacement", &b.failovers)
 	reg.Counter("svclb.resent", "reqs", pkg, "requests re-dispatched after losing every copy", &b.resent)
-	reg.Counter("svclb.grown", "events", pkg, "elastic pool grow operations", &b.grown)
-	reg.Counter("svclb.shrunk", "events", pkg, "elastic pool shrink operations", &b.shrunk)
 	reg.Histogram("svclb.latency", "ns", pkg, "measurement-window request latency", b.measured)
-	reg.Windowed("svclb.latency_all", "ns", pkg, "every completion (the autoscale control signal)", b.winLat)
-}
-
-// Service is a constructed balancer whose requests, run loop, and clock
-// belong to the caller: svclb's own Run drives one with open-loop
-// generators; the live-traffic HTTP frontend (internal/frontend) drives
-// one from real network requests. All methods must be called from the
-// goroutine that owns the simulation.
-type Service struct {
-	b *Balancer
 }
 
 // Request parameterizes one externally submitted request.
@@ -332,7 +307,7 @@ type Request struct {
 // fabric, ready for externally driven requests.
 func NewService(cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	s, dc, shells := Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit, cfg.SlotALMs > 0, cfg.SlotsPerBoard)
+	s, dc, shells := Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return sv
@@ -347,11 +322,9 @@ func NewService(cfg Config) *Service {
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	pcieCfg := shell.DefaultConfig()
-	b := &Balancer{
+	b := &Service{
 		cfg:      cfg,
-		unwire:   map[int]func(){},
 		pending:  map[uint64]*pendingReq{},
-		winLat:   metrics.NewWindowed(),
 		measured: metrics.NewHistogram(),
 		pcie:     pcieCfg.PCIeTime,
 		tracer:   obs.TracerOf(s),
@@ -360,72 +333,34 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		b.cfg.NetOverhead = b.pcie(cfg.ReqBytes) + b.pcie(cfg.RespBytes) + 20*sim.Microsecond
 	}
 	b.registerMetrics(obs.RegistryOf(s))
-	poolSize := cfg.FPGAs + cfg.Spares
-	if cfg.Autoscale.Interval > 0 && cfg.Autoscale.Max > cfg.FPGAs {
-		poolSize = cfg.Autoscale.Max + cfg.Spares
-	}
-	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, poolSize, cfg.RMPoll, svcRole{}, haas.PoolSpec{
-		Tenant: "svclb", Image: serviceImage, ALMs: cfg.SlotALMs,
+	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, cfg.FPGAs+cfg.Spares, cfg.RMPoll, svcRole{}, haas.PoolSpec{
+		Tenant: "svclb", Image: serviceImage,
 		OnLost: b.onLost,
 	})
 	for i := 0; i < cfg.FPGAs; i++ {
-		if err := b.grow(); err != nil {
+		m, err := b.Pool.Grow()
+		if err != nil {
 			panic(fmt.Sprintf("svclb: initial lease: %v", err))
 		}
+		b.addBackend(int(m.Node))
 	}
-	b.started = true
-	return &Service{b: b}
+	return b
 }
-
-// Sim returns the simulation the service runs on.
-func (sv *Service) Sim() *sim.Simulation { return sv.b.s }
 
 // Clients returns the number of ingress client hosts the service was
 // built with; Submit's client index must be in [0, Clients).
-func (sv *Service) Clients() int { return len(sv.b.ClientEnds) }
-
-// NextHostBase returns the first TOR-aligned host id past the hosts this
-// service occupies — where the next service on the same fabric starts.
-func (sv *Service) NextHostBase() int { return sv.b.NextHostBase() }
-
-// Submit runs one request from client index ci through admission,
-// routing, and the packet-level data plane. It returns the request id
-// and true when admitted (req.Done fires at completion), or 0 and false
-// when shed.
-func (sv *Service) Submit(ci int, req Request) (uint64, bool) {
-	return sv.b.submit(ci, req)
-}
-
-// Admission returns the deadline rule this service sheds by, for a
-// request with the given service time (0 = the configured default).
-func (sv *Service) Admission(svc sim.Time) Admission {
-	return sv.b.admission(svc)
-}
-
-// Stop releases control-plane resources (the HaaS health poll and
-// depth gossip). In-flight requests still complete if the caller keeps
-// running the simulation.
-func (sv *Service) Stop() { sv.b.Stop() }
-
-// Result snapshots the service's counters and latency percentiles.
-func (sv *Service) Result() Result { return sv.b.result() }
+func (b *Service) Clients() int { return len(b.ClientEnds) }
 
 // Run executes one balancer measurement.
 func Run(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	sv := NewService(cfg)
-	b := sv.b
+	b := NewService(cfg)
 	s := b.s
 
 	gens := make([]*workload.OpenLoop, cfg.Clients)
 	for ci := range b.ClientEnds {
 		gens[ci] = workload.NewOpenLoop(s, cfg.ClientRate, func() { b.arrive(ci) })
 		gens[ci].Start()
-	}
-
-	var as *autoscaler
-	if cfg.Autoscale.Interval > 0 {
-		as = b.startAutoscaler()
 	}
 
 	if cfg.KillAt > 0 {
@@ -447,15 +382,12 @@ func Run(cfg Config) Result {
 	}
 	s.RunUntil(end + cfg.Drain)
 	b.Pool.RM().Stop()
-	if as != nil {
-		as.stop()
-	}
-	return b.result()
+	return b.Result()
 }
 
-// result snapshots the balancer's counters and latency percentiles,
+// Result snapshots the service's counters and latency percentiles,
 // collecting telemetry when observability is enabled.
-func (b *Balancer) result() Result {
+func (b *Service) Result() Result {
 	cfg := b.cfg
 	res := Result{
 		Policy:  cfg.Policy,
@@ -474,7 +406,6 @@ func (b *Balancer) result() Result {
 		Hedged: b.hedged.Value(), HedgeWins: b.hedgeWins.Value(),
 		Cancels: b.cancels.Value(), CancelHits: b.cancelHits.Value(),
 		Failovers: b.failovers.Value(), Resent: b.resent.Value(),
-		Grown: b.grown.Value(), Shrunk: b.shrunk.Value(),
 
 		FinalBackends: len(b.Router.Live()),
 		RouteHash:     b.Router.RouteHash(),
@@ -499,10 +430,11 @@ func (b *Balancer) result() Result {
 	return res
 }
 
-// admission returns the deadline rule for a request with the given
-// service time (0 = the configured default). When admission control is
-// off the returned rule's Deadline is zero, which admits everything.
-func (b *Balancer) admission(svc sim.Time) Admission {
+// Admission returns the deadline rule this service sheds by, for a
+// request with the given service time (0 = the configured default).
+// When admission control is off the returned rule's Deadline is zero,
+// which admits everything.
+func (b *Service) Admission(svc sim.Time) Admission {
 	if svc <= 0 {
 		svc = b.cfg.ServiceTime
 	}
@@ -516,7 +448,7 @@ func (b *Balancer) admission(svc sim.Time) Admission {
 // inWindow reports whether t falls in the measurement window. A
 // non-positive Duration means an externally driven service with no
 // predetermined end: everything past warmup is measured.
-func (b *Balancer) inWindow(t sim.Time) bool {
+func (b *Service) inWindow(t sim.Time) bool {
 	if t < b.cfg.Warmup {
 		return false
 	}
@@ -524,15 +456,18 @@ func (b *Balancer) inWindow(t sim.Time) bool {
 }
 
 // arrive handles one generator request: admission, routing, dispatch.
-func (b *Balancer) arrive(ci int) {
-	b.submit(ci, Request{})
+func (b *Service) arrive(ci int) {
+	b.Submit(ci, Request{})
 }
 
-// submit runs one request through admission, routing, and dispatch.
-// This is arrive generalized for external callers: a per-request
-// service-time override, an admission lag term, and a completion
-// callback. With a zero Request it is byte-for-byte the generator path.
-func (b *Balancer) submit(ci int, req Request) (uint64, bool) {
+// Submit runs one request from client index ci through admission,
+// routing, and the packet-level data plane. It returns the request id
+// and true when admitted (req.Done fires at completion), or 0 and false
+// when shed. This is arrive generalized for external callers: a
+// per-request service-time override, an admission lag term, and a
+// completion callback. With a zero Request it is byte-for-byte the
+// generator path.
+func (b *Service) Submit(ci int, req Request) (uint64, bool) {
 	now := b.s.Now()
 	inWindow := b.inWindow(now)
 	b.offered.Inc()
@@ -545,7 +480,7 @@ func (b *Balancer) submit(ci int, req Request) (uint64, bool) {
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
 		return 0, false
 	}
-	if !b.admission(req.Service).Admit(estDepth(sl), req.Lag) {
+	if !b.Admission(req.Service).Admit(estDepth(sl), req.Lag) {
 		b.Router.Done(sl)
 		b.shed.Inc()
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
@@ -573,7 +508,7 @@ func (b *Balancer) submit(ci int, req Request) (uint64, bool) {
 // serviceOf returns the service time a backend should charge request
 // id: the per-request override when one was submitted, else the
 // configured default.
-func (b *Balancer) serviceOf(reqID uint64) sim.Time {
+func (b *Service) serviceOf(reqID uint64) sim.Time {
 	if p := b.pending[reqID]; p != nil && p.svc > 0 {
 		return p.svc
 	}
@@ -581,7 +516,7 @@ func (b *Balancer) serviceOf(reqID uint64) sim.Time {
 }
 
 // sendCopy dispatches one copy of p to sl (PCIe then LTL).
-func (b *Balancer) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
+func (b *Service) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 	c := &reqCopy{slot: sl, hedge: hedge}
 	p.copies = append(p.copies, c)
 	// Literal span names keep the telemetry inventory statically
@@ -610,7 +545,7 @@ func (b *Balancer) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 
 // hedge sends a second copy of a still-pending request to a different
 // backend.
-func (b *Balancer) hedge(p *pendingReq) {
+func (b *Service) hedge(p *pendingReq) {
 	if _, live := b.pending[p.id]; !live {
 		return
 	}
@@ -630,7 +565,7 @@ func (b *Balancer) hedge(p *pendingReq) {
 
 // onResponse handles the response for req id arriving at client ci from
 // slot sl (the winner if copies were hedged).
-func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
+func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 	p, ok := b.pending[reqID]
 	if !ok {
 		return // late duplicate from a hedge loser or a cancel miss
@@ -672,7 +607,6 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 		lat := int64(now - p.t0)
 		b.completed.Inc()
 		b.tracer.End(p.span)
-		b.winLat.Observe(lat)
 		if b.inWindow(p.t0) {
 			b.wCompleted.Inc()
 			b.measured.Observe(lat)
@@ -689,38 +623,8 @@ func (b *Balancer) onResponse(ci int, sl *Slot, reqID uint64) {
 	})
 }
 
-// grow leases one more FPGA and wires it into the pool. A slot claim's
-// backend wires at grant like a board's: its reconfiguration window
-// plays the same part as a whole board's role load.
-func (b *Balancer) grow() error {
-	m, err := b.Pool.Grow()
-	if err != nil {
-		return err
-	}
-	b.addBackend(int(m.Node))
-	if b.started {
-		b.grown.Inc()
-	}
-	return nil
-}
-
-// shrink drains and releases the newest-leased backend. In-flight work
-// on it still completes: the lease is returned but the connections stay
-// up until the host is re-wired.
-func (b *Balancer) shrink() {
-	m := b.Pool.Shrink()
-	if m == nil {
-		return
-	}
-	b.Retire(int(m.Node))
-	b.shrunk.Inc()
-}
-
 // addBackend wires host h into the data plane and the routing view.
-func (b *Balancer) addBackend(h int) {
-	if tear := b.unwire[h]; tear != nil {
-		tear() // host reused after a drain: drop the stale wiring epoch
-	}
+func (b *Service) addBackend(h int) {
 	q := NewWorkQueue(b.s, h)
 	fs := b.Shells[h]
 	sl := b.Serve(h, b.cfg.GossipInterval, q.Depth)
@@ -747,21 +651,15 @@ func (b *Balancer) addBackend(h int) {
 			b.onResponse(ci, sl, binary.BigEndian.Uint64(payload))
 		}))
 	}
-	b.unwire[h] = func() {
-		for ci := range b.ClientEnds {
-			fs.Engine.Close(uint16(ci) + 1)
-			fs.Engine.Close(uint16(ci) + 1000)
-		}
-	}
 }
 
-// onLost handles a backend's board death: unwire the dead host, wire the
+// onLost handles a backend's board death: retire the dead host, wire the
 // pool's replacement (if one was granted), then resend every pending
-// request that was lost with the dead backend.
-func (b *Balancer) onLost(m *haas.Member, dead haas.NodeID) {
+// request that was lost with the dead backend. The replacement is wired
+// before the resend so the resend can route to it.
+func (b *Service) onLost(m *haas.Member, dead haas.NodeID) {
 	b.failovers.Inc()
 	b.Retire(int(dead))
-	delete(b.unwire, int(dead)) // the dead shell's connections die with it
 	if m.Node != dead {
 		b.addBackend(int(m.Node))
 	}
@@ -770,7 +668,7 @@ func (b *Balancer) onLost(m *haas.Member, dead haas.NodeID) {
 
 // resendOrphans scans pending requests in id order (deterministic
 // multi-failure handling) and resends any whose every copy is lost.
-func (b *Balancer) resendOrphans() {
+func (b *Service) resendOrphans() {
 	ids := make([]uint64, 0, len(b.pending))
 	for id := range b.pending {
 		ids = append(ids, id)
@@ -796,7 +694,7 @@ func (b *Balancer) resendOrphans() {
 }
 
 // reroute resends a request whose copies were all lost to failures.
-func (b *Balancer) reroute(p *pendingReq) {
+func (b *Service) reroute(p *pendingReq) {
 	sl, ok := b.Router.Pick()
 	if !ok {
 		// No live backend at all; retry when the pool recovers. The request

@@ -184,53 +184,6 @@ func TestHedgingCancelsLoser(t *testing.T) {
 	}
 }
 
-func TestAutoscaleGrowsAndShrinks(t *testing.T) {
-	// Overloaded single FPGA with headroom: the p99 watermark must pull in
-	// more leases.
-	cfg := quickConfig()
-	cfg.Clients = 24
-	cfg.FPGAs = 1
-	cfg.Spares = 3
-	cfg.Admission = false
-	cfg.Autoscale = AutoscaleConfig{
-		Interval: 10 * sim.Millisecond,
-		HighP99:  4 * cfg.ServiceTime,
-		LowP99:   2 * cfg.ServiceTime,
-		Min:      1,
-		Max:      4,
-	}
-	r := Run(cfg)
-	if r.Grown == 0 {
-		t.Fatalf("overload never triggered a grow: %+v", r)
-	}
-	if r.FinalBackends <= 1 {
-		t.Fatalf("pool did not scale up: %d backends", r.FinalBackends)
-	}
-	if r.Admitted != r.Completed {
-		t.Fatalf("admitted %d but completed %d across scaling", r.Admitted, r.Completed)
-	}
-
-	// Idle oversized pool: the low watermark must release leases.
-	cfg = quickConfig()
-	cfg.Clients = 2
-	cfg.FPGAs = 3
-	cfg.Autoscale = AutoscaleConfig{
-		Interval:   10 * sim.Millisecond,
-		HighP99:    1000 * cfg.ServiceTime,
-		LowP99:     100 * cfg.ServiceTime,
-		Min:        1,
-		Max:        3,
-		MinSamples: 5,
-	}
-	r = Run(cfg)
-	if r.Shrunk == 0 {
-		t.Fatalf("idle pool never shrank: %+v", r)
-	}
-	if r.Admitted != r.Completed {
-		t.Fatalf("admitted %d but completed %d across draining", r.Admitted, r.Completed)
-	}
-}
-
 func TestP2CAdmissionSustainsHigherRatioThanRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point packet-level sweep")
