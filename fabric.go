@@ -38,14 +38,15 @@ type FabricPoint struct {
 
 // FabricRun is what every fabric point reports about its run.
 type FabricRun struct {
+	// Events is the kernel's fired-event count: run cost, like Elapsed,
+	// so it stays out of Digest.
 	Events uint64
 	// Deprecated: Crossings is always 0; nothing is partitioned, so no
 	// event crosses a partition. It remains only because cmd/ccperf, the
 	// frozen end-to-end benchmark, still reads it.
 	Crossings uint64
-	// Digest folds the point's own values in construction order, then
-	// the event total: two runs agree on the digest iff the simulation
-	// behaved identically.
+	// Digest folds the point's own values in construction order: two
+	// runs agree on the digest iff the simulation behaved identically.
 	Digest  uint64
 	Elapsed time.Duration
 	// Record is the run's telemetry (nil unless Telemetry was set).
@@ -72,14 +73,14 @@ func (p FabricPoint) build(topo netsim.Config, shCfg shell.Config) (*Cloud, nets
 
 // run advances the built cloud for p.Duration, timing it on the wall
 // clock. tally folds the point's own values into the digest in a fixed
-// order (tallying its result as it goes); the event total follows.
+// order (tallying its result as it goes).
 func (p FabricPoint) run(c *Cloud, experiment, label string, tally func(fold func(...uint64))) FabricRun {
 	start := time.Now()
 	c.Run(p.Duration)
 	r := FabricRun{Elapsed: time.Since(start), Events: c.Sim.Fired()}
 	h := uint64(obs.FNVOffset)
 	tally(func(vs ...uint64) { h = obs.FNVFold(h, vs...) })
-	r.Digest = obs.FNVFold(h, r.Events)
+	r.Digest = h
 	r.Record = obs.Collect(obs.Of(c.Sim), experiment, label)
 	return r
 }

@@ -58,11 +58,12 @@ func pinTraffic(s *sim.Simulation, rng *rand.Rand, terms []*Terminal, dsts []int
 
 // TestRouterSchedulePin pins the Elastic Router's switch-allocation
 // schedule bit for bit: every delivery (virtual time, port, source,
-// message), every Stats counter, the kernel's fired-event count, and the
-// tracer's span sequence (which carries every er.stall_* event in
-// order), over seeded random traffic on five router shapes. Any change
-// to arbitration order, stall accounting or event scheduling moves the
-// digest.
+// message), every Stats counter, and the tracer's span sequence (which
+// carries every er.stall_* event in order), over seeded random traffic
+// on five router shapes. Any change to arbitration order, stall
+// accounting or delivery timing moves the digest. The fired-event count
+// is run cost and stays out: a change that drops idle events without
+// moving a delivery leaves the digest alone.
 func TestRouterSchedulePin(t *testing.T) {
 	type build func(s *sim.Simulation, d *scheduleDigest) (routers []*Router, terms []*Terminal, dsts []int)
 	// single wires one router with terminals on every port except those
@@ -121,14 +122,14 @@ func TestRouterSchedulePin(t *testing.T) {
 		msgs  int
 		want  uint64
 	}{
-		{"elastic-4x2-sink", single(DefaultConfig(), PortRemote), 2, 400, 0x44261f5c89323605},
-		{"static-4x2", single(static), 2, 400, 0xc784d3a3a36caa22},
+		{"elastic-4x2-sink", single(DefaultConfig(), PortRemote), 2, 400, 0x6c257839b6179f17},
+		{"static-4x2", single(static), 2, 400, 0x2fc1e664c674515a},
 		{"mesh-2x2", func(s *sim.Simulation, d *scheduleDigest) ([]*Router, []*Terminal, []int) {
 			routers, terms := buildMesh(t, s, 2, 2)
 			return routers, terms, []int{0, 1, 2, 3}
-		}, 2, 300, 0x22fadb0b686997a1},
-		{"slotted-4x6", single(slotted), 6, 400, 0x3bfc219e307fd2c9},
-		{"wide-12x6-sink", single(wide, 5, 11), 6, 600, 0x3163f5ba64725328},
+		}, 2, 300, 0x94c10c09a208b66b},
+		{"slotted-4x6", single(slotted), 6, 400, 0x3e6ce55a86177b6d},
+		{"wide-12x6-sink", single(wide, 5, 11), 6, 600, 0x218ecfacb0b83f4c},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -165,7 +166,6 @@ func TestRouterSchedulePin(t *testing.T) {
 				noCredit += int64(st.StallNoCredit.Value())
 				conflict += int64(st.StallConflict.Value())
 			}
-			d.add(int64(s.Fired()), int64(s.Now()))
 			tr := obs.TracerOf(s)
 			stalls := 0
 			for _, sp := range tr.Spans() {
