@@ -64,11 +64,9 @@ type Options struct {
 	// Topology overrides the fabric configuration (zero value: the
 	// paper's 24-host TORs, 960-host pods, 261 pods).
 	Topology netsim.Config
-	// Shell overrides the FPGA shell configuration.
+	// Shell overrides the FPGA shell configuration (zero value:
+	// DefaultShellConfig).
 	Shell shell.Config
-	// NoFPGAs builds a plain datacenter without bump-in-the-wire shells
-	// (the "software-only datacenter" baseline of Fig. 7).
-	NoFPGAs bool
 	// FaultProfile names a faultinject profile ("paper", "lossy", "flaky",
 	// "chaos") to run the cloud under; every node is registered with the
 	// injector as it instantiates and fault schedules start automatically.
@@ -153,7 +151,9 @@ func New(opts Options) *Cloud {
 		topo = netsim.DefaultConfig()
 	}
 	shCfg := opts.Shell
-	if shCfg.BridgeLatency == 0 {
+	// A zero LTL window means no shell config was given: ltl.New rejects
+	// one, so every valid config sets it.
+	if shCfg.LTL.Window == 0 {
 		shCfg = shell.DefaultConfig()
 	}
 	c := &Cloud{Sim: s, shellCfg: shCfg, shells: make(map[int]*shell.Shell)}
@@ -169,12 +169,10 @@ func New(opts Options) *Cloud {
 		}
 		c.Faults.Start(p)
 	}
-	if !opts.NoFPGAs {
-		topo.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-			sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
-			c.shells[hostID] = sh
-			return sh
-		}
+	topo.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
+		sh := shell.New(dc.Sim, hostID, netsim.DefaultPortConfig(), shCfg)
+		c.shells[hostID] = sh
+		return sh
 	}
 	c.DC = netsim.NewDatacenter(s, topo)
 	return c
@@ -187,7 +185,7 @@ func (c *Cloud) Node(id int) Node {
 	_, known := c.shells[id]
 	h := c.DC.Host(id)
 	sh := c.shells[id]
-	if sh != nil && !known {
+	if !known {
 		c.Faults.AddNode(id, sh)
 	}
 	return Node{ID: id, Host: h, Shell: sh}

@@ -26,7 +26,7 @@ func TestExperimentDeterminism(t *testing.T) {
 	}
 	// "tenancy" and "scale" print wall-clock columns and are covered by
 	// their own digest-based tests (TestTenancyScaleDeterminism,
-	// TestShardedScaleDeterminism) plus TestTenancyTableDeterminism for
+	// TestScaleDeterminism) plus TestTenancyTableDeterminism for
 	// the wall-free E19 tables.
 	for _, id := range []string{"fig5", "power", "reliability", "crypto", "haas", "faults", "ext-bioinfo", "ext-compression"} {
 		render := func() string {
@@ -213,7 +213,7 @@ func pinnedScaleConfig() ScaleConfig {
 	return cfg
 }
 
-func TestShardedScaleDeterminism(t *testing.T) {
+func TestScaleDeterminism(t *testing.T) {
 	run := func() (ScaleResult, string) {
 		cfg := pinnedScaleConfig()
 		cfg.Telemetry = true
@@ -274,7 +274,7 @@ func TestWorkerCountIgnored(t *testing.T) {
 // counts, random L1<->L2 cable delays and per-pod spreads, random
 // cross-traffic — each run twice. The rerun must produce the same
 // digest and byte-identical telemetry JSONL.
-func TestShardEngineRandomTopologyProperty(t *testing.T) {
+func TestScaleRandomTopologyReplays(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 2 clouds per trial")
 	}
@@ -396,7 +396,7 @@ func TestNetsvcScaleMGetClamp(t *testing.T) {
 
 // MeanGap 0 means back-to-back requests: every fabric point still
 // draws its per-chain state and completes its whole workload.
-func TestShardedPointsZeroMeanGap(t *testing.T) {
+func TestFabricPointsZeroMeanGap(t *testing.T) {
 	scfg := DefaultScaleConfig(2)
 	scfg.HostsPerTOR = 6
 	scfg.TORsPerPod = 4

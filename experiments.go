@@ -476,7 +476,7 @@ func ExpSvcLB(scale Scale) *Table {
 
 	t := &Table{
 		Title: fmt.Sprintf("Sec. V-F extension — SM load balancing (%d-FPGA pool; sustain = p99 <= %v, goodput >= %.0f%%)",
-			sc.Base.FPGAs, sc.P99Bound, sc.MinGoodput*100),
+			sc.Base.FPGAs, sc.P99Bound(), svclb.MinGoodput*100),
 		Headers: []string{"policy", "clients/FPGA", "p99", "admit rate", "goodput", "hedged", "sustained"},
 	}
 	for _, sr := range results {

@@ -38,9 +38,9 @@ func TestExperimentIDsAllRunnable(t *testing.T) {
 	}
 }
 
-// The sharded points' tables (E16, E18c, E19c) replay: rendered twice
+// The fabric points' tables (E16, E18c, E19c) replay: rendered twice
 // at Quick sizing, every cell but the trailing wall-clock column agrees.
-func TestShardedTablesIdentical(t *testing.T) {
+func TestFabricTablesReplay(t *testing.T) {
 	for _, exp := range []func(Scale) *Table{ExpScale, expNetsvcScale, expTenancyScale} {
 		a, b := exp(Quick), exp(Quick)
 		col := len(a.Headers) - 1

@@ -17,12 +17,8 @@ import (
 // that packet is received in LTL"), against the Catapult v1 6x8 torus
 // baseline.
 type Fig10Config struct {
-	Seed        int64
-	PairsL0     int
-	PairsL1     int
-	PairsL2     int
-	PingsPer    int
-	PayloadSize int
+	Seed     int64
+	PingsPer int
 	// MeanGap spaces pings out ("we generated LTL traffic at a very low
 	// rate to obtain representative idle latencies").
 	MeanGap sim.Time
@@ -32,15 +28,17 @@ type Fig10Config struct {
 	BackgroundUtil float64
 }
 
+// The Fig. 10 measurement: pairs per tier and the ping payload size.
+const (
+	fig10PairsL0, fig10PairsL1, fig10PairsL2 = 4, 4, 6
+	fig10PayloadSize                         = 64
+)
+
 // DefaultFig10Config sizes the measurement like the paper's.
 func DefaultFig10Config() Fig10Config {
 	return Fig10Config{
 		Seed:           12,
-		PairsL0:        4,
-		PairsL1:        4,
-		PairsL2:        6,
 		PingsPer:       300,
-		PayloadSize:    64,
 		MeanGap:        50 * sim.Microsecond,
 		BackgroundUtil: 0.04,
 	}
@@ -90,13 +88,13 @@ func Fig10(cfg Fig10Config) Fig10Result {
 	// Build measurement pairs per tier.
 	type pair struct{ a, b int }
 	tiers := [3][]pair{}
-	for i := 0; i < cfg.PairsL0; i++ {
+	for i := 0; i < fig10PairsL0; i++ {
 		tiers[0] = append(tiers[0], pair{2 * i, 2*i + 1}) // same TOR
 	}
-	for i := 0; i < cfg.PairsL1; i++ {
+	for i := 0; i < fig10PairsL1; i++ {
 		tiers[1] = append(tiers[1], pair{i, (i+1)*perTOR + i}) // same pod, different TOR
 	}
-	for i := 0; i < cfg.PairsL2; i++ {
+	for i := 0; i < fig10PairsL2; i++ {
 		tiers[2] = append(tiers[2], pair{i, (i*7+3)%topo.Pods*perPod + i}) // across pods
 	}
 
@@ -120,7 +118,7 @@ func Fig10(cfg Fig10Config) Fig10Result {
 
 			h := hists[tier]
 			eng := a.Shell.Engine
-			payload := make([]byte, cfg.PayloadSize)
+			payload := make([]byte, fig10PayloadSize)
 			remaining := cfg.PingsPer
 			var ping func()
 			ping = func() {
@@ -162,7 +160,7 @@ func Fig10(cfg Fig10Config) Fig10Result {
 	ts := sim.New(cfg.Seed)
 	tor := torus.New(ts, torus.DefaultConfig())
 	res.TorusNodes = tor.Nodes()
-	res.Torus1HopRTT, _, _ = tor.RTT(0, 1, cfg.PayloadSize+64)
-	res.TorusWorstRTT, _, _ = tor.RTT(tor.Node(0, 0), tor.Node(3, 4), cfg.PayloadSize+64)
+	res.Torus1HopRTT, _, _ = tor.RTT(0, 1, fig10PayloadSize+64)
+	res.TorusWorstRTT, _, _ = tor.RTT(tor.Node(0, 0), tor.Node(3, 4), fig10PayloadSize+64)
 	return res
 }

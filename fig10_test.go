@@ -118,17 +118,6 @@ func TestCloudBasics(t *testing.T) {
 	}
 }
 
-func TestCloudNoFPGAs(t *testing.T) {
-	cloud := New(Options{Seed: 1, NoFPGAs: true})
-	n := cloud.Node(0)
-	if n.Shell != nil {
-		t.Fatal("NoFPGAs cloud has a shell")
-	}
-	if n.Host == nil {
-		t.Fatal("host missing")
-	}
-}
-
 func TestCloudDeterminism(t *testing.T) {
 	run := func() Time {
 		cloud := New(Options{Seed: 42})

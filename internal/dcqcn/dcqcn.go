@@ -11,52 +11,36 @@ import (
 	"repro/internal/sim"
 )
 
-// Config holds the DCQCN constants. Defaults follow the published
-// parameterization scaled to a 40 Gb/s line rate.
-type Config struct {
-	LineRateBps int64
-	MinRateBps  int64
-	// G is the alpha EWMA gain (1/256 in the paper).
-	G float64
-	// AlphaTimer is the interval without CNPs after which alpha decays.
-	AlphaTimer sim.Time
-	// IncreaseTimer drives rate-increase stages.
-	IncreaseTimer sim.Time
-	// FastRecoverySteps is the number of increase events spent in fast
+// The DCQCN constants follow the published parameterization scaled to
+// the paper's 40 Gb/s line rate (§V-A).
+const (
+	// LineRateBps is the port rate a flow starts at and recovers to.
+	LineRateBps int64 = 40e9
+	minRateBps  int64 = 10e6
+	// g is the alpha EWMA gain (1/256 in the paper).
+	g = 1.0 / 256
+	// alphaTimer is the interval without CNPs after which alpha decays.
+	alphaTimer = 55 * sim.Microsecond
+	// increaseTimer drives rate-increase stages.
+	increaseTimer = 300 * sim.Microsecond
+	// fastRecoverySteps is the number of increase events spent in fast
 	// recovery before additive increase begins.
-	FastRecoverySteps int
-	// AIRateBps is the additive increase step.
-	AIRateBps int64
-	// HyperAIRateBps is the hyper increase step after prolonged calm.
-	HyperAIRateBps int64
-	// HyperThreshold is the number of consecutive additive stages before
+	fastRecoverySteps = 5
+	// aiRateBps is the additive increase step.
+	aiRateBps int64 = 40e6
+	// hyperAIRateBps is the hyper increase step after prolonged calm.
+	hyperAIRateBps int64 = 400e6
+	// hyperThreshold is the number of consecutive additive stages before
 	// hyper increase engages.
-	HyperThreshold int
-	// CNPInterval is the notification point's minimum gap between CNPs
+	hyperThreshold = 5
+	// cnpInterval is the notification point's minimum gap between CNPs
 	// for one flow.
-	CNPInterval sim.Time
-}
-
-// DefaultConfig returns DCQCN constants for a 40 Gb/s port.
-func DefaultConfig() Config {
-	return Config{
-		LineRateBps:       40e9,
-		MinRateBps:        10e6,
-		G:                 1.0 / 256,
-		AlphaTimer:        55 * sim.Microsecond,
-		IncreaseTimer:     300 * sim.Microsecond,
-		FastRecoverySteps: 5,
-		AIRateBps:         40e6,
-		HyperAIRateBps:    400e6,
-		HyperThreshold:    5,
-		CNPInterval:       50 * sim.Microsecond,
-	}
-}
+	cnpInterval = 50 * sim.Microsecond
+)
 
 // ReactionPoint is the sender-side rate controller for one flow.
 type ReactionPoint struct {
-	cfg Config
-	s   *sim.Simulation
+	s *sim.Simulation
 
 	rc, rt     int64 // current and target rate, bps
 	alpha      float64
@@ -73,10 +57,10 @@ type ReactionPoint struct {
 // NewReactionPoint starts a reaction point at full line rate. Its
 // alpha-decay and rate-increase timers stay dormant until the first CNP
 // arrives: an uncongested flow costs no simulation events.
-func NewReactionPoint(s *sim.Simulation, cfg Config) *ReactionPoint {
+func NewReactionPoint(s *sim.Simulation) *ReactionPoint {
 	return &ReactionPoint{
-		cfg: cfg, s: s,
-		rc: cfg.LineRateBps, rt: cfg.LineRateBps,
+		s:  s,
+		rc: LineRateBps, rt: LineRateBps,
 		alpha: 1,
 	}
 }
@@ -86,8 +70,8 @@ func (rp *ReactionPoint) armTimers() {
 	if rp.stopped || rp.alphaTick != nil {
 		return
 	}
-	rp.alphaTick = rp.s.Every(rp.cfg.AlphaTimer, rp.cfg.AlphaTimer, rp.alphaUpdate)
-	rp.incTick = rp.s.Every(rp.cfg.IncreaseTimer, rp.cfg.IncreaseTimer, rp.increase)
+	rp.alphaTick = rp.s.Every(alphaTimer, alphaTimer, rp.alphaUpdate)
+	rp.incTick = rp.s.Every(increaseTimer, increaseTimer, rp.increase)
 }
 
 // Stop cancels the controller's timers.
@@ -113,18 +97,18 @@ func (rp *ReactionPoint) OnCNP() {
 	rp.sawCNPOnce = true
 	rp.lastCNP = rp.s.Now()
 	rp.rt = rp.rc
-	rp.alpha = (1-rp.cfg.G)*rp.alpha + rp.cfg.G
+	rp.alpha = (1-g)*rp.alpha + g
 	rp.rc = int64(float64(rp.rc) * (1 - rp.alpha/2))
-	if rp.rc < rp.cfg.MinRateBps {
-		rp.rc = rp.cfg.MinRateBps
+	if rp.rc < minRateBps {
+		rp.rc = minRateBps
 	}
 	rp.stage = 0
 }
 
 // alphaUpdate decays alpha when no CNP arrived in the last window.
 func (rp *ReactionPoint) alphaUpdate() {
-	if rp.s.Now()-rp.lastCNP >= rp.cfg.AlphaTimer {
-		rp.alpha = (1 - rp.cfg.G) * rp.alpha
+	if rp.s.Now()-rp.lastCNP >= alphaTimer {
+		rp.alpha = (1 - g) * rp.alpha
 	}
 }
 
@@ -140,47 +124,46 @@ func (rp *ReactionPoint) disarmTimers() {
 
 // increase advances the recovery state machine one stage.
 func (rp *ReactionPoint) increase() {
-	if !rp.sawCNPOnce || rp.rc >= rp.cfg.LineRateBps {
+	if !rp.sawCNPOnce || rp.rc >= LineRateBps {
 		rp.disarmTimers()
 		return
 	}
 	rp.stage++
 	switch {
-	case rp.stage <= rp.cfg.FastRecoverySteps:
+	case rp.stage <= fastRecoverySteps:
 		// Fast recovery: halve the distance to the target rate.
-	case rp.stage <= rp.cfg.FastRecoverySteps+rp.cfg.HyperThreshold:
-		rp.rt += rp.cfg.AIRateBps
+	case rp.stage <= fastRecoverySteps+hyperThreshold:
+		rp.rt += aiRateBps
 	default:
-		rp.rt += rp.cfg.HyperAIRateBps
+		rp.rt += hyperAIRateBps
 	}
-	if rp.rt > rp.cfg.LineRateBps {
-		rp.rt = rp.cfg.LineRateBps
+	if rp.rt > LineRateBps {
+		rp.rt = LineRateBps
 	}
 	rp.rc = (rp.rc + rp.rt) / 2
-	if rp.rc > rp.cfg.LineRateBps {
-		rp.rc = rp.cfg.LineRateBps
+	if rp.rc > LineRateBps {
+		rp.rc = LineRateBps
 	}
 }
 
 // NotificationPoint is the receiver-side CNP pacer: at most one CNP per
-// flow per CNPInterval, regardless of how many marked packets arrive.
+// flow per cnpInterval, regardless of how many marked packets arrive.
 type NotificationPoint struct {
-	cfg     Config
 	s       *sim.Simulation
 	lastCNP map[uint64]sim.Time
 	sent    uint64
 }
 
 // NewNotificationPoint creates a pacer.
-func NewNotificationPoint(s *sim.Simulation, cfg Config) *NotificationPoint {
-	return &NotificationPoint{cfg: cfg, s: s, lastCNP: make(map[uint64]sim.Time)}
+func NewNotificationPoint(s *sim.Simulation) *NotificationPoint {
+	return &NotificationPoint{s: s, lastCNP: make(map[uint64]sim.Time)}
 }
 
 // OnMarkedPacket reports an ECN-CE data packet for a flow; it returns true
 // when a CNP should be emitted now.
 func (np *NotificationPoint) OnMarkedPacket(flow uint64) bool {
 	now := np.s.Now()
-	if last, ok := np.lastCNP[flow]; ok && now-last < np.cfg.CNPInterval {
+	if last, ok := np.lastCNP[flow]; ok && now-last < cnpInterval {
 		return false
 	}
 	np.lastCNP[flow] = now

@@ -8,8 +8,8 @@ import (
 
 func TestStartsAtLineRate(t *testing.T) {
 	s := sim.New(1)
-	rp := NewReactionPoint(s, DefaultConfig())
-	if rp.Rate() != DefaultConfig().LineRateBps {
+	rp := NewReactionPoint(s)
+	if rp.Rate() != LineRateBps {
 		t.Fatalf("initial rate %d, want line rate", rp.Rate())
 	}
 	rp.Stop()
@@ -17,8 +17,7 @@ func TestStartsAtLineRate(t *testing.T) {
 
 func TestCNPDecreasesRate(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	before := rp.Rate()
 	rp.OnCNP()
 	if rp.Rate() >= before {
@@ -33,13 +32,12 @@ func TestCNPDecreasesRate(t *testing.T) {
 
 func TestRepeatedCNPsFloorAtMinRate(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	for i := 0; i < 200; i++ {
 		rp.OnCNP()
 	}
-	if rp.Rate() != cfg.MinRateBps {
-		t.Fatalf("rate %d, want floor %d", rp.Rate(), cfg.MinRateBps)
+	if rp.Rate() != minRateBps {
+		t.Fatalf("rate %d, want floor %d", rp.Rate(), minRateBps)
 	}
 	if rp.CNPs() != 200 {
 		t.Errorf("CNPs = %d", rp.CNPs())
@@ -49,8 +47,7 @@ func TestRepeatedCNPsFloorAtMinRate(t *testing.T) {
 
 func TestRecoveryAfterCongestionClears(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	for i := 0; i < 10; i++ {
 		rp.OnCNP()
 	}
@@ -61,12 +58,12 @@ func TestRecoveryAfterCongestionClears(t *testing.T) {
 	if rp.Rate() <= low {
 		t.Fatalf("no recovery: stayed at %d", rp.Rate())
 	}
-	if rp.Rate() < cfg.LineRateBps/2 {
+	if rp.Rate() < LineRateBps/2 {
 		t.Errorf("after 50ms calm, rate %d < half line rate", rp.Rate())
 	}
 	// And it must never exceed line rate.
 	s.RunFor(200 * sim.Millisecond)
-	if rp.Rate() > cfg.LineRateBps {
+	if rp.Rate() > LineRateBps {
 		t.Fatalf("rate %d exceeds line rate", rp.Rate())
 	}
 	rp.Stop()
@@ -74,8 +71,7 @@ func TestRecoveryAfterCongestionClears(t *testing.T) {
 
 func TestFastRecoveryHalvesDistance(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	rp.OnCNP()
 	rc, rt := rp.rc, rp.rt
 	rp.increase()
@@ -88,10 +84,9 @@ func TestFastRecoveryHalvesDistance(t *testing.T) {
 
 func TestNoIncreaseBeforeFirstCNP(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	s.RunFor(10 * sim.Millisecond)
-	if rp.Rate() != cfg.LineRateBps {
+	if rp.Rate() != LineRateBps {
 		t.Fatalf("rate drifted without congestion: %d", rp.Rate())
 	}
 	rp.Stop()
@@ -99,11 +94,10 @@ func TestNoIncreaseBeforeFirstCNP(t *testing.T) {
 
 func TestAlphaDecaysWhenCalm(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	rp.OnCNP()
 	a0 := rp.alpha
-	s.RunFor(10 * cfg.AlphaTimer)
+	s.RunFor(10 * alphaTimer)
 	if rp.alpha >= a0 {
 		t.Fatalf("alpha did not decay: %f -> %f", a0, rp.alpha)
 	}
@@ -113,10 +107,9 @@ func TestAlphaDecaysWhenCalm(t *testing.T) {
 func TestSecondCNPLessSevereAfterCalm(t *testing.T) {
 	// After alpha decays, a single CNP cuts the rate by less than half.
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	rp := NewReactionPoint(s, cfg)
+	rp := NewReactionPoint(s)
 	rp.OnCNP()
-	s.RunFor(100 * cfg.AlphaTimer) // alpha decays substantially
+	s.RunFor(100 * alphaTimer) // alpha decays substantially
 	before := rp.Rate()
 	rp.OnCNP()
 	cut := float64(before-rp.Rate()) / float64(before)
@@ -128,8 +121,7 @@ func TestSecondCNPLessSevereAfterCalm(t *testing.T) {
 
 func TestNotificationPointPacing(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	np := NewNotificationPoint(s, cfg)
+	np := NewNotificationPoint(s)
 	if !np.OnMarkedPacket(1) {
 		t.Fatal("first marked packet must produce a CNP")
 	}
@@ -138,7 +130,7 @@ func TestNotificationPointPacing(t *testing.T) {
 			t.Fatal("CNP sent within pacing interval")
 		}
 	}
-	s.RunFor(cfg.CNPInterval)
+	s.RunFor(cnpInterval)
 	if !np.OnMarkedPacket(1) {
 		t.Fatal("CNP suppressed after pacing interval elapsed")
 	}
@@ -149,7 +141,7 @@ func TestNotificationPointPacing(t *testing.T) {
 
 func TestNotificationPointPerFlow(t *testing.T) {
 	s := sim.New(1)
-	np := NewNotificationPoint(s, DefaultConfig())
+	np := NewNotificationPoint(s)
 	if !np.OnMarkedPacket(1) || !np.OnMarkedPacket(2) {
 		t.Fatal("distinct flows must be paced independently")
 	}
@@ -157,7 +149,7 @@ func TestNotificationPointPerFlow(t *testing.T) {
 
 func TestStopHaltsTimers(t *testing.T) {
 	s := sim.New(1)
-	rp := NewReactionPoint(s, DefaultConfig())
+	rp := NewReactionPoint(s)
 	rp.OnCNP()
 	rp.Stop()
 	r := rp.Rate()

@@ -150,7 +150,6 @@ func RunRemote(cfg Config) Result {
 
 	lat := metrics.NewHistogram()
 	obs.RegistryOf(s).Histogram("dnnpool.latency", "ns", "dnnpool", "remote-pool request latency", lat)
-	pcie := shell.DefaultConfig()
 
 	// Map a HaaS node id back to a pool index for connection addressing.
 	poolIndex := map[haas.NodeID]int{}
@@ -205,7 +204,7 @@ func RunRemote(cfg Config) Result {
 				if router != nil && p.slot != nil {
 					router.Done(p.slot)
 				}
-				s.Schedule(pcie.PCIeTime(cfg.RespBytes), func() {
+				s.Schedule(shell.PCIeTime(cfg.RespBytes), func() {
 					if p.t0 >= cfg.Warmup {
 						lat.Observe(int64(s.Now() - p.t0))
 					}
@@ -232,7 +231,7 @@ func RunRemote(cfg Config) Result {
 			pending[reqID] = pendingReq{t0: s.Now(), slot: slot}
 			req := make([]byte, cfg.ReqBytes)
 			binary.BigEndian.PutUint64(req, reqID)
-			s.Schedule(pcie.PCIeTime(cfg.ReqBytes), func() {
+			s.Schedule(shell.PCIeTime(cfg.ReqBytes), func() {
 				cs.SendRemote(uint16(fi)+1, req, nil)
 			})
 		})
@@ -274,14 +273,13 @@ func RunLocalBaseline(cfg Config) Result {
 	s := sim.New(cfg.Seed)
 	lat := metrics.NewHistogram()
 	obs.RegistryOf(s).Histogram("dnnpool.latency", "ns", "dnnpool", "local-baseline request latency", lat)
-	pcie := shell.DefaultConfig()
 	for c := 0; c < cfg.Clients; c++ {
 		queue := host.NewCPU(s, 1) // dedicated accelerator
 		gen := workload.NewOpenLoop(s, cfg.ClientRate, func() {
 			t0 := s.Now()
-			s.Schedule(pcie.PCIeTime(cfg.ReqBytes), func() {
+			s.Schedule(shell.PCIeTime(cfg.ReqBytes), func() {
 				queue.Submit(cfg.ServiceTime, func() {
-					s.Schedule(pcie.PCIeTime(cfg.RespBytes), func() {
+					s.Schedule(shell.PCIeTime(cfg.RespBytes), func() {
 						if t0 >= cfg.Warmup {
 							lat.Observe(int64(s.Now() - t0))
 						}

@@ -15,37 +15,31 @@ import (
 	"repro/internal/sim"
 )
 
+// The DDR3-1600 channel of Fig. 2.
+const (
+	// capacityBytes is the channel capacity (4 GB).
+	capacityBytes int64 = 4 << 30
+	// peakBps is the channel bandwidth (DDR3-1600 x 64 data bits =
+	// 12.8 GB/s).
+	peakBps int64 = 12800e6
+	// rowHit/rowMiss are access latencies for open-row hits vs row
+	// conflicts (precharge + activate + CAS).
+	rowHit  = 30 * sim.Nanosecond
+	rowMiss = 60 * sim.Nanosecond
+	// banks is the bank count (8 for DDR3).
+	banks = 8
+	// rowBytes is the row-buffer size per bank.
+	rowBytes = 8 << 10
+)
+
 // Config parameterizes a Controller.
 type Config struct {
-	// CapacityBytes is the channel capacity (4 GB).
-	CapacityBytes int64
-	// PeakBps is the channel bandwidth (DDR3-1600 x 64 data bits =
-	// 12.8 GB/s).
-	PeakBps int64
-	// RowHit/RowMiss are access latencies for open-row hits vs row
-	// conflicts (precharge + activate + CAS).
-	RowHit  sim.Time
-	RowMiss sim.Time
-	// Banks is the bank count (8 for DDR3).
-	Banks int
-	// RowBytes is the row-buffer size per bank.
-	RowBytes int
 	// QueueDepth bounds outstanding requests at the controller.
 	QueueDepth int
 }
 
-// DefaultConfig returns DDR3-1600 parameters.
-func DefaultConfig() Config {
-	return Config{
-		CapacityBytes: 4 << 30,
-		PeakBps:       12800e6,
-		RowHit:        30 * sim.Nanosecond,
-		RowMiss:       60 * sim.Nanosecond,
-		Banks:         8,
-		RowBytes:      8 << 10,
-		QueueDepth:    64,
-	}
-}
+// DefaultConfig returns the shell's controller queue depth.
+func DefaultConfig() Config { return Config{QueueDepth: 64} }
 
 // Stats aggregates controller counters.
 type Stats struct {
@@ -63,8 +57,8 @@ type Controller struct {
 	sim *sim.Simulation
 
 	pages    map[int64][]byte
-	openRow  []int64    // per bank: currently open row (-1 = none)
-	bankDone []sim.Time // per bank: completion time of its last access
+	openRow  [banks]int64    // per bank: currently open row (-1 = none)
+	bankDone [banks]sim.Time // per bank: completion time of its last access
 
 	busyUntil sim.Time
 	pending   int
@@ -77,12 +71,7 @@ type Controller struct {
 
 // New builds a controller.
 func New(s *sim.Simulation, cfg Config) *Controller {
-	if cfg.Banks <= 0 || cfg.RowBytes <= 0 || cfg.PeakBps <= 0 {
-		panic(fmt.Sprintf("dram: invalid config %+v", cfg))
-	}
 	c := &Controller{cfg: cfg, sim: s, pages: make(map[int64][]byte)}
-	c.openRow = make([]int64, cfg.Banks)
-	c.bankDone = make([]sim.Time, cfg.Banks)
 	for i := range c.openRow {
 		c.openRow[i] = -1
 	}
@@ -101,18 +90,18 @@ func (c *Controller) access(addr int64, n int) sim.Time {
 	if n < 1 {
 		n = 1
 	}
-	row := addr / int64(c.cfg.RowBytes)
-	bank := int(row % int64(c.cfg.Banks))
+	row := addr / rowBytes
+	bank := int(row % banks)
 	var lat sim.Time
 	if c.openRow[bank] == row {
-		lat = c.cfg.RowHit
+		lat = rowHit
 		c.Stats.RowHits.Inc()
 	} else {
-		lat = c.cfg.RowMiss
+		lat = rowMiss
 		c.Stats.RowMisses.Inc()
 		c.openRow[bank] = row
 	}
-	xfer := sim.Time(int64(n) * int64(sim.Second) / c.cfg.PeakBps)
+	xfer := sim.Time(int64(n) * int64(sim.Second) / peakBps)
 	// The channel serializes transfers; latency adds on top.
 	now := c.sim.Now()
 	if c.busyUntil < now {
@@ -129,8 +118,8 @@ func (c *Controller) access(addr int64, n int) sim.Time {
 
 // checkRange validates [addr, addr+n).
 func (c *Controller) checkRange(addr int64, n int) error {
-	if addr < 0 || n < 0 || addr+int64(n) > c.cfg.CapacityBytes {
-		return fmt.Errorf("dram: access [%d, %d) outside 0..%d", addr, addr+int64(n), c.cfg.CapacityBytes)
+	if addr < 0 || n < 0 || addr+int64(n) > capacityBytes {
+		return fmt.Errorf("dram: access [%d, %d) outside 0..%d", addr, addr+int64(n), capacityBytes)
 	}
 	return nil
 }

@@ -78,7 +78,7 @@ func TestCrossPageWrite(t *testing.T) {
 func TestOutOfRange(t *testing.T) {
 	s := sim.New(1)
 	c := New(s, DefaultConfig())
-	if err := c.WriteCall(c.cfg.CapacityBytes-4, make([]byte, 8), nil, nil); err == nil {
+	if err := c.WriteCall(capacityBytes-4, make([]byte, 8), nil, nil); err == nil {
 		t.Error("write past capacity accepted")
 	}
 	if err := c.ReadCall(-1, 4, nil, nil); err == nil {
@@ -88,8 +88,7 @@ func TestOutOfRange(t *testing.T) {
 
 func TestRowBufferLocality(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	c := New(s, cfg)
+	c := New(s, DefaultConfig())
 	// Sequential accesses within a row: first miss, then hits.
 	for i := 0; i < 8; i++ {
 		c.ReadCall(int64(i*64), 64, nil, nil)
@@ -105,11 +104,10 @@ func TestRowBufferLocality(t *testing.T) {
 
 func TestRandomAccessesMissMore(t *testing.T) {
 	s := sim.New(2)
-	cfg := DefaultConfig()
-	c := New(s, cfg)
+	c := New(s, DefaultConfig())
 	rng := s.NewRand()
 	for i := 0; i < 64; i++ {
-		addr := rng.Int63n(cfg.CapacityBytes - 64)
+		addr := rng.Int63n(capacityBytes - 64)
 		c.ReadCall(addr, 64, nil, nil)
 		s.Run() // serialize so queue depth never binds
 	}
@@ -121,8 +119,7 @@ func TestRandomAccessesMissMore(t *testing.T) {
 
 func TestBandwidthBound(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	c := New(s, cfg)
+	c := New(s, DefaultConfig())
 	// 128 MB of reads cannot finish faster than capacity/bandwidth.
 	const total = 128 << 20
 	const chunk = 4 << 20
@@ -139,7 +136,7 @@ func TestBandwidthBound(t *testing.T) {
 	}
 	issue()
 	s.Run()
-	minTime := sim.Time(int64(total) * int64(sim.Second) / cfg.PeakBps)
+	minTime := sim.Time(int64(total) * int64(sim.Second) / peakBps)
 	if finished < minTime {
 		t.Fatalf("moved 128MB in %v, below the channel's minimum %v", finished, minTime)
 	}
@@ -177,9 +174,8 @@ func TestQueueDepthRejects(t *testing.T) {
 // read after a write to one address therefore sees the written bytes.
 func TestBankCompletesInOrder(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	c := New(s, cfg)
-	addr := int64(cfg.Banks * cfg.RowBytes) // bank 0, row Banks
+	c := New(s, DefaultConfig())
+	addr := int64(banks * rowBytes) // bank 0, row banks
 	data := []byte("written by the row miss")
 	var wroteAt, readAt sim.Time
 	var got []byte

@@ -75,13 +75,9 @@ type SlotRequest struct {
 	// this; it is also the availability-domain constraint).
 	DistinctNodes bool
 	// OnReady fires when a claim's slot finishes reconfiguring (also
-	// after each defrag move of the claim).
+	// after each defrag move of the claim, once its Node/Slot name the
+	// new slot).
 	OnReady func(c *SlotClaim)
-	// OnMove fires when a defrag move of the claim completes, after the
-	// claim's Node/Slot are updated and before OnReady.
-	OnMove func(c *SlotClaim, fromNode NodeID, fromSlot int)
-	// OnFailure fires when the claim's board dies (the lessee re-leases).
-	OnFailure func(c *SlotClaim)
 }
 
 // slotState is the RM-side view of one slotted node.
@@ -350,9 +346,6 @@ func (rm *ResourceManager) failSlottedNode(e *nodeEntry) {
 				rm.tracer.End(c.span)
 			}
 		}
-		if c.req.OnFailure != nil {
-			c.req.OnFailure(c)
-		}
 	}
 }
 
@@ -506,9 +499,6 @@ func (rm *ResourceManager) startMove(c *SlotClaim, dest slotCandidate) {
 		c.moveTo = nil
 		rm.Slot.DefragMoves.Inc()
 		rm.Slot.ReconfigWait.Observe(int64(rm.sim.Now() - grantAt))
-		if c.req.OnMove != nil {
-			c.req.OnMove(c, fromNode, fromSlot)
-		}
 		if c.req.OnReady != nil {
 			c.req.OnReady(c)
 		}

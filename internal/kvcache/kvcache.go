@@ -235,7 +235,7 @@ func NewClient(s *sim.Simulation, sh *shell.Shell, timeout sim.Time, lookup func
 		reg.Counter("kvcache.errors", "reqs", "kvcache", "error or undecodable replies", &c.Stats.Errors)
 		reg.Histogram("kvcache.latency", "ns", "kvcache", "client-observed request latency", c.Stats.Latency)
 	}
-	sim.Must(sh.SetServiceHandler(c.onDatagram))
+	sh.SetServiceHandler(c.onDatagram)
 	return c
 }
 
@@ -276,7 +276,7 @@ func (c *Client) send(r Req, done func(Outcome)) {
 	c.pending[r.ID] = call
 	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendReq(c.scratch[:0], r)
-	sim.Must(c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch))
+	c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch)
 }
 
 // MultiGet sends up to MaxMultiKeys keys as one OpMGet datagram, routed
@@ -299,7 +299,7 @@ func (c *Client) MultiGet(keys [][]byte, done func(m MResp, lat sim.Time, ok boo
 	c.pending[id] = call
 	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
 	c.scratch = AppendMReq(c.scratch[:0], MReq{ID: id, Keys: keys})
-	sim.Must(c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch))
+	c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch)
 }
 
 // ShardOf reports the keyspace slice index key currently routes to —
@@ -539,7 +539,7 @@ func attachShard(s *sim.Simulation, sh *shell.Shell, slot int, st *Store) *Shard
 		reg.Counter("kvcache.decode_errors", "reqs", "kvcache", "undecodable request datagrams dropped", &d.DecodeErrors)
 	}
 	if slot < 0 {
-		sim.Must(sh.SetServiceHandler(d.onDatagram))
+		sh.SetServiceHandler(d.onDatagram)
 	} else {
 		sim.Must(sh.SetServiceHandlerSlot(slot, []uint8{KindReq}, d.onDatagram))
 	}
@@ -580,7 +580,7 @@ func (d *Shard) sendRaw(to int, payload []byte) {
 		_ = d.sh.SendDatagramSlot(d.slot, to, KindResp, payload)
 		return
 	}
-	sim.Must(d.sh.SendDatagram(to, KindResp, payload))
+	d.sh.SendDatagram(to, KindResp, payload)
 }
 
 // shardGetDone completes a single-key GET probe.

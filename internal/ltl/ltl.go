@@ -9,7 +9,7 @@
 //   - Send Connection Table / Receive Connection Table (static allocation)
 //   - Send Frame Queue and Packetizer (message segmentation into MTU frames)
 //   - Unack'd Frame Store with ACK/NACK-driven retransmission and a
-//     configurable retransmit timeout (50 µs in production)
+//     retransmit timeout (50 µs, the production setting)
 //   - Ack Generation / Ack Receiver
 //   - per-connection DCQCN rate control driven by switch ECN marks
 //   - engine-wide bandwidth limiting (token bucket) so a donated FPGA
@@ -41,23 +41,27 @@ type Wire interface {
 	LocalMAC() pkt.MAC
 }
 
+// The production engine's fixed parameters (§V-A).
+const (
+	// retransmitTimeout triggers go-back-N retransmission of unACKed
+	// frames ("configurable, and is currently set to 50 µsec").
+	retransmitTimeout = 50 * sim.Microsecond
+	// maxRetries before a connection is declared failed (fast failure
+	// detection for reprovisioning).
+	maxRetries = 8
+	// MTU bounds the LTL payload per frame (IP MTU minus IP/UDP/LTL
+	// headers).
+	MTU = pkt.MaxMTU - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.LTLHeaderLen
+	// txProc/rxProc model the engine's pipeline latency at 156 MHz.
+	txProc = 300 * sim.Nanosecond
+	rxProc = 300 * sim.Nanosecond
+)
+
 // Config parameterizes an Engine.
 type Config struct {
-	// RetransmitTimeout triggers go-back-N retransmission of unACKed
-	// frames ("configurable, and is currently set to 50 µsec").
-	RetransmitTimeout sim.Time
-	// MaxRetries before a connection is declared failed (fast failure
-	// detection for reprovisioning).
-	MaxRetries int
 	// Window is the maximum number of unacknowledged frames per
 	// connection.
 	Window int
-	// MTU bounds the LTL payload per frame (IP MTU minus IP/UDP/LTL
-	// headers).
-	MTU int
-	// TxProc/RxProc model the engine's pipeline latency at 156 MHz.
-	TxProc sim.Time
-	RxProc sim.Time
 	// BandwidthLimitBps caps total engine egress (0 = line rate only).
 	BandwidthLimitBps int64
 	// DisableNACK turns off reorder-triggered fast retransmission,
@@ -73,14 +77,9 @@ type Config struct {
 // DefaultConfig matches the production parameters described in the paper.
 func DefaultConfig() Config {
 	return Config{
-		RetransmitTimeout: 50 * sim.Microsecond,
-		MaxRetries:        8,
-		Window:            64,
-		MTU:               pkt.MaxMTU - pkt.IPv4HeaderLen - pkt.UDPHeaderLen - pkt.LTLHeaderLen,
-		TxProc:            300 * sim.Nanosecond,
-		RxProc:            300 * sim.Nanosecond,
-		DCQCN:             true,
-		Class:             pkt.ClassLTL,
+		Window: 64,
+		DCQCN:  true,
+		Class:  pkt.ClassLTL,
 	}
 }
 
@@ -241,7 +240,7 @@ func txOut(v any) {
 	t.e.txFree = append(t.e.txFree, t)
 }
 
-// rxJob carries one received frame through the RxProc pipeline delay.
+// rxJob carries one received frame through the rxProc pipeline delay.
 type rxJob struct {
 	e       *Engine
 	f       *pkt.Frame
@@ -267,7 +266,7 @@ func dispatchJob(v any) {
 
 // New creates an engine bound to wire.
 func New(s *sim.Simulation, wire Wire, cfg Config) *Engine {
-	if cfg.Window <= 0 || cfg.MTU <= 0 || cfg.RetransmitTimeout <= 0 {
+	if cfg.Window <= 0 {
 		panic(fmt.Sprintf("ltl: invalid config %+v", cfg))
 	}
 	e := &Engine{
@@ -324,7 +323,7 @@ func (e *Engine) emit(dstIP pkt.IP, dstMAC pkt.MAC, h pkt.LTLHeader, payload []b
 	e.ipID++
 	t.buf = pkt.AppendUDPLTL(t.buf[:0], e.wire.LocalMAC(), dstMAC, e.wire.LocalIP(), dstIP,
 		pkt.LTLPort, pkt.LTLPort, e.cfg.Class, 64, e.ipID, h, payload)
-	e.sim.ScheduleCall(e.cfg.TxProc, txOut, t)
+	e.sim.ScheduleCall(txProc, txOut, t)
 	return t.buf
 }
 
@@ -345,7 +344,7 @@ func (e *Engine) Config() Config { return e.cfg }
 
 // OpenSend statically allocates a send connection. remoteConn names the
 // receive-table entry at the destination engine. onFail (optional) fires
-// if the connection exhausts MaxRetries — the fast failure-detection hook
+// if the connection exhausts maxRetries — the fast failure-detection hook
 // the paper describes for ultra-fast reprovisioning.
 func (e *Engine) OpenSend(localID uint16, remoteIP pkt.IP, remoteMAC pkt.MAC, remoteConn uint16, vc uint8, onFail func()) error {
 	if _, dup := e.send[localID]; dup {
@@ -359,7 +358,7 @@ func (e *Engine) OpenSend(localID uint16, remoteIP pkt.IP, remoteMAC pkt.MAC, re
 		onFail:      onFail,
 	}
 	if e.cfg.DCQCN {
-		sc.rp = dcqcn.NewReactionPoint(e.sim, dcqcn.DefaultConfig())
+		sc.rp = dcqcn.NewReactionPoint(e.sim)
 	}
 	if e.tracer != nil {
 		sc.flow = obs.LTLFlow(e.wire.LocalIP().U32(), remoteIP.U32(), localID, remoteConn)
@@ -379,7 +378,7 @@ func (e *Engine) OpenRecv(localID uint16, remoteIP pkt.IP, onMessage func(payloa
 	}
 	rc := &recvConn{localID: localID, remoteIP: remoteIP, onMessage: onMessage}
 	if e.cfg.DCQCN {
-		rc.np = dcqcn.NewNotificationPoint(e.sim, dcqcn.DefaultConfig())
+		rc.np = dcqcn.NewNotificationPoint(e.sim)
 	}
 	e.recv[localID] = rc
 	return nil
@@ -428,14 +427,14 @@ func (e *Engine) SendOwned(conn uint16, payload []byte, done func(), owner any) 
 		return fmt.Errorf("ltl: send connection %d failed", conn)
 	}
 	e.Stats.MessagesSent.Inc()
-	n := (len(payload) + e.cfg.MTU - 1) / e.cfg.MTU
+	n := (len(payload) + MTU - 1) / MTU
 	if n == 0 {
 		n = 1
 	}
 	now := e.sim.Now()
 	for i := 0; i < n; i++ {
-		lo := i * e.cfg.MTU
-		hi := lo + e.cfg.MTU
+		lo := i * MTU
+		hi := lo + MTU
 		if hi > len(payload) {
 			hi = len(payload)
 		}
@@ -581,7 +580,7 @@ func (e *Engine) armRetransmit(sc *sendConn) {
 	if sc.rtxTimer != (sim.Timer{}) {
 		return
 	}
-	sc.rtxTimer = e.sim.ScheduleCall(e.cfg.RetransmitTimeout, rtxFire, sc)
+	sc.rtxTimer = e.sim.ScheduleCall(retransmitTimeout, rtxFire, sc)
 }
 
 // rtxFire is the static retransmit-timer callback.
@@ -602,7 +601,7 @@ func (e *Engine) onTimeout(sc *sendConn) {
 		e.tracer.Event(sc.flow, "ltl.timeout", 0, int64(sc.retries+1))
 	}
 	sc.retries++
-	if sc.retries > e.cfg.MaxRetries {
+	if sc.retries > maxRetries {
 		sc.failed = true
 		e.Stats.ConnFailures.Inc()
 		e.dropFrames(sc)
@@ -670,7 +669,7 @@ func (e *Engine) HandleFrame(f *pkt.Frame) {
 		j = &rxJob{e: e}
 	}
 	j.f, j.h, j.payload = f, h, payload
-	e.sim.ScheduleCall(e.cfg.RxProc, dispatchJob, j)
+	e.sim.ScheduleCall(rxProc, dispatchJob, j)
 }
 
 // dispatch hands a received frame to its type's handler. A frame of any
@@ -873,5 +872,5 @@ func (e *Engine) SendRate(conn uint16) int64 {
 	if sc, ok := e.send[conn]; ok && sc.rp != nil {
 		return sc.rp.Rate()
 	}
-	return dcqcn.DefaultConfig().LineRateBps
+	return dcqcn.LineRateBps
 }

@@ -111,7 +111,7 @@ func TestMultiFrameMessage(t *testing.T) {
 	cfg := DefaultConfig()
 	a, b, _, wb := pair(s, cfg, sim.Microsecond)
 	got := openPair(t, a, b, wb)
-	payload := make([]byte, 5*cfg.MTU+123)
+	payload := make([]byte, 5*MTU+123)
 	for i := range payload {
 		payload[i] = byte(i * 7)
 	}
@@ -191,7 +191,7 @@ func TestRetransmitOnDrop(t *testing.T) {
 		t.Error("timeout path never exercised")
 	}
 	// Recovery must take at least the 50us retransmit timeout.
-	if done < cfg.RetransmitTimeout {
+	if done < retransmitTimeout {
 		t.Errorf("recovered at %v, before the retransmit timeout", done)
 	}
 }
@@ -208,7 +208,7 @@ func TestNackFastRetransmitBeatsTimeout(t *testing.T) {
 		return err == nil && h.Type == pkt.LTLData && h.Seq == 0 && n == 0
 	}
 	var done sim.Time = -1
-	payload := make([]byte, 4*cfg.MTU)
+	payload := make([]byte, 4*MTU)
 	a.SendMessage(1, payload, func() { done = s.Now() })
 	s.RunFor(10 * sim.Millisecond)
 	if len(*got) != 1 {
@@ -217,8 +217,8 @@ func TestNackFastRetransmitBeatsTimeout(t *testing.T) {
 	if b.Stats.NacksSent.Value() == 0 {
 		t.Fatal("receiver never NACKed on reorder")
 	}
-	if done <= 0 || done >= cfg.RetransmitTimeout {
-		t.Errorf("NACK recovery at %v should beat the %v timeout", done, cfg.RetransmitTimeout)
+	if done <= 0 || done >= retransmitTimeout {
+		t.Errorf("NACK recovery at %v should beat the %v timeout", done, retransmitTimeout)
 	}
 }
 
@@ -285,7 +285,7 @@ func TestConnectionFailureDetection(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SendMessage(1, []byte("void"), nil)
-	s.RunFor(cfg.RetransmitTimeout * sim.Time(cfg.MaxRetries+5))
+	s.RunFor(retransmitTimeout * sim.Time(maxRetries+5))
 	if !failed {
 		t.Fatal("onFail never invoked for black-holed connection")
 	}
@@ -295,7 +295,7 @@ func TestConnectionFailureDetection(t *testing.T) {
 	if err := a.SendMessage(1, []byte("more"), nil); err == nil {
 		t.Error("SendMessage on failed connection should error")
 	}
-	// Failure detection speed: MaxRetries * timeout ≈ 400us — "identify
+	// Failure detection speed: maxRetries * timeout ≈ 400us — "identify
 	// failing nodes quickly".
 	if s.Now() > sim.Millisecond {
 		t.Errorf("failure detection took %v", s.Now())
@@ -309,7 +309,7 @@ func TestDCQCNReactsToECN(t *testing.T) {
 	openPair(t, a, b, wb)
 	wa.markECN = func(f *pkt.Frame) bool { return true } // congested path
 	lineRate := a.SendRate(1)
-	payload := make([]byte, cfg.MTU)
+	payload := make([]byte, MTU)
 	for i := 0; i < 50; i++ {
 		a.SendMessage(1, payload, nil)
 	}
@@ -334,7 +334,7 @@ func TestBandwidthLimiting(t *testing.T) {
 	cfg.BandwidthLimitBps = 1e9 // 1 Gb/s cap
 	a, b, _, wb := pair(s, cfg, sim.Microsecond)
 	got := openPair(t, a, b, wb)
-	payload := make([]byte, cfg.MTU)
+	payload := make([]byte, MTU)
 	const n = 100
 	var lastDone sim.Time
 	for i := 0; i < n; i++ {
@@ -438,7 +438,7 @@ func TestPropertyReliableDelivery(t *testing.T) {
 		n := int(nMsgs%30) + 1
 		var want [][]byte
 		for i := 0; i < n; i++ {
-			m := make([]byte, 1+rng.Intn(3*cfg.MTU))
+			m := make([]byte, 1+rng.Intn(3*MTU))
 			rng.Read(m)
 			m[0] = byte(i)
 			want = append(want, m)

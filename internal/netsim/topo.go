@@ -39,11 +39,6 @@ type Config struct {
 	TORUplink LinkParams // TOR <-> L1
 	L1Uplink  LinkParams // L1 <-> L2
 
-	// Store-and-forward pipeline latencies per switch tier.
-	TORLatency sim.Time
-	L1Latency  sim.Time
-	L2Latency  sim.Time
-
 	// Per-frame forwarding jitter per tier (nil for none).
 	L1Jitter func(*rand.Rand) sim.Time
 	L2Jitter func(*rand.Rand) sim.Time
@@ -59,6 +54,14 @@ type Config struct {
 	Interposer InterposerFactory
 }
 
+// Store-and-forward pipeline latencies per switch tier, calibrated with
+// DefaultConfig's links against Figure 10.
+const (
+	torLatency = 500 * sim.Nanosecond
+	l1Latency  = 1600 * sim.Nanosecond
+	l2Latency  = 1700 * sim.Nanosecond
+)
+
 // DefaultConfig returns the fabric configuration calibrated against the
 // paper's Figure 10 idle latencies (L0 2.88 µs, L1 7.72 µs, L2 18.71 µs
 // round trip, measured LTL-to-LTL).
@@ -72,10 +75,6 @@ func DefaultConfig() Config {
 		HostLink:  LinkParams{RateBps: Rate40G, Prop: 15 * sim.Nanosecond},
 		TORUplink: LinkParams{RateBps: 4 * Rate40G, Prop: 150 * sim.Nanosecond},
 		L1Uplink:  LinkParams{RateBps: 8 * Rate40G, Prop: 800 * sim.Nanosecond},
-
-		TORLatency: 500 * sim.Nanosecond,
-		L1Latency:  1600 * sim.Nanosecond,
-		L2Latency:  1700 * sim.Nanosecond,
 
 		L1Jitter: func(r *rand.Rand) sim.Time {
 			// Small exponential tail: the paper observes a tight L1
@@ -193,7 +192,7 @@ func (dc *Datacenter) L2() *Switch {
 			Name:           "l2",
 			Radix:          dc.cfg.Pods,
 			Port:           dc.portConfig(dc.cfg.L1Uplink),
-			ForwardLatency: dc.cfg.L2Latency,
+			ForwardLatency: l2Latency,
 			Jitter:         dc.cfg.L2Jitter,
 			PFC:            dc.cfg.PFC,
 			Route: func(dst pkt.IP) int {
@@ -224,7 +223,7 @@ func (dc *Datacenter) L1(pod int) *Switch {
 		Name:           fmt.Sprintf("l1-p%d", pod),
 		Radix:          dc.cfg.TORsPerPod + 1,
 		Port:           dc.portConfig(dc.cfg.TORUplink),
-		ForwardLatency: dc.cfg.L1Latency,
+		ForwardLatency: l1Latency,
 		Jitter:         dc.cfg.L1Jitter,
 		PFC:            dc.cfg.PFC,
 		Route: func(dst pkt.IP) int {
@@ -283,7 +282,7 @@ func (dc *Datacenter) TOR(pod, tor int) *Switch {
 		Name:           fmt.Sprintf("tor-p%d-t%d", pod, tor),
 		Radix:          dc.cfg.HostsPerTOR + 1,
 		Port:           dc.portConfig(dc.cfg.HostLink),
-		ForwardLatency: dc.cfg.TORLatency,
+		ForwardLatency: torLatency,
 		PFC:            dc.cfg.PFC,
 		Route: func(dst pkt.IP) int {
 			id, ok := HostID(dst)

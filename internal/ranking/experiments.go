@@ -20,7 +20,6 @@ type SweepConfig struct {
 	QueriesPer   int // queries per sweep point
 	PoolSize     int // profile pool size
 	Points       int // sweep points per curve
-	MaxUtil      float64
 	PCIeOverhead sim.Time
 	// RemoteRTT supplies the network round trip per remote feature call
 	// for RemoteFPGA sweeps. It receives a point-private RNG (sweep
@@ -28,6 +27,10 @@ type SweepConfig struct {
 	RemoteRTT func(rng *rand.Rand) sim.Time
 	Cost      CostModel
 }
+
+// maxUtil is the offered load of a sweep's last point, as a fraction of
+// the mode's capacity.
+const maxUtil = 0.97
 
 // DefaultSweepConfig returns a configuration sized for the benchmark
 // harness (tests shrink QueriesPer).
@@ -38,7 +41,6 @@ func DefaultSweepConfig() SweepConfig {
 		QueriesPer:   200000,
 		PoolSize:     2000,
 		Points:       12,
-		MaxUtil:      0.97,
 		PCIeOverhead: 4 * sim.Microsecond,
 		Cost:         DefaultCostModel(),
 	}
@@ -73,7 +75,7 @@ func Sweep(cfg SweepConfig, mode Mode) []SweepPoint {
 		seeds[i] = seedRng.Int63()
 	}
 	return sweep.Map(cfg.Points, func(i int) SweepPoint {
-		frac := cfg.MaxUtil * float64(i+1) / float64(cfg.Points)
+		frac := maxUtil * float64(i+1) / float64(cfg.Points)
 		return runPoint(cfg, mode, pool.NewSampler(seeds[i]), frac*capQPS, seeds[i])
 	})
 }
@@ -234,19 +236,23 @@ type ProductionConfig struct {
 	Cores     int
 	DayLength sim.Time
 	Days      int
-	// MeanLoadFrac is the mean offered load as a fraction of software
-	// capacity; diurnal peaks push past it.
-	MeanLoadFrac float64
 	// Window is the latency aggregation window ("aggregated across all
 	// servers over a rolling time window").
-	Window sim.Time
-	// CapThreshold: the software DC's balancer caps traffic when windowed
-	// p99.9 exceeds CapThreshold x the latency target.
-	CapThreshold float64
+	Window       sim.Time
 	PoolSize     int
 	PCIeOverhead sim.Time
 	Cost         CostModel
 }
+
+// The production run's load and balancer cap.
+const (
+	// meanLoadFrac is the mean offered load as a fraction of software
+	// capacity; diurnal peaks push past it.
+	meanLoadFrac = 0.68
+	// capThreshold: the software DC's balancer caps traffic when windowed
+	// p99.9 exceeds capThreshold x the latency target.
+	capThreshold = 1.5
+)
 
 // DefaultProductionConfig returns a compressed five-day run.
 func DefaultProductionConfig() ProductionConfig {
@@ -256,9 +262,7 @@ func DefaultProductionConfig() ProductionConfig {
 		Cores:        8,
 		DayLength:    4 * sim.Second,
 		Days:         5,
-		MeanLoadFrac: 0.68,
 		Window:       200 * sim.Millisecond,
-		CapThreshold: 1.5,
 		PoolSize:     1500,
 		PCIeOverhead: 4 * sim.Microsecond,
 		Cost:         DefaultCostModel(),
@@ -288,7 +292,7 @@ type ProductionResult struct {
 func Production(cfg ProductionConfig) ProductionResult {
 	pool := NewProfilePool(rand.New(rand.NewSource(cfg.Seed)), cfg.PoolSize, cfg.Cost)
 	swCap := float64(cfg.Cores) / pool.MeanSwTotal().Seconds() * float64(cfg.Servers)
-	meanQPS := cfg.MeanLoadFrac * swCap
+	meanQPS := meanLoadFrac * swCap
 
 	// Calibrate the latency target from a short software warm-up at mean
 	// load.
@@ -404,7 +408,7 @@ func runProduction(cfg ProductionConfig, pool *Sampler, mode Mode, meanQPS float
 			// "a dynamic load balancing mechanism that caps the incoming
 			// traffic when tail latencies begin exceeding acceptable
 			// thresholds."
-			if p999 > sim.Time(float64(target)*cfg.CapThreshold) {
+			if p999 > sim.Time(float64(target)*capThreshold) {
 				capMult *= 0.8
 				if capMult < 0.3 {
 					capMult = 0.3

@@ -49,16 +49,6 @@ type Config struct {
 	Backends, Spares int
 	Policy           string
 
-	// ArgBytes/RetBytes size the serialized request and response.
-	ArgBytes, RetBytes int
-
-	// NICDecode is the FPGA pipeline's fixed decode+dispatch latency.
-	// HostDecodeFixed + HostDecodePerByte*len is the host CPU cost for
-	// the same work (single-server queue at the dispatcher host).
-	NICDecode         sim.Time
-	HostDecodeFixed   sim.Time
-	HostDecodePerByte sim.Time
-
 	// Batch enables Dagger-style doorbell batching on the offload ingress
 	// pipeline (ignored by the host baseline). Requests accumulate at the
 	// NIC until the doorbell fills (Size) or the first-queued request has
@@ -71,14 +61,25 @@ type Config struct {
 	Drain    sim.Time
 	Timeout  sim.Time
 
-	RMPoll         sim.Time
-	GossipInterval sim.Time
+	RMPoll sim.Time
 
 	FaultProfile   string
 	BackgroundLoad float64
 	Telemetry      bool
 	SpanLimit      int
 }
+
+// The RPC workload's sizes and decode costs.
+const (
+	// argBytes/retBytes size the serialized request and response.
+	argBytes, retBytes = 256, 64
+	// nicDecode is the FPGA pipeline's fixed decode+dispatch latency.
+	// hostDecodeFixed + hostDecodePerByte*len is the host CPU cost for
+	// the same work (single-server queue at the dispatcher host).
+	nicDecode         = 250 * sim.Nanosecond
+	hostDecodeFixed   = 3 * sim.Microsecond
+	hostDecodePerByte = 5 * sim.Nanosecond
+)
 
 // BatchConfig shapes the offload pipeline's doorbell batching.
 type BatchConfig struct {
@@ -99,15 +100,10 @@ func DefaultConfig() Config {
 		Callers: 6, Rate: 15000,
 		Backends: 4, Spares: 1,
 		Policy:   svclb.PolicyP2C,
-		ArgBytes: 256, RetBytes: 64,
-		NICDecode:         250 * sim.Nanosecond,
-		HostDecodeFixed:   3 * sim.Microsecond,
-		HostDecodePerByte: 5 * sim.Nanosecond,
-		Duration:          10 * sim.Millisecond,
-		Drain:             5 * sim.Millisecond,
-		Timeout:           4 * sim.Millisecond,
-		RMPoll:            5 * sim.Millisecond,
-		GossipInterval:    100 * sim.Microsecond,
+		Duration: 10 * sim.Millisecond,
+		Drain:    5 * sim.Millisecond,
+		Timeout:  4 * sim.Millisecond,
+		RMPoll:   5 * sim.Millisecond,
 	}
 }
 
@@ -128,21 +124,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Policy == "" {
 		cfg.Policy = d.Policy
 	}
-	if cfg.ArgBytes <= 0 {
-		cfg.ArgBytes = d.ArgBytes
-	}
-	if cfg.RetBytes <= 0 {
-		cfg.RetBytes = d.RetBytes
-	}
-	if cfg.NICDecode <= 0 {
-		cfg.NICDecode = d.NICDecode
-	}
-	if cfg.HostDecodeFixed <= 0 {
-		cfg.HostDecodeFixed = d.HostDecodeFixed
-	}
-	if cfg.HostDecodePerByte < 0 {
-		cfg.HostDecodePerByte = d.HostDecodePerByte
-	}
 	if cfg.Duration <= 0 {
 		cfg.Duration = d.Duration
 	}
@@ -154,9 +135,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.RMPoll <= 0 {
 		cfg.RMPoll = d.RMPoll
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = d.GossipInterval
 	}
 	if cfg.Batch.Size > 1 && cfg.Batch.Window <= 0 {
 		cfg.Batch.Window = 2 * sim.Microsecond
@@ -266,7 +244,7 @@ func sendReply(v any) {
 	if d.tracer != nil {
 		d.tracer.End(j.span)
 	}
-	sim.Must(d.Shells[d.Head].SendDatagram(j.caller, KindReply, j.buf))
+	d.Shells[d.Head].SendDatagram(j.caller, KindReply, j.buf)
 	d.replyFree = append(d.replyFree, j)
 }
 
@@ -296,7 +274,6 @@ type Dispatcher struct {
 
 	callers []*caller
 	table   map[uint64]*dispatchState
-	pcie    shell.Config // host-software baseline's DMA model
 	tracer  *obs.Tracer
 
 	// host-software baseline state: a single-server CPU queue.
@@ -341,7 +318,6 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 	d := &Dispatcher{
 		s: s, cfg: cfg,
 		table:  map[uint64]*dispatchState{},
-		pcie:   shell.DefaultConfig(),
 		tracer: obs.TracerOf(s),
 		digest: obs.FNVOffset,
 		Stats:  Stats{Latency: metrics.NewHistogram()},
@@ -369,12 +345,12 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 	})
 	for _, sh := range d.ClientEnds {
 		c := &caller{d: d, sh: sh, host: sh.HostID(), pending: map[uint64]*rpcCall{}}
-		sim.Must(sh.SetServiceHandler(c.onDatagram))
+		sh.SetServiceHandler(c.onDatagram)
 		d.callers = append(d.callers, c)
 	}
 	// The dispatcher node terminates ingress and backend responses on the
 	// service-datagram plane; the deployment terminates the depth gossip.
-	sim.Must(shells[d.Head].SetServiceHandler(d.onDatagram))
+	shells[d.Head].SetServiceHandler(d.onDatagram)
 	for i := 0; i < cfg.Backends; i++ {
 		if _, err := d.Pool.Grow(); err != nil {
 			panic(fmt.Sprintf("rpcnic: initial lease: %v", err))
@@ -398,9 +374,9 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 	h := int(m.Node)
 	sh := d.Shells[h]
 	q := svclb.NewWorkQueue(d.s, h)
-	ret := make([]byte, d.cfg.RetBytes)
+	ret := make([]byte, retBytes)
 	var out []byte
-	sim.Must(sh.SetServiceHandler(func(from int, kind uint8, payload []byte) {
+	sh.SetServiceHandler(func(from int, kind uint8, payload []byte) {
 		if kind != KindWork {
 			return
 		}
@@ -418,10 +394,10 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 				ret[i] = byte(id) + byte(i)
 			}
 			out = AppendResp(out[:0], Resp{Method: method, ID: id, Ret: ret})
-			sim.Must(sh.SendDatagram(from, KindWorkResp, out))
+			sh.SendDatagram(from, KindWorkResp, out)
 		})
-	}))
-	d.Serve(h, d.cfg.GossipInterval, q.Depth)
+	})
+	d.Serve(h, q.Depth)
 }
 
 // onDatagram is the dispatcher node's service-plane receiver.
@@ -439,7 +415,7 @@ func (d *Dispatcher) onDatagram(from int, kind uint8, payload []byte) {
 			if d.cfg.Batch.Size > 1 {
 				d.enqueueBatch(j)
 			} else {
-				d.s.ScheduleCall(d.cfg.NICDecode, dispatchIngress, j)
+				d.s.ScheduleCall(nicDecode, dispatchIngress, j)
 			}
 		} else {
 			d.hostIngress(from, payload)
@@ -492,15 +468,15 @@ func (d *Dispatcher) flushBatch() {
 	}
 	db.jobs = append(db.jobs[:0], d.batch...)
 	d.batch = d.batch[:0]
-	d.s.ScheduleCall(d.cfg.NICDecode, ringDoorbell, db)
+	d.s.ScheduleCall(nicDecode, ringDoorbell, db)
 }
 
 // hostIngress is the baseline path: PCIe up, a single-server CPU queue
 // whose decode cost scales with the serialized size, PCIe back down.
 func (d *Dispatcher) hostIngress(from int, payload []byte) {
 	buf := append([]byte(nil), payload...)
-	pcie := d.pcie.PCIeTime(len(buf))
-	decode := d.cfg.HostDecodeFixed + d.cfg.HostDecodePerByte*sim.Time(len(buf))
+	pcie := shell.PCIeTime(len(buf))
+	decode := hostDecodeFixed + hostDecodePerByte*sim.Time(len(buf))
 	d.s.Schedule(pcie, func() {
 		now := d.s.Now()
 		start := now
@@ -521,7 +497,7 @@ func (d *Dispatcher) hostIngress(from int, payload []byte) {
 			d.hostQueueLen--
 			d.Stats.HostQueue.Set(int64(d.hostQueueLen))
 			// Dispatch crosses PCIe back to the shell before entering LTL.
-			d.s.Schedule(d.pcie.PCIeTime(len(buf)), func() { d.decodeAndDispatch(from, buf) })
+			d.s.Schedule(shell.PCIeTime(len(buf)), func() { d.decodeAndDispatch(from, buf) })
 		})
 	})
 }
@@ -552,7 +528,7 @@ func (d *Dispatcher) decodeAndDispatch(from int, buf []byte) {
 	}
 	d.table[req.ID] = st
 	d.Stats.Dispatched.Inc()
-	sim.Must(d.Shells[d.Head].SendDatagram(slot.Host, KindWork, buf))
+	d.Shells[d.Head].SendDatagram(slot.Host, KindWork, buf)
 }
 
 // onWorkResp completes one dispatched request: the response returns to
@@ -585,7 +561,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		}
 		j.caller, j.span = caller, span
 		j.buf = append(j.buf[:0], payload...)
-		d.s.ScheduleCall(d.cfg.NICDecode, sendReply, j)
+		d.s.ScheduleCall(nicDecode, sendReply, j)
 		return
 	}
 	// Baseline: response surfaces to host software and comes back down
@@ -596,10 +572,10 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		if d.tracer != nil {
 			d.tracer.End(span)
 		}
-		sim.Must(d.Shells[d.Head].SendDatagram(caller, KindReply, buf))
+		d.Shells[d.Head].SendDatagram(caller, KindReply, buf)
 	}
-	pcie := d.pcie.PCIeTime(len(buf))
-	decode := d.cfg.HostDecodeFixed/2 + d.cfg.HostDecodePerByte*sim.Time(len(buf))
+	pcie := shell.PCIeTime(len(buf))
+	decode := hostDecodeFixed/2 + hostDecodePerByte*sim.Time(len(buf))
 	d.s.Schedule(pcie, func() {
 		start := d.s.Now()
 		if d.hostBusyUntil > start {
@@ -609,7 +585,7 @@ func (d *Dispatcher) onWorkResp(payload []byte) {
 		d.hostBusyUntil = fin
 		d.hostBusyTotal += decode
 		d.s.Schedule(fin-d.s.Now(), func() {
-			d.s.Schedule(d.pcie.PCIeTime(len(buf)), send)
+			d.s.Schedule(shell.PCIeTime(len(buf)), send)
 		})
 	})
 }
@@ -634,7 +610,7 @@ func (c *caller) call(method byte, args []byte) {
 	c.pending[id] = rc
 	rc.timer = c.d.s.ScheduleCall(c.d.cfg.Timeout, expireRPC, rc)
 	c.scratch = AppendReq(c.scratch[:0], Req{Method: method, ID: id, Args: args})
-	sim.Must(c.sh.SendDatagram(c.d.Head, KindIngress, c.scratch))
+	c.sh.SendDatagram(c.d.Head, KindIngress, c.scratch)
 }
 
 // expireRPC is the static caller-timeout callback (the timer arg is the
@@ -742,7 +718,7 @@ func Run(cfg Config) Result {
 		rng := s.NewRand()
 		// Per-caller argument scratch: the contents are deterministic and
 		// call() encodes synchronously, so one buffer per caller suffices.
-		args := make([]byte, cfg.ArgBytes)
+		args := make([]byte, argBytes)
 		for i := range args {
 			args[i] = byte(i)
 		}

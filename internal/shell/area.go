@@ -77,16 +77,3 @@ func AreaTable() *metrics.Table {
 func pctOfDevice(alms int) int {
 	return int(float64(alms)/float64(TotalALMs)*100 + 0.5)
 }
-
-// NoLTLReclaimedALMs is the role area reclaimed by the shell variant
-// without the LTL block (LTL protocol engine + LTL packet switch).
-func NoLTLReclaimedALMs() int {
-	n := 0
-	for _, e := range AreaBreakdown() {
-		switch e.Component {
-		case "LTL Protocol Engine", "LTL Packet Switch":
-			n += e.ALMs
-		}
-	}
-	return n
-}

@@ -2,7 +2,6 @@ package shell
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/er"
 	"repro/internal/netsim"
@@ -64,33 +63,26 @@ func appendDgram(dst []byte, kind uint8, host int, payload []byte) []byte {
 // SendDatagram sends a connection-less service datagram from the role to
 // the role on a remote shell: Role -> ER (VCService) -> LTL -> fabric.
 // Delivery is best-effort; services own their own timeout/retry story.
-func (sh *Shell) SendDatagram(remoteHost int, kind uint8, payload []byte) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
+func (sh *Shell) SendDatagram(remoteHost int, kind uint8, payload []byte) {
 	sh.Stats.DgramsSent.Inc()
 	sh.scratch = appendDgram(sh.scratch, kind, remoteHost, payload)
 	sh.termRole.Send(er.PortRemote, VCService, sh.scratch)
-	return nil
 }
 
 // SetServiceHandler installs the role's receiver for incoming service
 // datagrams (nil drops them). Each datagram crosses the ER from the
 // Remote port to the Role on VCService before the handler sees it — the
 // on-chip hop a real shard's request pipeline pays.
-func (sh *Shell) SetServiceHandler(h func(fromHost int, kind uint8, payload []byte)) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
+func (sh *Shell) SetServiceHandler(h func(fromHost int, kind uint8, payload []byte)) {
 	sh.serviceHandler = h
 	if h == nil {
 		if len(sh.kindSlot) == 0 {
 			sh.Engine.SetDatagramHandler(nil)
 			sh.dgramIngress = false
 		}
-		return nil
+		return
 	}
-	return sh.ensureDgramIngress()
+	sh.ensureDgramIngress()
 }
 
 // onRoleDgram completes the Remote -> Role delivery of a service datagram.

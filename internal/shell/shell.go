@@ -74,32 +74,31 @@ type Role interface {
 	HandleRequest(src RequestSource, payload []byte, respond func([]byte))
 }
 
+// The shell's fixed datapath parameters (§III).
+const (
+	// bridgeLatency is the store-and-forward latency of the bridge/bypass
+	// pipeline (dominated by the 40G MAC/PHY pair).
+	bridgeLatency = 270 * sim.Nanosecond
+	// pcieLatency is the one-way DMA latency between host software and
+	// the role.
+	pcieLatency = 900 * sim.Nanosecond
+	// pcieBps is the DMA bandwidth (one PCIe Gen3 x8 direction: 8 GB/s).
+	pcieBps = 64e9
+	// partialReconfigTime reconfigures the role slot with the bridge up.
+	partialReconfigTime = 20 * sim.Millisecond
+	// pfcXoffBytes/pfcXonBytes govern shell-generated PFC when an egress
+	// side backs up with lossless traffic.
+	pfcXoffBytes = 96 << 10
+	pfcXonBytes  = 48 << 10
+)
+
 // Config parameterizes a shell instance.
 type Config struct {
-	// BridgeLatency is the store-and-forward latency of the bridge/bypass
-	// pipeline (dominated by the 40G MAC/PHY pair).
-	BridgeLatency sim.Time
-	// PCIeLatency is the one-way DMA latency between host software and
-	// the role.
-	PCIeLatency sim.Time
-	// PCIeBps is the DMA bandwidth (one PCIe Gen3 x8 direction).
-	PCIeBps int64
 	// ScrubInterval is the configuration-scrubbing period ("roughly every
 	// 30 seconds").
 	ScrubInterval sim.Time
 	// FullReconfigTime is the link-down window of a full reconfiguration.
 	FullReconfigTime sim.Time
-	// PartialReconfigTime reconfigures the role slot with the bridge up.
-	PartialReconfigTime sim.Time
-	// PFCXoffBytes/PFCXonBytes govern shell-generated PFC when an egress
-	// side backs up with lossless traffic.
-	PFCXoffBytes int
-	PFCXonBytes  int
-	// NoLTL deploys the shell variant without the LTL block — "services
-	// using only their single local FPGA can choose to deploy a shell
-	// version without the LTL block" (§V-B) — reclaiming its area for the
-	// role. Engine is nil; remote APIs error.
-	NoLTL bool
 	// Slots partitions the role region into vFPGA slots for
 	// multi-tenancy (slots.go). Count < 2 keeps the single-role shell.
 	Slots SlotConfig
@@ -111,23 +110,17 @@ type Config struct {
 // DefaultConfig returns production-like shell parameters.
 func DefaultConfig() Config {
 	return Config{
-		BridgeLatency:       270 * sim.Nanosecond,
-		PCIeLatency:         900 * sim.Nanosecond,
-		PCIeBps:             64e9, // 8 GB/s per direction per x8 link
-		ScrubInterval:       30 * sim.Second,
-		FullReconfigTime:    200 * sim.Millisecond,
-		PartialReconfigTime: 20 * sim.Millisecond,
-		PFCXoffBytes:        96 << 10,
-		PFCXonBytes:         48 << 10,
-		LTL:                 ltl.DefaultConfig(),
-		ER:                  er.DefaultConfig(),
+		ScrubInterval:    30 * sim.Second,
+		FullReconfigTime: 200 * sim.Millisecond,
+		LTL:              ltl.DefaultConfig(),
+		ER:               er.DefaultConfig(),
 	}
 }
 
 // PCIeTime is the one-way DMA time of an n-byte transfer: the fixed
-// latency plus serialization at PCIeBps.
-func (c *Config) PCIeTime(n int) sim.Time {
-	return c.PCIeLatency + sim.Time(int64(n)*8*int64(sim.Second)/c.PCIeBps)
+// latency plus serialization at the PCIe Gen3 x8 rate.
+func PCIeTime(n int) sim.Time {
+	return pcieLatency + sim.Time(int64(n)*8*int64(sim.Second)/pcieBps)
 }
 
 // Stats aggregates shell counters.
@@ -251,12 +244,10 @@ func New(s *sim.Simulation, hostID int, portCfg netsim.PortConfig, cfg Config) *
 	}
 	sh.hostPort = netsim.NewPort(s, sh, 0, portCfg)
 	sh.netPort = netsim.NewPort(s, sh, 1, portCfg)
-	if !cfg.NoLTL {
-		sh.Engine = ltl.New(s, sh, cfg.LTL)
-		sh.ltlInflight = make(map[*pkt.Frame]*netsim.Packet)
-		sh.Engine.SetFrameRelease(sh.releaseLTLFrame)
-		sh.Engine.SetMessageRelease(releaseERMessage)
-	}
+	sh.Engine = ltl.New(s, sh, cfg.LTL)
+	sh.ltlInflight = make(map[*pkt.Frame]*netsim.Packet)
+	sh.Engine.SetFrameRelease(sh.releaseLTLFrame)
+	sh.Engine.SetMessageRelease(releaseERMessage)
 
 	sh.Router = er.New(s, cfg.ER)
 	sh.Router.ObsID = hostID
@@ -344,7 +335,7 @@ func (sh *Shell) Output(buf []byte) {
 		}
 	}
 	packet.NextPort = sh.netPort
-	sh.sim.ScheduleCall(sh.cfg.BridgeLatency, netsim.EnqueueCall, packet)
+	sh.sim.ScheduleCall(bridgeLatency, netsim.EnqueueCall, packet)
 }
 
 // releaseLTLFrame is the engine's frame-release hook: the loaned packet
@@ -392,11 +383,9 @@ func (sh *Shell) HandleFrame(p *netsim.Port, packet *netsim.Packet) {
 	}
 
 	// LTL frames addressed to this node terminate in the protocol engine.
-	// A NoLTL shell has no engine: such frames fall through to the host,
-	// which has no listener — equivalent to a closed port.
 	// The packet is loaned to the engine across its rx pipeline delay;
 	// the frame-release hook recycles it once dispatch completes.
-	if dir == NetToHost && packet.F.IsLTL() && packet.F.DstIP == sh.ip && sh.Engine != nil {
+	if dir == NetToHost && packet.F.IsLTL() && packet.F.DstIP == sh.ip {
 		sh.Stats.LTLConsumed.Inc()
 		sh.ltlInflight[packet.F] = packet
 		sh.Engine.HandleFrame(packet.F)
@@ -434,7 +423,7 @@ func (sh *Shell) HandleFrame(p *netsim.Port, packet *netsim.Packet) {
 	}
 	out.NextPort = fwd
 	out.PrevPort = p
-	sh.sim.ScheduleCall(sh.cfg.BridgeLatency+tapDelay, bridgeForward, out)
+	sh.sim.ScheduleCall(bridgeLatency+tapDelay, bridgeForward, out)
 }
 
 // bridgeForward completes the bridge pipeline latency: the frame crosses
@@ -457,13 +446,13 @@ func bridgeForward(v any) {
 func (sh *Shell) forward(dir Direction, fwd, ingress *netsim.Port, packet *netsim.Packet) {
 	class := packet.Class()
 	fwd.Enqueue(packet)
-	if !fwd.Config().Lossless[class] || sh.cfg.PFCXoffBytes <= 0 {
+	if !fwd.Config().Lossless[class] {
 		return
 	}
 	depth := fwd.QueuedBytes(class)
 	d := int(dir)
 	switch {
-	case !sh.pfcPaused[d][class] && depth > sh.cfg.PFCXoffBytes:
+	case !sh.pfcPaused[d][class] && depth > pfcXoffBytes:
 		sh.pfcPaused[d][class] = true
 		sh.sendPFC(ingress, class, netsim.TimeToPauseQuanta(100*sim.Microsecond, ingress.Config().Link.RateBps))
 		sh.armPFCWatch(dir, fwd, ingress, class)
@@ -477,7 +466,7 @@ func (sh *Shell) armPFCWatch(dir Direction, fwd, ingress *netsim.Port, class pkt
 		if !sh.pfcPaused[d][class] {
 			return
 		}
-		if fwd.QueuedBytes(class) < sh.cfg.PFCXonBytes {
+		if fwd.QueuedBytes(class) < pfcXonBytes {
 			sh.pfcPaused[d][class] = false
 			sh.sendPFC(ingress, class, 0) // resume
 			return
@@ -518,7 +507,7 @@ func (sh *Shell) Reconfigure(partial bool, newRole Role) {
 	sh.roleUp = false
 	dur := sh.cfg.FullReconfigTime
 	if partial {
-		dur = sh.cfg.PartialReconfigTime
+		dur = partialReconfigTime
 	} else {
 		sh.bridgeUp = false
 	}
@@ -637,7 +626,7 @@ func (sh *Shell) PCIeCall(payload []byte, reply func([]byte)) error {
 	sh.nextReqID++
 	id := sh.nextReqID
 	sh.pcieWaiters[id] = reply
-	dma := sh.cfg.PCIeTime(len(payload))
+	dma := PCIeTime(len(payload))
 	msg := encodeReq(id, FromPCIe, payload)
 	sh.sim.Schedule(dma, func() {
 		sh.termPCIe.Send(er.PortRole, 0, msg)
@@ -683,7 +672,7 @@ func (sh *Shell) onPCIeMessage(m *er.Message) {
 		return
 	}
 	delete(sh.pcieWaiters, id)
-	sh.sim.Schedule(sh.cfg.PCIeTime(len(payload)), func() { reply(payload) })
+	sh.sim.Schedule(PCIeTime(len(payload)), func() { reply(payload) })
 }
 
 // ---- Remote (LTL) acceleration path ----
@@ -694,9 +683,6 @@ func (sh *Shell) onPCIeMessage(m *er.Message) {
 
 // OpenRemoteSend allocates an LTL send connection toward a remote shell.
 func (sh *Shell) OpenRemoteSend(conn uint16, remoteHost int, remoteConn uint16, onFail func()) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
 	if conn == dgramConn || remoteConn == dgramConn {
 		return fmt.Errorf("shell %d: connection id %#x is reserved for service datagrams", sh.hostID, dgramConn)
 	}
@@ -709,9 +695,6 @@ func (sh *Shell) OpenRemoteSend(conn uint16, remoteHost int, remoteConn uint16, 
 // call only: its buffer carries a later message once the handler
 // returns, so a handler copies what it keeps.
 func (sh *Shell) OpenRemoteRecv(conn uint16, fromHost int, handler func(payload []byte)) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
 	if conn == dgramConn {
 		return fmt.Errorf("shell %d: connection id %#x is reserved for service datagrams", sh.hostID, dgramConn)
 	}
@@ -778,23 +761,16 @@ func (sh *Shell) SendRemote(conn uint16, payload []byte, done func()) {
 // SendControl emits a connection-less LTL control datagram (best-effort,
 // no retransmission) toward a remote shell — the service-plane class used
 // for queue-depth gossip and hedge-cancel notices.
-func (sh *Shell) SendControl(remoteHost int, kind uint8, payload []byte) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
+func (sh *Shell) SendControl(remoteHost int, kind uint8, payload []byte) {
 	sh.Engine.SendControl(netsim.HostIP(remoteHost), netsim.HostMAC(remoteHost), kind, payload)
-	return nil
 }
 
 // SetControlHandler installs the receiver for incoming control datagrams
 // (nil drops them). The handler sees the sender's host id.
-func (sh *Shell) SetControlHandler(h func(fromHost int, kind uint8, payload []byte)) error {
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
+func (sh *Shell) SetControlHandler(h func(fromHost int, kind uint8, payload []byte)) {
 	if h == nil {
 		sh.Engine.SetControlHandler(nil)
-		return nil
+		return
 	}
 	sh.Engine.SetControlHandler(func(src pkt.IP, kind uint8, payload []byte) {
 		id, ok := netsim.HostID(src)
@@ -803,5 +779,4 @@ func (sh *Shell) SetControlHandler(h func(fromHost int, kind uint8, payload []by
 		}
 		h(id, kind, payload)
 	})
-	return nil
 }

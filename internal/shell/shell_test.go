@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ltl"
 	"repro/internal/netsim"
 	"repro/internal/pkt"
 	"repro/internal/sim"
@@ -357,45 +358,39 @@ func TestShellPFCGeneration(t *testing.T) {
 	}
 }
 
-func TestNoLTLVariant(t *testing.T) {
+// TestRemoteOpenRejectsDatagramConn: the connection id dgramConn marks
+// service datagrams on the Elastic Router, so neither remote open may
+// use it, as the local id or as the remote one, and a refused open
+// allocates nothing.
+func TestRemoteOpenRejectsDatagramConn(t *testing.T) {
 	s := sim.New(1)
-	cfg := DefaultConfig()
-	cfg.NoLTL = true
-	shells := map[int]*Shell{}
-	dcCfg := netsim.DefaultConfig()
-	dcCfg.HostsPerTOR = 4
-	dcCfg.TORsPerPod = 2
-	dcCfg.Pods = 1
-	dcCfg.Interposer = func(dc *netsim.Datacenter, hostID int) netsim.Interposer {
-		sh := New(dc.Sim, hostID, netsim.DefaultPortConfig(), cfg)
-		shells[hostID] = sh
-		return sh
+	dc, shells := bed(s)
+	dc.Host(0)
+	dc.Host(1)
+	a, b := shells[0], shells[1]
+	if err := a.OpenRemoteSend(dgramConn, 1, 3, nil); err == nil {
+		t.Error("OpenRemoteSend accepted dgramConn as its own id")
 	}
-	dc := netsim.NewDatacenter(s, dcCfg)
-	h0, h1 := dc.Host(0), dc.Host(1)
-
-	// Remote APIs must refuse.
-	if err := shells[0].OpenRemoteSend(1, 1, 1, nil); err == nil {
-		t.Fatal("NoLTL shell accepted a send connection")
+	if err := a.OpenRemoteSend(3, 1, dgramConn, nil); err == nil {
+		t.Error("OpenRemoteSend accepted dgramConn as the remote id")
 	}
-	if err := shells[1].OpenRemoteRecv(1, 0, nil); err == nil {
-		t.Fatal("NoLTL shell accepted a recv connection")
+	if err := b.OpenRemoteRecv(dgramConn, 0, func([]byte) {}); err == nil {
+		t.Error("OpenRemoteRecv accepted dgramConn")
 	}
-	// The bridge and local acceleration still work.
-	got := 0
-	h1.RegisterUDP(7000, func(f *pkt.Frame) { got++ })
-	h0.SendUDP(h1.IP(), 7000, 7000, pkt.ClassBestEffort, []byte("bridge works"))
-	shells[0].LoadRole(echoRole{})
-	pcieOK := false
-	shells[0].PCIeCall([]byte{1}, func([]byte) { pcieOK = true })
-	s.RunFor(10 * sim.Millisecond)
-	if got != 1 || !pcieOK {
-		t.Fatalf("NoLTL shell broke local paths: bridge=%d pcie=%v", got, pcieOK)
+	for _, conn := range []uint16{dgramConn, 3} {
+		if err := a.Engine.SendMessage(conn, []byte{1}, nil); err == nil {
+			t.Errorf("a refused OpenRemoteSend allocated send connection %#x", conn)
+		}
 	}
-	// The reclaimed area is the LTL engine + packet switch (10% of the
-	// device back to the role).
-	if NoLTLReclaimedALMs() != 11839+4815 {
-		t.Errorf("reclaimed = %d ALMs", NoLTLReclaimedALMs())
+	if _, ok := b.remoteRecv[dgramConn]; ok {
+		t.Error("a refused OpenRemoteRecv registered a handler")
+	}
+	if err := b.Engine.OpenRecv(dgramConn, a.LocalIP(), nil); err != nil {
+		t.Errorf("a refused OpenRemoteRecv allocated the receive connection: %v", err)
+	}
+	// The ids themselves stay usable for ordinary connections.
+	if err := a.OpenRemoteSend(3, 1, 4, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -422,7 +417,7 @@ func TestRemoteMessagesSurviveBufferReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := s.NewRand()
-	mtu := DefaultConfig().LTL.MTU
+	mtu := ltl.MTU
 	var want [][]byte
 	var buf []byte // one caller buffer, rewritten for every message
 	acked := 0

@@ -47,25 +47,22 @@ type SlotConfig struct {
 	// ALMs is each slot's area capacity. Nil splits RoleRegionALMs()
 	// evenly; explicit capacities model asymmetric floorplans.
 	ALMs []int
-	// ReconfigBase is the fixed overhead of one partial reconfiguration
-	// (ICAP setup, bitstream header).
-	ReconfigBase sim.Time
-	// ReconfigPerALM is the bitstream-write time per ALM of the slot's
-	// region. Partial reconfiguration rewrites the whole PR region, so
-	// cost scales with slot capacity, not with the incoming role's size.
-	ReconfigPerALM sim.Time
 }
 
-// DefaultSlotConfig returns an n-slot partition of the role region with
-// production-flavored reconfiguration timing: programming a full-region
-// slot takes on the order of the shell's PartialReconfigTime.
-func DefaultSlotConfig(n int) SlotConfig {
-	return SlotConfig{
-		Count:          n,
-		ReconfigBase:   2 * sim.Millisecond,
-		ReconfigPerALM: 180 * sim.Nanosecond,
-	}
-}
+// DefaultSlotConfig returns an n-slot partition of the role region.
+func DefaultSlotConfig(n int) SlotConfig { return SlotConfig{Count: n} }
+
+// The partial-reconfiguration cost model: programming a full-region
+// slot takes on the order of the shell's partialReconfigTime.
+const (
+	// reconfigBase is the fixed overhead of one partial reconfiguration
+	// (ICAP setup, bitstream header).
+	reconfigBase = 2 * sim.Millisecond
+	// reconfigPerALM is the bitstream-write time per ALM of the slot's
+	// region. Partial reconfiguration rewrites the whole PR region, so
+	// cost scales with slot capacity, not with the incoming role's size.
+	reconfigPerALM = 180 * sim.Nanosecond
+)
 
 // slotVCBase is the first ER virtual channel assigned to slots: VC 0/1
 // keep their service.go meanings (global service datagrams, lease plane);
@@ -259,7 +256,7 @@ func (sh *Shell) ReconfigureSlot(i int, tenant string, r Role, alms int, done fu
 	s.up, s.reconf = false, true
 	s.role, s.tenant, s.used = nil, "", 0
 	sh.Stats.Reconfigs.Inc()
-	dur := sh.cfg.Slots.ReconfigBase + sim.Time(int64(s.cap)*int64(sh.cfg.Slots.ReconfigPerALM))
+	dur := reconfigBase + sim.Time(s.cap)*reconfigPerALM
 	gen := s.gen
 	sh.sim.Schedule(dur, func() {
 		if s.gen != gen || sh.failed {
@@ -350,9 +347,6 @@ func (sh *Shell) SetServiceHandlerSlot(i int, kinds []uint8, h func(fromHost int
 	if err != nil {
 		return err
 	}
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
-	}
 	for _, k := range kinds {
 		if prev, ok := sh.kindSlot[k]; ok && prev != i {
 			return fmt.Errorf("shell %d: datagram kind %d already bound to slot %d", sh.hostID, k, prev)
@@ -360,7 +354,8 @@ func (sh *Shell) SetServiceHandlerSlot(i int, kinds []uint8, h func(fromHost int
 		sh.kindSlot[k] = i
 	}
 	s.handler = h
-	return sh.ensureDgramIngress()
+	sh.ensureDgramIngress()
+	return nil
 }
 
 // SendDatagramSlot sends a service datagram on behalf of slot i's
@@ -371,9 +366,6 @@ func (sh *Shell) SendDatagramSlot(i int, remoteHost int, kind uint8, payload []b
 	s, err := sh.slot(i)
 	if err != nil {
 		return err
-	}
-	if sh.Engine == nil {
-		return fmt.Errorf("shell %d: deployed without the LTL block", sh.hostID)
 	}
 	if !sh.SlotUp(i) {
 		sh.Tenant.DgramsDropped.Inc()
@@ -401,9 +393,9 @@ func (sh *Shell) SendDatagramSlot(i int, remoteHost int, kind uint8, payload []b
 // Incoming datagrams whose kind is bound to a slot traverse the ER on
 // that slot's virtual channel; everything else rides VCService to the
 // global handler (service.go).
-func (sh *Shell) ensureDgramIngress() error {
+func (sh *Shell) ensureDgramIngress() {
 	if sh.dgramIngress {
-		return nil
+		return
 	}
 	sh.dgramIngress = true
 	sh.Engine.SetDatagramHandler(func(src pkt.IP, kind uint8, payload []byte) {
@@ -418,7 +410,6 @@ func (sh *Shell) ensureDgramIngress() error {
 		sh.scratch = appendDgram(sh.scratch, kind, id, payload)
 		sh.termRemote.Send(er.PortRole, vc, sh.scratch)
 	})
-	return nil
 }
 
 // dispatchSlotDgram delivers an inbound datagram bound to a slot.

@@ -100,7 +100,7 @@ func TestReconfigureSlotCostModel(t *testing.T) {
 	dc.Host(0)
 	sh := shells[0]
 	capALMs := sh.SlotCaps()[0]
-	wantDur := sh.cfg.Slots.ReconfigBase + sim.Time(int64(capALMs)*int64(sh.cfg.Slots.ReconfigPerALM))
+	wantDur := reconfigBase + sim.Time(capALMs)*reconfigPerALM
 
 	var doneAt sim.Time = -1
 	dur, err := sh.ReconfigureSlot(0, "rank", tenantRole{"ranking"}, 40000, func(ok bool) {
@@ -221,12 +221,8 @@ func TestSlotDatagramRoutingAndIsolationVC(t *testing.T) {
 
 	base0 := b.Router.Stats.VCFlits[slotVCBase].Value()
 	base1 := b.Router.Stats.VCFlits[slotVCBase+1].Value()
-	if err := a.SendDatagram(1, 10, []byte("to-kv")); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendDatagram(1, 20, []byte("to-crypto")); err != nil {
-		t.Fatal(err)
-	}
+	a.SendDatagram(1, 10, []byte("to-kv"))
+	a.SendDatagram(1, 20, []byte("to-crypto"))
 	s.RunFor(sim.Millisecond)
 	if gotKind[10] != 0 || gotKind[20] != 1 {
 		t.Fatalf("kind routing = %v, want {10:0, 20:1}", gotKind)

@@ -98,11 +98,11 @@ func Deploy(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shel
 			panic(err)
 		}
 		d.Router = router
-		sim.Must(shells[d.Head].SetControlHandler(func(from int, kind uint8, payload []byte) {
+		shells[d.Head].SetControlHandler(func(from int, kind uint8, payload []byte) {
 			if kind == ctrlDepth && len(payload) >= 4 {
 				router.ReportDepth(from, int(binary.BigEndian.Uint32(payload)), s.Now())
 			}
-		}))
+		})
 	}
 	d.Pool, d.In = NewBackendPool(dc, shells, poolHosts, rmPoll, role, spec)
 	return d
@@ -134,17 +134,21 @@ func (d *Deployment) StartFaults(profile string) {
 	d.stopFaults = d.In.Start(p)
 }
 
+// gossipInterval is the backend depth-gossip period (staleness of the
+// balancer's global view).
+const gossipInterval = 100 * sim.Microsecond
+
 // Serve makes backend h routable at the head and starts its depth
-// gossip: every interval, h reports depth() to the head. The first
+// gossip: every gossipInterval, h reports depth() to the head. The first
 // report is phase-offset by the slot index, so the pool's reports
 // interleave instead of arriving as a synchronized burst.
-func (d *Deployment) Serve(h int, interval sim.Time, depth func() int) *Slot {
+func (d *Deployment) Serve(h int, depth func() int) *Slot {
 	sl := d.Router.AddSlot(h)
 	sh := d.Shells[h]
-	d.gossip[h] = d.s.Every(interval*sim.Time(1+sl.Index%8)/8, interval, func() {
+	d.gossip[h] = d.s.Every(gossipInterval*sim.Time(1+sl.Index%8)/8, gossipInterval, func() {
 		var buf [4]byte
 		binary.BigEndian.PutUint32(buf[:], uint32(depth()))
-		sim.Must(sh.SendControl(d.Head, ctrlDepth, buf[:]))
+		sh.SendControl(d.Head, ctrlDepth, buf[:])
 	})
 	return sl
 }

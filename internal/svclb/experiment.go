@@ -15,38 +15,27 @@ import (
 type SweepConfig struct {
 	Base         Config
 	ClientCounts []int
-	// P99Bound is the Fig. 12-style latency ceiling; 0 defaults to
-	// 10x the service time (the knee criterion used by dnnpool).
-	P99Bound   sim.Time
-	MinGoodput float64
 }
+
+// MinGoodput is the goodput floor of a sustained point.
+const MinGoodput = 0.95
 
 // DefaultSweepConfig sweeps client:FPGA ratios across the knee region on
 // a fixed two-FPGA pool.
 func DefaultSweepConfig() SweepConfig {
-	base := DefaultConfig()
 	return SweepConfig{
-		Base:         base,
+		Base:         DefaultConfig(),
 		ClientCounts: []int{16, 24, 32, 40},
-		P99Bound:     10 * base.ServiceTime,
-		MinGoodput:   0.95,
 	}
 }
 
-func (sc SweepConfig) withDefaults() SweepConfig {
-	if sc.P99Bound <= 0 {
-		sc.P99Bound = 10 * sc.Base.ServiceTime
-	}
-	if sc.MinGoodput <= 0 {
-		sc.MinGoodput = 0.95
-	}
-	return sc
-}
+// P99Bound is the Fig. 12-style latency ceiling: 10x the service time
+// (the knee criterion used by dnnpool).
+func (sc SweepConfig) P99Bound() sim.Time { return 10 * sc.Base.ServiceTime }
 
 // Sustained reports whether one run met the sweep's service objective.
 func (sc SweepConfig) Sustained(r Result) bool {
-	sc = sc.withDefaults()
-	return r.Completed > 0 && r.P99 <= sc.P99Bound && r.Goodput >= sc.MinGoodput
+	return r.Completed > 0 && r.P99 <= sc.P99Bound() && r.Goodput >= MinGoodput
 }
 
 // SweepResult is one policy variant's sweep.
@@ -65,7 +54,6 @@ type SweepResult struct {
 // an independent balancer simulation, so the points fan out across cores
 // with results kept in client-count order.
 func Sweep(sc SweepConfig, policy string, admission bool) SweepResult {
-	sc = sc.withDefaults()
 	label := policy
 	if admission {
 		label += "+ac"

@@ -64,10 +64,6 @@ type Config struct {
 	// no-client-visible-loss guarantee).
 	Drain sim.Time
 
-	// GossipInterval is the backend depth-gossip period (staleness of the
-	// balancer's global view).
-	GossipInterval sim.Time
-
 	// Admission enables deadline-aware shedding: a request is rejected at
 	// arrival when the chosen backend's estimated completion time exceeds
 	// Deadline.
@@ -121,7 +117,6 @@ func DefaultConfig() Config {
 		Duration:       300 * sim.Millisecond,
 		Warmup:         50 * sim.Millisecond,
 		Drain:          50 * sim.Millisecond,
-		GossipInterval: 100 * sim.Microsecond,
 		Admission:      true,
 		Deadline:       2500 * sim.Microsecond,
 		HedgeDelay:     0,
@@ -136,9 +131,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.Drain <= 0 {
 		cfg.Drain = 50 * sim.Millisecond
-	}
-	if cfg.GossipInterval <= 0 {
-		cfg.GossipInterval = 100 * sim.Microsecond
 	}
 	if cfg.RMPoll <= 0 {
 		cfg.RMPoll = sim.Millisecond
@@ -240,7 +232,6 @@ type Service struct {
 	nextReq uint64
 
 	measured *metrics.Histogram // window-scoped completions (the result)
-	pcie     func(int) sim.Time
 
 	tracer *obs.Tracer
 
@@ -321,16 +312,14 @@ func NewService(cfg Config) *Service {
 // head host (see Deploy for the layout).
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
 	cfg = cfg.withDefaults()
-	pcieCfg := shell.DefaultConfig()
 	b := &Service{
 		cfg:      cfg,
 		pending:  map[uint64]*pendingReq{},
 		measured: metrics.NewHistogram(),
-		pcie:     pcieCfg.PCIeTime,
 		tracer:   obs.TracerOf(s),
 	}
 	if b.cfg.Admission && b.cfg.NetOverhead <= 0 {
-		b.cfg.NetOverhead = b.pcie(cfg.ReqBytes) + b.pcie(cfg.RespBytes) + 20*sim.Microsecond
+		b.cfg.NetOverhead = shell.PCIeTime(cfg.ReqBytes) + shell.PCIeTime(cfg.RespBytes) + 20*sim.Microsecond
 	}
 	b.registerMetrics(obs.RegistryOf(s))
 	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, cfg.FPGAs+cfg.Spares, cfg.RMPoll, svcRole{}, haas.PoolSpec{
@@ -527,7 +516,7 @@ func (b *Service) sendCopy(p *pendingReq, sl *Slot, hedge bool) {
 		b.tracer.Event(p.flow, "svclb.copy", p.span, int64(sl.Host))
 	}
 	cs := b.ClientEnds[p.client]
-	b.s.Schedule(b.pcie(b.cfg.ReqBytes), func() {
+	b.s.Schedule(shell.PCIeTime(b.cfg.ReqBytes), func() {
 		if c.gone {
 			return
 		}
@@ -592,7 +581,7 @@ func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 			b.tracer.Event(p.flow, "svclb.cancel", p.span, int64(c.slot.Host))
 			var idb [8]byte
 			binary.BigEndian.PutUint64(idb[:], reqID)
-			sim.Must(b.ClientEnds[ci].SendControl(c.slot.Host, ctrlCancel, idb[:]))
+			b.ClientEnds[ci].SendControl(c.slot.Host, ctrlCancel, idb[:])
 		}
 	}
 	if winnerIdx >= 0 {
@@ -602,7 +591,7 @@ func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 			b.tracer.Event(p.flow, "svclb.hedge_win", p.span, int64(sl.Host))
 		}
 	}
-	b.s.Schedule(b.pcie(b.cfg.RespBytes), func() {
+	b.s.Schedule(shell.PCIeTime(b.cfg.RespBytes), func() {
 		now := b.s.Now()
 		lat := int64(now - p.t0)
 		b.completed.Inc()
@@ -627,15 +616,15 @@ func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 func (b *Service) addBackend(h int) {
 	q := NewWorkQueue(b.s, h)
 	fs := b.Shells[h]
-	sl := b.Serve(h, b.cfg.GossipInterval, q.Depth)
+	sl := b.Serve(h, q.Depth)
 
-	sim.Must(fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
+	fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
 		if kind == ctrlCancel && len(payload) >= 8 {
 			if q.Cancel(binary.BigEndian.Uint64(payload)) {
 				b.cancelHits.Inc()
 			}
 		}
-	}))
+	})
 
 	for ci, cs := range b.ClientEnds {
 		ch := cs.HostID()

@@ -18,23 +18,23 @@ import (
 type Config struct {
 	// Width and Height of the grid (Catapult v1: 6x8).
 	Width, Height int
-	// HopLatency is the one-way per-hop cost (router traversal + SL3
-	// cable), calibrated so a 1-hop round trip is ~1 µs.
-	HopLatency sim.Time
-	// NodeProc is the per-endpoint processing cost per traversal.
-	NodeProc sim.Time
-	// LinkRateBps is the inter-FPGA link rate for serialization time.
-	LinkRateBps int64
 }
+
+// The Catapult v1 link and router timing.
+const (
+	// hopLatency is the one-way per-hop cost (router traversal + SL3
+	// cable), calibrated so a 1-hop round trip is ~1 µs.
+	hopLatency = 440 * sim.Nanosecond
+	// nodeProc is the per-endpoint processing cost per traversal.
+	nodeProc = 55 * sim.Nanosecond
+	// linkRateBps is the inter-FPGA link rate for serialization time
+	// (4 lanes x ~5 Gb/s effective per direction).
+	linkRateBps = 20e9
+)
 
 // DefaultConfig returns the Catapult v1 parameters.
 func DefaultConfig() Config {
-	return Config{
-		Width: 6, Height: 8,
-		HopLatency:  440 * sim.Nanosecond,
-		NodeProc:    55 * sim.Nanosecond,
-		LinkRateBps: 20e9, // 4 lanes x ~5 Gb/s effective per direction
-	}
+	return Config{Width: 6, Height: 8}
 }
 
 // Stats aggregates torus counters.
@@ -215,10 +215,10 @@ func (t *Torus) RTT(a, b int, size int) (rtt sim.Time, hops int, ok bool) {
 		return 0, 0, false
 	}
 	hops = len(path) - 1
-	ser := sim.Time(int64(size) * 8 * int64(sim.Second) / t.cfg.LinkRateBps)
-	ackSer := sim.Time(int64(32) * 8 * int64(sim.Second) / t.cfg.LinkRateBps)
+	ser := sim.Time(int64(size) * 8 * int64(sim.Second) / linkRateBps)
+	ackSer := sim.Time(int64(32) * 8 * int64(sim.Second) / linkRateBps)
 	oneWay := func(perHopSer sim.Time) sim.Time {
-		return t.cfg.NodeProc*2 + sim.Time(hops)*(t.cfg.HopLatency+perHopSer)
+		return nodeProc*2 + sim.Time(hops)*(hopLatency+perHopSer)
 	}
 	return oneWay(ser) + oneWay(ackSer), hops, true
 }

@@ -30,10 +30,12 @@ type ScaleConfig struct {
 	IntraPairsPerPod int
 	CrossPairsPerPod int
 	PingsPerPair     int
-	PayloadSize      int
 	MeanGap          sim.Time
 	BackgroundUtil   float64
 }
+
+// scalePayloadSize is the scale point's ping payload in bytes.
+const scalePayloadSize = 128
 
 // DefaultScaleConfig returns the workload shape used by ExpScale,
 // sized for the given pod count.
@@ -43,7 +45,6 @@ func DefaultScaleConfig(pods int) ScaleConfig {
 		IntraPairsPerPod: 2,
 		CrossPairsPerPod: 2,
 		PingsPerPair:     200,
-		PayloadSize:      128,
 		MeanGap:          50 * sim.Microsecond,
 		BackgroundUtil:   0.005,
 	}
@@ -110,7 +111,7 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 		rng := c.Sim.NewRand()
 		st := &stats[pi]
 		eng := a.Shell.Engine
-		payload := make([]byte, cfg.PayloadSize)
+		payload := make([]byte, scalePayloadSize)
 		remaining := cfg.PingsPerPair
 		var ping func()
 		ping = func() {

@@ -283,7 +283,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 	h := metrics.NewHistogram()
 	var replies uint64
 	sentAt := map[uint64]sim.Time{}
-	sim.Must(client.SetServiceHandler(func(_ int, kind uint8, p []byte) {
+	client.SetServiceHandler(func(_ int, kind uint8, p []byte) {
 		if kind != kindTenantPong || len(p) < 8 {
 			return
 		}
@@ -293,7 +293,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 			h.Observe(int64(s.Now() - t0))
 			replies++
 		}
-	}))
+	})
 	payload := make([]byte, 64)
 	var seq uint64
 	var ping func()
@@ -303,7 +303,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 		}
 		binary.BigEndian.PutUint64(payload, seq)
 		sentAt[seq] = s.Now()
-		sim.Must(client.SendDatagram(0, kindTenantPing, payload))
+		client.SendDatagram(0, kindTenantPing, payload)
 		seq++
 		s.Schedule(pingGap, ping)
 	}
