@@ -270,6 +270,46 @@ func TestSEUHangAndScrubRecovery(t *testing.T) {
 	}
 }
 
+// TestHungRoleSwallowsServiceDatagrams checks the whole-board datagram
+// gate: a loaded role that is hung or reconfiguring swallows service
+// datagrams, while a shell that never loaded a role (a client end)
+// receives its replies.
+func TestHungRoleSwallowsServiceDatagrams(t *testing.T) {
+	s := sim.New(1)
+	dc, shells := bed(s)
+	dc.Host(0)
+	dc.Host(1)
+	server, client := shells[0], shells[1]
+	server.LoadRole(echoRole{})
+	served, replies := 0, 0
+	server.SetServiceHandler(func(from int, kind uint8, p []byte) {
+		served++
+		server.SendDatagram(from, kind, p)
+	})
+	client.SetServiceHandler(func(int, uint8, []byte) { replies++ })
+	ping := func(wantServed, wantReplies int, when string) {
+		t.Helper()
+		client.SendDatagram(0, 1, []byte("ping"))
+		s.RunFor(sim.Millisecond)
+		if served != wantServed || replies != wantReplies {
+			t.Fatalf("%s: served %d, replies %d; want %d, %d", when, served, replies, wantServed, wantReplies)
+		}
+	}
+
+	ping(1, 1, "role up")
+	server.InjectSEU(true)
+	ping(1, 1, "role hung")
+	s.RunFor(DefaultConfig().ScrubInterval)
+	if !server.RoleUp() {
+		t.Fatal("scrubber did not recover the hung role")
+	}
+	ping(2, 2, "after scrub")
+	server.Reconfigure(true, echoRole{})
+	ping(2, 2, "role reconfiguring")
+	s.RunFor(partialReconfigTime)
+	ping(3, 3, "after reconfiguration")
+}
+
 func TestPowerCycleRestoresGolden(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
