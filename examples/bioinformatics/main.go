@@ -19,9 +19,9 @@ func main() {
 
 	cost := bioinfo.DefaultCostModel()
 	sc := bioinfo.DefaultScoring()
-	local.Shell.LoadRole(bioinfo.NewRole(cloud.Sim, cost, sc))
+	local.Shell.LoadRole(bioinfo.NewRole(cloud.Sim, cost, sc).HandleRequest)
 	remoteRole := bioinfo.NewRole(cloud.Sim, cost, sc)
-	remote.Shell.LoadRole(remoteRole)
+	remote.Shell.LoadRole(remoteRole.HandleRequest)
 
 	rng := rand.New(rand.NewSource(7))
 	ref := bioinfo.RandomSequence(rng, 2000)
@@ -45,7 +45,7 @@ func main() {
 
 	// Remote acceleration via LTL: ship the request to the borrowed FPGA.
 	check(remote.Shell.OpenRemoteRecv(3, local.ID, func(p []byte) {
-		remoteRole.HandleRequest(1, p, func(resp []byte) {
+		remoteRole.HandleRequest(p, func(resp []byte) {
 			remote.Shell.SendRemote(4, resp, nil)
 		})
 	}))

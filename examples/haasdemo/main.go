@@ -9,16 +9,7 @@ import (
 
 	configcloud "repro"
 	"repro/internal/haas"
-	"repro/internal/shell"
 )
-
-// demoRole stands in for a service accelerator image.
-type demoRole struct{ image string }
-
-func (r demoRole) Name() string { return r.image }
-func (r demoRole) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
-	respond(payload)
-}
 
 func main() {
 	cloud := configcloud.New(configcloud.Options{Seed: 2})
@@ -32,8 +23,8 @@ func main() {
 		sh := cloud.Node(i).Shell
 		rm.Register(&haas.FPGAManager{
 			Node: id,
-			Configure: func(image string) {
-				sh.Reconfigure(true, demoRole{image}) // partial: bridge stays up
+			Configure: func(string) {
+				sh.Reconfigure(true, nil) // partial: bridge stays up
 			},
 			Healthy: func() bool { return alive[id] },
 		})

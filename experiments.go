@@ -499,9 +499,9 @@ func ExpBioinfo() *Table {
 	local, remote := cloud.Node(0), cloud.Node(100)
 	cost := bioinfo.DefaultCostModel()
 	sc := bioinfo.DefaultScoring()
-	local.Shell.LoadRole(bioinfo.NewRole(cloud.Sim, cost, sc))
+	local.Shell.LoadRole(bioinfo.NewRole(cloud.Sim, cost, sc).HandleRequest)
 	remoteRole := bioinfo.NewRole(cloud.Sim, cost, sc)
-	remote.Shell.LoadRole(remoteRole)
+	remote.Shell.LoadRole(remoteRole.HandleRequest)
 
 	rng := rand.New(rand.NewSource(13))
 	ref := bioinfo.RandomSequence(rng, 2000)
@@ -519,7 +519,7 @@ func ExpBioinfo() *Table {
 	cloud.Run(Millisecond)
 
 	sim.Must(remote.Shell.OpenRemoteRecv(3, 0, func(p []byte) {
-		remoteRole.HandleRequest(shell.FromLTL, p, func(resp []byte) {
+		remoteRole.HandleRequest(p, func(resp []byte) {
 			remote.Shell.SendRemote(4, resp, nil)
 		})
 	}))
@@ -606,16 +606,6 @@ func growN(p *haas.Pool, n int) {
 	}
 }
 
-// echoRole is the trivial role used by fault experiments: it answers
-// every request with its payload, and exists so SEU-induced wedges have a
-// running role to hang.
-type echoRole struct{}
-
-func (echoRole) Name() string { return "echo" }
-func (echoRole) HandleRequest(_ shell.RequestSource, p []byte, respond func([]byte)) {
-	respond(p)
-}
-
 // ExpFaults runs an LTL messaging workload across several same-TOR pairs
 // under faultinject profiles and reports delivery outcomes next to the
 // injector's fault tally and recovery-latency histograms. With -faults
@@ -658,8 +648,9 @@ func runFaultWorkload(prof string, scale Scale) []*Table {
 	for p := 0; p < pairs; p++ {
 		p := p
 		a, b := cloud.Node(2*p), cloud.Node(2*p+1)
-		a.Shell.LoadRole(echoRole{})
-		b.Shell.LoadRole(echoRole{})
+		// Loaded roles give SEU-induced wedges a running role to hang.
+		a.Shell.LoadRole(nil)
+		b.Shell.LoadRole(nil)
 		conn := uint16(10 + p)
 		sim.Must(b.Shell.Engine.OpenRecv(conn, netsim.HostIP(a.ID), nil))
 		sim.Must(a.Shell.Engine.OpenSend(conn, netsim.HostIP(b.ID), netsim.HostMAC(b.ID), conn, 0,

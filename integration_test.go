@@ -23,7 +23,7 @@ func TestPassthroughAndAccelerationNoInteraction(t *testing.T) {
 		cloud := New(Options{Seed: 51})
 		n0, n1 := cloud.Node(0), cloud.Node(1)
 		role := ranking.NewFPGARole(cloud.Sim)
-		n0.Shell.LoadRole(role)
+		n0.Shell.LoadRole(role.HandleRequest)
 
 		if withTraffic {
 			// Saturate the bump-in-the-wire in both directions.
@@ -166,10 +166,10 @@ func TestRemoteRankingOverRealLTL(t *testing.T) {
 	client, accel := cloud.Node(0), cloud.Node(30) // same pod, different TOR
 
 	role := ranking.NewFPGARole(cloud.Sim)
-	accel.Shell.LoadRole(role)
+	accel.Shell.LoadRole(role.HandleRequest)
 	// Remote request path: client role -> LTL -> accel; response back.
 	sim.Must(accel.Shell.OpenRemoteRecv(6, 0, func(p []byte) {
-		role.HandleRequest(1, p, func(resp []byte) {
+		role.HandleRequest(p, func(resp []byte) {
 			accel.Shell.SendRemote(7, resp, nil)
 		})
 	}))
@@ -208,7 +208,7 @@ func TestSEUStormRecovery(t *testing.T) {
 	var nodes []Node
 	for i := 0; i < 8; i++ {
 		n := cloud.Node(i)
-		n.Shell.LoadRole(ranking.NewFPGARole(cloud.Sim))
+		n.Shell.LoadRole(ranking.NewFPGARole(cloud.Sim).HandleRequest)
 		nodes = append(nodes, n)
 	}
 	for _, n := range nodes {

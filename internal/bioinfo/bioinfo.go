@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/shell"
 	"repro/internal/sim"
 )
 
@@ -206,9 +205,6 @@ func NewRole(s *sim.Simulation, cost CostModel, sc Scoring) *Role {
 	return &Role{sim: s, cost: cost, sc: sc}
 }
 
-// Name implements shell.Role.
-func (r *Role) Name() string { return "smith-waterman" }
-
 // EncodeRequest frames (query, ref) for the role.
 func EncodeRequest(query, ref Sequence) []byte {
 	buf := make([]byte, 4+len(query)+len(ref))
@@ -236,8 +232,9 @@ func DecodeResponse(buf []byte) (Alignment, bool) {
 	return Alignment{Score: get(0), QueryEnd: get(4), RefEnd: get(8)}, true
 }
 
-// HandleRequest implements shell.Role.
-func (r *Role) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
+// HandleRequest serves one alignment request; loaded into a shell as
+// its PCIe handler (a shell.Role) by method value.
+func (r *Role) HandleRequest(payload []byte, respond func([]byte)) {
 	if len(payload) < 4 {
 		respond(nil)
 		return

@@ -133,7 +133,7 @@ func TestRoleOverPCIe(t *testing.T) {
 	s := sim.New(1)
 	sh := shell.New(s, 0, netsim.DefaultPortConfig(), shell.DefaultConfig())
 	role := NewRole(s, DefaultCostModel(), DefaultScoring())
-	sh.LoadRole(role)
+	sh.LoadRole(role.HandleRequest)
 
 	rng := rand.New(rand.NewSource(9))
 	ref := RandomSequence(rng, 800)
@@ -168,7 +168,7 @@ func TestRoleQueuesInOrder(t *testing.T) {
 	s := sim.New(1)
 	sh := shell.New(s, 0, netsim.DefaultPortConfig(), shell.DefaultConfig())
 	role := NewRole(s, DefaultCostModel(), DefaultScoring())
-	sh.LoadRole(role)
+	sh.LoadRole(role.HandleRequest)
 	rng := rand.New(rand.NewSource(10))
 	ref := RandomSequence(rng, 400)
 	var done []sim.Time
@@ -194,7 +194,7 @@ func TestRoleRejectsMalformed(t *testing.T) {
 	s := sim.New(1)
 	role := NewRole(s, DefaultCostModel(), DefaultScoring())
 	got := []byte("sentinel")
-	role.HandleRequest(0, []byte{1}, func(r []byte) { got = r })
+	role.HandleRequest([]byte{1}, func(r []byte) { got = r })
 	if got != nil {
 		t.Fatal("malformed request not rejected")
 	}

@@ -103,13 +103,15 @@ func RunRemote(cfg Config) Result {
 		dc.Host(base + i)
 	}
 
-	// HaaS manages the pool: one service pool leases all pool FPGAs.
+	// HaaS manages the pool: one service pool leases all pool FPGAs. The
+	// data path runs through OpenRemoteRecv handlers, so the role image
+	// takes no PCIe requests.
 	rm := haas.NewResourceManager(s, haas.RMConfig{})
 	for _, h := range poolHosts {
 		h := h
 		rm.Register(&haas.FPGAManager{
 			Node:      haas.NodeID(h),
-			Configure: func(string) { shells[h].LoadRole(dnnRole{}) },
+			Configure: func(string) { shells[h].LoadRole(nil) },
 			Healthy:   func() bool { return true },
 		})
 	}
@@ -255,15 +257,6 @@ func RunRemote(cfg Config) Result {
 		Completed:       lat.Count(),
 		PoolHostCPUJobs: poolHostFrames,
 	}
-}
-
-// dnnRole marks the pool shells' role slot occupied (the data path runs
-// through OpenRemoteRecv handlers).
-type dnnRole struct{}
-
-func (dnnRole) Name() string { return "dnn-v1" }
-func (dnnRole) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
-	respond(payload)
 }
 
 // RunLocalBaseline measures the same clients with dedicated

@@ -98,11 +98,6 @@ func TestKillRebootLifecycle(t *testing.T) {
 	}
 }
 
-type nopRole struct{}
-
-func (nopRole) Name() string                                                  { return "nop" }
-func (nopRole) HandleRequest(_ shell.RequestSource, _ []byte, r func([]byte)) { r(nil) }
-
 // A wedged role recovers on the scrubber's next pass, and the
 // wedge→repair latency is recorded.
 func TestWedgeRecoversOnScrub(t *testing.T) {
@@ -110,7 +105,7 @@ func TestWedgeRecoversOnScrub(t *testing.T) {
 	shCfg := shell.DefaultConfig()
 	shCfg.ScrubInterval = 2 * sim.Millisecond
 	sh := shell.New(s, 0, netsim.DefaultPortConfig(), shCfg)
-	sh.LoadRole(nopRole{})
+	sh.LoadRole(nil)
 	in := New(s)
 	in.AddNode(0, sh)
 

@@ -81,8 +81,8 @@ func FuzzDecodeMReq(f *testing.F) {
 	f.Add([]byte{OpMGet, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0xFF, 0xFF})          // key length past end
 	f.Add([]byte{OpMGet, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0})                // zero-length key
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := DecodeMReq(data)
-		if err != nil {
+		var r MReq
+		if err := DecodeMReq(data, &r); err != nil {
 			return
 		}
 		if len(r.Keys) < 1 || len(r.Keys) > MaxMultiKeys {
@@ -93,8 +93,8 @@ func FuzzDecodeMReq(f *testing.F) {
 				t.Fatalf("accepted out-of-bounds key: %d bytes", len(k))
 			}
 		}
-		r2, err := DecodeMReq(AppendMReq(nil, r))
-		if err != nil {
+		var r2 MReq
+		if err := DecodeMReq(AppendMReq(nil, r), &r2); err != nil {
 			t.Fatalf("re-decode of accepted batch failed: %v", err)
 		}
 		if r2.ID != r.ID || len(r2.Keys) != len(r.Keys) {

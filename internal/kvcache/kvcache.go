@@ -499,6 +499,8 @@ type Shard struct {
 
 	opFree  []*StoreOp
 	scratch []byte
+	// mreq is the reused multi-get decode target.
+	mreq MReq
 
 	// Replies counts reply datagrams generated on-fabric; DecodeErrors
 	// counts dropped undecodable requests.
@@ -506,19 +508,11 @@ type Shard struct {
 	DecodeErrors metrics.Counter
 }
 
-// shardRole marks the role slot occupied (health, reconfiguration). The
-// request path never goes through HandleRequest — that is the point.
-type shardRole struct{}
-
-func (shardRole) Name() string { return "kvcache-shard" }
-func (shardRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([]byte)) {
-	respond(nil) // no host-facing request surface
-}
-
 // AttachShard loads the shard role onto sh and wires the store to the
-// shell's service-datagram plane.
+// shell's service-datagram plane. The role takes no PCIe requests: the
+// request path never touches the host — that is the point.
 func AttachShard(s *sim.Simulation, sh *shell.Shell, st *Store) *Shard {
-	sh.LoadRole(shardRole{})
+	sh.LoadRole(nil)
 	return attachShard(s, sh, -1, st)
 }
 
@@ -639,53 +633,24 @@ func (d *Shard) onDatagram(from int, kind uint8, payload []byte) {
 // batch amortizes the datagram and dispatch cost across its keys, which
 // is the E18b trade.
 func (d *Shard) onMGet(from int, payload []byte) {
+	if err := DecodeMReq(payload, &d.mreq); err != nil {
+		d.DecodeErrors.Inc()
+		return
+	}
+	// The keys alias the (reused) request buffer: copy them into the op.
 	op := d.allocOp()
-	// Parse inline into the pooled op (DecodeMReq's [][]byte would
-	// allocate per batch): header, then per-key length + bytes.
-	if len(payload) < 10 {
-		d.DecodeErrors.Inc()
-		d.freeOp(op)
-		return
-	}
-	id := binary.BigEndian.Uint64(payload[1:])
-	n := int(payload[9])
-	if n < 1 || n > MaxMultiKeys {
-		d.DecodeErrors.Inc()
-		d.freeOp(op)
-		return
-	}
-	off := 10
 	op.keyOffs = append(op.keyOffs, 0)
-	for i := 0; i < n; i++ {
-		if len(payload) < off+2 {
-			d.DecodeErrors.Inc()
-			d.freeOp(op)
-			return
-		}
-		kl := int(binary.BigEndian.Uint16(payload[off:]))
-		if kl == 0 || kl > MaxKeyBytes {
-			d.DecodeErrors.Inc()
-			d.freeOp(op)
-			return
-		}
-		off += 2
-		if len(payload) < off+kl {
-			d.DecodeErrors.Inc()
-			d.freeOp(op)
-			return
-		}
-		op.keys = append(op.keys, payload[off:off+kl]...)
+	for _, k := range d.mreq.Keys {
+		op.keys = append(op.keys, k...)
 		op.keyOffs = append(op.keyOffs, len(op.keys))
-		off += kl
 	}
+	id := d.mreq.ID
 	op.ID, op.From, op.Kind, op.keyIdx = id, from, OpMGet, 0
 	if d.tracer != nil {
 		op.Span = d.tracer.Start(obs.ReqFlow(id), "kvcache.shard", 0)
 	}
 	// Reply accumulates in the op (the shard scratch is per-probe).
-	op.reply = append(op.reply[:0], RespMGet)
-	op.reply = appendUint64(op.reply, id)
-	op.reply = append(op.reply, byte(n))
+	op.reply = appendMHeader(op.reply[:0], RespMGet, id, len(d.mreq.Keys))
 	op.Done = shardMGetDone
 	d.mgetNext(op)
 }
@@ -708,14 +673,7 @@ func (d *Shard) mgetNext(op *StoreOp) {
 
 // shardMGetDone folds one probe into the batched reply and advances.
 func shardMGetDone(op *StoreOp, hit bool, val []byte) {
-	if hit {
-		op.reply = append(op.reply, 1)
-		op.reply = appendUint16(op.reply, uint16(len(val)))
-		op.reply = append(op.reply, val...)
-	} else {
-		op.reply = append(op.reply, 0)
-		op.reply = appendUint16(op.reply, 0)
-	}
+	op.reply = appendMEntry(op.reply, hit, val)
 	op.keyIdx++
 	op.Shard.mgetNext(op)
 }
@@ -761,7 +719,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		reg.Counter("kvcache.failovers", "leases", "kvcache", "shard leases replaced after failure", &sv.Failovers)
 	}
 
-	sv.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Clients, "", cfg.Shards+cfg.Spares, cfg.RMPoll, shardRole{}, haas.PoolSpec{
+	sv.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Clients, "", cfg.Shards+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
 		Tenant: "kvcache", Image: shardImage,
 		OnReady: func(m *haas.Member) {
 			h := int(m.Node)

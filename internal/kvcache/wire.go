@@ -186,11 +186,17 @@ type MResp struct {
 // ErrBadCount reports a multi-get count outside 1..MaxMultiKeys.
 var ErrBadCount = errors.New("kvcache: multi-get key count out of range")
 
+// appendMHeader writes the op, id and count header shared by MReq and
+// MResp.
+func appendMHeader(dst []byte, op byte, id uint64, n int) []byte {
+	dst = append(dst, op)
+	dst = appendUint64(dst, id)
+	return append(dst, byte(n))
+}
+
 // AppendMReq serializes a batched request into dst's storage.
 func AppendMReq(dst []byte, r MReq) []byte {
-	dst = append(dst, OpMGet)
-	dst = appendUint64(dst, r.ID)
-	dst = append(dst, byte(len(r.Keys)))
+	dst = appendMHeader(dst, OpMGet, r.ID, len(r.Keys))
 	for _, k := range r.Keys {
 		dst = appendUint16(dst, uint16(len(k)))
 		dst = append(dst, k...)
@@ -198,57 +204,60 @@ func AppendMReq(dst []byte, r MReq) []byte {
 	return dst
 }
 
-// DecodeMReq parses a batched request with the same corruption tolerance
-// as DecodeReq. Returned keys alias buf.
-func DecodeMReq(buf []byte) (MReq, error) {
-	var r MReq
+// DecodeMReq parses a batched request into r with the same corruption
+// tolerance as DecodeReq. r.Keys is truncated and refilled, so a caller
+// that reuses r decodes without allocating; the keys alias buf.
+func DecodeMReq(buf []byte, r *MReq) error {
+	r.Keys = r.Keys[:0]
 	if len(buf) < 10 {
-		return r, ErrTruncated
+		return ErrTruncated
 	}
 	if buf[0] != OpMGet {
-		return r, ErrBadOp
+		return ErrBadOp
 	}
 	r.ID = binary.BigEndian.Uint64(buf[1:])
 	n := int(buf[9])
 	if n < 1 || n > MaxMultiKeys {
-		return r, ErrBadCount
+		return ErrBadCount
 	}
 	off := 10
 	for i := 0; i < n; i++ {
 		if len(buf) < off+2 {
-			return r, ErrTruncated
+			return ErrTruncated
 		}
 		kl := int(binary.BigEndian.Uint16(buf[off:]))
 		if kl == 0 || kl > MaxKeyBytes {
-			return r, ErrOversized
+			return ErrOversized
 		}
 		off += 2
 		if len(buf) < off+kl {
-			return r, ErrTruncated
+			return ErrTruncated
 		}
 		r.Keys = append(r.Keys, buf[off:off+kl])
 		off += kl
 	}
-	return r, nil
+	return nil
 }
 
 // AppendMResp serializes a batched reply into dst's storage. Hits and
 // Vals must be the same length.
 func AppendMResp(dst []byte, r MResp) []byte {
-	dst = append(dst, RespMGet)
-	dst = appendUint64(dst, r.ID)
-	dst = append(dst, byte(len(r.Hits)))
+	dst = appendMHeader(dst, RespMGet, r.ID, len(r.Hits))
 	for i, hit := range r.Hits {
-		if hit {
-			dst = append(dst, 1)
-			dst = appendUint16(dst, uint16(len(r.Vals[i])))
-			dst = append(dst, r.Vals[i]...)
-		} else {
-			dst = append(dst, 0)
-			dst = appendUint16(dst, 0)
-		}
+		dst = appendMEntry(dst, hit, r.Vals[i])
 	}
 	return dst
+}
+
+// appendMEntry writes one key's reply entry: the hit flag, then the
+// value's length and bytes (a miss carries an empty value).
+func appendMEntry(dst []byte, hit bool, val []byte) []byte {
+	if !hit {
+		return append(dst, 0, 0, 0)
+	}
+	dst = append(dst, 1)
+	dst = appendUint16(dst, uint16(len(val)))
+	return append(dst, val...)
 }
 
 // DecodeMResp parses a batched reply. Returned values alias buf.

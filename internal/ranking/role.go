@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/host"
-	"repro/internal/shell"
 	"repro/internal/sim"
 )
 
@@ -24,9 +23,6 @@ func NewFPGARole(s *sim.Simulation) *FPGARole {
 	return &FPGARole{sim: s, engine: host.NewCPU(s, 1)}
 }
 
-// Name implements shell.Role.
-func (r *FPGARole) Name() string { return "rank-ffu-dpf" }
-
 // EncodeRequest serializes a feature-stage request: the engine time and
 // the response size the cost model derived from the workload.
 func EncodeRequest(p Profile) []byte {
@@ -36,8 +32,9 @@ func EncodeRequest(p Profile) []byte {
 	return buf
 }
 
-// HandleRequest implements shell.Role.
-func (r *FPGARole) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
+// HandleRequest serves one feature-stage request; loaded into a shell as
+// its PCIe handler (a shell.Role) by method value.
+func (r *FPGARole) HandleRequest(payload []byte, respond func([]byte)) {
 	if len(payload) < 12 {
 		respond(nil)
 		return

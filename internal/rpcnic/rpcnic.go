@@ -338,7 +338,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 
 	// A dead backend's requests surface as caller timeouts; the pool's
 	// replacement (if any) attaches next.
-	d.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Callers, cfg.Policy, cfg.Backends+cfg.Spares, cfg.RMPoll, backendRole{}, haas.PoolSpec{
+	d.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Callers, cfg.Policy, cfg.Backends+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
 		Tenant: "rpcnic", Image: backendImage,
 		OnReady: d.attachBackend,
 		OnLost:  func(_ *haas.Member, dead haas.NodeID) { d.Retire(int(dead)) },
@@ -358,14 +358,6 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 	}
 	d.StartFaults(cfg.FaultProfile)
 	return d
-}
-
-// backendRole marks backend role slots occupied.
-type backendRole struct{}
-
-func (backendRole) Name() string { return "rpcnic-backend" }
-func (backendRole) HandleRequest(_ shell.RequestSource, _ []byte, respond func([]byte)) {
-	respond(nil)
 }
 
 // attachBackend wires a serving backend: work queue, the datagram work

@@ -104,8 +104,11 @@ func (sh *Shell) onRoleDgram(m *er.Message) {
 	if sh.serviceHandler == nil {
 		return
 	}
-	if sh.role != nil && !sh.RoleUp() {
-		return // a hung role slot swallows datagrams like any other request
+	if sh.loaded && !sh.RoleUp() {
+		// A hung or reconfiguring role swallows datagrams like any other
+		// request; a shell that never loaded a role (a client end)
+		// delivers.
+		return
 	}
 	sh.serviceHandler(from, kind, m.Payload[dgramHeaderLen:])
 }

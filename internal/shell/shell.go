@@ -1,5 +1,5 @@
 // Package shell models the FPGA shell of Fig. 4: the common I/O and
-// board-specific logic that hosts an application Role. The shell owns the
+// board-specific logic that hosts an application role. The shell owns the
 // two 40GbE MACs and sits as a bump-in-the-wire between the server's NIC
 // and the TOR switch, bridging all traffic while exposing:
 //
@@ -9,6 +9,9 @@
 //   - an Elastic Router connecting Role, PCIe DMA, and LTL (its DRAM
 //     port is left unattached: on-chip services call the board's DRAM
 //     controller directly),
+//   - a role region that LoadRole or Reconfigure fills with one role
+//     image, whose PCIe request handler is a Role (remote traffic reaches
+//     role logic through the datagram and connection handlers instead),
 //   - full/partial reconfiguration semantics (full reconfig briefly drops
 //     the link; partial keeps packets flowing),
 //   - configuration-scrubbing and SEU recovery (§II-B), and
@@ -57,22 +60,12 @@ type Tap interface {
 	Process(dir Direction, buf []byte, f *pkt.Frame) (out []byte, delay sim.Time)
 }
 
-// RequestSource identifies where a role request came from.
-type RequestSource int
-
-// Request sources.
-const (
-	FromPCIe RequestSource = iota // local host via DMA
-	FromLTL                       // remote FPGA via the network
-)
-
-// Role is application logic loaded into the shell's role slot.
-type Role interface {
-	Name() string
-	// HandleRequest processes one request and must eventually call
-	// respond exactly once (asynchronously via the simulation is fine).
-	HandleRequest(src RequestSource, payload []byte, respond func([]byte))
-}
+// Role is the PCIe request handler of the role image loaded into the
+// shell's role region. It processes one host request and must eventually
+// call respond exactly once (asynchronously via the simulation is fine).
+// Remote traffic reaches role logic through the handlers the shell
+// installs instead (SetServiceHandler, OpenRemoteRecv, SetControlHandler).
+type Role func(payload []byte, respond func([]byte))
 
 // The shell's fixed datapath parameters (§III).
 const (
@@ -165,7 +158,10 @@ type Shell struct {
 	termRole   *er.Terminal
 	termRemote *er.Terminal
 
+	// role is the loaded image's PCIe handler (nil: it takes no PCIe
+	// requests); loaded records that a role image occupies the region.
 	role     Role
+	loaded   bool
 	roleUp   bool
 	roleHung bool
 	taps     []Tap
@@ -485,19 +481,18 @@ func (sh *Shell) sendPFC(out *netsim.Port, class pkt.TrafficClass, quanta uint16
 
 // ---- Role slot ----
 
-// LoadRole installs role logic (instantaneous; use Reconfigure to model
-// the reconfiguration window).
+// LoadRole loads a role image and marks it serving, with r as its PCIe
+// request handler (nil: the role takes no PCIe requests). Loading is
+// instantaneous; use Reconfigure to model the reconfiguration window.
 func (sh *Shell) LoadRole(r Role) {
 	sh.role = r
-	sh.roleUp = r != nil
+	sh.loaded = true
+	sh.roleUp = true
 	sh.roleHung = false
 }
 
 // RoleUp reports whether the role slot is serving requests.
 func (sh *Shell) RoleUp() bool { return sh.roleUp && !sh.roleHung }
-
-// Role returns the loaded role (nil when empty).
-func (sh *Shell) Role() Role { return sh.role }
 
 // Reconfigure loads newRole. Full reconfiguration drops the bridge for
 // FullReconfigTime ("Full FPGA reconfiguration briefly brings down this
@@ -524,9 +519,7 @@ func (sh *Shell) Reconfigure(partial bool, newRole Role) {
 // golden image reloads, the role slot empties, and the link returns.
 func (sh *Shell) PowerCycle() {
 	sh.bridgeUp = false
-	sh.role = nil
-	sh.roleUp = false
-	sh.roleHung = false
+	sh.unloadRole()
 	sh.failSlots()
 	sh.sim.Schedule(sh.cfg.FullReconfigTime, func() {
 		if sh.failed {
@@ -543,10 +536,16 @@ func (sh *Shell) PowerCycle() {
 func (sh *Shell) Fail() {
 	sh.failed = true
 	sh.bridgeUp = false
+	sh.unloadRole()
+	sh.failSlots()
+}
+
+// unloadRole empties the role region.
+func (sh *Shell) unloadRole() {
 	sh.role = nil
+	sh.loaded = false
 	sh.roleUp = false
 	sh.roleHung = false
-	sh.failSlots()
 }
 
 // Repair models the manual fix/replacement of a hard-failed board: the
@@ -600,26 +599,26 @@ func (sh *Shell) scrub() {
 
 // ---- Local (PCIe) acceleration path ----
 
-// pcieHeader prefixes ER messages with a request id and source tag.
-const pcieHeaderLen = 9
+// pcieHeaderLen prefixes PCIe ER messages with a request id.
+const pcieHeaderLen = 8
 
-func encodeReq(id uint64, src RequestSource, payload []byte) []byte {
+func encodeReq(id uint64, payload []byte) []byte {
 	buf := make([]byte, pcieHeaderLen+len(payload))
 	binary.BigEndian.PutUint64(buf, id)
-	buf[8] = byte(src)
 	copy(buf[pcieHeaderLen:], payload)
 	return buf
 }
 
-func decodeReq(buf []byte) (id uint64, src RequestSource, payload []byte) {
-	return binary.BigEndian.Uint64(buf), RequestSource(buf[8]), buf[pcieHeaderLen:]
+func decodeReq(buf []byte) (id uint64, payload []byte) {
+	return binary.BigEndian.Uint64(buf), buf[pcieHeaderLen:]
 }
 
 // PCIeCall sends a request from host software to the role over the PCIe
 // DMA engine and the ER, invoking reply with the role's response. It
-// models DMA latency and bandwidth in both directions.
+// models DMA latency and bandwidth in both directions, and errors when
+// the role is down or takes no PCIe requests.
 func (sh *Shell) PCIeCall(payload []byte, reply func([]byte)) error {
-	if !sh.RoleUp() {
+	if !sh.RoleUp() || sh.role == nil {
 		return fmt.Errorf("shell %d: role not available", sh.hostID)
 	}
 	sh.Stats.PCIeReqs.Inc()
@@ -627,7 +626,7 @@ func (sh *Shell) PCIeCall(payload []byte, reply func([]byte)) error {
 	id := sh.nextReqID
 	sh.pcieWaiters[id] = reply
 	dma := PCIeTime(len(payload))
-	msg := encodeReq(id, FromPCIe, payload)
+	msg := encodeReq(id, payload)
 	sh.sim.Schedule(dma, func() {
 		sh.termPCIe.Send(er.PortRole, 0, msg)
 	})
@@ -652,21 +651,21 @@ func (sh *Shell) onRoleMessage(m *er.Message) {
 		er.FreeMessage(m)
 		return
 	}
-	if !sh.RoleUp() {
-		return // hung or empty role slot swallows requests
+	if !sh.RoleUp() || sh.role == nil {
+		return // a hung, empty or PCIe-less role slot swallows requests
 	}
-	id, src, payload := decodeReq(m.Payload)
+	id, payload := decodeReq(m.Payload)
 	back := m.SrcNode
 	vc := m.VC
-	sh.role.HandleRequest(src, payload, func(resp []byte) {
-		sh.termRole.Send(back, vc, encodeReq(id, src, resp))
+	sh.role(payload, func(resp []byte) {
+		sh.termRole.Send(back, vc, encodeReq(id, resp))
 	})
 }
 
 // onPCIeMessage completes host-side waiters (role responses surfacing
 // through the DMA engine).
 func (sh *Shell) onPCIeMessage(m *er.Message) {
-	id, _, payload := decodeReq(m.Payload)
+	id, payload := decodeReq(m.Payload)
 	reply, ok := sh.pcieWaiters[id]
 	if !ok {
 		return

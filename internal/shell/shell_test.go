@@ -205,10 +205,7 @@ func TestPartialReconfigKeepsPacketsFlowing(t *testing.T) {
 }
 
 // echoRole doubles each byte.
-type echoRole struct{ delay sim.Time }
-
-func (echoRole) Name() string { return "echo" }
-func (r echoRole) HandleRequest(src RequestSource, payload []byte, respond func([]byte)) {
+func echoRole(payload []byte, respond func([]byte)) {
 	out := make([]byte, len(payload))
 	for i, b := range payload {
 		out[i] = b * 2
@@ -219,7 +216,7 @@ func (r echoRole) HandleRequest(src RequestSource, payload []byte, respond func(
 func TestPCIeCallRoundTrip(t *testing.T) {
 	s := sim.New(1)
 	sh := New(s, 0, netsim.DefaultPortConfig(), DefaultConfig())
-	sh.LoadRole(echoRole{})
+	sh.LoadRole(echoRole)
 	var got []byte
 	var at sim.Time
 	if err := sh.PCIeCall([]byte{1, 2, 3}, func(resp []byte) {
@@ -246,11 +243,33 @@ func TestPCIeCallFailsWithoutRole(t *testing.T) {
 	}
 }
 
+// A role loaded without a PCIe handler serves (its data path is the
+// shell's remote handlers) but takes no host requests: PCIeCall fails
+// before it counts or schedules anything.
+func TestPCIeCallFailsWithoutHandler(t *testing.T) {
+	s := sim.New(1)
+	sh := New(s, 0, netsim.DefaultPortConfig(), DefaultConfig())
+	sh.LoadRole(nil)
+	if !sh.RoleUp() {
+		t.Fatal("role loaded without a PCIe handler is not up")
+	}
+	pending := s.Pending()
+	if err := sh.PCIeCall([]byte{1}, func([]byte) {}); err == nil {
+		t.Fatal("expected error from a role without a PCIe handler")
+	}
+	if n := sh.Stats.PCIeReqs.Value(); n != 0 {
+		t.Errorf("PCIeReqs = %d, want 0", n)
+	}
+	if s.Pending() != pending {
+		t.Errorf("PCIeCall scheduled events: pending %d -> %d", pending, s.Pending())
+	}
+}
+
 func TestSEUHangAndScrubRecovery(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
 	sh := New(s, 0, netsim.DefaultPortConfig(), cfg)
-	sh.LoadRole(echoRole{})
+	sh.LoadRole(echoRole)
 	sh.InjectSEU(true)
 	if sh.RoleUp() {
 		t.Fatal("role should hang after SEU")
@@ -280,7 +299,7 @@ func TestHungRoleSwallowsServiceDatagrams(t *testing.T) {
 	dc.Host(0)
 	dc.Host(1)
 	server, client := shells[0], shells[1]
-	server.LoadRole(echoRole{})
+	server.LoadRole(echoRole)
 	served, replies := 0, 0
 	server.SetServiceHandler(func(from int, kind uint8, p []byte) {
 		served++
@@ -304,7 +323,7 @@ func TestHungRoleSwallowsServiceDatagrams(t *testing.T) {
 		t.Fatal("scrubber did not recover the hung role")
 	}
 	ping(2, 2, "after scrub")
-	server.Reconfigure(true, echoRole{})
+	server.Reconfigure(true, echoRole)
 	ping(2, 2, "role reconfiguring")
 	s.RunFor(partialReconfigTime)
 	ping(3, 3, "after reconfiguration")
@@ -314,7 +333,7 @@ func TestPowerCycleRestoresGolden(t *testing.T) {
 	s := sim.New(1)
 	cfg := DefaultConfig()
 	sh := New(s, 0, netsim.DefaultPortConfig(), cfg)
-	sh.LoadRole(echoRole{})
+	sh.LoadRole(echoRole)
 	sh.PowerCycle()
 	if sh.RoleUp() {
 		t.Error("role survived power cycle")

@@ -21,8 +21,11 @@ package shell
 //   - a token bucket on the LTL egress path, so a tenant's offered
 //     bandwidth is capped before its frames reach the shared 40G link.
 //
-// Slot state is owned by the shell (the FPGA Manager's view); placement
-// across boards is the HaaS scheduler's job (internal/haas/slots.go).
+// A slot holds a tenant and its ALM footprint, not role logic: a slot
+// tenant's data path is the datagram handler bound to its slot
+// (SetServiceHandlerSlot). Slot state is owned by the shell (the FPGA
+// Manager's view); placement across boards is the HaaS scheduler's job
+// (internal/haas/slots.go).
 
 import (
 	"fmt"
@@ -118,7 +121,6 @@ type vSlot struct {
 	used   int // ALMs of the loaded role
 	vc     int // ER virtual channel for this slot's datagrams
 	tenant string
-	role   Role
 	up     bool
 	reconf bool
 	// gen invalidates in-flight reconfigurations when the board
@@ -236,7 +238,7 @@ func (sh *Shell) SlotUp(i int) bool {
 // partial-reconfiguration property, now per slot). Returns the modeled
 // reconfiguration duration; done (optional) fires with ok=false if the
 // board hard-fails or power-cycles mid-program.
-func (sh *Shell) ReconfigureSlot(i int, tenant string, r Role, alms int, done func(ok bool)) (sim.Time, error) {
+func (sh *Shell) ReconfigureSlot(i int, tenant string, alms int, done func(ok bool)) (sim.Time, error) {
 	s, err := sh.slot(i)
 	if err != nil {
 		return 0, err
@@ -254,7 +256,7 @@ func (sh *Shell) ReconfigureSlot(i int, tenant string, r Role, alms int, done fu
 		sh.Tenant.SlotsLoaded.Add(-1)
 	}
 	s.up, s.reconf = false, true
-	s.role, s.tenant, s.used = nil, "", 0
+	s.tenant, s.used = "", 0
 	sh.Stats.Reconfigs.Inc()
 	dur := reconfigBase + sim.Time(s.cap)*reconfigPerALM
 	gen := s.gen
@@ -265,12 +267,9 @@ func (sh *Shell) ReconfigureSlot(i int, tenant string, r Role, alms int, done fu
 			}
 			return
 		}
-		s.reconf = false
-		s.role, s.tenant, s.used = r, tenant, alms
-		s.up = r != nil
-		if s.up {
-			sh.Tenant.SlotsLoaded.Add(1)
-		}
+		s.up, s.reconf = true, false
+		s.tenant, s.used = tenant, alms
+		sh.Tenant.SlotsLoaded.Add(1)
 		if sh.Tenant.ReconfigNS != nil {
 			sh.Tenant.ReconfigNS.Observe(int64(dur))
 		}
@@ -294,7 +293,7 @@ func (sh *Shell) ClearSlot(i int) error {
 	}
 	s.gen++ // cancel an in-flight reconfiguration
 	s.up, s.reconf = false, false
-	s.role, s.tenant, s.used = nil, "", 0
+	s.tenant, s.used = "", 0
 	sh.unbindSlotKinds(i)
 	return nil
 }
@@ -318,7 +317,7 @@ func (sh *Shell) failSlots() {
 		}
 		s.gen++
 		s.up, s.reconf = false, false
-		s.role, s.tenant, s.used = nil, "", 0
+		s.tenant, s.used = "", 0
 		sh.unbindSlotKinds(i)
 	}
 }

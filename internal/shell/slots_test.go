@@ -25,14 +25,6 @@ func slotBed(s *sim.Simulation, sc SlotConfig) (*netsim.Datacenter, map[int]*She
 	return netsim.NewDatacenter(s, cfg), shells
 }
 
-// tenantRole is a minimal Role for slot loading.
-type tenantRole struct{ name string }
-
-func (r tenantRole) Name() string { return r.name }
-func (r tenantRole) HandleRequest(src RequestSource, payload []byte, respond func([]byte)) {
-	respond(payload)
-}
-
 func TestSlotPartitionAndVCs(t *testing.T) {
 	s := sim.New(1)
 	dc, shells := slotBed(s, DefaultSlotConfig(2))
@@ -78,7 +70,7 @@ func TestSlotAsymmetricCapsAndOverflow(t *testing.T) {
 		t.Fatalf("caps = %v", got)
 	}
 	// A role larger than its slot's region must be rejected.
-	if _, err := sh.ReconfigureSlot(1, "t", tenantRole{"big"}, 30001, nil); err == nil {
+	if _, err := sh.ReconfigureSlot(1, "t", 30001, nil); err == nil {
 		t.Error("oversized role accepted into 30000-ALM slot")
 	}
 	// Capacities summing past the role region must panic at construction.
@@ -103,7 +95,7 @@ func TestReconfigureSlotCostModel(t *testing.T) {
 	wantDur := reconfigBase + sim.Time(capALMs)*reconfigPerALM
 
 	var doneAt sim.Time = -1
-	dur, err := sh.ReconfigureSlot(0, "rank", tenantRole{"ranking"}, 40000, func(ok bool) {
+	dur, err := sh.ReconfigureSlot(0, "rank", 40000, func(ok bool) {
 		if !ok {
 			t.Error("reconfiguration reported failure")
 		}
@@ -119,7 +111,7 @@ func TestReconfigureSlotCostModel(t *testing.T) {
 	if sh.SlotUp(0) {
 		t.Error("slot serving during reconfiguration")
 	}
-	if _, err := sh.ReconfigureSlot(0, "x", tenantRole{"x"}, 1, nil); err == nil {
+	if _, err := sh.ReconfigureSlot(0, "x", 1, nil); err == nil {
 		t.Error("overlapping reconfiguration accepted")
 	}
 	s.RunFor(dur + sim.Millisecond)
@@ -144,7 +136,7 @@ func TestSlotFailMidReconfig(t *testing.T) {
 	dc.Host(0)
 	sh := shells[0]
 	ok := make(chan bool, 1) // buffered; fires inside the sim loop
-	dur, err := sh.ReconfigureSlot(0, "t", tenantRole{"r"}, 1000, func(o bool) { ok <- o })
+	dur, err := sh.ReconfigureSlot(0, "t", 1000, func(o bool) { ok <- o })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +161,7 @@ func TestClearSlotCancelsInFlightReconfig(t *testing.T) {
 	dc.Host(0)
 	sh := shells[0]
 	var got *bool
-	dur, err := sh.ReconfigureSlot(1, "t", tenantRole{"r"}, 1000, func(o bool) { got = &o })
+	dur, err := sh.ReconfigureSlot(1, "t", 1000, func(o bool) { got = &o })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +188,7 @@ func TestSlotDatagramRoutingAndIsolationVC(t *testing.T) {
 
 	// Load both of b's slots and bind one datagram kind to each.
 	for i, tn := range []string{"kv", "crypto"} {
-		dur, err := b.ReconfigureSlot(i, tn, tenantRole{tn}, 1000, nil)
+		dur, err := b.ReconfigureSlot(i, tn, 1000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +234,7 @@ func TestSlotSwallowsDgramsDuringReconfig(t *testing.T) {
 	dc.Host(0)
 	dc.Host(1)
 	a, b := shells[0], shells[1]
-	dur, _ := b.ReconfigureSlot(0, "kv", tenantRole{"kv"}, 1000, nil)
+	dur, _ := b.ReconfigureSlot(0, "kv", 1000, nil)
 	s.RunFor(dur + sim.Millisecond)
 	delivered := 0
 	b.SetServiceHandlerSlot(0, []uint8{10}, func(int, uint8, []byte) { delivered++ })
@@ -253,7 +245,7 @@ func TestSlotSwallowsDgramsDuringReconfig(t *testing.T) {
 		t.Fatalf("delivered = %d before reconfig", delivered)
 	}
 	// Start a reprogram and send into the unavailability window.
-	b.ReconfigureSlot(0, "kv", tenantRole{"kv2"}, 1000, nil)
+	b.ReconfigureSlot(0, "kv", 1000, nil)
 	a.SendDatagram(1, 10, []byte("into the window"))
 	s.RunFor(sim.Millisecond)
 	if delivered != 1 {
@@ -305,7 +297,7 @@ func TestSlotEgressShaping(t *testing.T) {
 	dc.Host(0)
 	dc.Host(1)
 	a, b := shells[0], shells[1]
-	dur, _ := a.ReconfigureSlot(0, "elephant", tenantRole{"blast"}, 1000, nil)
+	dur, _ := a.ReconfigureSlot(0, "elephant", 1000, nil)
 	s.RunFor(dur + sim.Millisecond)
 	start := s.Now()
 
@@ -365,7 +357,7 @@ func TestSingleRoleShellUnchanged(t *testing.T) {
 	if sh.NumSlots() != 0 {
 		t.Fatalf("NumSlots = %d on an unslotted shell", sh.NumSlots())
 	}
-	if _, err := sh.ReconfigureSlot(0, "t", tenantRole{"r"}, 1, nil); err == nil {
+	if _, err := sh.ReconfigureSlot(0, "t", 1, nil); err == nil {
 		t.Error("ReconfigureSlot succeeded on an unslotted shell")
 	}
 	if err := sh.SendDatagramSlot(0, 1, 9, nil); err == nil {

@@ -66,14 +66,14 @@ func Standalone(seed int64, telemetry bool, spanLimit int) (*sim.Simulation, *ne
 // head host when policy is non-empty, then poolSize pool candidates, so
 // request and gossip traffic cross the L1 tier like a real global
 // pool's. The head's Router routes by policy. The pool registers every
-// candidate with a Resource Manager polling health every rmPoll, loading
-// role under spec (see NewBackendPool).
+// candidate with a Resource Manager polling health every rmPoll under
+// spec (see NewBackendPool).
 //
 // TOR switches are built, each drawing a random stream, as the layout
 // first touches their hosts; the router and the injector then draw
 // theirs. That order is part of every pinned digest.
 func Deploy(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase, clients int,
-	policy string, poolSize int, rmPoll sim.Time, role shell.Role, spec haas.PoolSpec) *Deployment {
+	policy string, poolSize int, rmPoll sim.Time, spec haas.PoolSpec) *Deployment {
 	d := &Deployment{s: s, DC: dc, Shells: shells, Head: -1, gossip: map[int]*sim.Ticker{}}
 	for h := hostBase; h < hostBase+clients; h++ {
 		dc.Host(h)
@@ -104,7 +104,7 @@ func Deploy(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shel
 			}
 		})
 	}
-	d.Pool, d.In = NewBackendPool(dc, shells, poolHosts, rmPoll, role, spec)
+	d.Pool, d.In = NewBackendPool(dc, shells, poolHosts, rmPoll, spec)
 	return d
 }
 
@@ -187,9 +187,10 @@ func (d *Deployment) Telemetry(experiment, point string) *obs.Record {
 // built like it: a Resource Manager polling health every rmPoll, a fault
 // injector that can kill any of hosts, and a haas.Pool leasing them
 // under spec. Each host registers as a whole board through an FPGA
-// Manager that loads role.
+// Manager that loads a role image taking no PCIe requests: the service's
+// data path runs through the shell's datagram and connection handlers.
 func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []int, rmPoll sim.Time,
-	role shell.Role, spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
+	spec haas.PoolSpec) (*haas.Pool, *faultinject.Injector) {
 	rm := haas.NewResourceManager(dc.Sim, haas.RMConfig{HealthPollInterval: rmPoll})
 	in := faultinject.New(dc.Sim)
 	for _, h := range hosts {
@@ -197,7 +198,7 @@ func NewBackendPool(dc *netsim.Datacenter, shells map[int]*shell.Shell, hosts []
 		in.AddNode(h, sh)
 		rm.Register(&haas.FPGAManager{
 			Node:      haas.NodeID(h),
-			Configure: func(string) { sh.LoadRole(role) },
+			Configure: func(string) { sh.LoadRole(nil) },
 			Healthy:   func() bool { return in.NodeAlive(h) },
 		})
 	}

@@ -32,7 +32,7 @@ func TestDeployLayoutProperty(t *testing.T) {
 		base := 0
 		for di, policy := range []string{PolicyP2C, "", PolicyRoundRobin} {
 			clients, poolSize := rng.Intn(3*hpt), 1+rng.Intn(hpt+2)
-			d := Deploy(s, dc, shells, base, clients, policy, poolSize, sim.Millisecond, svcRole{},
+			d := Deploy(s, dc, shells, base, clients, policy, poolSize, sim.Millisecond,
 				haas.PoolSpec{Tenant: "layout", Image: serviceImage})
 			if len(d.ClientEnds) != clients {
 				t.Fatalf("trial %d/%d: %d client ends, want %d", trial, di, len(d.ClientEnds), clients)

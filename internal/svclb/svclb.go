@@ -322,7 +322,7 @@ func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shel
 		b.cfg.NetOverhead = shell.PCIeTime(cfg.ReqBytes) + shell.PCIeTime(cfg.RespBytes) + 20*sim.Microsecond
 	}
 	b.registerMetrics(obs.RegistryOf(s))
-	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, cfg.FPGAs+cfg.Spares, cfg.RMPoll, svcRole{}, haas.PoolSpec{
+	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, cfg.FPGAs+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
 		Tenant: "svclb", Image: serviceImage,
 		OnLost: b.onLost,
 	})
@@ -699,13 +699,4 @@ func (b *Service) reroute(p *pendingReq) {
 	b.resent.Inc()
 	b.tracer.Event(p.flow, "svclb.reroute", p.span, int64(sl.Host))
 	b.sendCopy(p, sl, false)
-}
-
-// svcRole marks pool shells' role slot occupied; the data path runs
-// through OpenRemoteRecv handlers.
-type svcRole struct{}
-
-func (svcRole) Name() string { return serviceImage }
-func (svcRole) HandleRequest(src shell.RequestSource, payload []byte, respond func([]byte)) {
-	respond(payload)
 }

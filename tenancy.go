@@ -39,16 +39,6 @@ const (
 	kindTenantBlast uint8 = 0x63
 )
 
-// tenantStub is the minimal role loaded into a slot by the tenancy
-// experiments: slot tenants exchange service datagrams, so the Role
-// interface's request path just echoes.
-type tenantStub struct{ name string }
-
-func (r tenantStub) Name() string { return r.name }
-func (r tenantStub) HandleRequest(_ shell.RequestSource, p []byte, respond func([]byte)) {
-	respond(p)
-}
-
 // tenancyFloorplan is E19a's asymmetric 3-slot partition of the role
 // region: one slot big enough for ranking's feature stage, a mid slot,
 // and a small slot — so best-fit placement has real work to do.
@@ -115,7 +105,7 @@ func tenancyPool(seed int64, boards int, telemetry bool) (*sim.Simulation, *haas
 			},
 			Caps: sh.SlotCaps(),
 			ConfigureSlot: func(slot int, tenant, image string, alms int, done func(ok bool)) (sim.Time, error) {
-				return sh.ReconfigureSlot(slot, tenant, tenantStub{tenant}, alms, done)
+				return sh.ReconfigureSlot(slot, tenant, alms, done)
 			},
 			ClearSlot: sh.ClearSlot,
 		})
@@ -241,7 +231,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 
 	// Victim tenant: slot 0, echoing pings back through its slot's
 	// shaped egress path.
-	_, err := victim.ReconfigureSlot(0, "victim", tenantStub{"victim"}, 17500, nil)
+	_, err := victim.ReconfigureSlot(0, "victim", 17500, nil)
 	sim.Must(err)
 	sim.Must(victim.SetServiceHandlerSlot(0, []uint8{kindTenantPing}, func(from int, _ uint8, p []byte) {
 		_ = victim.SendDatagramSlot(0, from, kindTenantPong, p)
@@ -252,7 +242,7 @@ func runTenancyNeighbor(seed int64, pings int, elephant bool, shapeBps int64, te
 	// the board's shared 40G link).
 	var elephantSent uint64
 	if elephant {
-		_, err := victim.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
+		_, err := victim.ReconfigureSlot(1, "elephant", 8000, nil)
 		sim.Must(err)
 		if shapeBps > 0 {
 			sim.Must(victim.SetSlotEgressRate(1, shapeBps, 16<<10))
@@ -424,10 +414,10 @@ func RunTenancyScalePoint(cfg TenancyScaleConfig) TenancyScaleResult {
 		s := c.Sim
 		sink := n.ID + 1
 		c.Node(sink) // no handler: frames still load the wire
-		_, err := n.Shell.ReconfigureSlot(0, "kvcache", tenantStub{"kvcache"}, 17500, nil)
+		_, err := n.Shell.ReconfigureSlot(0, "kvcache", 17500, nil)
 		sim.Must(err)
 		kvcache.AttachShardSlot(s, n.Shell, 0, st)
-		_, err = n.Shell.ReconfigureSlot(1, "elephant", tenantStub{"elephant"}, 8000, nil)
+		_, err = n.Shell.ReconfigureSlot(1, "elephant", 8000, nil)
 		sim.Must(err)
 		sim.Must(n.Shell.SetSlotEgressRate(1, elephantShapeBps, 16<<10))
 		boards[p] = n.Shell
