@@ -86,6 +86,8 @@ fuzz:
 	$(GO) test -fuzz FuzzHandleFrame -fuzztime 30s ./internal/ltl/
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/kvcache/
+	$(GO) test -fuzz FuzzDecodeMReq -fuzztime 30s ./internal/kvcache/
+	$(GO) test -fuzz FuzzDecodeMResp -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzStoreOps -fuzztime 30s ./internal/kvcache/
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
