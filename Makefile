@@ -72,13 +72,13 @@ examples:
 	$(GO) run ./examples/cryptooffload
 	$(GO) run ./examples/remotepool
 	$(GO) run ./examples/haasdemo
-	$(GO) run ./examples/multifpga
 	$(GO) run ./examples/bioinformatics
 
 # Brief fuzzing passes over the wire decoders, the KV store, the Elastic
 # Router, the frontend's HTTP handler, the in-line background noise
 # against its event-per-frame reference, a port's class pick against
-# the eight-class scan, and a HaaS pool's lease ledger.
+# the eight-class scan, a HaaS pool's lease ledger, and the vFPGA slot
+# scheduler's claim ledger.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -96,6 +96,7 @@ fuzz:
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPoolLedger -fuzztime 30s ./internal/haas/
+	$(GO) test -fuzz FuzzSlotLedger -fuzztime 30s ./internal/haas/
 
 # Go line counts outside cmd/ccperf (the benchmark harness): non-test
 # files, then _test.go files.

@@ -7,7 +7,6 @@
 //	ccexperiment -exp fig10          # one experiment, quick sizing
 //	ccexperiment -exp all -full      # everything at paper-like sizing
 //	ccexperiment -exp faults -faults lossy   # run under a fault profile
-//	ccexperiment -exp svclb -lb jsq          # pick the routing policy
 //	ccexperiment -exp fig6 -cpuprofile cpu.pb.gz  # profile the hot path
 //	ccexperiment -exp svclb -telemetry out.jsonl  # per-point metrics+spans
 //	ccexperiment -exp svclb -telemetry out.jsonl -trace-dump 3  # + waterfalls
@@ -42,7 +41,6 @@ func main() {
 	list := flag.Bool("list", false, "list experiment ids and exit")
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables (for plotting)")
 	faults := flag.String("faults", "", "run experiments under a fault profile (see -list)")
-	lb := flag.String("lb", "", "service-level load-balancing policy for svclb/fig12 (see -list)")
 	seq := flag.Bool("seq", false, "run everything sequentially on one goroutine")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -58,16 +56,9 @@ func main() {
 		for _, name := range configcloud.FaultProfileNames() {
 			fmt.Println(name)
 		}
-		fmt.Println("\nload-balancing policies (-lb):")
-		for _, name := range configcloud.LBPolicyNames() {
-			fmt.Println(name)
-		}
 		return
 	}
 	if err := configcloud.SetDefaultFaultProfile(*faults); err != nil {
-		fail("%v", err)
-	}
-	if err := configcloud.SetDefaultLB(*lb); err != nil {
 		fail("%v", err)
 	}
 	sweep.SetSequential(*seq)

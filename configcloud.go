@@ -15,7 +15,7 @@
 //	a, b := cloud.Node(0), cloud.Node(1)
 //	// p is valid during the call only; a handler copies what it keeps.
 //	b.Shell.OpenRemoteRecv(7, a.ID, func(p []byte) { fmt.Printf("got %q\n", p) })
-//	a.Shell.OpenRemoteSend(7, b.ID, 7, nil)
+//	a.Shell.OpenRemoteSend(7, b.ID, 7)
 //	a.Shell.SendRemote(7, []byte("hello"), nil)
 //	cloud.Run(configcloud.Millisecond) // advance virtual time
 package configcloud
@@ -28,7 +28,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/shell"
 	"repro/internal/sim"
-	"repro/internal/svclb"
 )
 
 // Re-exported core types: the facade is the supported import surface.
@@ -97,27 +96,6 @@ func SetDefaultFaultProfile(name string) error {
 
 // FaultProfileNames lists the built-in fault profiles.
 func FaultProfileNames() []string { return faultinject.ProfileNames() }
-
-// defaultLB is the process-wide service-level load-balancing policy — how
-// cmd/ccexperiment's -lb flag reaches the svclb and dnn-pool experiments
-// without threading an option through each one. Empty leaves each
-// experiment on its documented default.
-var defaultLB string
-
-// SetDefaultLB sets (or, with "", clears) the routing policy used by
-// subsequently run load-balanced experiments. Unknown names error.
-func SetDefaultLB(name string) error {
-	if name != "" {
-		if _, err := svclb.NewPolicy(name); err != nil {
-			return err
-		}
-	}
-	defaultLB = name
-	return nil
-}
-
-// LBPolicyNames lists the built-in svclb routing policies.
-func LBPolicyNames() []string { return svclb.PolicyNames() }
 
 // Node pairs a server with its FPGA shell.
 type Node struct {

@@ -16,7 +16,7 @@ func Example() {
 	b.Shell.OpenRemoteRecv(7, a.ID, func(p []byte) {
 		fmt.Printf("received %q\n", p)
 	})
-	a.Shell.OpenRemoteSend(7, b.ID, 7, nil)
+	a.Shell.OpenRemoteSend(7, b.ID, 7)
 	a.Shell.SendRemote(7, []byte("hello"), func() {
 		fmt.Printf("acked at %v\n", cloud.Sim.Now())
 	})

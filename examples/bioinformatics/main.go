@@ -49,14 +49,14 @@ func main() {
 			remote.Shell.SendRemote(4, resp, nil)
 		})
 	}))
-	check(remote.Shell.OpenRemoteSend(4, local.ID, 4, nil))
+	check(remote.Shell.OpenRemoteSend(4, local.ID, 4))
 	t1 := cloud.Sim.Now()
 	check(local.Shell.OpenRemoteRecv(4, remote.ID, func(resp []byte) {
 		al, _ := bioinfo.DecodeResponse(resp)
 		fmt.Printf("[%8v] remote FPGA: score %d, ref end %d (tier L%d away)\n",
 			cloud.Sim.Now()-t1, al.Score, al.RefEnd, cloud.Tier(local.ID, remote.ID))
 	}))
-	check(local.Shell.OpenRemoteSend(3, remote.ID, 3, nil))
+	check(local.Shell.OpenRemoteSend(3, remote.ID, 3))
 	local.Shell.SendRemote(3, req, nil)
 	cloud.Run(configcloud.Millisecond)
 }

@@ -25,7 +25,7 @@ func main() {
 		fmt.Printf("[%v] FPGA %d received %q from FPGA %d over LTL\n",
 			cloud.Sim.Now(), b.ID, p, a.ID)
 	}))
-	check(a.Shell.OpenRemoteSend(7, b.ID, 7, nil))
+	check(a.Shell.OpenRemoteSend(7, b.ID, 7))
 	a.Shell.SendRemote(7, []byte("hello from the role"), func() {
 		fmt.Printf("[%v] message fully ACKed (that timestamp is the LTL RTT)\n",
 			cloud.Sim.Now())
@@ -41,7 +41,7 @@ func main() {
 	// 3. Cross-pod LTL: hundreds of thousands of FPGAs are a few
 	// microseconds away.
 	check(c.Shell.OpenRemoteRecv(9, a.ID, nil))
-	check(a.Shell.OpenRemoteSend(9, c.ID, 9, nil))
+	check(a.Shell.OpenRemoteSend(9, c.ID, 9))
 	start := cloud.Sim.Now()
 	a.Shell.SendRemote(9, []byte("cross-pod ping"), func() {
 		fmt.Printf("[%v] cross-pod (tier L%d) RTT: %v\n",

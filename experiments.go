@@ -396,7 +396,6 @@ func ExpFig11(scale Scale) *Table {
 // normalized to the locally-attached baseline.
 func ExpFig12(scale Scale) *Table {
 	cfg := dnnpool.DefaultConfig()
-	cfg.LB = defaultLB // -lb swaps static SM assignment for routed dispatch
 	var counts []int
 	if scale == Quick {
 		cfg.Clients = 12
@@ -428,8 +427,7 @@ func ExpFig12(scale Scale) *Table {
 // balancer rather than a static pointer server). A point is "sustained"
 // when windowed p99 holds the bound with goodput intact; the headline is
 // the extra oversubscription the informed policy + admission control buy
-// over naive random dispatch. With -lb set, only that policy (with and
-// without admission) is compared against the random baseline.
+// over naive random dispatch.
 func ExpSvcLB(scale Scale) *Table {
 	sc := svclb.DefaultSweepConfig()
 	if scale == Quick {
@@ -437,20 +435,12 @@ func ExpSvcLB(scale Scale) *Table {
 		sc.Base.Duration = 200 * Millisecond
 		sc.ClientCounts = []int{24, 32, 40}
 	}
-	variants := svclb.DefaultVariants()
-	if defaultLB != "" {
-		variants = []svclb.Variant{
-			{Policy: svclb.PolicyRandom, Admission: false},
-			{Policy: defaultLB, Admission: false},
-			{Policy: defaultLB, Admission: true},
-		}
-	}
 	if TelemetryEnabled() {
 		// Trace the published points themselves: observability does not
 		// schedule events, so the traced runs produce identical numbers.
 		sc.Base.Telemetry = true
 	}
-	results := svclb.ComparePolicies(sc, variants)
+	results := svclb.ComparePolicies(sc, svclb.DefaultVariants())
 	if TelemetryEnabled() {
 		for _, sr := range results {
 			for _, p := range sr.Points {
@@ -523,13 +513,13 @@ func ExpBioinfo() *Table {
 			remote.Shell.SendRemote(4, resp, nil)
 		})
 	}))
-	sim.Must(remote.Shell.OpenRemoteSend(4, 0, 4, nil))
+	sim.Must(remote.Shell.OpenRemoteSend(4, 0, 4))
 	t1 := cloud.Sim.Now()
 	sim.Must(local.Shell.OpenRemoteRecv(4, 100, func(resp []byte) {
 		remoteAl, _ = bioinfo.DecodeResponse(resp)
 		remoteT = cloud.Sim.Now() - t1
 	}))
-	sim.Must(local.Shell.OpenRemoteSend(3, 100, 3, nil))
+	sim.Must(local.Shell.OpenRemoteSend(3, 100, 3))
 	local.Shell.SendRemote(3, req, nil)
 	cloud.Run(Millisecond)
 

@@ -102,7 +102,7 @@ func TestCloudBasics(t *testing.T) {
 	if err := n1.Shell.OpenRemoteRecv(3, 0, func(p []byte) { got = append([]byte(nil), p...) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := n0.Shell.OpenRemoteSend(3, 1, 3, nil); err != nil {
+	if err := n0.Shell.OpenRemoteSend(3, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	n0.Shell.SendRemote(3, []byte("via facade"), func() { doneAt = cloud.Sim.Now() })
@@ -124,7 +124,7 @@ func TestCloudDeterminism(t *testing.T) {
 		a, b := cloud.Node(0), cloud.Node(30)
 		var doneAt Time
 		sim.Must(b.Shell.OpenRemoteRecv(1, 0, nil))
-		sim.Must(a.Shell.OpenRemoteSend(1, 30, 1, nil))
+		sim.Must(a.Shell.OpenRemoteSend(1, 30, 1))
 		a.Shell.SendRemote(1, make([]byte, 2000), func() { doneAt = cloud.Sim.Now() })
 		cloud.Run(Millisecond)
 		return doneAt

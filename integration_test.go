@@ -136,7 +136,7 @@ func TestCryptoAndLTLShareTheShell(t *testing.T) {
 	})
 	gotLTL := 0
 	sim.Must(b.Shell.OpenRemoteRecv(4, 0, func(p []byte) { gotLTL++ }))
-	sim.Must(a.Shell.OpenRemoteSend(4, 1, 4, nil))
+	sim.Must(a.Shell.OpenRemoteSend(4, 1, 4))
 
 	for i := 0; i < 50; i++ {
 		a.Host.SendUDP(b.Host.IP(), 443, 443, pkt.ClassBestEffort, []byte("host secret"))
@@ -173,8 +173,8 @@ func TestRemoteRankingOverRealLTL(t *testing.T) {
 			accel.Shell.SendRemote(7, resp, nil)
 		})
 	}))
-	sim.Must(accel.Shell.OpenRemoteSend(7, 0, 7, nil))
-	sim.Must(client.Shell.OpenRemoteSend(6, 30, 6, nil))
+	sim.Must(accel.Shell.OpenRemoteSend(7, 0, 7))
+	sim.Must(client.Shell.OpenRemoteSend(6, 30, 6))
 
 	pool := ranking.NewProfilePool(rand.New(rand.NewSource(3)), 100, ranking.DefaultCostModel())
 	p := pool.Sample()

@@ -43,11 +43,6 @@ type Config struct {
 	RespBytes  int
 	Duration   sim.Time
 	Warmup     sim.Time
-	// LB, when non-empty, names an svclb routing policy: instead of the
-	// static SM pointer handed to each client, every request is routed
-	// through a service-level balancer over the whole pool (fed stale
-	// periodic depth reports, as the gossip plane would provide).
-	LB string
 }
 
 // DefaultConfig calibrates the knee at ~22.5 clients per FPGA:
@@ -136,8 +131,8 @@ func RunRemote(cfg Config) Result {
 		for fi, fh := range poolHosts {
 			ci, fh := ci, fh
 			cs, fs := shells[ch], shells[fh]
-			sim.Must(cs.OpenRemoteSend(uint16(fi)+1, fh, uint16(ci)+1, nil))
-			sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(fi)+1000, nil))
+			sim.Must(cs.OpenRemoteSend(uint16(fi)+1, fh, uint16(ci)+1))
+			sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(fi)+1000))
 			sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
 				// DNN work queue: service then respond over LTL.
 				reqID := binary.BigEndian.Uint64(payload)
@@ -164,51 +159,22 @@ func RunRemote(cfg Config) Result {
 	// network tail.
 	dc.StartBackgroundLoad(0.05, pkt.ClassRDMA, 1400)
 
-	// With cfg.LB set, the SM routes every request through a service-level
-	// balancer instead of handing out static pointers. Its global view is
-	// refreshed periodically from the pool's queue depths, so informed
-	// policies work from stale data exactly as they would over gossip.
-	var router *svclb.Router
-	if cfg.LB != "" {
-		r, err := svclb.NewRouter(s.NewRand(), cfg.LB)
-		if err != nil {
-			panic(fmt.Sprintf("dnnpool: %v", err))
-		}
-		router = r
-		for _, fh := range poolHosts {
-			router.AddSlot(fh)
-		}
-		s.Every(100*sim.Microsecond, 100*sim.Microsecond, func() {
-			for _, fh := range poolHosts {
-				q := queues[fh]
-				router.ReportDepth(fh, q.Queued()+q.Busy(), s.Now())
-			}
-		})
-	}
-
-	type pendingReq struct {
-		t0   sim.Time
-		slot *svclb.Slot
-	}
 	nextReq := uint64(0)
 	for ci, ch := range clientHosts {
 		cs := shells[ch]
-		pending := map[uint64]pendingReq{}
+		pending := map[uint64]sim.Time{} // request id -> start time
 		for fi := range poolHosts {
 			fi := fi
 			sim.Must(cs.OpenRemoteRecv(uint16(fi)+1000, poolHosts[fi], func(payload []byte) {
 				reqID := binary.BigEndian.Uint64(payload)
-				p, ok := pending[reqID]
+				t0, ok := pending[reqID]
 				if !ok {
 					return
 				}
 				delete(pending, reqID)
-				if router != nil && p.slot != nil {
-					router.Done(p.slot)
-				}
 				s.Schedule(shell.PCIeTime(cfg.RespBytes), func() {
-					if p.t0 >= cfg.Warmup {
-						lat.Observe(int64(s.Now() - p.t0))
+					if t0 >= cfg.Warmup {
+						lat.Observe(int64(s.Now() - t0))
 					}
 				})
 			}))
@@ -219,22 +185,13 @@ func RunRemote(cfg Config) Result {
 		// clients sharing each pointer.
 		assigned := poolIndex[members[ci%len(members)].Node]
 		gen := workload.NewOpenLoop(s, cfg.ClientRate, func() {
-			fi := assigned
-			var slot *svclb.Slot
-			if router != nil {
-				sl, ok := router.Pick()
-				if !ok {
-					return
-				}
-				slot, fi = sl, poolIndex[haas.NodeID(sl.Host)]
-			}
 			nextReq++
 			reqID := nextReq
-			pending[reqID] = pendingReq{t0: s.Now(), slot: slot}
+			pending[reqID] = s.Now()
 			req := make([]byte, cfg.ReqBytes)
 			binary.BigEndian.PutUint64(req, reqID)
 			s.Schedule(shell.PCIeTime(cfg.ReqBytes), func() {
-				cs.SendRemote(uint16(fi)+1, req, nil)
+				cs.SendRemote(uint16(assigned)+1, req, nil)
 			})
 		})
 		gen.Start()

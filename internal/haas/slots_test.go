@@ -332,3 +332,202 @@ func TestSlottedNodesInvisibleToWholeNodeLease(t *testing.T) {
 	}
 	rm.Stop()
 }
+
+// FuzzSlotLedger drives the slot scheduler through random LeaseSlots
+// (with and without DistinctNodes), ReleaseSlot, Defragment, board-kill
+// and health-poll steps, and checks the claim ledger after each step:
+//   - every live claim alone holds its slot and any move destination,
+//     and fits both;
+//   - a lease fails only when too few free slots fit it;
+//   - a DistinctNodes grant never shares a board, and no defrag move
+//     lands a claim on a board that holds its tenant;
+//   - the granted, released and failed counters balance against the
+//     live claims;
+//   - after a poll, no claim sits on a dead board.
+func FuzzSlotLedger(f *testing.F) {
+	// bed picks the board count and the slot split. Each op byte's low
+	// three bits pick the step; its high bits (arg) pick a lease's
+	// tenant, ALM size and count, the claim to release or the board to
+	// kill.
+	f.Add(uint8(3), []byte{0, 137, 6, 3, 6, 4, 5, 2, 3, 6, 5})
+	f.Add(uint8(27), []byte{64, 0, 0, 1, 6, 2, 3, 7, 12, 5, 3, 6, 5})
+	f.Add(uint8(18), []byte{0, 0, 0, 0, 137, 6, 4, 6, 5, 0})
+	f.Add(uint8(11), []byte{0, 8, 16, 6, 10, 3, 20, 6, 3, 5, 6, 3, 6})
+	capSets := [][]int{{60000, 30000}, {45000, 45000}, {30000, 30000, 30000}, {40000, 20000, 20000, 10000}}
+	almSizes := []int{10000, 20000, 35000, 55000}
+	f.Fuzz(func(t *testing.T, bed uint8, ops []byte) {
+		const reconfig, poll = sim.Millisecond, 10 * sim.Millisecond
+		n := 1 + int(bed)%6
+		caps := capSets[int(bed>>3)%len(capSets)]
+		s := sim.New(1)
+		rm, healthy, _ := slotBed(s, n, caps, reconfig)
+		defer rm.Stop()
+		var held []*SlotClaim     // granted and not released
+		var groups [][]*SlotClaim // DistinctNodes grants
+		var granted, released, failed uint64
+		onBoard := func(c *SlotClaim, node NodeID) bool {
+			return c.Node == node || (c.moveTo != nil && c.moveTo.node == node)
+		}
+		for i, op := range ops {
+			arg := int(op >> 3)
+			advanced, polled := false, false
+			switch op % 8 {
+			case 0, 1:
+				req := SlotRequest{
+					Tenant: fmt.Sprintf("t%d", arg%3), Image: "img",
+					ALMs: almSizes[(arg>>2)%len(almSizes)], Count: 1 + arg>>4,
+					DistinctNodes: op%8 == 1,
+				}
+				fit := 0
+				for id := range n {
+					e := rm.nodes[NodeID(id)]
+					if e.state != NodeFree {
+						continue
+					}
+					free := 0
+					for j, c := range e.slots.claims {
+						if c == nil && caps[j] >= req.ALMs {
+							free++
+						}
+					}
+					if req.DistinctNodes {
+						free = min(free, 1)
+					}
+					fit += free
+				}
+				claims, err := rm.LeaseSlots(req)
+				if (err != nil) != (fit < req.Count) {
+					t.Fatalf("step %d: lease of %d x %d ALMs with %d fitting slots returned %v", i, req.Count, req.ALMs, fit, err)
+				}
+				if err != nil {
+					break
+				}
+				if len(claims) != req.Count {
+					t.Fatalf("step %d: lease granted %d claims, want %d", i, len(claims), req.Count)
+				}
+				granted += uint64(len(claims))
+				held = append(held, claims...)
+				if req.DistinctNodes {
+					groups = append(groups, claims)
+				}
+			case 2:
+				if len(held) == 0 {
+					break
+				}
+				k := arg % len(held)
+				rm.ReleaseSlot(held[k])
+				held = append(held[:k], held[k+1:]...)
+				released++
+			case 3:
+				wasMoving := map[*SlotClaim]bool{}
+				for _, c := range held {
+					wasMoving[c] = c.moveTo != nil
+				}
+				moves := rm.Defragment()
+				started := 0
+				for _, c := range held {
+					if c.moveTo == nil || wasMoving[c] {
+						continue
+					}
+					started++
+					for _, o := range held {
+						if o != c && o.Tenant == c.Tenant && onBoard(o, c.moveTo.node) {
+							t.Fatalf("step %d: defrag moves claim %d onto board %d, which holds claim %d of tenant %s",
+								i, c.ID, c.moveTo.node, o.ID, c.Tenant)
+						}
+					}
+				}
+				if started != moves {
+					t.Fatalf("step %d: Defragment reported %d moves, %d claims started moving", i, moves, started)
+				}
+			case 4:
+				*healthy[NodeID(arg%n)] = false
+			case 5:
+				s.RunFor(poll)
+				advanced, polled = true, true
+			default:
+				s.RunFor(reconfig)
+				advanced = true
+			}
+
+			// Claims leave the ledger only by failing, and only when
+			// time runs: a health poll found their board dead.
+			live := held[:0]
+			for _, c := range held {
+				if rm.slotClaims[c.ID] == c {
+					live = append(live, c)
+					continue
+				}
+				if !advanced || !c.dead || c.Ready || rm.NodeStateOf(c.Node) != NodeDead {
+					t.Fatalf("step %d: claim %d on board %d left the ledger (dead=%v ready=%v board %v)",
+						i, c.ID, c.Node, c.dead, c.Ready, rm.NodeStateOf(c.Node))
+				}
+				failed++
+			}
+			held = live
+			if len(rm.slotClaims) != len(held) {
+				t.Fatalf("step %d: ledger holds %d claims, want %d", i, len(rm.slotClaims), len(held))
+			}
+			sl := &rm.Slot
+			if sl.Granted.Value() != granted || sl.Released.Value() != released || sl.Failed.Value() != failed {
+				t.Fatalf("step %d: granted/released/failed = %d/%d/%d, want %d/%d/%d", i,
+					sl.Granted.Value(), sl.Released.Value(), sl.Failed.Value(), granted, released, failed)
+			}
+			alms := 0
+			for _, c := range held {
+				alms += c.ALMs
+			}
+			if sl.Occupied.Value() != int64(len(held)) || sl.ALMUsed.Value() != int64(alms) {
+				t.Fatalf("step %d: occupied %d slots of %d ALMs, want %d of %d", i,
+					sl.Occupied.Value(), sl.ALMUsed.Value(), len(held), alms)
+			}
+
+			// Each live claim holds its home slot and any move
+			// destination, and every occupied slot belongs to one of
+			// them, so no slot holds two claims.
+			for id := range n {
+				for j, c := range rm.nodes[NodeID(id)].slots.claims {
+					if c == nil {
+						continue
+					}
+					at := slotRef{NodeID(id), j}
+					if rm.slotClaims[c.ID] != c || (slotRef{c.Node, c.Slot} != at && (c.moveTo == nil || *c.moveTo != at)) {
+						t.Fatalf("step %d: slot (%d,%d) holds claim %d, which is not live there", i, id, j, c.ID)
+					}
+					if c.ALMs > caps[j] {
+						t.Fatalf("step %d: claim %d of %d ALMs in slot (%d,%d) of %d", i, c.ID, c.ALMs, id, j, caps[j])
+					}
+				}
+			}
+			for _, c := range held {
+				if rm.nodes[c.Node].slots.claims[c.Slot] != c {
+					t.Fatalf("step %d: claim %d does not hold its slot (%d,%d)", i, c.ID, c.Node, c.Slot)
+				}
+				if m := c.moveTo; m != nil && (m.node == c.Node || rm.nodes[m.node].slots.claims[m.slot] != c) {
+					t.Fatalf("step %d: claim %d does not hold its move destination (%d,%d)", i, c.ID, m.node, m.slot)
+				}
+				if polled && (rm.NodeStateOf(c.Node) == NodeDead || (c.moveTo != nil && rm.NodeStateOf(c.moveTo.node) == NodeDead)) {
+					t.Fatalf("step %d: claim %d sits on a dead board after a poll", i, c.ID)
+				}
+			}
+			for _, g := range groups {
+				boards := map[NodeID]int{}
+				for _, c := range g {
+					if rm.slotClaims[c.ID] != c {
+						continue
+					}
+					nodes := []NodeID{c.Node}
+					if c.moveTo != nil {
+						nodes = append(nodes, c.moveTo.node)
+					}
+					for _, b := range nodes {
+						if o, dup := boards[b]; dup {
+							t.Fatalf("step %d: DistinctNodes claims %d and %d share board %d", i, o, c.ID, b)
+						}
+						boards[b] = c.ID
+					}
+				}
+			}
+		}
+	})
+}

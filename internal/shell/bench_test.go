@@ -21,7 +21,7 @@ func BenchmarkRemoteMessage(b *testing.B) {
 	if err := dst.OpenRemoteRecv(3, 0, func([]byte) { received++ }); err != nil {
 		b.Fatal(err)
 	}
-	if err := src.OpenRemoteSend(3, 5, 3, nil); err != nil {
+	if err := src.OpenRemoteSend(3, 5, 3); err != nil {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 2<<10)

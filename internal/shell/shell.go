@@ -681,11 +681,11 @@ func (sh *Shell) onPCIeMessage(m *er.Message) {
 // port carries a 2-byte connection id prefix.
 
 // OpenRemoteSend allocates an LTL send connection toward a remote shell.
-func (sh *Shell) OpenRemoteSend(conn uint16, remoteHost int, remoteConn uint16, onFail func()) error {
+func (sh *Shell) OpenRemoteSend(conn uint16, remoteHost int, remoteConn uint16) error {
 	if conn == dgramConn || remoteConn == dgramConn {
 		return fmt.Errorf("shell %d: connection id %#x is reserved for service datagrams", sh.hostID, dgramConn)
 	}
-	return sh.Engine.OpenSend(conn, netsim.HostIP(remoteHost), netsim.HostMAC(remoteHost), remoteConn, 0, onFail)
+	return sh.Engine.OpenSend(conn, netsim.HostIP(remoteHost), netsim.HostMAC(remoteHost), remoteConn, 0, nil)
 }
 
 // OpenRemoteRecv allocates an LTL receive connection; handler receives
@@ -697,11 +697,14 @@ func (sh *Shell) OpenRemoteRecv(conn uint16, fromHost int, handler func(payload 
 	if conn == dgramConn {
 		return fmt.Errorf("shell %d: connection id %#x is reserved for service datagrams", sh.hostID, dgramConn)
 	}
-	sh.remoteRecv[conn] = handler
-	return sh.Engine.OpenRecv(conn, netsim.HostIP(fromHost), func(payload []byte) {
+	err := sh.Engine.OpenRecv(conn, netsim.HostIP(fromHost), func(payload []byte) {
 		// Deliver through the ER: Remote -> Role, modeling the on-chip hop.
 		sh.termRemote.Send(er.PortRole, VCLease, sh.appendConnMsg(conn, payload))
 	})
+	if err == nil {
+		sh.remoteRecv[conn] = handler
+	}
+	return err
 }
 
 // appendConnMsg builds a connection message (2-byte connection id, then

@@ -52,7 +52,7 @@ func TestLTLBetweenShells(t *testing.T) {
 	if err := b.OpenRemoteRecv(5, 0, func(p []byte) { got = append([]byte(nil), p...) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.OpenRemoteSend(5, 1, 5, nil); err != nil {
+	if err := a.OpenRemoteSend(5, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 	var doneAt sim.Time = -1
@@ -82,7 +82,7 @@ func TestLTLAndBridgeCoexist(t *testing.T) {
 	h0, h1 := dc.Host(0), dc.Host(1)
 	a, b := shells[0], shells[1]
 	b.OpenRemoteRecv(5, 0, func(p []byte) {})
-	a.OpenRemoteSend(5, 1, 5, nil)
+	a.OpenRemoteSend(5, 1, 5)
 
 	hostMsgs := 0
 	h1.RegisterUDP(7000, func(f *pkt.Frame) { hostMsgs++ })
@@ -420,17 +420,18 @@ func TestShellPFCGeneration(t *testing.T) {
 // TestRemoteOpenRejectsDatagramConn: the connection id dgramConn marks
 // service datagrams on the Elastic Router, so neither remote open may
 // use it, as the local id or as the remote one, and a refused open
-// allocates nothing.
+// allocates nothing. A receive open of an id already in use is refused
+// too, and leaves the live connection's handler in place.
 func TestRemoteOpenRejectsDatagramConn(t *testing.T) {
 	s := sim.New(1)
 	dc, shells := bed(s)
 	dc.Host(0)
 	dc.Host(1)
 	a, b := shells[0], shells[1]
-	if err := a.OpenRemoteSend(dgramConn, 1, 3, nil); err == nil {
+	if err := a.OpenRemoteSend(dgramConn, 1, 3); err == nil {
 		t.Error("OpenRemoteSend accepted dgramConn as its own id")
 	}
-	if err := a.OpenRemoteSend(3, 1, dgramConn, nil); err == nil {
+	if err := a.OpenRemoteSend(3, 1, dgramConn); err == nil {
 		t.Error("OpenRemoteSend accepted dgramConn as the remote id")
 	}
 	if err := b.OpenRemoteRecv(dgramConn, 0, func([]byte) {}); err == nil {
@@ -448,8 +449,24 @@ func TestRemoteOpenRejectsDatagramConn(t *testing.T) {
 		t.Errorf("a refused OpenRemoteRecv allocated the receive connection: %v", err)
 	}
 	// The ids themselves stay usable for ordinary connections.
-	if err := a.OpenRemoteSend(3, 1, 4, nil); err != nil {
+	if err := a.OpenRemoteSend(3, 1, 4); err != nil {
 		t.Fatal(err)
+	}
+
+	var first, second int
+	if err := b.OpenRemoteRecv(5, 0, func([]byte) { first++ }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.OpenRemoteRecv(5, 0, func([]byte) { second++ }); err == nil {
+		t.Error("OpenRemoteRecv accepted an id already in use")
+	}
+	if err := a.OpenRemoteSend(5, 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	a.SendRemote(5, []byte{1}, nil)
+	s.RunFor(sim.Millisecond)
+	if first != 1 || second != 0 {
+		t.Errorf("message on the live connection reached first=%d second=%d times, want 1 and 0", first, second)
 	}
 }
 
@@ -472,7 +489,7 @@ func TestRemoteMessagesSurviveBufferReuse(t *testing.T) {
 	if err := b.OpenRemoteRecv(3, 0, func(p []byte) { got = append(got, append([]byte(nil), p...)) }); err != nil {
 		t.Fatal(err)
 	}
-	if err := a.OpenRemoteSend(3, 5, 3, nil); err != nil {
+	if err := a.OpenRemoteSend(3, 5, 3); err != nil {
 		t.Fatal(err)
 	}
 	rng := s.NewRand()

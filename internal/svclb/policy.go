@@ -44,7 +44,7 @@ type Policy interface {
 	pick(live []*Slot, rng *rand.Rand, rr *int) *Slot
 }
 
-// Policy names accepted by NewRouter (and the experiment -lb flags).
+// Policy names accepted by NewRouter.
 const (
 	PolicyRandom     = "random"
 	PolicyRoundRobin = "rr"

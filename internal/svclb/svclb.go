@@ -628,8 +628,8 @@ func (b *Service) addBackend(h int) {
 
 	for ci, cs := range b.ClientEnds {
 		ch := cs.HostID()
-		sim.Must(cs.OpenRemoteSend(uint16(sl.Index)+1, h, uint16(ci)+1, nil))
-		sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(sl.Index)+1000, nil))
+		sim.Must(cs.OpenRemoteSend(uint16(sl.Index)+1, h, uint16(ci)+1))
+		sim.Must(fs.OpenRemoteSend(uint16(ci)+1000, ch, uint16(sl.Index)+1000))
 		sim.Must(fs.OpenRemoteRecv(uint16(ci)+1, ch, func(payload []byte) {
 			reqID := binary.BigEndian.Uint64(payload)
 			q.Submit(reqID, b.serviceOf(reqID), func() {
