@@ -52,13 +52,22 @@ func (t Time) Micros() float64 { return float64(t) / float64(Microsecond) }
 // cancelled tombstone is popped; callers hold a Timer, never the event.
 type event struct {
 	at   Time
-	seq  uint64
+	from Time // the instant it was scheduled at (see ScheduledAt)
 	call func(any)
 	arg  any
-
-	queued  bool // still in the wheel (not yet popped)
-	stopped bool // lazily cancelled; skipped when popped
+	// tag packs the event's sequence number with its two state bits,
+	// seq<<tagShift | stopped | queued, so the event stays in the
+	// 48-byte allocation size class.
+	tag uint64
 }
+
+const (
+	tagQueued  = 1 << iota // still in the wheel (not yet popped)
+	tagStopped             // lazily cancelled; skipped when popped
+	tagShift   = iota
+)
+
+func (e *event) stopped() bool { return e.tag&tagStopped != 0 }
 
 // Timer is a cancellable handle to a scheduled event. The seq field is a
 // generation token: once the event fires and is reissued to a different
@@ -105,6 +114,9 @@ type Simulation struct {
 	fired  uint64
 	live   int // queued, non-cancelled events
 	halted bool
+	// from is the instant the firing event was scheduled at, or the
+	// current instant between runs (see ScheduledAt).
+	from Time
 
 	// Timing wheel. Invariants: every queued event has at >= wheelTime,
 	// and wheelTime never exceeds the virtual clock's next resting point,
@@ -177,6 +189,14 @@ func (s *Simulation) DrawSeed() int64 { return s.rng.Int63() }
 // events are discarded without executing and are not counted.
 func (s *Simulation) Fired() uint64 { return s.fired }
 
+// ScheduledAt reports the instant at which the event now firing was
+// scheduled; between runs (after Run or RunUntil returns) it reports the
+// current instant. Events at one instant fire in scheduling order, so a
+// model that advances lazily can use it to tell whether a call comes
+// before or after work it would have scheduled for this instant at some
+// earlier one.
+func (s *Simulation) ScheduledAt() Time { return s.from }
+
 // Pending reports how many live (non-cancelled) events are queued.
 func (s *Simulation) Pending() int { return s.live }
 
@@ -207,7 +227,7 @@ func (s *Simulation) cascade(l int, j uint64) {
 	for i := head; i < len(evs); i++ {
 		e := evs[i]
 		evs[i] = nil
-		if e.stopped {
+		if e.stopped() {
 			s.recycleTombstone(e)
 			continue
 		}
@@ -222,7 +242,7 @@ func (s *Simulation) cascade(l int, j uint64) {
 // freelist. Its seq stays until it is reissued, and a stale Timer can
 // no longer cancel it because it is no longer queued.
 func (s *Simulation) recycleTombstone(e *event) {
-	e.queued, e.stopped = false, false
+	e.tag &^= tagQueued | tagStopped
 	e.call, e.arg = nil, nil
 	s.free = append(s.free, e)
 }
@@ -248,11 +268,11 @@ func (s *Simulation) next(limit Time) *event {
 				b.head = 0
 				s.occ[0] &^= 1 << j
 			}
-			if e.stopped {
+			if e.stopped() {
 				s.recycleTombstone(e)
 				continue
 			}
-			e.queued = false
+			e.tag &^= tagQueued
 			s.wheelTime = at
 			return e
 		}
@@ -294,7 +314,7 @@ func (s *Simulation) NextEventTime() (Time, bool) {
 			b := &s.levels[l][j]
 			best := maxTime
 			for _, e := range b.evs[b.head:] {
-				if !e.stopped && e.at < best {
+				if !e.stopped() && e.at < best {
 					best = e.at
 				}
 			}
@@ -334,14 +354,14 @@ func (s *Simulation) ScheduleCall(delay Time, fn func(any), arg any) Timer {
 		e = &event{}
 	}
 	e.at = s.now + delay
-	e.seq = s.seq
+	e.from = s.now
+	e.tag = s.seq<<tagShift | tagQueued
 	e.call = fn
 	e.arg = arg
-	e.queued = true
 	s.seq++
 	s.live++
 	s.insert(e)
-	return Timer{e: e, seq: e.seq}
+	return Timer{e: e, seq: s.seq - 1}
 }
 
 // Cancel removes a pending event. Cancelling a fired, reissued, or
@@ -350,10 +370,10 @@ func (s *Simulation) ScheduleCall(delay Time, fn func(any), arg any) Timer {
 // place (O(1)) and discarded, uncounted, when the wheel reaches it.
 func (s *Simulation) Cancel(t Timer) bool {
 	e := t.e
-	if e == nil || e.seq != t.seq || e.stopped || !e.queued {
+	if e == nil || e.tag != t.seq<<tagShift|tagQueued {
 		return false
 	}
-	e.stopped = true
+	e.tag |= tagStopped
 	s.live--
 	return true
 }
@@ -367,6 +387,7 @@ func (s *Simulation) fire(e *event) {
 		panic(fmt.Sprintf("sim: time went backwards: at=%d now=%d wheel=%d", e.at, s.now, s.wheelTime))
 	}
 	s.now = e.at
+	s.from = e.from
 	s.fired++
 	s.live--
 	s.record(e)
@@ -392,6 +413,9 @@ func (s *Simulation) Run() {
 	s.halted = false
 	for !s.halted && s.Step() {
 	}
+	if !s.halted {
+		s.from = s.now
+	}
 }
 
 // RunUntil executes events with timestamps <= deadline, then advances the
@@ -408,8 +432,9 @@ func (s *Simulation) RunUntil(deadline Time) {
 		}
 		s.fire(e)
 	}
-	if !s.halted && s.now < deadline {
-		s.now = deadline
+	if !s.halted {
+		s.now = max(s.now, deadline)
+		s.from = s.now
 	}
 }
 

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -816,5 +818,54 @@ func TestCascadedTombstoneReissued(t *testing.T) {
 	}
 	if s.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", s.Pending())
+	}
+}
+
+// TestEventSizeClass keeps event in Go's 48-byte allocation size class:
+// one more word would move every pooled event into the 64-byte class.
+func TestEventSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n > 48 {
+		t.Fatalf("event is %d bytes, want at most 48", n)
+	}
+}
+
+// TestScheduledAt checks that a firing event reports the instant it was
+// scheduled at, and that between runs the current instant is reported.
+func TestScheduledAt(t *testing.T) {
+	s := New(1)
+	var got []Time
+	note := func() { got = append(got, s.ScheduledAt()) }
+	s.Schedule(10, func() {
+		note()
+		s.Schedule(0, note)
+		s.Schedule(5, func() {
+			note()
+			s.Schedule(7, note)
+		})
+	})
+	s.Schedule(15, note)
+	s.RunUntil(20)
+	if s.ScheduledAt() != 20 {
+		t.Errorf("between runs ScheduledAt = %v, want the current instant 20ns", s.ScheduledAt())
+	}
+	s.Run()
+	want := []Time{0, 10, 0, 10, 15}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("ScheduledAt per firing = %v, want %v", got, want)
+	}
+	// A cancelled and reissued event keeps neither its tag bits nor a
+	// stale Timer's claim on it.
+	tm := s.Schedule(1, func() { t.Error("cancelled event fired") })
+	if !s.Cancel(tm) || s.Cancel(tm) {
+		t.Fatal("Cancel must succeed once, then report false")
+	}
+	s.Run()
+	s.Schedule(1, note)
+	if s.Cancel(tm) {
+		t.Fatal("a stale Timer cancelled a reissued event")
+	}
+	s.Run()
+	if len(got) != 6 || got[5] != 22 {
+		t.Errorf("reissued event reported %v, want 22ns", got[len(got)-1])
 	}
 }

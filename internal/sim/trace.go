@@ -59,7 +59,7 @@ func (s *Simulation) record(e *event) {
 	if s.traceCap == 0 {
 		return
 	}
-	entry := TraceEntry{At: e.at, Seq: e.seq}
+	entry := TraceEntry{At: e.at, Seq: e.tag >> tagShift}
 	if len(s.trace) < s.traceCap {
 		s.trace = append(s.trace, entry)
 		return
