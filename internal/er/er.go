@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/sim"
 )
@@ -123,19 +122,20 @@ const (
 )
 
 // Stats aggregates router counters.
+// Every read catches the router up to the current instant (see stream).
 type Stats struct {
-	FlitsSwitched metrics.Counter
-	MsgsDelivered metrics.Counter
-	StallNoCredit metrics.Counter // output stalled awaiting downstream credit
-	StallConflict metrics.Counter // lost switch arbitration this cycle
-	BufOccupancy  metrics.Gauge   // flits buffered across all inputs
-	Cycles        metrics.Counter // active arbitration cycles
+	FlitsSwitched Counter
+	MsgsDelivered Counter
+	StallNoCredit Counter // output stalled awaiting downstream credit
+	StallConflict Counter // lost switch arbitration this cycle
+	BufOccupancy  Gauge   // flits buffered across all inputs
+	Cycles        Counter // active arbitration cycles
 	// VCFlits[v] counts flits switched on virtual channel v. Per-VC
 	// accounting is what makes traffic-plane separation auditable: when
 	// service datagrams ride VC 0 and the lease/connection plane rides
 	// VC 1 (internal/shell), these counters witness that neither plane
 	// leaked onto the other's channel.
-	VCFlits []metrics.Counter
+	VCFlits []Counter
 }
 
 // flitFIFO is a head-indexed flit queue: pops advance a cursor instead of
@@ -261,6 +261,21 @@ type Router struct {
 	// per-cycle one-flit-per-input scoreboard, reused across ticks.
 	flitFree    []*Flit
 	scratchUsed []bool
+
+	// terms[p] is the Terminal attached at port p, if any; flitOnly
+	// marks a router with some other attachment (a sink or another
+	// router), which never streams.
+	terms    []*Terminal
+	flitOnly bool
+	// str is the message streaming through the router, if any (see
+	// stream), and strBuf its storage; owed holds credits of an earlier
+	// stream still in flight. late holds events materialize scheduled,
+	// in firing order.
+	str    *stream
+	strBuf stream
+	owed   []owedCredit
+	late   []*lateEvent
+	inLate bool // a late event is running
 }
 
 // allocFlit takes a flit from the freelist (or allocates a fresh one).
@@ -300,18 +315,27 @@ func New(s *sim.Simulation, cfg Config) *Router {
 	if r.tracer != nil {
 		r.msgSpans = make(map[spanKey]obs.SpanID)
 	}
-	r.Stats.VCFlits = make([]metrics.Counter, cfg.VCs)
+	st := &r.Stats
+	st.VCFlits = make([]Counter, cfg.VCs)
+	for _, c := range []*Counter{&st.FlitsSwitched, &st.MsgsDelivered, &st.StallNoCredit, &st.StallConflict, &st.Cycles} {
+		c.r = r
+	}
+	for v := range st.VCFlits {
+		st.VCFlits[v].r = r
+	}
+	st.BufOccupancy.r = r
 	if reg := obs.RegistryOf(s); reg != nil {
 		for v := 0; v < cfg.VCs; v++ {
 			reg.Counter(fmt.Sprintf("er.flits_vc%d", v), "flits", "er",
-				fmt.Sprintf("flits switched on virtual channel %d", v), &r.Stats.VCFlits[v])
+				fmt.Sprintf("flits switched on virtual channel %d", v), &st.VCFlits[v].Counter)
 		}
-		reg.Counter("er.flits_switched", "flits", "er", "flits crossing the switch", &r.Stats.FlitsSwitched)
-		reg.Counter("er.msgs_delivered", "msgs", "er", "messages fully reassembled", &r.Stats.MsgsDelivered)
-		reg.Counter("er.stall_no_credit", "events", "er", "output stalls awaiting downstream credit", &r.Stats.StallNoCredit)
-		reg.Counter("er.stall_conflict", "events", "er", "lost switch-arbitration attempts", &r.Stats.StallConflict)
-		reg.Counter("er.cycles", "cycles", "er", "active arbitration cycles", &r.Stats.Cycles)
-		reg.Gauge("er.buf_occupancy", "flits", "er", "flits buffered across inputs", &r.Stats.BufOccupancy)
+		reg.Counter("er.flits_switched", "flits", "er", "flits crossing the switch", &st.FlitsSwitched.Counter)
+		reg.Counter("er.msgs_delivered", "msgs", "er", "messages fully reassembled", &st.MsgsDelivered.Counter)
+		reg.Counter("er.stall_no_credit", "events", "er", "output stalls awaiting downstream credit", &st.StallNoCredit.Counter)
+		reg.Counter("er.stall_conflict", "events", "er", "lost switch-arbitration attempts", &st.StallConflict.Counter)
+		reg.Counter("er.cycles", "cycles", "er", "active arbitration cycles", &st.Cycles.Counter)
+		reg.Gauge("er.buf_occupancy", "flits", "er", "flits buffered across inputs", &st.BufOccupancy.Gauge)
+		reg.Refresh(r.enter)
 	}
 	for i := 0; i < cfg.Ports; i++ {
 		in := &inputPort{vcs: make([]inputVC, cfg.VCs)}
@@ -326,6 +350,7 @@ func New(s *sim.Simulation, cfg Config) *Router {
 		r.outputs = append(r.outputs, out)
 	}
 	r.scratchUsed = make([]bool, cfg.Ports)
+	r.terms = make([]*Terminal, cfg.Ports)
 	words := (cfg.Ports*cfg.VCs + 63) / 64
 	r.occ = make([]uint64, words)
 	r.cand = make([]uint64, cfg.Ports*words)
@@ -350,6 +375,11 @@ func (r *Router) Attach(port int, peer Link, creditReturn func(vc int)) {
 		}
 	}
 	r.inputs[port].creditReturn = creditReturn
+	if t, ok := peer.(*Terminal); ok {
+		r.terms[port] = t
+	} else {
+		r.flitOnly = true
+	}
 }
 
 // InitialCredits implements Link for router-to-router composition: the
@@ -405,6 +435,15 @@ func (r *Router) Inject(port int, f *Flit) {
 // ReturnCredit gives an output-side credit back for (port, vc); called by
 // downstream attachments as they drain.
 func (r *Router) ReturnCredit(port, vc int) {
+	r.enter()
+	if st := r.str; st != nil {
+		if st.ticking() {
+			// The per-flit router's wake would find a tick pending.
+			r.outputs[port].giveCredit(vc)
+			return
+		}
+		r.materialize()
+	}
 	r.outputs[port].giveCredit(vc)
 	r.wake()
 }

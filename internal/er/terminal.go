@@ -133,12 +133,17 @@ func (t *Terminal) SharedCredits() int { return 0 }
 
 // onCredit is called as the router drains flits we injected.
 func (t *Terminal) onCredit(vc int) {
-	if t.sharedMode {
-		t.sendShared++
-	} else {
-		t.sendCredits[vc]++
-	}
+	t.addCredits(vc, 1)
 	t.pump()
+}
+
+// addCredits adjusts the send credit for vc by d.
+func (t *Terminal) addCredits(vc, d int) {
+	if t.sharedMode {
+		t.sendShared += d
+	} else {
+		t.sendCredits[vc] += d
+	}
 }
 
 // Send segments payload into flits on vc addressed to dstNode and injects
@@ -147,8 +152,16 @@ func (t *Terminal) Send(dstNode, vc int, payload []byte) {
 	if vc < 0 || vc >= t.router.cfg.VCs {
 		panic(fmt.Sprintf("er: send on invalid vc %d", vc))
 	}
+	r := t.router
+	r.enter()
 	t.nextMsgID++
-	if t.router.tracer != nil {
+	if r.tryStream(t, dstNode, vc, payload) {
+		return
+	}
+	if r.str != nil {
+		r.materialize()
+	}
+	if r.tracer != nil {
 		flow := obs.ERFlow(t.router.ObsID, t.Node, t.nextMsgID)
 		id := t.router.tracer.Start(flow, "er.msg", 0)
 		t.router.tracer.SetArg(id, int64(len(payload)))
@@ -238,7 +251,11 @@ func (t *Terminal) AcceptFlit(f *Flit) {
 
 // PendingSend reports flits queued awaiting credits (for tests).
 func (t *Terminal) PendingSend() int {
+	t.router.enter()
 	n := 0
+	if st := t.router.str; st != nil && st.src == t {
+		n += st.n - st.inj
+	}
 	for i := range t.sendq {
 		n += t.sendq[i].len()
 	}
