@@ -261,6 +261,14 @@ func (rm *ResourceManager) configureClaim(c *SlotClaim, fm *SlotFM, slot int) {
 		if c.dead || !ok {
 			return // board death is handled by the health poll
 		}
+		if rm.slotClaims[c.ID] != c {
+			// Released while the slot reconfigured: the FM loaded the
+			// image anyway. Evict it unless another claim holds the slot.
+			if e := rm.nodes[fm.FM.Node]; e.slots.claims[slot] == nil && fm.ClearSlot != nil {
+				fm.ClearSlot(slot)
+			}
+			return
+		}
 		c.Ready = true
 		rm.Slot.ReconfigWait.Observe(int64(rm.sim.Now() - grantAt))
 		if rm.tracer != nil {

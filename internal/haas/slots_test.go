@@ -365,6 +365,14 @@ func FuzzSlotLedger(f *testing.F) {
 		var held []*SlotClaim     // granted and not released
 		var groups [][]*SlotClaim // DistinctNodes grants
 		var granted, released, failed uint64
+		// gone lists released claims and whether each was ready when
+		// released: a claim released mid-reconfiguration never turns
+		// ready.
+		type releasedClaim struct {
+			c     *SlotClaim
+			ready bool
+		}
+		var gone []releasedClaim
 		onBoard := func(c *SlotClaim, node NodeID) bool {
 			return c.Node == node || (c.moveTo != nil && c.moveTo.node == node)
 		}
@@ -416,6 +424,7 @@ func FuzzSlotLedger(f *testing.F) {
 				}
 				k := arg % len(held)
 				rm.ReleaseSlot(held[k])
+				gone = append(gone, releasedClaim{held[k], held[k].Ready})
 				held = append(held[:k], held[k+1:]...)
 				released++
 			case 3:
@@ -465,6 +474,11 @@ func FuzzSlotLedger(f *testing.F) {
 				failed++
 			}
 			held = live
+			for _, g := range gone {
+				if g.c.Ready != g.ready {
+					t.Fatalf("step %d: claim %d turned ready after its release", i, g.c.ID)
+				}
+			}
 			if len(rm.slotClaims) != len(held) {
 				t.Fatalf("step %d: ledger holds %d claims, want %d", i, len(rm.slotClaims), len(held))
 			}
@@ -530,4 +544,27 @@ func FuzzSlotLedger(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReleaseDuringReconfiguration releases a claim while its slot is
+// still reconfiguring. The claim must never turn ready or fire OnReady,
+// and the slot the ledger shows as free must not keep the tenant's image.
+func TestReleaseDuringReconfiguration(t *testing.T) {
+	s := sim.New(1)
+	rm, _, tenants := slotBed(s, 1, []int{30000}, sim.Millisecond)
+	defer rm.Stop()
+	readied := false
+	claims, err := rm.LeaseSlots(SlotRequest{Tenant: "t", Image: "img", ALMs: 10000, Count: 1,
+		OnReady: func(*SlotClaim) { readied = true }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm.ReleaseSlot(claims[0])
+	s.RunFor(2 * sim.Millisecond)
+	if claims[0].Ready || readied {
+		t.Errorf("released claim turned ready (Ready=%v, OnReady fired=%v)", claims[0].Ready, readied)
+	}
+	if got := tenants[0][0]; got != "" {
+		t.Errorf("free slot still holds tenant %q's image", got)
+	}
 }
