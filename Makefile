@@ -75,8 +75,9 @@ examples:
 	$(GO) run ./examples/bioinformatics
 
 # Brief fuzzing passes over the wire decoders, the KV store, the Elastic
-# Router, the frontend's HTTP handler, the in-line background noise
-# against its event-per-frame reference, a port's class pick against
+# Router, its message streams against the per-flit router, the
+# frontend's HTTP handler, the in-line background noise against its
+# event-per-frame reference, a port's class pick against
 # the eight-class scan, a HaaS pool's lease ledger, and the vFPGA slot
 # scheduler's claim ledger.
 fuzz:
@@ -92,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeReq -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzDecodeResp -fuzztime 30s ./internal/rpcnic/
 	$(GO) test -fuzz FuzzRouter -fuzztime 30s ./internal/er/
+	$(GO) test -fuzz FuzzStreamMatchesFlits -fuzztime 30s ./internal/er/
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/

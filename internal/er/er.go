@@ -270,12 +270,13 @@ type Router struct {
 	// str is the message streaming through the router, if any (see
 	// stream), and strBuf its storage; owed holds credits of an earlier
 	// stream still in flight. late holds events materialize scheduled,
-	// in firing order.
-	str    *stream
-	strBuf stream
-	owed   []owedCredit
-	late   []*lateEvent
-	inLate bool // a late event is running
+	// in firing order, and lateFree recycles them.
+	str      *stream
+	strBuf   stream
+	owed     []owedCredit
+	late     []*lateEvent
+	lateFree []*lateEvent
+	inLate   bool // a late event is running
 }
 
 // allocFlit takes a flit from the freelist (or allocates a fresh one).
@@ -410,6 +411,12 @@ func (r *Router) vcCapacity(in *inputPort, vc int) int {
 // credits (Terminal and Connect do); violations panic, because hardware
 // credit underflow is a design bug, not load.
 func (r *Router) Inject(port int, f *Flit) {
+	if r.str != nil {
+		r.catchUp()
+		if r.str != nil {
+			r.materialize()
+		}
+	}
 	in := r.inputs[port]
 	if f.VC < 0 || f.VC >= r.cfg.VCs {
 		panic(fmt.Sprintf("er: flit VC %d out of range", f.VC))

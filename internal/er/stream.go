@@ -73,15 +73,18 @@ type lateEvent struct {
 
 func fireLateEvent(v any) {
 	e := v.(*lateEvent)
-	e.r.late = e.r.late[1:]
+	e.r.popLate()
 	e.r.runLate(e)
 }
 
-// runLate runs a late event. It fires in its place among the other late
-// events, so none of them is overdue to it.
+// runLate runs a late event and recycles it. It fires in its place among
+// the other late events, so none of them is overdue to it.
 func (r *Router) runLate(e *lateEvent) {
+	call, arg := e.call, e.arg
+	*e = lateEvent{}
+	r.lateFree = append(r.lateFree, e)
 	r.inLate = true
-	e.call(e.arg)
+	call(arg)
 	r.inLate = false
 }
 
@@ -145,14 +148,26 @@ func (r *Router) fireLate() {
 			return
 		}
 		r.sim.Cancel(e.tm)
-		r.late = r.late[1:]
+		r.popLate()
 		r.runLate(e)
 	}
 }
 
+// popLate drops the first late event, keeping the slice's capacity.
+func (r *Router) popLate() {
+	r.late = r.late[:copy(r.late, r.late[1:])]
+}
+
 // schedLate schedules a materialized event at instant at.
 func (r *Router) schedLate(at sim.Time, call func(any), arg any) {
-	e := &lateEvent{r: r, at: at, call: call, arg: arg}
+	var e *lateEvent
+	if n := len(r.lateFree); n > 0 {
+		e = r.lateFree[n-1]
+		r.lateFree = r.lateFree[:n-1]
+	} else {
+		e = new(lateEvent)
+	}
+	*e = lateEvent{r: r, at: at, call: call, arg: arg}
 	e.tm = r.sim.ScheduleCall(at-r.sim.Now(), fireLateEvent, e)
 	r.late = append(r.late, e)
 }
@@ -180,18 +195,16 @@ func (st *stream) edges(now sim.Time, after bool) int {
 func (st *stream) refills(k int) bool { return k >= 1 && k <= st.n-st.k0 }
 
 // catchUp applies the stream's progress up to the caller's position, and
-// any owed credit that has landed; a finished stream is dropped.
+// any owed credit that has landed; a finished stream is dropped. Owed
+// credits exist only while a stream does.
 func (r *Router) catchUp() {
 	now, after := r.sim.Now(), r.after()
 	for len(r.owed) > 0 && (r.owed[0].at < now || r.owed[0].at == now && after) {
 		o := r.owed[0]
 		r.outputs[o.term.port].giveCredit(o.vc)
-		r.owed = r.owed[1:]
+		r.owed = r.owed[:copy(r.owed, r.owed[1:])]
 	}
 	st := r.str
-	if st == nil {
-		return
-	}
 	st.advance(st.edges(now, after))
 	if st.e == st.n+3 {
 		r.str = nil
@@ -334,9 +347,6 @@ func (r *Router) materialize() {
 	}
 	r.owed = r.owed[:0]
 	r.str = nil
-	if st == nil {
-		return
-	}
 	r.sim.Cancel(st.ev)
 	n, e := st.n, st.e
 	delivered := min(max(e-1, 0), n-1)
