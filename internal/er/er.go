@@ -262,21 +262,14 @@ type Router struct {
 	flitFree    []*Flit
 	scratchUsed []bool
 
-	// terms[p] is the Terminal attached at port p, if any; flitOnly
-	// marks a router with some other attachment (a sink or another
-	// router), which never streams.
-	terms    []*Terminal
+	// flitOnly marks a router with an attachment other than a
+	// Terminal (a sink or another router), which never streams.
 	flitOnly bool
 	// str is the message streaming through the router, if any (see
-	// stream), and strBuf its storage; owed holds credits of an earlier
-	// stream still in flight. late holds events materialize scheduled,
-	// in firing order, and lateFree recycles them.
-	str      *stream
-	strBuf   stream
-	owed     []owedCredit
-	late     []*lateEvent
-	lateFree []*lateEvent
-	inLate   bool // a late event is running
+	// stream); lz holds the rest of the stream machinery, allocated by
+	// the first stream.
+	str *stream
+	lz  *lazyState
 }
 
 // allocFlit takes a flit from the freelist (or allocates a fresh one).
@@ -351,7 +344,6 @@ func New(s *sim.Simulation, cfg Config) *Router {
 		r.outputs = append(r.outputs, out)
 	}
 	r.scratchUsed = make([]bool, cfg.Ports)
-	r.terms = make([]*Terminal, cfg.Ports)
 	words := (cfg.Ports*cfg.VCs + 63) / 64
 	r.occ = make([]uint64, words)
 	r.cand = make([]uint64, cfg.Ports*words)
@@ -376,9 +368,7 @@ func (r *Router) Attach(port int, peer Link, creditReturn func(vc int)) {
 		}
 	}
 	r.inputs[port].creditReturn = creditReturn
-	if t, ok := peer.(*Terminal); ok {
-		r.terms[port] = t
-	} else {
+	if _, ok := peer.(*Terminal); !ok {
 		r.flitOnly = true
 	}
 }

@@ -53,6 +53,17 @@ type stream struct {
 	e, sw, inj, cr, ticks int
 }
 
+// lazyState is a router's stream machinery: the stream's storage, owed
+// credits, and the late events materialize scheduled, in firing order,
+// with a freelist for them.
+type lazyState struct {
+	buf    stream
+	owed   []owedCredit
+	late   []*lateEvent
+	free   []*lateEvent
+	inLate bool // a late event is running
+}
+
 // owedCredit is a credit a finished stream returns after the next stream
 // started; it lands while that stream ticks, so it wakes nothing.
 type owedCredit struct {
@@ -82,10 +93,10 @@ func fireLateEvent(v any) {
 func (r *Router) runLate(e *lateEvent) {
 	call, arg := e.call, e.arg
 	*e = lateEvent{}
-	r.lateFree = append(r.lateFree, e)
-	r.inLate = true
+	r.lz.free = append(r.lz.free, e)
+	r.lz.inLate = true
 	call(arg)
-	r.inLate = false
+	r.lz.inLate = false
 }
 
 // Counter is a router counter. Reading it first brings the router up to
@@ -128,7 +139,7 @@ func (r *Router) enter() {
 	}
 	if r.str != nil {
 		r.catchUp()
-	} else if len(r.late) > 0 {
+	} else if r.lz != nil && len(r.lz.late) > 0 {
 		r.fireLate()
 	}
 }
@@ -142,8 +153,8 @@ func (r *Router) after() bool {
 // fireLate runs, in order, each late event due now that the per-flit
 // router would have fired before the caller.
 func (r *Router) fireLate() {
-	for len(r.late) > 0 && !r.inLate {
-		e := r.late[0]
+	for len(r.lz.late) > 0 && !r.lz.inLate {
+		e := r.lz.late[0]
 		if e.at != r.sim.Now() || !r.after() {
 			return
 		}
@@ -155,21 +166,21 @@ func (r *Router) fireLate() {
 
 // popLate drops the first late event, keeping the slice's capacity.
 func (r *Router) popLate() {
-	r.late = r.late[:copy(r.late, r.late[1:])]
+	r.lz.late = r.lz.late[:copy(r.lz.late, r.lz.late[1:])]
 }
 
 // schedLate schedules a materialized event at instant at.
 func (r *Router) schedLate(at sim.Time, call func(any), arg any) {
 	var e *lateEvent
-	if n := len(r.lateFree); n > 0 {
-		e = r.lateFree[n-1]
-		r.lateFree = r.lateFree[:n-1]
+	if n := len(r.lz.free); n > 0 {
+		e = r.lz.free[n-1]
+		r.lz.free = r.lz.free[:n-1]
 	} else {
 		e = new(lateEvent)
 	}
 	*e = lateEvent{r: r, at: at, call: call, arg: arg}
 	e.tm = r.sim.ScheduleCall(at-r.sim.Now(), fireLateEvent, e)
-	r.late = append(r.late, e)
+	r.lz.late = append(r.lz.late, e)
 }
 
 // edges counts the stream's edges passed at the caller's position.
@@ -199,10 +210,10 @@ func (st *stream) refills(k int) bool { return k >= 1 && k <= st.n-st.k0 }
 // credits exist only while a stream does.
 func (r *Router) catchUp() {
 	now, after := r.sim.Now(), r.after()
-	for len(r.owed) > 0 && (r.owed[0].at < now || r.owed[0].at == now && after) {
-		o := r.owed[0]
+	for len(r.lz.owed) > 0 && (r.lz.owed[0].at < now || r.lz.owed[0].at == now && after) {
+		o := r.lz.owed[0]
 		r.outputs[o.term.port].giveCredit(o.vc)
-		r.owed = r.owed[:copy(r.owed, r.owed[1:])]
+		r.lz.owed = r.lz.owed[:copy(r.lz.owed, r.lz.owed[1:])]
 	}
 	st := r.str
 	st.advance(st.edges(now, after))
@@ -275,7 +286,7 @@ func streamTail(v any) {
 // tick and its last credit counts as idle, and owes that credit. It
 // reports whether the message is streaming.
 func (r *Router) tryStream(t *Terminal, dstNode, vc int, payload []byte) bool {
-	if r.tracer != nil || r.flitOnly || r.ticking || len(r.late) > 0 ||
+	if r.tracer != nil || r.flitOnly || r.ticking || r.lz != nil && len(r.lz.late) > 0 ||
 		r.Stats.BufOccupancy.Gauge.Value() != 0 || t.PendingSend() != 0 {
 		return false
 	}
@@ -286,7 +297,11 @@ func (r *Router) tryStream(t *Terminal, dstNode, vc int, payload []byte) bool {
 	if r.cfg.Route != nil {
 		out = r.cfg.Route(out)
 	}
-	if out < 0 || out >= r.cfg.Ports || r.terms[out] == nil || r.terms[out].partial[vc] != nil {
+	if out < 0 || out >= r.cfg.Ports {
+		return false
+	}
+	dst, ok := r.outputs[out].peer.(*Terminal)
+	if !ok || dst.partial[vc] != nil {
 		return false
 	}
 	fb := r.cfg.FlitBytes
@@ -304,15 +319,18 @@ func (r *Router) tryStream(t *Terminal, dstNode, vc int, payload []byte) bool {
 		return false
 	}
 	if prev := r.str; prev != nil {
-		r.owed = append(r.owed, owedCredit{prev.t0 + sim.Time(prev.n+2)*r.cfg.ClockPeriod, prev.dst, prev.vc})
+		r.lz.owed = append(r.lz.owed, owedCredit{prev.t0 + sim.Time(prev.n+2)*r.cfg.ClockPeriod, prev.dst, prev.vc})
 	}
 	m := allocMessage()
 	m.SrcNode, m.DstNode, m.VC = t.Node, dstNode, vc
 	m.Payload = append(m.Payload, payload...)
-	st := &r.strBuf
+	if r.lz == nil {
+		r.lz = new(lazyState)
+	}
+	st := &r.lz.buf
 	*st = stream{
 		r: r, t0: r.sim.Now(), n: n, k0: k0,
-		src: t, dst: r.terms[out], in: t.port, out: out, vc: vc,
+		src: t, dst: dst, in: t.port, out: out, vc: vc,
 		dstNode: dstNode, msgID: t.nextMsgID, msg: m,
 		inj: k0,
 	}
@@ -342,10 +360,10 @@ func (st *stream) flit(j int) *Flit {
 func (r *Router) materialize() {
 	st := r.str
 	p := r.cfg.ClockPeriod
-	for _, o := range r.owed {
+	for _, o := range r.lz.owed {
 		r.schedLate(o.at, returnCreditCall, &o.term.creditArgs[o.vc])
 	}
-	r.owed = r.owed[:0]
+	r.lz.owed = r.lz.owed[:0]
 	r.str = nil
 	r.sim.Cancel(st.ev)
 	n, e := st.n, st.e
