@@ -291,6 +291,25 @@ func (r *Router) freeFlit(f *Flit) {
 	r.flitFree = append(r.flitFree, f)
 }
 
+// flitCount reports how many flits carry a payload of size bytes; an
+// empty payload still occupies one.
+func (r *Router) flitCount(size int) int {
+	fb := r.cfg.FlitBytes
+	return max((size+fb-1)/fb, 1)
+}
+
+// segment builds flit j of the n flits of message msgID, copying its slice
+// of payload.
+func (r *Router) segment(src, dstNode, vc int, msgID uint64, payload []byte, j, n int) *Flit {
+	lo := j * r.cfg.FlitBytes
+	f := r.allocFlit()
+	f.Head, f.Tail, f.VC = j == 0, j == n-1, vc
+	f.SrcNode, f.DstNode = src, dstNode
+	f.Data = append(f.Data[:0], payload[lo:min(lo+r.cfg.FlitBytes, len(payload))]...)
+	f.MsgID = msgID
+	return f
+}
+
 type spanKey struct {
 	src, vc int
 	msgID   uint64

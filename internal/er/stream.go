@@ -304,8 +304,7 @@ func (r *Router) tryStream(t *Terminal, dstNode, vc int, payload []byte) bool {
 	if !ok || dst.partial[vc] != nil {
 		return false
 	}
-	fb := r.cfg.FlitBytes
-	n := max((len(payload)+fb-1)/fb, 1)
+	n := r.flitCount(len(payload))
 	credits := t.sendShared
 	if !t.sharedMode {
 		credits = t.sendCredits[vc]
@@ -341,17 +340,9 @@ func (r *Router) tryStream(t *Terminal, dstNode, vc int, payload []byte) bool {
 	return true
 }
 
-// streamFlit builds flit j of the stream's message.
+// flit builds flit j of the stream's message.
 func (st *stream) flit(j int) *Flit {
-	fb := st.r.cfg.FlitBytes
-	p := st.msg.Payload
-	lo := j * fb
-	f := st.r.allocFlit()
-	f.Head, f.Tail, f.VC = j == 0, j == st.n-1, st.vc
-	f.SrcNode, f.DstNode = st.src.Node, st.dstNode
-	f.Data = append(f.Data[:0], p[lo:min(lo+fb, len(p))]...)
-	f.MsgID = st.msgID
-	return f
+	return st.r.segment(st.src.Node, st.dstNode, st.vc, st.msgID, st.msg.Payload, j, st.n)
 }
 
 // materialize turns the caught-up stream, and any owed credit, into the

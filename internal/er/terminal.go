@@ -167,23 +167,8 @@ func (t *Terminal) Send(dstNode, vc int, payload []byte) {
 		t.router.tracer.SetArg(id, int64(len(payload)))
 		t.router.msgSpans[spanKey{t.Node, vc, t.nextMsgID}] = id
 	}
-	fb := t.router.cfg.FlitBytes
-	n := (len(payload) + fb - 1) / fb
-	if n == 0 {
-		n = 1
-	}
-	for i := 0; i < n; i++ {
-		lo := i * fb
-		hi := lo + fb
-		if hi > len(payload) {
-			hi = len(payload)
-		}
-		f := t.router.allocFlit()
-		f.Head, f.Tail, f.VC = i == 0, i == n-1, vc
-		f.SrcNode, f.DstNode = t.Node, dstNode
-		f.Data = append(f.Data[:0], payload[lo:hi]...)
-		f.MsgID = t.nextMsgID
-		t.sendq[vc].push(f)
+	for i, n := 0, r.flitCount(len(payload)); i < n; i++ {
+		t.sendq[vc].push(r.segment(t.Node, dstNode, vc, t.nextMsgID, payload, i, n))
 	}
 	t.pump()
 }
