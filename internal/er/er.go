@@ -6,10 +6,13 @@
 // flits, input ports buffer flits per VC, a switch allocator moves at most
 // one flit per input and one flit per output per router clock cycle, and
 // credit-based flow control (one credit per flit) governs every hop.
-// The signature "elastic" policy shares one pool of input-buffer credits
-// among all VCs of a port instead of statically partitioning it, which
-// the paper reports reduces aggregate buffering requirements — package
-// benchmarks quantify that claim (BenchmarkAblationElasticCredits).
+// A message that crosses an otherwise idle router streams: its flit-level
+// schedule is a closed form, applied with two events instead of a tick, a
+// delivery and a credit per flit (see stream). The signature "elastic"
+// policy shares one pool of input-buffer credits among all VCs of a port
+// instead of statically partitioning it, which the paper reports reduces
+// aggregate buffering requirements — package benchmarks quantify that
+// claim (BenchmarkAblationElasticCredits).
 //
 // Routers are fully parameterized in port count, VC count, flit size and
 // buffer capacity, and can be composed into larger on-chip topologies
