@@ -78,8 +78,8 @@ examples:
 # Router, its message streams against the per-flit router, the
 # frontend's HTTP handler, the in-line background noise against its
 # event-per-frame reference, a port's class pick against
-# the eight-class scan, a HaaS pool's lease ledger, and the vFPGA slot
-# scheduler's claim ledger.
+# the eight-class scan, a HaaS pool's lease ledger, the vFPGA slot
+# scheduler's claim ledger, and tenant isolation between a shell's slots.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
 	$(GO) test -fuzz FuzzDecodeLTL -fuzztime 30s ./internal/pkt/
@@ -99,6 +99,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPoolLedger -fuzztime 30s ./internal/haas/
 	$(GO) test -fuzz FuzzSlotLedger -fuzztime 30s ./internal/haas/
+	$(GO) test -fuzz FuzzSlotIsolation -fuzztime 30s ./internal/shell/
 
 # Go line counts outside cmd/ccperf (the benchmark harness): non-test
 # files, then _test.go files.

@@ -43,6 +43,9 @@ func main() {
 	dilation := flag.Float64("dilation", 1.0, "virtual ns per wall ns (realtime)")
 	background := flag.Float64("background", 0.0, "self-serve: background fabric load")
 	flag.Parse()
+	if err := checkFlags(*rate, *duration, *rankFrac, *clients, *dilation); err != nil {
+		fail("%v", err)
+	}
 	if err := checkBackground(*background); err != nil {
 		fail("%v", err)
 	}
@@ -129,6 +132,36 @@ func newServer(h http.Handler) *http.Server {
 		WriteTimeout:      writeTimeout,
 		IdleTimeout:       idleTimeout,
 	}
+}
+
+// Flag limits. The whole script, and a goroutine per request, is in
+// memory at once, so rate × duration is capped at maxArrivals expected
+// requests; each of up to maxClients clients holds its own connection
+// pool.
+const (
+	maxArrivals = 100_000
+	maxClients  = 1024
+)
+
+// checkFlags rejects load flags the generator cannot run: a rate that is
+// not positive or whose script would outgrow maxArrivals (a negative
+// rate never reaches the duration), a non-positive duration, a rank
+// fraction outside [0, 1], a client count outside [1, maxClients], and a
+// dilation that is not positive (zero would stop the real-time clock).
+func checkFlags(rate float64, duration time.Duration, rankFrac float64, clients int, dilation float64) error {
+	switch {
+	case duration <= 0:
+		return fmt.Errorf("-duration %v: want a positive script length", duration)
+	case !(rate > 0 && rate*duration.Seconds() <= maxArrivals): // also rejects NaN and +Inf
+		return fmt.Errorf("-rate %v: want a positive rate with at most %d expected requests over %v", rate, maxArrivals, duration)
+	case !(rankFrac >= 0 && rankFrac <= 1):
+		return fmt.Errorf("-rank-frac %v: want a fraction from 0 to 1", rankFrac)
+	case clients < 1 || clients > maxClients:
+		return fmt.Errorf("-clients %d: want 1 to %d", clients, maxClients)
+	case !(dilation > 0 && !math.IsInf(dilation, 1)):
+		return fmt.Errorf("-dilation %v: want a finite ratio above 0", dilation)
+	}
+	return nil
 }
 
 // checkBackground rejects a -background the fabric cannot run: a load

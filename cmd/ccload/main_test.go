@@ -78,3 +78,42 @@ func TestCheckBackground(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckFlags(t *testing.T) {
+	const ms = time.Millisecond
+	for _, tc := range []struct {
+		rate     float64
+		duration time.Duration
+		rankFrac float64
+		clients  int
+		dilation float64
+		ok       bool
+	}{
+		{3000, 50 * ms, 0.6, 4, 1, true},
+		{1e6, 100 * ms, 0, 1, 0.01, true},
+		{maxArrivals, time.Second, 1, maxClients, 100, true},
+		{-1, ms, 0.6, 4, 1, false},
+		{0, 50 * ms, 0.6, 4, 1, false},
+		{math.NaN(), 50 * ms, 0.6, 4, 1, false},
+		{math.Inf(1), 50 * ms, 0.6, 4, 1, false},
+		{maxArrivals + 1, time.Second, 0.6, 4, 1, false},
+		{3000, 0, 0.6, 4, 1, false},
+		{3000, -ms, 0.6, 4, 1, false},
+		{3000, 50 * ms, -0.1, 4, 1, false},
+		{3000, 50 * ms, 1.5, 4, 1, false},
+		{3000, 50 * ms, math.NaN(), 4, 1, false},
+		{3000, 50 * ms, 0.6, 0, 1, false},
+		{3000, 50 * ms, 0.6, -2, 1, false},
+		{3000, 50 * ms, 0.6, maxClients + 1, 1, false},
+		{3000, 50 * ms, 0.6, 4, 0, false},
+		{3000, 50 * ms, 0.6, 4, -1, false},
+		{3000, 50 * ms, 0.6, 4, math.NaN(), false},
+		{3000, 50 * ms, 0.6, 4, math.Inf(1), false},
+	} {
+		err := checkFlags(tc.rate, tc.duration, tc.rankFrac, tc.clients, tc.dilation)
+		if (err == nil) != tc.ok {
+			t.Errorf("checkFlags(rate=%v duration=%v rank-frac=%v clients=%d dilation=%v) = %v, want ok %v",
+				tc.rate, tc.duration, tc.rankFrac, tc.clients, tc.dilation, err, tc.ok)
+		}
+	}
+}

@@ -59,7 +59,6 @@ type PipelineConfig struct {
 	Clients int // ingress hosts (and the submit fan-in width)
 	FPGAs   int // initially leased pool size
 	Spares  int
-	Policy  string // svclb routing policy ("" = p2c)
 
 	ServiceTime sim.Time
 	// Sigma, when positive, draws each request's service time from a
@@ -87,37 +86,9 @@ type KVConfig struct {
 	Keys               int
 	KeyBytes, ValBytes int
 	Timeout            sim.Time
-	// PutEvery makes every Nth scripted request a PUT (default 4); the
-	// rest are GETs.
+	// PutEvery makes every Nth scripted request a PUT; the rest are
+	// GETs (0 sends GETs only).
 	PutEvery int
-}
-
-func (kc KVConfig) withDefaults() KVConfig {
-	if kc.Clients <= 0 {
-		kc.Clients = 4
-	}
-	if kc.Shards <= 0 {
-		kc.Shards = 2
-	}
-	if kc.Spares < 0 {
-		kc.Spares = 0
-	}
-	if kc.Keys <= 0 {
-		kc.Keys = 512
-	}
-	if kc.KeyBytes <= 0 {
-		kc.KeyBytes = 16
-	}
-	if kc.ValBytes <= 0 {
-		kc.ValBytes = 128
-	}
-	if kc.Timeout <= 0 {
-		kc.Timeout = 2 * sim.Millisecond
-	}
-	if kc.PutEvery <= 0 {
-		kc.PutEvery = 4
-	}
-	return kc
 }
 
 // Config parameterizes one frontend service.
@@ -134,16 +105,12 @@ type Config struct {
 	// until it has all of them, then runs the simulation once. Requests
 	// also carry the total, which must agree when both are set.
 	Expect int
-	// ReplayDrain bounds how far past the last scripted arrival the
-	// replay run extends waiting for stragglers (default 50ms virtual,
-	// at most ReplayHorizon).
-	ReplayDrain sim.Time
 
 	// Dilation is virtual nanoseconds advanced per wall nanosecond in
-	// real-time mode (default 1.0; >1 runs the sim clock faster than
-	// wall). The driver polls the clock only while a request is
-	// outstanding and otherwise sleeps until the next pending event
-	// (DESIGN.md §6.8).
+	// real-time mode (must be positive there; >1 runs the sim clock
+	// faster than wall). The driver polls the clock only while a
+	// request is outstanding and otherwise sleeps until the next
+	// pending event (DESIGN.md §6.8).
 	Dilation float64
 
 	// BackgroundLoad is other tenants' lossless traffic (fabric noise).
@@ -157,7 +124,7 @@ type Config struct {
 
 // DefaultConfig returns a two-pipeline frontend sized like the svclb
 // defaults: a ranking pipeline with a heavy-tailed 250µs mean and a DNN
-// pipeline with fixed 250µs service.
+// pipeline with fixed 250µs service. The KV pipeline is sized but off.
 func DefaultConfig() Config {
 	return Config{
 		Seed: 17,
@@ -173,21 +140,15 @@ func DefaultConfig() Config {
 			ReqBytes:    4 << 10, RespBytes: 256,
 			Deadline: 2500 * sim.Microsecond,
 		},
+		KV: KVConfig{
+			Clients: 4, Shards: 2,
+			Keys: 512, KeyBytes: 16, ValBytes: 128,
+			Timeout:  2 * sim.Millisecond,
+			PutEvery: 4,
+		},
+		Dilation:       1,
 		BackgroundLoad: 0.05,
 	}
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.ReplayDrain <= 0 {
-		cfg.ReplayDrain = 50 * sim.Millisecond
-	}
-	if cfg.ReplayDrain > ReplayHorizon {
-		cfg.ReplayDrain = ReplayHorizon
-	}
-	if cfg.Dilation <= 0 {
-		cfg.Dilation = 1.0
-	}
-	return cfg
 }
 
 // Resp is the frontend's answer to one request (the HTTP response body).
@@ -282,7 +243,6 @@ type driver interface {
 // New builds the frontend: one simulation, one datacenter, two svclb
 // pools on disjoint TOR-aligned host ranges, and the mode's driver.
 func New(cfg Config) *Service {
-	cfg = cfg.withDefaults()
 	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 
 	f := &Service{
@@ -308,16 +268,12 @@ func New(cfg Config) *Service {
 		f.order = append(f.order, p.name)
 		f.registerPipelineMetrics(pl)
 	}
-	if cfg.KV.Enabled {
-		kc := cfg.KV.withDefaults()
+	if kc := cfg.KV; kc.Enabled {
 		kcfg := kvcache.DefaultConfig()
 		kcfg.Seed = cfg.Seed
 		kcfg.Clients = kc.Clients
 		kcfg.Shards = kc.Shards
 		kcfg.Spares = kc.Spares
-		kcfg.Keys = kc.Keys
-		kcfg.KeyBytes = kc.KeyBytes
-		kcfg.ValBytes = kc.ValBytes
 		kcfg.Timeout = kc.Timeout
 		ksv := kvcache.NewServiceOn(s, dc, shells, base, kcfg)
 		pl := &pipeline{name: "kv", kv: ksv, kvCfg: kc, latency: metrics.NewHistogram()}
@@ -356,19 +312,22 @@ func (f *Service) registerPipelineMetrics(pl *pipeline) {
 }
 
 // pipelineSvcConfig maps a frontend pipeline onto an externally driven
-// svclb pool: no generators, no predetermined measurement window.
+// svclb pool: no generators, no predetermined measurement window. The
+// pool routes by p2c from an SM head host and polls health every
+// millisecond, as svclb's default pool does.
 func pipelineSvcConfig(pc PipelineConfig) svclb.Config {
 	return svclb.Config{
 		Clients:     pc.Clients,
 		FPGAs:       pc.FPGAs,
 		Spares:      pc.Spares,
-		Policy:      pc.Policy,
+		Policy:      svclb.PolicyP2C,
 		ServiceTime: pc.ServiceTime,
 		ClientRate:  1, // knee bookkeeping only; arrivals are external
 		ReqBytes:    pc.ReqBytes,
 		RespBytes:   pc.RespBytes,
 		Admission:   pc.Deadline > 0,
 		Deadline:    pc.Deadline,
+		RMPoll:      sim.Millisecond,
 	}
 }
 
@@ -475,8 +434,8 @@ func (f *Service) injectKV(pl *pipeline, seq uint64, lag sim.Time, respond func(
 	// Fibonacci-hash the seq so GETs and PUTs spray the keyspace rather
 	// than walking it in order.
 	idx := int(seq * 2654435761 % uint64(pl.kvCfg.Keys))
-	key := kvcache.MakeKey(idx, pl.kvCfg.KeyBytes)
-	if seq%uint64(pl.kvCfg.PutEvery) == 0 {
+	key := kvcache.MakeKey(idx, max(pl.kvCfg.KeyBytes, 8)) // the index takes 8 bytes
+	if pe := pl.kvCfg.PutEvery; pe > 0 && seq%uint64(pe) == 0 {
 		cl.Put(key, kvcache.MakeVal(idx, pl.kvCfg.ValBytes), done)
 	} else {
 		cl.Get(key, done)

@@ -16,7 +16,8 @@ func kvReplayConfig(expect int) frontend.Config {
 	cfg := frontend.DefaultConfig()
 	cfg.Mode = frontend.Replay
 	cfg.Expect = expect
-	cfg.KV = frontend.KVConfig{Enabled: true, Keys: 128}
+	cfg.KV.Enabled = true
+	cfg.KV.Keys = 128
 	return cfg
 }
 

@@ -11,9 +11,13 @@ import (
 // second of replay costs about two seconds of wall time with fabric
 // noise on, so an unbounded at_ns would hold the script lock, every
 // handler waiting on it, and Close for as long as the run takes. The
-// longest E17 script ends at 200 ms; ReplayDrain is capped at the
-// horizon too, so last + ReplayDrain cannot overflow.
+// longest E17 script ends at 200 ms.
 const ReplayHorizon = sim.Second
+
+// replayDrain bounds how far past the last scripted arrival the replay
+// run extends waiting for stragglers. It is below ReplayHorizon, so
+// last + replayDrain cannot overflow.
+const replayDrain = 50 * sim.Millisecond
 
 // replayDriver is the deterministic clock: it buffers scripted requests
 // as they arrive over HTTP (any order, any connection count), and when
@@ -96,11 +100,11 @@ func (d *replayDriver) run() {
 			last = r.at
 		}
 	}
-	f.s.RunUntil(last + f.cfg.ReplayDrain)
+	f.s.RunUntil(last + replayDrain)
 	// Extend past the nominal drain while admitted work is still in
 	// flight; svclb's conservation law (admitted == completed once
 	// arrivals stop) means this terminates.
-	if !f.drainOutstanding(f.cfg.ReplayDrain, 64) {
+	if !f.drainOutstanding(replayDrain, 64) {
 		f.abandon("replay drain exhausted")
 	}
 	for _, name := range f.order {

@@ -48,7 +48,8 @@ type Config struct {
 	// across; Spares stay registered with HaaS for failover.
 	Shards, Spares int
 
-	// Workload shape: Keys in the keyspace, fixed key/value sizes, Zipf
+	// Workload shape: Keys in the keyspace, fixed key/value sizes (Run
+	// widens keys to at least 8 bytes, the index they encode), Zipf
 	// skew (>1 selects rand.Zipf with that s; else uniform), the GET
 	// fraction, and each client's open-loop request rate per second.
 	Keys        int
@@ -99,53 +100,6 @@ func DefaultConfig() Config {
 		RMPoll:   5 * sim.Millisecond,
 		Store:    DefaultStoreConfig(),
 	}
-}
-
-func (cfg Config) withDefaults() Config {
-	d := DefaultConfig()
-	if cfg.Clients <= 0 {
-		cfg.Clients = d.Clients
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = d.Shards
-	}
-	if cfg.Spares < 0 {
-		cfg.Spares = 0
-	}
-	if cfg.Keys <= 0 {
-		cfg.Keys = d.Keys
-	}
-	if cfg.KeyBytes <= 0 {
-		cfg.KeyBytes = d.KeyBytes
-	}
-	if cfg.KeyBytes < 8 {
-		cfg.KeyBytes = 8
-	}
-	if cfg.ValBytes <= 0 {
-		cfg.ValBytes = d.ValBytes
-	}
-	if cfg.GetFraction <= 0 {
-		cfg.GetFraction = d.GetFraction
-	}
-	if cfg.ClientRate <= 0 {
-		cfg.ClientRate = d.ClientRate
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = d.Duration
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = d.Drain
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = d.Timeout
-	}
-	if cfg.RMPoll <= 0 {
-		cfg.RMPoll = d.RMPoll
-	}
-	if cfg.Store.Sets <= 0 {
-		cfg.Store = d.Store
-	}
-	return cfg
 }
 
 // Outcome is one request's completion as the client saw it. Val aliases
@@ -265,16 +219,25 @@ func (c *Client) freeCall(call *kvCall) {
 	c.callFree = append(c.callFree, call)
 }
 
-func (c *Client) send(r Req, done func(Outcome)) {
+// startCall opens one in-flight request of op: it takes the next id,
+// opens the request span, and arms the timeout. The caller sets the
+// completion callback and sends the datagram.
+func (c *Client) startCall(op byte) *kvCall {
 	c.nextSeq++
-	r.ID = uint64(c.host)<<32 | c.nextSeq
 	call := c.allocCall()
-	call.id, call.op, call.sentAt, call.done = r.ID, r.Op, c.s.Now(), done
+	call.id, call.op, call.sentAt = uint64(c.host)<<32|c.nextSeq, op, c.s.Now()
 	if c.tracer != nil {
-		call.span = c.tracer.Start(obs.ReqFlow(r.ID), "kvcache.request", 0)
+		call.span = c.tracer.Start(obs.ReqFlow(call.id), "kvcache.request", 0)
 	}
-	c.pending[r.ID] = call
+	c.pending[call.id] = call
 	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
+	return call
+}
+
+func (c *Client) send(r Req, done func(Outcome)) {
+	call := c.startCall(r.Op)
+	call.done = done
+	r.ID = call.id
 	c.scratch = AppendReq(c.scratch[:0], r)
 	c.sh.SendDatagram(c.lookup(keyHash(r.Key)), KindReq, c.scratch)
 }
@@ -289,16 +252,9 @@ func (c *Client) MultiGet(keys [][]byte, done func(m MResp, lat sim.Time, ok boo
 		panic(fmt.Sprintf("kvcache: MultiGet with %d keys (1..%d)", len(keys), MaxMultiKeys))
 	}
 	c.Stats.Gets.Add(uint64(len(keys)))
-	c.nextSeq++
-	id := uint64(c.host)<<32 | c.nextSeq
-	call := c.allocCall()
-	call.id, call.op, call.sentAt, call.mdone = id, OpMGet, c.s.Now(), done
-	if c.tracer != nil {
-		call.span = c.tracer.Start(obs.ReqFlow(id), "kvcache.request", 0)
-	}
-	c.pending[id] = call
-	call.timer = c.s.ScheduleCall(c.timeout, expireCall, call)
-	c.scratch = AppendMReq(c.scratch[:0], MReq{ID: id, Keys: keys})
+	call := c.startCall(OpMGet)
+	call.mdone = done
+	c.scratch = AppendMReq(c.scratch[:0], MReq{ID: call.id, Keys: keys})
 	c.sh.SendDatagram(c.lookup(keyHash(keys[0])), KindReq, c.scratch)
 }
 
@@ -698,7 +654,6 @@ type Service struct {
 // NewService builds a standalone service on its own simulation and
 // datacenter (cf. svclb.NewService).
 func NewService(cfg Config) *Service {
-	cfg = cfg.withDefaults()
 	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
@@ -709,7 +664,6 @@ func NewService(cfg Config) *Service {
 // starting at hostBase: clients first, then (TOR-aligned) the shard pool,
 // so requests cross the L1 tier like a real disaggregated cache's.
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
-	cfg = cfg.withDefaults()
 	sv := &Service{
 		cfg:        cfg,
 		shardHosts: make([]int, cfg.Shards),
@@ -852,10 +806,10 @@ func (sv *Service) Result() Result {
 // configured key distribution for Duration, a drain window for in-flight
 // requests and timeouts, then the snapshot.
 func Run(cfg Config) Result {
-	cfg = cfg.withDefaults()
 	sv := NewService(cfg)
 	s := sv.Sim()
 
+	keyBytes := max(cfg.KeyBytes, 8) // MakeKeyInto writes the index as 8 bytes
 	gens := make([]*workload.OpenLoop, len(sv.clients))
 	var batchers []*MGetBatcher
 	for ci, cl := range sv.clients {
@@ -867,10 +821,10 @@ func Run(cfg Config) Result {
 		}
 		// Per-client key/value scratch: Get/Put encode synchronously, so
 		// the buffers are free again when the call returns.
-		keyBuf := make([]byte, cfg.KeyBytes)
+		keyBuf := make([]byte, keyBytes)
 		valBuf := make([]byte, cfg.ValBytes)
 
-		mget := NewMGetBatcher(cl, cfg.Shards, cfg.MGetBatch, cfg.KeyBytes, nil)
+		mget := NewMGetBatcher(cl, cfg.Shards, cfg.MGetBatch, keyBytes, nil)
 		if mget != nil {
 			batchers = append(batchers, mget)
 		}

@@ -70,6 +70,17 @@ func TestZipfSkewRaisesHitRate(t *testing.T) {
 	}
 }
 
+// TestZeroGetFractionIssuesNoGets: a zero GET fraction is a value, not
+// a request for the default: every request is a PUT.
+func TestZeroGetFractionIssuesNoGets(t *testing.T) {
+	cfg := smallConfig(37)
+	cfg.GetFraction = 0
+	r := Run(cfg)
+	if r.Gets != 0 || r.Puts == 0 {
+		t.Fatalf("GetFraction 0: gets=%d puts=%d, want 0 gets and some puts", r.Gets, r.Puts)
+	}
+}
+
 // TestSpanWitness: with telemetry on, the span log carries both the
 // client request spans and the shard's on-fabric handling spans.
 func TestSpanWitness(t *testing.T) {

@@ -88,7 +88,7 @@ type BatchConfig struct {
 	// build (the E18 digest witness).
 	Size int
 	// Window bounds how long the first queued request may wait for the
-	// doorbell to fill (default 2us when Size > 1).
+	// doorbell to fill.
 	Window sim.Time
 }
 
@@ -105,41 +105,6 @@ func DefaultConfig() Config {
 		Timeout:  4 * sim.Millisecond,
 		RMPoll:   5 * sim.Millisecond,
 	}
-}
-
-func (cfg Config) withDefaults() Config {
-	d := DefaultConfig()
-	if cfg.Callers <= 0 {
-		cfg.Callers = d.Callers
-	}
-	if cfg.Rate <= 0 {
-		cfg.Rate = d.Rate
-	}
-	if cfg.Backends <= 0 {
-		cfg.Backends = d.Backends
-	}
-	if cfg.Spares < 0 {
-		cfg.Spares = 0
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = d.Policy
-	}
-	if cfg.Duration <= 0 {
-		cfg.Duration = d.Duration
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = d.Drain
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = d.Timeout
-	}
-	if cfg.RMPoll <= 0 {
-		cfg.RMPoll = d.RMPoll
-	}
-	if cfg.Batch.Size > 1 && cfg.Batch.Window <= 0 {
-		cfg.Batch.Window = 2 * sim.Microsecond
-	}
-	return cfg
 }
 
 // methodTime is the backend role's service time per method — fixed
@@ -303,7 +268,6 @@ type Dispatcher struct {
 // NewDispatcher builds a standalone deployment on its own simulation and
 // datacenter.
 func NewDispatcher(cfg Config) *Dispatcher {
-	cfg = cfg.withDefaults()
 	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	d := NewDispatcherOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
@@ -314,7 +278,6 @@ func NewDispatcher(cfg Config) *Dispatcher {
 // at hostBase: callers first, then (TOR-aligned) the dispatcher node and
 // its backend pool, mirroring svclb's layout.
 func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Dispatcher {
-	cfg = cfg.withDefaults()
 	d := &Dispatcher{
 		s: s, cfg: cfg,
 		table:  map[uint64]*dispatchState{},
@@ -700,7 +663,6 @@ func (d *Dispatcher) Telemetry(point string) *obs.Record {
 // Run executes one standalone measurement: open-loop callers drawing a
 // fixed method mix for Duration, a drain window, then the snapshot.
 func Run(cfg Config) Result {
-	cfg = cfg.withDefaults()
 	d := NewDispatcher(cfg)
 	s := d.s
 

@@ -93,14 +93,14 @@ func TestBalancerAdmissionMatchesArrivePath(t *testing.T) {
 	if a.ServiceTime != cfg.ServiceTime {
 		t.Fatalf("default admission service time = %v, want %v", a.ServiceTime, cfg.ServiceTime)
 	}
-	if a.NetOverhead != b.cfg.NetOverhead || a.NetOverhead <= 0 {
-		t.Fatalf("admission NetOverhead = %v, balancer derived %v", a.NetOverhead, b.cfg.NetOverhead)
+	if a.NetOverhead != b.netOverhead || a.NetOverhead <= 0 {
+		t.Fatalf("admission NetOverhead = %v, balancer derived %v", a.NetOverhead, b.netOverhead)
 	}
 	if a.Deadline != cfg.Deadline {
 		t.Fatalf("admission deadline = %v, want %v", a.Deadline, cfg.Deadline)
 	}
 	// The old inline rule: shed iff depth*svc + overhead > deadline.
-	breakEven := int((cfg.Deadline - b.cfg.NetOverhead) / cfg.ServiceTime)
+	breakEven := int((cfg.Deadline - b.netOverhead) / cfg.ServiceTime)
 	if !a.Admit(breakEven, 0) {
 		t.Errorf("depth %d (est %v) should meet deadline %v", breakEven, a.Estimate(breakEven, 0), cfg.Deadline)
 	}

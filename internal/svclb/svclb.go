@@ -47,7 +47,8 @@ type Config struct {
 	Seed    int64
 	Clients int
 	// FPGAs is the leased pool size; Spares are additional
-	// registered-but-free nodes available for failover.
+	// registered-but-free nodes available for failover. Policy is the
+	// head host's routing policy (one of the Policy constants).
 	FPGAs  int
 	Spares int
 	Policy string
@@ -66,13 +67,9 @@ type Config struct {
 
 	// Admission enables deadline-aware shedding: a request is rejected at
 	// arrival when the chosen backend's estimated completion time exceeds
-	// Deadline.
+	// Deadline (a non-positive Deadline sheds nothing).
 	Admission bool
 	Deadline  sim.Time
-	// NetOverhead is the admission estimator's allowance for everything
-	// that is not queueing (PCIe both ways plus the fabric); 0 derives it
-	// from the shell config.
-	NetOverhead sim.Time
 
 	// HedgeDelay, when positive, sends a second copy of a request that has
 	// not completed after the delay to a different backend; the first
@@ -123,22 +120,6 @@ func DefaultConfig() Config {
 		RMPoll:         sim.Millisecond,
 		BackgroundLoad: 0.05,
 	}
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyP2C
-	}
-	if cfg.Drain <= 0 {
-		cfg.Drain = 50 * sim.Millisecond
-	}
-	if cfg.RMPoll <= 0 {
-		cfg.RMPoll = sim.Millisecond
-	}
-	if cfg.Admission && cfg.Deadline <= 0 {
-		cfg.Deadline = 10 * cfg.ServiceTime
-	}
-	return cfg
 }
 
 // KneeClientsPerFPGA returns the analytic saturation ratio for cfg.
@@ -228,6 +209,10 @@ type Service struct {
 	*Deployment
 	cfg Config
 
+	// netOverhead is the admission estimator's allowance for everything
+	// that is not queueing: PCIe both ways plus the fabric.
+	netOverhead sim.Time
+
 	pending map[uint64]*pendingReq
 	nextReq uint64
 
@@ -297,7 +282,6 @@ type Request struct {
 // NewService builds a standalone balancer on its own simulation and
 // fabric, ready for externally driven requests.
 func NewService(cfg Config) *Service {
-	cfg = cfg.withDefaults()
 	s, dc, shells := Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
 	sv := NewServiceOn(s, dc, shells, 0, cfg)
 	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
@@ -311,15 +295,12 @@ func NewService(cfg Config) *Service {
 // telemetry enablement and background load. The SM is the deployment's
 // head host (see Deploy for the layout).
 func NewServiceOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Service {
-	cfg = cfg.withDefaults()
 	b := &Service{
-		cfg:      cfg,
-		pending:  map[uint64]*pendingReq{},
-		measured: metrics.NewHistogram(),
-		tracer:   obs.TracerOf(s),
-	}
-	if b.cfg.Admission && b.cfg.NetOverhead <= 0 {
-		b.cfg.NetOverhead = shell.PCIeTime(cfg.ReqBytes) + shell.PCIeTime(cfg.RespBytes) + 20*sim.Microsecond
+		cfg:         cfg,
+		netOverhead: shell.PCIeTime(cfg.ReqBytes) + shell.PCIeTime(cfg.RespBytes) + 20*sim.Microsecond,
+		pending:     map[uint64]*pendingReq{},
+		measured:    metrics.NewHistogram(),
+		tracer:      obs.TracerOf(s),
 	}
 	b.registerMetrics(obs.RegistryOf(s))
 	b.Deployment = Deploy(s, dc, shells, hostBase, cfg.Clients, cfg.Policy, cfg.FPGAs+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
@@ -342,7 +323,6 @@ func (b *Service) Clients() int { return len(b.ClientEnds) }
 
 // Run executes one balancer measurement.
 func Run(cfg Config) Result {
-	cfg = cfg.withDefaults()
 	b := NewService(cfg)
 	s := b.s
 
@@ -427,7 +407,7 @@ func (b *Service) Admission(svc sim.Time) Admission {
 	if svc <= 0 {
 		svc = b.cfg.ServiceTime
 	}
-	a := Admission{ServiceTime: svc, NetOverhead: b.cfg.NetOverhead}
+	a := Admission{ServiceTime: svc, NetOverhead: b.netOverhead}
 	if b.cfg.Admission {
 		a.Deadline = b.cfg.Deadline
 	}

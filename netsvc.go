@@ -352,7 +352,8 @@ func RunNetsvcHTTPPoint(seed int64, rate float64, duration sim.Time, clients int
 	fcfg.Seed = seed
 	fcfg.Mode = frontend.Replay
 	fcfg.Expect = len(script)
-	fcfg.KV = frontend.KVConfig{Enabled: true, Keys: 256}
+	fcfg.KV.Enabled = true
+	fcfg.KV.Keys = 256
 	res, stats, err := serveLoopback(frontend.New(fcfg), loadgen.Config{Clients: clients}, script)
 	if err != nil {
 		return loadgen.Result{}, frontend.Stats{}, fmt.Errorf("netsvc: %w", err)

@@ -25,7 +25,8 @@ type ServeConfig struct {
 	RankFraction float64
 	// Clients is the generator's HTTP connection-pool count.
 	Clients int
-	// Dilation is virtual ns per wall ns (real-time mode; default 1).
+	// Dilation is virtual ns per wall ns (real-time mode, where it must
+	// be positive).
 	Dilation float64
 	// Deadline overrides both pipelines' admission deadline (0 keeps the
 	// frontend default).
