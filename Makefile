@@ -78,7 +78,8 @@ examples:
 # Router, its message streams against the per-flit router, the
 # frontend's HTTP handler, the in-line background noise against its
 # event-per-frame reference, a port's class pick against
-# the eight-class scan, a HaaS pool's lease ledger, the vFPGA slot
+# the eight-class scan, switches that build only the ports they wire
+# against ones that build them all, a HaaS pool's lease ledger, the vFPGA slot
 # scheduler's claim ledger, and tenant isolation between a shell's slots.
 fuzz:
 	$(GO) test -fuzz FuzzDecode$$ -fuzztime 30s ./internal/pkt/
@@ -97,6 +98,7 @@ fuzz:
 	$(GO) test -fuzz FuzzHandler -fuzztime 30s ./internal/frontend/
 	$(GO) test -fuzz FuzzNoiseMatchesEager -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPickMatchesScan -fuzztime 30s ./internal/netsim/
+	$(GO) test -fuzz FuzzLazyPortsInert -fuzztime 30s ./internal/netsim/
 	$(GO) test -fuzz FuzzPoolLedger -fuzztime 30s ./internal/haas/
 	$(GO) test -fuzz FuzzSlotLedger -fuzztime 30s ./internal/haas/
 	$(GO) test -fuzz FuzzSlotIsolation -fuzztime 30s ./internal/shell/

@@ -17,7 +17,7 @@ import (
 // real frame, and ends on the wire.
 func (sw *Switch) InjectNoise(out int, class pkt.TrafficClass, size int) {
 	sw.stats.Injected.Inc()
-	sw.ports[out].Enqueue(newNoisePacket(class, size))
+	sw.Port(out).Enqueue(newNoisePacket(class, size))
 }
 
 // scheduleEager draws every arrival of pr up to horizon and schedules

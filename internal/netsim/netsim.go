@@ -425,8 +425,13 @@ func (p *Port) rand() *rand.Rand {
 
 // NewPort creates an unwired port owned by dev.
 func NewPort(s *sim.Simulation, dev Device, index int, cfg PortConfig) *Port {
+	return newPort(s, dev, index, cfg, s.DrawSeed())
+}
+
+// newPort is NewPort with the port's seed drawn by the caller.
+func newPort(s *sim.Simulation, dev Device, index int, cfg PortConfig, seed int64) *Port {
 	p := &Port{
-		dev: dev, index: index, sim: s, rngSeed: s.DrawSeed(), cfg: cfg,
+		dev: dev, index: index, sim: s, rngSeed: seed, cfg: cfg,
 		tracer: obs.TracerOf(s),
 		stats:  PortStats{QueueDelay: metrics.NewHistogram()},
 	}

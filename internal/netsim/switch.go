@@ -34,8 +34,8 @@ type SwitchConfig struct {
 	Name string
 	// Radix is the number of ports.
 	Radix int
-	// PortConfig applies to every egress port unless overridden after
-	// construction via Port(i) mutation.
+	// Port configures every egress port. A port is built from it when it
+	// is first wired or asked for through Switch.Port, not at NewSwitch.
 	Port PortConfig
 	// ForwardLatency is the store-and-forward pipeline latency added to
 	// every frame.
@@ -68,25 +68,31 @@ type Switch struct {
 	// draw (as Port.rand does): a switch without Jitter never builds it.
 	rng     *rand.Rand
 	rngSeed int64
-	ports   []*Port
+	// ports holds each port once built (nil until then); seeds holds the
+	// seed each port is built with, drawn at NewSwitch in port order so
+	// every stream is the same whether or when a port is built.
+	ports []*Port
+	seeds []int64
 
 	// ingress accounting for PFC, per ingress port per class.
-	ingressBytes [][]int
-	paused       [][]bool
+	ingressBytes [][pkt.NumClasses]int
+	paused       [][pkt.NumClasses]bool
 
 	stats SwitchStats
 }
 
-// NewSwitch builds a switch with cfg.Radix unwired ports.
+// NewSwitch builds a switch with cfg.Radix unwired ports. It draws each
+// port's seed but builds no port: Port builds one on first use.
 func NewSwitch(s *sim.Simulation, cfg SwitchConfig) *Switch {
-	sw := &Switch{cfg: cfg, sim: s, rngSeed: s.DrawSeed()}
-	sw.ports = make([]*Port, cfg.Radix)
-	sw.ingressBytes = make([][]int, cfg.Radix)
-	sw.paused = make([][]bool, cfg.Radix)
-	for i := range sw.ports {
-		sw.ports[i] = NewPort(s, sw, i, cfg.Port)
-		sw.ingressBytes[i] = make([]int, pkt.NumClasses)
-		sw.paused[i] = make([]bool, pkt.NumClasses)
+	sw := &Switch{
+		cfg: cfg, sim: s, rngSeed: s.DrawSeed(),
+		ports:        make([]*Port, cfg.Radix),
+		seeds:        make([]int64, cfg.Radix),
+		ingressBytes: make([][pkt.NumClasses]int, cfg.Radix),
+		paused:       make([][pkt.NumClasses]bool, cfg.Radix),
+	}
+	for i := range sw.seeds {
+		sw.seeds[i] = s.DrawSeed()
 	}
 	return sw
 }
@@ -94,14 +100,23 @@ func NewSwitch(s *sim.Simulation, cfg SwitchConfig) *Switch {
 // DeviceName implements Device.
 func (sw *Switch) DeviceName() string { return sw.cfg.Name }
 
-// Port returns port i.
-func (sw *Switch) Port(i int) *Port { return sw.ports[i] }
+// Port returns port i, building it with cfg.Port on first use. A port
+// exists only once it is wired or asked for; until then it holds no
+// state, and a frame routed to it counts as DeadPort.
+func (sw *Switch) Port(i int) *Port {
+	if sw.ports[i] == nil {
+		sw.ports[i] = newPort(sw.sim, sw, i, sw.cfg.Port, sw.seeds[i])
+	}
+	return sw.ports[i]
+}
 
 // Stats returns the switch's counters, with the background traffic of its
 // ports brought up to the current instant.
 func (sw *Switch) Stats() *SwitchStats {
 	for _, p := range sw.ports {
-		p.sync()
+		if p != nil {
+			p.sync()
+		}
 	}
 	return &sw.stats
 }
@@ -139,7 +154,7 @@ func (sw *Switch) HandleFrame(p *Port, packet *Packet) {
 		return
 	}
 	egress := sw.ports[out]
-	if egress.Peer() == nil {
+	if egress == nil || egress.Peer() == nil {
 		// Traffic leaving the instantiated subgraph (sparse topologies).
 		sw.stats.DeadPort.Inc()
 		packet.Free()

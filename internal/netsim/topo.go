@@ -240,7 +240,9 @@ func (dc *Datacenter) L1(pod int) *Switch {
 	sw := NewSwitch(dc.Sim, cfg)
 	dc.l1[pod] = sw
 
-	// Wire the uplink to L2 with a pod-specific cable length.
+	// Wire the uplink to L2 with a pod-specific cable length. Each end
+	// draws its own seed here; the seeds NewSwitch drew for these two
+	// ports go unused, and are kept so that every later stream holds.
 	up := NewPort(dc.Sim, sw, uplink, dc.podUplinkPortConfig(pod))
 	sw.ports[uplink] = up
 	l2 := dc.L2()
@@ -296,7 +298,8 @@ func (dc *Datacenter) TOR(pod, tor int) *Switch {
 		},
 	}
 	sw := NewSwitch(dc.Sim, cfg)
-	// Uplink port uses the TOR<->L1 link parameters.
+	// Uplink port uses the TOR<->L1 link parameters, with its own seed
+	// drawn here (the one NewSwitch drew for it goes unused, as in L1).
 	up := NewPort(dc.Sim, sw, uplink, dc.portConfig(dc.cfg.TORUplink))
 	sw.ports[uplink] = up
 	dc.tors[key] = sw
@@ -397,7 +400,7 @@ func (dc *Datacenter) StartBackgroundLoad(util float64, class pkt.TrafficClass, 
 	var ports []*Port
 	add := func(sw *Switch) {
 		for _, p := range sw.ports {
-			if p.Peer() != nil {
+			if p != nil && p.Peer() != nil {
 				ports = append(ports, p)
 			}
 		}

@@ -340,7 +340,8 @@ func (sh *Shell) SetSlotEgressRate(i int, bps int64, burstBytes int) error {
 // SetServiceHandlerSlot installs slot i's receiver for incoming service
 // datagrams of the given kinds, and routes those kinds' ER traversal
 // onto the slot's virtual channel. A kind already bound to another slot
-// errors; binding to the same slot re-registers the handler.
+// errors and binds none of kinds; binding to the same slot re-registers
+// the handler.
 func (sh *Shell) SetServiceHandlerSlot(i int, kinds []uint8, h func(fromHost int, kind uint8, payload []byte)) error {
 	s, err := sh.slot(i)
 	if err != nil {
@@ -350,6 +351,8 @@ func (sh *Shell) SetServiceHandlerSlot(i int, kinds []uint8, h func(fromHost int
 		if prev, ok := sh.kindSlot[k]; ok && prev != i {
 			return fmt.Errorf("shell %d: datagram kind %d already bound to slot %d", sh.hostID, k, prev)
 		}
+	}
+	for _, k := range kinds {
 		sh.kindSlot[k] = i
 	}
 	s.handler = h

@@ -228,6 +228,34 @@ func TestSlotDatagramRoutingAndIsolationVC(t *testing.T) {
 	}
 }
 
+// A bind that errors moves no kind: every kind is checked before any is
+// bound, so a kind listed before the conflicting one stays with the
+// board handler.
+func TestSetServiceHandlerSlotIsAtomic(t *testing.T) {
+	s := sim.New(1)
+	dc, shells := slotBed(s, DefaultSlotConfig(2))
+	dc.Host(0)
+	dc.Host(1)
+	a, b := shells[0], shells[1]
+	board := map[uint8]int{}
+	b.SetServiceHandler(func(_ int, k uint8, _ []byte) { board[k]++ })
+	if err := b.SetServiceHandlerSlot(0, []uint8{20}, func(int, uint8, []byte) {}); err != nil {
+		t.Fatal(err)
+	}
+	slot1 := 0
+	if err := b.SetServiceHandlerSlot(1, []uint8{10, 20}, func(int, uint8, []byte) { slot1++ }); err == nil {
+		t.Fatal("binding kind 20, already on slot 0, to slot 1 was accepted")
+	}
+	a.SendDatagram(1, 10, []byte("to the board"))
+	s.RunFor(sim.Millisecond)
+	if board[10] != 1 || slot1 != 0 {
+		t.Errorf("kind 10 reached the board handler %d times and slot 1 %d times, want 1 and 0", board[10], slot1)
+	}
+	if got := b.Tenant.DgramsDropped.Value(); got != 0 {
+		t.Errorf("dgrams_dropped = %d, want 0", got)
+	}
+}
+
 func TestSlotSwallowsDgramsDuringReconfig(t *testing.T) {
 	s := sim.New(1)
 	dc, shells := slotBed(s, DefaultSlotConfig(2))

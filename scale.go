@@ -112,24 +112,28 @@ func RunScalePoint(cfg ScaleConfig) ScaleResult {
 		st := &stats[pi]
 		eng := a.Shell.Engine
 		payload := make([]byte, scalePayloadSize)
+		// A pair has one ping in flight, so its ping and completion funcs
+		// are built once and share t0, the send instant of that ping.
 		remaining := cfg.PingsPerPair
+		var t0 sim.Time
 		var ping func()
+		done := func() {
+			rtt := uint64(c.Sim.Now() - t0)
+			st.count++
+			st.rttSum += rtt
+			if rtt > st.rttMax {
+				st.rttMax = rtt
+			}
+			gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
+			c.Sim.Schedule(gap, ping)
+		}
 		ping = func() {
 			if remaining == 0 {
 				return
 			}
 			remaining--
-			t0 := c.Sim.Now()
-			sim.Must(eng.SendMessage(myConn, payload, func() {
-				rtt := uint64(c.Sim.Now() - t0)
-				st.count++
-				st.rttSum += rtt
-				if rtt > st.rttMax {
-					st.rttMax = rtt
-				}
-				gap := sim.Time(rng.ExpFloat64() * float64(cfg.MeanGap))
-				c.Sim.Schedule(gap, ping)
-			}))
+			t0 = c.Sim.Now()
+			sim.Must(eng.SendMessage(myConn, payload, done))
 		}
 		c.Sim.Schedule(startOffset(rng, cfg.MeanGap), ping)
 	}
