@@ -167,12 +167,12 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 // change and must be deliberate.
 const (
 	pinScaleDigest      = "d380bcf5f6864825"
-	pinScaleTelemetry   = "970f785ddafb9944ca5a006704270052a54cf8001b5447d57d869dec2eca308c"
+	pinScaleTelemetry   = "3dca0cea11c24e2c60956f79bef56f0a6a5db03a385954af4b9344f74e79e2a2"
 	pinNetsvcDigest     = "0c3b5c33dae2aa14"
-	pinNetsvcTelemetry  = "a675b17c772b15ffc4d3179d20a3411b19a118d03a43af922bd38e1808231015"
+	pinNetsvcTelemetry  = "4487174d863739e9b4a8f91ffb9722ddef4be684b0670964f10ae4f6b59dd1d5"
 	pinNetsvcMGet4      = "aa388d46ba25a786"
 	pinTenancyDigest    = "e7e83a475fa81ddc"
-	pinTenancyTelemetry = "ce25076335876a1ae5edf5d9d708b3145f8d207528b95a65dff57244b240a854"
+	pinTenancyTelemetry = "cfd354c8b32d9d0ba6934691a66b291fdd3fb12a0a2cb7b84091b5081acf3d10"
 )
 
 // checkPinned compares a run's digest and (when tel is non-empty) the
@@ -539,7 +539,7 @@ const (
 	pinFig10PaperTable = "48b75bebe874480f319a33a448b0c9ae2dce38ed04177ac2afd574047ab017ec"
 	pinFig10LossyTable = "368f9de26c4d4c9a748c80dc7f293bbac809ff1ea6e73307e8aaa7f9a637593a"
 	pinFig10FlakyTable = "69189b36c243339f8e14497fad18afa2fbc9e3313a686a03e205bfcf25c34d90"
-	pinSvcLBTable      = "0e4fa00f4e03dc21a12505effca151dd0e77baf8585033a8ededb031c92cca80"
+	pinSvcLBTable      = "544afc62492518cedfeff328b9c7357a4858cc0b92b0539654db49980b7ec644"
 )
 
 func TestNoiseCarryingPins(t *testing.T) {
@@ -614,11 +614,11 @@ func TestQuickTablePins(t *testing.T) {
 // pinned instead, plus the SHA-256 of the E17 point's telemetry JSONL.
 const (
 	pinNetsvcKVTable      = "05e5d2ccaa742bfc7144dc9c79b0446e2e8e8b43adf500c92a3ca7b9b332b4f4"
-	pinNetsvcRPCTable     = "07b3098ea784261af55a1f2f8004befd05b62dc5cbcd28ad53f216188f5163cf"
+	pinNetsvcRPCTable     = "f7c377b6c2453e4c6975164761c8f62f561d0b3319f191b446e989f82417c927"
 	pinNetsvcKVBatchTable = "aa8c16faa918aa2231853207e1286eb9bfe71f9752e4386a9dcaf68676317a95"
 	pinNetsvcHTTP         = "digest=950596555559ea4c ok=89"
 	pinServeReplay        = "digest=ea19094a948fc180 ok=53"
-	pinServeTelemetry     = "1d73e67cbcf6aac73f60becbc4944a820815554d295104eeb20b612abb2ab4a6"
+	pinServeTelemetry     = "67cb8be1dd815d30a90dd5cbbfa8a97c83cb77db92b43e9ae00ad988755d1a8a"
 )
 
 func TestServiceLayerPins(t *testing.T) {

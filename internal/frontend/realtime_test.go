@@ -14,10 +14,8 @@ import (
 func TestRealTimeIdleDriverSleeps(t *testing.T) {
 	cfg := frontend.DefaultConfig()
 	cfg.Mode = frontend.RealTime
-	// No fabric noise, and a slow clock: the idle pools' own depth
-	// gossip costs about a tenth of a core at Dilation 1 on a 2-vCPU
-	// host, and more than a whole one under the race detector. What is
-	// measured here is the driver's overhead, not the model's.
+	// No fabric noise, and a slow clock: what is measured here is the
+	// driver's overhead, not the model's.
 	cfg.BackgroundLoad = 0
 	cfg.Dilation = 0.01
 	f := frontend.New(cfg)
@@ -33,7 +31,7 @@ func TestRealTimeIdleDriverSleeps(t *testing.T) {
 		t.Errorf("idle driver asleep %.1f%% of %v, want >= 90%% (stats %+v)",
 			100*frac, asked.Sub(begin), st)
 	}
-	// The pools' depth gossip keeps events pending, so the timer path
+	// The pools' health polls keep events pending, so the timer path
 	// must have woken the driver for them.
 	if st.TimerWakes == 0 {
 		t.Errorf("no timer wakes for pending events: %+v", st)

@@ -16,7 +16,7 @@ import (
 // either is a behaviour change and must be deliberate.
 const (
 	pinBoardResult    = "digest=5c361cf1afc9151a offered=2396 completed=2380 hits=1055 misses=730 timeouts=16 failovers=1 replies=2297 p99=8192 hosts=[26 25]"
-	pinBoardTelemetry = "0e3cc51f30f68ac0ca45e1158f8a21f9946b72bfcbace8bcfc1f702b23282c91"
+	pinBoardTelemetry = "afc361786b73d1d70e3c64bfb656d346099fc2304c8333fa5c8795fbb263fa94"
 )
 
 // pinResult renders the digest-bearing fields of one run.
@@ -155,8 +155,8 @@ func TestPinnedPressuredStore(t *testing.T) {
 
 // SHA-256 of the pressured runs' telemetry JSONL.
 const (
-	pinPressuredQuickTelemetry = "cc468240c783c235a71eaedd47de0eabae122af1931cc5bc633a8361332a661b"
-	pinPressuredFullTelemetry  = "73aa1178820cf38aac0c7d1de52120237b0f58bc0dc5d8d9fc4dbc44ae4c63c0"
+	pinPressuredQuickTelemetry = "143b403cd9bddbb31f2587efab76f04c8523d496524763418eb524ea76624f4d"
+	pinPressuredFullTelemetry  = "a794cc3cc6b79a99ff1de571b65613e8ee450cf706df3eaf44a35db223339f48"
 )
 
 // TestPinnedPressuredTelemetry: each relocation is registered and

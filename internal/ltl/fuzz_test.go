@@ -18,12 +18,12 @@ func FuzzHandleFrame(f *testing.F) {
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLData, SrcConn: 1, DstConn: 1, Seq: 7, Flags: 0xff}, []byte("gap")))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLAck, DstConn: 1, Ack: 1 << 30}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLNack, DstConn: 1, Seq: 2}, nil))
-	// The unassigned types 4-6, which the engine drops.
+	// The unassigned types 4-6 and 8, which the engine drops.
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 4, SrcConn: 9, VC: 3}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 5, SrcConn: 1, DstConn: 9}, nil))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 6, DstConn: 1}, nil))
+	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: 8, VC: 2}, []byte{0, 0, 0, 9}))
 	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLCNP, DstConn: 1}, nil))
-	f.Add(pkt.EncodeLTL(pkt.LTLHeader{Type: pkt.LTLControl, VC: 2}, []byte{0, 0, 0, 9}))
 	// Service datagrams as the network services send them (kind in the VC
 	// byte). Payloads are hand-built kvcache/rpcnic wire encodings — built
 	// as raw bytes here since those packages sit above ltl — plus

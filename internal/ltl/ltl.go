@@ -102,8 +102,6 @@ type Stats struct {
 	MessagesRecv    metrics.Counter
 	ConnFailures    metrics.Counter
 	ThrottleStalls  metrics.Counter
-	ControlSent     metrics.Counter
-	ControlRecv     metrics.Counter
 	DatagramsSent   metrics.Counter
 	DatagramsRecv   metrics.Counter
 	MessageRTT      *metrics.Histogram // send -> fully ACKed, ns
@@ -193,8 +191,6 @@ type Engine struct {
 	tbTokens   float64
 	tbLastFill sim.Time
 
-	// control-datagram receiver (control.go).
-	control ControlHandler
 	// service-datagram receiver (service.go).
 	datagram DatagramHandler
 
@@ -295,10 +291,8 @@ func New(s *sim.Simulation, wire Wire, cfg Config) *Engine {
 		r.Counter("ltl.cnps_recv", "frames", "ltl", "DCQCN congestion notifications received", &e.Stats.CNPsRecv)
 		r.Counter("ltl.messages_sent", "msgs", "ltl", "messages submitted to SendMessage", &e.Stats.MessagesSent)
 		r.Counter("ltl.messages_recv", "msgs", "ltl", "messages reassembled and delivered", &e.Stats.MessagesRecv)
-		r.Counter("ltl.conn_failures", "conns", "ltl", "connections declared failed (MaxRetries)", &e.Stats.ConnFailures)
+		r.Counter("ltl.conn_failures", "conns", "ltl", "connections declared failed after the retry limit", &e.Stats.ConnFailures)
 		r.Counter("ltl.throttle_stalls", "events", "ltl", "token-bucket bandwidth-limit stalls", &e.Stats.ThrottleStalls)
-		r.Counter("ltl.control_sent", "frames", "ltl", "control datagrams sent", &e.Stats.ControlSent)
-		r.Counter("ltl.control_recv", "frames", "ltl", "control datagrams received", &e.Stats.ControlRecv)
 		r.Counter("ltl.dgrams_sent", "frames", "ltl", "service datagrams sent", &e.Stats.DatagramsSent)
 		r.Counter("ltl.dgrams_recv", "frames", "ltl", "service datagrams received", &e.Stats.DatagramsRecv)
 		r.Histogram("ltl.message_rtt", "ns", "ltl", "SendMessage to final ACK", e.Stats.MessageRTT)
@@ -673,7 +667,7 @@ func (e *Engine) HandleFrame(f *pkt.Frame) {
 }
 
 // dispatch hands a received frame to its type's handler. A frame of any
-// other type, such as the unassigned 4-6, is dropped.
+// other type, such as the unassigned 4-6 and 8, is dropped.
 func (e *Engine) dispatch(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 	switch h.Type {
 	case pkt.LTLData:
@@ -684,8 +678,6 @@ func (e *Engine) dispatch(f *pkt.Frame, h pkt.LTLHeader, payload []byte) {
 		e.onNack(h)
 	case pkt.LTLCNP:
 		e.onCNP(h)
-	case pkt.LTLControl:
-		e.onControl(f, h, payload)
 	case pkt.LTLDatagram:
 		e.onDatagram(f, h, payload)
 	}

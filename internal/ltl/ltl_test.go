@@ -515,14 +515,18 @@ func TestVCCarriedOnWire(t *testing.T) {
 }
 
 // A frame of an unassigned type is dropped, whatever connection it names.
-// Wire types 4-6 once carried a connection handshake; a corrupted frame
-// whose type byte reads one of them must leave the static connection it
-// names open, so a later message is still delivered.
+// Wire types 4-6 once carried a connection handshake and type 8 a
+// connection-less control datagram; a corrupted frame whose type byte
+// reads one of them must leave the static connection it names open, so a
+// later message is still delivered, and reach no datagram handler.
 func TestUnassignedFrameTypeDropped(t *testing.T) {
-	for _, ty := range []pkt.LTLType{4, 5, 6} {
+	for _, ty := range []pkt.LTLType{4, 5, 6, 8} {
 		s := sim.New(1)
 		a, b, wa, wb := pair(s, DefaultConfig(), sim.Microsecond)
 		got := openPair(t, a, b, wb)
+		b.SetDatagramHandler(func(pkt.IP, uint8, []byte) {
+			t.Errorf("type %d reached the datagram handler", ty)
+		})
 		a.SendMessage(1, []byte("before"), nil)
 		s.RunFor(sim.Millisecond)
 		stray := pkt.EncodeLTL(pkt.LTLHeader{Type: ty, SrcConn: 1, DstConn: 1}, nil)

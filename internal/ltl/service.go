@@ -4,16 +4,16 @@ import (
 	"repro/internal/pkt"
 )
 
-// Service datagrams are the engine's connection-less *data* plane: the
-// frame class network services hosted on the FPGA (the KV cache and the
-// RPC NIC roles) terminate at line rate, without the host and without a
-// connection-table entry per client. Where control datagrams carry tiny
-// idempotent control state (depth gossip, hedge cancels), service
-// datagrams carry request/response payloads whose loss the service-level
-// protocol tolerates end to end — a lost GET is retried or times out at
-// the client, exactly like a lost memcached UDP request. They are never
-// retransmitted by LTL and consume no window or sequencing state, which
-// is what lets one shard serve thousands of clients.
+// Service datagrams are the engine's connection-less plane: the frame
+// class network services hosted on the FPGA (the KV cache and the RPC NIC
+// roles) terminate at line rate, without the host and without a
+// connection-table entry per client, and the class svclb's hedge cancels
+// ride. They carry payloads whose loss the service-level protocol
+// tolerates end to end — a lost GET is retried or times out at the
+// client, exactly like a lost memcached UDP request, and a lost cancel
+// only wastes the loser's service time. They are never retransmitted by
+// LTL and consume no window or sequencing state, which is what lets one
+// shard serve thousands of clients.
 //
 // On the wire a service datagram is an LTL frame of type LTLDatagram;
 // the VC field carries the application-assigned kind (e.g. KV request,

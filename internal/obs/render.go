@@ -23,10 +23,10 @@ type FlowSummary struct {
 // descending; ties break on (Start, Flow) so the order is deterministic.
 //
 // Ranking by longest span rather than flow extent keeps long-lived
-// connection flows (an LTL gossip channel accumulates spans for the
-// whole run, so its extent is the run length) from burying the flows a
+// connection flows (an LTL connection accumulates spans for the whole
+// run, so its extent is the run length) from burying the flows a
 // slow-query hunt wants: a tail request's svclb.request span dwarfs any
-// single span on a control connection.
+// single span on a connection.
 func Flows(spans []Span) []FlowSummary {
 	byFlow := make(map[FlowID]*FlowSummary)
 	var order []FlowID

@@ -31,14 +31,13 @@ const (
 type LTLType uint8
 
 // LTL frame types. Connections are statically allocated (§V-A), so no
-// type sets one up or tears one down; 4-6 are unassigned, and an engine
-// drops a frame of an unassigned type.
+// type sets one up or tears one down; 4-6 and 8 are unassigned, and an
+// engine drops a frame of an unassigned type.
 const (
 	LTLData     LTLType = 1 // ordered payload frame
 	LTLAck      LTLType = 2 // cumulative acknowledgement
 	LTLNack     LTLType = 3 // out-of-order detected; request retransmit from Ack
 	LTLCNP      LTLType = 7 // DCQCN congestion notification packet
-	LTLControl  LTLType = 8 // connection-less control datagram (unreliable)
 	LTLDatagram LTLType = 9 // connection-less service datagram (unreliable data plane)
 )
 
@@ -53,8 +52,6 @@ func (t LTLType) String() string {
 		return "NACK"
 	case LTLCNP:
 		return "CNP"
-	case LTLControl:
-		return "CONTROL"
 	case LTLDatagram:
 		return "DGRAM"
 	default:

@@ -159,8 +159,9 @@ func TestLTLDecodeErrors(t *testing.T) {
 func TestLTLTypeString(t *testing.T) {
 	for ty, want := range map[LTLType]string{
 		LTLData: "DATA", LTLAck: "ACK", LTLNack: "NACK", LTLCNP: "CNP",
-		LTLControl: "CONTROL", LTLDatagram: "DGRAM",
-		LTLType(4): "LTLType(4)", LTLType(6): "LTLType(6)", LTLType(99): "LTLType(99)",
+		LTLDatagram: "DGRAM",
+		LTLType(4):  "LTLType(4)", LTLType(6): "LTLType(6)", LTLType(8): "LTLType(8)",
+		LTLType(99): "LTLType(99)",
 	} {
 		if got := ty.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)

@@ -16,10 +16,10 @@ import (
 // SHA-256 of the run's telemetry JSONL. A change to either is a
 // behaviour change and must be deliberate.
 const (
-	pinOffloadResult    = "digest=040a68d4337bbe03 route=58c6d44e507827c0 offered=316 completed=313 timeouts=3 p99=34816 live=3"
-	pinOffloadTelemetry = "975b179fe6ce99647c3e7941b6faf2ede1a83f6b40082bd9ecd4d91a8eefb2f4"
-	pinHostResult       = "digest=abee431e0b8994ed route=16250bef1c1176c2 offered=316 completed=313 timeouts=3 p99=43008 live=3"
-	pinHostTelemetry    = "d4330c06ee32cbb6b5eba9a4616140b99b12a69c711baaf08e75de2218925dc3"
+	pinOffloadResult    = "digest=70cec56c890a1428 route=1fb2ba6d97137ff5 offered=316 completed=313 timeouts=3 p99=27648 live=3"
+	pinOffloadTelemetry = "f38b9b14b892bec4954c3574029b46a09e5928f57801e78279c9e5af1ea4852b"
+	pinHostResult       = "digest=f3c300f26652f0d0 route=b6ccd99c43b51db0 offered=316 completed=313 timeouts=3 p99=40960 live=3"
+	pinHostTelemetry    = "9f41b9325de33c82e7fdabb962a04f772352bb45f5ddafd53c67312de42b31e5"
 )
 
 // runPinned drives every caller with one RPC per period for 8 ms, kills

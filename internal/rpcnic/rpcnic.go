@@ -6,12 +6,12 @@
 // Serialized RPCs arrive at a dispatcher node as LTL service datagrams.
 // In Offload mode the dispatcher's FPGA role decodes each request in a
 // fixed hardware pipeline and forwards it over LTL to a HaaS-leased
-// backend pool, picking backends with svclb's routing policies fed by
-// queue-depth gossip; the response returns the same way. The dispatcher
-// host's CPU never runs. In the host-software baseline the same bytes
-// cross PCIe to the host, wait in a single-server CPU queue whose decode
-// cost scales with message size, and cross PCIe again toward the backend
-// — twice more on the response path. The measured gap (per-request
+// backend pool, picking backends with svclb's routing policies over the
+// dispatcher's outstanding counts; the response returns the same way.
+// The dispatcher host's CPU never runs. In the host-software baseline
+// the same bytes cross PCIe to the host, wait in a single-server CPU
+// queue whose decode cost scales with message size, and cross PCIe again
+// toward the backend — twice more on the response path. The measured gap (per-request
 // latency and its tail as the host queue builds) is the offload
 // argument, reported by E18.
 package rpcnic
@@ -312,7 +312,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		d.callers = append(d.callers, c)
 	}
 	// The dispatcher node terminates ingress and backend responses on the
-	// service-datagram plane; the deployment terminates the depth gossip.
+	// service-datagram plane.
 	shells[d.Head].SetServiceHandler(d.onDatagram)
 	for i := 0; i < cfg.Backends; i++ {
 		if _, err := d.Pool.Grow(); err != nil {
@@ -324,7 +324,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 }
 
 // attachBackend wires a serving backend: work queue, the datagram work
-// handler, and its routing slot and depth gossip.
+// handler, and its routing slot.
 func (d *Dispatcher) attachBackend(m *haas.Member) {
 	h := int(m.Node)
 	sh := d.Shells[h]
@@ -352,7 +352,7 @@ func (d *Dispatcher) attachBackend(m *haas.Member) {
 			sh.SendDatagram(from, KindWorkResp, out)
 		})
 	})
-	d.Serve(h, q.Depth)
+	d.Router.AddSlot(h)
 }
 
 // onDatagram is the dispatcher node's service-plane receiver.

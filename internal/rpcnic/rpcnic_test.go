@@ -179,21 +179,31 @@ func TestFailoverReplacesLease(t *testing.T) {
 	}
 }
 
-// TestDeadBackendStopsGossip: once the RM reports a backend dead, its
-// depth-gossip ticker stops and it sends no more control datagrams
-// (svclb's TestRetireStopsGossip checks the ticker bookkeeping).
-func TestDeadBackendStopsGossip(t *testing.T) {
+// TestDeadBackendGetsNoRoutes: once the RM reports a backend dead, its
+// slot leaves the routing view and gets no further routes. Every pick
+// raises a slot's outstanding count and only a reply lowers it, so the
+// dead slot's count stays frozen while callers keep issuing RPCs that
+// the rest of the pool answers.
+func TestDeadBackendGetsNoRoutes(t *testing.T) {
 	cfg := smallConfig(43, true)
 	cfg.RMPoll = 1 * sim.Millisecond
 	d := NewDispatcher(cfg)
-	victim := d.Router.Live()[0].Host
-	eng := d.Shells[victim].Engine
-	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.In.KillNode(victim) })
-	d.s.RunUntil(3 * sim.Millisecond) // past detection
-	sent := eng.Stats.ControlSent.Value()
+	victim := d.Router.Live()[0]
+	d.s.Schedule(2*sim.Millisecond-d.s.Now(), func() { d.In.KillNode(victim.Host) })
+	d.s.Every(50*sim.Microsecond, 50*sim.Microsecond, func() {
+		d.callers[0].call(MethodEcho, []byte("x"))
+	})
+	d.s.RunUntil(4 * sim.Millisecond) // past detection
+	if victim.Live() || d.Router.SlotOnHost(victim.Host) != nil {
+		t.Fatalf("dead backend %d still in the routing view", victim.Host)
+	}
+	held, dispatched := victim.Outstanding, d.Stats.Dispatched.Value()
 	d.s.RunUntil(8 * sim.Millisecond)
 	d.Stop()
-	if got := eng.Stats.ControlSent.Value(); got != sent {
-		t.Fatalf("dead backend %d sent %d control datagrams after detection", victim, got-sent)
+	if victim.Outstanding != held {
+		t.Fatalf("dead backend %d routed %d more requests after detection", victim.Host, victim.Outstanding-held)
+	}
+	if d.Stats.Dispatched.Value() == dispatched {
+		t.Fatal("no request was dispatched after detection")
 	}
 }

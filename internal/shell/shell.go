@@ -64,7 +64,7 @@ type Tap interface {
 // shell's role region. It processes one host request and must eventually
 // call respond exactly once (asynchronously via the simulation is fine).
 // Remote traffic reaches role logic through the handlers the shell
-// installs instead (SetServiceHandler, OpenRemoteRecv, SetControlHandler).
+// installs instead (SetServiceHandler, OpenRemoteRecv).
 type Role func(payload []byte, respond func([]byte))
 
 // The shell's fixed datapath parameters (§III).
@@ -758,27 +758,4 @@ func (sh *Shell) SendRemote(conn uint16, payload []byte, done func()) {
 		sh.remoteDone[conn] = append(sh.remoteDone[conn], done)
 	}
 	sh.termRole.Send(er.PortRemote, VCLease, sh.appendConnMsg(conn, payload))
-}
-
-// SendControl emits a connection-less LTL control datagram (best-effort,
-// no retransmission) toward a remote shell — the service-plane class used
-// for queue-depth gossip and hedge-cancel notices.
-func (sh *Shell) SendControl(remoteHost int, kind uint8, payload []byte) {
-	sh.Engine.SendControl(netsim.HostIP(remoteHost), netsim.HostMAC(remoteHost), kind, payload)
-}
-
-// SetControlHandler installs the receiver for incoming control datagrams
-// (nil drops them). The handler sees the sender's host id.
-func (sh *Shell) SetControlHandler(h func(fromHost int, kind uint8, payload []byte)) {
-	if h == nil {
-		sh.Engine.SetControlHandler(nil)
-		return
-	}
-	sh.Engine.SetControlHandler(func(src pkt.IP, kind uint8, payload []byte) {
-		id, ok := netsim.HostID(src)
-		if !ok {
-			return
-		}
-		h(id, kind, payload)
-	})
 }

@@ -10,8 +10,8 @@ import (
 // default pool with no background traffic: admission, routing, the
 // client's PCIe hop, LTL to the backend, its queue, and the response
 // back. Requests run one at a time, so allocs/op is what one request
-// costs, plus the depth gossip and health polls that tick while it is
-// in flight. BENCH_10.json holds its allocs/op ceiling.
+// costs, plus the health polls that tick while it is in flight.
+// BENCH_10.json holds its allocs/op ceiling.
 func BenchmarkSvcLBRequest(b *testing.B) {
 	cfg := DefaultConfig()
 	cfg.BackgroundLoad = 0

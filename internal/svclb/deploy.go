@@ -1,8 +1,6 @@
 package svclb
 
 import (
-	"encoding/binary"
-
 	"repro/internal/faultinject"
 	"repro/internal/haas"
 	"repro/internal/netsim"
@@ -13,7 +11,7 @@ import (
 
 // Deployment is one service deployed the way §V's Service Manager
 // deploys every accelerated service: client ends, an optional head host
-// that routes over gossiped queue depths, and a HaaS-leased pool of
+// that routes on its own outstanding counts, and a HaaS-leased pool of
 // interchangeable FPGAs with a fault injector over it. svclb's Service,
 // kvcache.Service and rpcnic.Dispatcher embed one; each supplies only
 // its role, its client ends' handlers and its per-request path.
@@ -25,15 +23,14 @@ type Deployment struct {
 
 	// ClientEnds are the client hosts' shells, in client index order.
 	ClientEnds []*shell.Shell
-	// Head is the head host (-1 without one) and Router its routing view,
-	// fed by the pool's depth gossip (nil without a head).
+	// Head is the head host (-1 without one) and Router its routing view
+	// (nil without a head).
 	Head   int
 	Router *Router
 	// Pool leases the pool candidates; In can kill or fault any of them.
 	Pool *haas.Pool
 	In   *faultinject.Injector
 
-	gossip     map[int]*sim.Ticker // serving backends' depth-gossip tickers
 	stopFaults func()
 	hostEnd    int // one past the last host the layout claims
 }
@@ -64,17 +61,17 @@ func Standalone(seed int64, telemetry bool, spanLimit int) (*sim.Simulation, *ne
 // Deploy lays a service out on dc from the TOR-aligned host hostBase:
 // clients client hosts fill TORs first; the next TOR starts with the
 // head host when policy is non-empty, then poolSize pool candidates, so
-// request and gossip traffic cross the L1 tier like a real global
-// pool's. The head's Router routes by policy. The pool registers every
-// candidate with a Resource Manager polling health every rmPoll under
-// spec (see NewBackendPool).
+// request traffic crosses the L1 tier like a real global pool's. The
+// head's Router routes by policy. The pool registers every candidate
+// with a Resource Manager polling health every rmPoll under spec (see
+// NewBackendPool).
 //
 // TOR switches are built, each drawing a random stream, as the layout
 // first touches their hosts; the router and the injector then draw
 // theirs. That order is part of every pinned digest.
 func Deploy(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase, clients int,
 	policy string, poolSize int, rmPoll sim.Time, spec haas.PoolSpec) *Deployment {
-	d := &Deployment{s: s, DC: dc, Shells: shells, Head: -1, gossip: map[int]*sim.Ticker{}}
+	d := &Deployment{s: s, DC: dc, Shells: shells, Head: -1}
 	for h := hostBase; h < hostBase+clients; h++ {
 		dc.Host(h)
 		d.ClientEnds = append(d.ClientEnds, shells[h])
@@ -93,16 +90,10 @@ func Deploy(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shel
 	d.hostEnd = base + poolSize
 
 	if d.Head >= 0 {
-		router, err := NewRouter(s.NewRand(), policy)
-		if err != nil {
+		var err error
+		if d.Router, err = NewRouter(s.NewRand(), policy); err != nil {
 			panic(err)
 		}
-		d.Router = router
-		shells[d.Head].SetControlHandler(func(from int, kind uint8, payload []byte) {
-			if kind == ctrlDepth && len(payload) >= 4 {
-				router.ReportDepth(from, int(binary.BigEndian.Uint32(payload)), s.Now())
-			}
-		})
 	}
 	d.Pool, d.In = NewBackendPool(dc, shells, poolHosts, rmPoll, spec)
 	return d
@@ -134,44 +125,18 @@ func (d *Deployment) StartFaults(profile string) {
 	d.stopFaults = d.In.Start(p)
 }
 
-// gossipInterval is the backend depth-gossip period (staleness of the
-// balancer's global view).
-const gossipInterval = 100 * sim.Microsecond
-
-// Serve makes backend h routable at the head and starts its depth
-// gossip: every gossipInterval, h reports depth() to the head. The first
-// report is phase-offset by the slot index, so the pool's reports
-// interleave instead of arriving as a synchronized burst.
-func (d *Deployment) Serve(h int, depth func() int) *Slot {
-	sl := d.Router.AddSlot(h)
-	sh := d.Shells[h]
-	d.gossip[h] = d.s.Every(gossipInterval*sim.Time(1+sl.Index%8)/8, gossipInterval, func() {
-		var buf [4]byte
-		binary.BigEndian.PutUint32(buf[:], uint32(depth()))
-		sh.SendControl(d.Head, ctrlDepth, buf[:])
-	})
-	return sl
-}
-
-// Retire takes backend h out of the routing view and stops its gossip.
+// Retire takes backend h out of the routing view.
 func (d *Deployment) Retire(h int) {
 	if sl := d.Router.SlotOnHost(h); sl != nil {
 		d.Router.RemoveSlot(sl)
 	}
-	if t := d.gossip[h]; t != nil {
-		t.Stop()
-		delete(d.gossip, h)
-	}
 }
 
-// Stop releases control-plane resources: the HaaS health poll, the depth
-// gossip and the fault profile. In-flight requests still complete if the
-// caller keeps running the simulation.
+// Stop releases control-plane resources: the HaaS health poll and the
+// fault profile. In-flight requests still complete if the caller keeps
+// running the simulation.
 func (d *Deployment) Stop() {
 	d.Pool.RM().Stop()
-	for _, t := range d.gossip {
-		t.Stop()
-	}
 	if d.stopFaults != nil {
 		d.stopFaults()
 	}

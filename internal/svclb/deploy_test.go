@@ -78,29 +78,40 @@ func TestDeployLayoutProperty(t *testing.T) {
 	}
 }
 
-// TestRetireStopsGossip: a backend killed mid-run is retired when the RM
-// reports it dead and its replacement is served, so exactly the live
-// routing slots keep a gossip ticker, and the dead host's ticker is gone.
-func TestRetireStopsGossip(t *testing.T) {
+// TestDeadBackendLeavesRoutingView: a backend killed mid-run leaves the
+// routing view when the RM reports it dead, its replacement takes its
+// place, and the dead slot gets no further routes. Every pick raises a
+// slot's outstanding count and the dead slot's copies are orphaned
+// without lowering it, so its count stays frozen while requests keep
+// being routed to the rest of the pool.
+func TestDeadBackendLeavesRoutingView(t *testing.T) {
 	cfg := quickConfig()
 	b := NewService(cfg)
-	victim := b.Router.Live()[0].Host
-	b.s.Schedule(5*sim.Millisecond, func() { b.In.KillNode(victim) })
+	victim := b.Router.Live()[0]
+	b.s.Schedule(5*sim.Millisecond, func() { b.In.KillNode(victim.Host) })
+	client := 0
+	b.s.Every(100*sim.Microsecond, 100*sim.Microsecond, func() {
+		b.Submit(client, Request{})
+		client = (client + 1) % b.Clients()
+	})
 	b.s.RunUntil(5*sim.Millisecond + 3*cfg.RMPoll)
-	b.Stop()
 	if b.failovers.Value() != 1 {
 		t.Fatalf("failovers = %d, want 1", b.failovers.Value())
 	}
-	if len(b.gossip) != len(b.Router.Live()) {
-		t.Fatalf("%d gossip tickers for %d live backends", len(b.gossip), len(b.Router.Live()))
+	if victim.Live() || b.Router.SlotOnHost(victim.Host) != nil {
+		t.Fatalf("dead backend %d still in the routing view", victim.Host)
 	}
-	for _, sl := range b.Router.Live() {
-		if b.gossip[sl.Host] == nil {
-			t.Fatalf("live backend %d has no gossip ticker", sl.Host)
-		}
+	if n := len(b.Router.Live()); n != cfg.FPGAs {
+		t.Fatalf("%d live backends after failover, want %d", n, cfg.FPGAs)
 	}
-	if b.gossip[victim] != nil {
-		t.Fatalf("retired backend %d still gossips", victim)
+	held, routes := victim.Outstanding, b.Router.routes
+	b.s.RunUntil(5*sim.Millisecond + 13*cfg.RMPoll)
+	b.Stop()
+	if victim.Outstanding != held {
+		t.Fatalf("dead backend %d got %d routes after detection", victim.Host, victim.Outstanding-held)
+	}
+	if b.Router.routes == routes {
+		t.Fatal("no request was routed after detection")
 	}
 }
 
@@ -113,5 +124,22 @@ func BenchmarkServiceBuild(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = int64(i)
 		NewService(cfg).Stop()
+	}
+}
+
+// TestIdleServiceFiresOnlyHealthPolls: a default service with no requests
+// in flight fires nothing but its Resource Manager's health polls, one
+// per poll period. No backend reports its load on a timer, and fabric
+// noise runs in line at each port.
+func TestIdleServiceFiresOnlyHealthPolls(t *testing.T) {
+	cfg := DefaultConfig()
+	b := NewService(cfg)
+	defer b.Stop()
+	const window = 10 * sim.Millisecond
+	b.s.RunUntil(window) // past the initial leases' reconfiguration
+	fired := b.s.Fired()
+	b.s.RunUntil(2 * window)
+	if got, want := b.s.Fired()-fired, uint64(window/cfg.RMPoll); got != want {
+		t.Fatalf("idle service fired %d events in %v, want %d health polls", got, window, want)
 	}
 }

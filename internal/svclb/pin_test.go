@@ -17,7 +17,7 @@ import (
 // either is a behaviour change and must be deliberate.
 const (
 	pinBoardResult    = "route=334a58b901396cf4 offered=432 admitted=432 shed=0 completed=432 failovers=1 resent=1 final=1 p99=3145728"
-	pinBoardTelemetry = "2a1576ca44732b60033be4f2c95e22b434201b4408d9042b80e1c7587821f64f"
+	pinBoardTelemetry = "2a159c66ad36781a87ed9736e3a01a05c17321d84d08e94f69fdad49428101ee"
 )
 
 // pinResult renders the digest-bearing fields of one run.

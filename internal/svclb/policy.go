@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // Slot is one routable backend in a Router's view. A slot is created when
@@ -20,13 +19,8 @@ type Slot struct {
 	Host int
 	// Outstanding counts requests this balancer routed to the slot that
 	// have not yet been answered, cancelled, or failed over — the
-	// balancer's own (exact, but local-knowledge-only) load signal.
+	// balancer's load signal, exact because each pool has one balancer.
 	Outstanding int
-	// GossipDepth is the backend's last gossiped queue depth — global
-	// knowledge, but stale by the gossip period plus the network.
-	GossipDepth int
-	// GossipAt is when GossipDepth was received.
-	GossipAt sim.Time
 
 	live bool
 }
@@ -109,11 +103,10 @@ func (jsqPolicy) pick(live []*Slot, _ *rand.Rand, _ *int) *Slot {
 	return best
 }
 
-// p2cPolicy is power-of-two-choices over the gossiped depth view: sample
-// two distinct slots, route to the one whose estimated queue (stale
-// gossiped depth corrected by the balancer's own in-flight count since
-// that gossip) is shorter. Two samples collapse almost all of random
-// dispatch's queue variance while tolerating stale global state.
+// p2cPolicy is power-of-two-choices over the balancer's outstanding
+// counts: sample two distinct slots and route to the one with fewer
+// requests outstanding. Two samples collapse almost all of random
+// dispatch's queue variance at O(1) per decision.
 type p2cPolicy struct{}
 
 func (p2cPolicy) Name() string { return PolicyP2C }
@@ -132,20 +125,10 @@ func (p2cPolicy) pick(live []*Slot, rng *rand.Rand, _ *int) *Slot {
 	if b == a {
 		b = live[len(live)-1]
 	}
-	if estDepth(b) < estDepth(a) {
+	if b.Outstanding < a.Outstanding {
 		return b
 	}
 	return a
-}
-
-// estDepth estimates a slot's queue depth from the last gossip plus the
-// requests this balancer has routed at it since that gossip arrived.
-func estDepth(sl *Slot) int {
-	d := sl.GossipDepth
-	if d < sl.Outstanding {
-		d = sl.Outstanding
-	}
-	return d
 }
 
 // Router is the embeddable routing core: a policy, its view of the
@@ -268,16 +251,6 @@ func (r *Router) pickFrom(live []*Slot) (*Slot, bool) {
 func (r *Router) Done(sl *Slot) {
 	if sl.Outstanding > 0 {
 		sl.Outstanding--
-	}
-}
-
-// ReportDepth feeds one gossiped depth observation for the backend on
-// host. Unknown or retired hosts are ignored (gossip from a drained
-// backend races its removal; staleness is the protocol's contract).
-func (r *Router) ReportDepth(host, depth int, at sim.Time) {
-	if sl := r.byHost[host]; sl != nil {
-		sl.GossipDepth = depth
-		sl.GossipAt = at
 	}
 }
 

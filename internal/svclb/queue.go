@@ -43,16 +43,6 @@ func NewWorkQueue(s *sim.Simulation, host int) *WorkQueue {
 	return q
 }
 
-// Depth reports queued plus in-service jobs — the number gossiped to the
-// balancer as the backend's load.
-func (q *WorkQueue) Depth() int {
-	d := len(q.waiting)
-	if q.cur != nil {
-		d++
-	}
-	return d
-}
-
 // Submit enqueues a job that runs for dur and then invokes run.
 func (q *WorkQueue) Submit(id uint64, dur sim.Time, run func()) {
 	j := &wqJob{id: id, dur: dur, run: run, enq: q.s.Now()}

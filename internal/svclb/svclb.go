@@ -1,21 +1,21 @@
 // Package svclb is the service-level load-balancing layer of §V-F: a
 // Service Manager for a pool of HaaS-leased FPGAs that routes client
 // requests through pluggable policies (random, round-robin,
-// join-shortest-queue, power-of-two-choices over stale gossiped queue
-// depths), sheds load that cannot meet its deadline, optionally hedges
-// slow requests onto a second replica (cancelling the loser), and masks
-// a backend's board death by re-leasing a spare and resending what it
-// lost.
+// join-shortest-queue, power-of-two-choices over the balancer's own
+// outstanding counts), sheds load that cannot meet its deadline,
+// optionally hedges slow requests onto a second replica (cancelling the
+// loser), and masks a backend's board death by re-leasing a spare and
+// resending what it lost.
 //
 // The data plane is fully packet-level: requests cross PCIe, LTL, and the
-// simulated fabric exactly as dnnpool's do. The control plane uses the
-// LTL control-datagram class — pool FPGAs gossip their queue depth to the
-// SM host every gossip period (so the balancer's global view is stale by
-// the period plus the wire, which is precisely what power-of-two-choices
-// is robust to), and hedge cancels travel best-effort to the losing
-// backend's queue. Everything draws from the simulation seed: a run is
-// bit-identical under replay, including its routing decisions (witnessed
-// by Result.RouteHash).
+// simulated fabric exactly as dnnpool's do. Each pool has exactly one
+// balancer, so the requests it has routed and not yet seen answered are
+// an exact load signal and no backend reports its depth. A hedge cancel
+// is a best-effort service datagram of a reserved kind: it crosses the
+// losing backend's Elastic Router on the service channel, and a hung
+// backend swallows it like any other datagram. Everything draws from the
+// simulation seed: a run is bit-identical under replay, including its
+// routing decisions (witnessed by Result.RouteHash).
 package svclb
 
 import (
@@ -34,11 +34,9 @@ import (
 	"repro/internal/workload"
 )
 
-// Control-datagram kinds used on the service plane.
-const (
-	ctrlDepth  uint8 = 1 // backend -> head: uint32 queue depth
-	ctrlCancel uint8 = 2 // client -> backend: uint64 request id to cancel
-)
+// kindCancel is svclb's reserved service-datagram kind: client ->
+// backend, a uint64 request id to pull out of the backend's queue.
+const kindCancel uint8 = 0x10
 
 const serviceImage = "svclb-v1"
 
@@ -449,7 +447,7 @@ func (b *Service) Submit(ci int, req Request) (uint64, bool) {
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
 		return 0, false
 	}
-	if !b.Admission(req.Service).Admit(estDepth(sl), req.Lag) {
+	if !b.Admission(req.Service).Admit(sl.Outstanding, req.Lag) {
 		b.Router.Done(sl)
 		b.shed.Inc()
 		b.tracer.Event(0, "svclb.shed", 0, int64(ci))
@@ -561,7 +559,7 @@ func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 			b.tracer.Event(p.flow, "svclb.cancel", p.span, int64(c.slot.Host))
 			var idb [8]byte
 			binary.BigEndian.PutUint64(idb[:], reqID)
-			b.ClientEnds[ci].SendControl(c.slot.Host, ctrlCancel, idb[:])
+			b.ClientEnds[ci].SendDatagram(c.slot.Host, kindCancel, idb[:])
 		}
 	}
 	if winnerIdx >= 0 {
@@ -596,13 +594,11 @@ func (b *Service) onResponse(ci int, sl *Slot, reqID uint64) {
 func (b *Service) addBackend(h int) {
 	q := NewWorkQueue(b.s, h)
 	fs := b.Shells[h]
-	sl := b.Serve(h, q.Depth)
+	sl := b.Router.AddSlot(h)
 
-	fs.SetControlHandler(func(_ int, kind uint8, payload []byte) {
-		if kind == ctrlCancel && len(payload) >= 8 {
-			if q.Cancel(binary.BigEndian.Uint64(payload)) {
-				b.cancelHits.Inc()
-			}
+	fs.SetServiceHandler(func(_ int, kind uint8, payload []byte) {
+		if kind == kindCancel && len(payload) >= 8 && q.Cancel(binary.BigEndian.Uint64(payload)) {
+			b.cancelHits.Inc()
 		}
 	})
 

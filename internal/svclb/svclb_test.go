@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/shell"
 	"repro/internal/sim"
 )
 
@@ -26,8 +27,8 @@ func TestWorkQueueCancel(t *testing.T) {
 		id := id
 		q.Submit(id, sim.Millisecond, func() { done[id] = true })
 	}
-	if got := q.Depth(); got != 3 {
-		t.Fatalf("depth = %d, want 3", got)
+	if q.cur == nil || len(q.waiting) != 2 {
+		t.Fatalf("in service %t, %d waiting; want one in service and 2 waiting", q.cur != nil, len(q.waiting))
 	}
 	// Job 1 is in service: cancelling it must miss. Job 3 is queued:
 	// cancelling it must hit and skip its work.
@@ -68,7 +69,6 @@ func TestRouterPoliciesDeterministicAndDistinct(t *testing.T) {
 			if i%2 == 0 {
 				r.Done(sl)
 			}
-			r.ReportDepth(sl.Host, sl.Outstanding, sim.Time(i))
 		}
 		return r.RouteHash(), picks
 	}
@@ -184,6 +184,55 @@ func TestHedgingCancelsLoser(t *testing.T) {
 	}
 }
 
+// TestHedgeCancelRidesServiceChannel stages one hedge deterministically
+// under round-robin: a long request and a short one occupy the two
+// backends, and a third request, queued behind the long one, is the only
+// one hedged. Its hedge copy wins on the idle backend, so the balancer
+// cancels the queued loser. The cancel is a service datagram: it crosses
+// the losing backend's Elastic Router on VCService and pulls the loser
+// out of its queue. With the loser's role wedged first, the cancel still
+// crosses the router but the role swallows it, and the loser is served.
+// The wedge lands after the loser reached the queue and before the hedge
+// fires.
+func TestHedgeCancelRidesServiceChannel(t *testing.T) {
+	for _, wedged := range []bool{false, true} {
+		cfg := quickConfig()
+		cfg.Policy = PolicyRoundRobin
+		cfg.Admission = false
+		cfg.BackgroundLoad = 0
+		b := NewService(cfg)
+		live := b.Router.Live()
+		slow := b.Shells[live[0].Host]
+		served := 0
+		done := func(sim.Time) { served++ }
+		b.Submit(0, Request{Service: 10 * cfg.ServiceTime, Done: done})
+		b.Submit(1, Request{Service: cfg.ServiceTime / 10, Done: done})
+		b.cfg.HedgeDelay = 2 * cfg.ServiceTime
+		b.Submit(2, Request{Done: done})
+		if wedged {
+			b.s.Schedule(cfg.ServiceTime, func() { slow.InjectSEU(true) })
+		}
+		flits := slow.Router.Stats.VCFlits[shell.VCService].Value()
+		b.s.RunUntil(20 * cfg.ServiceTime)
+		b.Stop()
+
+		if served != 3 || b.hedged.Value() != 1 || b.hedgeWins.Value() != 1 || b.cancels.Value() != 1 {
+			t.Fatalf("wedged=%t: served %d, hedged %d, hedge wins %d, cancels %d; want 3, 1, 1, 1",
+				wedged, served, b.hedged.Value(), b.hedgeWins.Value(), b.cancels.Value())
+		}
+		if slow.Router.Stats.VCFlits[shell.VCService].Value() == flits || slow.Stats.DgramsRecv.Value() != 1 {
+			t.Fatalf("wedged=%t: the cancel did not cross the loser's router on VCService", wedged)
+		}
+		wantHits := uint64(1)
+		if wedged {
+			wantHits = 0
+		}
+		if b.cancelHits.Value() != wantHits {
+			t.Fatalf("wedged=%t: %d cancel hits, want %d", wedged, b.cancelHits.Value(), wantHits)
+		}
+	}
+}
+
 func TestP2CAdmissionSustainsHigherRatioThanRandom(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-point packet-level sweep")
@@ -212,14 +261,15 @@ func TestP2CAdmissionSustainsHigherRatioThanRandom(t *testing.T) {
 
 // TestP2CSamplesDistinctThreeDraws replays p2c's draws on a reference
 // stream of the same seed: the two samples always differ, the pick is
-// the shallower one, and each pick over two or more live slots takes
-// exactly three Intn draws, so the pinned RouteHash streams hold.
+// the one with fewer requests outstanding, and each pick over two or
+// more live slots takes exactly three Intn draws, so the pinned
+// RouteHash streams hold.
 func TestP2CSamplesDistinctThreeDraws(t *testing.T) {
 	for n := 2; n <= 6; n++ {
 		live := make([]*Slot, n)
 		for i := range live {
-			// Distinct depths, so the pick reveals which two were sampled.
-			live[i] = &Slot{Index: i, GossipDepth: n - i, live: true}
+			// Distinct loads, so the pick reveals which two were sampled.
+			live[i] = &Slot{Index: i, Outstanding: n - i, live: true}
 		}
 		const seed = 11
 		rng := rand.New(rand.NewSource(seed))
@@ -236,7 +286,7 @@ func TestP2CSamplesDistinctThreeDraws(t *testing.T) {
 				t.Fatalf("n=%d pick %d: both samples are slot %d", n, i, a.Index)
 			}
 			want := a
-			if b.GossipDepth < a.GossipDepth {
+			if b.Outstanding < a.Outstanding {
 				want = b
 			}
 			if got != want {
