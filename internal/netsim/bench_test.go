@@ -102,31 +102,42 @@ func BenchmarkNetsimNoise(b *testing.B) {
 }
 
 // BenchmarkNoisePort measures ns and allocs per background frame of a
-// port's own noise process (noise.go) at 50% load of 1400-byte frames:
-// on a port that also carries real traffic (one LTL frame every 20 µs,
-// each advancing the noise in line and waiting behind it), and on one
-// that carries none, whose noise runs only when its counters are read.
+// port's own noise process (noise.go) of 1400-byte frames: on a port that
+// also carries real traffic (one LTL frame every 20 µs, each advancing
+// the noise in line and waiting behind it), and on one that carries none,
+// whose noise runs only when its counters are read. At 50% load most
+// arrivals queue; at 5%, lb-noise's load, most find the port idle and run
+// in a noise-only stretch.
 func BenchmarkNoisePort(b *testing.B) {
-	b.Run("real", func(b *testing.B) {
-		s, port, k := noisyPort(0.5)
-		real := realFrame(512)
-		sent := 0
-		b.ReportAllocs()
-		b.ResetTimer()
-		for port.stats.TxFrames.Value()-uint64(sent) < uint64(b.N) {
-			if k.got == sent {
-				port.Enqueue(real)
-				sent++
-			}
-			s.RunFor(20 * sim.Microsecond)
+	b.Run("real", func(b *testing.B) { benchNoiseReal(b, 0.5) })
+	b.Run("idle", func(b *testing.B) { benchNoiseIdle(b, 0.5) })
+	b.Run("real-5pct", func(b *testing.B) { benchNoiseReal(b, 0.05) })
+	b.Run("idle-5pct", func(b *testing.B) { benchNoiseIdle(b, 0.05) })
+}
+
+// benchNoiseReal is BenchmarkNoisePort's port with real traffic at util.
+func benchNoiseReal(b *testing.B, util float64) {
+	s, port, k := noisyPort(util)
+	real := realFrame(512)
+	sent := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for port.stats.TxFrames.Value()-uint64(sent) < uint64(b.N) {
+		if k.got == sent {
+			port.Enqueue(real)
+			sent++
 		}
-	})
-	b.Run("idle", func(b *testing.B) {
-		s, port, _ := noisyPort(0.5)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for port.Stats().TxFrames.Value() < uint64(b.N) {
-			s.RunFor(sim.Millisecond)
-		}
-	})
+		s.RunFor(20 * sim.Microsecond)
+	}
+}
+
+// benchNoiseIdle is BenchmarkNoisePort's port without real traffic at
+// util.
+func benchNoiseIdle(b *testing.B, util float64) {
+	s, port, _ := noisyPort(util)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for port.Stats().TxFrames.Value() < uint64(b.N) {
+		s.RunFor(sim.Millisecond)
+	}
 }

@@ -459,6 +459,8 @@ func Wire(a, b *Port) {
 	b.sync()
 	a.peer = b
 	b.peer = a
+	a.rearm(a.sim.Now())
+	b.rearm(b.sim.Now())
 }
 
 // Unwire disconnects the link (e.g. failure injection). In-flight frames

@@ -21,11 +21,18 @@ import (
 // registry's snapshots). Each noise frame still takes its RED and ECN
 // draws, waits its turn under strict priority and pause state, and is
 // counted in QueueDelay, QueueDepth, TxFrames/TxBytes and the peer's
-// RxFrames/NoiseEnded, in time order; only its scheduling is gone.
+// RxFrames/NoiseEnded, in time order. An arrival that finds the port
+// holding anything but its own noise goes through the same enqueue,
+// pick, transmit and finish code as a real frame. An arrival that finds
+// it holding nothing else takes none of those steps: it runs in a
+// noise-only stretch (stretch), which makes the same draws and counts
+// the same values in closed form.
 //
 // So a port that no real frame touches does no work until something
 // reads it. A real frame queued behind a noise frame on the wire is woken
-// once, when that frame finishes. A port with a fault hook must call the
+// once, when that frame finishes; one that waits with the transmitter
+// idle (paused, or queued while the link was down) is woken at the next
+// arrival or pause expiry, whose kick may start it. A port with a fault hook must call the
 // hook as each noise frame leaves and propagate any copy the hook makes
 // at its own time, so while a hook is installed the port keeps a wake at
 // its next noise instant; the wake runs the same advance.
@@ -185,11 +192,18 @@ type portNoise struct {
 	// spare is the packet of a noise frame that ended on this port's
 	// wire, kept for the next arrival instead of a trip through the pool.
 	spare *Packet
+	// quiet is set when an arrival at this port's empty queue can make no
+	// RED or ECN draw and is never tail-dropped (see stretch).
+	quiet bool
 }
 
 // startNoise starts the port's load; a port carries at most one.
 func (p *Port) startNoise(pr noiseProc, injected *metrics.Counter) {
-	p.noise = &portNoise{proc: pr, injected: injected}
+	c, cfg := pr.class, p.cfg
+	red := !cfg.Lossless[c] && cfg.RED.PMax > 0 && cfg.RED.MinBytes < 0
+	ecn := cfg.ECN.PMax > 0 && cfg.ECN.KMinBytes < 0
+	quiet := !red && !ecn && noiseWireLen(c, 64+pr.n-1) <= cfg.QueueBytes
+	p.noise = &portNoise{proc: pr, injected: injected, quiet: quiet}
 	// Registered with the load, so a run without background traffic
 	// reports no such series.
 	obs.RegistryOf(p.sim).Counter("net.noise_ended", "frames", "netsim",
@@ -223,6 +237,7 @@ func (p *Port) sync() { p.rearm(p.catchUp()) }
 func (nz *portNoise) advance(p *Port, now sim.Time) {
 	pr := &nz.proc
 	for {
+		nz.stretch(p, now)
 		at := pr.next
 		switch {
 		case at <= now && (nz.tx == nil || at <= nz.txEnd) && (nz.resume == 0 || at <= nz.resume):
@@ -251,9 +266,90 @@ func (nz *portNoise) advance(p *Port, now sim.Time) {
 	}
 }
 
+// stretch runs, in closed form, the noise arrivals through now that find
+// the port holding nothing but its own noise: no fault hook, paranoid
+// mode off, the peer wired, no data or control frame queued, no real
+// frame on the wire, no pause in force on the load's class, and the noise
+// frame on the wire (if any) ended strictly before the arrival on the
+// link it left by. Such an arrival reaches an empty queue at depth 0:
+// with quiet set it makes no RED or ECN draw and fits, so enqueue would
+// queue it, pick would take it at once with a wait of 0, and transmit
+// would start it. The stretch makes the same draws and counts the same
+// frames, bytes, wait and depth watermark as that path, but queues
+// nothing: while it runs, the frame on the wire is only its end instant.
+// If a frame is still on the wire when it stops, the frame gets its
+// packet, so the rest of the port sees what transmit would have left.
+func (nz *portNoise) stretch(p *Port, now sim.Time) {
+	pr := &nz.proc
+	c, at := pr.class, pr.next
+	if at > now || !nz.quiet || p.fault != nil || paranoid || p.peer == nil || p.nonEmpty != 0 ||
+		p.ctrlHead < len(p.ctrlQueue) || nz.resume != 0 || p.pausedUntil[c] > at {
+		return
+	}
+	if p.busy {
+		tx := nz.tx
+		if tx == nil || nz.txEnd >= at || tx.NextPort != p.peer {
+			return
+		}
+		nz.tx = nil
+		p.deliver(p.peer, tx)
+	}
+	st, peer := &p.stats, &p.peer.stats
+	var size int
+	var start, end sim.Time
+	for {
+		size = pr.drawSize()
+		pr.next = at + pr.drawGap()
+		nz.injected.Inc()
+		w := noiseWireLen(c, size)
+		st.QueueDepth.Add(int64(w))
+		st.QueueDepth.Add(-int64(w))
+		st.QueueDelay.Observe(0)
+		st.TxFrames.Inc()
+		st.TxBytes.Add(uint64(w))
+		start, end = at, at+p.cfg.Link.SerializationTime(w)
+		// A pause changes only at a real operation, which brings the noise
+		// up to its own instant first, so the check on entry covers every
+		// arrival here.
+		if at = pr.next; at > now || at <= end {
+			break
+		}
+		peer.RxFrames.Inc() // the frame ended before this arrival
+		peer.NoiseEnded.Inc()
+	}
+	if end <= now && end < pr.next {
+		peer.RxFrames.Inc()
+		peer.NoiseEnded.Inc()
+		p.busy = false
+		return
+	}
+	packet := nz.spare
+	if packet == nil {
+		packet = newNoisePacket(c, size)
+	} else {
+		nz.spare = nil
+		packet.shapeNoise(c, size)
+	}
+	packet.EnqueuedAt, packet.txPort, packet.NextPort = start, p, p.peer
+	nz.tx, nz.txEnd = packet, end
+	p.busy = true
+}
+
+// noiseWireLen is the on-wire length of a noise frame of class whose
+// drawn size is size: shapeNoise's clamp plus a tagged class's VLAN tag.
+func noiseWireLen(class pkt.TrafficClass, size int) int {
+	w := max(64, min(size, pkt.MaxMTU))
+	if class != pkt.ClassBestEffort {
+		w += pkt.VLANTagLen
+	}
+	return w
+}
+
 // arm keeps the one wake the port needs, if any: at the next noise
 // instant while a fault hook is installed, else at the end of the noise
-// frame on the wire while a real frame waits behind it.
+// frame on the wire while a real frame waits behind it, else at the next
+// arrival or pause expiry while real frames wait with the transmitter
+// idle.
 func (nz *portNoise) arm(p *Port, now sim.Time) {
 	at := maxTime
 	switch {
@@ -267,6 +363,14 @@ func (nz *portNoise) arm(p *Port, now sim.Time) {
 		}
 	case nz.tx != nil && (p.realQueued > 0 || p.ctrlHead < len(p.ctrlQueue)):
 		at = nz.txEnd
+	case !p.busy && p.peer != nil && (p.realQueued > 0 || p.ctrlHead < len(p.ctrlQueue)):
+		// Frames that wait with the transmitter idle (paused, or queued
+		// while the link was down) start at the next kick: the next
+		// arrival or pause expiry.
+		at = nz.proc.next
+		if nz.resume != 0 {
+			at = min(at, nz.resume)
+		}
 	}
 	if at == maxTime {
 		at = 0 // no wake

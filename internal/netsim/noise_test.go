@@ -41,6 +41,9 @@ func realFrame(size int) *Packet {
 // warm, background frames on a port that real frames use are built,
 // queued, serialized and ended on the wire in line with no allocation,
 // and so is the wake that a real frame waiting behind one of them takes.
+// At lb-noise's 5% load the same holds for a port that runs only its own
+// noise, in stretches, and for a stretch that a real frame interrupts
+// while a noise frame is on the wire.
 func TestInjectNoiseNoAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop a random share of Puts")
@@ -63,6 +66,45 @@ func TestInjectNoiseNoAllocs(t *testing.T) {
 	}
 	if tx := port.Stats().TxFrames.Value(); tx < 3201*20 {
 		t.Fatalf("only %d frames transmitted", tx)
+	}
+
+	s, port, _ = noisyPort(0.05)
+	idle := func() {
+		s.RunFor(sim.Millisecond)
+		port.Stats()
+	}
+	for i := 0; i < 100; i++ {
+		idle()
+	}
+	if allocs := testing.AllocsPerRun(100, idle); allocs != 0 {
+		t.Fatalf("noise-only port at 5%% load: %v allocs per ms, want 0", allocs)
+	}
+	if tx := port.Stats().TxFrames.Value(); tx < 201*150 {
+		t.Fatalf("only %d frames transmitted in 201 ms", tx)
+	}
+
+	s, port, k = noisyPort(0.05)
+	onWire := 0
+	interrupt := func() {
+		s.RunFor(50 * sim.Microsecond)
+		port.sync()
+		// Just after the next arrival, its frame is on the wire.
+		s.RunUntil(port.noise.proc.next + 1)
+		port.sync()
+		if port.noise.tx != nil {
+			onWire++
+		}
+		port.Enqueue(real)
+		s.RunFor(10 * sim.Microsecond)
+	}
+	for i := 0; i < 300; i++ {
+		interrupt()
+	}
+	if allocs := testing.AllocsPerRun(200, interrupt); allocs != 0 {
+		t.Fatalf("stretch interrupted by a real frame: %v allocs, want 0", allocs)
+	}
+	if k.got != 501 || onWire != 501 {
+		t.Fatalf("%d of 501 real frames arrived, %d found a noise frame on the wire", k.got, onWire)
 	}
 }
 
