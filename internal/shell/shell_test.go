@@ -396,24 +396,40 @@ func TestAreaBreakdownMatchesFig5(t *testing.T) {
 }
 
 func TestShellPFCGeneration(t *testing.T) {
-	// Saturate the net-side egress with lossless traffic while the TOR
-	// pauses us; the shell must PFC the NIC rather than drop.
+	// The TOR pauses the shell's TOR-side port while host 0 paces a
+	// lossless burst past that port's queue: the shell must pause the
+	// NIC (hop-by-hop PFC) rather than drop, and the burst must still
+	// fit the NIC's own queue.
 	s := sim.New(1)
 	dc, shells := bed(s)
 	h0, h1 := dc.Host(0), dc.Host(1)
+	sh := shells[0]
 	recv := 0
 	h1.RegisterUDP(7000, func(f *pkt.Frame) { recv++ })
-	for i := 0; i < 400; i++ {
-		h0.SendUDPRaw(h1.IP(), 7000, 7000, pkt.ClassLTL, make([]byte, 1400))
+	sh.netPort.Pause(pkt.ClassLTL, 2*sim.Millisecond)
+
+	// 600 frames of 1,446 wire bytes (847 KiB) against the shell's
+	// 512 KiB queue and the NIC's 4 MiB, one every 300 ns: just under
+	// the 40G line rate, so only the shell's pauses back the NIC up.
+	const frames = 600
+	payload := make([]byte, 1400)
+	for i := 0; i < frames; i++ {
+		s.Schedule(sim.Time(i)*300*sim.Nanosecond, func() {
+			h0.SendUDPRaw(h1.IP(), 7000, 7000, pkt.ClassLTL, payload)
+		})
 	}
 	s.RunFor(50 * sim.Millisecond)
-	if recv != 400 {
-		t.Fatalf("lossless delivery incomplete: %d/400", recv)
+	if recv != frames {
+		t.Fatalf("lossless delivery incomplete: %d/%d", recv, frames)
 	}
-	sh := shells[0]
-	drops := sh.netPort.Stats().DropsTail.Value() + sh.netPort.Stats().DropsRED.Value()
-	if drops != 0 {
-		t.Errorf("shell dropped %d lossless frames", drops)
+	for _, p := range []*netsim.Port{sh.hostPort, sh.netPort, h0.NIC()} {
+		st := p.Stats()
+		if drops := st.DropsTail.Value() + st.DropsRED.Value(); drops != 0 {
+			t.Errorf("%s port %d dropped %d lossless frames", p.Device().DeviceName(), p.Index(), drops)
+		}
+	}
+	if h0.NIC().Stats().PFCRecv.Value() == 0 {
+		t.Error("the shell never paused the NIC")
 	}
 }
 
