@@ -89,24 +89,9 @@ func HostMAC(id int) pkt.MAC {
 	return pkt.MAC{0x02, 0x00, byte(id >> 24), byte(id >> 16), byte(id >> 8), byte(id)}
 }
 
-// HandleFrame implements Device: PFC adjusts the NIC transmit pause state;
-// data frames are demultiplexed to a registered UDP handler after the
-// receive-side stack latency.
-func (h *Host) HandleFrame(p *Port, packet *Packet) {
-	if paranoid {
-		verifyCached(packet)
-	}
-	if packet.F.EtherType == pkt.EtherTypePFC {
-		if f, ok := pkt.DecodePFC(packet.F.Payload); ok {
-			for c := 0; c < pkt.NumClasses; c++ {
-				if f.Enabled[c] {
-					p.Pause(pkt.TrafficClass(c), PauseQuantaToTime(f.Quanta[c], p.cfg.Link.RateBps))
-				}
-			}
-		}
-		packet.Free() // control frames terminate here
-		return
-	}
+// HandleFrame implements Device: frames are demultiplexed to a
+// registered UDP handler after the receive-side stack latency.
+func (h *Host) HandleFrame(_ *Port, packet *Packet) {
 	h.Received.Inc()
 	if packet.F.UDPValid {
 		if fn, ok := h.handlers[packet.F.DstPort]; ok {

@@ -29,7 +29,8 @@ import (
 type Device interface {
 	// DeviceName identifies the device in traces and errors.
 	DeviceName() string
-	// HandleFrame is called when a frame fully arrives at local port p.
+	// HandleFrame is called when a frame fully arrives at local port p,
+	// for every frame but a PFC frame, which ends at the port (pfc.go).
 	HandleFrame(p *Port, packet *Packet)
 }
 
@@ -60,9 +61,9 @@ type Packet struct {
 	Buf []byte
 	F   *pkt.Frame
 
-	// ingress and held support switch-internal PFC buffer accounting: a
-	// held packet is charged against its ingress port's PFC account until
-	// it leaves (or is dropped at) the egress queue.
+	// ingress and held are the packet's PFC charge (Port.Hold): a held
+	// packet counts in its ingress port's account until it leaves (or is
+	// dropped at) an egress queue.
 	ingress *Port
 	held    bool
 	// noise marks a byte-free background frame (newNoisePacket).
@@ -76,10 +77,9 @@ type Packet struct {
 	// hop parks its context here instead of capturing a closure. A packet
 	// is referenced by at most one in-flight event at a time — it is
 	// either being forwarded, queued, serialized, or propagating — so a
-	// single set of fields suffices. NextPort and PrevPort are meaningful
-	// only between the scheduling and firing of that one event.
+	// single set of fields suffices. NextPort is meaningful only between
+	// the scheduling and firing of that one event.
 	NextPort *Port // propagation target or forwarding egress
-	PrevPort *Port // ingress the frame arrived on (bridge bookkeeping)
 
 	txPort   *Port            // transmitter serializing this packet
 	dispatch func(*pkt.Frame) // deferred host UDP delivery
@@ -104,7 +104,7 @@ type Packet struct {
 
 var packetPool = sync.Pool{New: func() any { return new(Packet) }}
 
-// paranoid enables per-hop re-decode verification: every HandleFrame
+// paranoid enables per-hop re-decode verification: every frame arrival
 // re-parses the wire bytes and compares them against the cached Frame
 // view, panicking on divergence. Tests flip it via SetParanoid; it must
 // not be toggled while simulations are running.
@@ -112,14 +112,6 @@ var paranoid bool
 
 // SetParanoid turns paranoid per-hop re-decode checking on or off.
 func SetParanoid(on bool) { paranoid = on }
-
-// ParanoidEnabled reports whether paranoid re-decode checking is on —
-// for devices outside this package (the FPGA shell) that participate.
-func ParanoidEnabled() bool { return paranoid }
-
-// Verify re-decodes the packet's bytes and panics if the cached Frame
-// view has diverged. Devices call it under ParanoidEnabled.
-func (p *Packet) Verify() { verifyCached(p) }
 
 // EnqueueCall is a sim.ScheduleCall callback that enqueues the packet on
 // its NextPort — the shared closure-free "delayed enqueue" step used by
@@ -130,7 +122,7 @@ func EnqueueCall(v any) {
 }
 
 // verifyCached re-decodes packet.Buf and compares against the cached
-// view. Called by devices when paranoid mode is on.
+// view. Called at each frame's arrival when paranoid mode is on.
 func verifyCached(packet *Packet) {
 	var f pkt.Frame
 	if err := pkt.DecodeInto(&f, packet.Buf); err != nil {
@@ -333,9 +325,9 @@ type FaultDecision struct {
 // must not retain packet.
 type FaultHook func(p *Port, packet *Packet) FaultDecision
 
-// Port is one end of a full-duplex link. Egress queuing, PFC pause state,
-// and the transmitter live here; receive is a callback into the owning
-// device.
+// Port is one end of a full-duplex link. Egress queuing, PFC (pause
+// state and the ingress account, pfc.go) and the transmitter live here;
+// receive is a callback into the owning device.
 type Port struct {
 	dev   Device
 	index int // port number within the device
@@ -366,6 +358,8 @@ type Port struct {
 	retry       sim.Timer
 	// realQueued counts the queued data frames that are not noise.
 	realQueued int
+	// pfc is the port's ingress account (pfc.go).
+	pfc ingressAccount
 
 	// noise is the port's background traffic (noise.go); nil until a
 	// load is started on it.
@@ -542,21 +536,11 @@ func (p *Port) enqueue(packet *Packet, now sim.Time) bool {
 	return true
 }
 
-// drop releases switch buffer accounting for a rejected packet and
-// recycles it: a congestion-dropped frame is dead by definition.
+// drop settles a rejected packet's ingress account and recycles it: a
+// congestion-dropped frame is dead by definition.
 func (p *Port) drop(packet *Packet) {
 	releaseHold(packet)
 	packet.Free()
-}
-
-// releaseHold settles a held packet's ingress PFC account.
-func releaseHold(packet *Packet) {
-	if !packet.held {
-		return
-	}
-	packet.held = false
-	sw := packet.ingress.dev.(*Switch)
-	sw.releaseIngress(packet.ingress, packet.Class(), packet.WireLen())
 }
 
 // EnqueueControl sends a MAC control frame (PFC). Control frames bypass
@@ -712,8 +696,8 @@ func (p *Port) finish(packet *Packet, now sim.Time) {
 	p.kick(now)
 }
 
-// propagationDone completes a frame's flight: the receiving port's device
-// takes it.
+// propagationDone completes a frame's flight: a PFC frame ends at the
+// receiving port, and the port's device takes any other.
 func propagationDone(v any) {
 	packet := v.(*Packet)
 	peer := packet.NextPort
@@ -721,6 +705,13 @@ func propagationDone(v any) {
 	if packet.hopSpan != 0 {
 		peer.tracer.End(packet.hopSpan)
 		packet.hopSpan = 0
+	}
+	if paranoid {
+		verifyCached(packet)
+	}
+	if packet.F.EtherType == pkt.EtherTypePFC {
+		peer.receivePFC(packet)
+		return
 	}
 	peer.dev.HandleFrame(peer, packet)
 }
@@ -791,20 +782,4 @@ func (p *Port) deliver(peer *Port, packet *Packet) {
 	}
 	packet.NextPort = peer
 	p.sim.ScheduleCall(prop, propagationDone, packet)
-}
-
-// PauseQuantaToTime converts a PFC quanta count into wall time at rate.
-func PauseQuantaToTime(quanta uint16, rateBps int64) sim.Time {
-	return sim.Time(int64(quanta) * pkt.PauseQuantumBits * int64(sim.Second) / rateBps)
-}
-
-// TimeToPauseQuanta converts a pause duration into quanta (rounded up,
-// clamped to the 16-bit field).
-func TimeToPauseQuanta(d sim.Time, rateBps int64) uint16 {
-	bits := int64(d) * rateBps / int64(sim.Second)
-	q := (bits + pkt.PauseQuantumBits - 1) / pkt.PauseQuantumBits
-	if q > 0xffff {
-		q = 0xffff
-	}
-	return uint16(q)
 }

@@ -224,8 +224,9 @@ func TestControlFramesBypassPause(t *testing.T) {
 	a.Enqueue(testFrame(pkt.ClassLTL, 500))
 	a.EnqueueControl(NewPacket(pkt.EncodePFC(HostMAC(1), pkt.PFCFrame{})))
 	s.RunUntil(50 * sim.Microsecond)
-	if len(dst.got) != 1 || dst.got[0].F.EtherType != pkt.EtherTypePFC {
-		t.Fatalf("control frame did not bypass pause: %d frames", len(dst.got))
+	// The PFC frame ends at the peer port; no device sees it.
+	if rx := a.Peer().Stats().RxFrames.Value(); rx != 1 || len(dst.got) != 0 {
+		t.Fatalf("control frame did not bypass pause: peer received %d frames, device %d", rx, len(dst.got))
 	}
 }
 
@@ -266,12 +267,5 @@ func TestPauseQuantaConversion(t *testing.T) {
 	want := sim.Time(int64(0xffff) * 512 * int64(sim.Second) / Rate40G)
 	if d != want {
 		t.Errorf("PauseQuantaToTime = %v, want %v", d, want)
-	}
-	q := TimeToPauseQuanta(d, Rate40G)
-	if q != 0xffff {
-		t.Errorf("round trip quanta = %d", q)
-	}
-	if TimeToPauseQuanta(sim.Hour, Rate40G) != 0xffff {
-		t.Error("huge duration should clamp")
 	}
 }

@@ -50,7 +50,6 @@ type Config struct {
 	L2CableSpread sim.Time
 
 	Port       PortConfig
-	PFC        PFCConfig
 	Interposer InterposerFactory
 }
 
@@ -88,7 +87,6 @@ func DefaultConfig() Config {
 		L2CableSpread: 600 * sim.Nanosecond,
 
 		Port: port,
-		PFC:  DefaultPFCConfig(),
 	}
 }
 
@@ -194,7 +192,6 @@ func (dc *Datacenter) L2() *Switch {
 			Port:           dc.portConfig(dc.cfg.L1Uplink),
 			ForwardLatency: l2Latency,
 			Jitter:         dc.cfg.L2Jitter,
-			PFC:            dc.cfg.PFC,
 			Route: func(dst pkt.IP) int {
 				id, ok := HostID(dst)
 				if !ok {
@@ -225,7 +222,6 @@ func (dc *Datacenter) L1(pod int) *Switch {
 		Port:           dc.portConfig(dc.cfg.TORUplink),
 		ForwardLatency: l1Latency,
 		Jitter:         dc.cfg.L1Jitter,
-		PFC:            dc.cfg.PFC,
 		Route: func(dst pkt.IP) int {
 			id, ok := HostID(dst)
 			if !ok {
@@ -285,7 +281,6 @@ func (dc *Datacenter) TOR(pod, tor int) *Switch {
 		Radix:          dc.cfg.HostsPerTOR + 1,
 		Port:           dc.portConfig(dc.cfg.HostLink),
 		ForwardLatency: torLatency,
-		PFC:            dc.cfg.PFC,
 		Route: func(dst pkt.IP) int {
 			id, ok := HostID(dst)
 			if !ok {

@@ -317,10 +317,7 @@ func TestSwitchPFCBackpressure(t *testing.T) {
 	// Saturate a TOR's host-facing egress with lossless traffic from two
 	// sources; PFC must engage and no lossless frame may be dropped.
 	s := sim.New(3)
-	cfg := smallConfig()
-	cfg.Port.QueueBytes = 64 << 10
-	cfg.PFC = PFCConfig{Enabled: true, XoffBytes: 16 << 10, XonBytes: 8 << 10, PauseQuanta: 0xffff}
-	dc := NewDatacenter(s, cfg)
+	dc := NewDatacenter(s, smallConfig())
 	h0, h1, h3 := dc.Host(0), dc.Host(1), dc.Host(3)
 	recv := 0
 	h1.RegisterUDP(5000, func(f *pkt.Frame) { recv++ })

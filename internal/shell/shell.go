@@ -15,7 +15,11 @@
 //   - full/partial reconfiguration semantics (full reconfig briefly drops
 //     the link; partial keeps packets flowing),
 //   - configuration-scrubbing and SEU recovery (§II-B), and
-//   - hop-by-hop PFC participation on both links.
+//   - hop-by-hop PFC on both links, as a two-port switch takes part: a
+//     PFC frame arriving on either link pauses that link's egress, and
+//     each port charges the lossless frames it bridges to its netsim
+//     ingress account, which pauses its link partner while too many of
+//     them wait in the shell.
 package shell
 
 import (
@@ -79,10 +83,6 @@ const (
 	pcieBps = 64e9
 	// partialReconfigTime reconfigures the role slot with the bridge up.
 	partialReconfigTime = 20 * sim.Millisecond
-	// pfcXoffBytes/pfcXonBytes govern shell-generated PFC when an egress
-	// side backs up with lossless traffic.
-	pfcXoffBytes = 96 << 10
-	pfcXonBytes  = 48 << 10
 )
 
 // Config parameterizes a shell instance.
@@ -178,9 +178,6 @@ type Shell struct {
 	// injection: an unstable 40G link like the one §II-B replaced).
 	lossRate float64
 	lossRng  *rand.Rand
-
-	// PFC generation state per (direction, class).
-	pfcPaused [2][pkt.NumClasses]bool
 
 	// service-datagram receiver (service.go).
 	serviceHandler func(fromHost int, kind uint8, payload []byte)
@@ -346,24 +343,10 @@ func (sh *Shell) releaseLTLFrame(f *pkt.Frame) {
 // AddTap appends a tap to the bridge datapath (taps run in order).
 func (sh *Shell) AddTap(t Tap) { sh.taps = append(sh.taps, t) }
 
-// HandleFrame implements netsim.Device: the bridge.
+// HandleFrame implements netsim.Device: the bridge. A bridged lossless
+// frame is charged to the port it arrived on until it leaves the far
+// side's queue.
 func (sh *Shell) HandleFrame(p *netsim.Port, packet *netsim.Packet) {
-	if netsim.ParanoidEnabled() {
-		packet.Verify()
-	}
-	// PFC is link-local: pause our own egress on the link it arrived on.
-	if packet.F.EtherType == pkt.EtherTypePFC {
-		if f, ok := pkt.DecodePFC(packet.F.Payload); ok {
-			for c := 0; c < pkt.NumClasses; c++ {
-				if f.Enabled[c] {
-					p.Pause(pkt.TrafficClass(c),
-						netsim.PauseQuantaToTime(f.Quanta[c], p.Config().Link.RateBps))
-				}
-			}
-		}
-		packet.Free() // control frames terminate here
-		return
-	}
 	if !sh.bridgeUp {
 		sh.Stats.DroppedDown.Inc()
 		packet.Free()
@@ -414,69 +397,12 @@ func (sh *Shell) HandleFrame(p *netsim.Port, packet *netsim.Packet) {
 	out := packet
 	if f != packet.F {
 		// A tap rewrote the frame; the original is dead.
-		out = &netsim.Packet{Buf: buf, F: f, NextPort: fwd}
+		out = &netsim.Packet{Buf: buf, F: f}
 		packet.Free()
 	}
+	p.Hold(out, fwd)
 	out.NextPort = fwd
-	out.PrevPort = p
-	sh.sim.ScheduleCall(bridgeLatency+tapDelay, bridgeForward, out)
-}
-
-// bridgeForward completes the bridge pipeline latency: the frame crosses
-// to the far-side port. The shell and direction are recovered from the
-// packet's flight state, keeping the per-frame path closure-free.
-func bridgeForward(v any) {
-	packet := v.(*netsim.Packet)
-	fwd, ingress := packet.NextPort, packet.PrevPort
-	sh := fwd.Device().(*Shell)
-	dir := HostToNet
-	if fwd == sh.hostPort {
-		dir = NetToHost
-	}
-	sh.forward(dir, fwd, ingress, packet)
-}
-
-// forward enqueues on the egress side and generates hop-by-hop PFC when a
-// lossless class backs up (e.g. the TOR paused us and the NIC keeps
-// sending).
-func (sh *Shell) forward(dir Direction, fwd, ingress *netsim.Port, packet *netsim.Packet) {
-	class := packet.Class()
-	fwd.Enqueue(packet)
-	if !fwd.Config().Lossless[class] {
-		return
-	}
-	depth := fwd.QueuedBytes(class)
-	d := int(dir)
-	switch {
-	case !sh.pfcPaused[d][class] && depth > pfcXoffBytes:
-		sh.pfcPaused[d][class] = true
-		sh.sendPFC(ingress, class, netsim.TimeToPauseQuanta(100*sim.Microsecond, ingress.Config().Link.RateBps))
-		sh.armPFCWatch(dir, fwd, ingress, class)
-	}
-}
-
-// armPFCWatch polls the egress queue while paused, refreshing or resuming.
-func (sh *Shell) armPFCWatch(dir Direction, fwd, ingress *netsim.Port, class pkt.TrafficClass) {
-	d := int(dir)
-	sh.sim.Schedule(50*sim.Microsecond, func() {
-		if !sh.pfcPaused[d][class] {
-			return
-		}
-		if fwd.QueuedBytes(class) < pfcXonBytes {
-			sh.pfcPaused[d][class] = false
-			sh.sendPFC(ingress, class, 0) // resume
-			return
-		}
-		sh.sendPFC(ingress, class, netsim.TimeToPauseQuanta(100*sim.Microsecond, ingress.Config().Link.RateBps))
-		sh.armPFCWatch(dir, fwd, ingress, class)
-	})
-}
-
-func (sh *Shell) sendPFC(out *netsim.Port, class pkt.TrafficClass, quanta uint16) {
-	var pf pkt.PFCFrame
-	pf.Enabled[class] = true
-	pf.Quanta[class] = quanta
-	out.EnqueueControl(netsim.NewPacket(pkt.EncodePFC(sh.mac, pf)))
+	sh.sim.ScheduleCall(bridgeLatency+tapDelay, netsim.EnqueueCall, out)
 }
 
 // ---- Role slot ----

@@ -431,6 +431,11 @@ func TestShellPFCGeneration(t *testing.T) {
 	if h0.NIC().Stats().PFCRecv.Value() == 0 {
 		t.Error("the shell never paused the NIC")
 	}
+	for _, p := range []*netsim.Port{sh.hostPort, sh.netPort} {
+		if held := p.HeldBytes(pkt.ClassLTL); held != 0 {
+			t.Errorf("shell port %d still holds %d bytes after drain", p.Index(), held)
+		}
+	}
 }
 
 // TestRemoteOpenRejectsDatagramConn: the connection id dgramConn marks
