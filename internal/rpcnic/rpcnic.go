@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/haas"
 	"repro/internal/metrics"
-	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/pkt"
 	"repro/internal/shell"
@@ -266,18 +265,10 @@ type Dispatcher struct {
 }
 
 // NewDispatcher builds a standalone deployment on its own simulation and
-// datacenter.
+// datacenter: callers first, then (TOR-aligned) the dispatcher node and
+// its backend pool, mirroring svclb's layout.
 func NewDispatcher(cfg Config) *Dispatcher {
 	s, dc, shells := svclb.Standalone(cfg.Seed, cfg.Telemetry, cfg.SpanLimit)
-	d := NewDispatcherOn(s, dc, shells, 0, cfg)
-	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
-	return d
-}
-
-// NewDispatcherOn deploys on an existing simulation/datacenter starting
-// at hostBase: callers first, then (TOR-aligned) the dispatcher node and
-// its backend pool, mirroring svclb's layout.
-func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*shell.Shell, hostBase int, cfg Config) *Dispatcher {
 	d := &Dispatcher{
 		s: s, cfg: cfg,
 		table:  map[uint64]*dispatchState{},
@@ -301,7 +292,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 
 	// A dead backend's requests surface as caller timeouts; the pool's
 	// replacement (if any) attaches next.
-	d.Deployment = svclb.Deploy(s, dc, shells, hostBase, cfg.Callers, cfg.Policy, cfg.Backends+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
+	d.Deployment = svclb.Deploy(s, dc, shells, 0, cfg.Callers, cfg.Policy, cfg.Backends+cfg.Spares, cfg.RMPoll, haas.PoolSpec{
 		Tenant: "rpcnic", Image: backendImage,
 		OnReady: d.attachBackend,
 		OnLost:  func(_ *haas.Member, dead haas.NodeID) { d.Retire(int(dead)) },
@@ -320,6 +311,7 @@ func NewDispatcherOn(s *sim.Simulation, dc *netsim.Datacenter, shells map[int]*s
 		}
 	}
 	d.StartFaults(cfg.FaultProfile)
+	dc.StartBackgroundLoad(cfg.BackgroundLoad, pkt.ClassRDMA, 1400)
 	return d
 }
 
