@@ -107,10 +107,12 @@ type bucket struct {
 // Simulation is a single-threaded discrete-event simulator.
 // The zero value is not usable; construct with New.
 type Simulation struct {
-	now    Time
-	seq    uint64
+	now  Time
+	seq  uint64
+	seed int64
+	// rng is built from seed on first use (Rand, DrawSeed, NewRand): a
+	// simulation that never draws never pays for seeding a generator.
 	rng    *rand.Rand
-	seed   int64
 	fired  uint64
 	live   int // queued, non-cancelled events
 	halted bool
@@ -143,7 +145,7 @@ type Simulation struct {
 // New returns a simulation whose RNG is seeded with seed. The same seed
 // always produces the same execution.
 func New(seed int64) *Simulation {
-	return &Simulation{rng: rand.New(rand.NewSource(seed)), seed: seed}
+	return &Simulation{seed: seed}
 }
 
 // Must panics on err. Models call it where an error can only come from
@@ -169,7 +171,12 @@ func (s *Simulation) ObsData() any { return s.obsData }
 func (s *Simulation) Seed() int64 { return s.seed }
 
 // Rand returns the simulation's deterministic random stream.
-func (s *Simulation) Rand() *rand.Rand { return s.rng }
+func (s *Simulation) Rand() *rand.Rand {
+	if s.rng == nil {
+		s.rng = rand.New(rand.NewSource(s.seed))
+	}
+	return s.rng
+}
 
 // NewRand derives an independent deterministic random stream. Models that
 // need private randomness (e.g. background traffic) should take their own
@@ -183,7 +190,7 @@ func (s *Simulation) NewRand() *rand.Rand {
 // construction order, keeping every other stream unchanged) and defer the
 // expensive generator construction until the stream is first used — or
 // skip it entirely.
-func (s *Simulation) DrawSeed() int64 { return s.rng.Int63() }
+func (s *Simulation) DrawSeed() int64 { return s.Rand().Int63() }
 
 // Fired reports how many events have executed so far. Lazily-cancelled
 // events are discarded without executing and are not counted.
