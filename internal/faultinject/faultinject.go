@@ -129,12 +129,16 @@ type node struct {
 // reproducible. Not safe for concurrent use (the simulator is
 // single-threaded).
 type Injector struct {
-	sim   *sim.Simulation
-	rng   *rand.Rand
-	nodes map[int]*node
-	order []int   // AddNode order: deterministic iteration
-	stop  *bool   // current schedule generation; nil when idle
-	prof  Profile // the profile of the current generation
+	sim *sim.Simulation
+	// rng draws fault arrivals. Its seed is drawn at New, in construction
+	// order; the generator is built from it on first use, so an injector
+	// that never schedules a fault never seeds one.
+	rng     *rand.Rand
+	rngSeed int64
+	nodes   map[int]*node
+	order   []int   // AddNode order: deterministic iteration
+	stop    *bool   // current schedule generation; nil when idle
+	prof    Profile // the profile of the current generation
 
 	Stats Stats
 }
@@ -142,9 +146,9 @@ type Injector struct {
 // New creates an injector on s.
 func New(s *sim.Simulation) *Injector {
 	in := &Injector{
-		sim:   s,
-		rng:   s.NewRand(),
-		nodes: make(map[int]*node),
+		sim:     s,
+		rngSeed: s.DrawSeed(),
+		nodes:   make(map[int]*node),
 	}
 	for c := range in.Stats.Recovery {
 		in.Stats.Recovery[c] = metrics.NewHistogram()
@@ -429,6 +433,9 @@ func (in *Injector) startNode(n *node, p Profile, stopped *bool) {
 func (in *Injector) poisson(rate float64, stopped *bool, fire func()) {
 	if rate <= 0 {
 		return
+	}
+	if in.rng == nil {
+		in.rng = rand.New(rand.NewSource(in.rngSeed))
 	}
 	delay := func() sim.Time {
 		d := sim.Time(in.rng.ExpFloat64() / rate * float64(sim.Second))

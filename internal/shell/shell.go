@@ -15,11 +15,11 @@
 //   - full/partial reconfiguration semantics (full reconfig briefly drops
 //     the link; partial keeps packets flowing),
 //   - configuration-scrubbing and SEU recovery (§II-B), and
-//   - hop-by-hop PFC on both links, as a two-port switch takes part: a
-//     PFC frame arriving on either link pauses that link's egress, and
-//     each port charges the lossless frames it bridges to its netsim
-//     ingress account, which pauses its link partner while too many of
-//     them wait in the shell.
+//   - hop-by-hop PFC on both links, as a two-port switch: a PFC frame
+//     arriving on either link pauses that link's egress, and each
+//     lossless frame the bridge passes is charged to the port it came in
+//     on, whose netsim ingress account pauses the link partner while too
+//     many such bytes wait in the shell.
 package shell
 
 import (
