@@ -358,8 +358,11 @@ type Port struct {
 	retry       sim.Timer
 	// realQueued counts the queued data frames that are not noise.
 	realQueued int
-	// pfc is the port's ingress account (pfc.go).
-	pfc ingressAccount
+	// pfc is the port's ingress account (pfc.go), nil until the port
+	// first holds a frame; pfcStats is where it counts (its switch's),
+	// nil for nowhere.
+	pfc      *ingressAccount
+	pfcStats *PFCStats
 
 	// noise is the port's background traffic (noise.go); nil until a
 	// load is started on it.

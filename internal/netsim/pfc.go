@@ -36,13 +36,11 @@ type PFCStats struct {
 
 // ingressAccount is a port's share of PFC: per class, the bytes that
 // arrived on the port and still wait in its device, and whether the port
-// has paused its link partner's class.
+// has paused its link partner's class. A port builds it when it first
+// holds a frame.
 type ingressAccount struct {
 	held   [pkt.NumClasses]int
 	paused [pkt.NumClasses]bool
-	// stats is where the account counts (its switch's); nil counts
-	// nowhere.
-	stats *PFCStats
 }
 
 // Hold charges packet, which arrived on p and is forwarded toward egress,
@@ -53,11 +51,14 @@ func (p *Port) Hold(packet *Packet, egress *Port) {
 	if !egress.cfg.Lossless[class] {
 		return
 	}
-	a := &p.pfc
+	if p.pfc == nil {
+		p.pfc = new(ingressAccount)
+	}
+	a := p.pfc
 	size := packet.WireLen()
 	a.held[class] += size
-	if a.stats != nil {
-		a.stats.IngressHold.Add(int64(size))
+	if p.pfcStats != nil {
+		p.pfcStats.IngressHold.Add(int64(size))
 	}
 	packet.ingress = p
 	packet.held = true
@@ -70,7 +71,12 @@ func (p *Port) Hold(packet *Packet, egress *Port) {
 
 // HeldBytes reports the bytes of class c that arrived on p and still wait
 // in its device.
-func (p *Port) HeldBytes(c pkt.TrafficClass) int { return p.pfc.held[c] }
+func (p *Port) HeldBytes(c pkt.TrafficClass) int {
+	if p.pfc == nil {
+		return 0
+	}
+	return p.pfc.held[c]
+}
 
 // releaseHold settles a held packet's ingress account.
 func releaseHold(packet *Packet) {
@@ -79,17 +85,17 @@ func releaseHold(packet *Packet) {
 	}
 	packet.held = false
 	p := packet.ingress
-	a := &p.pfc
+	a := p.pfc
 	class, size := packet.Class(), packet.WireLen()
 	a.held[class] -= size
-	if a.stats != nil {
-		a.stats.IngressHold.Add(int64(-size))
+	if p.pfcStats != nil {
+		p.pfcStats.IngressHold.Add(int64(-size))
 	}
 	if a.paused[class] && a.held[class] < pfcXonBytes {
 		a.paused[class] = false
 		p.sendPause(class, 0) // resume
-		if a.stats != nil {
-			a.stats.PFCResumed.Inc()
+		if p.pfcStats != nil {
+			p.pfcStats.PFCResumed.Inc()
 		}
 	}
 }
@@ -102,8 +108,8 @@ func (p *Port) sendPause(class pkt.TrafficClass, quanta uint16) {
 	src := pkt.MAC{0x02, 0xff, byte(p.index), 0, 0, 0}
 	p.EnqueueControl(NewPacket(pkt.EncodePFC(src, f)))
 	p.stats.PFCSent.Inc()
-	if quanta != 0 && p.pfc.stats != nil {
-		p.pfc.stats.PFCIssued.Inc()
+	if quanta != 0 && p.pfcStats != nil {
+		p.pfcStats.PFCIssued.Inc()
 	}
 }
 

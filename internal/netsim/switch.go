@@ -81,7 +81,7 @@ func (sw *Switch) DeviceName() string { return sw.cfg.Name }
 func (sw *Switch) Port(i int) *Port {
 	if sw.ports[i] == nil {
 		sw.ports[i] = newPort(sw.sim, sw, i, sw.cfg.Port, sw.seeds[i])
-		sw.ports[i].pfc.stats = &sw.stats.PFCStats
+		sw.ports[i].pfcStats = &sw.stats.PFCStats
 	}
 	return sw.ports[i]
 }
