@@ -107,12 +107,12 @@ type bucket struct {
 // Simulation is a single-threaded discrete-event simulator.
 // The zero value is not usable; construct with New.
 type Simulation struct {
-	now  Time
-	seq  uint64
-	seed int64
+	now Time
+	seq uint64
 	// rng is built from seed on first use (Rand, DrawSeed, NewRand): a
 	// simulation that never draws never pays for seeding a generator.
 	rng    *rand.Rand
+	seed   int64
 	fired  uint64
 	live   int // queued, non-cancelled events
 	halted bool
