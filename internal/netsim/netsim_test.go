@@ -262,10 +262,10 @@ func TestWirePanicsOnDoubleWire(t *testing.T) {
 }
 
 func TestPauseQuantaConversion(t *testing.T) {
-	d := PauseQuantaToTime(0xffff, Rate40G)
+	d := pauseQuantaToTime(0xffff, Rate40G)
 	// 65535 * 512 bits / 40Gbps = 838.8 us.
 	want := sim.Time(int64(0xffff) * 512 * int64(sim.Second) / Rate40G)
 	if d != want {
-		t.Errorf("PauseQuantaToTime = %v, want %v", d, want)
+		t.Errorf("pauseQuantaToTime = %v, want %v", d, want)
 	}
 }

@@ -76,6 +76,8 @@ func (l rigLoad) proc(bps int64) noiseProc {
 }
 
 // rigSink is the port's peer device: it logs every frame that reaches it.
+// A PFC frame ends at the peer port before any device sees it, so runRig
+// logs those arrivals here too.
 type rigSink struct {
 	s   *sim.Simulation
 	log []string
@@ -84,12 +86,12 @@ type rigSink struct {
 func (k *rigSink) DeviceName() string { return "sink" }
 func (k *rigSink) HandleFrame(_ *Port, packet *Packet) {
 	f := packet.F
-	what := fmt.Sprintf("ipid=%d class=%d ecn=%d len=%d", f.IPID, f.Class(), f.ECN, f.WireLen())
-	if f.EtherType == pkt.EtherTypePFC {
-		what = "pfc"
-	}
-	k.log = append(k.log, fmt.Sprintf("%9d %s", k.s.Now(), what))
+	k.logf("ipid=%d class=%d ecn=%d len=%d", f.IPID, f.Class(), f.ECN, f.WireLen())
 	packet.Free()
+}
+
+func (k *rigSink) logf(format string, args ...any) {
+	k.log = append(k.log, fmt.Sprintf("%9d ", k.s.Now())+fmt.Sprintf(format, args...))
 }
 
 // config is the script's port configuration.
@@ -158,12 +160,25 @@ func runRig(sc rigScript, lazy bool) []string {
 	// The registry brings the port's noise up to date before a snapshot,
 	// as the datacenter does for its own ports.
 	obs.RegistryOf(s).Refresh(port.sync)
+	// runTo runs the simulation to at one event at a time and logs each
+	// PFC frame at the instant it ends at the peer, with the pause state
+	// it leaves on the peer's egress.
+	var pfcSeen uint64
+	runTo := func(at sim.Time) {
+		for next, ok := s.NextEventTime(); ok && next <= at; next, ok = s.NextEventTime() {
+			s.Step()
+			for ; pfcSeen < peer.stats.PFCRecv.Value(); pfcSeen++ {
+				k.logf("pfc paused=%v", peer.pausedUntil)
+			}
+		}
+		s.RunUntil(at)
+	}
 
 	if !lazy {
 		scheduleEager(s, sw, 0, sc.load.proc(cfg.Link.RateBps), sc.horizon)
 	}
 	for i, op := range sc.ops {
-		s.RunUntil(op.at)
+		runTo(op.at)
 		switch op.kind {
 		case opStart:
 			if lazy {
@@ -202,9 +217,9 @@ func runRig(sc rigScript, lazy bool) []string {
 				Wire(port, peer)
 			}
 		}
-		s.RunUntil(op.at)
+		runTo(op.at)
 	}
-	s.RunUntil(sc.horizon)
+	runTo(sc.horizon)
 	read("final")
 	logf("final queue delay %+v", *port.Stats().QueueDelay)
 	logf("final port stream %d", port.rand().Int63())
@@ -371,8 +386,9 @@ func noiseInstants(sc rigScript) (arrivals, ends []sim.Time) {
 	return arrivals, ends
 }
 
-// compareRig runs sc both ways and reports the first line that differs.
-func compareRig(t *testing.T, sc rigScript) (lines int) {
+// compareRig runs sc both ways, reports the first line that differs and
+// returns the lazy run's lines.
+func compareRig(t *testing.T, sc rigScript) (lines []string) {
 	t.Helper()
 	lazy, eager := runRig(sc, true), runRig(sc, false)
 	for i := 0; i < len(lazy) && i < len(eager); i++ {
@@ -383,26 +399,37 @@ func compareRig(t *testing.T, sc rigScript) (lines int) {
 	if len(lazy) != len(eager) {
 		t.Fatalf("lazy observed %d facts, eager %d", len(lazy), len(eager))
 	}
-	return len(lazy)
+	return lazy
+}
+
+// pfcArrivals counts the PFC frames that ended at the peer in a run's lines.
+func pfcArrivals(lines []string) int {
+	n := 0
+	for _, l := range lines {
+		if strings.Contains(l, " pfc paused=") {
+			n++
+		}
+	}
+	return n
 }
 
 // TestNoiseMatchesEager runs seeded scripts through both paths, and
 // checks that together they reached a load started mid-run, RED drops,
-// ECN marks, tail drops, PFC pauses, hooked noise and equal-time ties
-// between noise arrivals and real operations.
+// ECN marks, tail drops, PFC pauses, PFC frames at the peer, hooked
+// noise and equal-time ties between noise arrivals and real operations.
 func TestNoiseMatchesEager(t *testing.T) {
 	seeds := 60
 	if testing.Short() {
 		seeds = 15
 	}
-	var midRun, red, ecn, tail, pauses, hooked, ties uint64
+	var midRun, red, ecn, tail, pauses, pfcs, hooked, ties uint64
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		sc := genScript(seed)
-		compareRig(t, sc)
+		lines := compareRig(t, sc)
 		if sc.load.start > 0 {
 			midRun++
 		}
-		lines := runRig(sc, true)
+		pfcs += uint64(pfcArrivals(lines))
 		var f [5]uint64
 		for _, l := range lines {
 			if strings.HasPrefix(l, "final ") && strings.Contains(l, " tx=") {
@@ -428,18 +455,18 @@ func TestNoiseMatchesEager(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("mid-run=%d red=%d tail=%d ecn=%d pauses=%d hooked-noise=%d ties=%d",
-		midRun, red, tail, ecn, pauses, hooked, ties)
-	if midRun == 0 || red == 0 || tail == 0 || ecn == 0 || pauses == 0 || hooked == 0 || ties == 0 {
+	t.Logf("mid-run=%d red=%d tail=%d ecn=%d pauses=%d pfc-frames=%d hooked-noise=%d ties=%d",
+		midRun, red, tail, ecn, pauses, pfcs, hooked, ties)
+	if midRun == 0 || red == 0 || tail == 0 || ecn == 0 || pauses == 0 || pfcs == 0 || hooked == 0 || ties == 0 {
 		t.Fatal("the scripts did not reach every case")
 	}
 
 	// The low-load scripts: each advance runs long stretches of noise
 	// that finds the port holding nothing else.
-	var longest, endTies, noisePauses, floors, cuts int
+	var longest, endTies, noisePauses, floors, cuts, quietPFCs int
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		sc := genQuietScript(seed)
-		compareRig(t, sc)
+		quietPFCs += pfcArrivals(compareRig(t, sc))
 		arrivals, ends := noiseInstants(sc)
 		isEnd := map[sim.Time]bool{}
 		for _, e := range ends {
@@ -471,9 +498,9 @@ func TestNoiseMatchesEager(t *testing.T) {
 			floors++
 		}
 	}
-	t.Logf("low load: longest run between operations=%d end-ties=%d noise-class pauses=%d ecn floors=%d cuts=%d",
-		longest, endTies, noisePauses, floors, cuts)
-	if longest < 100 || endTies == 0 || noisePauses == 0 || floors == 0 || cuts == 0 {
+	t.Logf("low load: longest run between operations=%d end-ties=%d noise-class pauses=%d ecn floors=%d cuts=%d pfc-frames=%d",
+		longest, endTies, noisePauses, floors, cuts, quietPFCs)
+	if longest < 100 || endTies == 0 || noisePauses == 0 || floors == 0 || cuts == 0 || quietPFCs == 0 {
 		t.Fatal("the low-load scripts did not reach every case")
 	}
 }

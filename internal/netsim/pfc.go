@@ -117,7 +117,7 @@ func (p *Port) sendPause(class pkt.TrafficClass, quanta uint16) {
 // stays paused, so the partner's pause does not expire under sustained
 // congestion.
 func (p *Port) armPauseRefresh(class pkt.TrafficClass) {
-	life := PauseQuantaToTime(pfcPauseQuanta, p.cfg.Link.RateBps)
+	life := pauseQuantaToTime(pfcPauseQuanta, p.cfg.Link.RateBps)
 	p.sim.Schedule(life/2, func() {
 		if p.pfc.paused[class] {
 			p.sendPause(class, pfcPauseQuanta)
@@ -132,14 +132,14 @@ func (p *Port) receivePFC(packet *Packet) {
 	if f, ok := pkt.DecodePFC(packet.F.Payload); ok {
 		for c := range pkt.NumClasses {
 			if f.Enabled[c] {
-				p.Pause(pkt.TrafficClass(c), PauseQuantaToTime(f.Quanta[c], p.cfg.Link.RateBps))
+				p.Pause(pkt.TrafficClass(c), pauseQuantaToTime(f.Quanta[c], p.cfg.Link.RateBps))
 			}
 		}
 	}
 	packet.Free()
 }
 
-// PauseQuantaToTime converts a PFC quanta count into wall time at rate.
-func PauseQuantaToTime(quanta uint16, rateBps int64) sim.Time {
+// pauseQuantaToTime converts a PFC quanta count into wall time at rate.
+func pauseQuantaToTime(quanta uint16, rateBps int64) sim.Time {
 	return sim.Time(int64(quanta) * pkt.PauseQuantumBits * int64(sim.Second) / rateBps)
 }

@@ -135,12 +135,3 @@ func (sw *Switch) HandleFrame(p *Port, packet *Packet) {
 	packet.NextPort = egress
 	sw.sim.ScheduleCall(delay, EnqueueCall, packet)
 }
-
-// IngressHeldBytes reports the PFC account for (ingress port, class) —
-// exposed for tests.
-func (sw *Switch) IngressHeldBytes(port int, class pkt.TrafficClass) int {
-	if p := sw.ports[port]; p != nil {
-		return p.HeldBytes(class)
-	}
-	return 0
-}

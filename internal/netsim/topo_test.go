@@ -316,15 +316,19 @@ func TestBackgroundLoadCausesQueueing(t *testing.T) {
 func TestSwitchPFCBackpressure(t *testing.T) {
 	// Saturate a TOR's host-facing egress with lossless traffic from two
 	// sources; PFC must engage and no lossless frame may be dropped.
+	// Each host bursts 500 frames of 1,446 wire bytes at line rate into
+	// one egress of the same rate, so without PFC that queue would peak
+	// near 700 KiB, past its 512 KiB.
 	s := sim.New(3)
 	dc := NewDatacenter(s, smallConfig())
 	h0, h1, h3 := dc.Host(0), dc.Host(1), dc.Host(3)
 	recv := 0
 	h1.RegisterUDP(5000, func(f *pkt.Frame) { recv++ })
 
+	const frames = 500
 	payload := make([]byte, 1400)
 	send := func(h *Host) {
-		for i := 0; i < 200; i++ {
+		for i := 0; i < frames; i++ {
 			h.SendUDPRaw(h1.IP(), 5000, 5000, pkt.ClassLTL, payload)
 		}
 	}
@@ -341,15 +345,15 @@ func TestSwitchPFCBackpressure(t *testing.T) {
 		t.Errorf("lossless frames dropped: tail=%d red=%d",
 			egress.Stats().DropsTail.Value(), egress.Stats().DropsRED.Value())
 	}
-	if recv != 400 {
-		t.Errorf("received %d lossless frames, want all 400", recv)
+	if recv != 2*frames {
+		t.Errorf("received %d lossless frames, want all %d", recv, 2*frames)
 	}
 	if tor.Stats().PFCResumed.Value() == 0 {
 		t.Error("PFC never resumed after drain")
 	}
 	// Ingress accounting must drain to zero.
 	for p := 0; p < tor.NumPorts(); p++ {
-		if held := tor.IngressHeldBytes(p, pkt.ClassLTL); held != 0 {
+		if held := tor.Port(p).HeldBytes(pkt.ClassLTL); held != 0 {
 			t.Errorf("port %d still holds %d bytes after drain", p, held)
 		}
 	}
